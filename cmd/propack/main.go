@@ -456,19 +456,28 @@ func cmdRun(args []string) error {
 		printMetrics(trace.FromResult(res))
 	}
 	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
+		if err := writeTimelineFile(*timeline, res); err != nil {
 			sink.Close()
 			return err
 		}
-		defer f.Close()
-		if err := trace.WriteTimelinesCSV(f, res); err != nil {
-			sink.Close()
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "  timelines      : %s (%d rows)\n", *timeline, len(res.Timelines))
+		fmt.Fprintf(os.Stderr, "  timelines      : %s (%d rows)\n", *timeline, res.Instances())
 	}
 	return sink.Close()
+}
+
+// writeTimelineFile writes res's per-instance CSV to path. The close error
+// is reported: on a file just written it can be the only sign the data did
+// not reach the disk.
+func writeTimelineFile(path string, res *platform.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteTimelinesCSV(f, res); err != nil {
+		f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
 }
 
 func cmdSweep(args []string) error {

@@ -85,9 +85,9 @@ func (s SerialBatching) Execute(cfg platform.Config, d interfere.Demand, c int, 
 			return trace.Metrics{}, err
 		}
 		var waveEnd float64
-		for _, tl := range res.Timelines {
-			start := offset + tl.Start
-			end := offset + tl.End
+		for i, n := 0, res.Instances(); i < n; i++ {
+			start := offset + res.Start(i)
+			end := offset + res.End(i)
 			if start < firstStart {
 				firstStart = start
 			}
@@ -98,7 +98,7 @@ func (s SerialBatching) Execute(cfg platform.Config, d interfere.Demand, c int, 
 			if end > waveEnd {
 				waveEnd = end
 			}
-			funcSec += tl.ExecSeconds()
+			funcSec += res.End(i) - res.Start(i)
 		}
 		expense += res.ExpenseUSD()
 		offset = waveEnd // next wave only after this one completes

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/interfere"
@@ -9,8 +10,9 @@ import (
 // The burst hot path is allocation-lean: no per-instance degree slice, a
 // single reused billing group descriptor, one gather-and-sort for
 // multi-quantile metrics, and — since the typed-dispatch rewrite — no event
-// or control-plane closures at all. Steady state, the only O(n) allocation
-// left in Run is the materialized []Timeline handed to the caller; the
+// or control-plane closures at all. Steady state, the only O(n) allocations
+// left in Run are the three column slabs the Result owns (77 B/instance);
+// the row view is built only when a caller asks for Timelines(). The
 // regression bounds below hold that line.
 
 func TestRunAllocationLean(t *testing.T) {
@@ -27,7 +29,7 @@ func TestRunAllocationLean(t *testing.T) {
 	})
 	// The closure control plane sat at ≈19 objects per instance when this
 	// bound was first set; the typed dispatcher's steady state is ≈0.01
-	// (the Timeline slice amortized). The bound keeps headroom for pool
+	// (the column slabs amortized). The bound keeps headroom for pool
 	// evictions under GC pressure while still catching any per-instance
 	// closure sneaking back in.
 	per := allocs / float64(b.Instances())
@@ -38,7 +40,7 @@ func TestRunAllocationLean(t *testing.T) {
 
 // TestAllocsPerRunTypedVsClosure pins the steady-state allocation story the
 // typed dispatcher exists for, at C=10⁴: the typed path's per-instance
-// allocations must stay near zero (Timeline materialization amortized),
+// allocations must stay near zero (the Result's column slabs amortized),
 // and the retained closure control plane must still exhibit the
 // per-instance closure costs it was rewritten to shed — if the oracle ever
 // measures lean too, the comparison has stopped guarding anything.
@@ -74,6 +76,63 @@ func TestAllocsPerRunTypedVsClosure(t *testing.T) {
 	t.Logf("allocs/instance at C=10⁴: typed=%.3f closure=%.1f", typed, closure)
 }
 
+// allocsOf reports the objects and bytes one call of fn allocates, as the
+// minimum over a few runs (a GC-evicted pool entry being rebuilt inflates
+// the odd run; the steady state is the floor).
+func allocsOf(fn func()) (objects, bytes uint64) {
+	objects, bytes = ^uint64(0), ^uint64(0)
+	var before, after runtime.MemStats
+	for k := 0; k < 5; k++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if o := after.Mallocs - before.Mallocs; o < objects {
+			objects = o
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b < bytes {
+			bytes = b
+		}
+	}
+	return objects, bytes
+}
+
+// TestAllocsPerRunColumnarResult pins the columnar Result's footprint at
+// C=10⁴: a steady-state Run allocates the three column slabs (77
+// B/instance) plus a fixed handful of small objects and nothing else
+// proportional to n, and asking the Result for its scaling time — all
+// Advise's scaling probes ever do — allocates nothing at all, i.e. never
+// materializes the row view. (trace.FromResult's share of the same gate is
+// TestAllocsPerRunFromResult in internal/trace.)
+func TestAllocsPerRunColumnarResult(t *testing.T) {
+	cfg := AWSLambda()
+	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
+	b := Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: 7}
+	n := float64(b.Instances())
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = Run(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the scratch/engine pool
+
+	objects, bytes := allocsOf(run)
+	if per := float64(bytes) / n; per > 80 {
+		t.Errorf("Run allocates %.1f B/instance (%d B total), want ≤ 80", per, bytes)
+	}
+	if objects > 12 {
+		t.Errorf("Run allocates %d objects, want ≤ 12", objects)
+	}
+	t.Logf("steady-state Run at C=10⁴: %d objects, %.2f B/instance", objects, float64(bytes)/n)
+
+	var sink float64
+	if a := testing.AllocsPerRun(20, func() { sink += res.ScalingTime() }); a != 0 {
+		t.Errorf("ScalingTime allocates %.0f objects per call, want 0", a)
+	}
+	_ = sink
+}
+
 func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
@@ -81,8 +140,8 @@ func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One gather + one sort + one result slice, regardless of how many
-	// quantiles are requested.
+	// One copy of the end column + one sort + one result slice, regardless
+	// of how many quantiles are requested.
 	allocs := testing.AllocsPerRun(20, func() {
 		res.ServiceTimeAtQuantiles(95, 50)
 	})

@@ -89,8 +89,11 @@ func (b Burst) Validate() error {
 	return nil
 }
 
-// Timeline records one instance's trip through the control plane. All times
-// are seconds since the burst's invocation.
+// Timeline is the row view of one instance's trip through the control
+// plane, built on demand by Result.Timelines from the Result's columns — for
+// tests, the CSV exporter, and anything else that wants to look at whole
+// instances rather than fold a metric. All times are seconds since the
+// burst's invocation.
 type Timeline struct {
 	Index     int
 	Degree    int  // functions packed in this instance
@@ -121,25 +124,14 @@ type Timeline struct {
 // FailedSec and HedgeExtraSec).
 func (t Timeline) ExecSeconds() float64 { return t.End - t.Start }
 
-// wastedSec is the billed time that produced no results: failed attempts
-// plus the losing copy of a hedged execution.
-func (t Timeline) wastedSec() float64 {
-	w := t.FailedSec
-	if t.Hedged {
-		if t.HedgeWon {
-			w += t.ExecSeconds() // the primary ran until the duplicate won
-		} else {
-			w += t.HedgeExtraSec // the duplicate ran until the primary won
-		}
-	}
-	return w
-}
-
-// Result is the outcome of simulating one burst.
+// Result is the outcome of simulating one burst. The per-instance record is
+// columnar: the Result owns the run's instanceColumns and every metric below
+// folds over the one or two columns it needs, in instance order. The row
+// view is never stored — Timelines materializes it when asked.
 type Result struct {
-	Config    Config
-	Burst     Burst
-	Timelines []Timeline
+	Config Config
+	Burst  Burst
+	cols   instanceColumns
 	// Bins is non-nil for heterogeneous (RunMixed) bursts and records each
 	// instance's resident function set; Burst.Degree is 0 in that case.
 	Bins []Bin
@@ -173,7 +165,19 @@ func (r *Result) ExpenseUSD() float64 { return r.ComputeUSD + r.RequestUSD + r.S
 
 // Instances is the number of function instances the burst actually spawned
 // (valid for both homogeneous and mixed bursts).
-func (r *Result) Instances() int { return len(r.Timelines) }
+func (r *Result) Instances() int { return r.cols.n }
+
+// Timelines materializes the per-instance row view, one freshly allocated
+// Timeline per instance in instance order (Timelines()[i].Index == i). It
+// costs 120 bytes per instance on every call: hold the slice rather than
+// calling it in a loop, and prefer the metric methods, which never build it.
+func (r *Result) Timelines() []Timeline { return r.cols.materialize() }
+
+// Start is when instance i's final, successful execution attempt began.
+func (r *Result) Start(i int) float64 { return r.cols.start[i] }
+
+// End is when instance i's execution ended.
+func (r *Result) End(i int) float64 { return r.cols.end[i] }
 
 // Run simulates one invocation burst on the platform and returns the
 // per-instance timelines plus the bill.
@@ -235,7 +239,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// descriptor instead of allocating one per instance.
 	group := []demandGroup{{d: b.Demand}}
 	res.bill(func(i int) []demandGroup {
-		group[0].n = res.Timelines[i].Degree
+		group[0].n = int(res.cols.degree[i])
 		return group
 	})
 	return res, nil
@@ -258,11 +262,13 @@ type podState struct {
 }
 
 // runScratch pools the per-burst working state that never escapes into the
-// Result — the struct-of-arrays instance batch, pod bookkeeping, the event
-// engine, and the typed-event dispatcher — so burst-heavy paths (probe
-// fan-outs, sweeps) stop paying an allocation per array per burst.
-// Everything handed out is fully reinitialized here; nothing downstream may
-// retain a reference past release.
+// Result — the batch's simulation-only columns (execs, prevDelay, pendDur),
+// pod bookkeeping, the event engine, and the typed-event dispatcher with its
+// stations — so burst-heavy paths (probe fan-outs, sweeps) stop paying an
+// allocation per array per burst. Everything pooled is fully reinitialized
+// here and nothing downstream may retain a reference to it past release. The
+// one thing on the scratch that does escape, the batch's instanceColumns, is
+// allocated per run and belongs to the Result; release forgets it.
 type runScratch struct {
 	batch instanceBatch
 	pods  []podState
@@ -273,7 +279,7 @@ type runScratch struct {
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // newRunScratch returns a scratch whose batch is sized and zeroed for n
-// instances.
+// instances, with fresh result columns.
 func newRunScratch(n int) *runScratch {
 	sc := runScratchPool.Get().(*runScratch)
 	sc.batch.reset(n)
@@ -294,7 +300,13 @@ func (sc *runScratch) podStates(n int) []podState {
 	return sc.pods
 }
 
-func (sc *runScratch) release() { runScratchPool.Put(sc) }
+// release returns the scratch to the pool without the run's result columns:
+// they are the Result's now (or garbage, if the run failed), and a pooled
+// reference would pin them until the scratch's next use.
+func (sc *runScratch) release() {
+	sc.batch.instanceColumns = instanceColumns{}
+	runScratchPool.Put(sc)
+}
 
 // useReferenceEngine routes every burst simulation through the retained
 // container/heap event-queue oracle instead of the production calendar
@@ -337,20 +349,21 @@ func (r *Result) bill(groupsOf func(i int) []demandGroup) {
 		panic(err) // Config.Validate guarantees positive bandwidth
 	}
 	memGB := cfg.MemoryGB()
-	for _, t := range r.Timelines {
+	c := &r.cols
+	for i := 0; i < c.n; i++ {
 		// Failed attempts and hedge duplicates bill their partial GB·seconds
 		// — failure visibly raises expense — and every re-invocation or
 		// speculative launch pays the per-request fee. Storage traffic is
 		// metered once per instance (only the winning attempt's results
 		// land in the store).
-		r.ComputeUSD += (t.ExecSeconds() + t.FailedSec + t.HedgeExtraSec) * memGB * cfg.GBSecondUSD
-		r.WastedUSD += t.wastedSec() * memGB * cfg.GBSecondUSD
-		launches := 1 + t.Retries + t.Crashes + t.Timeouts
-		if t.Hedged {
+		r.ComputeUSD += (c.end[i] - c.start[i] + c.failedSec[i] + c.hedgeExtraSec[i]) * memGB * cfg.GBSecondUSD
+		r.WastedUSD += c.wastedSec(i) * memGB * cfg.GBSecondUSD
+		launches := 1 + int(c.retries[i]) + int(c.crashes[i]) + int(c.timeouts[i])
+		if c.flags[i]&flagHedged != 0 {
 			launches++
 		}
 		r.RequestUSD += cfg.PerRequestUSD * float64(launches)
-		for _, g := range groupsOf(t.Index) {
+		for _, g := range groupsOf(i) {
 			billGroup(meter, g.d, g.n)
 		}
 	}
@@ -395,15 +408,19 @@ func hashName(name string) uint64 {
 }
 
 // --- Result metrics (the paper's figures of merit, Sec. 3) ---
+//
+// Each is a fold over the Result's columns in instance order, written with
+// the floating-point expressions the row-wise originals used; the retained
+// references in columns_equiv_test.go hold them to the same bits.
 
 // ScalingTime is the time between invocation and the start of the last
 // instance (equivalently: first-to-last start spread plus the first
 // instance's provisioning delay).
 func (r *Result) ScalingTime() float64 {
 	var maxStart float64
-	for _, t := range r.Timelines {
-		if t.Start > maxStart {
-			maxStart = t.Start
+	for _, s := range r.cols.start {
+		if s > maxStart {
+			maxStart = s
 		}
 	}
 	return maxStart
@@ -412,9 +429,9 @@ func (r *Result) ScalingTime() float64 {
 // firstStart is the provisioning delay of the first instance to start.
 func (r *Result) firstStart() float64 {
 	first := math.Inf(1)
-	for _, t := range r.Timelines {
-		if t.Start < first {
-			first = t.Start
+	for _, s := range r.cols.start {
+		if s < first {
+			first = s
 		}
 	}
 	return first
@@ -424,9 +441,9 @@ func (r *Result) firstStart() float64 {
 // the end of the last one ("total service time" in the paper).
 func (r *Result) TotalServiceTime() float64 {
 	var maxEnd float64
-	for _, t := range r.Timelines {
-		if t.End > maxEnd {
-			maxEnd = t.End
+	for _, e := range r.cols.end {
+		if e > maxEnd {
+			maxEnd = e
 		}
 	}
 	return maxEnd - r.firstStart()
@@ -440,13 +457,11 @@ func (r *Result) ServiceTimeAtQuantile(q float64) float64 {
 }
 
 // ServiceTimeAtQuantiles answers several service-time quantiles from one
-// gather-and-sort of the instance end times — callers reporting tail and
-// median together pay a single sort instead of one per quantile.
+// copy-and-sort of the end column — callers reporting tail and median
+// together pay a single sort instead of one per quantile.
 func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
-	ends := make([]float64, len(r.Timelines))
-	for i, t := range r.Timelines {
-		ends[i] = t.End
-	}
+	ends := make([]float64, r.cols.n)
+	copy(ends, r.cols.end)
 	sort.Float64s(ends)
 	first := r.firstStart()
 	out := make([]float64, len(qs))
@@ -459,19 +474,30 @@ func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
 // FunctionSeconds is the summed execution time across all instances — the
 // "function hours" resource-accounting metric of paper Fig. 12 (×3600).
 func (r *Result) FunctionSeconds() float64 {
+	c := &r.cols
 	var s float64
-	for _, t := range r.Timelines {
-		s += t.ExecSeconds()
+	for i := 0; i < c.n; i++ {
+		s += c.end[i] - c.start[i]
 	}
 	return s
 }
 
 // MeanExecSeconds is the average per-instance execution time.
 func (r *Result) MeanExecSeconds() float64 {
-	if len(r.Timelines) == 0 {
+	if r.cols.n == 0 {
 		return 0
 	}
-	return r.FunctionSeconds() / float64(len(r.Timelines))
+	return r.FunctionSeconds() / float64(r.cols.n)
+}
+
+// FailedSeconds is the summed billed execution time of failed attempts
+// (crashes and timeouts) across all instances.
+func (r *Result) FailedSeconds() float64 {
+	var s float64
+	for _, f := range r.cols.failedSec {
+		s += f
+	}
+	return s
 }
 
 // StageSpans reports, for each control-plane stage, the largest span any
@@ -481,14 +507,15 @@ func (r *Result) MeanExecSeconds() float64 {
 // contention growth with concurrency even when a single stage dominates
 // the last instance's critical path (paper Fig. 2).
 func (r *Result) StageSpans() (sched, build, ship float64) {
-	for _, t := range r.Timelines {
-		if t.SchedDone > sched {
-			sched = t.SchedDone
+	c := &r.cols
+	for i := 0; i < c.n; i++ {
+		if c.schedDone[i] > sched {
+			sched = c.schedDone[i]
 		}
-		if b := t.BuildDone - t.SchedDone; b > build {
+		if b := c.buildDone[i] - c.schedDone[i]; b > build {
 			build = b
 		}
-		if s := t.ShipDone - t.BuildDone; s > ship {
+		if s := c.shipDone[i] - c.buildDone[i]; s > ship {
 			ship = s
 		}
 	}
@@ -499,14 +526,19 @@ func (r *Result) StageSpans() (sched, build, ship float64) {
 // last instance to start: time in scheduling, image build, shipping, and
 // boot. The four components sum to ScalingTime (paper Fig. 2).
 func (r *Result) StageBreakdown() (sched, build, ship, boot float64) {
-	var last Timeline
-	for _, t := range r.Timelines {
-		if t.Start >= last.Start {
-			last = t
+	c := &r.cols
+	if c.n == 0 {
+		return 0, 0, 0, 0
+	}
+	// >= from a zero start: ties go to the highest index.
+	last, lastStart := 0, 0.0
+	for i, s := range c.start {
+		if s >= lastStart {
+			last, lastStart = i, s
 		}
 	}
-	return last.SchedDone,
-		last.BuildDone - last.SchedDone,
-		last.ShipDone - last.BuildDone,
-		last.Start - last.ShipDone
+	return c.schedDone[last],
+		c.buildDone[last] - c.schedDone[last],
+		c.shipDone[last] - c.buildDone[last],
+		c.start[last] - c.shipDone[last]
 }

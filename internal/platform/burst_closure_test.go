@@ -14,9 +14,13 @@ import (
 // retained quadratic planner in core/table_equiv_test.go. The typed path
 // must reproduce its Results and recorder traces byte for byte; the
 // differential tests in typed_equiv_test.go swap it in through the runCP
-// hook. Only two mechanical edits were made: the function was renamed, and
+// hook. Only three mechanical edits were made: the function was renamed,
 // engine construction goes through sc.engine() (the pooled engine; closure
-// events never consult the sink, so no SetSink is needed).
+// events never consult the sink, so no SetSink is needed), and the epilogue
+// below eng.Run() hands the batch's columns to the Result the way
+// runControlPlane does — the fault roll-up there stays row-wise, over the
+// materialized timelines, so the typed path's column fold is checked against
+// it too.
 //
 // Do not "improve" this function; it is a specification, not product code.
 func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
@@ -298,16 +302,15 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		return nil, burstErr
 	}
 
-	timelines := ib.materialize()
 	res := &Result{
 		Config:       cfg,
 		Burst:        b,
-		Timelines:    timelines,
+		cols:         ib.instanceColumns,
 		SchedBusySec: sched.BusySeconds / float64(cfg.SchedServers),
 		BuildBusySec: buildSt.BusySeconds / float64(cfg.BuildServers),
 		ShipBusySec:  shipSt.BusySeconds / float64(cfg.ShipServers),
 	}
-	for _, t := range timelines {
+	for _, t := range res.Timelines() {
 		res.StartRetries += t.Retries
 		res.Crashes += t.Crashes
 		res.Timeouts += t.Timeouts
@@ -319,7 +322,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		}
 	}
 	if rec != nil {
-		emitLifecycleSpans(rec, timelines, arrive, admitted)
+		emitLifecycleSpans(rec, &res.cols, arrive, admitted)
 	}
 	return res, nil
 }

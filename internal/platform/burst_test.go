@@ -86,18 +86,18 @@ func TestRunPartialLastInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timelines) != 3 {
-		t.Fatalf("instances %d, want 3", len(res.Timelines))
+	if len(res.Timelines()) != 3 {
+		t.Fatalf("instances %d, want 3", len(res.Timelines()))
 	}
 	total := 0
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		total += tl.Degree
 	}
 	if total != 10 {
 		t.Fatalf("functions covered %d, want 10", total)
 	}
-	if res.Timelines[2].Degree != 2 {
-		t.Fatalf("last instance degree %d, want 2", res.Timelines[2].Degree)
+	if res.Timelines()[2].Degree != 2 {
+		t.Fatalf("last instance degree %d, want 2", res.Timelines()[2].Degree)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestTimelineCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		if !(tl.SchedDone > 0 && tl.SchedDone <= tl.BuildDone &&
 			tl.BuildDone <= tl.ShipDone && tl.ShipDone < tl.Start && tl.Start < tl.End) {
 			t.Fatalf("causality violated: %+v", tl)
@@ -209,7 +209,7 @@ func TestWarmInstancesSkipColdPath(t *testing.T) {
 	if res.ScalingTime() >= cold.ScalingTime() {
 		t.Fatalf("warm burst not faster: %g vs %g", res.ScalingTime(), cold.ScalingTime())
 	}
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		if !tl.Warm {
 			t.Fatal("instance not marked warm")
 		}
@@ -236,11 +236,11 @@ func TestPodsShareBuilds(t *testing.T) {
 	}
 	// Pod members share the leader's ship completion.
 	for p := 0; p < 8; p++ {
-		ship := res.Timelines[p*8].ShipDone
+		ship := res.Timelines()[p*8].ShipDone
 		for i := p * 8; i < p*8+8; i++ {
-			if res.Timelines[i].ShipDone != ship {
+			if res.Timelines()[i].ShipDone != ship {
 				t.Fatalf("pod %d member %d has ShipDone %g, leader %g",
-					p, i, res.Timelines[i].ShipDone, ship)
+					p, i, res.Timelines()[i].ShipDone, ship)
 			}
 		}
 	}

@@ -1,0 +1,388 @@
+package platform
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/interfere"
+	"repro/internal/resilience"
+	"repro/internal/stats"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// The row-wise metric folds the columnar Result replaced, retained VERBATIM
+// as frozen oracles — the same pattern as the closure control plane in
+// burst_closure_test.go. Each is the pre-change method body with the
+// receiver's `r.Timelines` turned into a `ts []Timeline` parameter (and, for
+// bill and the roll-up, the accumulators into return values) and nothing
+// else touched. TestResultColumnsDifferential holds every column fold to
+// their exact bits over res.Timelines().
+//
+// Do not "improve" these functions; they are a specification.
+
+func rowScalingTime(ts []Timeline) float64 {
+	var maxStart float64
+	for _, t := range ts {
+		if t.Start > maxStart {
+			maxStart = t.Start
+		}
+	}
+	return maxStart
+}
+
+func rowFirstStart(ts []Timeline) float64 {
+	first := math.Inf(1)
+	for _, t := range ts {
+		if t.Start < first {
+			first = t.Start
+		}
+	}
+	return first
+}
+
+func rowTotalServiceTime(ts []Timeline) float64 {
+	var maxEnd float64
+	for _, t := range ts {
+		if t.End > maxEnd {
+			maxEnd = t.End
+		}
+	}
+	return maxEnd - rowFirstStart(ts)
+}
+
+func rowServiceTimeAtQuantiles(ts []Timeline, qs ...float64) []float64 {
+	ends := make([]float64, len(ts))
+	for i, t := range ts {
+		ends[i] = t.End
+	}
+	sort.Float64s(ends)
+	first := rowFirstStart(ts)
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = stats.QuantileSorted(ends, q) - first
+	}
+	return out
+}
+
+func rowFunctionSeconds(ts []Timeline) float64 {
+	var s float64
+	for _, t := range ts {
+		s += t.ExecSeconds()
+	}
+	return s
+}
+
+func rowStageSpans(ts []Timeline) (sched, build, ship float64) {
+	for _, t := range ts {
+		if t.SchedDone > sched {
+			sched = t.SchedDone
+		}
+		if b := t.BuildDone - t.SchedDone; b > build {
+			build = b
+		}
+		if s := t.ShipDone - t.BuildDone; s > ship {
+			ship = s
+		}
+	}
+	return sched, build, ship
+}
+
+func rowStageBreakdown(ts []Timeline) (sched, build, ship, boot float64) {
+	var last Timeline
+	for _, t := range ts {
+		if t.Start >= last.Start {
+			last = t
+		}
+	}
+	return last.SchedDone,
+		last.BuildDone - last.SchedDone,
+		last.ShipDone - last.BuildDone,
+		last.Start - last.ShipDone
+}
+
+// rowFailedSeconds is the loop trace.FromResult ran over r.Timelines.
+func rowFailedSeconds(ts []Timeline) float64 {
+	var failedSec float64
+	for _, tl := range ts {
+		failedSec += tl.FailedSec
+	}
+	return failedSec
+}
+
+// wastedSec is the billed time that produced no results: failed attempts
+// plus the losing copy of a hedged execution.
+func (t Timeline) wastedSec() float64 {
+	w := t.FailedSec
+	if t.Hedged {
+		if t.HedgeWon {
+			w += t.ExecSeconds() // the primary ran until the duplicate won
+		} else {
+			w += t.HedgeExtraSec // the duplicate ran until the primary won
+		}
+	}
+	return w
+}
+
+type rowBillUSD struct{ compute, request, storage, wasted float64 }
+
+func rowBill(cfg Config, ts []Timeline, groupsOf func(i int) []demandGroup) rowBillUSD {
+	var r rowBillUSD
+	meter, err := storage.NewMeter(cfg.Storage, cfg.StorageGBps)
+	if err != nil {
+		panic(err) // Config.Validate guarantees positive bandwidth
+	}
+	memGB := cfg.MemoryGB()
+	for _, t := range ts {
+		r.compute += (t.ExecSeconds() + t.FailedSec + t.HedgeExtraSec) * memGB * cfg.GBSecondUSD
+		r.wasted += t.wastedSec() * memGB * cfg.GBSecondUSD
+		launches := 1 + t.Retries + t.Crashes + t.Timeouts
+		if t.Hedged {
+			launches++
+		}
+		r.request += cfg.PerRequestUSD * float64(launches)
+		for _, g := range groupsOf(t.Index) {
+			billGroup(meter, g.d, g.n)
+		}
+	}
+	r.storage = meter.CostUSD()
+	return r
+}
+
+type rowFaults struct{ startRetries, crashes, timeouts, hedgesLaunched, hedgesWon int }
+
+func rowRollUp(ts []Timeline) rowFaults {
+	var res rowFaults
+	for _, t := range ts {
+		res.startRetries += t.Retries
+		res.crashes += t.Crashes
+		res.timeouts += t.Timeouts
+		if t.Hedged {
+			res.hedgesLaunched++
+		}
+		if t.HedgeWon {
+			res.hedgesWon++
+		}
+	}
+	return res
+}
+
+// checkColumnsAgainstRows asserts that every metric and every USD field of
+// res carries the bits the row-wise references compute from res.Timelines().
+// groupsOf gives global instance i's billing groups; shards is the cell
+// count the result was simulated with (1 for Run/RunMixed), because a
+// sharded bill is the shard-order sum of per-cell bills and float addition
+// does not reassociate.
+func checkColumnsAgainstRows(t *testing.T, what string, res *Result, shards int, groupsOf func(i int) []demandGroup) {
+	t.Helper()
+	ts := res.Timelines()
+	if len(ts) != res.Instances() {
+		t.Fatalf("%s: Timelines() has %d rows, Instances() = %d", what, len(ts), res.Instances())
+	}
+	for i, tl := range ts {
+		if tl.Index != i {
+			t.Fatalf("%s: Timelines()[%d].Index = %d", what, i, tl.Index)
+		}
+		if res.Start(i) != tl.Start || res.End(i) != tl.End {
+			t.Fatalf("%s: Start/End(%d) = %g/%g, row has %g/%g", what, i, res.Start(i), res.End(i), tl.Start, tl.End)
+		}
+	}
+	same := func(name string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: %s = %v (%#x), row-wise reference %v (%#x)",
+				what, name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	same("ScalingTime", res.ScalingTime(), rowScalingTime(ts))
+	same("firstStart", res.firstStart(), rowFirstStart(ts))
+	same("TotalServiceTime", res.TotalServiceTime(), rowTotalServiceTime(ts))
+	qs := []float64{95, 50, 0, 100, 99.9}
+	got, want := res.ServiceTimeAtQuantiles(qs...), rowServiceTimeAtQuantiles(ts, qs...)
+	for i, q := range qs {
+		same(fmt.Sprintf("ServiceTimeAtQuantiles(%g)", q), got[i], want[i])
+	}
+	same("ServiceTimeAtQuantile(95)", res.ServiceTimeAtQuantile(95), want[0])
+	same("FunctionSeconds", res.FunctionSeconds(), rowFunctionSeconds(ts))
+	same("MeanExecSeconds", res.MeanExecSeconds(), rowFunctionSeconds(ts)/float64(len(ts)))
+	same("FailedSeconds", res.FailedSeconds(), rowFailedSeconds(ts))
+	s1, b1, h1 := res.StageSpans()
+	s2, b2, h2 := rowStageSpans(ts)
+	same("StageSpans.sched", s1, s2)
+	same("StageSpans.build", b1, b2)
+	same("StageSpans.ship", h1, h2)
+	s1, b1, h1, o1 := res.StageBreakdown()
+	s2, b2, h2, o2 := rowStageBreakdown(ts)
+	same("StageBreakdown.sched", s1, s2)
+	same("StageBreakdown.build", b1, b2)
+	same("StageBreakdown.ship", h1, h2)
+	same("StageBreakdown.boot", o1, o2)
+
+	var bill rowBillUSD
+	for s := 0; s < shards; s++ {
+		lo, hi := shardBounds(len(ts), shards, s)
+		cell := rowBill(res.Config, ts[lo:hi], groupsOf)
+		bill.compute += cell.compute
+		bill.request += cell.request
+		bill.storage += cell.storage
+		bill.wasted += cell.wasted
+	}
+	same("ComputeUSD", res.ComputeUSD, bill.compute)
+	same("RequestUSD", res.RequestUSD, bill.request)
+	same("StorageUSD", res.StorageUSD, bill.storage)
+	same("WastedUSD", res.WastedUSD, bill.wasted)
+	same("ExpenseUSD", res.ExpenseUSD(), bill.compute+bill.request+bill.storage)
+
+	if got, want := (rowFaults{res.StartRetries, res.Crashes, res.Timeouts, res.HedgesLaunched, res.HedgesWon}), rowRollUp(ts); got != want {
+		t.Errorf("%s: fault roll-up %+v, row-wise reference %+v", what, got, want)
+	}
+}
+
+// TestResultColumnsDifferential is the columnar Result's proof of
+// equivalence: across randomized bursts — warm prefixes, staggered arrival,
+// account throttling, start failures, crashes, timeouts, stragglers,
+// hedging; homogeneous and mixed; single-cell and sharded at {1,2,4,8} —
+// every figure of merit and every USD field folded over the columns is
+// Float64bits-equal to the retained row-wise fold over Timelines(), and a
+// merged sharded result's rows are numbered by position.
+func TestResultColumnsDifferential(t *testing.T) {
+	video := workload.Video{}.Demand()
+	light := interfere.Demand{CPUSeconds: 5, MemoryMB: 128, InputMB: 5, OutputMB: 1, SharedInput: true}
+	shuffly := interfere.Demand{CPUSeconds: 12, IOSeconds: 4, MemoryMB: 256, InputMB: 20, OutputMB: 8, ShuffleFraction: 0.5}
+	rng := rand.New(rand.NewSource(161803))
+
+	var seen rowFaults
+	var seenStraggled, seenWarm, seenThrottled, seenStagger, verified int
+	const trials = 48
+	for trial := 0; trial < trials; trial++ {
+		cfg := AWSLambda()
+		// A deep retry budget keeps faulty bursts completing; the rare burst
+		// that still exhausts it is skipped (and counted) below.
+		cfg.Retry = resilience.Backoff{Kind: resilience.Exponential, BaseSec: 0.5, CapSec: 20, MaxAttempts: 60}
+		if rng.Intn(2) == 0 {
+			cfg.CrashRate = rng.Float64() * 0.002
+			cfg.StartFailureProb = rng.Float64() * 0.1
+		}
+		if rng.Intn(2) == 0 {
+			cfg.StragglerProb = 0.05 + rng.Float64()*0.2
+			cfg.StragglerFactor = 2 + rng.Float64()
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Hedge.Quantile = 80 + 15*rng.Float64()
+		}
+		throttled := rng.Intn(4) == 0
+		if throttled {
+			cfg.ConcurrencyLimit = 1 + rng.Intn(100)
+		}
+		warm := rng.Intn(6)
+		var stagger float64
+		if rng.Intn(4) == 0 {
+			stagger = rng.Float64() * 0.01
+		}
+		seed := rng.Int63()
+
+		// Each trial is one burst, run single-cell and sharded at {1,2,4,8}.
+		var (
+			what     string
+			n        int // instances
+			plain    func() (*Result, error)
+			sharded  func(sh Sharding) (*Result, error)
+			groupsOf func(i int) []demandGroup
+		)
+		if trial%3 != 0 {
+			c, deg := 1+rng.Intn(800), 1+rng.Intn(16)
+			d := video
+			if trial%2 == 0 {
+				d = shuffly
+			}
+			if cfg.StragglerProb > 0 && rng.Intn(2) == 0 {
+				// Healthy attempts fit; straggled ones (≥ 2×) are killed.
+				cfg.ExecTimeoutSec = 1.5 * interfere.ExecSeconds(d, cfg.Shape, deg)
+			}
+			b := Burst{Demand: d, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
+			what, n = fmt.Sprintf("trial %d Run(C=%d P=%d seed=%d)", trial, c, deg, seed), b.Instances()
+			plain = func() (*Result, error) { return Run(cfg, b) }
+			sharded = func(sh Sharding) (*Result, error) { return RunSharded(cfg, b, sh) }
+			groupsOf = func(i int) []demandGroup {
+				resident := deg
+				if i == n-1 {
+					resident = c - i*deg
+				}
+				return []demandGroup{{d: d, n: resident}}
+			}
+		} else {
+			bins := make([]Bin, 1+rng.Intn(120))
+			for i := range bins {
+				for k := rng.Intn(3); k >= 0; k-- {
+					bins[i].Demands = append(bins[i].Demands, light)
+				}
+				if rng.Intn(2) == 0 {
+					bins[i].Demands = append(bins[i].Demands, video)
+				}
+				if rng.Intn(3) == 0 {
+					bins[i].Demands = append(bins[i].Demands, shuffly, shuffly)
+				}
+			}
+			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
+			what, n = fmt.Sprintf("trial %d RunMixed(bins=%d seed=%d)", trial, len(bins), seed), len(bins)
+			plain = func() (*Result, error) { return RunMixed(cfg, m) }
+			sharded = func(sh Sharding) (*Result, error) { return RunMixedSharded(cfg, m, sh) }
+			groupsOf = func(i int) []demandGroup { return groupDemands(bins[i].Demands) }
+		}
+
+		ok := true
+		check := func(what string, cells int, res *Result, err error) {
+			if err != nil {
+				t.Logf("%s: skipped: %v", what, err)
+				ok = false
+				return
+			}
+			checkColumnsAgainstRows(t, what, res, cells, groupsOf)
+			seen.startRetries += res.StartRetries
+			seen.crashes += res.Crashes
+			seen.timeouts += res.Timeouts
+			seen.hedgesLaunched += res.HedgesLaunched
+			seen.hedgesWon += res.HedgesWon
+			for _, tl := range res.Timelines() {
+				seenStraggled += tl.Straggled
+			}
+		}
+		res, err := plain()
+		check(what, 1, res, err)
+		for _, shards := range []int{1, 2, 4, 8} {
+			res, err := sharded(Sharding{Shards: shards})
+			check(fmt.Sprintf("%s sharded×%d", what, shards), minInt(shards, n), res, err)
+		}
+		if ok {
+			verified++
+			if warm > 0 {
+				seenWarm++
+			}
+			if throttled {
+				seenThrottled++
+			}
+			if stagger > 0 {
+				seenStagger++
+			}
+		}
+	}
+
+	// The sweep must not pass vacuously: enough bursts survived, and every
+	// behaviour the folds have a branch or a column for actually occurred.
+	if verified < 40 {
+		t.Errorf("only %d of %d trials completed all five runs, want ≥ 40", verified, trials)
+	}
+	for name, n := range map[string]int{
+		"start retries": seen.startRetries, "crashes": seen.crashes, "timeouts": seen.timeouts,
+		"hedges launched": seen.hedgesLaunched, "hedges won": seen.hedgesWon,
+		"hedges lost": seen.hedgesLaunched - seen.hedgesWon, "straggled attempts": seenStraggled,
+		"warm trials": seenWarm, "throttled trials": seenThrottled, "staggered trials": seenStagger,
+	} {
+		if n == 0 {
+			t.Errorf("sweep never exercised %s", name)
+		}
+	}
+}

@@ -15,8 +15,8 @@ import (
 // here, dispatched through controlPlane.Dispatch — one switch registered
 // with the engine per run. Per-instance mutable state that the closures
 // captured (retry counts, the sampled crash offset, hedge bookkeeping)
-// lives in the pooled struct-of-arrays instanceBatch instead, so a burst
-// of N instances schedules O(N) events with zero per-event allocations.
+// lives in the struct-of-arrays instanceBatch instead, so a burst of N
+// instances schedules O(N) events with zero per-event allocations.
 //
 // Correctness is not renegotiated: the retained closure implementation
 // (burst_closure_test.go) is the frozen specification, and the typed path
@@ -55,14 +55,14 @@ type controlPlane struct {
 	// queued/sched lifecycle spans. Untouched when rec is nil.
 	arrive, admitted []float64
 
-	sched, build, ship             sim.TypedStation
-	schedSvc, buildSvc, shipSvc    func(int32) float64
-	pods                           []podState
-	podSize                        int
-	maxRetries                     int
-	retryPol                       resilience.Backoff
-	hedgeThr                       float64
-	limit                          int
+	sched, build, ship          sim.TypedStation
+	schedSvc, buildSvc, shipSvc func(int32) float64
+	pods                        []podState
+	podSize                     int
+	maxRetries                  int
+	retryPol                    resilience.Backoff
+	hedgeThr                    float64
+	limit                       int
 
 	// Account-level throttling: at most limit instances admitted at once;
 	// the rest wait FIFO (cursor-consumed, pooled) for a release.
@@ -372,8 +372,8 @@ func (cp *controlPlane) shipService(int32) float64 {
 // runControlPlane simulates scheduling, image build, shipping, boot, and
 // execution for a set of instances whose degree/warm state and execution
 // durations are already fixed in the scratch's instance batch, on the typed
-// event path. It fills in the batch's lifecycle arrays, materializes them
-// as timelines, and returns the Result skeleton (no billing).
+// event path. It fills in the batch's result columns in place, hands them to
+// the Result, and returns it with the fault roll-up done but no billing.
 func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 	ib := &sc.batch
 	n := ib.n
@@ -453,28 +453,28 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		return nil, cp.burstErr
 	}
 
-	timelines := ib.materialize()
 	res := &Result{
 		Config:       cfg,
 		Burst:        b,
-		Timelines:    timelines,
+		cols:         ib.instanceColumns,
 		SchedBusySec: cp.sched.BusySeconds / float64(cfg.SchedServers),
 		BuildBusySec: cp.build.BusySeconds / float64(cfg.BuildServers),
 		ShipBusySec:  cp.ship.BusySeconds / float64(cfg.ShipServers),
 	}
-	for _, t := range timelines {
-		res.StartRetries += t.Retries
-		res.Crashes += t.Crashes
-		res.Timeouts += t.Timeouts
-		if t.Hedged {
+	c := &res.cols
+	for i := 0; i < c.n; i++ {
+		res.StartRetries += int(c.retries[i])
+		res.Crashes += int(c.crashes[i])
+		res.Timeouts += int(c.timeouts[i])
+		if c.flags[i]&flagHedged != 0 {
 			res.HedgesLaunched++
 		}
-		if t.HedgeWon {
+		if c.flags[i]&flagHedgeWon != 0 {
 			res.HedgesWon++
 		}
 	}
 	if cp.rec != nil {
-		emitLifecycleSpans(cp.rec, timelines, cp.arrive, cp.admitted)
+		emitLifecycleSpans(cp.rec, c, cp.arrive, cp.admitted)
 	}
 	return res, nil
 }

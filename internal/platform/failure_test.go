@@ -27,7 +27,7 @@ func TestFailureInjectionRetriesLengthenTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int
-	for _, tl := range faulty.Timelines {
+	for _, tl := range faulty.Timelines() {
 		retries += tl.Retries
 	}
 	// With p=0.05 over 500 instances, ~25 retries expected.
@@ -39,7 +39,7 @@ func TestFailureInjectionRetriesLengthenTail(t *testing.T) {
 			faulty.ScalingTime(), clean.ScalingTime())
 	}
 	// Every instance must still eventually run.
-	for _, tl := range faulty.Timelines {
+	for _, tl := range faulty.Timelines() {
 		if tl.End <= tl.Start || tl.Start == 0 {
 			t.Fatalf("instance %d never ran: %+v", tl.Index, tl)
 		}
@@ -72,7 +72,7 @@ func TestFailureInjectionZeroProbIsClean(t *testing.T) {
 	if math.Abs(a.TotalServiceTime()-c.TotalServiceTime()) > 1e-12 {
 		t.Fatal("zero failure probability must not perturb the run")
 	}
-	for _, tl := range c.Timelines {
+	for _, tl := range c.Timelines() {
 		if tl.Retries != 0 {
 			t.Fatal("retries recorded without failure injection")
 		}
@@ -112,7 +112,7 @@ func TestFailureWithPodsAndWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		if tl.End <= tl.Start {
 			t.Fatalf("instance %d never completed: %+v", tl.Index, tl)
 		}

@@ -39,7 +39,7 @@ func TestCrashInjectionRetriesAndBills(t *testing.T) {
 	// Aggregates must match the timelines.
 	var crashes int
 	var failedSec float64
-	for _, tl := range faulty.Timelines {
+	for _, tl := range faulty.Timelines() {
 		crashes += tl.Crashes
 		failedSec += tl.FailedSec
 		if tl.End <= tl.Start {
@@ -103,7 +103,7 @@ func TestExecTimeoutKillsAndRetries(t *testing.T) {
 	if res.Timeouts == 0 {
 		t.Fatal("expected straggled attempts to hit the timeout")
 	}
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		if tl.End <= tl.Start {
 			t.Fatalf("instance %d never completed: %+v", tl.Index, tl)
 		}
@@ -140,7 +140,7 @@ func TestStragglerInjectionLengthensTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var straggled int
-	for _, tl := range slow.Timelines {
+	for _, tl := range slow.Timelines() {
 		straggled += tl.Straggled
 	}
 	// p=0.1 over 200 instances ⇒ ~20 stragglers expected.
@@ -197,7 +197,7 @@ func TestHedgingCutsStragglerTail(t *testing.T) {
 	if hedged.RequestUSD <= unhedged.RequestUSD {
 		t.Fatal("hedge launches should pay per-request fees")
 	}
-	for _, tl := range hedged.Timelines {
+	for _, tl := range hedged.Timelines() {
 		if tl.HedgeWon && !tl.Hedged {
 			t.Fatal("hedge won without being launched")
 		}
@@ -231,7 +231,7 @@ func TestZeroRateFaultMachineryIsBitForBit(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(plain.Timelines, wired.Timelines) &&
+		return reflect.DeepEqual(plain.Timelines(), wired.Timelines()) &&
 			plain.ComputeUSD == wired.ComputeUSD &&
 			plain.RequestUSD == wired.RequestUSD &&
 			plain.StorageUSD == wired.StorageUSD &&

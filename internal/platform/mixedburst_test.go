@@ -62,14 +62,14 @@ func TestRunMixedHeterogeneousBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timelines) != 3 {
-		t.Fatalf("instances %d, want 3", len(res.Timelines))
+	if len(res.Timelines()) != 3 {
+		t.Fatalf("instances %d, want 3", len(res.Timelines()))
 	}
-	if res.Timelines[0].Degree != 5 || res.Timelines[2].Degree != 1 {
-		t.Fatalf("bin degrees wrong: %+v", res.Timelines)
+	if res.Timelines()[0].Degree != 5 || res.Timelines()[2].Degree != 1 {
+		t.Fatalf("bin degrees wrong: %+v", res.Timelines())
 	}
 	// The heavier bin must run longer than the singleton.
-	if res.Timelines[0].ExecSeconds() <= res.Timelines[2].ExecSeconds() {
+	if res.Timelines()[0].ExecSeconds() <= res.Timelines()[2].ExecSeconds() {
 		t.Fatal("5-way mixed bin should execute longer than a singleton")
 	}
 	if res.ExpenseUSD() <= 0 {

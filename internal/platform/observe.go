@@ -2,7 +2,7 @@ package platform
 
 import "repro/internal/obs"
 
-// emitLifecycleSpans converts the finished timelines into per-instance
+// emitLifecycleSpans converts the finished columns into per-instance
 // lifecycle stage spans, in instance order (deterministic for golden tests).
 // arrive and admitted are the recorder-only tracking arrays filled by
 // runControlPlane: arrival at the platform (t=0, or the staggered arrival)
@@ -17,25 +17,25 @@ import "repro/internal/obs"
 // omitted. For instances that survived start retries the sched milestone is
 // the *last* pass's placement, so the boot span absorbs the retry loops —
 // the per-attempt story is in the live fault events, not the spans.
-func emitLifecycleSpans(rec obs.Recorder, timelines []Timeline, arrive, admitted []float64) {
+func emitLifecycleSpans(rec obs.Recorder, c *instanceColumns, arrive, admitted []float64) {
 	emit := func(i int, st obs.Stage, start, end float64) {
 		if end > start {
 			rec.Span(obs.Span{Instance: i, Stage: st, StartSec: start, EndSec: end})
 		}
 	}
-	for i, t := range timelines {
+	for i := 0; i < c.n; i++ {
 		emit(i, obs.StageQueued, arrive[i], admitted[i])
-		emit(i, obs.StageSched, admitted[i], t.SchedDone)
-		emit(i, obs.StageBuild, t.SchedDone, t.BuildDone)
-		emit(i, obs.StageShip, t.BuildDone, t.ShipDone)
+		emit(i, obs.StageSched, admitted[i], c.schedDone[i])
+		emit(i, obs.StageBuild, c.schedDone[i], c.buildDone[i])
+		emit(i, obs.StageShip, c.buildDone[i], c.shipDone[i])
 		// A retried instance's last placement can postdate its pod's
 		// (unchanged) ship milestone; clamp so the boot span never starts
 		// before the work it follows.
-		bootStart := t.ShipDone
-		if t.SchedDone > bootStart {
-			bootStart = t.SchedDone
+		bootStart := c.shipDone[i]
+		if c.schedDone[i] > bootStart {
+			bootStart = c.schedDone[i]
 		}
-		emit(i, obs.StageBoot, bootStart, t.Start)
-		emit(i, obs.StageExec, t.Start, t.End)
+		emit(i, obs.StageBoot, bootStart, c.start[i])
+		emit(i, obs.StageExec, c.start[i], c.end[i])
 	}
 }

@@ -36,8 +36,8 @@ func TestLifecycleSpansReconcileWithStageBreakdown(t *testing.T) {
 
 	// Locate the critical-path instance: the last to start execution.
 	last := 0
-	for i, tl := range res.Timelines {
-		if tl.Start >= res.Timelines[last].Start {
+	for i, tl := range res.Timelines() {
+		if tl.Start >= res.Timelines()[last].Start {
 			last = i
 		}
 	}
@@ -76,7 +76,7 @@ func TestLifecycleSpansReconcileWithStageBreakdown(t *testing.T) {
 		}
 		ends[s.Instance] = s.EndSec
 	}
-	for i, tl := range res.Timelines {
+	for i, tl := range res.Timelines() {
 		if math.Abs(ends[i]-tl.End) > 1e-9 {
 			t.Errorf("instance %d: spans end at %g, timeline at %g", i, ends[i], tl.End)
 		}

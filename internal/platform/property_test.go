@@ -29,7 +29,7 @@ func TestBurstInvariantsProperty(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, tl := range res.Timelines {
+		for _, tl := range res.Timelines() {
 			total += tl.Degree
 			if !(tl.SchedDone > 0 && tl.SchedDone <= tl.BuildDone &&
 				tl.BuildDone <= tl.ShipDone && tl.ShipDone < tl.Start && tl.Start < tl.End) {

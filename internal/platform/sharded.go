@@ -51,11 +51,12 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 }
 
 // RunSharded simulates a homogeneous burst on a partitioned control plane
-// and returns the merged result: timelines renumbered to global instance
-// indices, expenses and fault counters summed, per-stage busy time averaged
-// over the cells. If b carries a Recorder, each shard records into private
-// memory and the shards' records are replayed into it afterwards as one
-// burst — events merged globally by time, spans in instance order.
+// and returns the merged result: per-instance columns concatenated in shard
+// order (so position is the global instance index), expenses and fault
+// counters summed, per-stage busy time averaged over the cells. If b carries
+// a Recorder, each shard records into private memory and the shards' records
+// are replayed into it afterwards as one burst — events merged globally by
+// time, spans in instance order.
 func RunSharded(cfg Config, b Burst, sh Sharding) (*Result, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -94,7 +95,7 @@ func RunSharded(cfg Config, b Burst, sh Sharding) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := mergeShardResults(cfg, results, func(s int) int { lo, _ := shardBounds(n, shards, s); return lo })
+	res := mergeShardResults(cfg, results)
 	res.Burst = b
 	if recording {
 		replayShardRecords(b.Recorder, recs, func(s int) int { lo, _ := shardBounds(n, shards, s); return lo }, obs.BurstInfo{
@@ -146,7 +147,7 @@ func RunMixedSharded(cfg Config, m MixedBurst, sh Sharding) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := mergeShardResults(cfg, results, func(s int) int { lo, _ := shardBounds(n, shards, s); return lo })
+	res := mergeShardResults(cfg, results)
 	res.Burst = Burst{
 		Functions: m.Functions(), Degree: 0, Warm: m.Warm,
 		StaggerSec: m.StaggerSec, Seed: m.Seed,
@@ -163,18 +164,21 @@ func RunMixedSharded(cfg Config, m MixedBurst, sh Sharding) (*Result, error) {
 }
 
 // mergeShardResults folds per-shard results into one, in shard order:
-// timelines renumbered by each shard's base index, money and fault counters
-// summed, busy time averaged across the cells (each cell's stations worked
+// columns concatenated (shard s's rows land at its base index, and a
+// Timeline's Index is its position, so nothing is renumbered), money and
+// fault counters summed, busy time averaged across the cells (each cell's stations worked
 // in parallel, so the mean is the per-cell load, comparable to a
 // single-cell run's figure).
-func mergeShardResults(cfg Config, results []*Result, baseOf func(s int) int) *Result {
-	merged := &Result{Config: cfg}
-	for s, r := range results {
-		lo := baseOf(s)
-		for _, t := range r.Timelines {
-			t.Index += lo
-			merged.Timelines = append(merged.Timelines, t)
-		}
+func mergeShardResults(cfg Config, results []*Result) *Result {
+	n := 0
+	for _, r := range results {
+		n += r.cols.n
+	}
+	merged := &Result{Config: cfg, cols: newInstanceColumns(n)}
+	lo := 0
+	for _, r := range results {
+		merged.cols.copyAt(lo, &r.cols)
+		lo += r.cols.n
 		merged.ComputeUSD += r.ComputeUSD
 		merged.RequestUSD += r.RequestUSD
 		merged.StorageUSD += r.StorageUSD

@@ -21,7 +21,7 @@ func TestThrottlingCapsConcurrency(t *testing.T) {
 		delta int
 	}
 	var evs []event
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		evs = append(evs, event{tl.Start, 1}, event{tl.End, -1})
 	}
 	// Sort by time, ends before starts at ties.
@@ -52,7 +52,7 @@ func TestThrottlingCapsConcurrency(t *testing.T) {
 			res.TotalServiceTime(), unlimited.TotalServiceTime())
 	}
 	// Every instance must still complete.
-	for _, tl := range res.Timelines {
+	for _, tl := range res.Timelines() {
 		if tl.End <= tl.Start {
 			t.Fatalf("instance %d never ran", tl.Index)
 		}
@@ -109,7 +109,7 @@ func TestStaggerInteractsWithThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tl := range free.Timelines {
+	for _, tl := range free.Timelines() {
 		if tl.Start < float64(tl.Index)*stagger {
 			t.Fatalf("instance %d started %.2fs before its staggered arrival", tl.Index, float64(tl.Index)*stagger-tl.Start)
 		}
@@ -131,7 +131,7 @@ func TestStaggerInteractsWithThrottle(t *testing.T) {
 		delta int
 	}
 	var evs []event
-	for _, tl := range caped.Timelines {
+	for _, tl := range caped.Timelines() {
 		evs = append(evs, event{tl.Start, 1}, event{tl.End, -1})
 	}
 	for i := 1; i < len(evs); i++ {
@@ -150,7 +150,7 @@ func TestStaggerInteractsWithThrottle(t *testing.T) {
 	if peak > 50 {
 		t.Fatalf("throttle violated under stagger: peak %d", peak)
 	}
-	for _, tl := range caped.Timelines {
+	for _, tl := range caped.Timelines() {
 		if tl.End <= tl.Start {
 			t.Fatalf("instance %d never ran", tl.Index)
 		}

@@ -206,7 +206,7 @@ func TestConcurrentTypedDispatchSharded(t *testing.T) {
 			t.Fatalf("workers=%d: sharded typed-dispatch result differs from workers=1", workers)
 		}
 	}
-	if len(base.Timelines) != b.Instances() {
-		t.Fatalf("unsharded run lost instances: %d != %d", len(base.Timelines), b.Instances())
+	if len(base.Timelines()) != b.Instances() {
+		t.Fatalf("unsharded run lost instances: %d != %d", len(base.Timelines()), b.Instances())
 	}
 }

@@ -41,11 +41,7 @@ type Metrics struct {
 
 // FromResult extracts Metrics from a simulated burst.
 func FromResult(r *platform.Result) Metrics {
-	var failedSec float64
-	for _, tl := range r.Timelines {
-		failedSec += tl.FailedSec
-	}
-	// Tail and median come from one gather-and-sort of the end times.
+	// Tail and median come from one copy-and-sort of the end times.
 	svc := r.ServiceTimeAtQuantiles(95, 50)
 	return Metrics{
 		Platform:       r.Config.Name,
@@ -64,7 +60,7 @@ func FromResult(r *platform.Result) Metrics {
 		HedgesLaunched: r.HedgesLaunched,
 		HedgesWon:      r.HedgesWon,
 		HedgesWasted:   r.HedgesLaunched - r.HedgesWon,
-		FailedSec:      failedSec,
+		FailedSec:      r.FailedSeconds(),
 		WastedUSD:      r.WastedUSD,
 	}
 }

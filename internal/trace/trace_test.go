@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"errors"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
@@ -164,5 +168,141 @@ func TestWriteTimelinesCSV(t *testing.T) {
 	}
 	if err := WriteTimelinesCSV(&b, nil); err == nil {
 		t.Fatal("nil result accepted")
+	}
+}
+
+// TestWriteTimelinesCSVFaultyHedged checks the file is a complete record of
+// a burst with every kind of outcome in it: each row has one cell per header
+// column, straggled and hedge_extra_sec trail the original fourteen, and the
+// wasted spend recomputed from the rows alone matches Result.WastedUSD.
+func TestWriteTimelinesCSVFaultyHedged(t *testing.T) {
+	cfg := platform.AWSLambda()
+	cfg.CrashRate = 0.001
+	cfg.StragglerProb = 0.1
+	cfg.StragglerFactor = 2.5
+	cfg.Hedge.Quantile = 85
+	cfg.Retry = resilience.Backoff{Kind: resilience.Exponential, BaseSec: 1, CapSec: 30, MaxAttempts: 50}
+	res, err := platform.Run(cfg,
+		platform.Burst{Demand: workload.Video{}.Demand(), Functions: 600, Degree: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes == 0 || res.HedgesWon == 0 || res.HedgesLaunched == res.HedgesWon {
+		t.Fatalf("burst lacks crashes or both hedge outcomes: %+v", FromResult(res))
+	}
+	var b strings.Builder
+	if err := WriteTimelinesCSV(&b, res); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 1+res.Instances() {
+		t.Fatalf("got %d lines, want header + %d rows", len(lines), res.Instances())
+	}
+	header := strings.Split(lines[0], ",")
+	if len(header) != 16 || header[14] != "straggled" || header[15] != "hedge_extra_sec" {
+		t.Fatalf("bad header %q", lines[0])
+	}
+	col := make(map[string]int, len(header))
+	for i, h := range header {
+		col[h] = i
+	}
+	var wastedSec float64
+	var straggled int
+	for _, line := range lines[1:] {
+		cells := strings.Split(line, ",")
+		if len(cells) != len(header) {
+			t.Fatalf("row has %d cells, header %d: %q", len(cells), len(header), line)
+		}
+		num := func(name string) float64 {
+			v, err := strconv.ParseFloat(cells[col[name]], 64)
+			if err != nil {
+				t.Fatalf("column %s of %q: %v", name, line, err)
+			}
+			return v
+		}
+		straggled += int(num("straggled"))
+		wastedSec += num("failed_sec")
+		if num("hedged") == 1 {
+			if num("hedge_won") == 1 {
+				wastedSec += num("end") - num("start")
+			} else {
+				wastedSec += num("hedge_extra_sec")
+			}
+		}
+	}
+	if straggled == 0 {
+		t.Fatal("no straggled attempt made it into the file")
+	}
+	// Cells carry six decimals, so the recomputation is exact to ~1e-6 s per
+	// instance, not to the bit.
+	got := wastedSec * cfg.MemoryGB() * cfg.GBSecondUSD
+	if math.Abs(got-res.WastedUSD) > 1e-6*res.WastedUSD {
+		t.Fatalf("WastedUSD recomputed from the CSV = %.9f, Result says %.9f", got, res.WastedUSD)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteTimelinesCSVReportsWriteError: the rows are buffered, so a writer
+// that fails — at once, or only when the final partial buffer is flushed —
+// must still surface through the returned error.
+func TestWriteTimelinesCSVReportsWriteError(t *testing.T) {
+	res, err := platform.Run(platform.AWSLambda(),
+		platform.Burst{Demand: workload.Video{}.Demand(), Functions: 200, Degree: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full strings.Builder
+	if err := WriteTimelinesCSV(&full, res); err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []int{0, 100, full.Len() - 1} {
+		if err := WriteTimelinesCSV(&failAfter{n: accept}, res); !errors.Is(err, errDiskFull) {
+			t.Errorf("writer failing after %d of %d bytes: err = %v, want errDiskFull", accept, full.Len(), err)
+		}
+	}
+	if err := WriteTimelinesCSV(&failAfter{n: full.Len()}, res); err != nil {
+		t.Errorf("writer with exactly enough room: %v", err)
+	}
+}
+
+// TestAllocsPerRunFromResult is trace's share of the columnar-Result
+// allocation gate (the rest is in internal/platform): extracting Metrics
+// allocates the one copy of the end column that the quantile sort needs —
+// 8 B/instance — and nothing else proportional to n. Materializing the row
+// view would cost 120 B/instance.
+func TestAllocsPerRunFromResult(t *testing.T) {
+	const n = 10_000
+	res, err := platform.Run(platform.AWSLambda(),
+		platform.Burst{Demand: workload.Video{}.Demand(), Functions: n, Degree: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Metrics
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m = FromResult(res)
+	runtime.ReadMemStats(&after)
+	if m.Instances != n {
+		t.Fatalf("instances %d, want %d", m.Instances, n)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 10 {
+		t.Errorf("FromResult allocates %.1f B/instance, want ≤ 10 (one copy of the end column)", per)
+	}
+	if objects := after.Mallocs - before.Mallocs; objects > 6 {
+		t.Errorf("FromResult allocates %d objects, want ≤ 6", objects)
 	}
 }
