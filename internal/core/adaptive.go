@@ -109,28 +109,7 @@ func (t *Tracker) Residual(degree int, etSec float64) float64 {
 // forgiving; a narrow one means the degree matters. The optimum is always
 // inside the returned range.
 func (m Models) DegreeRange(c int, w Weights, tol float64) (lo, hi int, err error) {
-	if tol < 0 {
-		return 0, 0, fmt.Errorf("core: negative tolerance %g", tol)
-	}
-	best, err := m.OptimalDegree(c, w)
-	if err != nil {
-		return 0, 0, err
-	}
-	bestS := m.ServiceTime(c, m.OptimalDegreeService(c))
-	bestE := m.Expense(c, m.OptimalDegreeExpense(c))
-	regret := func(p int) float64 {
-		return w.Service*(m.ServiceTime(c, p)-bestS)/bestS +
-			w.Expense*(m.Expense(c, p)-bestE)/bestE
-	}
-	bound := regret(best) + tol
-	lo, hi = best, best
-	for lo > 1 && regret(lo-1) <= bound {
-		lo--
-	}
-	for hi < m.MaxDegree && regret(hi+1) <= bound {
-		hi++
-	}
-	return lo, hi, nil
+	return m.direct().DegreeRange(c, w, tol)
 }
 
 // SortedResidualMagnitudes is a test/diagnostic helper: the absolute

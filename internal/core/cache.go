@@ -6,10 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// The sharded lock-free cache behind TableCache, made generic so the joint
-// planner's GridCache shares the exact machinery (and its concurrency
-// proofs) instead of a copy. Semantics are unchanged from the original
-// TableCache implementation:
+// The sharded lock-free cache behind GridCache:
 //
 //   - The serving path is lock free: a hit loads an immutable map snapshot
 //     through an atomic pointer and bumps the entry's recency stamp with an
@@ -28,41 +25,41 @@ import (
 // cacheShards is the shard count for caches large enough to split.
 const cacheShards = 16
 
-// shardedCache is an integer-keyed sharded LRU with a lock-free read path
-// and singleflight builds. T is the cached value type.
-type shardedCache[T any] struct {
-	shards []cacheShard[T]
+// shardedCache is an integer-keyed sharded LRU of GridTables with a
+// lock-free read path and singleflight builds.
+type shardedCache struct {
+	shards []cacheShard
 	tick   atomic.Uint64 // global recency clock, shared by all shards
 	builds atomic.Uint64 // values actually constructed (singleflight audit)
-	build  func(key int) *T
+	build  func(key int) *GridTable
 }
 
-type cacheShard[T any] struct {
-	read atomic.Pointer[map[int]*cacheEntry[T]] // immutable snapshot; copy-on-write
-	mu   sync.Mutex                             // guards snapshot replacement
+type cacheShard struct {
+	read atomic.Pointer[map[int]*cacheEntry] // immutable snapshot; copy-on-write
+	mu   sync.Mutex                          // guards snapshot replacement
 	cap  int
 }
 
 // cacheEntry is one cached (or in-flight) value. ready is closed once v is
 // set; hitters on an in-flight entry wait on it instead of rebuilding.
-type cacheEntry[T any] struct {
+type cacheEntry struct {
 	used  atomic.Uint64
 	ready chan struct{}
-	v     atomic.Pointer[T]
+	v     atomic.Pointer[GridTable]
 }
 
 // newShardedCache builds a cache of the given capacity (must be ≥ 1) whose
 // misses are filled by build.
-func newShardedCache[T any](capacity int, build func(key int) *T) *shardedCache[T] {
+func newShardedCache(capacity int, build func(key int) *GridTable) *shardedCache {
 	n := cacheShards
 	if capacity < 2*cacheShards {
 		n = 1 // too small to split: keep exact global LRU
 	}
-	sc := &shardedCache[T]{shards: make([]cacheShard[T], n), build: build}
+	sc := &shardedCache{shards: make([]cacheShard, n), build: build}
 	perShard := (capacity + n - 1) / n
 	for i := range sc.shards {
 		sc.shards[i].cap = perShard
-		empty := make(map[int]*cacheEntry[T])
+		empty := make(map[int]*cacheEntry)
 		sc.shards[i].read.Store(&empty)
 	}
 	return sc
@@ -70,7 +67,7 @@ func newShardedCache[T any](capacity int, build func(key int) *T) *shardedCache[
 
 // shardOf maps a key to its shard via SplitMix64-style mixing, so
 // arithmetic sweeps (100, 200, 300, …) spread instead of clustering.
-func (sc *shardedCache[T]) shardOf(key int) *cacheShard[T] {
+func (sc *shardedCache) shardOf(key int) *cacheShard {
 	if len(sc.shards) == 1 {
 		return &sc.shards[0]
 	}
@@ -83,7 +80,7 @@ func (sc *shardedCache[T]) shardOf(key int) *cacheShard[T] {
 
 // get returns the (possibly cached) value for key, building it at most once
 // per residency no matter how many goroutines race.
-func (sc *shardedCache[T]) get(key int) *T {
+func (sc *shardedCache) get(key int) *GridTable {
 	sh := sc.shardOf(key)
 	if e, ok := (*sh.read.Load())[key]; ok {
 		return sc.hit(e)
@@ -97,9 +94,9 @@ func (sc *shardedCache[T]) get(key int) *T {
 	// Install an in-flight placeholder in a fresh snapshot, then build the
 	// value outside the lock so other shard keys proceed undisturbed and
 	// same-key callers coalesce on the placeholder.
-	e := &cacheEntry[T]{ready: make(chan struct{})}
+	e := &cacheEntry{ready: make(chan struct{})}
 	e.used.Store(sc.tick.Add(1))
-	next := make(map[int]*cacheEntry[T], len(snap)+1)
+	next := make(map[int]*cacheEntry, len(snap)+1)
 	for k, v := range snap {
 		next[k] = v
 	}
@@ -125,7 +122,7 @@ func (sc *shardedCache[T]) get(key int) *T {
 
 // hit bumps an entry's recency and returns its value, waiting out an
 // in-flight build if necessary.
-func (sc *shardedCache[T]) hit(e *cacheEntry[T]) *T {
+func (sc *shardedCache) hit(e *cacheEntry) *GridTable {
 	e.used.Store(sc.tick.Add(1))
 	if v := e.v.Load(); v != nil {
 		return v
@@ -135,7 +132,7 @@ func (sc *shardedCache[T]) hit(e *cacheEntry[T]) *T {
 }
 
 // len reports the number of cached values (for tests and diagnostics).
-func (sc *shardedCache[T]) len() int {
+func (sc *shardedCache) len() int {
 	n := 0
 	for i := range sc.shards {
 		n += len(*sc.shards[i].read.Load())

@@ -115,7 +115,7 @@ func TestConcurrentTableCacheSingleflight(t *testing.T) {
 	tc := NewTableCache(stressModels(), 0)
 	const goroutines = 64
 	var wg sync.WaitGroup
-	tables := make([]*DegreeTable, goroutines)
+	tables := make([]*GridTable, goroutines)
 	var start sync.WaitGroup
 	start.Add(1)
 	wg.Add(goroutines)

@@ -8,30 +8,31 @@ import (
 	"repro/internal/stats"
 )
 
-// The joint degree × memory planner. ProPack as published picks only a
-// packing degree P at a fixed instance size, but real platforms couple CPU
-// share to the memory size purchased (Lambda allocates ~1 vCPU per 1769 MB),
-// which makes memory a second planning axis: a smaller size is cheaper per
+// The planner's one search. ProPack as published picks only a packing degree
+// P at a fixed instance size, but real platforms couple CPU share to the
+// memory size purchased (Lambda allocates ~1 vCPU per 1769 MB), which makes
+// memory a second planning axis: a smaller size is cheaper per
 // instance-second but slows every function packed into it, so the Eq. 5–7
-// regret trade-off has a second dimension. A GridTable generalizes
-// DegreeTable to a (P × mem) grid — one DegreeTable per memory size, each
-// built from that size's independently fitted model stack — and the Eq. 4–9
-// entry points become 2-D argmins over the grid.
+// regret trade-off has a second dimension. A GridTable is a (P × mem) grid —
+// one DegreeTable row per memory size, each built from that size's
+// independently fitted model stack — and every Eq. 3–9 entry point is an
+// argmin over it. The paper's fixed-size planner is the one-row grid: the
+// Models entry points build a single row and run this same code.
 //
-// Two disciplines carry over from the 1-D planner:
+// Two disciplines hold the search to the paper's definition:
 //
-//   - Bit-identity: a grid with a single memory size must reproduce the 1-D
-//     planner's answers byte-for-byte. Every per-cell expression below is
-//     the DegreeTable expression (the per-size tables *are* DegreeTables),
-//     candidate enumeration is size-major with the same first-wins strict-<
-//     tie-breaking, and the minima folds use the same comparison chains.
-//     grid_equiv_test.go holds every entry point to this.
+//   - Bit-identity: candidate enumeration is size-major with first-wins
+//     strict-< tie-breaking, every per-cell expression is the Models
+//     predictor's, and the minima folds are plain left-to-right comparison
+//     chains — so on one row the search is the naive degree-by-degree Eq. 7
+//     scan, float for float. table_equiv_test.go checks exactly that against
+//     retained naive references.
 //
 //   - Pruned search stays exact: the 2-D argmin skips whole memory rows via
 //     per-size lower bounds, but only when skipping provably cannot change
 //     the answer *in float arithmetic* (see argminJoint); anything
 //     degenerate falls back to the exhaustive scan, which is retained as
-//     the test oracle (argminJointExact).
+//     the test oracle (argminJointExact, grid_equiv_test.go).
 
 // SizeModels is one memory size's fitted model stack. Alpha, the storage
 // term, the expense rate, and the feasible degree range are all per-size
@@ -85,7 +86,6 @@ type JointPlan struct {
 // argmin. Quantile columns stay lazy per size (a size whose row is pruned
 // never materializes them). Safe for concurrent use.
 type GridTable struct {
-	g GridModels
 	c int
 
 	sizes []gridSize
@@ -113,44 +113,42 @@ type gridSize struct {
 
 // NewGridTable validates the grid and concurrency and builds the per-size
 // tables in one pass.
-func NewGridTable(g GridModels, c int) (*GridTable, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	return newGridTable(g, c), nil
-}
+func NewGridTable(g GridModels, c int) (*GridTable, error) { return g.direct().grid.Table(c) }
 
 // newGridTable builds without validation (internal callers validate first,
 // preserving each entry point's error order).
 func newGridTable(g GridModels, c int) *GridTable {
-	t := &GridTable{g: g, c: c, sizes: make([]gridSize, len(g.Sizes))}
-	for i, s := range g.Sizes {
-		dt := newDegreeTable(s.Models, c)
-		t.sizes[i] = gridSize{
-			memMB:      s.MemMB,
-			t:          dt,
-			minET:      minOf(dt.et),
-			minService: minOf(dt.service),
-			minExpense: minOf(dt.expense),
-		}
-		if math.IsNaN(t.sizes[i].minExpense) {
-			t.expenseNaN = true
-		}
+	t := &GridTable{c: c, sizes: make([]gridSize, 0, len(g.Sizes))}
+	for _, s := range g.Sizes {
+		t.addRow(s.MemMB, newDegreeTable(s.Models, FailureModel{}, c))
 	}
 	return t
 }
 
-// Concurrency returns the concurrency level the grid was built for.
-func (t *GridTable) Concurrency() int { return t.c }
+// newRowTable builds the one-row grid the fixed-size entry points search:
+// m's row under failure model f, at no particular memory size.
+func newRowTable(m Models, f FailureModel, c int) *GridTable {
+	t := &GridTable{c: c, sizes: make([]gridSize, 0, 1)}
+	t.addRow(0, newDegreeTable(m, f, c))
+	return t
+}
+
+func (t *GridTable) addRow(memMB float64, dt *DegreeTable) {
+	gs := gridSize{
+		memMB:      memMB,
+		t:          dt,
+		minET:      minOf(dt.et),
+		minService: minOf(dt.service),
+		minExpense: minOf(dt.expense),
+	}
+	if math.IsNaN(gs.minExpense) {
+		t.expenseNaN = true
+	}
+	t.sizes = append(t.sizes, gs)
+}
 
 // NumSizes returns the number of memory sizes in the grid.
 func (t *GridTable) NumSizes() int { return len(t.sizes) }
-
-// MemMB returns the i-th memory size (ascending).
-func (t *GridTable) MemMB(i int) float64 { return t.sizes[i].memMB }
 
 // Size returns the i-th memory size's DegreeTable, for callers that scan
 // cells themselves (sweeps, the serve daemon's per-size reporting).
@@ -169,8 +167,7 @@ func (t *GridTable) maxDegreeAny() int {
 }
 
 // firstEligible is the default cell when no candidate wins the argmin (all
-// regrets NaN, mirroring argminRegret's best=0 fallback): the first size
-// admitting minDeg, at minDeg.
+// regrets NaN): the first size admitting minDeg, at minDeg.
 func (t *GridTable) firstEligible(minDeg int) (si, deg int) {
 	for i := range t.sizes {
 		if minDeg <= t.sizes[i].t.MaxDegree() {
@@ -184,8 +181,8 @@ func (t *GridTable) firstEligible(minDeg int) (si, deg int) {
 // cell — the oracle the pruned argminJoint must match on every input, and
 // the fallback it takes on degenerate inputs. Candidates are enumerated
 // size-major (sizes ascending, degrees minDeg..MaxDegree) with first-wins
-// strict-< tie-breaking, so a single-size grid reproduces
-// DegreeTable.argminRegret exactly.
+// strict-< tie-breaking — ties resolve to the smallest size, then the
+// smallest degree — so on one row it is the naive degree-by-degree scan.
 func (t *GridTable) argminJointExact(q float64, minDeg int, w Weights) (si, deg int) {
 	bestS, bestE := t.jointBaselines(q, minDeg)
 	bestSi, bestDeg, bestVal := -1, 0, math.Inf(1)
@@ -214,7 +211,7 @@ func (t *GridTable) argminJointExact(q float64, minDeg int, w Weights) (si, deg 
 // exact fold the exhaustive scan implies: initialized from the first
 // candidate, then strict-< comparisons in enumeration order — identical to
 // minOf over the virtual concatenation of rows (including its NaN
-// semantics), and therefore to the 1-D minOf on a single-size grid.
+// semantics).
 func (t *GridTable) jointBaselines(q float64, minDeg int) (bestS, bestE float64) {
 	started := false
 	for i := range t.sizes {
@@ -257,25 +254,7 @@ func (t *GridTable) bestExpense(minDeg int) float64 {
 		}
 		return best
 	}
-	best, started := math.NaN(), false
-	for i := range t.sizes {
-		dt := t.sizes[i].t
-		if minDeg > dt.MaxDegree() {
-			continue
-		}
-		exp := dt.expense[minDeg-1:]
-		j := 0
-		if !started {
-			best, started = exp[0], true
-			j = 1
-		}
-		for ; j < len(exp); j++ {
-			if exp[j] < best {
-				best = exp[j]
-			}
-		}
-	}
-	return best
+	return t.minOver(minDeg, func(gs *gridSize) []float64 { return gs.t.expense }, false)
 }
 
 // bestServiceAt is the exact Eq. 5 baseline at quantile q over the
@@ -296,24 +275,31 @@ func (t *GridTable) bestServiceAt(q float64, minDeg int) float64 {
 		}
 		return best
 	}
+	return t.minOver(minDeg, func(gs *gridSize) []float64 { return gs.t.quantile(q).vals }, q != 100)
+}
+
+// minOver folds one column over the cells at degrees ≥ minDeg exactly as the
+// exhaustive scan would: seeded from the first such cell, then strict-<
+// comparisons in size-major order. With etFloor (service columns only) a
+// row whose minET exceeds the running minimum is skipped before col
+// materializes its vector.
+func (t *GridTable) minOver(minDeg int, col func(*gridSize) []float64, etFloor bool) float64 {
 	best, started := math.NaN(), false
 	for i := range t.sizes {
 		gs := &t.sizes[i]
 		if minDeg > gs.t.MaxDegree() {
 			continue
 		}
-		if started && q != 100 && gs.minET > best {
+		if started && etFloor && gs.minET > best {
 			continue // every value in this row is ≥ minET > best
 		}
-		svc := gs.t.quantile(q).vals[minDeg-1:]
-		j := 0
+		vals := col(gs)[minDeg-1:]
 		if !started {
-			best, started = svc[0], true
-			j = 1
+			best, started = vals[0], true
 		}
-		for ; j < len(svc); j++ {
-			if svc[j] < best {
-				best = svc[j]
+		for _, v := range vals {
+			if v < best {
+				best = v
 			}
 		}
 	}
@@ -388,7 +374,7 @@ func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) 
 }
 
 // argminService is the joint Eq. 3 argmin (first-wins across the size-major
-// enumeration; a single-size grid matches argminVec exactly).
+// enumeration).
 func (t *GridTable) argminService() (si, deg int) {
 	return t.argminColumnJoint(func(gs *gridSize) []float64 { return gs.t.service })
 }
@@ -403,9 +389,6 @@ func (t *GridTable) argminColumnJoint(col func(*gridSize) []float64) (si, deg in
 	for i := range t.sizes {
 		vals := col(&t.sizes[i])
 		for j, v := range vals {
-			if i == 0 && j == 0 {
-				continue
-			}
 			if v < bestVal {
 				bestSi, bestDeg, bestVal = i, j+1, v
 			}
@@ -414,26 +397,30 @@ func (t *GridTable) argminColumnJoint(col func(*gridSize) []float64) (si, deg in
 	return bestSi, bestDeg
 }
 
-// constrainedJoint is the joint Eq. 7 argmin restricted to cells whose
-// instance count stays within maxInstances, mirroring constrainedOn (the
-// infeasibility error quotes the widest degree range across sizes, which on
-// a single-size grid is the 1-D error verbatim).
-func (t *GridTable) constrainedJoint(w Weights, maxInstances int) (si, deg int, err error) {
+// cell names the (degree, memory size) of a chosen cell.
+func (t *GridTable) cell(si, deg int) JointConfig {
+	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}
+}
+
+// constrainedJoint is the Eq. 7 argmin restricted to cells whose instance
+// count stays within maxInstances (≤ 0 means unconstrained), with the regret
+// baselines (Eqs. 5–6) taken over the same restricted range. The
+// infeasibility error quotes the widest degree range across sizes.
+func (t *GridTable) constrainedJoint(w Weights, maxInstances int) (JointConfig, error) {
 	minDegree := 1
 	if maxInstances > 0 {
 		minDegree = (t.c + maxInstances - 1) / maxInstances
 		if minDegree > t.maxDegreeAny() {
-			return 0, 0, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
+			return JointConfig{}, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
 				t.c, maxInstances, t.maxDegreeAny())
 		}
 	}
-	si, deg = t.argminJoint(100, minDegree, w)
-	return si, deg, nil
+	return t.cell(t.argminJoint(100, minDegree, w)), nil
 }
 
-// plan materializes the JointPlan for a chosen cell. The baseline is
-// degree 1 at the grid's largest size — the conventional untuned deployment
-// — which on a single-size grid collapses to DegreeTable.plan's baseline.
+// plan materializes the JointPlan for a chosen cell from memoized
+// predictions. The baseline is degree 1 at the grid's largest size — the
+// conventional untuned deployment, and on one row simply no packing.
 func (t *GridTable) plan(si, deg int, w Weights) JointPlan {
 	base := t.sizes[len(t.sizes)-1].t
 	cell := t.sizes[si].t
@@ -451,101 +438,34 @@ func (t *GridTable) plan(si, deg int, w Weights) JointPlan {
 	}
 }
 
-// --- qosSearchJoint ----------------------------------------------------------
+// planFor is the plan at the Eq. 7 argmin for weights w.
+func (t *GridTable) planFor(w Weights) JointPlan {
+	si, deg := t.argminJoint(100, 1, w)
+	return t.plan(si, deg, w)
+}
 
-// qosSearchJoint is qosSearch generalized to the grid: the same Sec. 2.6
-// smallest-feasible-W_S search, with each weight step's argmin taken over
-// (size, degree) cells. It is a deliberate structural mirror of the 1-D
-// qosSearch rather than a refactor of it — the 1-D path stays untouched —
-// and on a single-size grid every step evaluates identically, errors
-// included. The same pruning applies:
-//
-//   - Infeasibility floor: every grid point's tail is the tail at *some*
-//     cell, so if no cell at all meets the bound the search is infeasible.
-//   - Prefix certificate: the scalarization exchange argument holds for any
-//     finite candidate set, so the total-service regret dS at the joint
-//     argmin is non-increasing in W_S, and a prefix whose certified
-//     candidate set contains no feasible cell is infeasible wholesale. The
-//     threshold carries the same conservative float slack; certification
-//     failure falls back to the plain left-to-right grid scan.
-func qosSearchJoint(t *GridTable, qosSec, tailQ, step float64) (Weights, error) {
-	infeasible := func() (Weights, error) {
-		return Weights{}, fmt.Errorf("%w: bound %.3gs at concurrency %d", ErrQoSInfeasible, qosSec, t.c)
+// degreeRange is the plan-stability band of a one-row table: the contiguous
+// degrees around the Eq. 7 optimum whose weighted regret stays within tol of
+// the optimum's. The regret keeps DegreeRange's historical grouping,
+// W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the band edges
+// are pinned in the serve goldens.
+func (t *GridTable) degreeRange(w Weights, tol float64) (lo, hi int) {
+	gs := &t.sizes[0]
+	svc, exp := gs.t.service, gs.t.expense
+	bestS, bestE := gs.minService, gs.minExpense
+	regret := func(p int) float64 {
+		return w.Service*(svc[p-1]-bestS)/bestS + w.Expense*(exp[p-1]-bestE)/bestE
 	}
-	// Infeasibility floor: no cell meets the bound, so no weighting can.
-	if t.bestServiceAt(tailQ, 1) > qosSec {
-		return infeasible()
+	_, best := t.argminJoint(100, 1, w)
+	bound := regret(best) + tol
+	lo, hi = best, best
+	for lo > 1 && regret(lo-1) <= bound {
+		lo--
 	}
-
-	n := qosGridSize(step)
-	sis := make([]int, n)
-	degs := make([]int, n) // 0 = unevaluated (degrees are ≥ 1)
-	pick := func(j int) (int, int) {
-		if degs[j] == 0 {
-			sis[j], degs[j] = t.argminJoint(100, 1, qosWeightAt(j, n, step))
-		}
-		return sis[j], degs[j]
+	for hi < len(svc) && regret(hi+1) <= bound {
+		hi++
 	}
-	feasible := func(j int) bool {
-		si, deg := pick(j)
-		return t.sizes[si].t.quantile(tailQ).vals[deg-1] <= qosSec
-	}
-
-	if feasible(0) {
-		return qosWeightAt(0, n, step), nil
-	}
-
-	// prefixInfeasible certifies that every grid index in [0, j] fails the
-	// bound: all their argmins have total-service regret ≥ dS(argmin_j), and
-	// no such cell's tail meets the bound.
-	bestS := t.bestServiceAt(100, 1)
-	dS := func(si, i int) float64 { return (t.sizes[si].t.service[i] - bestS) / bestS }
-	prefixInfeasible := func(j int) bool {
-		sj, dj := pick(j)
-		thr := dS(sj, dj-1)
-		thr -= 1e-12 * (1 + math.Abs(thr)) // conservative float slack
-		for si := range t.sizes {
-			tail := t.sizes[si].t.quantile(tailQ).vals
-			for i := range tail {
-				if dS(si, i) >= thr && tail[i] <= qosSec {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	// gridScan is the guaranteed-identical fallback: the naive left-to-right
-	// search over the same memoized evaluations.
-	gridScan := func() (Weights, error) {
-		for j := 0; j < n; j++ {
-			if feasible(j) {
-				return qosWeightAt(j, n, step), nil
-			}
-		}
-		return infeasible()
-	}
-
-	if !feasible(n - 1) {
-		if prefixInfeasible(n - 1) {
-			return infeasible()
-		}
-		return gridScan()
-	}
-
-	// Binary search for the feasibility boundary: lo infeasible, hi feasible.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	if prefixInfeasible(hi - 1) {
-		return qosWeightAt(hi, n, step), nil
-	}
-	return gridScan()
+	return lo, hi
 }
 
 // --- GridModels entry points -------------------------------------------------
@@ -554,263 +474,47 @@ func qosSearchJoint(t *GridTable, qosSec, tailQ, step float64) (Weights, error) 
 // (degree, memory size) cell minimizing the weighted regret sum, with the
 // Eqs. 5–6 baselines taken over the whole grid.
 func (g GridModels) OptimalConfig(c int, q float64, w Weights) (JointConfig, error) {
-	if err := g.Validate(); err != nil {
-		return JointConfig{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return JointConfig{}, err
-	}
-	if c < 1 {
-		return JointConfig{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	if q <= 0 || q > 100 {
-		return JointConfig{}, fmt.Errorf("core: quantile %g outside (0,100]", q)
-	}
-	t := newGridTable(g, c)
-	si, deg := t.argminJoint(q, 1, w)
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}, nil
+	return g.direct().OptimalConfig(c, q, w)
 }
 
 // OptimalConfigService is the joint Eq. 3 argmin: the cell minimizing
 // modeled total service time.
 func (g GridModels) OptimalConfigService(c int) JointConfig {
 	t := newGridTable(g, c)
-	si, deg := t.argminService()
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}
+	return t.cell(t.argminService())
 }
 
 // OptimalConfigExpense is the joint Eq. 4 argmin: the cell minimizing
 // modeled expense.
 func (g GridModels) OptimalConfigExpense(c int) JointConfig {
 	t := newGridTable(g, c)
-	si, deg := t.argminExpense()
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}
+	return t.cell(t.argminExpense())
 }
 
 // OptimalConfigConstrained is OptimalConfig restricted to cells whose
 // instance count stays within maxInstances. maxInstances ≤ 0 means
 // unconstrained.
 func (g GridModels) OptimalConfigConstrained(c int, w Weights, maxInstances int) (JointConfig, error) {
-	if err := g.Validate(); err != nil {
-		return JointConfig{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return JointConfig{}, err
-	}
-	if c < 1 {
-		return JointConfig{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newGridTable(g, c)
-	si, deg, err := t.constrainedJoint(w, maxInstances)
-	if err != nil {
-		return JointConfig{}, err
-	}
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}, nil
+	return g.direct().OptimalConfigConstrained(c, w, maxInstances)
 }
 
 // PlanJointFor computes the full joint recommendation at concurrency c.
 func (g GridModels) PlanJointFor(c int, w Weights) (JointPlan, error) {
-	if err := g.Validate(); err != nil {
-		return JointPlan{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return JointPlan{}, err
-	}
-	if c < 1 {
-		return JointPlan{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newGridTable(g, c)
-	si, deg := t.argminJoint(100, 1, w)
-	return t.plan(si, deg, w), nil
+	return g.direct().PlanJointFor(c, w)
 }
 
 // QoSWeightsJoint is Eq. 9 over the grid: the smallest W_S whose joint
 // recommendation keeps the modeled tail service time within qosSec.
 func (g GridModels) QoSWeightsJoint(c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return Weights{}, err
-	}
-	if err := g.Validate(); err != nil {
-		return Weights{}, err
-	}
-	if c < 1 {
-		return Weights{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	return qosSearchJoint(newGridTable(g, c), qosSec, tailQ, step)
+	_, w, err := g.direct().QoSPlanJoint(c, qosSec, opts)
+	return w, err
 }
 
 // QoSPlanJoint recommends a (degree, memory size) cell that jointly
 // optimizes service time and expense while keeping the modeled tail latency
 // within qosSec. The weight search and the final plan share one grid table.
 func (g GridModels) QoSPlanJoint(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	if err := g.Validate(); err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	if c < 1 {
-		return JointPlan{}, Weights{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newGridTable(g, c)
-	w, err := qosSearchJoint(t, qosSec, tailQ, step)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	si, deg := t.argminJoint(100, 1, w)
-	return t.plan(si, deg, w), w, nil
-}
-
-// --- GridCache and the joint Planner -----------------------------------------
-
-// ErrNoGrid is returned by a Planner's joint entry points when the planner
-// was built without a memory grid (NewPlanner instead of NewJointPlanner).
-var ErrNoGrid = errors.New("core: planner has no memory grid")
-
-// GridCache memoizes GridTables for one fixed GridModels value across
-// concurrency levels — the joint planner's analogue of TableCache, sharing
-// its sharded lock-free machinery (cache.go): hits are allocation-free and
-// never serialize, misses coalesce so each table builds exactly once, and
-// eviction is LRU. Keyed by (Models set, C): the grid is fixed per cache,
-// concurrency is the key.
-type GridCache struct {
-	g  GridModels
-	sc *shardedCache[GridTable]
-}
-
-// NewGridCache builds a cache for the grid. capacity ≤ 0 means the default
-// (64 concurrency levels).
-func NewGridCache(g GridModels, capacity int) *GridCache {
-	if capacity <= 0 {
-		capacity = defaultTableCap
-	}
-	gc := &GridCache{g: g}
-	gc.sc = newShardedCache(capacity, func(c int) *GridTable { return newGridTable(g, c) })
-	return gc
-}
-
-// Table returns the (possibly cached) grid table for concurrency c,
-// validating inputs exactly as NewGridTable does.
-func (gc *GridCache) Table(c int) (*GridTable, error) {
-	if err := gc.g.Validate(); err != nil {
-		return nil, err
-	}
-	if c < 1 {
-		return nil, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	return gc.sc.get(c), nil
-}
-
-// Len reports the number of cached grid tables.
-func (gc *GridCache) Len() int { return gc.sc.len() }
-
-// Builds reports how many grid tables the cache has constructed since
-// creation (singleflight audit, like TableCache.Builds).
-func (gc *GridCache) Builds() uint64 { return gc.sc.builds.Load() }
-
-// NewJointPlanner builds a planner over a memory-size grid: the joint entry
-// points plan over every (degree, size) cell, and the 1-D entry points keep
-// working against the grid's largest (base) size — the conventional
-// deployment the joint plans are baselined against.
-func NewJointPlanner(g GridModels) (*Planner, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	base := g.Base()
-	return &Planner{m: base, cache: NewTableCache(base, 0), grid: NewGridCache(g, 0)}, nil
-}
-
-// Grid returns the planner's memory grid, if it has one.
-func (pl *Planner) Grid() (GridModels, bool) {
-	if pl.grid == nil {
-		return GridModels{}, false
-	}
-	return pl.grid.g, true
-}
-
-// GridTable exposes the cached grid table for concurrency c, for callers
-// that scan cells themselves (per-size sweeps, the serve daemon's joint
-// endpoint). It shares the planner's cache and singleflight.
-func (pl *Planner) GridTable(c int) (*GridTable, error) {
-	if pl.grid == nil {
-		return nil, ErrNoGrid
-	}
-	return pl.grid.Table(c)
-}
-
-// gridTable validates weights alongside the cached grid lookup, mirroring
-// the GridModels entry points' validation order (grid, weights, then
-// concurrency out of the cache's checks).
-func (pl *Planner) gridTable(c int, w Weights) (*GridTable, error) {
-	if pl.grid == nil {
-		return nil, ErrNoGrid
-	}
-	if err := pl.grid.g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return pl.grid.Table(c)
-}
-
-// OptimalConfig is the cached GridModels.OptimalConfig.
-func (pl *Planner) OptimalConfig(c int, q float64, w Weights) (JointConfig, error) {
-	t, err := pl.gridTable(c, w)
-	if err != nil {
-		return JointConfig{}, err
-	}
-	if q <= 0 || q > 100 {
-		return JointConfig{}, fmt.Errorf("core: quantile %g outside (0,100]", q)
-	}
-	si, deg := t.argminJoint(q, 1, w)
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}, nil
-}
-
-// OptimalConfigConstrained is the cached GridModels.OptimalConfigConstrained.
-func (pl *Planner) OptimalConfigConstrained(c int, w Weights, maxInstances int) (JointConfig, error) {
-	t, err := pl.gridTable(c, w)
-	if err != nil {
-		return JointConfig{}, err
-	}
-	si, deg, err := t.constrainedJoint(w, maxInstances)
-	if err != nil {
-		return JointConfig{}, err
-	}
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}, nil
-}
-
-// PlanJointFor is the cached GridModels.PlanJointFor.
-func (pl *Planner) PlanJointFor(c int, w Weights) (JointPlan, error) {
-	t, err := pl.gridTable(c, w)
-	if err != nil {
-		return JointPlan{}, err
-	}
-	si, deg := t.argminJoint(100, 1, w)
-	return t.plan(si, deg, w), nil
-}
-
-// QoSPlanJoint is the cached GridModels.QoSPlanJoint.
-func (pl *Planner) QoSPlanJoint(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
-	if pl.grid == nil {
-		return JointPlan{}, Weights{}, ErrNoGrid
-	}
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	t, err := pl.grid.Table(c)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	w, err := qosSearchJoint(t, qosSec, tailQ, step)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
-	}
-	si, deg := t.argminJoint(100, 1, w)
-	return t.plan(si, deg, w), w, nil
+	return g.direct().QoSPlanJoint(c, qosSec, opts)
 }
 
 // --- Grid profiling ----------------------------------------------------------
@@ -859,12 +563,7 @@ func BuildGridModels(probes []SizeProbe) (GridModels, Overhead, error) {
 
 	// One scaling schedule for the whole grid, probed at the base size.
 	base := probes[len(probes)-1]
-	scProbes := base.Opts.ScalingProbes
-	if scProbes == nil {
-		scProbes = DefaultScalingProbes()
-	}
-	_, concurrent := base.Meas.(ConcurrentMeasurer)
-	scSamples, err := probeScaling(base.Meas, concurrent, scProbes, base.Opts, &ov)
+	scSamples, err := probeScaling(base.Meas, base.Opts, &ov)
 	if err != nil {
 		return GridModels{}, ov, fmt.Errorf("core: memory size %g MB: %w", base.MemMB, err)
 	}
@@ -881,52 +580,14 @@ func BuildGridModels(probes []SizeProbe) (GridModels, Overhead, error) {
 	return g, ov, nil
 }
 
-// buildSizeModels is the per-size half of BuildModels: the interference
-// train plus the Eq. 1 and storage fits, leaving Scaling to the shared fit.
+// buildSizeModels is one memory size's fits: the interference train plus
+// the Eq. 1 and storage fits, leaving Scaling to the shared fit.
 func buildSizeModels(sp SizeProbe, ov *Overhead) (Models, error) {
-	opts := sp.Opts
-	if opts.MaxDegree < 1 {
-		return Models{}, fmt.Errorf("core: profile needs MaxDegree ≥ 1, have %d", opts.MaxDegree)
-	}
-	if opts.MfuncGB <= 0 {
-		return Models{}, fmt.Errorf("core: profile needs MfuncGB > 0, have %g", opts.MfuncGB)
-	}
-	if opts.RatePerInstanceSec < 0 {
-		return Models{}, fmt.Errorf("core: negative expense rate")
-	}
-	degrees := SampleDegrees(opts.MaxDegree)
-	if opts.FullSweep {
-		degrees = degrees[:0]
-		for d := 1; d <= opts.MaxDegree; d++ {
-			degrees = append(degrees, d)
-		}
-	}
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 3
-	}
-	if trials < 1 {
-		return Models{}, fmt.Errorf("core: probe trials must be ≥1, have %d", trials)
-	}
-	_, hasCost := sp.Meas.(CostMeasurer)
-	var (
-		etSamples   []ETSample
-		costSamples []CostSample
-		maxFeasible int
-		err         error
-	)
-	if cm, ok := sp.Meas.(ConcurrentMeasurer); ok {
-		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, trials, opts, ov)
-	} else {
-		etSamples, costSamples, maxFeasible, err = probeExecSequential(sp.Meas, hasCost, degrees, trials, opts, ov)
-	}
+	etSamples, costSamples, maxFeasible, err := probeInterference(sp.Meas, sp.Opts, ov)
 	if err != nil {
 		return Models{}, err
 	}
-	if maxFeasible < 1 {
-		return Models{}, fmt.Errorf("core: application infeasible even unpacked: %w", ErrDegreeInfeasible)
-	}
-	etModel, err := FitET(etSamples, opts.MfuncGB, opts.FitET)
+	etModel, err := FitET(etSamples, sp.Opts.MfuncGB, sp.Opts.FitET)
 	if err != nil {
 		if errors.Is(err, stats.ErrNonFinite) {
 			return Models{}, fmt.Errorf("core: fitting Eq. 1 from %d probes: %w", len(etSamples), err)
@@ -940,7 +601,7 @@ func buildSizeModels(sp SizeProbe, ov *Overhead) (Models, error) {
 	return Models{
 		ET:                 etModel,
 		Storage:            storageModel,
-		RatePerInstanceSec: opts.RatePerInstanceSec,
+		RatePerInstanceSec: sp.Opts.RatePerInstanceSec,
 		MaxDegree:          maxFeasible,
 	}, nil
 }

@@ -186,6 +186,27 @@ func TestGridArgminPrunedMatchesExact(t *testing.T) {
 	}
 }
 
+// TestGridBaselinesMatchExactFold holds the pruned argmin's Eqs. 5–6
+// baselines (cached row minima, minET row skipping) bit-equal to the
+// exhaustive scan's own fold over every cell.
+func TestGridBaselinesMatchExactFold(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	quantiles := []float64{100, 95, 50, 99.5, 10}
+	for trial := 0; trial < 500; trial++ {
+		gt := newGridTable(randGrid(r), 1+r.Intn(20000))
+		q := quantiles[trial%len(quantiles)]
+		minDeg := 1
+		if r.Intn(2) == 0 {
+			minDeg = 1 + r.Intn(gt.maxDegreeAny())
+		}
+		wantS, wantE := gt.jointBaselines(q, minDeg)
+		if gotS, gotE := gt.bestServiceAt(q, minDeg), gt.bestExpense(minDeg); !f64eq(gotS, wantS) || !f64eq(gotE, wantE) {
+			t.Fatalf("trial %d: baselines (%g,%g), exact fold (%g,%g) (q=%g minDeg=%d)",
+				trial, gotS, gotE, wantS, wantE, q, minDeg)
+		}
+	}
+}
+
 // naiveQoSJoint is the plain left-to-right weight-grid scan over exhaustive
 // joint argmins: the reference QoSPlanJoint's pruned/binary-searched path
 // must agree with on every input.

@@ -20,10 +20,11 @@ func ServiceOnly() Weights { return Weights{Service: 1, Expense: 0} }
 // ExpenseOnly optimizes expense alone ("ProPack (Expense)").
 func ExpenseOnly() Weights { return Weights{Service: 0, Expense: 1} }
 
-// Validate reports an error for malformed weights.
+// Validate reports an error for malformed weights. The range guard is
+// written !(lo ≤ x ≤ hi) so that NaN fails it.
 func (w Weights) Validate() error {
 	const eps = 1e-9
-	if w.Service < -eps || w.Service > 1+eps || w.Expense < -eps || w.Expense > 1+eps {
+	if !(w.Service >= -eps && w.Service <= 1+eps && w.Expense >= -eps && w.Expense <= 1+eps) {
 		return fmt.Errorf("core: weights outside [0,1]: %+v", w)
 	}
 	if s := w.Service + w.Expense; s < 1-1e-6 || s > 1+1e-6 {
@@ -32,16 +33,46 @@ func (w Weights) Validate() error {
 	return nil
 }
 
+// checkInputs is the validation preamble every planning entry point shares,
+// in the order their error contracts pin: the model stack's verdict — the
+// caller's Models.Validate or GridModels.Validate result, so fixed-size
+// errors never carry a grid's "memory size … MB:" prefix — then the weights,
+// for entry points that take any, then the concurrency.
+func checkInputs(modelErr error, w *Weights, c int) error {
+	if modelErr != nil {
+		return modelErr
+	}
+	if w != nil {
+		if err := w.Validate(); err != nil {
+			return err
+		}
+	}
+	if c < 1 {
+		return fmt.Errorf("core: concurrency %d < 1", c)
+	}
+	return nil
+}
+
+// checkQuantile rejects service-time quantiles outside (0,100], NaN included.
+func checkQuantile(q float64) error {
+	if !(q > 0 && q <= 100) {
+		return fmt.Errorf("core: quantile %g outside (0,100]", q)
+	}
+	return nil
+}
+
 // OptimalDegreeService is Eq. 3: the packing degree minimizing modeled
 // total service time at concurrency c.
 func (m Models) OptimalDegreeService(c int) int {
-	return argminVec(newDegreeTable(m, c).service) + 1
+	_, deg := newRowTable(m, FailureModel{}, c).argminService()
+	return deg
 }
 
 // OptimalDegreeExpense is Eq. 4: the packing degree minimizing modeled
 // expense at concurrency c.
 func (m Models) OptimalDegreeExpense(c int) int {
-	return argminVec(newDegreeTable(m, c).expense) + 1
+	_, deg := newRowTable(m, FailureModel{}, c).argminExpense()
+	return deg
 }
 
 // OptimalDegree is Eq. 7: the packing degree minimizing the weighted sum of
@@ -55,19 +86,7 @@ func (m Models) OptimalDegree(c int, w Weights) (int, error) {
 // degrees that jointly minimize total, tail, and median service times"
 // (Sec. 3); q=100 is the total, 95 the tail, 50 the median.
 func (m Models) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if c < 1 {
-		return 0, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	if q <= 0 || q > 100 {
-		return 0, fmt.Errorf("core: quantile %g outside (0,100]", q)
-	}
-	return newDegreeTable(m, c).argminRegret(q, 1, w), nil
+	return m.direct().OptimalDegreeForQuantile(c, q, w)
 }
 
 // OptimalDegreeConstrained is Eq. 7 restricted to packing degrees whose
@@ -76,31 +95,7 @@ func (m Models) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, erro
 // maxInstances ≤ 0 means unconstrained. It returns an error if even the
 // maximum degree spawns too many instances.
 func (m Models) OptimalDegreeConstrained(c int, w Weights, maxInstances int) (int, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if c < 1 {
-		return 0, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	return constrainedOn(newDegreeTable(m, c), w, maxInstances)
-}
-
-// constrainedOn is the shared constrained Eq. 7 path: an argmin over the
-// restricted degree range, with the regret baselines (Eqs. 5–6) taken over
-// the same range.
-func constrainedOn(t *DegreeTable, w Weights, maxInstances int) (int, error) {
-	minDegree := 1
-	if maxInstances > 0 {
-		minDegree = (t.c + maxInstances - 1) / maxInstances
-		if minDegree > t.MaxDegree() {
-			return 0, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
-				t.c, maxInstances, t.MaxDegree())
-		}
-	}
-	return t.argminRegret(100, minDegree, w), nil
+	return m.direct().OptimalDegreeConstrained(c, w, maxInstances)
 }
 
 // Plan is ProPack's recommendation for running an application at a
@@ -118,16 +113,4 @@ type Plan struct {
 }
 
 // PlanFor computes the full recommendation at concurrency c.
-func (m Models) PlanFor(c int, w Weights) (Plan, error) {
-	if err := m.Validate(); err != nil {
-		return Plan{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return Plan{}, err
-	}
-	if c < 1 {
-		return Plan{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newDegreeTable(m, c)
-	return t.plan(t.argminRegret(100, 1, w), w), nil
-}
+func (m Models) PlanFor(c int, w Weights) (Plan, error) { return m.direct().PlanFor(c, w) }

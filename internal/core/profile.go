@@ -159,14 +159,50 @@ func DefaultScalingProbes() []int {
 // incurred.
 func BuildModels(meas Measurer, opts ProfileOptions) (Models, []ETSample, []ScalingSample, Overhead, error) {
 	var ov Overhead
+	etSamples, costSamples, maxFeasible, err := probeInterference(meas, opts, &ov)
+	if err != nil {
+		return Models{}, nil, nil, ov, err
+	}
+	etModel, err := FitET(etSamples, opts.MfuncGB, opts.FitET)
+	if err != nil {
+		return Models{}, nil, nil, ov, err
+	}
+	scSamples, err := probeScaling(meas, opts, &ov)
+	if err != nil {
+		return Models{}, nil, nil, ov, err
+	}
+	scModel, err := FitScaling(scSamples)
+	if err != nil {
+		return Models{}, nil, nil, ov, err
+	}
+	storageModel, err := FitStorage(costSamples)
+	if err != nil {
+		return Models{}, nil, nil, ov, err
+	}
+	return Models{
+		ET:                 etModel,
+		Scaling:            scModel,
+		Storage:            storageModel,
+		RatePerInstanceSec: opts.RatePerInstanceSec,
+		MaxDegree:          maxFeasible,
+	}, etSamples, scSamples, ov, nil
+}
+
+// probeInterference is the per-size half of model building that every
+// profile shares: the option checks, the sampled degree list, the trials
+// default, the sequential-or-concurrent interference train, and the
+// feasibility check. BuildModels runs it once and BuildGridModels once per
+// memory size; each fits Eq. 1 and the storage term from the samples it
+// returns, alongside the highest feasible packing degree.
+func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamples []ETSample, costSamples []CostSample, maxFeasible int, err error) {
 	if opts.MaxDegree < 1 {
-		return Models{}, nil, nil, ov, fmt.Errorf("core: profile needs MaxDegree ≥ 1, have %d", opts.MaxDegree)
+		return nil, nil, 0, fmt.Errorf("core: profile needs MaxDegree ≥ 1, have %d", opts.MaxDegree)
 	}
 	if opts.MfuncGB <= 0 {
-		return Models{}, nil, nil, ov, fmt.Errorf("core: profile needs MfuncGB > 0, have %g", opts.MfuncGB)
+		return nil, nil, 0, fmt.Errorf("core: profile needs MfuncGB > 0, have %g", opts.MfuncGB)
 	}
 	if opts.RatePerInstanceSec < 0 {
-		return Models{}, nil, nil, ov, fmt.Errorf("core: negative expense rate")
+		return nil, nil, 0, fmt.Errorf("core: negative expense rate")
 	}
 
 	degrees := SampleDegrees(opts.MaxDegree)
@@ -181,54 +217,21 @@ func BuildModels(meas Measurer, opts ProfileOptions) (Models, []ETSample, []Scal
 		trials = 3
 	}
 	if trials < 1 {
-		return Models{}, nil, nil, ov, fmt.Errorf("core: probe trials must be ≥1, have %d", trials)
+		return nil, nil, 0, fmt.Errorf("core: probe trials must be ≥1, have %d", trials)
 	}
 	_, hasCost := meas.(CostMeasurer)
-	var etSamples []ETSample
-	var costSamples []CostSample
-	var maxFeasible int
-	var err error
-	cm, concurrent := meas.(ConcurrentMeasurer)
-	if concurrent {
-		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, trials, opts, &ov)
+	if cm, ok := meas.(ConcurrentMeasurer); ok {
+		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, trials, opts, ov)
 	} else {
-		etSamples, costSamples, maxFeasible, err = probeExecSequential(meas, hasCost, degrees, trials, opts, &ov)
+		etSamples, costSamples, maxFeasible, err = probeExecSequential(meas, hasCost, degrees, trials, opts, ov)
 	}
 	if err != nil {
-		return Models{}, nil, nil, ov, err
+		return nil, nil, 0, err
 	}
 	if maxFeasible < 1 {
-		return Models{}, nil, nil, ov, fmt.Errorf("core: application infeasible even unpacked: %w", ErrDegreeInfeasible)
+		return nil, nil, 0, fmt.Errorf("core: application infeasible even unpacked: %w", ErrDegreeInfeasible)
 	}
-	etModel, err := FitET(etSamples, opts.MfuncGB, opts.FitET)
-	if err != nil {
-		return Models{}, nil, nil, ov, err
-	}
-
-	probes := opts.ScalingProbes
-	if probes == nil {
-		probes = DefaultScalingProbes()
-	}
-	scSamples, err := probeScaling(meas, concurrent, probes, opts, &ov)
-	if err != nil {
-		return Models{}, nil, nil, ov, err
-	}
-	scModel, err := FitScaling(scSamples)
-	if err != nil {
-		return Models{}, nil, nil, ov, err
-	}
-
-	storageModel, err := FitStorage(costSamples)
-	if err != nil {
-		return Models{}, nil, nil, ov, err
-	}
-	return Models{
-		ET:                 etModel,
-		Scaling:            scModel,
-		Storage:            storageModel,
-		RatePerInstanceSec: opts.RatePerInstanceSec,
-		MaxDegree:          maxFeasible,
-	}, etSamples, scSamples, ov, nil
+	return etSamples, costSamples, maxFeasible, nil
 }
 
 // probeExecSequential is the interference probe train for plain Measurers:
@@ -336,13 +339,19 @@ fold:
 	return etSamples, costSamples, maxFeasible, nil
 }
 
-// probeScaling runs the platform scaling probes: sequentially for plain
-// Measurers, fanned out over the worker pool for ConcurrentMeasurers (whose
-// MeasureScaling is a pure function of the instance count). The in-order
-// fold keeps samples and overhead bit-identical across worker counts, and a
-// probe error surfaces only after the accumulation of every earlier probe —
-// exactly as the sequential loop leaves the Overhead.
-func probeScaling(meas Measurer, concurrent bool, probes []int, opts ProfileOptions, ov *Overhead) ([]ScalingSample, error) {
+// probeScaling runs the platform scaling probes at opts.ScalingProbes (nil
+// means DefaultScalingProbes): sequentially for plain Measurers, fanned out
+// over the worker pool for ConcurrentMeasurers (whose MeasureScaling is a
+// pure function of the instance count). The in-order fold keeps samples and
+// overhead bit-identical across worker counts, and a probe error surfaces
+// only after the accumulation of every earlier probe — exactly as the
+// sequential loop leaves the Overhead.
+func probeScaling(meas Measurer, opts ProfileOptions, ov *Overhead) ([]ScalingSample, error) {
+	probes := opts.ScalingProbes
+	if probes == nil {
+		probes = DefaultScalingProbes()
+	}
+	_, concurrent := meas.(ConcurrentMeasurer)
 	type scalingResult struct {
 		st  float64
 		err error

@@ -20,24 +20,33 @@ type QoSOptions struct {
 	Step float64
 }
 
+// maxQoSGridPoints caps the W_S grid a Step may ask for: the search
+// memoizes one argmin per grid point, so an absurdly fine step is rejected
+// up front instead of sizing a slice from it.
+const maxQoSGridPoints = 1_000_000
+
 // normalize validates the QoS bound and options and applies the defaults.
+// The guards are written !(lo < x ≤ hi) so that NaN fails them.
 func (o QoSOptions) normalize(qosSec float64) (tailQ, step float64, err error) {
-	if qosSec <= 0 {
+	if !(qosSec > 0) {
 		return 0, 0, fmt.Errorf("core: non-positive QoS bound %g", qosSec)
 	}
 	tailQ = o.TailQuantile
 	if tailQ == 0 {
 		tailQ = 95
 	}
-	if tailQ <= 0 || tailQ > 100 {
+	if !(tailQ > 0 && tailQ <= 100) {
 		return 0, 0, fmt.Errorf("core: tail quantile %g outside (0,100]", tailQ)
 	}
 	step = o.Step
 	if step == 0 {
 		step = 0.05
 	}
-	if step <= 0 || step > 1 {
+	if !(step > 0 && step <= 1) {
 		return 0, 0, fmt.Errorf("core: weight step %g outside (0,1]", step)
+	}
+	if 1/step > maxQoSGridPoints {
+		return 0, 0, fmt.Errorf("core: weight step %g needs more than %d grid points", step, maxQoSGridPoints)
 	}
 	return tailQ, step, nil
 }
@@ -45,18 +54,7 @@ func (o QoSOptions) normalize(qosSec float64) (tailQ, step float64, err error) {
 // TailServiceAt is Eq. 8: the modeled tail service time when the packing
 // degree is chosen by the joint objective with the given weights.
 func (m Models) TailServiceAt(c int, w Weights, tailQuantile float64) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if c < 1 {
-		return 0, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newDegreeTable(m, c)
-	deg := t.argminRegret(100, 1, w)
-	return t.quantile(tailQuantile).vals[deg-1], nil
+	return m.direct().TailServiceAt(c, w, tailQuantile)
 }
 
 // qosGridSize is the number of W_S grid points for a step: the integer grid
@@ -84,59 +82,68 @@ func qosWeightAt(j, n int, step float64) Weights {
 	return Weights{Service: ws, Expense: 1 - ws}
 }
 
-// qosSearch is the Sec. 2.6 grid search over one shared DegreeTable: find
-// the smallest feasible W_S on the grid. All weight steps reuse the same
-// memoized service/expense/tail vectors, and the search exits early via
-// monotone pruning:
+// qosSearchJoint is the Sec. 2.6 grid search over one shared GridTable: find
+// the smallest feasible W_S on the grid, each weight step's argmin taken
+// over (size, degree) cells. All weight steps reuse the same memoized
+// service/expense/tail vectors, and the search exits early via monotone
+// pruning:
 //
 //   - Infeasibility floor: every grid point's tail is the tail at *some*
-//     degree, so if no degree at all meets the bound the search is
-//     infeasible without scanning the grid. Exact.
-//   - Prefix certificate: by the scalarization exchange argument, the total
-//     service regret dS at the Eq. 7 argmin is non-increasing in W_S, so
-//     every argmin for grid indices ≤ j lies in {degrees with dS ≥
-//     dS(argmin_j)}. If no degree in that set meets the bound, the whole
-//     prefix is infeasible and a binary-searched boundary is the answer.
-//     The certificate threshold carries a small conservative slack because
-//     the theorem is exact for real arithmetic while the argmin is computed
-//     in floats; whenever certification fails, the search falls back to the
-//     plain left-to-right grid scan, which is identical to the naive
-//     implementation by construction.
-func qosSearch(t *DegreeTable, qosSec, tailQ, step float64) (Weights, error) {
-	tail := t.quantile(tailQ).vals
+//     cell, so if no cell at all meets the bound the search is infeasible
+//     without scanning the grid. Exact.
+//   - Prefix certificate: by the scalarization exchange argument — which
+//     holds for any finite candidate set — the total-service regret dS at
+//     the Eq. 7 argmin is non-increasing in W_S, so every argmin for grid
+//     indices ≤ j lies in {cells with dS ≥ dS(argmin_j)}. If no cell in
+//     that set meets the bound, the whole prefix is infeasible and a
+//     binary-searched boundary is the answer. The certificate threshold
+//     carries a small conservative slack because the theorem is exact for
+//     real arithmetic while the argmin is computed in floats; whenever
+//     certification fails, the search falls back to the plain left-to-right
+//     grid scan, which is identical to the naive implementation by
+//     construction.
+func qosSearchJoint(t *GridTable, qosSec, tailQ, step float64) (Weights, error) {
 	infeasible := func() (Weights, error) {
 		return Weights{}, fmt.Errorf("%w: bound %.3gs at concurrency %d", ErrQoSInfeasible, qosSec, t.c)
 	}
-	// Infeasibility floor: no degree meets the bound, so no weighting can.
-	if minOf(tail) > qosSec {
+	// Infeasibility floor: no cell meets the bound, so no weighting can.
+	if t.bestServiceAt(tailQ, 1) > qosSec {
 		return infeasible()
 	}
 
 	n := qosGridSize(step)
-	degs := make([]int, n) // memoized per-index argmin degrees; 0 = unevaluated
-	deg := func(j int) int {
+	sis := make([]int, n)
+	degs := make([]int, n) // 0 = unevaluated (degrees are ≥ 1)
+	pick := func(j int) (int, int) {
 		if degs[j] == 0 {
-			degs[j] = t.argminRegret(100, 1, qosWeightAt(j, n, step))
+			sis[j], degs[j] = t.argminJoint(100, 1, qosWeightAt(j, n, step))
 		}
-		return degs[j]
+		return sis[j], degs[j]
 	}
-	feasible := func(j int) bool { return tail[deg(j)-1] <= qosSec }
+	feasible := func(j int) bool {
+		si, deg := pick(j)
+		return t.sizes[si].t.quantile(tailQ).vals[deg-1] <= qosSec
+	}
 
 	if feasible(0) {
 		return qosWeightAt(0, n, step), nil
 	}
 
 	// prefixInfeasible certifies that every grid index in [0, j] fails the
-	// bound: all their argmins have total-service regret ≥ dS(argmin_j)
-	// (monotone pruning), and no such degree's tail meets the bound.
-	bestS := minOf(t.service)
-	dS := func(i int) float64 { return (t.service[i] - bestS) / bestS }
+	// bound: all their argmins have total-service regret ≥ dS(argmin_j), and
+	// no such cell's tail meets the bound.
+	bestS := t.bestServiceAt(100, 1)
+	dS := func(si, i int) float64 { return (t.sizes[si].t.service[i] - bestS) / bestS }
 	prefixInfeasible := func(j int) bool {
-		thr := dS(deg(j) - 1)
+		sj, dj := pick(j)
+		thr := dS(sj, dj-1)
 		thr -= 1e-12 * (1 + math.Abs(thr)) // conservative float slack
-		for i := range tail {
-			if dS(i) >= thr && tail[i] <= qosSec {
-				return false
+		for si := range t.sizes {
+			tail := t.sizes[si].t.quantile(tailQ).vals
+			for i := range tail {
+				if dS(si, i) >= thr && tail[i] <= qosSec {
+					return false
+				}
 			}
 		}
 		return true
@@ -185,37 +192,12 @@ func qosSearch(t *DegreeTable, qosSec, tailQ, step float64) (Weights, error) {
 // W_S = 0.65 for Xapian rather than 1 — shows the intended reading is the
 // minimal weight that meets the bound, which is what we implement.)
 func (m Models) QoSWeights(c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return Weights{}, err
-	}
-	if err := m.Validate(); err != nil {
-		return Weights{}, err
-	}
-	if c < 1 {
-		return Weights{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	return qosSearch(newDegreeTable(m, c), qosSec, tailQ, step)
+	return m.direct().QoSWeights(c, qosSec, opts)
 }
 
 // QoSPlan recommends a packing degree that jointly optimizes service time
 // and expense while keeping the modeled tail latency within qosSec. The
 // weight search and the final plan share one degree table.
 func (m Models) QoSPlan(c int, qosSec float64, opts QoSOptions) (Plan, Weights, error) {
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return Plan{}, Weights{}, err
-	}
-	if err := m.Validate(); err != nil {
-		return Plan{}, Weights{}, err
-	}
-	if c < 1 {
-		return Plan{}, Weights{}, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	t := newDegreeTable(m, c)
-	w, err := qosSearch(t, qosSec, tailQ, step)
-	if err != nil {
-		return Plan{}, Weights{}, err
-	}
-	return t.plan(t.argminRegret(100, 1, w), w), w, nil
+	return m.direct().QoSPlan(c, qosSec, opts)
 }

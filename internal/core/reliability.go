@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // Reliability-aware planning: ProPack's whole pitch is co-locating P
@@ -102,31 +100,22 @@ func (m ReliableModels) Expense(c, degree int) float64 {
 		m.Storage.At(degree)*m.Failure.ExpectedAttempts(T)) * n
 }
 
+// direct is the planner the failure-aware methods answer through: the
+// failure-blind planner's searches over a row whose service and expense
+// vectors are the expectations under m.Failure.
+func (m ReliableModels) direct() *Planner {
+	invalid := m.Models.Validate()
+	if invalid == nil {
+		invalid = m.Failure.Validate()
+	}
+	return &Planner{cache: &GridCache{row: m.Models, failure: m.Failure, invalid: invalid}}
+}
+
 // OptimalDegree is Eq. 7 over the failure-aware objectives: the packing
 // degree minimizing the weighted fractional regrets of expected service
 // time and expected expense.
 func (m ReliableModels) OptimalDegree(c int, w Weights) (int, error) {
-	if err := m.Models.Validate(); err != nil {
-		return 0, err
-	}
-	if err := m.Failure.Validate(); err != nil {
-		return 0, err
-	}
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if c < 1 {
-		return 0, fmt.Errorf("core: concurrency %d < 1", c)
-	}
-	service := func(p int) float64 { return m.ServiceTime(c, p) }
-	expense := func(p int) float64 { return m.Expense(c, p) }
-	bestS := service(stats.ArgminInt(1, m.MaxDegree, service))
-	bestE := expense(stats.ArgminInt(1, m.MaxDegree, expense))
-	return stats.ArgminInt(1, m.MaxDegree, func(p int) float64 {
-		dS := (service(p) - bestS) / bestS
-		dE := (expense(p) - bestE) / bestE
-		return w.Service*dS + w.Expense*dE
-	}), nil
+	return m.direct().OptimalDegree(c, w)
 }
 
 // PlanFor computes the failure-aware recommendation at concurrency c. The
@@ -134,17 +123,5 @@ func (m ReliableModels) OptimalDegree(c int, w Weights) (int, error) {
 // fields describe degree 1 under the same failures, so the packing-vs-crash
 // trade stays visible.
 func (m ReliableModels) PlanFor(c int, w Weights) (Plan, error) {
-	deg, err := m.OptimalDegree(c, w)
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{
-		Concurrency:         c,
-		Degree:              deg,
-		Weights:             w,
-		PredictedServiceSec: m.ServiceTime(c, deg),
-		PredictedExpenseUSD: m.Expense(c, deg),
-		BaselineServiceSec:  m.ServiceTime(c, 1),
-		BaselineExpenseUSD:  m.Expense(c, 1),
-	}, nil
+	return m.direct().PlanFor(c, w)
 }

@@ -8,7 +8,7 @@ import (
 
 // Request coalescing (singleflight): concurrent requests with an identical
 // canonical key share one computation. This layers over core's sharded
-// TableCache — the cache already coalesces same-concurrency table builds,
+// GridCache — the cache already coalesces same-concurrency table builds,
 // but the daemon also wants to collapse the full request computation
 // (model lookup + plan + response assembly), and to do it across
 // endpoints that the cache cannot see (e.g. /v1/mixed's profiling

@@ -387,7 +387,7 @@ func (s *Server) computeAdvise(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.pool.get(ctx, plat, app)
+	e, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -395,14 +395,14 @@ func (s *Server) computeAdvise(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	lo, hi, err := e.models.DegreeRange(c, w, 0.02)
+	lo, hi, err := e.planner.DegreeRange(c, w, 0.02)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	return &adviseResponse{
 		App: app, Platform: e.platformName, C: c,
 		WService: w.Service, WExpense: w.Expense,
-		MaxDegree: e.models.MaxDegree,
+		MaxDegree: e.planner.Models().MaxDegree,
 		Plan:      planToJSON(plan), DegreeLo: lo, DegreeHi: hi,
 		ModelOverheadUSD: e.overhead.TotalUSD(),
 	}, nil
@@ -423,7 +423,7 @@ func (s *Server) computeQoS(ctx context.Context, q url.Values) (any, error) {
 	if qos <= 0 {
 		return nil, badRequest("qos must be a positive p95 bound in seconds")
 	}
-	e, err := s.pool.get(ctx, plat, app)
+	e, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +468,14 @@ func (s *Server) computeJoint(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.pool.getJoint(ctx, plat, app, sizes)
+	if len(sizes) == 0 {
+		cfg, err := platformByName(plat)
+		if err != nil {
+			return nil, badRequest("%v", err)
+		}
+		sizes = defaultGridSizes(cfg.Shape.MemoryMB)
+	}
+	e, err := s.pool.get(ctx, plat, app, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +500,8 @@ func (s *Server) computeJoint(ctx context.Context, q url.Values) (any, error) {
 	resp.WService, resp.WExpense = w.Service, w.Expense
 	resp.MemMB = plan.MemMB
 	resp.Plan = planToJSON(plan.Plan)
-	for _, sm := range e.grid.Sizes {
+	grid, _ := e.planner.Grid()
+	for _, sm := range grid.Sizes {
 		if sm.MemMB == plan.MemMB {
 			resp.MaxDegree = sm.Models.MaxDegree
 		}
@@ -513,12 +521,13 @@ func (s *Server) computePlan(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.pool.get(ctx, plat, app)
+	e, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
 		return nil, err
 	}
-	if degree < 1 || degree > e.models.MaxDegree {
-		return nil, badRequest("degree %d outside [1,%d]", degree, e.models.MaxDegree)
+	models := e.planner.Models()
+	if degree < 1 || degree > models.MaxDegree {
+		return nil, badRequest("degree %d outside [1,%d]", degree, models.MaxDegree)
 	}
 	t, err := e.planner.Table(c)
 	if err != nil {
@@ -526,9 +535,9 @@ func (s *Server) computePlan(ctx context.Context, q url.Values) (any, error) {
 	}
 	return &planAtResponse{
 		App: app, Platform: e.platformName, C: c,
-		Degree: degree, MaxDegree: e.models.MaxDegree,
+		Degree: degree, MaxDegree: models.MaxDegree,
 		Instances:     ceilDiv(c, degree),
-		ETSec:         e.models.ET.At(degree),
+		ETSec:         models.ET.At(degree),
 		ServiceSec:    t.ServiceTime(degree),
 		P95ServiceSec: t.ServiceTimeQuantile(degree, 95),
 		ExpenseUSD:    t.Expense(degree),

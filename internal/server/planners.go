@@ -14,45 +14,30 @@ import (
 )
 
 // plannerPool owns one fitted model stack + cached core.Planner per
-// (platform, application) pair. Model building runs the full probing
-// pipeline (tens of milliseconds of simulation), so concurrent first
-// requests for the same pair coalesce on the pool's singleflight; planning
-// against a built entry is the lock-free TableCache hot path from PR 4–5.
+// (platform, application, memory-size grid) triple; the empty grid is the
+// platform's full-size instance, planned over packing degree alone. Model
+// building runs the full probing pipeline (tens of milliseconds of
+// simulation, once per memory size), so concurrent first requests for the
+// same triple coalesce on the pool's singleflight; planning against a built
+// entry is the planner's lock-free cached-table hot path from PR 4–5.
 type plannerPool struct {
 	seed    int64
 	flights flightGroup
 	mu      sync.Mutex
 	entries map[string]*plannerEntry
-	joints  map[string]*jointEntry
 	builds  atomic.Int64
 }
 
-// plannerEntry is one profiled (platform, app) pair.
+// plannerEntry is one profiled (platform, app, sizes) triple.
 type plannerEntry struct {
 	planner      *core.Planner
-	models       core.Models
 	overhead     core.Overhead
-	platformName string // the config's display name, echoed in responses
-}
-
-// jointEntry is one profiled (platform, app, memory-size grid) triple: the
-// per-size model stacks plus a cached joint planner over them. Building one
-// costs a modeling pipeline per size, so the pool's singleflight matters
-// even more than for 1-D entries.
-type jointEntry struct {
-	planner      *core.Planner
-	grid         core.GridModels
-	overhead     core.Overhead
-	platformName string
-	sizesMB      []float64
+	platformName string    // the config's display name, echoed in responses
+	sizesMB      []float64 // the memory grid; nil for a degree-only entry
 }
 
 func newPlannerPool(seed int64) *plannerPool {
-	return &plannerPool{
-		seed:    seed,
-		entries: make(map[string]*plannerEntry),
-		joints:  make(map[string]*jointEntry),
-	}
+	return &plannerPool{seed: seed, entries: make(map[string]*plannerEntry)}
 }
 
 // platformByName maps the API's platform parameter to a config, mirroring
@@ -72,11 +57,25 @@ func platformByName(name string) (platform.Config, error) {
 	}
 }
 
-// get returns the entry for (platformName, appName), building and caching
-// it on first use. Unknown names are apiErrors (400s) so they never count
-// against the circuit breaker.
-func (p *plannerPool) get(ctx context.Context, platformName, appName string) (*plannerEntry, error) {
+// defaultGridSizes is the memory grid used when the caller does not pass
+// sizes: quarter steps up to the platform's instance memory. Deterministic,
+// so identical requests share one pool entry and the e2e goldens are
+// stable.
+func defaultGridSizes(instanceMemMB float64) []float64 {
+	return []float64{instanceMemMB / 4, instanceMemMB / 2, 3 * instanceMemMB / 4, instanceMemMB}
+}
+
+// get returns the entry for (platformName, appName, sizesMB), building and
+// caching it on first use. An empty sizesMB asks for the degree-only planner
+// at the platform's instance size; otherwise the entry plans jointly over
+// the grid. Unknown names and size-grid validation failures are apiErrors
+// (400s) so they never count against the circuit breaker; only the modeling
+// pipeline itself can produce a 500.
+func (p *plannerPool) get(ctx context.Context, platformName, appName string, sizesMB []float64) (*plannerEntry, error) {
 	key := platformName + "|" + appName
+	if len(sizesMB) > 0 {
+		key = fmt.Sprintf("joint|%s|%v", key, sizesMB)
+	}
 	p.mu.Lock()
 	e := p.entries[key]
 	p.mu.Unlock()
@@ -100,14 +99,27 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string) (*p
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		meas := &core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: p.seed}
-		models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, w.Demand()))
-		if err != nil {
-			return nil, fmt.Errorf("model build for %s on %s: %w", appName, platformName, err)
-		}
-		e := &plannerEntry{
-			planner: core.NewPlanner(models), models: models,
-			overhead: overhead, platformName: cfg.Name,
+		e := &plannerEntry{platformName: cfg.Name, sizesMB: sizesMB}
+		if len(sizesMB) == 0 {
+			meas := &core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: p.seed}
+			models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, w.Demand()))
+			if err != nil {
+				return nil, fmt.Errorf("model build for %s on %s: %w", appName, platformName, err)
+			}
+			e.planner, e.overhead = core.NewPlanner(models), overhead
+		} else {
+			probes, err := core.GridProbesFor(cfg, w.Demand(), sizesMB, p.seed)
+			if err != nil {
+				return nil, badRequest("%v", err)
+			}
+			grid, overhead, err := core.BuildGridModels(probes)
+			if err == nil {
+				e.planner, err = core.NewJointPlanner(grid)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("grid model build for %s on %s: %w", appName, platformName, err)
+			}
+			e.overhead = overhead
 		}
 		p.mu.Lock()
 		p.entries[key] = e
@@ -121,76 +133,9 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string) (*p
 	return v.(*plannerEntry), nil
 }
 
-// defaultGridSizes is the memory grid used when the caller does not pass
-// sizes: quarter steps up to the platform's instance memory. Deterministic,
-// so identical requests share one pool entry and the e2e goldens are
-// stable.
-func defaultGridSizes(instanceMemMB float64) []float64 {
-	return []float64{instanceMemMB / 4, instanceMemMB / 2, 3 * instanceMemMB / 4, instanceMemMB}
-}
-
-// getJoint returns the joint entry for (platform, app, sizes), building and
-// caching it on first use. A nil or empty sizesMB takes the platform's
-// default grid. Size-grid validation failures are 400s; only the modeling
-// pipeline itself can produce a 500.
-func (p *plannerPool) getJoint(ctx context.Context, platformName, appName string, sizesMB []float64) (*jointEntry, error) {
-	cfg, err := platformByName(platformName)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if len(sizesMB) == 0 {
-		sizesMB = defaultGridSizes(cfg.Shape.MemoryMB)
-	}
-	key := fmt.Sprintf("joint|%s|%s|%v", platformName, appName, sizesMB)
-	p.mu.Lock()
-	e := p.joints[key]
-	p.mu.Unlock()
-	if e != nil {
-		return e, nil
-	}
-	v, err, _ := p.flights.Do(ctx, key, func() (any, error) {
-		p.mu.Lock()
-		if e := p.joints[key]; e != nil {
-			p.mu.Unlock()
-			return e, nil
-		}
-		p.mu.Unlock()
-		w, err := workload.ByName(appName)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		probes, err := core.GridProbesFor(cfg, w.Demand(), sizesMB, p.seed)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		grid, overhead, err := core.BuildGridModels(probes)
-		if err != nil {
-			return nil, fmt.Errorf("grid model build for %s on %s: %w", appName, platformName, err)
-		}
-		pl, err := core.NewJointPlanner(grid)
-		if err != nil {
-			return nil, fmt.Errorf("grid model build for %s on %s: %w", appName, platformName, err)
-		}
-		e := &jointEntry{
-			planner: pl, grid: grid, overhead: overhead,
-			platformName: cfg.Name, sizesMB: sizesMB,
-		}
-		p.mu.Lock()
-		p.joints[key] = e
-		p.mu.Unlock()
-		p.builds.Add(1)
-		return e, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*jointEntry), nil
-}
-
-// size reports the number of profiled pairs (1-D and joint), for the
-// models gauge.
+// size reports the number of profiled triples, for the models gauge.
 func (p *plannerPool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.entries) + len(p.joints)
+	return len(p.entries)
 }

@@ -17,7 +17,7 @@
 //     recovery, and a resilience.Breaker guarding the planner path;
 //   - request coalescing: identical in-flight planning requests collapse
 //     into one computation (singleflight), layered over core's sharded
-//     TableCache so a thundering herd of identical advises costs one
+//     GridCache so a thundering herd of identical advises costs one
 //     table build;
 //   - graceful drain: Run flips /readyz to 503 on context cancellation,
 //     optionally keeps serving through a grace period so load balancers

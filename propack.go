@@ -58,12 +58,15 @@ type (
 	Workload = workload.Workload
 	// QoSOptions configures the Sec. 2.6 tail-latency-bounded planning.
 	QoSOptions = core.QoSOptions
-	// Planner wraps Models with a per-concurrency table cache so repeated
-	// planning calls (weight sweeps, quantile sweeps, QoS searches) amortize
-	// the model evaluation; results are bit-identical to the Models methods.
+	// Planner is the one planner behind every entry point, with a
+	// per-concurrency table cache so repeated planning calls (weight sweeps,
+	// quantile sweeps, QoS searches) amortize the model evaluation. The
+	// Models and GridModels methods are the same methods without the cache,
+	// so results are bit-identical.
 	Planner = core.Planner
-	// DegreeTable is one cached per-concurrency model table (the Planner's
-	// unit of memoization), usable directly for custom degree scans.
+	// DegreeTable is one memory size's row of the planner's cached
+	// per-concurrency grid table: the memoized per-degree model vectors,
+	// readable directly (Planner.Table) for custom degree scans.
 	DegreeTable = core.DegreeTable
 	// GridModels is the joint degree × memory model stack: one fitted
 	// Models per memory size, sharing a single scaling model.
@@ -98,7 +101,8 @@ const (
 )
 
 // NewPlanner builds a Planner over fitted models (e.g. from Advise's
-// Recommendation.Models) for amortized repeated planning.
+// Recommendation.Models) for amortized repeated planning: the planner of
+// the models' one-row grid.
 var NewPlanner = core.NewPlanner
 
 // NewJointPlanner builds a Planner over a memory-size grid (e.g. from
