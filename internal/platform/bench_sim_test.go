@@ -14,9 +14,11 @@ import (
 // the reference heap, the retained closure control plane, and the 8-cell
 // sharded path. Besides ns/op and the standard alloc columns, each
 // sub-benchmark reports allocs/instance and bytes/instance — the steady-state
-// per-instance footprint the typed dispatcher is sized by. CI runs it at
-// -benchtime=1x as a smoke so the million-instance point cannot rot; the
-// recorded curve comes from dedicated -count runs.
+// per-instance footprint the typed dispatcher is sized by — and
+// events/instance, the run's event budget (3 on the typed path for this
+// dice-free burst, 5 on the closure oracle, which schedules every timer). CI
+// runs it at -benchtime=1x as a smoke so the million-instance point cannot
+// rot; the recorded curve comes from dedicated -count runs.
 func BenchmarkSim(b *testing.B) {
 	cs := []int{1_000, 10_000, 100_000, 1_000_000}
 	burstAt := func(c int) Burst {
@@ -24,28 +26,32 @@ func BenchmarkSim(b *testing.B) {
 	}
 	cfg := AWSLambda()
 
-	// loop runs the burst b.N times and reports per-instance allocation
-	// metrics from the runtime's malloc counters (the testing package only
-	// exposes per-op figures).
-	loop := func(b *testing.B, instances int, run func() error) {
+	// loop runs the burst b.N times on control plane cp and reports
+	// per-instance allocation metrics from the runtime's malloc counters (the
+	// testing package only exposes per-op figures) and the events the engine
+	// scheduled per instance.
+	loop := func(b *testing.B, instances int, cp controlPlaneFunc, run func() error) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < b.N; i++ {
-			if err := run(); err != nil {
-				b.Fatal(err)
+		events := withEventCount(cp, func() {
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				if err := run(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		runtime.ReadMemStats(&after)
+			runtime.ReadMemStats(&after)
+		})
 		den := float64(b.N) * float64(instances)
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/den, "allocs/instance")
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/den, "bytes/instance")
+		b.ReportMetric(float64(events)/den, "events/instance")
 	}
 
 	for _, c := range cs {
 		b.Run(fmt.Sprintf("wheel/C=%d", c), func(b *testing.B) {
 			bb := burstAt(c)
-			loop(b, c, func() error { _, err := Run(cfg, bb); return err })
+			loop(b, c, runControlPlane, func() error { _, err := Run(cfg, bb); return err })
 		})
 	}
 	for _, c := range cs {
@@ -53,20 +59,18 @@ func BenchmarkSim(b *testing.B) {
 			bb := burstAt(c)
 			useReferenceEngine = true
 			defer func() { useReferenceEngine = false }()
-			loop(b, c, func() error { _, err := Run(cfg, bb); return err })
+			loop(b, c, runControlPlane, func() error { _, err := Run(cfg, bb); return err })
 		})
 	}
 	for _, c := range cs {
 		b.Run(fmt.Sprintf("closure/C=%d", c), func(b *testing.B) {
 			bb := burstAt(c)
-			runCP = runControlPlaneClosure
-			defer func() { runCP = runControlPlane }()
-			loop(b, c, func() error { _, err := Run(cfg, bb); return err })
+			loop(b, c, runControlPlaneClosure, func() error { _, err := Run(cfg, bb); return err })
 		})
 	}
 	b.Run("sharded/C=1000000/shards=8", func(b *testing.B) {
 		bb := burstAt(1_000_000)
-		loop(b, 1_000_000, func() error {
+		loop(b, 1_000_000, runControlPlane, func() error {
 			_, err := RunSharded(cfg, bb, Sharding{Shards: 8})
 			return err
 		})

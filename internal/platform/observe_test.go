@@ -196,7 +196,8 @@ func TestNilRecorderSameResult(t *testing.T) {
 		}
 	}) / n
 	t.Logf("allocs/instance: nil recorder %.3f, Memory recorder %.3f", nilAllocs, recAllocs)
-	if delta := recAllocs - nilAllocs; delta > 1 {
+	// Under the race detector sync.Pool is lossy, so both counts are noise.
+	if delta := recAllocs - nilAllocs; delta > 1 && !raceEnabled {
 		t.Errorf("Memory recorder adds %.2f allocs/instance — pre-sized buffers should make the delta ≈0", delta)
 	}
 }

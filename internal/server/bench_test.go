@@ -299,7 +299,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	pass := overheadNs <= floorNs || overheadPct <= budgetPct
 	t.Logf("bare %d ns/op, instrumented %d ns/op, overhead %d ns/op (%.1f%%)",
 		bareNs, instNs, overheadNs, overheadPct)
-	if !pass {
+	if !pass && !raceEnabled { // the detector's instrumentation is not the telemetry's cost
 		t.Errorf("telemetry overhead %.1f%% (%d ns/op) exceeds %g%% budget",
 			overheadPct, overheadNs, budgetPct)
 	}

@@ -129,11 +129,15 @@ func (e *Engine) Now() float64 { return e.now }
 // in the heap violating its invariant and scramble the dispatch order of
 // innocent neighbours.)
 func (e *Engine) checkAt(t float64) {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: scheduling event at non-finite time %g", t))
-	}
+	checkFinite(t)
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
+	}
+}
+
+func checkFinite(t float64) {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("sim: scheduling event at non-finite time %g", t))
 	}
 }
 
@@ -146,6 +150,21 @@ func checkAfter(d float64) {
 	if math.IsNaN(d) {
 		panic("sim: non-finite delay NaN")
 	}
+}
+
+// TimerAt returns from+d, the instant a d-second timer set at virtual time
+// from fires, after exactly the validation EmitAfter applies to a scheduled
+// timer: a negative or NaN delay panics, as does a non-finite instant. It is
+// for callers that resolve a timer arithmetically instead of scheduling it —
+// legitimate only when the timer's handler would touch no state another
+// event reads, so that dropping the event cannot reorder anything (DESIGN
+// §16) — and keeps a malformed duration as loud as it is on the evented
+// path.
+func TimerAt(from, d float64) float64 {
+	checkAfter(d)
+	t := from + d
+	checkFinite(t)
+	return t
 }
 
 // At schedules fn to run at absolute virtual time t. It is the legacy
@@ -187,6 +206,11 @@ func (e *Engine) EmitAfter(d float64, kind uint8, subject int32) {
 
 // Pending reports the number of events not yet dispatched.
 func (e *Engine) Pending() int { return e.q.len() }
+
+// Scheduled reports the number of events scheduled since the engine was
+// created or last Reset, dispatched or not — the run's event budget, which
+// the platform's events-per-instance gate pins.
+func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // dispatch runs one popped event: the closure for the legacy kind, the sink
 // for typed words.

@@ -324,3 +324,82 @@ func TestEngineDifferentialTypedStations(t *testing.T) {
 		}
 	}
 }
+
+// The growing-time-scale program's shape: growSlowTimers slow timers beside
+// two fast ones, all delays rising growFactor× over the run.
+const (
+	growSlowTimers = 48
+	growFactor     = 1e5
+)
+
+// growingScaleProgram is the platform simulator's time-scale drift in
+// miniature: a small fixed population of self-rescheduling timers — two
+// fast ones (the scheduler's share) and growSlowTimers slow ones 25× longer
+// (the builders') — whose delays all grow together by growFactor× over the
+// events budget, the way a station's service time grows with the work it
+// has done. The population stays far below the occupancy trigger, and the
+// fast timers keep the ring from ever draining, so a grid tuned to the
+// opening scale leaves every slow timer beyond the horizon for most of the
+// run. Even timers are typed events, odd ones closures. Every scheduling
+// call goes through emit/after so a caller can observe the pushes.
+func growingScaleProgram(eng *Engine, rng *rand.Rand, events int,
+	emit func(d float64, kind uint8, subject int32), after func(d float64, fn func())) []traceEntry {
+	var trace []traceEntry
+	left := events
+	delay := func(id int) float64 {
+		base := 0.25 // slow
+		if id < 2 {
+			base = 0.01 // fast
+		}
+		progress := float64(events-left) / float64(events)
+		return base * math.Pow(growFactor, progress) * (0.5 + rng.Float64())
+	}
+	var rearm func(id int)
+	rearm = func(id int) {
+		if left == 0 {
+			return
+		}
+		left--
+		if id%2 == 0 {
+			emit(delay(id), progKindRespawn0, int32(id))
+			return
+		}
+		after(delay(id), func() {
+			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+			rearm(id)
+		})
+	}
+	// The typed half re-arms from the sink: programSink calls schedule(1)
+	// for a respawn kind after tracing the event, and the last traced entry
+	// names the timer that fired.
+	eng.SetSink(&programSink{eng: eng, trace: &trace, schedule: func(int) {
+		rearm(trace[len(trace)-1].id)
+	}})
+	for id := 0; id < growSlowTimers+2; id++ {
+		rearm(id)
+	}
+	eng.Run()
+	return trace
+}
+
+// TestEngineDifferentialGrowingTimeScale holds the wheel to the heap on
+// schedules whose time scale drifts by five orders of magnitude under a
+// small population — the shape that drives the overflow-churn retune
+// (several grid rebuilds from inside push, mid-revolution, with live
+// overflow and a part-consumed dispatch run).
+func TestEngineDifferentialGrowingTimeScale(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		run := func(eng *Engine) []traceEntry {
+			return growingScaleProgram(eng, rand.New(rand.NewSource(seed)), 20_000, eng.EmitAfter, eng.After)
+		}
+		want, got := run(NewReferenceEngine()), run(NewEngine())
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -194,10 +195,21 @@ func TestEngineResetReuse(t *testing.T) {
 				eng.After(float64(i)*0.02, func() {})
 			}
 			eng.RunUntil(2.5)
+			w, isWheel := eng.q.(*wheelQueue)
+			if isWheel && w.spills == 0 {
+				t.Fatal("dirtying schedule left no spills pending: the reset check below proves nothing")
+			}
 
 			eng.Reset()
-			if eng.Now() != 0 || eng.Pending() != 0 {
-				t.Fatalf("after Reset: now=%g pending=%d, want 0/0", eng.Now(), eng.Pending())
+			if eng.Now() != 0 || eng.Pending() != 0 || eng.Scheduled() != 0 {
+				t.Fatalf("after Reset: now=%g pending=%d scheduled=%d, want 0/0/0",
+					eng.Now(), eng.Pending(), eng.Scheduled())
+			}
+			// The retune trigger's spill count is per run: a carried-over
+			// count would rebuild the next run's grid early (harmless to
+			// order, but no longer indistinguishable from a fresh engine).
+			if isWheel && w.spills != 0 {
+				t.Fatalf("after Reset: %d spills still counted toward the next retune", w.spills)
 			}
 			// Reset cleared the sink: emitting without re-registering panics.
 			func() {
@@ -298,5 +310,51 @@ func TestWheelOverflowMigration(t *testing.T) {
 		if got[i] < got[i-1] {
 			t.Fatalf("wheel dispatched out of time order at %d: %.6f after %.6f", i, got[i], got[i-1])
 		}
+	}
+}
+
+// TestWheelRetunesOnOverflowChurn pins the overflow-driven retune: on a
+// schedule whose time scale grows 10⁵× under a population far too small to
+// trip the occupancy trigger, the grid must follow the scale. Without the
+// retune the ring — kept from draining by the fast timers — stays tuned to
+// the opening scale and every slow timer pays the overflow heap (tens of
+// thousands of spills per 10⁵ events); with it, each rebuild's horizon is at
+// least twice the live spread, so the spill total is a ring's worth per
+// doubling of the scale — O(ring · log growth), independent of the event
+// count.
+func TestWheelRetunesOnOverflowChurn(t *testing.T) {
+	const events = 100_000
+	eng := NewEngine()
+	w := eng.q.(*wheelQueue)
+	var spilled, rebuilds int
+	// A push spilled iff it changed the since-last-rebuild count (bumped it,
+	// or bumped it over the threshold and had it zeroed by the rebuild).
+	observe := func(push func()) {
+		before := w.spills
+		push()
+		if w.spills != before {
+			spilled++
+		}
+		if w.spills < before {
+			rebuilds++
+		}
+	}
+	trace := growingScaleProgram(eng, rand.New(rand.NewSource(11)), events,
+		func(d float64, kind uint8, sub int32) { observe(func() { eng.EmitAfter(d, kind, sub) }) },
+		func(d float64, fn func()) { observe(func() { eng.After(d, fn) }) })
+	if len(trace) != events {
+		t.Fatalf("dispatched %d events, want %d", len(trace), events)
+	}
+	ring := len(w.buckets)
+	if ring != wheelMinBuckets {
+		t.Fatalf("ring grew to %d buckets: the occupancy trigger fired, the schedule no longer isolates the spill trigger", ring)
+	}
+	if rebuilds == 0 {
+		t.Fatal("no push ever retuned the grid")
+	}
+	bound := int(2*math.Log2(growFactor)) * ring
+	t.Logf("%d events: %d spills, %d retunes from push (bound %d spills)", events, spilled, rebuilds, bound)
+	if spilled > bound {
+		t.Errorf("%d of %d events spilled to overflow, want ≤ %d (2·log₂ growth rings)", spilled, events, bound)
 	}
 }

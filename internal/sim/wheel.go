@@ -22,7 +22,11 @@ import (
 //     becomes due as the frontier advances: every frontier step checks the
 //     tracked overflow minimum and migrates due events into the dispatch
 //     run. When the ring drains entirely, the wheel instead re-anchors its
-//     grid on the earliest pending event and redistributes.
+//     grid on the earliest pending event and redistributes. Overflow is the
+//     slow tier (a heap push and pop per event), so sustained spilling is
+//     itself the signal that the grid no longer fits the time scale being
+//     served: more than a ring's worth of spills since the last rebuild
+//     triggers another.
 //
 // Determinism is the load-bearing wall: dispatch order must be bit-identical
 // to the reference heap's (time, insertion seq) order. Two details make
@@ -72,9 +76,17 @@ type wheelQueue struct {
 	// overflowMin caches overflow[0].at (+Inf when empty) for the per-
 	// advance due check.
 	overflowMin float64
+	// spills counts events sent to overflow since the last rebuild; past the
+	// ring size, push retunes the grid to the live spread.
+	spills int
 
 	ready    []event // sorted dispatch run, consumed from readyPos
 	readyPos int
+
+	// gather is rebuild's scratch: every pending event, collected before
+	// redistribution. Kept (emptied) across rebuilds and resets so a routine
+	// retune allocates nothing.
+	gather []event
 }
 
 const (
@@ -103,10 +115,10 @@ func (w *wheelQueue) len() int {
 }
 
 // reset drops every pending event and re-anchors the grid at time zero,
-// keeping the ring, ready run, and overflow heap at their grown capacities
-// so a pooled engine's next run starts warm. Grid geometry (bucket count)
-// is retained too — order never depends on it, and a same-sized run skips
-// the growth rebuilds.
+// keeping the ring, ready run, overflow heap, and rebuild scratch at their
+// grown capacities so a pooled engine's next run starts warm. Grid geometry
+// (bucket count) is retained too — order never depends on it, and a
+// same-sized run skips the growth rebuilds.
 func (w *wheelQueue) reset() {
 	for i, b := range w.buckets {
 		for j := range b {
@@ -118,6 +130,7 @@ func (w *wheelQueue) reset() {
 	clear(w.overflow)
 	w.overflow = w.overflow[:0]
 	w.overflowMin = math.Inf(1)
+	w.spills = 0
 	for i := range w.ready {
 		w.ready[i] = event{}
 	}
@@ -139,7 +152,8 @@ func (w *wheelQueue) push(ev event) {
 		return
 	}
 	w.place(ev)
-	if w.inWheel > wheelMaxOccupancy*len(w.buckets) && len(w.buckets) < wheelMaxBuckets {
+	crowded := w.inWheel > wheelMaxOccupancy*len(w.buckets) && len(w.buckets) < wheelMaxBuckets
+	if crowded || w.spills > len(w.buckets) {
 		w.rebuild()
 	}
 }
@@ -207,6 +221,7 @@ func eventBefore(a, b event) bool {
 // spill pushes an event onto the overflow heap, keeping the cached minimum
 // current so the frontier knows when migration is due.
 func (w *wheelQueue) spill(ev event) {
+	w.spills++
 	w.overflow = append(w.overflow, ev)
 	i := len(w.overflow) - 1
 	for i > 0 {
@@ -363,13 +378,17 @@ func (w *wheelQueue) ensureReady() bool {
 // rebuild re-anchors the grid at the earliest pending event, retunes the
 // bucket count to the population and the width to the event spread, and
 // redistributes everything. It leaves ready holding (at least) the earliest
-// event, sorted. Amortization: a rebuild costs O(pending) and is triggered
-// either by the population doubling past the occupancy bound or by the
-// frontier clearing a whole revolution, so its cost is spread over the
-// pushes or pops that caused it.
+// event, sorted. Amortization: a rebuild costs O(ring + pending) and is
+// triggered by the population doubling past the occupancy bound, by the
+// frontier clearing a whole revolution, or by more than a ring's worth of
+// events having spilled to overflow since the last one — so its cost is
+// spread over the pushes or pops that caused it. The spill trigger is what
+// lets the grid follow a run whose time scale drifts (station service times
+// that grow by orders of magnitude while the population stays small): the
+// new horizon is at least twice the live spread, so the next ring's worth of
+// spills needs the scale to have roughly doubled again.
 func (w *wheelQueue) rebuild() {
-	all := make([]event, 0, w.len())
-	all = append(all, w.ready[w.readyPos:]...)
+	all := append(w.gather[:0], w.ready[w.readyPos:]...)
 	for i, b := range w.buckets {
 		all = append(all, b...)
 		for j := range b {
@@ -384,7 +403,9 @@ func (w *wheelQueue) rebuild() {
 	w.ready = w.ready[:0]
 	w.readyPos = 0
 	w.inWheel = 0
+	w.spills = 0
 	if len(all) == 0 {
+		w.gather = all
 		return
 	}
 
@@ -435,6 +456,8 @@ func (w *wheelQueue) rebuild() {
 		}
 	}
 	sortEvents(w.ready)
+	clear(all) // drop callback references
+	w.gather = all[:0]
 }
 
 // sortEvents orders a dispatch run by the engine's total order: time, then
