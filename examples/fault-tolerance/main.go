@@ -7,14 +7,16 @@
 //
 //  1. plans the Video workload both ways — failure-blind Advise vs
 //     reliability-aware AdviseReliable — under a crash rate λ;
+//
 //  2. executes both plans on the simulator with the same crash injection,
 //     exponential-backoff retries, and p90 straggler hedging, and compares
 //     expense, service time, and the fault counters;
+//
 //  3. shows the same resilience machinery on the local runtime: kernels that
 //     panic are retried per instance, and a context deadline aborts the job
 //     promptly with partial results.
 //
-//	go run ./examples/fault-tolerance
+//     go run ./examples/fault-tolerance
 package main
 
 import (
@@ -119,7 +121,7 @@ var (
 	attempts   = map[int64]int{}
 )
 
-func (p panicky) Name() string          { return p.inner.Name() }
+func (p panicky) Name() string           { return p.inner.Name() }
 func (p panicky) Demand() propack.Demand { return p.inner.Demand() }
 func (p panicky) NewTask(seed int64) workload.Task {
 	return panickyTask{p.inner.NewTask(seed), seed}

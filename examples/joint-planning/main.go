@@ -10,13 +10,15 @@
 //
 //  1. profiles Video on a four-point memory grid and prints the per-size
 //     surface a power-tuning sweep would have measured;
+//
 //  2. asks for the joint optimum at several service/expense weights — the
 //     chosen memory size moves with the objective;
+//
 //  3. plans under a p95 QoS bound (Eqs. 8–9 over the grid) and executes
 //     the chosen (degree, memory) config against the tune-nothing
 //     deployment (degree 1, largest size).
 //
-//	go run ./examples/joint-planning
+//     go run ./examples/joint-planning
 package main
 
 import (

@@ -137,7 +137,7 @@ func TestPartialResultsMode(t *testing.T) {
 	// Functions with seed ≡ 0 (mod 2·1000003) fail permanently: with
 	// Seed=0 and degree 1 that is exactly the even-indexed instances.
 	res, err := Run(Job{
-		Workload:         newFlaky(2 * 1000003, 1000, false),
+		Workload:         newFlaky(2*1000003, 1000, false),
 		Functions:        6,
 		Degree:           1,
 		CoresPerInstance: 1,

@@ -121,8 +121,8 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 	if per := float64(bytes) / n; per > 80 {
 		t.Errorf("Run allocates %.1f B/instance (%d B total), want ≤ 80", per, bytes)
 	}
-	if objects > 12 {
-		t.Errorf("Run allocates %d objects, want ≤ 12", objects)
+	if objects > 5 {
+		t.Errorf("Run allocates %d objects, want ≤ 5", objects)
 	}
 	t.Logf("steady-state Run at C=10⁴: %d objects, %.2f B/instance", objects, float64(bytes)/n)
 

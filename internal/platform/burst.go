@@ -197,9 +197,9 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// at most) instead of once per instance. The jitter draws stay on the
 	// burst's single sequential stream, so results are bit-identical to the
 	// historical per-instance loop.
-	rng := sim.Stream(b.Seed, hashName(cfg.Name))
 	sc := newRunScratch(n)
 	defer sc.release()
+	rng := sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
 	fullDeg := b.Degree
 	lastDeg := b.Functions - (n-1)*b.Degree
@@ -263,16 +263,18 @@ type podState struct {
 
 // runScratch pools the per-burst working state that never escapes into the
 // Result — the batch's simulation-only columns (execs, prevDelay, pendDur),
-// pod bookkeeping, the event engine, and the typed-event dispatcher with its
-// stations — so burst-heavy paths (probe fan-outs, sweeps) stop paying an
-// allocation per array per burst. Everything pooled is fully reinitialized
-// here and nothing downstream may retain a reference to it past release. The
-// one thing on the scratch that does escape, the batch's instanceColumns, is
-// allocated per run and belongs to the Result; release forgets it.
+// pod bookkeeping, the event engine, the jitter stream's generator, and the
+// typed-event dispatcher with its stations — so burst-heavy paths (probe
+// fan-outs, sweeps) stop paying an allocation per array per burst.
+// Everything pooled is fully reinitialized here and nothing downstream may
+// retain a reference to it past release. The one thing on the scratch that
+// does escape, the batch's instanceColumns, is allocated per run and belongs
+// to the Result; release forgets it.
 type runScratch struct {
 	batch instanceBatch
 	pods  []podState
 	eng   *sim.Engine
+	rng   *sim.RNG
 	cp    controlPlane
 }
 
@@ -284,6 +286,17 @@ func newRunScratch(n int) *runScratch {
 	sc := runScratchPool.Get().(*runScratch)
 	sc.batch.reset(n)
 	return sc
+}
+
+// stream returns the scratch's pooled generator restarted as
+// sim.Stream(seed, id): the burst's one sequential jitter-and-fault stream.
+func (sc *runScratch) stream(seed int64, id uint64) *sim.RNG {
+	if sc.rng == nil {
+		sc.rng = sim.Stream(seed, id)
+	} else {
+		sc.rng.Reseed(sim.SplitSeed(seed, id))
+	}
+	return sc.rng
 }
 
 // podStates returns the scratch's pod array sized and reset for n pods.

@@ -26,18 +26,27 @@ import (
 type controlPlaneFunc = func(Config, Burst, *runScratch, *sim.RNG) (*Result, error)
 
 // withEventCount runs fn with cp installed as the control plane and returns
-// the number of events the engine scheduled across every burst fn simulated
-// (sharded runs simulate their cells concurrently, hence the atomic).
+// the number of events the engine scheduled across every burst fn simulated.
 func withEventCount(cp controlPlaneFunc, fn func()) uint64 {
-	var total atomic.Uint64
+	scheduled, _ := withEventCounts(cp, fn)
+	return scheduled
+}
+
+// withEventCounts is withEventCount that also reports how many of the
+// scheduled events were pushed onto the engine's general queue rather than
+// a station's monotone lane (sharded runs simulate their cells concurrently,
+// hence the atomics).
+func withEventCounts(cp controlPlaneFunc, fn func()) (scheduled, queued uint64) {
+	var total, lanes atomic.Uint64
 	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 		res, err := cp(cfg, b, sc, rng)
 		total.Add(sc.eng.Scheduled())
+		lanes.Add(sc.eng.LaneScheduled())
 		return res, err
 	}
 	defer func() { runCP = runControlPlane }()
 	fn()
-	return total.Load()
+	return total.Load(), total.Load() - lanes.Load()
 }
 
 // sameResultBits requires two Results to agree on everything a run
@@ -286,15 +295,23 @@ func TestElidedTailDifferentialPanics(t *testing.T) {
 // event the frozen closure control plane schedules. A handler that comes to
 // need the tail events cannot silently lose them, and a regression cannot
 // silently bring them back.
+//
+// It pins where those events queue as well. Station completions are
+// monotone per station, so every one rides its station's lane and only the
+// rest — staggered admits, boot and execution timers, backoffs — is pushed
+// onto the general queue: none at all on a dice-free unstaggered burst. The
+// closure oracle has no lanes; every event it schedules is a queue push.
 func TestEventsPerInstance(t *testing.T) {
 	const n = 500
-	events := func(cp controlPlaneFunc, cfg Config, b Burst) uint64 {
+	events := func(cp controlPlaneFunc, cfg Config, b Burst) (scheduled, queued uint64, res *Result) {
 		t.Helper()
-		return withEventCount(cp, func() {
-			if _, err := Run(cfg, b); err != nil {
+		scheduled, queued = withEventCounts(cp, func() {
+			var err error
+			if res, err = Run(cfg, b); err != nil {
 				t.Fatal(err)
 			}
 		})
+		return scheduled, queued, res
 	}
 	cold := Burst{Demand: testDemand(), Functions: n, Degree: 1, Seed: 3}
 	allWarm, staggered := cold, cold
@@ -305,20 +322,21 @@ func TestEventsPerInstance(t *testing.T) {
 		name   string
 		mutate func(*Config)
 		burst  Burst
-		// typed and closure are the expected events per burst; typed 0 means
-		// "whatever the closure oracle schedules".
-		typed, closure uint64
+		// typed and closure are the expected events per burst, queued the
+		// typed events expected on the general queue. typed 0 means a faulty
+		// run: both are whatever the closure oracle implies.
+		typed, queued, closure uint64
 	}{
-		{name: "dice-free cold", burst: cold, typed: 3 * n, closure: 5 * n},
-		{name: "dice-free all-warm", burst: allWarm, typed: 1 * n, closure: 3 * n},
-		{name: "dice-free staggered", burst: staggered, typed: 4 * n, closure: 6 * n},
+		{name: "dice-free cold", burst: cold, typed: 3 * n, queued: 0, closure: 5 * n},
+		{name: "dice-free all-warm", burst: allWarm, typed: 1 * n, queued: 0, closure: 3 * n},
+		{name: "dice-free staggered", burst: staggered, typed: 4 * n, queued: n, closure: 6 * n},
 		// Pods of 4: the leader builds and ships, three followers only schedule.
-		{name: "dice-free pods", mutate: func(c *Config) { c.PodSize = 4 }, burst: cold, typed: n/4*3 + 3*n/4, closure: n/4*5 + 3*n/4*3},
-		{name: "unthrottling limit", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: cold, typed: 5 * n, closure: 5 * n},
-		{name: "throttled", mutate: func(c *Config) { c.ConcurrencyLimit = 50 }, burst: cold, typed: 5 * n, closure: 5 * n},
-		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, closure: 5 * n},
-		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, closure: 5 * n},
-		{name: "stragglers", mutate: func(c *Config) { c.StragglerProb, c.StragglerFactor = 0.1, 2 }, burst: cold, typed: 5 * n, closure: 5 * n},
+		{name: "dice-free pods", mutate: func(c *Config) { c.PodSize = 4 }, burst: cold, typed: n/4*3 + 3*n/4, queued: 0, closure: n/4*5 + 3*n/4*3},
+		{name: "unthrottling limit", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "throttled", mutate: func(c *Config) { c.ConcurrencyLimit = 50 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "stragglers", mutate: func(c *Config) { c.StragglerProb, c.StragglerFactor = 0.1, 2 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
 		{name: "start failures", mutate: func(c *Config) { c.StartFailureProb, c.RetryDelaySec = 0.05, 0.5 }, burst: cold},
 		{name: "crashes", mutate: func(c *Config) { c.CrashRate, c.RetryDelaySec = 0.0005, 0.5 }, burst: cold},
 	} {
@@ -326,20 +344,33 @@ func TestEventsPerInstance(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(&cfg)
 		}
-		typed, closure := events(runControlPlane, cfg, tc.burst), events(runControlPlaneClosure, cfg, tc.burst)
-		t.Logf("%-20s typed %.2f events/instance, closure oracle %.2f", tc.name, float64(typed)/n, float64(closure)/n)
+		typed, queued, _ := events(runControlPlane, cfg, tc.burst)
+		closure, closureQueued, oracle := events(runControlPlaneClosure, cfg, tc.burst)
+		t.Logf("%-20s typed %.2f events/instance (%d on the general queue), closure oracle %.2f",
+			tc.name, float64(typed)/n, queued, float64(closure)/n)
 		if tc.closure != 0 && closure != tc.closure {
 			t.Errorf("%s: closure oracle scheduled %d events, want %d", tc.name, closure, tc.closure)
 		}
-		wantTyped := tc.typed
+		if closureQueued != closure {
+			t.Errorf("%s: closure oracle pushed %d of its %d events onto the queue, want all", tc.name, closureQueued, closure)
+		}
+		wantTyped, wantQueued := tc.typed, tc.queued
 		if wantTyped == 0 {
 			wantTyped = closure
 			if closure <= 5*n {
 				t.Errorf("%s: closure oracle scheduled %d events — no retry ever happened, the case proves nothing", tc.name, closure)
 			}
+			// Every instance is placed, built and shipped once, and placed
+			// once more per retried attempt (its pod has shipped by then);
+			// all else the oracle scheduled is a timer.
+			stationJobs := uint64(3*n + oracle.StartRetries + oracle.Crashes + oracle.Timeouts)
+			wantQueued = closure - stationJobs
 		}
 		if typed != wantTyped {
 			t.Errorf("%s: typed control plane scheduled %d events, want %d", tc.name, typed, wantTyped)
+		}
+		if queued != wantQueued {
+			t.Errorf("%s: typed control plane pushed %d events onto the general queue, want %d", tc.name, queued, wantQueued)
 		}
 	}
 }

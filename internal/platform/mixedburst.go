@@ -7,7 +7,6 @@ import (
 	"repro/internal/interfere"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 )
 
 // Heterogeneous packing: the extension sketched in the paper's Sec. 5
@@ -92,9 +91,9 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		return nil, err
 	}
 	n := len(m.Bins)
-	rng := sim.Stream(m.Seed, hashName(cfg.Name)^0x6d69786564) // "mixed"
 	sc := newRunScratch(n)
 	defer sc.release()
+	rng := sc.stream(m.Seed, hashName(cfg.Name)^0x6d69786564) // "mixed"
 	ib := &sc.batch
 
 	// Per-bin preparation — the interference model over the bin's demand mix

@@ -166,10 +166,10 @@ func TestRequestTraceCoalescedFollower(t *testing.T) {
 
 func TestREDMetricsLabeled(t *testing.T) {
 	s := newTestServer(t, nil)
-	get(t, s, adviseURL, nil)                                         // 200 anon
-	get(t, s, adviseURL, map[string]string{"X-API-Key": "tenant-a"})  // 200 keyed
-	get(t, s, "/v1/advise?app=Video&platform=aws&c=-3", nil)          // 400 anon
-	get(t, s, "/v1/plan?app=Video&platform=aws&c=500&degree=2", nil)  // other route
+	get(t, s, adviseURL, nil)                                        // 200 anon
+	get(t, s, adviseURL, map[string]string{"X-API-Key": "tenant-a"}) // 200 keyed
+	get(t, s, "/v1/advise?app=Video&platform=aws&c=-3", nil)         // 400 anon
+	get(t, s, "/v1/plan?app=Video&platform=aws&c=500&degree=2", nil) // other route
 
 	snap := s.Registry().Snapshot()
 	want := map[string]float64{

@@ -24,6 +24,11 @@
 // dispatch, sized for million-instance bursts; the original binary heap is
 // retained behind NewReferenceEngine as the differential-testing oracle the
 // wheel is property- and fuzz-tested against (see DESIGN §15–16).
+//
+// Beside the general queue the production engine keeps monotone lanes
+// (lane.go): a FIFO per producer whose emits are already in (at, seq) order,
+// merged with the queue's head at dispatch. A station's completions ride
+// one, so FIFO traffic never pays for a priority queue.
 package sim
 
 import (
@@ -58,9 +63,10 @@ type EventSink interface {
 // exactly the same total order: time, then insertion sequence.
 type eventQueue interface {
 	push(ev event)
-	// peekAt reports the dispatch time of the earliest pending event
-	// without removing it.
-	peekAt() (float64, bool)
+	// peek reports the (at, seq) key of the earliest pending event without
+	// removing it. The engine merges it with the lane heads, and a tie on
+	// time across the two is broken on seq.
+	peek() (at float64, seq uint64, ok bool)
 	// pop removes and returns the earliest pending event. It must only be
 	// called when len() > 0.
 	pop() event
@@ -77,19 +83,27 @@ type Engine struct {
 	seq  uint64
 	q    eventQueue
 	sink EventSink
+
+	// lanes are the open monotone lanes; laned is false on the reference
+	// engine, whose lanes keep their kind but hold nothing. laneSeq counts
+	// the events lanes have accepted.
+	lanes   []lane
+	laned   bool
+	laneSeq uint64
 }
 
 // NewEngine returns an engine with the clock at time zero, backed by the
-// calendar-queue scheduler.
+// calendar-queue scheduler and monotone lanes.
 func NewEngine() *Engine {
-	return &Engine{q: newWheelQueue()}
+	return &Engine{q: newWheelQueue(), laned: true}
 }
 
 // NewReferenceEngine returns an engine backed by the original container/heap
-// scheduler. It dispatches in exactly the same order as NewEngine and exists
-// as the oracle for the differential test harness: every behavioural
-// property of the wheel is checked by running the same schedule on both and
-// requiring identical traces.
+// scheduler, with every event — lane emits included — going through the
+// heap. It dispatches in exactly the same order as NewEngine and exists as
+// the oracle for the differential test harness: every behavioural property
+// of the wheel and of the lane merge is checked by running the same schedule
+// on both and requiring identical traces.
 func NewReferenceEngine() *Engine {
 	return &Engine{q: &heapQueue{}}
 }
@@ -102,16 +116,18 @@ func (e *Engine) IsReference() bool {
 	return ok
 }
 
-// Reset returns the engine to time zero with no pending events and no sink,
-// retaining the queue's grown capacity. Burst-heavy callers pool one engine
-// across runs instead of re-growing the wheel's ring each time; a reset
-// engine is indistinguishable from a fresh one (same clock, same sequence
-// counter, same dispatch order).
+// Reset returns the engine to time zero with no pending events, no open
+// lanes and no sink, retaining the queue's and the lane rings' grown
+// capacity. Burst-heavy callers pool one engine across runs instead of
+// re-growing the wheel's ring each time; a reset engine is indistinguishable
+// from a fresh one (same clock, same sequence counter, same dispatch order).
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.sink = nil
 	e.q.reset()
+	e.lanes = e.lanes[:0]
+	e.laneSeq = 0
 }
 
 // SetSink registers the handler for typed events. It must be called before
@@ -189,12 +205,17 @@ func (e *Engine) After(d float64, fn func()) {
 // a plain word in the queue — no allocation. Emitting with no sink
 // registered panics (the event could never dispatch).
 func (e *Engine) Emit(t float64, kind uint8, subject int32) {
+	e.q.push(event{at: t, seq: e.stampTyped(t), kind: kind, subject: subject})
+}
+
+// stampTyped validates a typed event's time and issues its sequence number.
+func (e *Engine) stampTyped(t float64) uint64 {
 	if e.sink == nil {
 		panic("sim: Emit with no EventSink registered (call SetSink first)")
 	}
 	e.checkAt(t)
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, kind: kind, subject: subject})
+	return e.seq
 }
 
 // EmitAfter schedules a typed event d seconds of virtual time from now.
@@ -205,30 +226,60 @@ func (e *Engine) EmitAfter(d float64, kind uint8, subject int32) {
 }
 
 // Pending reports the number of events not yet dispatched.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int {
+	n := e.q.len()
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // Scheduled reports the number of events scheduled since the engine was
 // created or last Reset, dispatched or not — the run's event budget, which
 // the platform's events-per-instance gate pins.
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
-// dispatch runs one popped event: the closure for the legacy kind, the sink
-// for typed words.
-func (e *Engine) dispatch(ev event) {
-	if ev.fn != nil {
-		ev.fn()
-		return
+// LaneScheduled reports how many of the Scheduled events rode a monotone
+// lane; the remainder were pushed onto the general queue.
+func (e *Engine) LaneScheduled() uint64 { return e.laneSeq }
+
+// next dispatches the earliest pending event — the minimum by (at, seq)
+// over the lane heads and the general queue's head — unless it lies beyond
+// deadline. It reports whether an event was dispatched.
+func (e *Engine) next(deadline float64) bool {
+	at, seq, ok := e.q.peek()
+	src := -1 // the general queue
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if !ok || h.at < at || (h.at == at && h.seq < seq) {
+			at, seq, src, ok = h.at, h.seq, i, true
+		}
 	}
-	e.sink.Dispatch(ev.kind, ev.subject)
+	if !ok || at > deadline {
+		return false
+	}
+	e.now = at
+	if src < 0 {
+		if ev := e.q.pop(); ev.fn != nil {
+			ev.fn()
+		} else {
+			e.sink.Dispatch(ev.kind, ev.subject)
+		}
+		return true
+	}
+	l := &e.lanes[src]
+	e.sink.Dispatch(l.kind, l.pop())
+	return true
 }
 
 // Run dispatches events in time order until none remain, returning the final
 // virtual time.
 func (e *Engine) Run() float64 {
-	for e.q.len() > 0 {
-		ev := e.q.pop()
-		e.now = ev.at
-		e.dispatch(ev)
+	for e.next(math.Inf(1)) {
 	}
 	return e.now
 }
@@ -240,14 +291,7 @@ func (e *Engine) RunUntil(deadline float64) {
 	if math.IsNaN(deadline) {
 		panic("sim: non-finite RunUntil deadline NaN")
 	}
-	for {
-		at, ok := e.q.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		ev := e.q.pop()
-		e.now = ev.at
-		e.dispatch(ev)
+	for e.next(deadline) {
 	}
 	if deadline > e.now {
 		e.now = deadline

@@ -167,8 +167,8 @@ func TestEngineDifferentialLockstep(t *testing.T) {
 		load(wheel, rw, &wTrace)
 		load(ref, rr, &rTrace)
 		for step := 0; ; step++ {
-			wAt, wOK := wheel.q.peekAt()
-			rAt, rOK := ref.q.peekAt()
+			wAt, _, wOK := wheel.q.peek()
+			rAt, _, rOK := ref.q.peek()
 			if wOK != rOK || (wOK && wAt != rAt) {
 				t.Fatalf("seed %d step %d: peek differs: wheel (%g,%v) heap (%g,%v)",
 					seed, step, wAt, wOK, rAt, rOK)
@@ -401,5 +401,209 @@ func TestEngineDifferentialGrowingTimeScale(t *testing.T) {
 				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// laneProgram is the randomized schedule of the lane differential: a few
+// lanes fed from outside and from inside dispatch, beside closure and typed
+// events on the general queue. Each lane emit picks its delay relative to the
+// lane's last one — later, equal, or earlier, the last of which must take the
+// fallback — or zero, so lanes tie with each other and with the queue. Lane
+// events re-emit onto their own or a neighbouring lane from inside the sink.
+// step, when set, is called between top-level operations to drain partway.
+func laneProgram(eng *Engine, rng *rand.Rand, ops int, step func()) []traceEntry {
+	var trace []traceEntry
+	const firstLaneKind = 10
+	lanes := make([]int, 2+rng.Intn(4))
+	lastDelay := make([]float64, len(lanes))
+	for i := range lanes {
+		lanes[i] = eng.openLane(firstLaneKind + uint8(i))
+	}
+	nextID := 0
+	emitLane := func(li int) {
+		d := lastDelay[li]
+		switch rng.Intn(8) {
+		case 0:
+			d = 0
+		case 1: // equal: ties on time with the lane's tail when now is unchanged
+		case 2:
+			d *= rng.Float64() // earlier than the last: the fallback, unless the clock moved enough
+		default:
+			d += rng.Float64() * math.Pow(10, float64(rng.Intn(4))-3)
+		}
+		lastDelay[li] = d
+		eng.emitLaneAfter(lanes[li], d, int32(nextID))
+		nextID++
+	}
+	eng.SetSink(sinkFunc(func(kind uint8, subject int32) {
+		trace = append(trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
+		if kind >= firstLaneKind && rng.Intn(3) == 0 && nextID < 4*ops {
+			emitLane((int(kind-firstLaneKind) + rng.Intn(2)) % len(lanes))
+		}
+	}))
+	for i := 0; i < ops; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			id := nextID
+			nextID++
+			eng.After(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), func() {
+				trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+			})
+		case 1:
+			eng.EmitAfter(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), progKindPlain, int32(nextID))
+			nextID++
+		default:
+			emitLane(rng.Intn(len(lanes)))
+		}
+		if step != nil && rng.Intn(6) == 0 {
+			step()
+		}
+	}
+	eng.Run()
+	return trace
+}
+
+// sinkFunc adapts a function to EventSink.
+type sinkFunc func(kind uint8, subject int32)
+
+func (f sinkFunc) Dispatch(kind uint8, subject int32) { f(kind, subject) }
+
+// TestLaneDifferentialSchedules holds wheel + lanes to the lane-free heap
+// over randomized multi-lane schedules: identical traces — ids, clocks and
+// Pending() at every dispatch — and identical final state. It also checks
+// the schedules exercise what they claim to: on the wheel events ride the
+// lanes, on the heap none do.
+func TestLaneDifferentialSchedules(t *testing.T) {
+	var rode, queued uint64
+	for seed := int64(1); seed <= 60; seed++ {
+		wheel, ref := NewEngine(), NewReferenceEngine()
+		drain := func(eng *Engine, rng *rand.Rand) func() {
+			return func() { eng.RunUntil(eng.Now() + rng.Float64()*0.5) }
+		}
+		rw, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		want := laneProgram(ref, rr, 300, drain(ref, rr))
+		got := laneProgram(wheel, rw, 300, drain(wheel, rw))
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, got[i], want[i])
+			}
+		}
+		if wheel.Now() != ref.Now() || wheel.Pending() != 0 || ref.Pending() != 0 || wheel.Scheduled() != ref.Scheduled() {
+			t.Fatalf("seed %d: final state differs: wheel (now=%g pending=%d scheduled=%d), heap (now=%g pending=%d scheduled=%d)",
+				seed, wheel.Now(), wheel.Pending(), wheel.Scheduled(), ref.Now(), ref.Pending(), ref.Scheduled())
+		}
+		if ref.LaneScheduled() != 0 {
+			t.Fatalf("seed %d: the reference engine put %d events on lanes", seed, ref.LaneScheduled())
+		}
+		rode += wheel.LaneScheduled()
+		queued += wheel.Scheduled() - wheel.LaneScheduled()
+	}
+	t.Logf("%d events rode lanes, %d went to the general queue", rode, queued)
+	if rode == 0 {
+		t.Fatal("no event ever rode a lane: the suite compares the wheel with itself")
+	}
+}
+
+// TestLaneDifferentialLockstep drains the same multi-lane schedule on both
+// engines in RunUntil steps that land between events — between two lane
+// heads as often as not — comparing clock, pending count and trace after
+// every step.
+func TestLaneDifferentialLockstep(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		wheel, ref := NewEngine(), NewReferenceEngine()
+		rw, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		// Load without draining: Run is replaced by the stepping below.
+		load := func(eng *Engine, rng *rand.Rand, trace *[]traceEntry) {
+			eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+				*trace = append(*trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
+			}))
+			lanes := []int{eng.openLane(1), eng.openLane(2), eng.openLane(3)}
+			for i := 0; i < 240; i++ {
+				d := rng.Float64() * math.Pow(10, float64(rng.Intn(4))-2)
+				if rng.Intn(6) == 0 {
+					d = 0
+				}
+				if i%4 == 3 {
+					id := i
+					eng.After(d, func() {
+						*trace = append(*trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+					})
+					continue
+				}
+				// Lane i%3 sees delays in draw order, not sorted: roughly
+				// half its emits fall back.
+				eng.emitLaneAfter(lanes[i%3], d, int32(i))
+			}
+		}
+		var wTrace, rTrace []traceEntry
+		load(wheel, rw, &wTrace)
+		load(ref, rr, &rTrace)
+		if wheel.LaneScheduled() == 0 || wheel.LaneScheduled() == wheel.Scheduled() {
+			t.Fatalf("seed %d: %d of %d events on lanes: want both lane residents and fallbacks",
+				seed, wheel.LaneScheduled(), wheel.Scheduled())
+		}
+		for step := 0; ref.Pending() > 0; step++ {
+			deadline := ref.Now() + rr.Float64()*0.02
+			wheel.RunUntil(deadline)
+			ref.RunUntil(deadline)
+			if wheel.Now() != ref.Now() || wheel.Pending() != ref.Pending() || len(wTrace) != len(rTrace) {
+				t.Fatalf("seed %d step %d: wheel (now=%g pending=%d dispatched=%d), heap (now=%g pending=%d dispatched=%d)",
+					seed, step, wheel.Now(), wheel.Pending(), len(wTrace), ref.Now(), ref.Pending(), len(rTrace))
+			}
+		}
+		for i := range rTrace {
+			if wTrace[i] != rTrace[i] {
+				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, wTrace[i], rTrace[i])
+			}
+		}
+	}
+}
+
+// TestLaneDifferentialDecreasingService runs a TypedStation whose service
+// time shrinks as it serves — the opposite of the contention growth the
+// lanes are built for — on several servers. Completions are emitted out of
+// time order, so a good share must fall back to the general queue, and the
+// dispatch order must still be the heap's.
+func TestLaneDifferentialDecreasingService(t *testing.T) {
+	const jobs = 2000
+	run := func(eng *Engine) ([]traceEntry, float64) {
+		var trace []traceEntry
+		var st TypedStation
+		rng := NewRNG(5)
+		st.Init(eng, 7, 1, jobs, func(int32) float64 {
+			return 3/(1+0.01*float64(st.Served)) + 0.2*rng.Float64()
+		})
+		eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+			st.Complete(subject)
+			trace = append(trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
+			st.Next()
+		}))
+		for i := 0; i < jobs; i++ {
+			st.Submit(int32(i))
+		}
+		eng.Run()
+		if st.Served != jobs {
+			t.Fatalf("station served %d of %d jobs", st.Served, jobs)
+		}
+		return trace, st.BusySeconds
+	}
+	wheel, ref := NewEngine(), NewReferenceEngine()
+	want, wantBusy := run(ref)
+	got, gotBusy := run(wheel)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d differs: wheel %+v, heap %+v", i, got[i], want[i])
+		}
+	}
+	if gotBusy != wantBusy {
+		t.Fatalf("busy seconds differ: wheel %g, heap %g", gotBusy, wantBusy)
+	}
+	fellBack := wheel.Scheduled() - wheel.LaneScheduled()
+	t.Logf("%d of %d completions fell back to the general queue", fellBack, wheel.Scheduled())
+	if fellBack == 0 || wheel.LaneScheduled() == 0 {
+		t.Fatalf("%d completions on the lane, %d on the queue: want both", wheel.LaneScheduled(), fellBack)
 	}
 }

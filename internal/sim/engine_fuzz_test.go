@@ -7,23 +7,33 @@ import (
 // fuzzSink receives the typed events of a fuzz program. Plain kinds just
 // trace; the respawn kind additionally emits a typed zero-delay follow-up
 // and a small-delay closure event, so typed and closure events keep feeding
-// each other's (at, seq) stream from inside a dispatch.
+// each other's (at, seq) stream from inside a dispatch. A lane kind names
+// the lane it rode; a third of first-generation lane events re-emit onto
+// their lane from inside the dispatch, at a delay that depends on the
+// subject alone — so sometimes earlier than the lane's tail.
 type fuzzSink struct {
 	eng      *Engine
 	trace    *[]traceEntry
 	schedule func(d float64, respawn int)
+	lanes    []int
 }
 
 const (
 	fuzzKindPlain uint8 = iota + 1
 	fuzzKindRespawn
+	fuzzKindLane0 // lane i dispatches as fuzzKindLane0 + i
+
+	fuzzMaxLanes = 4
 )
 
 func (s *fuzzSink) Dispatch(kind uint8, subject int32) {
 	*s.trace = append(*s.trace, traceEntry{id: int(subject), now: s.eng.Now(), pending: s.eng.Pending(), typed: true})
-	if kind == fuzzKindRespawn {
+	switch {
+	case kind == fuzzKindRespawn:
 		s.eng.EmitAfter(0, fuzzKindPlain, subject+10_000)
 		s.schedule(float64(subject%7)*1e-3+1e-5, 0)
+	case kind >= fuzzKindLane0 && subject < 10_000 && subject%3 == 0:
+		s.eng.emitLaneAfter(s.lanes[kind-fuzzKindLane0], float64(subject%5)*1e-3, subject+20_000)
 	}
 }
 
@@ -34,9 +44,13 @@ func (s *fuzzSink) Dispatch(kind uint8, subject int32) {
 // partial RunUntil drain, or a nested respawn whose callbacks schedule
 // further events — closure respawns schedule closures, typed respawns emit
 // typed and closure events both, so a single program interleaves both event
-// kinds in one (at, seq) stream. Because the program depends only on the
-// bytes, running it on the wheel and the heap must yield identical traces —
-// that equality is the fuzz property.
+// kinds in one (at, seq) stream. Opcodes 12–15 drive monotone lanes: open or
+// select one, emit on it at a delay the operand sets (a run of growing
+// operands stays on the lane, an equal one ties, a shrinking one takes the
+// fallback to the general queue), and tie two lanes with a closure at zero
+// delay. Because the program depends only on the bytes, running it on the
+// wheel with its lanes and on the lane-free heap must yield identical
+// traces — that equality is the fuzz property.
 func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 	var trace []traceEntry
 	nextID := 0
@@ -59,10 +73,25 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 		nextID++
 		eng.EmitAfter(d, kind, int32(id))
 	}
+	// cur indexes the selected lane in sink.lanes; the first lane opcode of
+	// any kind opens lane 0.
+	cur := 0
+	openLane := func() {
+		cur = len(sink.lanes)
+		sink.lanes = append(sink.lanes, eng.openLane(fuzzKindLane0+uint8(cur)))
+	}
+	emitLane := func(d float64) {
+		if len(sink.lanes) == 0 {
+			openLane()
+		}
+		id := nextID
+		nextID++
+		eng.emitLaneAfter(sink.lanes[cur], d, int32(id))
+	}
 	for i := 0; i+2 < len(data); i += 3 {
 		op := data[i]
 		v := float64(uint16(data[i+1])<<8 | uint16(data[i+2]))
-		switch op % 12 {
+		switch op % 16 {
 		case 0:
 			schedule(0, 0)
 		case 1:
@@ -85,6 +114,23 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 			emit(v*1e-2, fuzzKindRespawn)
 		case 11:
 			emit(v*1e3, fuzzKindPlain) // typed far future: overflow bucket
+		case 12:
+			if len(sink.lanes) < fuzzMaxLanes {
+				openLane()
+			} else {
+				cur = int(v) % fuzzMaxLanes
+			}
+		case 13:
+			emitLane(v * 1e-2)
+		case 14:
+			emitLane(v * 1e-5) // fine-grained: ties and near-ties between lanes
+		case 15:
+			// A three-way tie at one instant: this lane, a closure, the
+			// next lane — dispatched in that order, by seq alone.
+			emitLane(0)
+			schedule(0, 0)
+			cur = (cur + 1) % len(sink.lanes)
+			emitLane(0)
 		}
 	}
 	eng.Run()
@@ -92,9 +138,9 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 }
 
 // FuzzEngineSchedule fuzzes the differential property directly: any byte
-// string, decoded as a schedule, must dispatch identically on the wheel and
-// the reference heap — same ids, same clocks, same pending counts, same
-// final state. The checked-in corpus under testdata/fuzz seeds the search
+// string, decoded as a schedule, must dispatch identically on the wheel
+// (lanes included) and the reference heap — same ids, same clocks, same
+// pending counts, same final state. The checked-in corpus under testdata/fuzz seeds the search
 // with schedules that cross bucket, revolution, and overflow boundaries.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
@@ -112,6 +158,10 @@ func FuzzEngineSchedule(f *testing.F) {
 	// respawn feeding both streams, and a typed overflow spill crossed by
 	// closure chains.
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 10, 0, 40, 8, 0, 40, 11, 0, 1, 3, 0, 2, 9, 0, 0, 7, 0, 90})
+	// Lanes: two lanes fed growing, equal and then shrinking delays (the
+	// fallback), a three-way zero-delay tie, and a RunUntil that stops
+	// between the two lane heads before more is emitted behind them.
+	f.Add([]byte{12, 0, 0, 13, 0, 100, 13, 0, 200, 13, 0, 200, 12, 0, 0, 13, 0, 150, 13, 0, 50, 15, 0, 0, 7, 0, 120, 13, 0, 10, 14, 0, 3, 7, 0, 90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			t.Skip("schedule longer than the harness budget")

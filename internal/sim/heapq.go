@@ -46,11 +46,11 @@ func (q *heapQueue) push(ev event) {
 	heap.Push(&q.events, e)
 }
 
-func (q *heapQueue) peekAt() (float64, bool) {
+func (q *heapQueue) peek() (float64, uint64, bool) {
 	if len(q.events) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return q.events[0].at, true
+	return q.events[0].at, q.events[0].seq, true
 }
 
 func (q *heapQueue) pop() event {

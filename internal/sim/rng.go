@@ -5,14 +5,26 @@ import "math/rand"
 // RNG is a deterministic random stream used for execution-time jitter and
 // workload input generation. Distinct components derive independent streams
 // from a root seed so adding a consumer does not perturb the others.
+//
+// The stream is math/rand's, bit for bit — rand.New over a source that seeds
+// to rand.NewSource(seed)'s state without the stdlib's seeding cost (see
+// source.go). An RNG must not be copied: r draws from the embedded src.
 type RNG struct {
-	r *rand.Rand
+	src source
+	r   *rand.Rand
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
+
+// Reseed restarts the stream as NewRNG(seed) would have started it, reusing
+// the generator's storage: a pooled RNG costs no allocation per burst.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Stream derives an independent child stream labeled by id. The derivation
 // is a SplitMix64-style hash of (seed, id) so streams do not overlap for

@@ -76,6 +76,9 @@ func (s *Station) start(j *job) {
 // announced by emitting the station's registered kind through the engine's
 // EventSink, and the wait queue is a cursor-consumed []int32 — so a fully
 // loaded million-job station allocates nothing per job in steady state.
+// Completions are emitted on a monotone lane the station opens at Init
+// (lane.go): while service times do not shrink they are already in dispatch
+// order and never enter the general queue.
 //
 // The contract mirrors Station exactly, event for event, so a control plane
 // ported from closures to subjects dispatches in the same (at, seq) order:
@@ -94,7 +97,7 @@ func (s *Station) start(j *job) {
 type TypedStation struct {
 	eng     *Engine
 	servers int
-	kind    uint8
+	lane    int // the engine lane completions are emitted on
 	service func(subject int32) float64
 
 	busy     int
@@ -115,14 +118,16 @@ type TypedStation struct {
 // emitted as kind through eng's sink, service evaluated per subject at the
 // moment the job reaches a server. Subjects must lie in [0, subjects).
 // Grown queue and pend storage is retained across Inits, so pooled stations
-// cost nothing per run after the first.
+// cost nothing per run after the first. Init opens the station's lane on eng;
+// Engine.Reset closes it, so a pooled station is re-Inited after its engine
+// is reset, not before.
 func (s *TypedStation) Init(eng *Engine, servers int, kind uint8, subjects int, service func(subject int32) float64) {
 	if servers < 1 {
 		panic("sim: station needs ≥1 server")
 	}
 	s.eng = eng
 	s.servers = servers
-	s.kind = kind
+	s.lane = eng.openLane(kind)
 	s.service = service
 	s.busy = 0
 	s.queue = s.queue[:0]
@@ -158,7 +163,7 @@ func (s *TypedStation) start(subject int32) {
 		panic("sim: negative service time")
 	}
 	s.pend[subject] = d
-	s.eng.EmitAfter(d, s.kind, subject)
+	s.eng.emitLaneAfter(s.lane, d, subject)
 }
 
 // Complete records the completion of subject's service. The sink calls it

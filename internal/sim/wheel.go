@@ -276,11 +276,12 @@ func (w *wheelQueue) insertReady(ev event) {
 	w.ready[pos] = ev
 }
 
-func (w *wheelQueue) peekAt() (float64, bool) {
+func (w *wheelQueue) peek() (float64, uint64, bool) {
 	if !w.ensureReady() {
-		return 0, false
+		return 0, 0, false
 	}
-	return w.ready[w.readyPos].at, true
+	ev := &w.ready[w.readyPos]
+	return ev.at, ev.seq, true
 }
 
 func (w *wheelQueue) pop() event {
