@@ -307,7 +307,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	if *record {
 		rec := loadBenchServeRecord(t)
 		rec.Telemetry = &telemetryOverheadRecord{
-			Description:         "Per-request telemetry overhead: BenchmarkServeAdvise (advise hot path, warm planner pool) with the instrumentation middleware on vs. DisableTelemetry. Overhead covers request-ID assignment, RED counter/histogram vectors, SLO accounting, and guard-stage span capture. Budget: <=10% of the bare request cost. Regenerate: go test ./internal/server/ -run TestTelemetryOverhead -record",
+			Description:         "Per-request telemetry overhead: BenchmarkServeAdvise (advise hot path, warm planner pool) with the instrumentation middleware on vs. DisableTelemetry. Overhead covers request-ID assignment, RED counter/histogram vectors, SLO accounting, and guard-stage span capture. Budget: <=10% of the bare request cost or 2 us, whichever is larger. Regenerate: go test ./internal/server/ -run TestTelemetryOverhead -record",
 			Date:                time.Now().Format("2006-01-02"),
 			BareNsPerOp:         bareNs,
 			InstrumentedNsPerOp: instNs,

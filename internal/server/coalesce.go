@@ -19,11 +19,15 @@ type flightCall struct {
 	done chan struct{}
 	val  any
 	err  error
+	dups int // followers waiting on done; under flightGroup.mu
 }
 
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
+	// detach, when set, copies the leader's value for the followers of a joined
+	// flight, so a leader may compute into scratch it reclaims when Do returns.
+	detach func(any) any
 }
 
 // Do executes fn once per key among concurrent callers: the first caller
@@ -38,6 +42,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)
 		g.m = make(map[string]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		select {
 		case <-c.done:
@@ -56,11 +61,16 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)
 			c.err = fmt.Errorf("server: coalesced computation panicked")
 		}
 		g.mu.Lock()
-		delete(g.m, key)
+		delete(g.m, key) // from here on nobody can join
+		joined := c.dups > 0
 		g.mu.Unlock()
+		if joined && g.detach != nil && c.val != nil {
+			c.val = g.detach(c.val)
+		}
 		close(c.done)
 	}()
-	c.val, c.err = fn()
+	val, err = fn()
+	c.val, c.err = val, err
 	panicked = false
-	return c.val, c.err, false
+	return val, err, false
 }

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestServeConcurrentStress hammers every endpoint from many goroutines at
@@ -133,7 +135,7 @@ func TestFlightGroupConcurrentKeys(t *testing.T) {
 // TestTenantLimiterConcurrent pounds one limiter from many goroutines with
 // overlapping tenants so -race covers the refill/evict paths.
 func TestTenantLimiterConcurrent(t *testing.T) {
-	l := newTenantLimiter(100, 100, 8)
+	l := newTenantLimiter(100, 100, 8, new(obs.Counter))
 	base := time.Unix(1_700_000_000, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,6 +48,7 @@ func toAPIError(err error) *apiError {
 	return &apiError{status: http.StatusInternalServerError, msg: err.Error()}
 }
 
+// writeJSON serves the cold routes (/healthz, /readyz, /slo).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -59,18 +60,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(buf, '\n'))
 }
 
-func writeAPIError(w http.ResponseWriter, e *apiError) {
-	if e.retryAfter > 0 {
-		secs := int64(math.Ceil(e.retryAfter.Seconds()))
+func writeAPIError(w http.ResponseWriter, ae *apiError) {
+	if ae.retryAfter > 0 {
+		secs := int64(math.Ceil(ae.retryAfter.Seconds()))
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, e.status, map[string]string{"error": e.msg})
+	e := encPool.Get().(*jsonEnc)
+	e.reset()
+	e.open("", '{')
+	e.str("error", ae.msg)
+	e.end('}')
+	e.writeTo(w, ae.status)
+	encPool.Put(e)
 }
 
-// computeFn produces an endpoint's response value. It runs under the
+// computeFn appends an endpoint's response body to e. It runs under the
 // request deadline, behind admission control and the breaker, possibly
 // coalesced with identical concurrent requests.
-type computeFn func(ctx context.Context, q url.Values) (any, error)
+type computeFn func(ctx context.Context, q *params, e *jsonEnc) error
 
 // endpoint wraps a compute function in the full robustness chain:
 // panic recovery → rate limit → admission → deadline → breaker →
@@ -78,14 +85,25 @@ type computeFn func(ctx context.Context, q url.Values) (any, error)
 // When the telemetry middleware is active, each guard stage also emits a
 // span into the request's trace (limit → admit → plan-or-coalesce).
 func (s *Server) endpoint(name string, compute computeFn) http.Handler {
-	reqs := s.reg.Counter("http_requests_" + name)
-	lat := s.reg.Histogram("http_seconds_"+name, nil)
+	// Every counter the request path touches, resolved once: a request never
+	// looks a name up, and the `# TYPE` set is complete before the first scrape
+	// (a family list that depends on which failures have fired is miserable to
+	// alert on; the e2e golden pins it).
+	var (
+		requests        = s.reg.Counter("http_requests_total")
+		rateLimited     = s.reg.Counter("http_ratelimited_total")
+		shed            = s.reg.Counter("http_shed_total")
+		queueTimeout    = s.reg.Counter("http_queue_timeout_total")
+		coalesced       = s.reg.Counter("http_coalesced_total")
+		breakerRejected = s.reg.Counter("breaker_rejected_total")
+		panics          = s.reg.Counter("http_panics_total")
+	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
 				// The localfaas pattern: a panic fails only this request,
 				// never the daemon.
-				s.reg.Counter("http_panics_total").Inc()
+				panics.Inc()
 				s.log.Error("handler panic", "endpoint", name, "panic", fmt.Sprint(p))
 				writeAPIError(w, &apiError{status: http.StatusInternalServerError, msg: "internal error"})
 			}
@@ -95,17 +113,16 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			writeAPIError(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use GET"})
 			return
 		}
-		reqs.Inc()
-		s.reg.Counter("http_requests_total").Inc()
+		requests.Inc()
 		rt := traceOf(w)
 
-		// Per-tenant token bucket.
-		tenant := tenantOf(r)
+		// Per-tenant token bucket (the tenant already resolved by telemetry).
+		tenant := rt.tenantOr(r)
 		mark := rt.origin()
 		ok, retryAfter := s.tenants.allow(tenant, s.cfg.Clock())
 		mark = rt.spanFrom(obs.StageLimit, mark)
 		if !ok {
-			s.reg.Counter("http_ratelimited_total").Inc()
+			rateLimited.Inc()
 			s.log.Debug("rate limited", "tenant", tenant, "endpoint", name)
 			writeAPIError(w, &apiError{
 				status: http.StatusTooManyRequests, retryAfter: retryAfter,
@@ -113,40 +130,29 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			})
 			return
 		}
-		s.reg.Gauge("ratelimit_tenants").Set(float64(s.tenants.size()))
-		s.reg.Counter("ratelimit_evictions_total").Add(s.tenants.evicted() - s.reg.Counter("ratelimit_evictions_total").Value())
 
 		// Admission: bounded in-flight work, bounded queue, honest shedding.
 		release, st := s.adm.acquire(r.Context())
 		mark = rt.spanFrom(obs.StageAdmit, mark)
-		s.reg.Gauge("http_queue_depth").Set(float64(s.adm.queued()))
 		switch st {
 		case admitShed:
-			s.reg.Counter("http_shed_total").Inc()
+			shed.Inc()
 			writeAPIError(w, &apiError{
 				status: http.StatusTooManyRequests, retryAfter: s.cfg.ShedRetryAfter,
 				msg: "server overloaded, request shed",
 			})
 			return
 		case admitTimeout:
-			s.reg.Counter("http_queue_timeout_total").Inc()
+			queueTimeout.Inc()
 			writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, msg: "queued past deadline"})
 			return
 		}
-		defer func() {
-			release()
-			s.reg.Gauge("http_inflight").Set(float64(s.adm.inFlight()))
-		}()
-		s.reg.Gauge("http_inflight").Set(float64(s.adm.inFlight()))
-
-		// Per-request deadline, propagated through the compute path.
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
+		defer release()
 
 		// Circuit breaker on the planner path.
 		now := s.cfg.Clock()
 		if !s.breaker.Allow(now) {
-			s.reg.Counter("breaker_rejected_total").Inc()
+			breakerRejected.Inc()
 			writeAPIError(w, &apiError{
 				status: http.StatusServiceUnavailable, retryAfter: s.breaker.RetryAfter(now),
 				msg: "planner circuit open",
@@ -154,22 +160,38 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			return
 		}
 
-		q := r.URL.Query()
+		// The query, parsed once; its canonical form keys the coalescer.
+		q := parseParams(r.URL.RawQuery)
+		defer q.release()
+		q.key = q.appendCanonical(append(append(q.key[:0], name...), '?'))
+
+		// Per-request deadline, propagated through the compute path.
 		start := time.Now()
-		val, err, shared := s.flights.Do(ctx, name+"?"+q.Encode(), func() (any, error) {
+		ctx := &lazyDeadline{Context: r.Context(), deadline: start.Add(s.cfg.RequestTimeout)}
+		defer ctx.cancel()
+
+		// The leader encodes into its own pooled buffer; a follower gets a
+		// private copy (detachBody), so the buffer is free once written.
+		e := encPool.Get().(*jsonEnc)
+		defer encPool.Put(e)
+		val, err, shared := s.flights.Do(ctx, string(q.key), func() (any, error) {
 			if s.cfg.TestHooks {
 				if err := s.testHooks(ctx, q); err != nil {
 					return nil, err
 				}
 			}
-			return compute(ctx, q)
+			e.reset()
+			if err := compute(ctx, q, e); err != nil {
+				return nil, err
+			}
+			return e, nil
 		})
 		dur := time.Since(start).Seconds()
-		lat.Observe(dur)
 		if shared {
 			// A follower spent the interval waiting on the leader's
 			// computation, not computing.
 			rt.spanFrom(obs.StageCoalesce, mark)
+			coalesced.Inc()
 		} else {
 			rt.spanFrom(obs.StagePlan, mark)
 		}
@@ -178,22 +200,17 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			ae = toAPIError(err)
 		}
 		s.breaker.Record(s.cfg.Clock(), dur, ae != nil && ae.status >= 500)
-		s.reg.Gauge("breaker_state").Set(float64(s.breaker.State()))
-		if shared {
-			s.reg.Counter("http_coalesced_total").Inc()
-		}
-		s.reg.Gauge("planner_models").Set(float64(s.pool.size()))
 		if ae != nil {
 			writeAPIError(w, ae)
 			return
 		}
-		writeJSON(w, http.StatusOK, val)
+		val.(*jsonEnc).writeTo(w, http.StatusOK)
 	})
 }
 
 // testHooks honors the e2e/load-test query parameters when Config.TestHooks
 // is set: delayms holds the request in flight, panic=1 crashes the handler.
-func (s *Server) testHooks(ctx context.Context, q url.Values) error {
+func (s *Server) testHooks(ctx context.Context, q *params) error {
 	if q.Get("panic") == "1" {
 		panic("test hook panic")
 	}
@@ -213,7 +230,7 @@ func (s *Server) testHooks(ctx context.Context, q url.Values) error {
 
 // --- Parameter parsing -------------------------------------------------------
 
-func intParam(q url.Values, name string, def int) (int, error) {
+func intParam(q *params, name string, def int) (int, error) {
 	v := q.Get(name)
 	if v == "" {
 		return def, nil
@@ -225,7 +242,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
-func floatParam(q url.Values, name string, def float64) (float64, error) {
+func floatParam(q *params, name string, def float64) (float64, error) {
 	v := q.Get(name)
 	if v == "" {
 		return def, nil
@@ -241,7 +258,7 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 // sizes=2048,4096,10240). Empty means the platform default grid; order and
 // positivity are validated downstream by the grid builder with typed
 // errors.
-func sizesParam(q url.Values) ([]float64, error) {
+func sizesParam(q *params) ([]float64, error) {
 	v := q.Get("sizes")
 	if v == "" {
 		return nil, nil
@@ -259,7 +276,7 @@ func sizesParam(q url.Values) ([]float64, error) {
 }
 
 // weightsParam reads ws (service weight; expense is 1−ws).
-func weightsParam(q url.Values) (core.Weights, error) {
+func weightsParam(q *params) (core.Weights, error) {
 	ws, err := floatParam(q, "ws", 0.5)
 	if err != nil {
 		return core.Weights{}, err
@@ -270,173 +287,114 @@ func weightsParam(q url.Values) (core.Weights, error) {
 	return core.Weights{Service: ws, Expense: 1 - ws}, nil
 }
 
-// ceilDiv is the instance count at a packing degree.
-func ceilDiv(c, degree int) int { return (c + degree - 1) / degree }
-
-// --- Response shapes ---------------------------------------------------------
-
-type planJSON struct {
-	Degree              int     `json:"degree"`
-	Instances           int     `json:"instances"`
-	PredictedServiceSec float64 `json:"predicted_service_sec"`
-	PredictedExpenseUSD float64 `json:"predicted_expense_usd"`
-	BaselineServiceSec  float64 `json:"baseline_service_sec"`
-	BaselineExpenseUSD  float64 `json:"baseline_expense_usd"`
-}
-
-func planToJSON(p core.Plan) planJSON {
-	return planJSON{
-		Degree:              p.Degree,
-		Instances:           ceilDiv(p.Concurrency, p.Degree),
-		PredictedServiceSec: p.PredictedServiceSec,
-		PredictedExpenseUSD: p.PredictedExpenseUSD,
-		BaselineServiceSec:  p.BaselineServiceSec,
-		BaselineExpenseUSD:  p.BaselineExpenseUSD,
+// ceilDiv is the instance count ⌈c/degree⌉, safe for c up to MaxInt.
+func ceilDiv(c, degree int) int {
+	if c < 1 {
+		return 0
 	}
+	return (c-1)/degree + 1
 }
 
-type adviseResponse struct {
-	App              string   `json:"app"`
-	Platform         string   `json:"platform"`
-	C                int      `json:"c"`
-	WService         float64  `json:"w_service"`
-	WExpense         float64  `json:"w_expense"`
-	MaxDegree        int      `json:"max_degree"`
-	Plan             planJSON `json:"plan"`
-	DegreeLo         int      `json:"degree_lo"`
-	DegreeHi         int      `json:"degree_hi"`
-	ModelOverheadUSD float64  `json:"model_overhead_usd"`
+// --- Response bodies ---------------------------------------------------------
+//
+// A compute function appends its body as it goes: the member names and order
+// below are the wire format. The json-tagged structs that used to define it
+// live on in jsonenc_test.go, as the oracle every body is held identical to.
+
+// openEcho starts a single-application body with the request it answers.
+func openEcho(e *jsonEnc, app, platform string, c int) {
+	e.open("", '{')
+	e.str("app", app)
+	e.str("platform", platform)
+	e.int("c", c)
 }
 
-type qosResponse struct {
-	App          string   `json:"app"`
-	Platform     string   `json:"platform"`
-	C            int      `json:"c"`
-	QoSSec       float64  `json:"qos_sec"`
-	TailQuantile float64  `json:"tail_quantile"`
-	WService     float64  `json:"w_service"`
-	WExpense     float64  `json:"w_expense"`
-	Plan         planJSON `json:"plan"`
+func appendWeights(e *jsonEnc, w core.Weights) {
+	e.float("w_service", w.Service)
+	e.float("w_expense", w.Expense)
 }
 
-type jointResponse struct {
-	App              string    `json:"app"`
-	Platform         string    `json:"platform"`
-	C                int       `json:"c"`
-	WService         float64   `json:"w_service"`
-	WExpense         float64   `json:"w_expense"`
-	QoSSec           float64   `json:"qos_sec,omitempty"`
-	TailQuantile     float64   `json:"tail_quantile,omitempty"`
-	SizesMB          []float64 `json:"sizes_mb"`
-	MemMB            float64   `json:"mem_mb"`
-	MaxDegree        int       `json:"max_degree"`
-	Plan             planJSON  `json:"plan"`
-	ModelOverheadUSD float64   `json:"model_overhead_usd"`
-}
-
-type planAtResponse struct {
-	App           string  `json:"app"`
-	Platform      string  `json:"platform"`
-	C             int     `json:"c"`
-	Degree        int     `json:"degree"`
-	MaxDegree     int     `json:"max_degree"`
-	Instances     int     `json:"instances"`
-	ETSec         float64 `json:"et_sec"`
-	ServiceSec    float64 `json:"service_sec"`
-	P95ServiceSec float64 `json:"p95_service_sec"`
-	ExpenseUSD    float64 `json:"expense_usd"`
-}
-
-type mixedAppJSON struct {
-	App   string `json:"app"`
-	Count int    `json:"count"`
-}
-
-type mixedBinJSON struct {
-	Counts []int `json:"counts"`
-	N      int   `json:"n"`
-}
-
-type mixedResponse struct {
-	Platform            string         `json:"platform"`
-	Apps                []mixedAppJSON `json:"apps"`
-	WService            float64        `json:"w_service"`
-	WExpense            float64        `json:"w_expense"`
-	Strategy            string         `json:"strategy"`
-	Instances           int            `json:"instances"`
-	PredictedServiceSec float64        `json:"predicted_service_sec"`
-	PredictedExpenseUSD float64        `json:"predicted_expense_usd"`
-	Bins                []mixedBinJSON `json:"bins"`
-	ModelOverheadUSD    float64        `json:"model_overhead_usd"`
+func appendPlan(e *jsonEnc, p core.Plan) {
+	e.open("plan", '{')
+	e.int("degree", p.Degree)
+	e.int("instances", ceilDiv(p.Concurrency, p.Degree))
+	e.float("predicted_service_sec", p.PredictedServiceSec)
+	e.float("predicted_expense_usd", p.PredictedExpenseUSD)
+	e.float("baseline_service_sec", p.BaselineServiceSec)
+	e.float("baseline_expense_usd", p.BaselineExpenseUSD)
+	e.end('}')
 }
 
 // --- Compute functions -------------------------------------------------------
 
 // computeAdvise is GET /v1/advise?app=&platform=&c=&ws= — the cached
 // equivalent of `propack advise`.
-func (s *Server) computeAdvise(ctx context.Context, q url.Values) (any, error) {
+func (s *Server) computeAdvise(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
 	c, err := intParam(q, "c", 5000)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c < 1 {
-		return nil, badRequest("c %d < 1", c)
+		return badRequest("c %d < 1", c)
 	}
 	w, err := weightsParam(q)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e, err := s.pool.get(ctx, plat, app, nil)
+	pe, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	plan, err := e.planner.PlanFor(c, w)
+	plan, err := pe.planner.PlanFor(c, w)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return badRequest("%v", err)
 	}
-	lo, hi, err := e.planner.DegreeRange(c, w, 0.02)
+	lo, hi, err := pe.planner.DegreeRange(c, w, 0.02)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return badRequest("%v", err)
 	}
-	return &adviseResponse{
-		App: app, Platform: e.platformName, C: c,
-		WService: w.Service, WExpense: w.Expense,
-		MaxDegree: e.planner.Models().MaxDegree,
-		Plan:      planToJSON(plan), DegreeLo: lo, DegreeHi: hi,
-		ModelOverheadUSD: e.overhead.TotalUSD(),
-	}, nil
+	openEcho(e, app, pe.platformName, c)
+	appendWeights(e, w)
+	e.int("max_degree", pe.planner.Models().MaxDegree)
+	appendPlan(e, plan)
+	e.int("degree_lo", lo)
+	e.int("degree_hi", hi)
+	e.float("model_overhead_usd", pe.overhead.TotalUSD())
+	e.end('}')
+	return nil
 }
 
 // computeQoS is GET /v1/qos?app=&platform=&c=&qos= — tail-latency-bounded
 // planning (Sec. 2.6).
-func (s *Server) computeQoS(ctx context.Context, q url.Values) (any, error) {
+func (s *Server) computeQoS(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
 	c, err := intParam(q, "c", 5000)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	qos, err := floatParam(q, "qos", 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if qos <= 0 {
-		return nil, badRequest("qos must be a positive p95 bound in seconds")
+		return badRequest("qos must be a positive p95 bound in seconds")
 	}
-	e, err := s.pool.get(ctx, plat, app, nil)
+	pe, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	plan, w, err := e.planner.QoSPlan(c, qos, core.QoSOptions{})
+	plan, w, err := pe.planner.QoSPlan(c, qos, core.QoSOptions{})
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return badRequest("%v", err)
 	}
-	return &qosResponse{
-		App: app, Platform: e.platformName, C: c,
-		QoSSec: qos, TailQuantile: 95,
-		WService: w.Service, WExpense: w.Expense,
-		Plan: planToJSON(plan),
-	}, nil
+	openEcho(e, app, pe.platformName, c)
+	e.float("qos_sec", qos)
+	e.float("tail_quantile", 95)
+	appendWeights(e, w)
+	appendPlan(e, plan)
+	e.end('}')
+	return nil
 }
 
 // computeJoint is GET /v1/joint?app=&platform=&c=&ws=&sizes=&qos= — joint
@@ -444,179 +402,191 @@ func (s *Server) computeQoS(ctx context.Context, q url.Values) (any, error) {
 // objective weights come from the Sec. 2.6 search over the whole grid;
 // otherwise ws applies directly. sizes defaults to quarter steps of the
 // platform's instance memory.
-func (s *Server) computeJoint(ctx context.Context, q url.Values) (any, error) {
+func (s *Server) computeJoint(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
 	c, err := intParam(q, "c", 5000)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if c < 1 {
-		return nil, badRequest("c %d < 1", c)
+		return badRequest("c %d < 1", c)
 	}
 	w, err := weightsParam(q)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	qos, err := floatParam(q, "qos", 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if qos < 0 {
-		return nil, badRequest("qos must be a positive p95 bound in seconds")
+		return badRequest("qos must be a positive p95 bound in seconds")
 	}
 	sizes, err := sizesParam(q)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(sizes) == 0 {
 		cfg, err := platformByName(plat)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return badRequest("%v", err)
 		}
 		sizes = defaultGridSizes(cfg.Shape.MemoryMB)
 	}
-	e, err := s.pool.get(ctx, plat, app, sizes)
+	pe, err := s.pool.get(ctx, plat, app, sizes)
 	if err != nil {
-		return nil, err
-	}
-	resp := &jointResponse{
-		App: app, Platform: e.platformName, C: c,
-		SizesMB:          e.sizesMB,
-		ModelOverheadUSD: e.overhead.TotalUSD(),
+		return err
 	}
 	var plan core.JointPlan
 	if qos > 0 {
-		plan, w, err = e.planner.QoSPlanJoint(c, qos, core.QoSOptions{})
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		resp.QoSSec, resp.TailQuantile = qos, 95
+		plan, w, err = pe.planner.QoSPlanJoint(c, qos, core.QoSOptions{})
 	} else {
-		plan, err = e.planner.PlanJointFor(c, w)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
+		plan, err = pe.planner.PlanJointFor(c, w)
 	}
-	resp.WService, resp.WExpense = w.Service, w.Expense
-	resp.MemMB = plan.MemMB
-	resp.Plan = planToJSON(plan.Plan)
-	grid, _ := e.planner.Grid()
+	if err != nil {
+		return badRequest("%v", err)
+	}
+	maxDegree := 0
+	grid, _ := pe.planner.Grid()
 	for _, sm := range grid.Sizes {
 		if sm.MemMB == plan.MemMB {
-			resp.MaxDegree = sm.Models.MaxDegree
+			maxDegree = sm.Models.MaxDegree
 		}
 	}
-	return resp, nil
+	openEcho(e, app, pe.platformName, c)
+	appendWeights(e, w)
+	if qos > 0 { // a weighted request carries neither member
+		e.float("qos_sec", qos)
+		e.float("tail_quantile", 95)
+	}
+	e.floats("sizes_mb", pe.sizesMB)
+	e.float("mem_mb", plan.MemMB)
+	e.int("max_degree", maxDegree)
+	appendPlan(e, plan.Plan)
+	e.float("model_overhead_usd", pe.overhead.TotalUSD())
+	e.end('}')
+	return nil
 }
 
 // computePlan is GET /v1/plan?app=&platform=&c=&degree= — model predictions
 // at a caller-fixed packing degree, straight off the cached DegreeTable.
-func (s *Server) computePlan(ctx context.Context, q url.Values) (any, error) {
+func (s *Server) computePlan(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
 	c, err := intParam(q, "c", 5000)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	degree, err := intParam(q, "degree", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e, err := s.pool.get(ctx, plat, app, nil)
+	pe, err := s.pool.get(ctx, plat, app, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	models := e.planner.Models()
+	models := pe.planner.Models()
 	if degree < 1 || degree > models.MaxDegree {
-		return nil, badRequest("degree %d outside [1,%d]", degree, models.MaxDegree)
+		return badRequest("degree %d outside [1,%d]", degree, models.MaxDegree)
 	}
-	t, err := e.planner.Table(c)
+	t, err := pe.planner.Table(c)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return badRequest("%v", err)
 	}
-	return &planAtResponse{
-		App: app, Platform: e.platformName, C: c,
-		Degree: degree, MaxDegree: models.MaxDegree,
-		Instances:     ceilDiv(c, degree),
-		ETSec:         models.ET.At(degree),
-		ServiceSec:    t.ServiceTime(degree),
-		P95ServiceSec: t.ServiceTimeQuantile(degree, 95),
-		ExpenseUSD:    t.Expense(degree),
-	}, nil
+	openEcho(e, app, pe.platformName, c)
+	e.int("degree", degree)
+	e.int("max_degree", models.MaxDegree)
+	e.int("instances", ceilDiv(c, degree))
+	e.float("et_sec", models.ET.At(degree))
+	e.float("service_sec", t.ServiceTime(degree))
+	e.float("p95_service_sec", t.ServiceTimeQuantile(degree, 95))
+	e.float("expense_usd", t.Expense(degree))
+	e.end('}')
+	return nil
 }
+
+// maxMixedFunctions bounds Σ count on /v1/mixed: the mixed planner's cost grows
+// as entries × Σ count² and it does not watch its context, so an unbounded
+// request holds an admission slot long past RequestTimeout. 20 000 is the top
+// of the concurrency range the other routes are exercised over.
+const maxMixedFunctions = 20000
 
 // computeMixed is GET /v1/mixed?app=Name:count&app=Name:count&platform=&ws=
 // — plan-only heterogeneous packing (the Sec. 5 extension).
-func (s *Server) computeMixed(ctx context.Context, q url.Values) (any, error) {
+func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error {
 	plat := q.Get("platform")
 	w, err := weightsParam(q)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	specs := q["app"]
-	if len(specs) < 2 {
-		return nil, badRequest("need at least two app=Name:count parameters")
+	specs := q.All("app")
+	if len(specs) < 2 || len(specs) > len(workload.All()) {
+		return badRequest("need two to %d app=Name:count parameters, one per application", len(workload.All()))
 	}
 	cfg, err := platformByName(plat)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return badRequest("%v", err)
 	}
 	apps := make([]orchestrator.MixedApp, len(specs))
-	jsonApps := make([]mixedAppJSON, len(specs))
-	for i, spec := range specs {
-		name, countStr, ok := strings.Cut(spec, ":")
+	total := 0
+	for i, p := range specs {
+		name, countStr, ok := strings.Cut(p.val, ":")
 		if !ok {
-			return nil, badRequest("bad app spec %q (want Name:count)", spec)
+			return badRequest("bad app spec %q (want Name:count)", p.val)
 		}
 		count, err := strconv.Atoi(countStr)
 		if err != nil || count < 1 {
-			return nil, badRequest("bad app count in %q", spec)
+			return badRequest("bad app count in %q", p.val)
 		}
+		if count > maxMixedFunctions-total {
+			return badRequest("app counts sum past %d, the most functions /v1/mixed plans in one request", maxMixedFunctions)
+		}
+		total += count
 		wl, err := workload.ByName(name)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return badRequest("%v", err)
 		}
 		apps[i] = orchestrator.MixedApp{Workload: wl, Count: count}
-		jsonApps[i] = mixedAppJSON{App: wl.Name(), Count: count}
 	}
 	plan, overhead, err := orchestrator.PlanMixedJob(cfg, apps, w, s.cfg.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("mixed planning: %w", err)
+		return fmt.Errorf("mixed planning: %w", err)
 	}
-	return &mixedResponse{
-		Platform: cfg.Name, Apps: jsonApps,
-		WService: w.Service, WExpense: w.Expense,
-		Strategy:            plan.Strategy,
-		Instances:           plan.Instances(),
-		PredictedServiceSec: plan.PredictedServiceSec,
-		PredictedExpenseUSD: plan.PredictedExpenseUSD,
-		Bins:                compressBins(plan.BinCounts),
-		ModelOverheadUSD:    overhead.TotalUSD(),
-	}, nil
-}
-
-// compressBins run-length-encodes identical consecutive bin compositions —
-// a 500-instance plan is usually two or three distinct compositions, and
-// the response stays bounded no matter the concurrency.
-func compressBins(bins [][]int) []mixedBinJSON {
-	out := []mixedBinJSON{}
-	for _, b := range bins {
-		if n := len(out); n > 0 && equalInts(out[n-1].Counts, b) {
-			out[n-1].N++
-			continue
+	e.open("", '{')
+	e.str("platform", cfg.Name)
+	e.open("apps", '[')
+	for _, a := range apps {
+		e.open("", '{')
+		e.str("app", a.Workload.Name())
+		e.int("count", a.Count)
+		e.end('}')
+	}
+	e.end(']')
+	appendWeights(e, w)
+	e.str("strategy", plan.Strategy)
+	e.int("instances", plan.Instances())
+	e.float("predicted_service_sec", plan.PredictedServiceSec)
+	e.float("predicted_expense_usd", plan.PredictedExpenseUSD)
+	// Identical consecutive bin compositions are run-length encoded — a
+	// 500-instance plan is usually two or three distinct compositions, and
+	// the response stays bounded no matter the concurrency.
+	e.open("bins", '[')
+	for bins := plan.BinCounts; len(bins) > 0; {
+		n := 1
+		for n < len(bins) && slices.Equal(bins[0], bins[n]) {
+			n++
 		}
-		out = append(out, mixedBinJSON{Counts: append([]int(nil), b...), N: 1})
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		e.open("", '{')
+		e.open("counts", '[')
+		for _, count := range bins[0] {
+			e.int("", count)
 		}
+		e.end(']')
+		e.int("n", n)
+		e.end('}')
+		bins = bins[n:]
 	}
-	return true
+	e.end(']')
+	e.float("model_overhead_usd", overhead.TotalUSD())
+	e.end('}')
+	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/funcx"
 	"repro/internal/platform"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -115,6 +117,11 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 			grid, overhead, err := core.BuildGridModels(probes)
 			if err == nil {
 				e.planner, err = core.NewJointPlanner(grid)
+			}
+			if errors.Is(err, stats.ErrUnderdetermined) {
+				// A size too small to pack the app twice gives Eq. 1 nothing
+				// to fit: the caller's grid, not a planner fault.
+				return nil, badRequest("%v", err)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("grid model build for %s on %s: %w", appName, platformName, err)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Per-tenant token-bucket rate limiting. The tenant is whatever identity
@@ -17,12 +19,21 @@ import (
 // anonymousTenant keys the shared bucket for unidentified callers.
 const anonymousTenant = "anonymous"
 
+// headerValue is Header.Get for a key already in the canonical form net/http
+// stores: Get re-canonicalizes "X-API-Key" on every call, and allocates to.
+func headerValue(h http.Header, canonicalKey string) string {
+	if v := h[canonicalKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // tenantOf extracts the caller identity from request headers.
 func tenantOf(r *http.Request) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
+	if k := headerValue(r.Header, "X-Api-Key"); k != "" {
 		return k
 	}
-	if auth := r.Header.Get("Authorization"); auth != "" {
+	if auth := headerValue(r.Header, "Authorization"); auth != "" {
 		if t, ok := strings.CutPrefix(auth, "Bearer "); ok && t != "" {
 			return t
 		}
@@ -41,13 +52,13 @@ type tenantLimiter struct {
 	rps, burst float64
 	maxTenants int
 	buckets    map[string]*tenantBucket
-	evictions  int64
+	evictions  *obs.Counter // ratelimit_evictions_total, counted where it happens
 }
 
-func newTenantLimiter(rps, burst float64, maxTenants int) *tenantLimiter {
+func newTenantLimiter(rps, burst float64, maxTenants int, evictions *obs.Counter) *tenantLimiter {
 	return &tenantLimiter{
 		rps: rps, burst: burst, maxTenants: maxTenants,
-		buckets: make(map[string]*tenantBucket),
+		buckets: make(map[string]*tenantBucket), evictions: evictions,
 	}
 }
 
@@ -99,7 +110,7 @@ func (l *tenantLimiter) evictOldest() {
 	}
 	if victim != "" {
 		delete(l.buckets, victim)
-		l.evictions++
+		l.evictions.Inc()
 	}
 }
 
@@ -110,9 +121,5 @@ func (l *tenantLimiter) size() int {
 	return len(l.buckets)
 }
 
-// evicted reports cumulative evictions, for metrics.
-func (l *tenantLimiter) evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evictions
-}
+// evicted reports cumulative evictions.
+func (l *tenantLimiter) evicted() int64 { return l.evictions.Value() }

@@ -198,11 +198,12 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Log,
 		mux:     http.NewServeMux(),
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.MaxTenants),
+		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.MaxTenants, cfg.Reg.Counter("ratelimit_evictions_total")),
 		breaker: br,
 		pool:    newPlannerPool(cfg.Seed),
 		slo:     obs.NewSLO(cfg.SLO),
 	}
+	s.flights.detach = detachBody
 	if !cfg.DisableTelemetry {
 		s.tel = newTelemetry(cfg, s.slo)
 	}
@@ -237,16 +238,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.reg.RegisterCollector(obs.GoRuntimeCollector())
 	s.reg.RegisterCollector(obs.SLOCollector(s.slo))
-	s.reg.RegisterCollector(s.breakerCollector())
-	s.preregister()
+	s.reg.RegisterCollector(s.stateCollector())
 	return s, nil
 }
 
-// breakerCollector mirrors the breaker into the registry at scrape time: the
-// numeric breaker_state gauge (kept for existing dashboards), a one-hot
-// breaker_states{state} vector, and the cumulative trip count.
-func (s *Server) breakerCollector() obs.Collector {
+// stateCollector mirrors the daemon's state into the registry at scrape time,
+// so no request refreshes a gauge nobody is reading: admission depth, limiter
+// and planner-pool sizes, the numeric breaker_state gauge (kept for existing
+// dashboards), a one-hot breaker_states{state} vector, and the trip count.
+func (s *Server) stateCollector() obs.Collector {
 	return func(r *obs.Registry) {
+		r.Gauge("http_queue_depth").Set(float64(s.adm.queued()))
+		r.Gauge("http_inflight").Set(float64(s.adm.inFlight()))
+		r.Gauge("ratelimit_tenants").Set(float64(s.tenants.size()))
+		r.Gauge("planner_models").Set(float64(s.pool.size()))
 		cur := s.breaker.State()
 		r.Gauge("breaker_state").Set(float64(cur))
 		vec := r.GaugeVec("breaker_states", "state")
@@ -258,26 +263,6 @@ func (s *Server) breakerCollector() obs.Collector {
 			vec.With(st.String()).Set(v)
 		}
 		r.Counter("breaker_opens_total").Add(s.breaker.Opens() - r.Counter("breaker_opens_total").Value())
-	}
-}
-
-// preregister touches every metric family the request path creates lazily,
-// so the exposition's `# TYPE` set is complete from the first scrape — a
-// scrape target whose family list depends on which failure modes have
-// already fired is miserable to alert on, and the e2e golden test relies on
-// the stable set.
-func (s *Server) preregister() {
-	for _, name := range []string{
-		"http_requests_total", "http_ratelimited_total", "http_shed_total",
-		"http_queue_timeout_total", "http_coalesced_total",
-		"breaker_rejected_total", "http_panics_total", "ratelimit_evictions_total",
-	} {
-		s.reg.Counter(name)
-	}
-	for _, name := range []string{
-		"http_queue_depth", "http_inflight", "ratelimit_tenants", "planner_models",
-	} {
-		s.reg.Gauge(name)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/resilience"
 	"repro/internal/workload"
@@ -320,7 +321,7 @@ func TestTenantRateLimit(t *testing.T) {
 }
 
 func TestTenantEvictionBounded(t *testing.T) {
-	l := newTenantLimiter(10, 10, 3)
+	l := newTenantLimiter(10, 10, 3, new(obs.Counter))
 	now := time.Unix(1_700_000_000, 0)
 	for i := 0; i < 10; i++ {
 		l.allow(fmt.Sprintf("tenant-%d", i), now.Add(time.Duration(i)*time.Second))

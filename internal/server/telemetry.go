@@ -19,8 +19,8 @@ import (
 //
 //   - RED metrics: http_route_requests_total{route,code,tenant_class} and
 //     http_route_seconds{route} in the registry (labeled, Prometheus-ready;
-//     the unlabeled http_requests_* scalars from the original serve PR stay
-//     untouched for existing dashboards);
+//     the only per-route series — the guard chain itself counts just the
+//     unlabeled http_requests_total and its rejection counters);
 //   - the SLO tracker behind /slo (availability = no 5xx; latency judged
 //     against the configured threshold);
 //   - per-stage latency histograms stage_seconds_{limit,admit,coalesce,plan}
@@ -37,24 +37,24 @@ import (
 // raw tenant key, which a client mints at will. The vector cardinality cap
 // (obs.DefaultMaxSeries) backstops even that.
 //
-// The middleware rides the advise hot path (~17 µs/request), so it is
+// The middleware rides the advise hot path (~8 µs/request), so it is
 // shaped for cost: the 200-status counters and the latency histogram child
 // are resolved once per route at wrap time, the span buffer is inline in
-// the per-request state (no slice growth for the usual three spans), and
-// contiguous guard stages share clock reads.
+// the per-request state (no slice growth for the usual three spans), contiguous
+// guard stages share clock reads, and the limiter reuses the resolved tenant.
 
-// requestIDHeader is the canonical request-ID header, echoed on every
-// response and accepted (sanitized) from clients so IDs propagate through
-// call chains.
-const requestIDHeader = "X-Request-ID"
+// requestIDHeader is X-Request-ID as net/http canonicalizes it, so reading and
+// echoing it never re-canonicalizes. Echoed on every response and accepted
+// (sanitized) from clients so IDs propagate through call chains.
+const requestIDHeader = "X-Request-Id"
 
 // maxRequestIDLen bounds accepted client-supplied request IDs.
 const maxRequestIDLen = 64
 
 // tenantClass collapses the unbounded tenant key space into two label
 // values: callers presenting an identity vs. the shared anonymous pool.
-func tenantClass(r *http.Request) string {
-	if tenantOf(r) == anonymousTenant {
+func tenantClass(tenant string) string {
+	if tenant == anonymousTenant {
 		return "anon"
 	}
 	return "keyed"
@@ -89,6 +89,7 @@ type requestTrace struct {
 	code int
 
 	id      string
+	tenant  string
 	start   time.Time
 	clock   func() time.Time
 	spans   []obs.Span
@@ -107,6 +108,14 @@ func (rt *requestTrace) Write(b []byte) (int, error) {
 		rt.code = http.StatusOK
 	}
 	return rt.ResponseWriter.Write(b)
+}
+
+// tenantOr is the tenant instrument resolved, or r's when telemetry is off.
+func (rt *requestTrace) tenantOr(r *http.Request) string {
+	if rt == nil {
+		return tenantOf(r)
+	}
+	return rt.tenant
 }
 
 // origin returns the request's start time — the first span's natural start —
@@ -216,14 +225,14 @@ func (t *telemetry) instrument(route string, next http.Handler) http.Handler {
 	latH := t.lat.With(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := t.clock()
-		id := sanitizeRequestID(r.Header.Get(requestIDHeader))
+		id := sanitizeRequestID(headerValue(r.Header, requestIDHeader))
 		if id == "" {
 			id = t.nextID()
 		}
-		w.Header().Set(requestIDHeader, id)
+		w.Header()[requestIDHeader] = []string{id}
 
 		rt := tracePool.Get().(*requestTrace)
-		*rt = requestTrace{ResponseWriter: w, id: id, start: start, clock: t.clock}
+		*rt = requestTrace{ResponseWriter: w, id: id, tenant: tenantOf(r), start: start, clock: t.clock}
 		rt.spans = rt.spanBuf[:0]
 		next.ServeHTTP(rt, r)
 
@@ -233,7 +242,7 @@ func (t *telemetry) instrument(route string, next http.Handler) http.Handler {
 		}
 		end := t.clock()
 		durSec := end.Sub(start).Seconds()
-		class := tenantClass(r)
+		class := tenantClass(rt.tenant)
 		switch {
 		case code == http.StatusOK && class == "anon":
 			okAnon.Inc()
