@@ -344,11 +344,17 @@ func TestServeE2E(t *testing.T) {
 			t.Fatalf("in-flight request dropped by drain: code %d err %v\nstderr:\n%s",
 				r.code, r.err, p.stderrText())
 		}
+		// Read the log line before Wait: Wait closes the stderr pipe as soon
+		// as the process is gone, under the scanner still draining it.
+		deadline := time.Now().Add(5 * time.Second)
+		for !strings.Contains(p.stderrText(), "drained cleanly") {
+			if time.Now().After(deadline) {
+				t.Fatalf("no clean-drain log line; stderr:\n%s", p.stderrText())
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 		if err := p.cmd.Wait(); err != nil {
 			t.Fatalf("serve exited non-zero after SIGTERM: %v\nstderr:\n%s", err, p.stderrText())
-		}
-		if !strings.Contains(p.stderrText(), "drained cleanly") {
-			t.Fatalf("no clean-drain log line; stderr:\n%s", p.stderrText())
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Heterogeneous packing — the extension the paper sketches in Sec. 5
@@ -268,7 +269,7 @@ func feasibleDegrees(apps []App, opts MixedPlanOptions) []int {
 	return maxDegs
 }
 
-// binEval is a memoized per-profile evaluation inside one instance count:
+// binEval is the evaluation of one bin profile inside one instance count:
 // the memory footprint and predicted ET of a bin hosting a given count
 // vector.
 type binEval struct {
@@ -281,18 +282,21 @@ type binEval struct {
 //
 // Hot-path structure: dealCounts gives every bin of an instance count B the
 // per-app count base_k = C_k/B or base_k+1, so a bin's profile is fully
-// described by the bitmask of apps granting it the "+1" remainder. Instead
-// of materializing the B×K count matrix and recomputing PredictMixedET per
-// bin, the sweep derives each bin's mask arithmetically (replicating
-// dealCounts' remainder rotation), memoizes the ET and memory of each
-// distinct mask (≤ 2^K, typically a handful), and updates the running
-// sum/max incrementally. Bin ETs still come from PredictMixedET on the
-// reconstructed count vector, and the sum accumulates in bin order, so
-// every candidate's service and expense are bit-identical to the naive
-// per-bin recomputation. Two bound-based prunes skip infeasible instance
-// counts before any ET evaluation: a memory floor (even the no-remainder
-// bin is too big) and — when every app's fitted pressure is non-negative,
-// so ET is monotone in the counts — an execution-time floor.
+// described by the bitmask of apps granting it the "+1" remainder — and app
+// k grants it to the cyclic bin range [offset_k, offset_k+extra_k), so the
+// mask can only change at the cut points {0, offset_k, (offset_k+extra_k)
+// mod B, B}: a composition is at most 2K+1 runs of identical bins, whatever
+// B is. Instead of materializing the B×K count matrix and recomputing
+// PredictMixedET per bin, the sweep walks those runs: one mask (replicating
+// dealCounts' remainder rotation at the run's first bin), one evaluation
+// and one feasibility check per run. Bin ETs still come from PredictMixedET
+// on the reconstructed count vector, and the sum adds the run's ET once per
+// bin, in bin order (the repeated add, not a multiply), so every candidate's
+// service and expense are bit-identical to the naive per-bin recomputation.
+// Two bound-based prunes skip infeasible instance counts before any ET
+// evaluation: a memory floor (even the no-remainder bin is too big) and —
+// when every app's fitted pressure is non-negative, so ET is monotone in
+// the counts — an execution-time floor.
 func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 	totalFuncs := 0
 	var totalMem float64
@@ -310,7 +314,7 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 	}
 	var cands []heteroCandidate
 	if len(apps) > 63 {
-		// Mask memoization needs one bit per app; beyond that fall back to
+		// The remainder mask needs one bit per app; beyond that fall back to
 		// the naive per-bin evaluation.
 		return mixedCandidatesNaive(apps, opts, minBins, totalFuncs)
 	}
@@ -318,46 +322,52 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 	base := make([]int, len(apps))    // C_k / B for the current B
 	extra := make([]int, len(apps))   // C_k % B
 	offsets := make([]int, len(apps)) // dealCounts' rotating remainder start
-	memo := make(map[uint64]binEval, 8)
+	cuts := make([]int, 0, 2*len(apps)+2)
 	for b := minBins; b <= totalFuncs; b++ {
 		offset := 0
+		cuts = append(cuts[:0], 0, b)
 		for k, a := range apps {
 			base[k] = a.Count / b
 			extra[k] = a.Count % b
 			offsets[k] = offset
 			offset = (offset + extra[k]) % b
+			cuts = append(cuts, offsets[k], offset)
 		}
 		// Prune before any ET work: every bin holds at least the base
 		// counts, so the base profile's memory (and, for monotone pressures,
 		// its ET) floors every bin in this composition.
-		clear(memo)
 		baseEval := evalMask(apps, opts, 0, base, extra, counts)
-		memo[0] = baseEval
 		if baseEval.mem > opts.InstanceMemoryMB {
 			continue
 		}
 		if monotone && baseEval.et > opts.MaxExecSec {
 			continue
 		}
+		slices.Sort(cuts)
 		feasible := true
 		var maxET, sumET float64
-		for i := 0; i < b; i++ {
+		for c := 1; c < len(cuts); c++ {
+			lo, hi := cuts[c-1], cuts[c]
+			if lo == hi {
+				continue
+			}
 			var mask uint64
 			for k := range apps {
-				if (i-offsets[k]+b)%b < extra[k] {
+				if (lo-offsets[k]+b)%b < extra[k] {
 					mask |= 1 << uint(k)
 				}
 			}
-			ev, ok := memo[mask]
-			if !ok {
+			ev := baseEval
+			if mask != 0 {
 				ev = evalMask(apps, opts, mask, base, extra, counts)
-				memo[mask] = ev
 			}
 			if ev.mem > opts.InstanceMemoryMB || ev.et > opts.MaxExecSec {
 				feasible = false
 				break
 			}
-			sumET += ev.et
+			for i := lo; i < hi; i++ {
+				sumET += ev.et
+			}
 			if ev.et > maxET {
 				maxET = ev.et
 			}

@@ -563,3 +563,44 @@ func TestPlanForAllocs(t *testing.T) {
 		t.Errorf("Models.PlanFor allocates %.0f objects per call, want ≤ 4", got)
 	}
 }
+
+// TestMixedCandidatesMatchesNaive holds the run walk to the retained per-bin
+// evaluation candidate for candidate, not only on the winner
+// TestPlanMixedMatchesNaive compares: the same instance counts survive, and
+// each one's service and expense are Float64bits-equal. Up to six apps with
+// counts that leave remainders of every kind (none, wrapping past the last
+// bin, covering every bin) exercise the cut points.
+func TestMixedCandidatesMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	compared := 0
+	for trial := 0; trial < 300; trial++ {
+		apps, opts := randMixedCase(r)
+		for len(apps) < 1+trial%6 {
+			a := apps[r.Intn(len(apps))]
+			a.Count = 1 + r.Intn(70)
+			apps = append(apps, a)
+		}
+		totalFuncs := 0
+		for _, a := range apps {
+			totalFuncs += a.Count
+		}
+		got := mixedCandidates(apps, opts)
+		want := mixedCandidatesNaive(apps, opts, 1, totalFuncs)
+		// The naive sweep starts at one bin; the walk starts at its memory
+		// floor, below which the naive sweep finds nothing feasible either.
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d candidates, per-bin sweep %d (apps=%+v opts=%+v)", trial, len(got), len(want), apps, opts)
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.bins != w.bins || math.Float64bits(g.serviceSec) != math.Float64bits(w.serviceSec) ||
+				math.Float64bits(g.expenseUSD) != math.Float64bits(w.expenseUSD) {
+				t.Fatalf("trial %d cand %d: %+v, per-bin sweep %+v (apps=%+v)", trial, i, g, w, apps)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no feasible candidates — generator too tight to test anything")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,13 @@ func FuzzRouteParams(f *testing.F) {
 	f.Add(uint8(3), "app=Video&platform=aws&sizes=1e-320,5e-324&qos=-0")
 	f.Add(uint8(3), "app=Video&platform=aws&sizes=,,&c=1")
 	f.Add(uint8(3), "app=Video&platform=Aws&sizes=700") // this target's first find: a 500 for a grid too small to fit Eq. 1
+	// The grid bounds: one size too many, and more distinct one-size grids
+	// than the pool retains (each evicted and rebuilt grid must answer the
+	// same bytes twice, like any other input).
+	f.Add(uint8(3), "app=Video&platform=aws&sizes=512,1024,1536,2048,2560,3072,3584,4096,4608,5120,5632,6144,6656,7168,7680,8192,8704")
+	for i := 0; i < 200; i++ {
+		f.Add(uint8(3), "app=Sort&platform=aws&c=500&sizes="+strconv.Itoa(4096+16*i))
+	}
 	// Hostile text: NUL in a name, a duplicated key, an oversized key.
 	f.Add(uint8(0), "app=Video%00&platform=aws")
 	f.Add(uint8(1), "app=Video&app=Sort&platform=aws&platform=funcx&c=1&c=2&degree=1&degree=99")

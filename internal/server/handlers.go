@@ -254,6 +254,12 @@ func floatParam(q *params, name string, def float64) (float64, error) {
 	return f, nil
 }
 
+// maxGridSizes bounds a /v1/joint grid: every size is a full interference
+// probe train run on the request path. The default grid has four; 16
+// leaves room for a finer sweep and keeps the largest request a few tens of
+// milliseconds of simulation, well inside RequestTimeout.
+const maxGridSizes = 16
+
 // sizesParam reads sizes, a comma-separated memory grid in MB (e.g.
 // sizes=2048,4096,10240). Empty means the platform default grid; order and
 // positivity are validated downstream by the grid builder with typed
@@ -262,6 +268,9 @@ func sizesParam(q *params) ([]float64, error) {
 	v := q.Get("sizes")
 	if v == "" {
 		return nil, nil
+	}
+	if strings.Count(v, ",") >= maxGridSizes {
+		return nil, badRequest("sizes lists more than %d memory sizes, the most /v1/joint profiles for one grid", maxGridSizes)
 	}
 	parts := strings.Split(v, ",")
 	sizes := make([]float64, 0, len(parts))

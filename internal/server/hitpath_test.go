@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +116,83 @@ func TestMixedBounded(t *testing.T) {
 	}
 	if got := s.breaker.State(); got != resilience.BreakerClosed {
 		t.Errorf("breaker %v after bounded mixed requests", got)
+	}
+}
+
+// TestJointGridBounded: /v1/joint rejects a grid of more sizes than it will
+// profile in one request, naming the bound, before any probe runs; the
+// largest admitted grid plans.
+func TestJointGridBounded(t *testing.T) {
+	s := newTestServer(t, nil)
+	grid := func(n int) string {
+		sizes := make([]string, n)
+		for i := range sizes {
+			sizes[i] = strconv.Itoa(2048 + 512*i)
+		}
+		return "/v1/joint?app=Video&platform=aws&c=2000&sizes=" + strings.Join(sizes, ",")
+	}
+	for _, path := range []string{grid(maxGridSizes + 1), "/v1/joint?app=Video&platform=aws&sizes=" + strings.Repeat(",", 1<<16)} {
+		rr, body := get(t, s, path, nil)
+		msg, _ := body["error"].(string)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(maxGridSizes)) {
+			t.Errorf("%.80s: status %d %q, want a 400 naming %d", path, rr.Code, msg, maxGridSizes)
+		}
+	}
+	if n := s.pool.builds.Load(); n != 0 {
+		t.Errorf("rejected grids built %d planners", n)
+	}
+	if rr, body := get(t, s, grid(maxGridSizes), nil); rr.Code != http.StatusOK {
+		t.Errorf("%d-size grid: status %d: %v", maxGridSizes, rr.Code, body)
+	}
+}
+
+// TestPlannerPoolBounded walks more distinct caller-supplied grids through
+// the pool than it retains: the pool stops growing at maxCallerGrids plus
+// the fixed entries (which are never the ones evicted), and an evicted grid
+// rebuilds to the bytes it answered the first time.
+func TestPlannerPoolBounded(t *testing.T) {
+	s := newTestServer(t, nil)
+	fetch := func(path string) string {
+		t.Helper()
+		rr, body := get(t, s, path, nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", path, rr.Code, body)
+		}
+		return rr.Body.String()
+	}
+	fixed := []string{
+		"/v1/advise?app=Video&platform=aws&c=2000",
+		"/v1/joint?app=Video&platform=aws&c=2000",
+		"/v1/joint?app=Video&platform=aws&c=2000&sizes=2560,5120,7680,10240", // the default grid, spelled out
+	}
+	for _, path := range fixed {
+		fetch(path)
+	}
+	if n := s.pool.size(); n != 2 {
+		t.Fatalf("degree-only + default grid (twice): %d entries, want 2", n)
+	}
+	oneSize := func(i int) string {
+		return "/v1/joint?app=Video&platform=aws&c=2000&sizes=" + strconv.Itoa(4096+16*i)
+	}
+	first := fetch(oneSize(0))
+	for i := 1; i <= maxCallerGrids+8; i++ {
+		fetch(oneSize(i))
+		if n := s.pool.size(); n > 2+maxCallerGrids {
+			t.Fatalf("after %d caller grids the pool holds %d entries, want ≤ %d", i+1, n, 2+maxCallerGrids)
+		}
+	}
+	builds := s.pool.builds.Load()
+	for _, path := range fixed {
+		fetch(path)
+	}
+	if n := s.pool.builds.Load(); n != builds {
+		t.Errorf("fixed entries were evicted: %d rebuilds", n-builds)
+	}
+	if again := fetch(oneSize(0)); again != first {
+		t.Errorf("evicted grid rebuilt to different bytes:\n%s\nthen\n%s", first, again)
+	}
+	if n := s.pool.builds.Load(); n != builds+1 {
+		t.Errorf("the oldest caller grid was not the one evicted: %d rebuilds", n-builds)
 	}
 }
 

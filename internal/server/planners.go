@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,13 +23,22 @@ import (
 // simulation, once per memory size), so concurrent first requests for the
 // same triple coalesce on the pool's singleflight; planning against a built
 // entry is the planner's lock-free cached-table hot path from PR 4–5.
+//
+// Degree-only and default-grid entries are a fixed set and stay for the
+// life of the pool; grids a caller spelled out are an open one, so only the
+// newest maxCallerGrids of them are kept (callerGrids, oldest first). An
+// evicted grid rebuilds on its next request, to the same bytes.
 type plannerPool struct {
-	seed    int64
-	flights flightGroup
-	mu      sync.Mutex
-	entries map[string]*plannerEntry
-	builds  atomic.Int64
+	seed        int64
+	flights     flightGroup
+	mu          sync.Mutex
+	entries     map[string]*plannerEntry
+	callerGrids []string
+	builds      atomic.Int64
 }
+
+// maxCallerGrids is how many caller-supplied memory grids the pool retains.
+const maxCallerGrids = 64
 
 // plannerEntry is one profiled (platform, app, sizes) triple.
 type plannerEntry struct {
@@ -130,6 +140,13 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 		}
 		p.mu.Lock()
 		p.entries[key] = e
+		if len(sizesMB) > 0 && !slices.Equal(sizesMB, defaultGridSizes(cfg.Shape.MemoryMB)) {
+			p.callerGrids = append(p.callerGrids, key)
+			if len(p.callerGrids) > maxCallerGrids {
+				delete(p.entries, p.callerGrids[0])
+				p.callerGrids = p.callerGrids[1:]
+			}
+		}
 		p.mu.Unlock()
 		p.builds.Add(1)
 		return e, nil
