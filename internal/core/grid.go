@@ -541,24 +541,19 @@ type SizeProbe struct {
 // offending memory size (unwrap to stats.ErrNonFinite and friends).
 func BuildGridModels(probes []SizeProbe) (GridModels, Overhead, error) {
 	var ov Overhead
-	if len(probes) == 0 {
-		return GridModels{}, ov, fmt.Errorf("core: empty memory size grid")
+	g := GridModels{Sizes: make([]SizeModels, len(probes))}
+	for i, sp := range probes {
+		g.Sizes[i].MemMB = sp.MemMB
+	}
+	if err := checkSizeGrid(g.MemSizesMB()); err != nil {
+		return GridModels{}, ov, err
 	}
 	for i, sp := range probes {
-		if sp.MemMB <= 0 {
-			return GridModels{}, ov, fmt.Errorf("core: non-positive memory size %g MB", sp.MemMB)
-		}
-		if i > 0 && sp.MemMB <= probes[i-1].MemMB {
-			return GridModels{}, ov, fmt.Errorf("%w: %g MB after %g MB", ErrNonMonotoneSizes, sp.MemMB, probes[i-1].MemMB)
-		}
-	}
-	g := GridModels{Sizes: make([]SizeModels, 0, len(probes))}
-	for _, sp := range probes {
 		m, err := buildSizeModels(sp, &ov)
 		if err != nil {
 			return GridModels{}, ov, fmt.Errorf("core: memory size %g MB: %w", sp.MemMB, err)
 		}
-		g.Sizes = append(g.Sizes, SizeModels{MemMB: sp.MemMB, Models: m})
+		g.Sizes[i].Models = m
 	}
 
 	// One scaling schedule for the whole grid, probed at the base size.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/interfere"
@@ -137,5 +139,43 @@ func TestConcurrentProbeCallCounterContinuity(t *testing.T) {
 		if got != want {
 			t.Fatalf("degree %d truth probe diverged: %g != %g", deg, got, want)
 		}
+	}
+}
+
+// panickyMeasurer is a SimMeasurer whose interference probe at one degree
+// trips a simulator invariant, as a corrupt config would.
+type panickyMeasurer struct {
+	*SimMeasurer
+	at int
+}
+
+func (p panickyMeasurer) MeasureExecCall(degree, call int) (float64, float64, error) {
+	if degree == p.at {
+		panic("sim: scheduling event at non-finite time NaN")
+	}
+	return p.SimMeasurer.MeasureExecCall(degree, call)
+}
+
+// TestBuildModelsProbePanicReachesCaller: the probes run on parallel.Map's
+// workers, and a panic there must arrive on BuildModels' caller — the stack
+// the daemon's recover, flightGroup.Do and the scaling store all sit on —
+// not end the process.
+func TestBuildModelsProbePanicReachesCaller(t *testing.T) {
+	cfg, d := probeTestConfig()
+	for _, workers := range []int{1, 4} {
+		opts := ProfileOptionsFor(cfg, d)
+		opts.Workers = workers
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"non-finite time NaN", "panickyMeasurer", "MeasureExecCall"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("workers=%d: recovered value lacks %q:\n%s", workers, want, msg)
+					}
+				}
+			}()
+			_, _, _, _, err := BuildModels(panickyMeasurer{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, 3}, opts)
+			t.Fatalf("workers=%d: BuildModels returned (err %v), want a panic", workers, err)
+		}()
 	}
 }

@@ -189,14 +189,11 @@ func ProfileOptionsFor(cfg platform.Config, d interfere.Demand) ProfileOptions {
 // second). Sizes must be strictly increasing and small enough that the
 // demand still fits (MaxDegree ≥ 1).
 func GridProbesFor(cfg platform.Config, d interfere.Demand, sizesMB []float64, seed int64) ([]SizeProbe, error) {
-	if len(sizesMB) == 0 {
-		return nil, fmt.Errorf("core: empty memory size grid")
+	if err := checkSizeGrid(sizesMB); err != nil {
+		return nil, err
 	}
 	probes := make([]SizeProbe, 0, len(sizesMB))
-	for i, mb := range sizesMB {
-		if i > 0 && mb <= sizesMB[i-1] {
-			return nil, fmt.Errorf("%w: %g MB after %g MB", ErrNonMonotoneSizes, mb, sizesMB[i-1])
-		}
+	for _, mb := range sizesMB {
 		scfg, err := cfg.WithMemory(mb)
 		if err != nil {
 			return nil, fmt.Errorf("core: memory size %g MB: %w", mb, err)

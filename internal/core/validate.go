@@ -14,22 +14,32 @@ import (
 // silently producing a misbaselined plan.
 var ErrNonMonotoneSizes = errors.New("core: memory size grid not strictly increasing")
 
-// Validate reports an error if the grid cannot be planned over: it must be
-// non-empty, strictly increasing in memory size, and every size's models
-// must validate (errors name the offending size).
+// Validate reports an error if the grid cannot be planned over: its sizes must
+// pass checkSizeGrid and every size's models must validate (errors name it).
 func (g GridModels) Validate() error {
-	if len(g.Sizes) == 0 {
-		return fmt.Errorf("core: empty memory size grid")
+	if err := checkSizeGrid(g.MemSizesMB()); err != nil {
+		return err
 	}
-	for i, s := range g.Sizes {
-		if s.MemMB <= 0 {
-			return fmt.Errorf("core: non-positive memory size %g MB", s.MemMB)
-		}
-		if i > 0 && s.MemMB <= g.Sizes[i-1].MemMB {
-			return fmt.Errorf("%w: %g MB after %g MB", ErrNonMonotoneSizes, s.MemMB, g.Sizes[i-1].MemMB)
-		}
+	for _, s := range g.Sizes {
 		if err := s.Models.Validate(); err != nil {
 			return fmt.Errorf("core: memory size %g MB: %w", s.MemMB, err)
+		}
+	}
+	return nil
+}
+
+// checkSizeGrid is every entrance's test of a memory grid, made before any one
+// size is looked at: non-empty, positive, strictly increasing.
+func checkSizeGrid(sizesMB []float64) error {
+	if len(sizesMB) == 0 {
+		return fmt.Errorf("core: empty memory size grid")
+	}
+	for i, mb := range sizesMB {
+		if mb <= 0 {
+			return fmt.Errorf("core: non-positive memory size %g MB", mb)
+		}
+		if i > 0 && mb <= sizesMB[i-1] {
+			return fmt.Errorf("%w: %g MB after %g MB", ErrNonMonotoneSizes, mb, sizesMB[i-1])
 		}
 	}
 	return nil

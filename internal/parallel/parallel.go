@@ -16,6 +16,9 @@
 //   - Cancellation and first-error propagation. The context is forwarded to
 //     every task; when a task fails, the remaining unstarted tasks are
 //     skipped and the failed task with the lowest index is reported.
+//   - Panics surface where the caller can catch them. A task that panics
+//     cancels the fan-out as an error does, and Map panics again on the
+//     caller's goroutine with the task's message and stack.
 //
 // What the package deliberately does not do: share RNG streams between
 // tasks, reorder results by completion time, or let one task observe
@@ -70,6 +73,10 @@ func TaskSeed(seed int64, i int) int64 {
 // causing error, not the skips.
 var errSkipped = errors.New("parallel: task skipped after cancellation")
 
+// errPanicked marks, in the same way, a task that panicked; the entry wraps
+// it around the panic value and the worker's stack.
+var errPanicked = errors.New("panicked")
+
 // Map runs fn(ctx, i) for i in [0, n) on a bounded worker pool and returns
 // the results in task order. The worker count comes from the Workers
 // option (default GOMAXPROCS).
@@ -78,6 +85,13 @@ var errSkipped = errors.New("parallel: task skipped after cancellation")
 // tasks and returns the error of the lowest-indexed task that actually
 // failed, wrapped with its index. If the caller's ctx is cancelled, Map
 // returns ctx's error. On error the result slice is nil.
+//
+// Panic contract: left alone, a task's panic would end the process from a
+// worker goroutine, past every recover on the caller's stack. The worker
+// recovers it and cancels the rest; once all workers have stopped, Map
+// panics on the caller's goroutine with a string holding the value and
+// worker stack of the lowest-indexed task that panicked — in preference to
+// any task's error.
 //
 // Determinism contract: when no task fails, the returned slice is
 // byte-identical for every worker count — each task must depend only on
@@ -113,8 +127,17 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			i := 0
+			defer func() {
+				if v := recover(); v != nil {
+					stack := make([]byte, 16<<10) // truncated if deeper: the top frames are the ones wanted
+					stack = stack[:runtime.Stack(stack, false)]
+					errs[i] = fmt.Errorf("%w: %v\n\n%s", errPanicked, v, stack)
+					cancel()
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -134,16 +157,21 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	}
 	wg.Wait()
 
+	var failed error
 	skipped := false
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, errSkipped) {
+		switch {
+		case err == nil:
+		case errors.Is(err, errPanicked):
+			panic(fmt.Sprintf("parallel: task %d %v", i, err))
+		case errors.Is(err, errSkipped):
 			skipped = true
-			continue
+		case failed == nil:
+			failed = fmt.Errorf("parallel: task %d: %w", i, err)
 		}
-		return nil, fmt.Errorf("parallel: task %d: %w", i, err)
+	}
+	if failed != nil {
+		return nil, failed
 	}
 	if skipped {
 		// No task failed of its own accord, yet some never ran: the

@@ -1,0 +1,156 @@
+package platform
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// A pooled scratch carries an engine and a jitter generator from run to run,
+// and both are now reset by what the last run touched rather than in full
+// (sim: the wheel's reset walks only occupied buckets, the generator's
+// register is filled as it is read). These tests hold the pool to "a reused
+// scratch is indistinguishable from a fresh one" from the worst state a
+// previous run can leave, and pin the cost of the smallest burst by count.
+
+// drainScratchPool empties runScratchPool: Get steals from every P, so the
+// first call that reaches New has found nothing anywhere.
+func drainScratchPool() {
+	prev := runScratchPool.New
+	defer func() { runScratchPool.New = prev }()
+	empty := false
+	runScratchPool.New = func() any { empty = true; return new(runScratch) }
+	for !empty {
+		runScratchPool.Get()
+	}
+}
+
+// withScratch runs fn with every burst drawing sc, and only sc, from the
+// pool: the pool starts empty and refills with sc itself (under the race
+// detector a Put may be dropped, so New hands the same one out again). The
+// bursts inside fn must run one at a time.
+func withScratch(sc *runScratch, fn func()) {
+	prev := runScratchPool.New
+	defer func() {
+		runScratchPool.New = prev
+		drainScratchPool()
+	}()
+	runScratchPool.New = func() any { return sc }
+	drainScratchPool()
+	fn()
+}
+
+// registerWords reports how many words of its 607-word register g has
+// materialised since it was last seeded, read from the lazy fill's countdown:
+// each of the first 334 steps fills vec[feed], and the first 273 vec[tap] too.
+func registerWords(g *sim.RNG) int {
+	unread := int(reflect.ValueOf(g).Elem().FieldByName("src").FieldByName("unread").Int())
+	steps := 334 - unread
+	return steps + min(steps, 273)
+}
+
+// TestOneInstanceBurstSeedsWhatItReads is the pin by count behind "a
+// one-instance probe costs one instance": a dice-free one-instance burst
+// draws its jitter once (a rejected ziggurat sample redraws), so it may
+// materialise a handful of register words — not 607.
+func TestOneInstanceBurstSeedsWhatItReads(t *testing.T) {
+	cfg := AWSLambda()
+	d := workload.Video{}.Demand()
+	sc := new(runScratch)
+	withScratch(sc, func() {
+		for seed := int64(1); seed <= 64; seed++ {
+			if _, err := Run(cfg, Burst{Demand: d, Functions: 4, Degree: 4, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+			if words := registerWords(sc.rng); words < 2 || words > 16 {
+				t.Fatalf("seed %d: a one-instance burst materialised %d register words, want 2–16", seed, words)
+			}
+		}
+		// The other end of the walk: 334 draws complete the register, and
+		// the count stops there however long the burst.
+		if _, err := Run(cfg, Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if words := registerWords(sc.rng); words != 607 {
+			t.Fatalf("a 1000-instance burst materialised %d register words, want all 607", words)
+		}
+	})
+}
+
+// TestScratchReuseAfterPanic poisons a scratch as thoroughly as a run can —
+// a faulty burst that panics mid-dispatch, events still in the wheel, the
+// jitter register part-filled — then runs, on that same scratch, each of the
+// eight burst-1m golden seeds at 10⁴ instances and a faulty burst, and
+// requires every Result to match, bit for bit, a run on an empty pool.
+func TestScratchReuseAfterPanic(t *testing.T) {
+	cfg := AWSLambda()
+	d := workload.Video{}.Demand()
+	faulty := cfg
+	faulty.CrashRate = 0.0005
+	faulty.StragglerProb = 0.05
+	faulty.StragglerFactor = 2
+	faulty.Hedge.Quantile = 95
+
+	bursts := make([]Burst, 0, 9)
+	for seed := int64(1); seed <= 8; seed++ {
+		bursts = append(bursts, Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: seed})
+	}
+	bursts = append(bursts, Burst{Demand: d, Functions: 4000, Degree: 4, Warm: 16, Seed: 99})
+	cfgOf := func(i int) Config {
+		if i == len(bursts)-1 {
+			return faulty
+		}
+		return cfg
+	}
+
+	want := make([]*Result, len(bursts))
+	for i, b := range bursts {
+		drainScratchPool()
+		res, err := Run(cfgOf(i), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	// The poisoned scratch: Run's own steps on a hand-built batch (past its
+	// validation, which is the point), one instance's execution time NaN.
+	const n, bad = 2000, 1000
+	sc := new(runScratch)
+	sc.batch.reset(n)
+	rng := sc.stream(7, 7)
+	for i := 0; i < n; i++ {
+		sc.batch.execs[i] = 30 * rng.Jitter(faulty.JitterRel)
+		sc.batch.degree[i] = 1
+	}
+	sc.batch.execs[bad] = math.NaN()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the NaN execution time did not panic")
+			}
+		}()
+		_, _ = runControlPlane(faulty, Burst{Demand: d, Functions: n, Degree: 1}, sc, rng)
+	}()
+	if sc.eng.Pending() == 0 {
+		t.Fatal("the panic left no event pending: the reuse below proves nothing")
+	}
+	for rng = sc.stream(8, 8); registerWords(rng) < 200; {
+		rng.Float64() // leave the next seed a part-filled register to land on
+	}
+	sc.release()
+
+	withScratch(sc, func() {
+		for i, b := range bursts {
+			got, err := Run(cfgOf(i), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResultBits(t, fmt.Sprintf("burst %d on the poisoned scratch", i), got, want[i])
+		}
+	})
+}

@@ -266,6 +266,46 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 	}
 }
 
+// panickyMeasurer is a SimMeasurer whose interference probes trip a
+// simulator invariant, as a corrupt platform config would.
+type panickyMeasurer struct{ *core.SimMeasurer }
+
+func (panickyMeasurer) MeasureExecCall(degree, call int) (float64, float64, error) {
+	panic("sim: negative service time")
+}
+
+// TestProbePanicFailsOneRequest drives a model build whose probes panic —
+// on parallel.Map's worker goroutines — through the whole guard chain and
+// the pool's singleflight. Before Map carried a worker's panic to its
+// caller this ended the process, past every recover on the request's stack.
+func TestProbePanicFailsOneRequest(t *testing.T) {
+	s := newTestServer(t, nil)
+	w, err := workload.ByName("Video")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := platform.AWSLambda()
+	h := s.endpoint("advise", func(ctx context.Context, _ *params, _ *jsonEnc) error {
+		_, err, _ := s.pool.flights.Do(ctx, "panicky", func() (any, error) {
+			meas := panickyMeasurer{&core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: 1}}
+			models, _, _, _, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, w.Demand()))
+			return models, err
+		})
+		return err
+	})
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/advise?app=Video&platform=aws&c=100", nil))
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking build: status %d, want 500", rr.Code)
+	}
+	if got := s.reg.Counter("http_panics_total").Value(); got != 1 {
+		t.Fatalf("http_panics_total = %d, want 1", got)
+	}
+	if rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil); rr.Code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200", rr.Code)
+	}
+}
+
 func TestRequestDeadline(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
 	rr, body := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&delayms=2000", nil)

@@ -153,6 +153,39 @@ type dropSink struct{}
 
 func (dropSink) Dispatch(uint8, int32) {}
 
+// reuseProgram is the fixed mixed typed-and-closure schedule the reuse
+// contract replays on a fresh engine and on a reset one.
+func reuseProgram(eng *Engine) []traceEntry {
+	rng := NewRNG(7)
+	var trace []traceEntry
+	eng.SetSink(&programSink{eng: eng, trace: &trace, schedule: func(int) {}})
+	for i := 0; i < 100; i++ {
+		id := i
+		d := rng.Float64() * 10
+		if i%4 == 0 {
+			eng.EmitAfter(d, progKindPlain, int32(id))
+			continue
+		}
+		eng.After(d, func() {
+			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+		})
+	}
+	eng.Run()
+	return trace
+}
+
+func requireSameTrace(t *testing.T, got, want []traceEntry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("reused engine dispatched %d events, fresh %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d differs after reuse: got %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestEngineResetReuse pins the engine-pooling contract: after Reset, a
 // reused engine is indistinguishable from a fresh one — clock at zero, no
 // pending events, no sink, sequence numbering restarted — so the same
@@ -160,28 +193,10 @@ func (dropSink) Dispatch(uint8, int32) {}
 // regardless of what the previous run left behind (including undispatched
 // events abandoned mid-run).
 func TestEngineResetReuse(t *testing.T) {
-	program := func(eng *Engine) []traceEntry {
-		rng := NewRNG(7)
-		var trace []traceEntry
-		eng.SetSink(&programSink{eng: eng, trace: &trace, schedule: func(int) {}})
-		for i := 0; i < 100; i++ {
-			id := i
-			d := rng.Float64() * 10
-			if i%4 == 0 {
-				eng.EmitAfter(d, progKindPlain, int32(id))
-				continue
-			}
-			eng.After(d, func() {
-				trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-			})
-		}
-		eng.Run()
-		return trace
-	}
 	for _, impl := range engineImpls {
 		t.Run(impl.name, func(t *testing.T) {
 			fresh := impl.mk()
-			want := program(fresh)
+			want := reuseProgram(fresh)
 
 			eng := impl.mk()
 			if eng.IsReference() != (impl.name == "heap") {
@@ -220,15 +235,7 @@ func TestEngineResetReuse(t *testing.T) {
 				}()
 				eng.Emit(1, 1, 0)
 			}()
-			got := program(eng)
-			if len(got) != len(want) {
-				t.Fatalf("reused engine dispatched %d events, fresh %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("dispatch %d differs after reuse: got %+v, fresh %+v", i, got[i], want[i])
-				}
-			}
+			requireSameTrace(t, reuseProgram(eng), want)
 		})
 	}
 }

@@ -18,14 +18,25 @@ import "math/rand"
 // generator itself (see init), not vendored, so math/rand is the only
 // oracle and no second copy of anything is kept; TestSourceMatchesStdlib
 // and FuzzSourceSeed hold the two to the same bits.
+//
+// The register is seeded as it is read. The walk is fixed — feed runs
+// 333 → 0 while tap runs 606 → 273 — so step k ≤ 334 is the first to touch
+// vec[feed], and vec[tap] too while tap is still above feed's starting
+// point; after 334 steps all 607 words exist. A burst that draws k < 334
+// times pays for about 2k words instead of 607 (DESIGN §15).
 type source struct {
 	tap, feed int
 	vec       [srcLen]int64
+	seed      uint64 // reduced seed the words not yet read derive from
+	unread    int    // steps left whose reads the register does not hold yet
 }
 
 const (
 	srcLen = 607 // register length
 	srcTap = 273 // lag between the two summed words
+	// srcFeed is where feed starts; the first srcFeed steps read the register
+	// as seeded, every later one only words an earlier step wrote.
+	srcFeed = srcLen - srcTap
 
 	lehmerA = 48271
 	lehmerM = 1<<31 - 1
@@ -70,12 +81,12 @@ func init() {
 	// outputs of a stdlib source are its whole register after those steps.
 	// Running the recurrence backwards (vec[feed] −= vec[tap], indices
 	// stepping up) returns the register as seeded, and XORing out the bare
-	// Lehmer words — what Seed produces while srcCooked is still zero —
+	// Lehmer words — what word returns while srcCooked is still zero —
 	// leaves the constants.
 	const probeSeed = 1
 	std := rand.NewSource(probeSeed).(rand.Source64)
 	var vec [srcLen]int64
-	feed := srcLen - srcTap
+	feed := srcFeed
 	for range vec {
 		feed = (feed + srcLen - 1) % srcLen
 		vec[feed] = int64(std.Uint64())
@@ -89,14 +100,16 @@ func init() {
 	var bare source
 	bare.Seed(probeSeed)
 	for i := range srcCooked {
-		srcCooked[i] = vec[i] ^ bare.vec[i]
+		srcCooked[i] = vec[i] ^ bare.word(i)
 	}
 }
 
-// Seed sets the register to the state rand.NewSource(seed) starts in.
+// Seed restarts the stream where rand.NewSource(seed) starts it. No word is
+// computed here: Uint64 fills each as its first read comes up.
 func (s *source) Seed(seed int64) {
 	s.tap = 0
-	s.feed = srcLen - srcTap
+	s.feed = srcFeed
+	s.unread = srcFeed
 
 	seed %= lehmerM
 	if seed < 0 {
@@ -105,12 +118,14 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311 // the stdlib's stand-in for the chain's fixed point
 	}
-	x := uint64(seed)
-	for i := range s.vec {
-		pow := lehmerPow[3*i : 3*i+3]
-		u := int64(mulmod(pow[0], x))<<40 ^ int64(mulmod(pow[1], x))<<20 ^ int64(mulmod(pow[2], x))
-		s.vec[i] = u ^ srcCooked[i]
-	}
+	s.seed = uint64(seed)
+}
+
+// word returns register word i as rand.NewSource seeds it.
+func (s *source) word(i int) int64 {
+	pow := lehmerPow[3*i : 3*i+3]
+	u := int64(mulmod(pow[0], s.seed))<<40 ^ int64(mulmod(pow[1], s.seed))<<20 ^ int64(mulmod(pow[2], s.seed))
+	return u ^ srcCooked[i]
 }
 
 // Uint64 steps the generator: x[n] = x[n−273] + x[n−607].
@@ -122,6 +137,13 @@ func (s *source) Uint64() uint64 {
 	s.feed--
 	if s.feed < 0 {
 		s.feed += srcLen
+	}
+	if s.unread > 0 {
+		s.unread--
+		s.vec[s.feed] = s.word(s.feed)
+		if s.tap >= srcFeed { // below srcFeed, an earlier step fed the word
+			s.vec[s.tap] = s.word(s.tap)
+		}
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x

@@ -119,24 +119,29 @@ func (w *wheelQueue) len() int {
 // grown capacities so a pooled engine's next run starts warm. Grid geometry
 // (bucket count) is retained too — order never depends on it, and a
 // same-sized run skips the growth rebuilds.
+//
+// Only occupied buckets are visited: extraction truncates a drained bucket,
+// zeroes its slots and clears its bit, so a bucket whose bit is clear is
+// already empty — and a run that drained the ring costs no walk at all.
 func (w *wheelQueue) reset() {
-	for i, b := range w.buckets {
-		for j := range b {
-			b[j] = event{}
+	if w.inWheel > 0 {
+		for wi, word := range w.occupied {
+			for ; word != 0; word &= word - 1 {
+				p := wi<<6 + bits.TrailingZeros64(word)
+				clear(w.buckets[p]) // drop callback references
+				w.buckets[p] = w.buckets[p][:0]
+			}
 		}
-		w.buckets[i] = b[:0]
+		clear(w.occupied)
+		w.inWheel = 0
 	}
-	clear(w.occupied)
 	clear(w.overflow)
 	w.overflow = w.overflow[:0]
 	w.overflowMin = math.Inf(1)
 	w.spills = 0
-	for i := range w.ready {
-		w.ready[i] = event{}
-	}
+	clear(w.ready)
 	w.ready = w.ready[:0]
 	w.readyPos = 0
-	w.inWheel = 0
 	w.base = 0
 	w.cur = 0
 	w.width = wheelInitWidth
@@ -401,6 +406,7 @@ func (w *wheelQueue) rebuild() {
 	clear(w.overflow)
 	w.overflow = w.overflow[:0]
 	w.overflowMin = math.Inf(1)
+	clear(w.ready[w.readyPos:]) // gathered above; consumed slots are already nil
 	w.ready = w.ready[:0]
 	w.readyPos = 0
 	w.inWheel = 0
