@@ -358,11 +358,11 @@ func faultFlags(fs *flag.FlagSet) func(platform.Config) (platform.Config, error)
 		cfg.CrashRate = *crashRate
 		cfg.StartFailureProb = *startFail
 		cfg.StragglerProb = *stragglerP
-		if *stragglerP > 0 {
+		if *stragglerP != 0 {
 			cfg.StragglerFactor = *stragglerF
 		}
 		cfg.ExecTimeoutSec = *execTimeout
-		if *retryBase > 0 || *retryAttempts > 0 {
+		if *retryBase != 0 || *retryAttempts != 0 { // anything but unset: Validate judges it, NaN included
 			kind, err := resilience.KindByName(*retryKind)
 			if err != nil {
 				return cfg, err
@@ -371,7 +371,7 @@ func faultFlags(fs *flag.FlagSet) func(platform.Config) (platform.Config, error)
 				Kind: kind, BaseSec: *retryBase, CapSec: *retryCap, MaxAttempts: *retryAttempts,
 			}
 		}
-		if *hedgeQ > 0 {
+		if *hedgeQ != 0 {
 			cfg.Hedge = resilience.Hedge{Quantile: *hedgeQ, MinDelaySec: *hedgeMin}
 		}
 		return cfg, cfg.Validate()

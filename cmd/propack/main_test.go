@@ -1,8 +1,13 @@
 package main
 
 import (
+	"flag"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 // TestUsageListsEveryCommand pins the help text to the dispatch table: a
@@ -72,5 +77,61 @@ func TestCommandNamesUnique(t *testing.T) {
 			t.Errorf("duplicate command %q", c.name)
 		}
 		seen[c.name] = true
+	}
+}
+
+// TestFaultFlagsNeverPanic: flag.Float64 parses "NaN" and "Inf", so every
+// fault-injection flag can carry one into a platform.Config. Whatever the
+// flag and whatever else is set, the outcome is an error from Validate or a
+// configuration that simulates — never a panic inside the engine, and never
+// a NaN silently read as "this fault is off".
+func TestFaultFlagsNeverPanic(t *testing.T) {
+	// Flags that are applied whenever set must be refused outright; the rest
+	// matter only beside the flag that switches their feature on.
+	always := map[string]bool{"crashrate": true, "startfailprob": true, "stragglerprob": true,
+		"exectimeout": true, "retrybase": true, "hedge": true}
+	companions := [][]string{nil, {"-stragglerprob", "0.1"}, {"-hedge", "90"}, {"-retrybase", "1", "-retry", "exponential"}}
+	probe := flag.NewFlagSet("probe", flag.ContinueOnError)
+	faultFlags(probe)
+	var floats []string
+	probe.VisitAll(func(f *flag.Flag) {
+		if _, err := strconv.ParseFloat(f.DefValue, 64); err == nil && f.Name != "retryattempts" {
+			floats = append(floats, f.Name)
+		}
+	})
+	if len(floats) != 9 {
+		t.Fatalf("fault flag set has %d float flags %v, the test knows 9", len(floats), floats)
+	}
+	d := workload.Video{}.Demand()
+	for _, name := range floats {
+		for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+			for _, with := range companions {
+				if len(with) > 0 && with[0] == "-"+name {
+					continue
+				}
+				args := append([]string{"-" + name, v}, with...)
+				fs := flag.NewFlagSet("run", flag.ContinueOnError)
+				apply := faultFlags(fs)
+				if err := fs.Parse(args); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				cfg, err := apply(platform.AWSLambda())
+				if err != nil {
+					continue
+				}
+				if always[name] {
+					t.Errorf("%v: accepted", args)
+				}
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%v: validated clean, then panicked: %v", args, p)
+						}
+					}()
+					// Retry exhaustion is a legitimate error; a panic is not.
+					_, _ = platform.Run(cfg, platform.Burst{Demand: d, Functions: 64, Degree: 4, Seed: 1})
+				}()
+			}
+		}
 	}
 }

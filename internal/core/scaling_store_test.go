@@ -234,10 +234,11 @@ func TestScalingStoreBounded(t *testing.T) {
 }
 
 // TestScalingStoreKeepsNoFailures: an error reaches every caller and is not
-// retained; a panic inside the simulator (a non-finite stage time) reaches
+// retained; a panic inside the simulator (a non-finite execution time) reaches
 // its caller as before and leaves no zero behind for the next one; and a
 // Config holding a NaN, which no lookup can find again, still cannot grow
-// the store past its cap.
+// the store past its cap. Config.Validate now refuses a non-finite float of
+// its own, so both ride in on the Shape, whose validator still lets them.
 func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	resetScalingStore()
 	bad := platform.AWSLambda()
@@ -256,12 +257,12 @@ func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	}
 
 	inf := platform.AWSLambda()
-	inf.BootSec = math.Inf(1)
+	inf.Shape.IsolationFactor, inf.MaxExecSec = math.Inf(1), math.Inf(1) // every execution time is +Inf, and allowed
 	for i := 0; i < 2; i++ {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("call %d: an infinite boot time did not panic", i)
+					t.Errorf("call %d: an infinite execution time did not panic", i)
 				}
 			}()
 			st, err := (&SimMeasurer{Config: inf, Seed: 1}).MeasureScaling(10)
@@ -273,7 +274,7 @@ func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	}
 
 	nan := platform.AWSLambda()
-	nan.GBSecondUSD = math.NaN() // billing only: the burst runs, the key never matches
+	nan.Shape.CrossDiscount = math.NaN() // mixed bins only: the burst runs, the key never matches
 	for i := 0; i <= scalingStoreCap; i++ {
 		if _, err := (&SimMeasurer{Config: nan, Seed: 1}).MeasureScaling(1); err != nil {
 			t.Fatal(err)

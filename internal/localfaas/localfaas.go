@@ -370,17 +370,15 @@ func metricsFrom(job Job, records []InstanceRecord) trace.Metrics {
 		funcSec += (r.End - r.Start).Seconds()
 		retries += r.Retries
 	}
-	q := func(p float64) float64 {
-		return stats.Quantile(ends, p) - firstStart.Seconds()
-	}
+	svc := stats.Quantiles(ends, 95, 50) // tail and median from one selection
 	return trace.Metrics{
 		Platform:      "localfaas",
 		Degree:        job.Degree,
 		Instances:     len(records),
 		ScalingTime:   maxStart.Seconds(),
 		TotalService:  (maxEnd - firstStart).Seconds(),
-		TailService:   q(95),
-		MedianService: q(50),
+		TailService:   svc[0] - firstStart.Seconds(),
+		MedianService: svc[1] - firstStart.Seconds(),
 		ExpenseUSD:    funcSec * job.RatePerInstanceSec,
 		FunctionHours: funcSec / 3600,
 		MeanExecSec:   funcSec / float64(len(records)),

@@ -8,12 +8,12 @@ import (
 )
 
 // The burst hot path is allocation-lean: no per-instance degree slice, a
-// single reused billing group descriptor, one gather-and-sort for
+// single reused billing group descriptor, one copy-and-select for
 // multi-quantile metrics, and — since the typed-dispatch rewrite — no event
 // or control-plane closures at all. Steady state, the only O(n) allocations
-// left in Run are the three column slabs the Result owns (77 B/instance);
-// the row view is built only when a caller asks for Timelines(). The
-// regression bounds below hold that line.
+// left in Run are the three column slabs the Result owns (45 B/instance, 77
+// when the Config can inject faults); the row view is built only when a
+// caller asks for Timelines(). The regression bounds below hold that line.
 
 func TestRunAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
@@ -97,34 +97,43 @@ func allocsOf(fn func()) (objects, bytes uint64) {
 }
 
 // TestAllocsPerRunColumnarResult pins the columnar Result's footprint at
-// C=10⁴: a steady-state Run allocates the three column slabs (77
-// B/instance) plus a fixed handful of small objects and nothing else
+// C=10⁴: a steady-state Run allocates the three column slabs — 45
+// B/instance when the Config rolls no dice, 77 with the fault and hedge
+// columns — plus a fixed handful of small objects and nothing else
 // proportional to n, and asking the Result for its scaling time — all
 // Advise's scaling probes ever do — allocates nothing at all, i.e. never
 // materializes the row view. (trace.FromResult's share of the same gate is
 // TestAllocsPerRunFromResult in internal/trace.)
 func TestAllocsPerRunColumnarResult(t *testing.T) {
-	cfg := AWSLambda()
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
 	b := Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: 7}
 	n := float64(b.Instances())
+	faulty := AWSLambda()
+	faulty.ExecTimeoutSec = 800 // never fires: the columns' cost, not the retries'
 	var res *Result
-	run := func() {
-		var err error
-		if res, err = Run(cfg, b); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		maxBytes float64
+	}{{"faulty", faulty, 80}, {"dice-free", AWSLambda(), 48}} {
+		run := func() {
+			var err error
+			if res, err = Run(tc.cfg, b); err != nil {
+				t.Fatal(err)
+			}
 		}
+		run() // warm the scratch/engine pool
+		objects, bytes := allocsOf(run)
+		if per := float64(bytes) / n; per > tc.maxBytes {
+			t.Errorf("%s Run allocates %.1f B/instance (%d B total), want ≤ %.0f", tc.name, per, bytes, tc.maxBytes)
+		}
+		// Under the race detector the pool drops scratches at random, and an
+		// evented run then regrows its wheel: the bytes still hold, the count not.
+		if objects > 5 && !(raceEnabled && tc.cfg.faulty()) {
+			t.Errorf("%s Run allocates %d objects, want ≤ 5", tc.name, objects)
+		}
+		t.Logf("steady-state %s Run at C=10⁴: %d objects, %.2f B/instance", tc.name, objects, float64(bytes)/n)
 	}
-	run() // warm the scratch/engine pool
-
-	objects, bytes := allocsOf(run)
-	if per := float64(bytes) / n; per > 80 {
-		t.Errorf("Run allocates %.1f B/instance (%d B total), want ≤ 80", per, bytes)
-	}
-	if objects > 5 {
-		t.Errorf("Run allocates %d objects, want ≤ 5", objects)
-	}
-	t.Logf("steady-state Run at C=10⁴: %d objects, %.2f B/instance", objects, float64(bytes)/n)
 
 	var sink float64
 	if a := testing.AllocsPerRun(20, func() { sink += res.ScalingTime() }); a != 0 {
@@ -140,7 +149,7 @@ func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One copy of the end column + one sort + one result slice, regardless
+	// One copy of the end column, the ranks and the result slice, regardless
 	// of how many quantiles are requested.
 	allocs := testing.AllocsPerRun(20, func() {
 		res.ServiceTimeAtQuantiles(95, 50)

@@ -10,10 +10,14 @@ package platform
 // copying 120 MB to answer ScalingTime.
 //
 // Ownership: the columns escape. They are allocated fresh for each run —
-// one slab per element type, 77 bytes per instance, so a small burst pays
-// three allocations rather than thirteen — filled in place by the control
-// plane, and handed to the Result, which owns them from then on. Nothing
-// here is pooled; runScratch.release drops the scratch's references.
+// one slab per element type, so a small burst pays three allocations rather
+// than thirteen — filled in place by the control plane, and handed to the
+// Result, which owns them from then on. Nothing here is pooled;
+// runScratch.release drops the scratch's references. A run carries the
+// columns its Config can write: 45 bytes per instance, the six fault and
+// hedge columns (32 more) only under Config.faulty. An absent column is nil
+// and every fold reads it as the zeros it would have held, so a read that
+// forgets to ask panics instead of inventing a zero.
 type instanceColumns struct {
 	n int
 
@@ -28,7 +32,7 @@ type instanceColumns struct {
 	start     []float64
 	end       []float64
 
-	// Fault-injection and hedging outcomes.
+	// Fault-injection and hedging outcomes; nil unless the run was faulty.
 	retries       []int32
 	crashes       []int32
 	timeouts      []int32
@@ -62,37 +66,46 @@ const (
 
 // newInstanceColumns allocates zeroed columns for n instances, carving each
 // element type's columns out of a single slab.
-func newInstanceColumns(n int) instanceColumns {
-	f := make([]float64, 7*n)
-	i := make([]int32, 5*n)
+func newInstanceColumns(n int, faulty bool) instanceColumns {
+	nf, ni := 5, 1
+	if faulty {
+		nf, ni = 7, 5
+	}
+	f := make([]float64, nf*n)
+	i := make([]int32, ni*n)
 	col := func(k int) []float64 { return f[k*n : (k+1)*n : (k+1)*n] }
 	icol := func(k int) []int32 { return i[k*n : (k+1)*n : (k+1)*n] }
-	return instanceColumns{
-		n:             n,
-		degree:        icol(0),
-		flags:         make([]uint8, n),
-		schedDone:     col(0),
-		buildDone:     col(1),
-		shipDone:      col(2),
-		start:         col(3),
-		end:           col(4),
-		retries:       icol(1),
-		crashes:       icol(2),
-		timeouts:      icol(3),
-		straggled:     icol(4),
-		failedSec:     col(5),
-		hedgeExtraSec: col(6),
+	c := instanceColumns{
+		n:         n,
+		degree:    icol(0),
+		flags:     make([]uint8, n),
+		schedDone: col(0),
+		buildDone: col(1),
+		shipDone:  col(2),
+		start:     col(3),
+		end:       col(4),
 	}
+	if faulty {
+		c.retries, c.crashes, c.timeouts, c.straggled = icol(1), icol(2), icol(3), icol(4)
+		c.failedSec, c.hedgeExtraSec = col(5), col(6)
+	}
+	return c
 }
 
 // reset gives the batch fresh result columns for n instances and sizes and
-// zeroes the pooled simulation-only ones.
-func (ib *instanceBatch) reset(n int) {
-	ib.instanceColumns = newInstanceColumns(n)
+// zeroes the pooled simulation-only ones, those only a faulty run reads if so.
+func (ib *instanceBatch) reset(n int, faulty bool) {
+	ib.instanceColumns = newInstanceColumns(n, faulty)
 	ib.execs = grownZeroed(ib.execs, n)
-	ib.prevDelay = grownZeroed(ib.prevDelay, n)
-	ib.pendDur = grownZeroed(ib.pendDur, n)
+	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
+	if faulty {
+		ib.prevDelay = grownZeroed(ib.prevDelay, n)
+		ib.pendDur = grownZeroed(ib.pendDur, n)
+	}
 }
+
+// faulty reports whether the fault and hedge columns exist.
+func (c *instanceColumns) faulty() bool { return c.retries != nil }
 
 func (c *instanceColumns) warm(i int) bool { return c.flags[i]&flagWarm != 0 }
 
@@ -130,6 +143,9 @@ func (c *instanceColumns) copyAt(lo int, src *instanceColumns) {
 	copy(c.shipDone[lo:], src.shipDone)
 	copy(c.start[lo:], src.start)
 	copy(c.end[lo:], src.end)
+	if !src.faulty() {
+		return
+	}
 	copy(c.retries[lo:], src.retries)
 	copy(c.crashes[lo:], src.crashes)
 	copy(c.timeouts[lo:], src.timeouts)
@@ -145,22 +161,20 @@ func (c *instanceColumns) materialize() []Timeline {
 	ts := make([]Timeline, c.n)
 	for i := range ts {
 		ts[i] = Timeline{
-			Index:         i,
-			Degree:        int(c.degree[i]),
-			Warm:          c.flags[i]&flagWarm != 0,
-			Retries:       int(c.retries[i]),
-			SchedDone:     c.schedDone[i],
-			BuildDone:     c.buildDone[i],
-			ShipDone:      c.shipDone[i],
-			Start:         c.start[i],
-			End:           c.end[i],
-			Crashes:       int(c.crashes[i]),
-			Timeouts:      int(c.timeouts[i]),
-			Straggled:     int(c.straggled[i]),
-			FailedSec:     c.failedSec[i],
-			Hedged:        c.flags[i]&flagHedged != 0,
-			HedgeWon:      c.flags[i]&flagHedgeWon != 0,
-			HedgeExtraSec: c.hedgeExtraSec[i],
+			Index:     i,
+			Degree:    int(c.degree[i]),
+			Warm:      c.flags[i]&flagWarm != 0,
+			SchedDone: c.schedDone[i],
+			BuildDone: c.buildDone[i],
+			ShipDone:  c.shipDone[i],
+			Start:     c.start[i],
+			End:       c.end[i],
+			Hedged:    c.flags[i]&flagHedged != 0,
+			HedgeWon:  c.flags[i]&flagHedgeWon != 0,
+		}
+		if c.faulty() {
+			ts[i].Retries, ts[i].Crashes, ts[i].Timeouts = int(c.retries[i]), int(c.crashes[i]), int(c.timeouts[i])
+			ts[i].Straggled, ts[i].FailedSec, ts[i].HedgeExtraSec = int(c.straggled[i]), c.failedSec[i], c.hedgeExtraSec[i]
 		}
 	}
 	return ts

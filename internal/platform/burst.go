@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/interfere"
@@ -167,10 +166,10 @@ func (r *Result) ExpenseUSD() float64 { return r.ComputeUSD + r.RequestUSD + r.S
 // (valid for both homogeneous and mixed bursts).
 func (r *Result) Instances() int { return r.cols.n }
 
-// Timelines materializes the per-instance row view, one freshly allocated
-// Timeline per instance in instance order (Timelines()[i].Index == i). It
-// costs 120 bytes per instance on every call: hold the slice rather than
-// calling it in a loop, and prefer the metric methods, which never build it.
+// Timelines materializes the per-instance row view, one fresh Timeline per
+// instance in instance order (Timelines()[i].Index == i), its fault and hedge
+// fields zero when the run carried no such columns. It costs 120 bytes per
+// instance on every call: hold the slice, and prefer the metric methods.
 func (r *Result) Timelines() []Timeline { return r.cols.materialize() }
 
 // Start is when instance i's final, successful execution attempt began.
@@ -197,7 +196,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// at most) instead of once per instance. The jitter draws stay on the
 	// burst's single sequential stream, so results are bit-identical to the
 	// historical per-instance loop.
-	sc := newRunScratch(n)
+	sc := newRunScratch(n, cfg.faulty())
 	defer sc.release()
 	rng := sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
@@ -281,10 +280,10 @@ type runScratch struct {
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // newRunScratch returns a scratch whose batch is sized and zeroed for n
-// instances, with fresh result columns.
-func newRunScratch(n int) *runScratch {
+// instances of a run that is or is not Config.faulty, with fresh columns.
+func newRunScratch(n int, faulty bool) *runScratch {
 	sc := runScratchPool.Get().(*runScratch)
-	sc.batch.reset(n)
+	sc.batch.reset(n, faulty)
 	return sc
 }
 
@@ -369,9 +368,14 @@ func (r *Result) bill(groupsOf func(i int) []demandGroup) {
 		// speculative launch pays the per-request fee. Storage traffic is
 		// metered once per instance (only the winning attempt's results
 		// land in the store).
-		r.ComputeUSD += (c.end[i] - c.start[i] + c.failedSec[i] + c.hedgeExtraSec[i]) * memGB * cfg.GBSecondUSD
-		r.WastedUSD += c.wastedSec(i) * memGB * cfg.GBSecondUSD
-		launches := 1 + int(c.retries[i]) + int(c.crashes[i]) + int(c.timeouts[i])
+		var failedSec, hedgeExtraSec, wastedSec float64 // absent columns read as zero
+		launches := 1
+		if c.faulty() {
+			failedSec, hedgeExtraSec, wastedSec = c.failedSec[i], c.hedgeExtraSec[i], c.wastedSec(i)
+			launches += int(c.retries[i]) + int(c.crashes[i]) + int(c.timeouts[i])
+		}
+		r.ComputeUSD += (c.end[i] - c.start[i] + failedSec + hedgeExtraSec) * memGB * cfg.GBSecondUSD
+		r.WastedUSD += wastedSec * memGB * cfg.GBSecondUSD
 		if c.flags[i]&flagHedged != 0 {
 			launches++
 		}
@@ -470,16 +474,13 @@ func (r *Result) ServiceTimeAtQuantile(q float64) float64 {
 }
 
 // ServiceTimeAtQuantiles answers several service-time quantiles from one
-// copy-and-sort of the end column — callers reporting tail and median
-// together pay a single sort instead of one per quantile.
+// copy of the end column and one selection over it — callers reporting tail
+// and median together pay for two ranks, not a sort apiece.
 func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
-	ends := make([]float64, r.cols.n)
-	copy(ends, r.cols.end)
-	sort.Float64s(ends)
+	out := stats.Quantiles(r.cols.end, qs...)
 	first := r.firstStart()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = stats.QuantileSorted(ends, q) - first
+	for i := range out {
+		out[i] -= first
 	}
 	return out
 }

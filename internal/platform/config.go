@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/interfere"
 	"repro/internal/resilience"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -138,37 +139,38 @@ func (c Config) Validate() error {
 	if err := c.Shape.Validate(); err != nil {
 		return fmt.Errorf("platform %s: %w", c.Name, err)
 	}
+	// NaN-proof: NaN fails `x < 0`, then panics the engine or reads as "off".
 	switch {
-	case c.SchedBaseSec < 0 || c.SchedPerBusySec < 0 || c.BuildSec < 0 ||
-		c.BuildGrowthSec < 0 || c.ShipSec < 0 || c.ShipGrowthSec < 0 ||
-		c.BootSec < 0 || c.WarmStartSec < 0:
-		return fmt.Errorf("platform %s: negative stage time", c.Name)
+	case !stats.FiniteNonNeg(c.SchedBaseSec, c.SchedPerBusySec, c.BuildSec, c.BuildGrowthSec,
+		c.ShipSec, c.ShipGrowthSec, c.BootSec, c.WarmStartSec):
+		return fmt.Errorf("platform %s: negative or non-finite stage time", c.Name)
 	case c.SchedServers < 1 || c.BuildServers < 1 || c.ShipServers < 1:
 		return fmt.Errorf("platform %s: stage parallelism must be ≥1", c.Name)
 	case c.PodSize < 0:
 		return fmt.Errorf("platform %s: negative pod size", c.Name)
-	case c.GBSecondUSD < 0 || c.PerRequestUSD < 0:
-		return fmt.Errorf("platform %s: negative price", c.Name)
-	case c.StorageGBps <= 0:
-		return fmt.Errorf("platform %s: non-positive storage bandwidth", c.Name)
-	case c.JitterRel < 0 || c.JitterRel > 0.2:
+	case !stats.FiniteNonNeg(c.GBSecondUSD, c.PerRequestUSD,
+		c.Storage.PutRequestUSD, c.Storage.GetRequestUSD, c.Storage.EgressPerGBUSD):
+		return fmt.Errorf("platform %s: negative or non-finite price", c.Name)
+	case !stats.FiniteNonNeg(c.StorageGBps) || c.StorageGBps == 0:
+		return fmt.Errorf("platform %s: storage bandwidth %g not positive and finite", c.Name, c.StorageGBps)
+	case !(c.JitterRel >= 0 && c.JitterRel <= 0.2):
 		return fmt.Errorf("platform %s: jitter %g outside [0, 0.2]", c.Name, c.JitterRel)
-	case c.MaxExecSec <= 0:
+	case !(c.MaxExecSec > 0):
 		return fmt.Errorf("platform %s: non-positive execution limit", c.Name)
 	case c.ConcurrencyLimit < 0:
 		return fmt.Errorf("platform %s: negative concurrency limit", c.Name)
-	case c.StartFailureProb < 0 || c.StartFailureProb >= 1:
+	case !(c.StartFailureProb >= 0 && c.StartFailureProb < 1):
 		return fmt.Errorf("platform %s: start-failure probability %g outside [0,1)", c.Name, c.StartFailureProb)
-	case c.RetryDelaySec < 0 || c.MaxStartRetries < 0:
-		return fmt.Errorf("platform %s: negative retry parameters", c.Name)
-	case c.CrashRate < 0:
-		return fmt.Errorf("platform %s: negative crash rate %g", c.Name, c.CrashRate)
-	case c.StragglerProb < 0 || c.StragglerProb >= 1:
+	case !stats.FiniteNonNeg(c.RetryDelaySec) || c.MaxStartRetries < 0:
+		return fmt.Errorf("platform %s: negative or non-finite retry parameters", c.Name)
+	case !stats.FiniteNonNeg(c.CrashRate):
+		return fmt.Errorf("platform %s: crash rate %g negative or non-finite", c.Name, c.CrashRate)
+	case !(c.StragglerProb >= 0 && c.StragglerProb < 1):
 		return fmt.Errorf("platform %s: straggler probability %g outside [0,1)", c.Name, c.StragglerProb)
-	case c.StragglerProb > 0 && c.StragglerFactor < 1:
-		return fmt.Errorf("platform %s: straggler factor %g < 1", c.Name, c.StragglerFactor)
-	case c.ExecTimeoutSec < 0:
-		return fmt.Errorf("platform %s: negative execution timeout %g", c.Name, c.ExecTimeoutSec)
+	case !stats.FiniteNonNeg(c.StragglerFactor) || c.StragglerProb > 0 && c.StragglerFactor < 1:
+		return fmt.Errorf("platform %s: straggler factor %g not finite and ≥ 1", c.Name, c.StragglerFactor)
+	case !stats.FiniteNonNeg(c.ExecTimeoutSec):
+		return fmt.Errorf("platform %s: execution timeout %g negative or non-finite", c.Name, c.ExecTimeoutSec)
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return fmt.Errorf("platform %s: %w", c.Name, err)
@@ -177,6 +179,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("platform %s: %w", c.Name, err)
 	}
 	return nil
+}
+
+// faulty reports whether the configuration rolls any fault dice or hedges:
+// all that writes a run's fault and hedge columns and backoff scratch, and
+// (with the account throttle) all that keeps an instance's tail evented.
+func (c Config) faulty() bool {
+	return c.StartFailureProb > 0 || c.StragglerProb > 0 || c.CrashRate > 0 ||
+		c.ExecTimeoutSec > 0 || c.Hedge.Enabled()
 }
 
 // retryPolicy is the effective backoff policy for retried attempts: the

@@ -73,9 +73,8 @@ type controlPlane struct {
 	retryPol                    resilience.Backoff
 	hedgeThr                    float64
 	limit                       int
-	// elideTail is the run's dice-free predicate — no throttle, no
-	// start-failure / straggler / crash / timeout dice, no hedging — under
-	// which start resolves the boot → exec → end tail in place.
+	// elideTail is the run's dice-free predicate — no throttle, not
+	// Config.faulty — under which start resolves boot → exec → end in place.
 	elideTail bool
 
 	// Account-level throttling: at most limit instances admitted at once;
@@ -173,6 +172,18 @@ func (cp *controlPlane) onSchedDone(i int32) {
 		cp.start(i, cp.cfg.WarmStartSec, evWarmDone)
 		return
 	}
+	if cp.podSize == 1 {
+		// A pod of one is its instance: it builds unless this is a retried
+		// attempt — every retry follows a boot, and the first boot the ship —
+		// whose image has been on its host since shipDone.
+		if ib.faulty() && ib.retries[i]+ib.crashes[i]+ib.timeouts[i] > 0 {
+			ib.buildDone[i] = ib.shipDone[i]
+			cp.boot(i)
+		} else {
+			cp.build.Submit(i)
+		}
+		return
+	}
 	p := int(i) / cp.podSize
 	leader := p*cp.podSize == int(i) || ib.allWarmBefore(p*cp.podSize, int(i))
 	if cp.pods[p].shipped {
@@ -196,7 +207,9 @@ func (cp *controlPlane) onBuildDone(i int32) {
 func (cp *controlPlane) onShipDone(i int32) {
 	cp.ib.shipDone[i] = cp.eng.Now()
 	cp.boot(i)
-	cp.podShipped(int(i) / cp.podSize)
+	if cp.podSize > 1 {
+		cp.podShipped(int(i) / cp.podSize)
+	}
 }
 
 func (cp *controlPlane) boot(i int32) {
@@ -425,7 +438,9 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		podSize = 1
 	}
 	cp.podSize = podSize
-	cp.pods = sc.podStates((n + podSize - 1) / podSize)
+	if cp.pods = nil; podSize > 1 { // a pod of one is its instance
+		cp.pods = sc.podStates((n + podSize - 1) / podSize)
+	}
 
 	cp.maxRetries = cfg.MaxStartRetries
 	if cp.maxRetries == 0 {
@@ -439,8 +454,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	if cfg.Hedge.Enabled() && n > 0 {
 		cp.hedgeThr = cfg.Hedge.Threshold(ib.execs)
 	}
-	cp.elideTail = cp.limit == 0 && cfg.StartFailureProb == 0 && cfg.StragglerProb == 0 &&
-		cfg.CrashRate == 0 && cfg.ExecTimeoutSec == 0 && math.IsInf(cp.hedgeThr, 1)
+	cp.elideTail = cp.limit == 0 && !cfg.faulty()
 
 	// Observability: a nil recorder costs only the guard checks in the
 	// handlers; with one attached we additionally track arrival and
@@ -494,7 +508,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		ShipBusySec:  cp.ship.BusySeconds / float64(cfg.ShipServers),
 	}
 	c := &res.cols
-	for i := 0; i < c.n; i++ {
+	for i := range c.retries { // absent on a dice-free run: nothing to roll up
 		res.StartRetries += int(c.retries[i])
 		res.Crashes += int(c.crashes[i])
 		res.Timeouts += int(c.timeouts[i])

@@ -110,7 +110,7 @@ func TestElidedTailDifferential(t *testing.T) {
 	shuffly := interfere.Demand{CPUSeconds: 12, IOSeconds: 4, MemoryMB: 256, InputMB: 20, OutputMB: 8, ShuffleFraction: 0.5}
 	rng := rand.New(rand.NewSource(577215))
 
-	var verified, seenWarm, seenFollower, seenStagger, seenShortLast, seenMixed, seenSharded int
+	var verified, seenWarm, seenWarmLed, seenPodOfOne, seenFollower, seenStagger, seenShortLast, seenMixed, seenSharded int
 	const trials = 48
 	for trial := 0; trial < trials; trial++ {
 		cfg := Providers()[rng.Intn(3)]
@@ -213,6 +213,11 @@ func TestElidedTailDifferential(t *testing.T) {
 		if warm > 0 {
 			seenWarm++
 		}
+		if cfg.PodSize <= 1 {
+			seenPodOfOne++ // no podState at all: the instance is its own pod
+		} else if warm%cfg.PodSize != 0 && warm < n {
+			seenWarmLed++ // the warm prefix ends inside a pod: its first cold member leads
+		}
 		if stagger > 0 {
 			seenStagger++
 		}
@@ -227,7 +232,8 @@ func TestElidedTailDifferential(t *testing.T) {
 		t.Errorf("only %d of %d trials were simulated, want ≥ 40", verified, trials)
 	}
 	for name, n := range map[string]int{
-		"warm prefixes": seenWarm, "waiting pod followers": seenFollower, "staggered arrival": seenStagger,
+		"warm prefixes": seenWarm, "warm-led pods": seenWarmLed, "pods of one": seenPodOfOne,
+		"waiting pod followers": seenFollower, "staggered arrival": seenStagger,
 		"a short last instance": seenShortLast, "mixed bins": seenMixed, "multi-cell sharding": seenSharded,
 	} {
 		if n == 0 {
@@ -247,7 +253,7 @@ func TestElidedTailDifferentialPanics(t *testing.T) {
 	// with. Instance bad's execution duration is exec; the rest run 30 s.
 	panicOf := func(cfg Config, warm int, exec float64) (p any) {
 		sc := new(runScratch) // private: a panicked scratch is not fit for the pool
-		sc.batch.reset(n)
+		sc.batch.reset(n, cfg.faulty())
 		for i := 0; i < n; i++ {
 			sc.batch.execs[i] = 30
 			sc.batch.degree[i] = 1

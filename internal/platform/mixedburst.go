@@ -91,7 +91,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		return nil, err
 	}
 	n := len(m.Bins)
-	sc := newRunScratch(n)
+	sc := newRunScratch(n, cfg.faulty())
 	defer sc.release()
 	rng := sc.stream(m.Seed, hashName(cfg.Name)^0x6d69786564) // "mixed"
 	ib := &sc.batch

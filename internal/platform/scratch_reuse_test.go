@@ -121,7 +121,7 @@ func TestScratchReuseAfterPanic(t *testing.T) {
 	// validation, which is the point), one instance's execution time NaN.
 	const n, bad = 2000, 1000
 	sc := new(runScratch)
-	sc.batch.reset(n)
+	sc.batch.reset(n, faulty.faulty())
 	rng := sc.stream(7, 7)
 	for i := 0; i < n; i++ {
 		sc.batch.execs[i] = 30 * rng.Jitter(faulty.JitterRel)

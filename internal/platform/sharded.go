@@ -174,7 +174,7 @@ func mergeShardResults(cfg Config, results []*Result) *Result {
 	for _, r := range results {
 		n += r.cols.n
 	}
-	merged := &Result{Config: cfg, cols: newInstanceColumns(n)}
+	merged := &Result{Config: cfg, cols: newInstanceColumns(n, cfg.faulty())}
 	lo := 0
 	for _, r := range results {
 		merged.cols.copyAt(lo, &r.cols)

@@ -61,6 +61,15 @@ func runTypedAndClosure(t *testing.T, cfg Config, b Burst) (typed, closure *Resu
 func TestBurstTypedVsClosureDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
 	rng := rand.New(rand.NewSource(271828))
+	// Every trial here is a pod of one (PodSize 0): a retried attempt knows
+	// its image shipped because it is a retry, where the oracle asks its
+	// podState. The sweep must actually retry, both ways.
+	var startRetries, execRetries int
+	defer func() {
+		if startRetries == 0 || execRetries == 0 {
+			t.Errorf("sweep saw %d start retries and %d crash/timeout retries: the re-entry path went unexercised", startRetries, execRetries)
+		}
+	}()
 	for trial := 0; trial < 40; trial++ {
 		cfg := AWSLambda()
 		c := 1 + rng.Intn(800)
@@ -96,6 +105,8 @@ func TestBurstTypedVsClosureDifferential(t *testing.T) {
 			if typed != nil {
 				normalize(typed)
 				normalize(closure)
+				startRetries += typed.StartRetries
+				execRetries += typed.Crashes + typed.Timeouts
 			}
 			if !reflect.DeepEqual(typed, closure) {
 				t.Fatalf("trial %d on %s (C=%d P=%d crash=%g seed=%d): typed result differs from closure oracle",

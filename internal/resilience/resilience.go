@@ -84,10 +84,10 @@ func (b Backoff) Validate() error {
 	switch {
 	case b.Kind < Fixed || b.Kind > Decorrelated:
 		return fmt.Errorf("resilience: unknown backoff kind %d", int(b.Kind))
-	case b.BaseSec < 0 || b.CapSec < 0 || b.Factor < 0:
-		return fmt.Errorf("resilience: negative backoff parameter %+v", b)
-	case b.MaxAttempts < 0 || b.MaxElapsedSec < 0:
-		return fmt.Errorf("resilience: negative backoff budget %+v", b)
+	case !stats.FiniteNonNeg(b.BaseSec, b.CapSec, b.Factor):
+		return fmt.Errorf("resilience: negative or non-finite backoff parameter %+v", b)
+	case b.MaxAttempts < 0 || !stats.FiniteNonNeg(b.MaxElapsedSec):
+		return fmt.Errorf("resilience: negative or non-finite backoff budget %+v", b)
 	}
 	return nil
 }
@@ -203,10 +203,10 @@ func (h Hedge) String() string {
 // Validate reports an error for malformed policies.
 func (h Hedge) Validate() error {
 	switch {
-	case h.Quantile < 0 || h.Quantile >= 100:
+	case !(h.Quantile >= 0 && h.Quantile < 100): // NaN-proof: NaN would read as "off"
 		return fmt.Errorf("resilience: hedge quantile %g outside [0, 100)", h.Quantile)
-	case h.MinDelaySec < 0:
-		return fmt.Errorf("resilience: negative hedge delay %g", h.MinDelaySec)
+	case !stats.FiniteNonNeg(h.MinDelaySec):
+		return fmt.Errorf("resilience: hedge delay %g negative or non-finite", h.MinDelaySec)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -110,6 +111,11 @@ func TestBackoffValidate(t *testing.T) {
 		{MaxAttempts: -1},
 		{MaxElapsedSec: -1},
 	}
+	// NaN fails every `x < 0` check, and a NaN or infinite delay reaches the
+	// simulator's engine as a panic: each float field refuses all three.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad, Backoff{BaseSec: v}, Backoff{CapSec: v}, Backoff{Factor: v}, Backoff{MaxElapsedSec: v})
+	}
 	for i, b := range bad {
 		if b.Validate() == nil {
 			t.Fatalf("bad policy %d accepted: %+v", i, b)
@@ -168,7 +174,12 @@ func TestHedgeValidate(t *testing.T) {
 	if (Hedge{Quantile: 95, MinDelaySec: 1}).Validate() != nil {
 		t.Fatal("good hedge rejected")
 	}
-	for i, h := range []Hedge{{Quantile: -1}, {Quantile: 100}, {Quantile: 50, MinDelaySec: -1}} {
+	bad := []Hedge{{Quantile: -1}, {Quantile: 100}, {Quantile: 50, MinDelaySec: -1}}
+	// A NaN quantile used to validate clean and read as "hedging off".
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad, Hedge{Quantile: v}, Hedge{Quantile: 50, MinDelaySec: v})
+	}
+	for i, h := range bad {
 		if h.Validate() == nil {
 			t.Fatalf("bad hedge %d accepted: %+v", i, h)
 		}

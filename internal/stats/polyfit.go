@@ -32,6 +32,16 @@ func finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
+// FiniteNonNeg reports whether every x is a finite number ≥ 0 (NaN is not).
+func FiniteNonNeg(xs ...float64) bool {
+	for _, x := range xs {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkFinite returns ErrNonFinite (with context) on the first non-finite
 // value in vs.
 func checkFinite(what string, vs []float64) error {

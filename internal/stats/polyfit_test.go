@@ -125,3 +125,14 @@ func TestRSquared(t *testing.T) {
 		t.Fatal("constant observed, imperfect prediction should be 0")
 	}
 }
+
+func TestFiniteNonNeg(t *testing.T) {
+	if !FiniteNonNeg() || !FiniteNonNeg(0, 1.5, math.MaxFloat64, 5e-324) {
+		t.Error("finite non-negative values refused")
+	}
+	for _, v := range []float64{-1, math.Copysign(5e-324, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if FiniteNonNeg(1, v, 2) {
+			t.Errorf("FiniteNonNeg accepted %v", v)
+		}
+	}
+}

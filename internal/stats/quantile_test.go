@@ -71,3 +71,85 @@ func TestQuantileEmptyPanics(t *testing.T) {
 	}()
 	Quantile(nil, 50)
 }
+
+// TestQuantileIndexClampsBeforeConverting: a percentile far outside (0, 100],
+// ±Inf included, is a clamp, not an out-of-range float→int conversion.
+func TestQuantileIndexClampsBeforeConverting(t *testing.T) {
+	for _, tc := range []struct {
+		q    float64
+		want int
+	}{{math.Inf(1), 9}, {1e300, 9}, {100.0001, 9}, {math.Inf(-1), 0}, {-1e300, 0}, {0, 0}, {1e-300, 0}} {
+		if got := QuantileIndex(10, tc.q); got != tc.want {
+			t.Errorf("QuantileIndex(10, %g) = %d, want %d", tc.q, got, tc.want)
+		}
+	}
+}
+
+func TestQuantileNaNRankPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"Quantile":       func() { Quantile([]float64{1, 2}, math.NaN()) },
+		"Quantiles":      func() { Quantiles([]float64{1, 2}, 50, math.NaN()) },
+		"QuantileSorted": func() { QuantileSorted([]float64{1, 2}, math.NaN()) },
+		"QuantileIndex":  func() { QuantileIndex(2, math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at a NaN percentile did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestQuantileNaNDataOrdersFirst pins the NaN-in-data policy: NaNs rank
+// below every number, where sort.Float64s put them, so the selection answers
+// what the copy-and-sort it replaced answered.
+func TestQuantileNaNDataOrdersFirst(t *testing.T) {
+	nan := math.NaN()
+	xs := []float64{3, nan, 1, nan, 2, math.Inf(-1), nan, 4}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for _, q := range []float64{0, 10, 37.5, 38, 50, 62.5, 63, 90, 100} {
+		got, want := Quantile(xs, q), QuantileSorted(sorted, q)
+		if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+			t.Errorf("Quantile(%g) = %v, sorted reference %v", q, got, want)
+		}
+	}
+	if !math.IsNaN(Quantile(xs, 37.5)) || Quantile(xs, 38) != math.Inf(-1) {
+		t.Errorf("three NaNs of eight must fill ranks 0–2 exactly")
+	}
+}
+
+// TestQuantilesMatchSortedProperty: every percentile of a multi-rank call,
+// in the order asked, is the element a full sort leaves at its ceil-rank.
+func TestQuantilesMatchSortedProperty(t *testing.T) {
+	f := func(raw []float64, qraw []uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		qs := make([]float64, len(qraw))
+		for i, q := range qraw {
+			qs[i] = float64(q%1100)/10 - 5 // [−5, 105): clamps at both ends
+		}
+		before := append([]float64(nil), raw...)
+		sorted := append([]float64(nil), raw...)
+		sort.Float64s(sorted)
+		got := Quantiles(raw, qs...)
+		for i := range raw {
+			if math.Float64bits(raw[i]) != math.Float64bits(before[i]) {
+				return false // input mutated
+			}
+		}
+		for i, q := range qs {
+			if want := QuantileSorted(sorted, q); !sameOrderStat(got[i], want) {
+				return false
+			}
+		}
+		return len(got) == len(qs)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

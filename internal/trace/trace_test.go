@@ -34,6 +34,37 @@ func TestFromResult(t *testing.T) {
 	}
 }
 
+// TestFromResultLeanVsFullColumns: a dice-free Result carries no fault or
+// hedge columns; one simulated under an execution timeout that can never fire
+// carries all of them, zero, and schedules every event. The two are the same
+// burst, and every Metrics field must be the same bits.
+func TestFromResultLeanVsFullColumns(t *testing.T) {
+	d := workload.Video{}.Demand()
+	for _, b := range []platform.Burst{
+		{Demand: d, Functions: 1, Degree: 1, Seed: 1},
+		{Demand: d, Functions: 999, Degree: 4, Warm: 5, Seed: 2},
+		{Demand: d, Functions: 3000, Degree: 1, StaggerSec: 0.001, Seed: 3},
+	} {
+		for _, podSize := range []int{0, 4} {
+			lean := platform.AWSLambda()
+			lean.PodSize = podSize
+			full := lean
+			full.ExecTimeoutSec = full.MaxExecSec
+			lr, err := platform.Run(lean, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := platform.Run(full, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lm, fm := FromResult(lr), FromResult(fr); lm != fm {
+				t.Errorf("C=%d pod=%d: lean %+v\nfull %+v", b.Functions, podSize, lm, fm)
+			}
+		}
+	}
+}
+
 func TestImprovement(t *testing.T) {
 	if got := Improvement(100, 15); math.Abs(got-85) > 1e-12 {
 		t.Fatalf("Improvement(100,15) = %g", got)
