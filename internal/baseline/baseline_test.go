@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/interfere"
@@ -166,6 +167,33 @@ func TestOracleObjectivesDiffer(t *testing.T) {
 	}
 	if degB < degS || degB > degE {
 		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, degS, degE)
+	}
+}
+
+// TestPickIsSearchOverOneSweep: Search is Sweep then Pick, so a caller after
+// several objectives at one cell (Fig. 15) sweeps once — every objective's
+// pick over the shared sweep is the run its own Search returns — and an empty
+// sweep is the same typed error either way.
+func TestPickIsSearchOverOneSweep(t *testing.T) {
+	cfg := platform.AWSLambda()
+	const c, seed = 600, 6
+	all, err := Sweep(cfg, demand(), c, seed, cfg.Shape.MaxDegree(demand()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []Objective{MinTotalService, MinTailService, MinMedianService, MinExpense, MinBalanced} {
+		o := Oracle{Objective: obj}
+		want, deg, err := o.Search(cfg, demand(), c, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := o.Pick(all)
+		if err != nil || got != want || got.Degree != deg {
+			t.Errorf("%s: Pick = %+v (%v), Search = %+v at degree %d", obj, got, err, want, deg)
+		}
+	}
+	if _, err := (Oracle{}).Pick(nil); !errors.Is(err, ErrNoFeasibleDegree) {
+		t.Errorf("Pick over an empty sweep: %v, want ErrNoFeasibleDegree", err)
 	}
 }
 

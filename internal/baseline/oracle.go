@@ -91,12 +91,20 @@ func (o Oracle) Search(cfg platform.Config, d interfere.Demand, c int, seed int6
 	if err != nil {
 		return trace.Metrics{}, 0, err
 	}
+	best, err := o.Pick(all)
+	return best, best.Degree, err
+}
+
+// Pick is Search's second half: the run the objective prefers among a
+// Sweep's (ties go to the lowest degree), ErrNoFeasibleDegree if there is
+// none. A caller after several objectives at one (platform, demand, c, seed)
+// sweeps once and picks for each.
+func (o Oracle) Pick(all []trace.Metrics) (trace.Metrics, error) {
 	if len(all) == 0 {
-		return trace.Metrics{}, 0, ErrNoFeasibleDegree
+		return trace.Metrics{}, ErrNoFeasibleDegree
 	}
 	if o.Objective == MinBalanced {
-		best := bestBalanced(all)
-		return best, best.Degree, nil
+		return bestBalanced(all), nil
 	}
 	best := all[0]
 	for _, m := range all[1:] {
@@ -104,7 +112,7 @@ func (o Oracle) Search(cfg platform.Config, d interfere.Demand, c int, seed int6
 			best = m
 		}
 	}
-	return best, best.Degree, nil
+	return best, nil
 }
 
 // Sweep runs the application at every packing degree from 1 to maxDeg,

@@ -234,11 +234,12 @@ func TestScalingStoreBounded(t *testing.T) {
 }
 
 // TestScalingStoreKeepsNoFailures: an error reaches every caller and is not
-// retained; a panic inside the simulator (a non-finite execution time) reaches
-// its caller as before and leaves no zero behind for the next one; and a
-// Config holding a NaN, which no lookup can find again, still cannot grow
-// the store past its cap. Config.Validate now refuses a non-finite float of
-// its own, so both ride in on the Shape, whose validator still lets them.
+// retained; a panic inside the simulator (a non-finite instant) reaches its
+// caller as before and leaves no zero behind for the next one; and a Config
+// holding a NaN, which no lookup can find again, still cannot grow the store
+// past its cap. Every validator now refuses a non-finite float, so the panic
+// comes from finite ones — a scheduler time whose second placement overflows
+// — and the NaN key holds a validation error, which delete cannot find either.
 func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	resetScalingStore()
 	bad := platform.AWSLambda()
@@ -257,12 +258,12 @@ func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	}
 
 	inf := platform.AWSLambda()
-	inf.Shape.IsolationFactor, inf.MaxExecSec = math.Inf(1), math.Inf(1) // every execution time is +Inf, and allowed
+	inf.SchedBaseSec = math.MaxFloat64 // valid, and the second placement completes at +Inf
 	for i := 0; i < 2; i++ {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("call %d: an infinite execution time did not panic", i)
+					t.Errorf("call %d: an infinite placement time did not panic", i)
 				}
 			}()
 			st, err := (&SimMeasurer{Config: inf, Seed: 1}).MeasureScaling(10)
@@ -274,10 +275,10 @@ func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	}
 
 	nan := platform.AWSLambda()
-	nan.Shape.CrossDiscount = math.NaN() // mixed bins only: the burst runs, the key never matches
+	nan.Shape.CrossDiscount = math.NaN() // refused by Validate; the key never matches, not even to be deleted
 	for i := 0; i <= scalingStoreCap; i++ {
-		if _, err := (&SimMeasurer{Config: nan, Seed: 1}).MeasureScaling(1); err != nil {
-			t.Fatal(err)
+		if _, err := (&SimMeasurer{Config: nan, Seed: 1}).MeasureScaling(1); err == nil {
+			t.Fatal("a NaN cross discount ran")
 		}
 		if n := scalingStoreLen(); n > scalingStoreCap {
 			t.Fatalf("store holds %d results after %d NaN-keyed probes, cap %d", n, i+1, scalingStoreCap)

@@ -108,17 +108,22 @@ func Fig15(cfg Config) (*trace.Table, error) {
 		pl := core.NewPlanner(models) // both objectives read one table per concurrency
 		var out [][]string
 		for _, c := range cfg.concurrencies() {
-			_, oS, err := (baseline.Oracle{Objective: baseline.MinTotalService}).Search(p, w.Demand(), c, cfg.Seed)
+			// One exhaustive sweep per cell; each objective picks from it.
+			all, err := baseline.Sweep(p, w.Demand(), c, cfg.Seed, p.Shape.MaxDegree(w.Demand()))
 			if err != nil {
 				return nil, err
 			}
-			_, oE, err := (baseline.Oracle{Objective: baseline.MinExpense}).Search(p, w.Demand(), c, cfg.Seed)
+			oS, err := baseline.Oracle{Objective: baseline.MinTotalService}.Pick(all)
+			if err != nil {
+				return nil, err
+			}
+			oE, err := baseline.Oracle{Objective: baseline.MinExpense}.Pick(all)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, []string{w.Name(), itoa(c),
-				itoa(oS), itoa(pl.OptimalDegreeService(c)),
-				itoa(oE), itoa(pl.OptimalDegreeExpense(c))})
+				itoa(oS.Degree), itoa(pl.OptimalDegreeService(c)),
+				itoa(oE.Degree), itoa(pl.OptimalDegreeExpense(c))})
 		}
 		return out, nil
 	})

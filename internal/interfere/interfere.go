@@ -29,6 +29,8 @@ package interfere
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/stats"
 )
 
 // Demand describes the resource appetite of one logical function.
@@ -62,18 +64,22 @@ type Demand struct {
 	SharedInput bool
 }
 
-// Validate reports an error for demands the model cannot execute.
+// Validate reports an error for demands the model cannot execute. NaN is one:
+// it passes every `x < 0`-shaped check, and an execution time built from it
+// panics the simulator instead of failing validation.
 func (d Demand) Validate() error {
 	switch {
-	case d.CPUSeconds < 0 || d.IOSeconds < 0:
-		return fmt.Errorf("interfere: negative time demand %+v", d)
+	case !stats.FiniteNonNeg(d.CPUSeconds, d.IOSeconds):
+		return fmt.Errorf("interfere: negative or non-finite time demand %+v", d)
 	case d.CPUSeconds == 0 && d.IOSeconds == 0:
 		return fmt.Errorf("interfere: demand with zero work")
-	case d.MemoryMB <= 0:
-		return fmt.Errorf("interfere: non-positive memory %g MB", d.MemoryMB)
-	case d.MemBWMBps < 0:
-		return fmt.Errorf("interfere: negative memory bandwidth")
-	case d.ShuffleFraction < 0 || d.ShuffleFraction > 1:
+	case !stats.FiniteNonNeg(d.MemoryMB) || d.MemoryMB == 0:
+		return fmt.Errorf("interfere: memory %g MB not positive and finite", d.MemoryMB)
+	case !stats.FiniteNonNeg(d.MemBWMBps):
+		return fmt.Errorf("interfere: negative or non-finite memory bandwidth")
+	case !stats.FiniteNonNeg(d.InputMB, d.OutputMB):
+		return fmt.Errorf("interfere: negative or non-finite storage traffic %g MB in, %g MB out", d.InputMB, d.OutputMB)
+	case !(d.ShuffleFraction >= 0 && d.ShuffleFraction <= 1):
 		return fmt.Errorf("interfere: shuffle fraction %g outside [0,1]", d.ShuffleFraction)
 	default:
 		return nil
@@ -124,16 +130,16 @@ func (s Shape) Validate() error {
 	switch {
 	case s.Cores < 1:
 		return fmt.Errorf("interfere: instance needs ≥1 core, have %d", s.Cores)
-	case s.MemoryMB <= 0:
-		return fmt.Errorf("interfere: non-positive instance memory")
-	case s.MemBWMBps <= 0:
-		return fmt.Errorf("interfere: non-positive instance bandwidth")
-	case s.ContentionRate < 0 || s.BWWeight < 0:
-		return fmt.Errorf("interfere: negative contention parameters")
-	case s.CrossDiscount < 0 || s.CrossDiscount > 1:
+	case !stats.FiniteNonNeg(s.MemoryMB) || s.MemoryMB == 0:
+		return fmt.Errorf("interfere: instance memory not positive and finite")
+	case !stats.FiniteNonNeg(s.MemBWMBps) || s.MemBWMBps == 0:
+		return fmt.Errorf("interfere: instance bandwidth not positive and finite")
+	case !stats.FiniteNonNeg(s.ContentionRate, s.BWWeight):
+		return fmt.Errorf("interfere: negative or non-finite contention parameters")
+	case !(s.CrossDiscount >= 0 && s.CrossDiscount <= 1):
 		return fmt.Errorf("interfere: cross discount %g outside [0,1]", s.CrossDiscount)
-	case s.IsolationFactor <= 0:
-		return fmt.Errorf("interfere: non-positive isolation factor")
+	case !stats.FiniteNonNeg(s.IsolationFactor) || s.IsolationFactor == 0:
+		return fmt.Errorf("interfere: isolation factor not positive and finite")
 	default:
 		return nil
 	}

@@ -2,6 +2,7 @@ package interfere
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,65 @@ func TestValidation(t *testing.T) {
 	for i, b := range badShapes {
 		if b.Validate() == nil {
 			t.Fatalf("bad shape %d accepted: %+v", i, b)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: every float field of Demand and Shape refuses
+// NaN and ±Inf. Each used to walk through an `x < 0`-style check — NaN fails
+// every comparison — and surface as a simulator panic ("non-finite delay
+// NaN") instead of a validation error. The tables are held to the structs'
+// float-field counts, so a field added later cannot skip them.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	floatFields := func(v any) (n int) {
+		ty := reflect.TypeOf(v)
+		for i := 0; i < ty.NumField(); i++ {
+			if ty.Field(i).Type.Kind() == reflect.Float64 {
+				n++
+			}
+		}
+		return n
+	}
+	demandFields := map[string]func(*Demand) *float64{
+		"CPUSeconds":      func(d *Demand) *float64 { return &d.CPUSeconds },
+		"IOSeconds":       func(d *Demand) *float64 { return &d.IOSeconds },
+		"MemoryMB":        func(d *Demand) *float64 { return &d.MemoryMB },
+		"MemBWMBps":       func(d *Demand) *float64 { return &d.MemBWMBps },
+		"InputMB":         func(d *Demand) *float64 { return &d.InputMB },
+		"OutputMB":        func(d *Demand) *float64 { return &d.OutputMB },
+		"ShuffleFraction": func(d *Demand) *float64 { return &d.ShuffleFraction },
+	}
+	shapeFields := map[string]func(*Shape) *float64{
+		"MemoryMB":        func(s *Shape) *float64 { return &s.MemoryMB },
+		"MemBWMBps":       func(s *Shape) *float64 { return &s.MemBWMBps },
+		"ContentionRate":  func(s *Shape) *float64 { return &s.ContentionRate },
+		"BWWeight":        func(s *Shape) *float64 { return &s.BWWeight },
+		"CrossDiscount":   func(s *Shape) *float64 { return &s.CrossDiscount },
+		"IsolationFactor": func(s *Shape) *float64 { return &s.IsolationFactor },
+	}
+	if n := floatFields(Demand{}); n != len(demandFields) {
+		t.Fatalf("Demand holds %d float fields, the table %d", n, len(demandFields))
+	}
+	if n := floatFields(Shape{}); n != len(shapeFields) {
+		t.Fatalf("Shape holds %d float fields, the table %d", n, len(shapeFields))
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, field := range demandFields {
+			d := demoDemand()
+			*field(&d) = v
+			if d.Validate() == nil {
+				t.Errorf("Demand.%s = %v validated clean", name, v)
+			}
+			if (Shape{}).ValidateMixed([]Demand{d}) == nil {
+				t.Errorf("Demand.%s = %v validated clean as a packed set", name, v)
+			}
+		}
+		for name, field := range shapeFields {
+			s := demoShape()
+			*field(&s) = v
+			if s.Validate() == nil {
+				t.Errorf("Shape.%s = %v validated clean", name, v)
+			}
 		}
 	}
 }

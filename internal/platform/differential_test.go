@@ -48,6 +48,12 @@ func runBoth(t *testing.T, cfg Config, b Burst) (wheel, heap *Result, wheelTrace
 func TestBurstHeapVsWheelDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
 	rng := rand.New(rand.NewSource(4242))
+	diceFree := 0
+	defer func() {
+		if diceFree == 0 {
+			t.Error("sweep never ran a dice-free burst through the engines")
+		}
+	}()
 	for trial := 0; trial < 40; trial++ {
 		cfg := AWSLambda()
 		c := 1 + rng.Intn(800)
@@ -74,6 +80,12 @@ func TestBurstHeapVsWheelDifferential(t *testing.T) {
 		}
 		if rng.Intn(4) == 0 {
 			b.StaggerSec = rng.Float64() * 0.01
+		}
+		if cfg.ConcurrencyLimit == 0 && !cfg.faulty() {
+			// A dice-free burst never reaches an engine (tandem.go): a limit
+			// that cannot throttle keeps this one evented, on both.
+			cfg.ConcurrencyLimit = b.Instances()
+			diceFree++
 		}
 		wheel, heap, wheelTrace, heapTrace := runBoth(t, cfg, b)
 		normalize(wheel)

@@ -23,15 +23,11 @@ import (
 // is held to its exact bytes — Results and JSONL traces — by the
 // differential suite, on both the wheel and the heap oracle.
 //
-// An event is scheduled only if its handler can affect another instance.
-// The scheduler, builder and shipper stations are where instances contend;
-// what follows image availability — boot, execution, end — touches shared
-// state only through the fault dice (one RNG stream), the hedge policy and
-// the account throttle. When a run has none of those (controlPlane.elideTail)
-// the tail is arithmetic on the instance's own columns and schedules nothing:
-// 3 events per cold instance instead of 5, 1 per warm one instead of 3.
-// DESIGN §16 has the event-budget table and the argument that dropping
-// those events cannot change a bit of the Result.
+// Events are for runs whose instances can affect one another past the three
+// stations: through the fault dice (one RNG stream), the hedge policy or the
+// account throttle. A run with none of those is solved as three FIFO queues
+// in tandem (tandem.go) and comes here, for 5 events per cold instance and 3
+// per warm one, only when that solver meets a tie it cannot order (DESIGN §16).
 
 // Event kinds of the burst control plane. Values are engine-local and
 // meaningless outside this dispatcher; 0 is left unused so a zeroed event
@@ -73,9 +69,7 @@ type controlPlane struct {
 	retryPol                    resilience.Backoff
 	hedgeThr                    float64
 	limit                       int
-	// elideTail is the run's dice-free predicate — no throttle, not
-	// Config.faulty — under which start resolves boot → exec → end in place.
-	elideTail bool
+	tandem                      [3]tandemStage // the dice-free solver's stages
 
 	// Account-level throttling: at most limit instances admitted at once;
 	// the rest wait FIFO (cursor-consumed, pooled) for a release.
@@ -169,7 +163,7 @@ func (cp *controlPlane) onSchedDone(i int32) {
 	if ib.warm(int(i)) {
 		ib.buildDone[i] = end
 		ib.shipDone[i] = end
-		cp.start(i, cp.cfg.WarmStartSec, evWarmDone)
+		cp.eng.EmitAfter(cp.cfg.WarmStartSec, evWarmDone, i)
 		return
 	}
 	if cp.podSize == 1 {
@@ -213,23 +207,7 @@ func (cp *controlPlane) onShipDone(i int32) {
 }
 
 func (cp *controlPlane) boot(i int32) {
-	cp.start(i, cp.cfg.BootSec, evBootDone)
-}
-
-// start begins instance i's start-up timer — host boot or warm start — whose
-// expiry (kind) leads into finish. On a dice-free run that timer and the
-// execution that follows it are private to the instance, so both resolve
-// here, with the float expressions the timer events would have produced
-// (each event's time is now + delay, and the handler stores it) and the same
-// validation of each delay.
-func (cp *controlPlane) start(i int32, delay float64, kind uint8) {
-	if !cp.elideTail {
-		cp.eng.EmitAfter(delay, kind, i)
-		return
-	}
-	ib := cp.ib
-	ib.start[i] = sim.TimerAt(cp.eng.Now(), delay)
-	ib.end[i] = sim.TimerAt(ib.start[i], ib.execs[i])
+	cp.eng.EmitAfter(cp.cfg.BootSec, evBootDone, i)
 }
 
 // podShipped marks pod p's image available and boots every waiting
@@ -414,9 +392,11 @@ func (cp *controlPlane) shipService(int32) float64 {
 
 // runControlPlane simulates scheduling, image build, shipping, boot, and
 // execution for a set of instances whose degree/warm state and execution
-// durations are already fixed in the scratch's instance batch, on the typed
-// event path. It fills in the batch's result columns in place, hands them to
-// the Result, and returns it with the fault roll-up done but no billing.
+// durations are already fixed in the scratch's instance batch — by the
+// tandem solver when nothing couples the instances beyond the three
+// stations, on the typed event path otherwise. It fills in the batch's
+// result columns in place, hands them to the Result, and returns it with the
+// fault roll-up done but no billing.
 func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 	ib := &sc.batch
 	n := ib.n
@@ -438,9 +418,6 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		podSize = 1
 	}
 	cp.podSize = podSize
-	if cp.pods = nil; podSize > 1 { // a pod of one is its instance
-		cp.pods = sc.podStates((n + podSize - 1) / podSize)
-	}
 
 	cp.maxRetries = cfg.MaxStartRetries
 	if cp.maxRetries == 0 {
@@ -454,8 +431,6 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	if cfg.Hedge.Enabled() && n > 0 {
 		cp.hedgeThr = cfg.Hedge.Threshold(ib.execs)
 	}
-	cp.elideTail = cp.limit == 0 && !cfg.faulty()
-
 	// Observability: a nil recorder costs only the guard checks in the
 	// handlers; with one attached we additionally track arrival and
 	// scheduler-entry times to emit queued/sched spans.
@@ -471,32 +446,16 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		}
 	}
 
-	eng.SetSink(cp)
-	if cp.schedSvc == nil {
-		cp.schedSvc = cp.schedService
-		cp.buildSvc = cp.buildService
-		cp.shipSvc = cp.shipService
-	}
-	cp.sched.Init(eng, cfg.SchedServers, evSchedDone, n, cp.schedSvc)
-	cp.build.Init(eng, cfg.BuildServers, evBuildDone, n, cp.buildSvc)
-	cp.ship.Init(eng, cfg.ShipServers, evShipDone, n, cp.shipSvc)
-
-	// Every instance requests placement at t=0 (or at its staggered arrival
-	// time), subject to account-level throttling. The scheduler's search
-	// cost grows with the number of placements already made — the paper's
-	// "scheduling algorithm needs to search and find more places" effect.
-	if b.StaggerSec > 0 || b.arrivalOffsetSec > 0 {
-		for i := 0; i < n; i++ {
-			eng.Emit(b.arrivalOffsetSec+float64(i)*b.StaggerSec, evAdmit, int32(i))
+	// A dice-free, unthrottled burst is solved without a single event, unless
+	// the solver declines it (a tie only the engine's sequence numbers order).
+	if cp.limit != 0 || cfg.faulty() || !cp.solveTandem(b) {
+		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
+			cp.pods = sc.podStates((n + podSize - 1) / podSize)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			cp.admit(int32(i))
+		cp.simulate(b)
+		if cp.burstErr != nil {
+			return nil, cp.burstErr
 		}
-	}
-	eng.Run()
-	if cp.burstErr != nil {
-		return nil, cp.burstErr
 	}
 
 	res := &Result{
@@ -523,4 +482,31 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		emitLifecycleSpans(cp.rec, c, cp.arrive, cp.admitted)
 	}
 	return res, nil
+}
+
+// simulate runs the burst on the event engine: every instance requests
+// placement at t=0 (or at its staggered arrival time), subject to
+// account-level throttling, and the stations, timers and dice take it from
+// there.
+func (cp *controlPlane) simulate(b Burst) {
+	eng, cfg, n := cp.eng, &cp.cfg, cp.ib.n
+	eng.SetSink(cp)
+	if cp.schedSvc == nil {
+		cp.schedSvc = cp.schedService
+		cp.buildSvc = cp.buildService
+		cp.shipSvc = cp.shipService
+	}
+	cp.sched.Init(eng, cfg.SchedServers, evSchedDone, n, cp.schedSvc)
+	cp.build.Init(eng, cfg.BuildServers, evBuildDone, n, cp.buildSvc)
+	cp.ship.Init(eng, cfg.ShipServers, evShipDone, n, cp.shipSvc)
+	if b.StaggerSec > 0 || b.arrivalOffsetSec > 0 {
+		for i := 0; i < n; i++ {
+			eng.Emit(b.arrivalOffsetSec+float64(i)*b.StaggerSec, evAdmit, int32(i))
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			cp.admit(int32(i))
+		}
+	}
+	eng.Run()
 }

@@ -14,13 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-// The tail-elision proof. On a dice-free run the typed control plane
-// resolves boot → exec → end arithmetically instead of scheduling it
-// (dispatch.go, DESIGN §16). Setting ConcurrencyLimit to the instance count
-// never throttles — the run is observably identical — but takes the
-// predicate's other branch, so the same burst can be simulated with and
-// without the tail events and the two Results compared bit for bit, with
-// the frozen closure control plane as the third witness.
+// The event-free proof. A dice-free, unthrottled run schedules nothing: it is
+// solved stage by stage as three queues in tandem (tandem.go, DESIGN §16).
+// Setting ConcurrencyLimit to the instance count never throttles — the run
+// is observably identical — but takes the gate's other branch, so the same
+// burst can be solved and simulated event by event and the two Results
+// compared bit for bit, with the frozen closure control plane as the third
+// witness. (tandem_test.go aims the same comparison at the ties.)
 
 // controlPlaneFunc is the signature behind the runCP hook.
 type controlPlaneFunc = func(Config, Burst, *runScratch, *sim.RNG) (*Result, error)
@@ -101,8 +101,8 @@ func sameResultBits(t *testing.T, what string, got, want *Result) {
 
 // TestElidedTailDifferential simulates randomized dice-free bursts — cold,
 // warm prefixes, pods with waiting followers, staggered arrival, packed with
-// a short last instance, mixed bins; single-cell and sharded — with the tail
-// elided, with every event forced, and through the closure oracle, and
+// a short last instance, mixed bins; single-cell and sharded — solved without
+// events, with every event forced, and through the closure oracle, and
 // requires identical bits from all three.
 func TestElidedTailDifferential(t *testing.T) {
 	video := workload.Video{}.Demand()
@@ -157,7 +157,7 @@ func TestElidedTailDifferential(t *testing.T) {
 			run = func(cfg Config, sh Sharding) (*Result, error) { return RunMixedSharded(cfg, m, sh) }
 		}
 		// Never throttles (at most n instances are ever admitted), but the
-		// throttle's bookkeeping needs the end events, so nothing is elided.
+		// throttle's bookkeeping needs the end events, so the run is evented.
 		forced := cfg
 		forced.ConcurrencyLimit = n
 
@@ -295,18 +295,17 @@ func TestElidedTailDifferentialPanics(t *testing.T) {
 }
 
 // TestEventsPerInstance pins the run's event budget (DESIGN §16). A dice-free
-// burst schedules only the events whose handlers can affect another
-// instance — scheduler, build and ship completions: 3 per cold instance, 1
-// per warm one — while any dice, hedging or an account throttle keeps every
+// burst schedules no event at all — its stations are solved by their
+// recurrence — while any dice, hedging or an account throttle keeps every
 // event the frozen closure control plane schedules. A handler that comes to
-// need the tail events cannot silently lose them, and a regression cannot
-// silently bring them back.
+// need an event cannot silently lose it, and a regression cannot silently
+// bring the events back.
 //
-// It pins where those events queue as well. Station completions are
-// monotone per station, so every one rides its station's lane and only the
-// rest — staggered admits, boot and execution timers, backoffs — is pushed
-// onto the general queue: none at all on a dice-free unstaggered burst. The
-// closure oracle has no lanes; every event it schedules is a queue push.
+// It pins where the events of an evented run queue as well. Station
+// completions are monotone per station, so every one rides its station's lane
+// and only the rest — staggered admits, boot and execution timers, backoffs —
+// is pushed onto the general queue. The closure oracle has no lanes; every
+// event it schedules is a queue push.
 func TestEventsPerInstance(t *testing.T) {
 	const n = 500
 	events := func(cp controlPlaneFunc, cfg Config, b Burst) (scheduled, queued uint64, res *Result) {
@@ -329,16 +328,19 @@ func TestEventsPerInstance(t *testing.T) {
 		mutate func(*Config)
 		burst  Burst
 		// typed and closure are the expected events per burst, queued the
-		// typed events expected on the general queue. typed 0 means a faulty
-		// run: both are whatever the closure oracle implies.
+		// typed events expected on the general queue. solved means none of
+		// either; otherwise typed 0 means a faulty run: both are whatever the
+		// closure oracle implies.
+		solved                 bool
 		typed, queued, closure uint64
 	}{
-		{name: "dice-free cold", burst: cold, typed: 3 * n, queued: 0, closure: 5 * n},
-		{name: "dice-free all-warm", burst: allWarm, typed: 1 * n, queued: 0, closure: 3 * n},
-		{name: "dice-free staggered", burst: staggered, typed: 4 * n, queued: n, closure: 6 * n},
+		{name: "dice-free cold", burst: cold, solved: true, closure: 5 * n},
+		{name: "dice-free all-warm", burst: allWarm, solved: true, closure: 3 * n},
+		{name: "dice-free staggered", burst: staggered, solved: true, closure: 6 * n},
 		// Pods of 4: the leader builds and ships, three followers only schedule.
-		{name: "dice-free pods", mutate: func(c *Config) { c.PodSize = 4 }, burst: cold, typed: n/4*3 + 3*n/4, queued: 0, closure: n/4*5 + 3*n/4*3},
+		{name: "dice-free pods", mutate: func(c *Config) { c.PodSize = 4 }, burst: cold, solved: true, closure: n/4*5 + 3*n/4*3},
 		{name: "unthrottling limit", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "unthrottling limit, staggered", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: staggered, typed: 6 * n, queued: 3 * n, closure: 6 * n},
 		{name: "throttled", mutate: func(c *Config) { c.ConcurrencyLimit = 50 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
 		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
 		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
@@ -361,7 +363,7 @@ func TestEventsPerInstance(t *testing.T) {
 			t.Errorf("%s: closure oracle pushed %d of its %d events onto the queue, want all", tc.name, closureQueued, closure)
 		}
 		wantTyped, wantQueued := tc.typed, tc.queued
-		if wantTyped == 0 {
+		if wantTyped == 0 && !tc.solved {
 			wantTyped = closure
 			if closure <= 5*n {
 				t.Errorf("%s: closure oracle scheduled %d events — no retry ever happened, the case proves nothing", tc.name, closure)

@@ -248,6 +248,34 @@ func TestLeanColumnsDifferential(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteDemand: the other two validators on Run's path. A
+// NaN in a Demand or a Shape used to validate clean — every check was
+// `x < 0`-shaped — and panic the simulator ("sim: non-finite delay NaN")
+// where an error was due. interfere's own test walks every field; this one
+// holds Run, RunMixed and their sharded forms to the error.
+func TestRunRejectsNonFiniteDemand(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := interfere.Demand{CPUSeconds: v, MemoryMB: 128}
+		b := Burst{Demand: d, Functions: 8, Degree: 1, Seed: 1}
+		m := MixedBurst{Bins: []Bin{{Demands: []interfere.Demand{testDemand(), d}}}, Seed: 1}
+		shaped := AWSLambda()
+		shaped.Shape.IsolationFactor = v
+		for what, run := range map[string]func() (*Result, error){
+			"Run":             func() (*Result, error) { return Run(AWSLambda(), b) },
+			"RunSharded":      func() (*Result, error) { return RunSharded(AWSLambda(), b, Sharding{Shards: 2}) },
+			"RunMixed":        func() (*Result, error) { return RunMixed(AWSLambda(), m) },
+			"RunMixedSharded": func() (*Result, error) { return RunMixedSharded(AWSLambda(), m, Sharding{Shards: 2}) },
+			"Run on a non-finite Shape": func() (*Result, error) {
+				return Run(shaped, Burst{Demand: testDemand(), Functions: 8, Degree: 1, Seed: 1})
+			},
+		} {
+			if _, err := run(); err == nil {
+				t.Errorf("%s with %v ran", what, v)
+			}
+		}
+	}
+}
+
 // TestPodOfOneRetryDifferential drives the path a pod of one takes in place
 // of podState — a retried attempt is its own proof that the image shipped —
 // against the closure oracle and its pods: start failures,

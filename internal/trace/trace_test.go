@@ -322,18 +322,24 @@ func TestAllocsPerRunFromResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Metrics
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m = FromResult(res)
-	runtime.ReadMemStats(&after)
-	if m.Instances != n {
-		t.Fatalf("instances %d, want %d", m.Instances, n)
+	// The least of three windows: a collection that lands inside one adds
+	// the runtime's own objects to it (seen once, 9 for 6, with every package
+	// testing at once), and no window can undercount.
+	bytes, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := FromResult(res)
+		runtime.ReadMemStats(&after)
+		if m.Instances != n {
+			t.Fatalf("instances %d, want %d", m.Instances, n)
+		}
+		bytes, objects = min(bytes, after.TotalAlloc-before.TotalAlloc), min(objects, after.Mallocs-before.Mallocs)
 	}
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 10 {
+	if per := float64(bytes) / n; per > 10 {
 		t.Errorf("FromResult allocates %.1f B/instance, want ≤ 10 (one copy of the end column)", per)
 	}
-	if objects := after.Mallocs - before.Mallocs; objects > 6 {
+	if objects > 6 {
 		t.Errorf("FromResult allocates %d objects, want ≤ 6", objects)
 	}
 }
