@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
@@ -132,6 +134,28 @@ func TestFaultFlagsNeverPanic(t *testing.T) {
 					_, _ = platform.Run(cfg, platform.Burst{Demand: d, Functions: 64, Degree: 4, Seed: 1})
 				}()
 			}
+		}
+	}
+}
+
+// TestAdviseRejectsNonFiniteFailureModel: flag.Float64 parses NaN and Inf,
+// and advise used to plan with them and exit 0 — a NaN retry delay printed
+// "predicted service: NaNs", an infinite crash rate "$NaN". The binary must
+// exit 1 with the validation error instead.
+func TestAdviseRejectsNonFiniteFailureModel(t *testing.T) {
+	bin := buildPropack(t)
+	for _, args := range [][]string{
+		{"advise", "-crashrate", "0.001", "-retrydelay", "NaN"},
+		{"advise", "-crashrate", "+Inf"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("propack %v: exit %v, want status 1\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "non-finite failure-model parameter") {
+			t.Errorf("propack %v: no validation error in the output:\n%s", args, out)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/stats"
 )
 
 // Heterogeneous packing — the extension the paper sketches in Sec. 5
@@ -43,6 +45,8 @@ func (a App) Validate() error {
 		return fmt.Errorf("core: app %q: count %d < 1", a.Name, a.Count)
 	case a.ET.MfuncGB <= 0:
 		return fmt.Errorf("core: app %q: missing ET model", a.Name)
+	case !finite(a.MemoryMB, a.ET.MfuncGB, a.ET.Alpha, a.ET.Intercept):
+		return fmt.Errorf("core: app %q: non-finite memory or ET model", a.Name)
 	}
 	return nil
 }
@@ -216,8 +220,11 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	if err := opts.Weights.Validate(); err != nil {
 		return MixedPlan{}, err
 	}
-	if opts.InstanceMemoryMB <= 0 || opts.MaxExecSec <= 0 || opts.RatePerInstanceSec < 0 ||
-		opts.CrossDiscount < 0 || opts.CrossDiscount > 1 {
+	// Written so that NaN fails every clause; +Inf is a MaxExecSec (no
+	// limit), not an InstanceMemoryMB.
+	if !(opts.InstanceMemoryMB > 0 && stats.FiniteNonNeg(opts.InstanceMemoryMB)) || !(opts.MaxExecSec > 0) ||
+		!stats.FiniteNonNeg(opts.RatePerInstanceSec) || !(opts.CrossDiscount >= 0 && opts.CrossDiscount <= 1) ||
+		!finite(opts.Scaling.B1, opts.Scaling.B2, opts.Scaling.B3) {
 		return MixedPlan{}, fmt.Errorf("core: invalid mixed-plan options %+v", opts)
 	}
 
@@ -282,17 +289,18 @@ type binEval struct {
 //
 // Hot-path structure: dealCounts gives every bin of an instance count B the
 // per-app count base_k = C_k/B or base_k+1, so a bin's profile is fully
-// described by the bitmask of apps granting it the "+1" remainder — and app
-// k grants it to the cyclic bin range [offset_k, offset_k+extra_k), so the
-// mask can only change at the cut points {0, offset_k, (offset_k+extra_k)
-// mod B, B}: a composition is at most 2K+1 runs of identical bins, whatever
-// B is. Instead of materializing the B×K count matrix and recomputing
-// PredictMixedET per bin, the sweep walks those runs: one mask (replicating
-// dealCounts' remainder rotation at the run's first bin), one evaluation
-// and one feasibility check per run. Bin ETs still come from PredictMixedET
-// on the reconstructed count vector, and the sum adds the run's ET once per
-// bin, in bin order (the repeated add, not a multiply), so every candidate's
-// service and expense are bit-identical to the naive per-bin recomputation.
+// described by the set of apps granting it the "+1" remainder — and app k
+// grants it to the cyclic bin range [offset_k, offset_k+extra_k), so the set
+// can only change at the cut points {0, offset_k, (offset_k+extra_k) mod B,
+// B}: a composition is at most 2K+1 runs of identical bins, whatever B is.
+// Instead of materializing the B×K count matrix and recomputing
+// PredictMixedET per bin, the sweep walks those runs: one count vector
+// (replicating dealCounts' remainder rotation at the run's first bin), one
+// evaluation and one feasibility check per run. Bin ETs still come from
+// PredictMixedET on that count vector, and the sum adds the run's ET once
+// per bin, in bin order (the repeated add, not a multiply), so every
+// candidate's service and expense are bit-identical to the naive per-bin
+// recomputation.
 // Two bound-based prunes skip infeasible instance counts before any ET
 // evaluation: a memory floor (even the no-remainder bin is too big) and —
 // when every app's fitted pressure is non-negative, so ET is monotone in
@@ -313,12 +321,7 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 		minBins = 1
 	}
 	var cands []heteroCandidate
-	if len(apps) > 63 {
-		// The remainder mask needs one bit per app; beyond that fall back to
-		// the naive per-bin evaluation.
-		return mixedCandidatesNaive(apps, opts, minBins, totalFuncs)
-	}
-	counts := make([]int, len(apps))  // scratch count vector for one mask
+	counts := make([]int, len(apps))  // scratch count vector for one run
 	base := make([]int, len(apps))    // C_k / B for the current B
 	extra := make([]int, len(apps))   // C_k % B
 	offsets := make([]int, len(apps)) // dealCounts' rotating remainder start
@@ -336,7 +339,7 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 		// Prune before any ET work: every bin holds at least the base
 		// counts, so the base profile's memory (and, for monotone pressures,
 		// its ET) floors every bin in this composition.
-		baseEval := evalMask(apps, opts, 0, base, extra, counts)
+		baseEval := evalCounts(apps, opts, base)
 		if baseEval.mem > opts.InstanceMemoryMB {
 			continue
 		}
@@ -351,15 +354,16 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 			if lo == hi {
 				continue
 			}
-			var mask uint64
+			ev, plus := baseEval, false
 			for k := range apps {
+				counts[k] = base[k]
 				if (lo-offsets[k]+b)%b < extra[k] {
-					mask |= 1 << uint(k)
+					counts[k]++
+					plus = true
 				}
 			}
-			ev := baseEval
-			if mask != 0 {
-				ev = evalMask(apps, opts, mask, base, extra, counts)
+			if plus {
+				ev = evalCounts(apps, opts, counts)
 			}
 			if ev.mem > opts.InstanceMemoryMB || ev.et > opts.MaxExecSec {
 				feasible = false
@@ -385,60 +389,15 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 	return cands
 }
 
-// evalMask reconstructs the count vector of a remainder mask into the
-// scratch slice and evaluates the bin's memory (in app order, exactly as
-// the naive per-bin loop summed it) and predicted ET.
-func evalMask(apps []App, opts MixedPlanOptions, mask uint64, base, extra, counts []int) binEval {
+// evalCounts evaluates a bin hosting counts[k] functions of apps[k]: its
+// memory footprint (summed in app order, exactly as the naive per-bin loop
+// sums it) and predicted ET.
+func evalCounts(apps []App, opts MixedPlanOptions, counts []int) binEval {
 	var mem float64
-	for k := range apps {
-		n := base[k]
-		if extra[k] > 0 && mask&(1<<uint(k)) != 0 {
-			n++
-		}
-		counts[k] = n
+	for k, n := range counts {
 		mem += float64(n) * apps[k].MemoryMB
 	}
 	return binEval{mem: mem, et: PredictMixedET(apps, counts, opts.CrossDiscount)}
-}
-
-// mixedCandidatesNaive is the reference-shaped evaluation used when there
-// are too many apps for mask memoization (> 63).
-func mixedCandidatesNaive(apps []App, opts MixedPlanOptions, minBins, totalFuncs int) []heteroCandidate {
-	var cands []heteroCandidate
-	for b := minBins; b <= totalFuncs; b++ {
-		counts := dealCounts(apps, b)
-		feasible := true
-		var maxET, sumET float64
-		for _, binCounts := range counts {
-			var mem float64
-			for k, n := range binCounts {
-				mem += float64(n) * apps[k].MemoryMB
-			}
-			if mem > opts.InstanceMemoryMB {
-				feasible = false
-				break
-			}
-			et := PredictMixedET(apps, binCounts, opts.CrossDiscount)
-			if et > opts.MaxExecSec {
-				feasible = false
-				break
-			}
-			sumET += et
-			if et > maxET {
-				maxET = et
-			}
-		}
-		if !feasible {
-			continue
-		}
-		cands = append(cands, heteroCandidate{
-			strategy:   "mixed",
-			bins:       b,
-			serviceSec: maxET + opts.Scaling.At(float64(b)),
-			expenseUSD: sumET * opts.RatePerInstanceSec,
-		})
-	}
-	return cands
 }
 
 // segregatedCandidates evaluates per-application bins over every

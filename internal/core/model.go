@@ -213,8 +213,22 @@ func (m Models) Validate() error {
 		return fmt.Errorf("core: negative expense rate")
 	case m.ET.MfuncGB <= 0:
 		return fmt.Errorf("core: ET model missing Mfunc")
+	case !finite(m.ET.MfuncGB, m.ET.Alpha, m.ET.Intercept, m.Scaling.B1, m.Scaling.B2, m.Scaling.B3,
+		m.Storage.PerInstanceUSD, m.Storage.PerFunctionUSD, m.RatePerInstanceSec):
+		return fmt.Errorf("core: non-finite model coefficient in %+v", m)
 	}
 	return nil
+}
+
+// finite reports whether every x is a number other than ±Inf. The models'
+// validators check it beside their sign checks, which NaN walks through.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // instances is the number of function instances at concurrency C and

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/stats"
 )
 
 // Reliability-aware planning: ProPack's whole pitch is co-locating P
@@ -31,6 +33,9 @@ type FailureModel struct {
 func (f FailureModel) Validate() error {
 	if f.CrashRate < 0 || f.RetryDelaySec < 0 {
 		return fmt.Errorf("core: negative failure-model parameter %+v", f)
+	}
+	if !stats.FiniteNonNeg(f.CrashRate, f.RetryDelaySec) {
+		return fmt.Errorf("core: non-finite failure-model parameter %+v", f)
 	}
 	return nil
 }

@@ -564,22 +564,58 @@ func TestPlanForAllocs(t *testing.T) {
 	}
 }
 
-// TestMixedCandidatesMatchesNaive holds the run walk to the retained per-bin
+// mixedCandidatesNaive is the per-bin evaluation of the mixed family —
+// dealCounts' B×K matrix, every bin's memory and ET recomputed — that the
+// run walk in mixedCandidates must reproduce candidate for candidate.
+func mixedCandidatesNaive(apps []App, opts MixedPlanOptions, minBins, totalFuncs int) []heteroCandidate {
+	var cands []heteroCandidate
+	for b := minBins; b <= totalFuncs; b++ {
+		counts := dealCounts(apps, b)
+		feasible := true
+		var maxET, sumET float64
+		for _, binCounts := range counts {
+			var mem float64
+			for k, n := range binCounts {
+				mem += float64(n) * apps[k].MemoryMB
+			}
+			if mem > opts.InstanceMemoryMB {
+				feasible = false
+				break
+			}
+			et := PredictMixedET(apps, binCounts, opts.CrossDiscount)
+			if et > opts.MaxExecSec {
+				feasible = false
+				break
+			}
+			sumET += et
+			if et > maxET {
+				maxET = et
+			}
+		}
+		if !feasible {
+			continue
+		}
+		cands = append(cands, heteroCandidate{
+			strategy:   "mixed",
+			bins:       b,
+			serviceSec: maxET + opts.Scaling.At(float64(b)),
+			expenseUSD: sumET * opts.RatePerInstanceSec,
+		})
+	}
+	return cands
+}
+
+// TestMixedCandidatesMatchesNaive holds the run walk to the per-bin
 // evaluation candidate for candidate, not only on the winner
 // TestPlanMixedMatchesNaive compares: the same instance counts survive, and
 // each one's service and expense are Float64bits-equal. Up to six apps with
 // counts that leave remainders of every kind (none, wrapping past the last
-// bin, covering every bin) exercise the cut points.
+// bin, covering every bin) exercise the cut points, and 64- and 70-app jobs
+// the compositions too wide for a one-bit-per-app remainder mask.
 func TestMixedCandidatesMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	compared := 0
-	for trial := 0; trial < 300; trial++ {
-		apps, opts := randMixedCase(r)
-		for len(apps) < 1+trial%6 {
-			a := apps[r.Intn(len(apps))]
-			a.Count = 1 + r.Intn(70)
-			apps = append(apps, a)
-		}
+	// compare checks one job and returns the number of candidates compared.
+	compare := func(what string, apps []App, opts MixedPlanOptions) int {
 		totalFuncs := 0
 		for _, a := range apps {
 			totalFuncs += a.Count
@@ -589,18 +625,44 @@ func TestMixedCandidatesMatchesNaive(t *testing.T) {
 		// The naive sweep starts at one bin; the walk starts at its memory
 		// floor, below which the naive sweep finds nothing feasible either.
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d candidates, per-bin sweep %d (apps=%+v opts=%+v)", trial, len(got), len(want), apps, opts)
+			t.Fatalf("%s: %d candidates, per-bin sweep %d (apps=%+v opts=%+v)", what, len(got), len(want), apps, opts)
 		}
 		for i := range got {
 			g, w := got[i], want[i]
 			if g.bins != w.bins || math.Float64bits(g.serviceSec) != math.Float64bits(w.serviceSec) ||
 				math.Float64bits(g.expenseUSD) != math.Float64bits(w.expenseUSD) {
-				t.Fatalf("trial %d cand %d: %+v, per-bin sweep %+v (apps=%+v)", trial, i, g, w, apps)
+				t.Fatalf("%s cand %d: %+v, per-bin sweep %+v (apps=%+v)", what, i, g, w, apps)
 			}
-			compared++
 		}
+		return len(got)
+	}
+	compared := 0
+	for trial := 0; trial < 300; trial++ {
+		apps, opts := randMixedCase(r)
+		for len(apps) < 1+trial%6 {
+			a := apps[r.Intn(len(apps))]
+			a.Count = 1 + r.Intn(70)
+			apps = append(apps, a)
+		}
+		compared += compare(fmt.Sprintf("trial %d", trial), apps, opts)
 	}
 	if compared == 0 {
 		t.Fatal("no feasible candidates — generator too tight to test anything")
+	}
+	wide := 0
+	for _, k := range []int{64, 70} {
+		for trial := 0; trial < 3; trial++ {
+			apps, opts := randMixedCase(r)
+			for len(apps) < k {
+				a := apps[r.Intn(len(apps))]
+				a.Count = 1 + r.Intn(3)
+				apps = append(apps, a)
+			}
+			wide += compare(fmt.Sprintf("%d apps, trial %d", k, trial), apps, opts)
+		}
+	}
+	t.Logf("%d candidates compared, %d more with ≥ 64 apps", compared, wide)
+	if wide == 0 {
+		t.Fatal("no feasible candidate with ≥ 64 apps — generator too tight to test anything")
 	}
 }

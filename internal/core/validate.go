@@ -38,6 +38,9 @@ func checkSizeGrid(sizesMB []float64) error {
 		if mb <= 0 {
 			return fmt.Errorf("core: non-positive memory size %g MB", mb)
 		}
+		if !stats.FiniteNonNeg(mb) {
+			return fmt.Errorf("core: non-finite memory size %g MB", mb)
+		}
 		if i > 0 && mb <= sizesMB[i-1] {
 			return fmt.Errorf("%w: %g MB after %g MB", ErrNonMonotoneSizes, mb, sizesMB[i-1])
 		}

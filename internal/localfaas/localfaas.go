@@ -110,6 +110,8 @@ func (j Job) Validate() error {
 		return fmt.Errorf("localfaas: negative instance parallelism")
 	case j.RatePerInstanceSec < 0:
 		return fmt.Errorf("localfaas: negative rate")
+	case !stats.FiniteNonNeg(j.RatePerInstanceSec):
+		return fmt.Errorf("localfaas: non-finite rate")
 	}
 	return j.Retry.Validate()
 }

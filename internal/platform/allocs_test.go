@@ -128,7 +128,7 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 			t.Errorf("%s Run allocates %.1f B/instance (%d B total), want ≤ %.0f", tc.name, per, bytes, tc.maxBytes)
 		}
 		// Under the race detector the pool drops scratches at random, and an
-		// evented run then regrows its wheel: the bytes still hold, the count not.
+		// evented run then regrows its heap: the bytes still hold, the count not.
 		if objects > 5 && !(raceEnabled && tc.cfg.faulty()) {
 			t.Errorf("%s Run allocates %d objects, want ≤ 5", tc.name, objects)
 		}

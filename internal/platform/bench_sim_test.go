@@ -10,16 +10,16 @@ import (
 
 // BenchmarkSim is the burst scaling curve recorded in BENCH_SIM.json: one
 // unpacked burst of C functions (C instances, the event-heaviest shape per
-// function) at C = 10³ … 10⁶, on the production path ("wheel": for this
-// dice-free burst the tandem solver, no engine at all), forced through the
-// typed dispatcher on the production wheel ("evented") and on the reference
-// heap, through the retained closure control plane, and on the 8-cell sharded
+// function) at C = 10³ … 10⁶, on the production path ("wheel", the row's
+// historical name: for this dice-free burst the tandem solver, no engine at
+// all), forced through the typed dispatcher on the event engine ("evented"),
+// through the retained closure control plane, and on the 8-cell sharded
 // path. Besides ns/op and the standard alloc columns, each sub-benchmark
 // reports allocs/instance and bytes/instance — the steady-state per-instance
 // footprint — and events/instance, the run's event budget (0 solved, 5 on
-// the evented, heap and closure rows, which schedule every timer). CI runs
-// it at -benchtime=1x as a smoke so the million-instance point cannot rot;
-// the recorded curve comes from dedicated -count runs.
+// the evented and closure rows, which schedule every timer). CI runs it at
+// -benchtime=1x as a smoke so the million-instance point cannot rot; the
+// recorded curve comes from dedicated -count runs.
 func BenchmarkSim(b *testing.B) {
 	cs := []int{1_000, 10_000, 100_000, 1_000_000}
 	burstAt := func(c int) Burst {
@@ -59,14 +59,6 @@ func BenchmarkSim(b *testing.B) {
 	for _, c := range cs {
 		b.Run(fmt.Sprintf("evented/C=%d", c), func(b *testing.B) {
 			bb, forced := burstAt(c), forcedEvented(cfg, c)
-			loop(b, c, runControlPlane, func() error { _, err := Run(forced, bb); return err })
-		})
-	}
-	for _, c := range cs {
-		b.Run(fmt.Sprintf("heap/C=%d", c), func(b *testing.B) {
-			bb, forced := burstAt(c), forcedEvented(cfg, c)
-			useReferenceEngine = true
-			defer func() { useReferenceEngine = false }()
 			loop(b, c, runControlPlane, func() error { _, err := Run(forced, bb); return err })
 		})
 	}

@@ -84,6 +84,8 @@ func (b Burst) Validate() error {
 		return fmt.Errorf("platform: negative warm count %d", b.Warm)
 	case b.StaggerSec < 0:
 		return fmt.Errorf("platform: negative stagger %g", b.StaggerSec)
+	case !stats.FiniteNonNeg(b.StaggerSec):
+		return fmt.Errorf("platform: non-finite stagger %g", b.StaggerSec)
 	}
 	return nil
 }
@@ -320,25 +322,12 @@ func (sc *runScratch) release() {
 	runScratchPool.Put(sc)
 }
 
-// useReferenceEngine routes every burst simulation through the retained
-// container/heap event-queue oracle instead of the production calendar
-// wheel. It exists for the platform-level differential tests and
-// benchmarks, which must run identical bursts on both engines; production
-// never flips it.
-var useReferenceEngine = false
-
-// engine returns the scratch's pooled event engine, reset to time zero. The
-// engine is rebuilt only when the requested implementation changed since
-// the scratch's last run; dispatch order depends solely on (time, seq), so
-// a reused engine is observationally identical to a fresh one.
+// engine returns the scratch's pooled event engine, reset to time zero.
+// Dispatch order depends solely on (time, seq), so a reused engine is
+// observationally identical to a fresh one.
 func (sc *runScratch) engine() *sim.Engine {
-	if sc.eng == nil || sc.eng.IsReference() != useReferenceEngine {
-		if useReferenceEngine {
-			sc.eng = sim.NewReferenceEngine()
-		} else {
-			sc.eng = sim.NewEngine()
-		}
-		return sc.eng
+	if sc.eng == nil {
+		sc.eng = sim.NewEngine()
 	}
 	sc.eng.Reset()
 	return sc.eng

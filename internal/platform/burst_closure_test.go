@@ -10,8 +10,8 @@ import (
 
 // runControlPlaneClosure is the closure-based control plane the typed
 // dispatcher (dispatch.go) replaced, retained VERBATIM as a frozen oracle —
-// the same pattern as the retained heap event queue in internal/sim and the
-// retained quadratic planner in core/table_equiv_test.go. The typed path
+// the same pattern as the retained quadratic planner in
+// core/table_equiv_test.go. The typed path
 // must reproduce its Results and recorder traces byte for byte; the
 // differential tests in typed_equiv_test.go swap it in through the runCP
 // hook. Only three mechanical edits were made: the function was renamed,

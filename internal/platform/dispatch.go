@@ -21,7 +21,9 @@ import (
 // Correctness is not renegotiated: the retained closure implementation
 // (burst_closure_test.go) is the frozen specification, and the typed path
 // is held to its exact bytes — Results and JSONL traces — by the
-// differential suite, on both the wheel and the heap oracle.
+// differential suite. The oracle's sim.Station schedules on the engine's
+// heap alone, so the comparison also holds the typed stations' lanes to a
+// run without them.
 //
 // Events are for runs whose instances can affect one another past the three
 // stations: through the fault dice (one RNG stream), the hedge policy or the

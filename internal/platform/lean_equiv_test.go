@@ -248,10 +248,11 @@ func TestLeanColumnsDifferential(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNonFiniteDemand: the other two validators on Run's path. A
-// NaN in a Demand or a Shape used to validate clean — every check was
-// `x < 0`-shaped — and panic the simulator ("sim: non-finite delay NaN")
-// where an error was due. interfere's own test walks every field; this one
+// TestRunRejectsNonFiniteDemand: the other validators on Run's path. A NaN
+// in a Demand or a Shape, or a NaN or infinite stagger, used to validate
+// clean — every check was `x < 0`-shaped — and panic the simulator ("sim:
+// scheduling event at non-finite time NaN") or run as if unstaggered where
+// an error was due. The validators' own tests walk every field; this one
 // holds Run, RunMixed and their sharded forms to the error.
 func TestRunRejectsNonFiniteDemand(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -267,6 +268,12 @@ func TestRunRejectsNonFiniteDemand(t *testing.T) {
 			"RunMixedSharded": func() (*Result, error) { return RunMixedSharded(AWSLambda(), m, Sharding{Shards: 2}) },
 			"Run on a non-finite Shape": func() (*Result, error) {
 				return Run(shaped, Burst{Demand: testDemand(), Functions: 8, Degree: 1, Seed: 1})
+			},
+			"Run with a non-finite stagger": func() (*Result, error) {
+				return Run(AWSLambda(), Burst{Demand: testDemand(), Functions: 8, Degree: 1, StaggerSec: v, Seed: 1})
+			},
+			"RunMixed with a non-finite stagger": func() (*Result, error) {
+				return RunMixed(AWSLambda(), MixedBurst{Bins: []Bin{{Demands: []interfere.Demand{testDemand()}}}, StaggerSec: v, Seed: 1})
 			},
 		} {
 			if _, err := run(); err == nil {
@@ -303,33 +310,24 @@ func TestPodOfOneRetryDifferential(t *testing.T) {
 			cfg.ConcurrencyLimit = 20 + rng.Intn(100)
 		}
 		b := Burst{Demand: d, Functions: 4 * (20 + rng.Intn(200)), Degree: 4, Warm: rng.Intn(8), Seed: rng.Int63()}
-		check := func(engine string) {
-			typed, closure, typedTrace, closureTrace := runTypedAndClosure(t, cfg, b)
-			if typed == nil {
-				return // both exhausted the same retry budget
-			}
-			what := fmt.Sprintf("trial %d on %s (pod=%d warm=%d seed=%d)", trial, engine, cfg.PodSize, b.Warm, b.Seed)
-			sameResultBits(t, what, typed, closure)
-			if string(typedTrace) != string(closureTrace) {
-				t.Fatalf("%s: JSONL traces differ between typed and closure control planes", what)
-			}
-			if engine != "wheel" {
-				return
-			}
-			verified++
-			if cfg.PodSize <= 1 {
-				podOfOneRetries += typed.StartRetries
-				podOfOneCrashes += typed.Crashes + typed.Timeouts
-			} else {
-				podRetries += typed.StartRetries + typed.Crashes
-				if b.Warm%cfg.PodSize != 0 {
-					warmLed++
-				}
-			}
+		typed, closure, typedTrace, closureTrace := runTypedAndClosure(t, cfg, b)
+		if typed == nil {
+			continue // both exhausted the same retry budget
 		}
-		check("wheel")
-		if trial%4 == 0 {
-			withReferenceEngine(func() { check("heap") })
+		what := fmt.Sprintf("trial %d (pod=%d warm=%d seed=%d)", trial, cfg.PodSize, b.Warm, b.Seed)
+		sameResultBits(t, what, typed, closure)
+		if string(typedTrace) != string(closureTrace) {
+			t.Fatalf("%s: JSONL traces differ between typed and closure control planes", what)
+		}
+		verified++
+		if cfg.PodSize <= 1 {
+			podOfOneRetries += typed.StartRetries
+			podOfOneCrashes += typed.Crashes + typed.Timeouts
+		} else {
+			podRetries += typed.StartRetries + typed.Crashes
+			if b.Warm%cfg.PodSize != 0 {
+				warmLed++
+			}
 		}
 	}
 	if verified < 30 {

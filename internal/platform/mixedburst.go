@@ -7,6 +7,7 @@ import (
 	"repro/internal/interfere"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 // Heterogeneous packing: the extension sketched in the paper's Sec. 5
@@ -71,6 +72,9 @@ func (m MixedBurst) Validate(shape interfere.Shape) error {
 	}
 	if m.StaggerSec < 0 {
 		return fmt.Errorf("platform: negative stagger %g", m.StaggerSec)
+	}
+	if !stats.FiniteNonNeg(m.StaggerSec) {
+		return fmt.Errorf("platform: non-finite stagger %g", m.StaggerSec)
 	}
 	for i, b := range m.Bins {
 		if err := shape.ValidateMixed(b.Demands); err != nil {

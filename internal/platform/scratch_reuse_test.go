@@ -12,8 +12,8 @@ import (
 
 // A pooled scratch carries an engine and a jitter generator from run to run,
 // and both are now reset by what the last run touched rather than in full
-// (sim: the wheel's reset walks only occupied buckets, the generator's
-// register is filled as it is read). These tests hold the pool to "a reused
+// (sim: the engine's reset clears only the heap's live slots, the
+// generator's register is filled as it is read). These tests hold the pool to "a reused
 // scratch is indistinguishable from a fresh one" from the worst state a
 // previous run can leave, and pin the cost of the smallest burst by count.
 
@@ -82,7 +82,7 @@ func TestOneInstanceBurstSeedsWhatItReads(t *testing.T) {
 }
 
 // TestScratchReuseAfterPanic poisons a scratch as thoroughly as a run can —
-// a faulty burst that panics mid-dispatch, events still in the wheel, the
+// a faulty burst that panics mid-dispatch, events still in the heap, the
 // jitter register part-filled — then runs, on that same scratch, each of the
 // eight burst-1m golden seeds at 10⁴ instances and a faulty burst, and
 // requires every Result to match, bit for bit, a run on an empty pool.

@@ -21,9 +21,8 @@ func withClosureControlPlane(fn func()) {
 }
 
 // runTypedAndClosure simulates the same burst through the typed dispatcher
-// and the closure oracle (both on the production wheel unless the caller
-// wrapped us in withReferenceEngine) and returns both results plus their
-// JSONL trace bytes.
+// and the closure oracle and returns both results plus their JSONL trace
+// bytes.
 func runTypedAndClosure(t *testing.T, cfg Config, b Burst) (typed, closure *Result, typedTrace, closureTrace []byte) {
 	t.Helper()
 	var tbuf, cbuf bytes.Buffer
@@ -55,9 +54,9 @@ func runTypedAndClosure(t *testing.T, cfg Config, b Burst) (typed, closure *Resu
 // closure-free rewrite's proof: at randomized (C, degree, fault-rate, seed)
 // points the typed dispatcher must reproduce the frozen closure
 // implementation bit-for-bit — timelines, billing, fault counters, and the
-// JSONL event trace — on the production wheel AND on the heap oracle. With
-// the existing wheel-vs-heap suite this closes the square: typed-wheel ≡
-// closure-wheel ≡ closure-heap ≡ typed-heap.
+// JSONL event trace. The oracle's sim.Station schedules every completion on
+// the engine's heap, where the typed stations ride monotone lanes, so each
+// faulty, hedged and throttled trial also holds lanes ≡ no lanes.
 func TestBurstTypedVsClosureDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
 	rng := rand.New(rand.NewSource(271828))
@@ -100,26 +99,20 @@ func TestBurstTypedVsClosureDifferential(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			b.StaggerSec = rng.Float64() * 0.01
 		}
-		check := func(engine string) {
-			typed, closure, typedTrace, closureTrace := runTypedAndClosure(t, cfg, b)
-			if typed != nil {
-				normalize(typed)
-				normalize(closure)
-				startRetries += typed.StartRetries
-				execRetries += typed.Crashes + typed.Timeouts
-			}
-			if !reflect.DeepEqual(typed, closure) {
-				t.Fatalf("trial %d on %s (C=%d P=%d crash=%g seed=%d): typed result differs from closure oracle",
-					trial, engine, c, deg, cfg.CrashRate, b.Seed)
-			}
-			if !bytes.Equal(typedTrace, closureTrace) {
-				t.Fatalf("trial %d on %s (C=%d P=%d): JSONL traces differ between typed and closure control planes",
-					trial, engine, c, deg)
-			}
+		typed, closure, typedTrace, closureTrace := runTypedAndClosure(t, cfg, b)
+		if typed != nil {
+			normalize(typed)
+			normalize(closure)
+			startRetries += typed.StartRetries
+			execRetries += typed.Crashes + typed.Timeouts
 		}
-		check("wheel")
-		if trial%4 == 0 {
-			withReferenceEngine(func() { check("heap") })
+		if !reflect.DeepEqual(typed, closure) {
+			t.Fatalf("trial %d (C=%d P=%d crash=%g seed=%d): typed result differs from closure oracle",
+				trial, c, deg, cfg.CrashRate, b.Seed)
+		}
+		if !bytes.Equal(typedTrace, closureTrace) {
+			t.Fatalf("trial %d (C=%d P=%d): JSONL traces differ between typed and closure control planes",
+				trial, c, deg)
 		}
 	}
 }

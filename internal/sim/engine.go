@@ -19,16 +19,11 @@
 //     economy. Both kinds interleave freely; ordering is always (at, seq)
 //     regardless of kind.
 //
-// Two schedulers implement that order. The production one (NewEngine) is a
-// calendar-queue / timing-wheel hybrid with O(1) amortized schedule and
-// dispatch, sized for million-instance bursts; the original binary heap is
-// retained behind NewReferenceEngine as the differential-testing oracle the
-// wheel is property- and fuzz-tested against (see DESIGN §15–16).
-//
-// Beside the general queue the production engine keeps monotone lanes
-// (lane.go): a FIFO per producer whose emits are already in (at, seq) order,
-// merged with the queue's head at dispatch. A station's completions ride
-// one, so FIFO traffic never pays for a priority queue.
+// The general queue is a binary min-heap on (at, seq). Beside it sit
+// monotone lanes (lane.go): a FIFO per producer whose emits are already in
+// (at, seq) order, merged with the heap's head at dispatch. A station's
+// completions ride one, so FIFO traffic never pays for a priority queue
+// (see DESIGN §15–16).
 package sim
 
 import (
@@ -39,7 +34,7 @@ import (
 // event is one scheduled occurrence in virtual time: a typed word
 // (kind, subject) when fn is nil, or a legacy closure callback otherwise.
 // Only (at, seq) participate in ordering; the payload is opaque to the
-// queues.
+// heap.
 type event struct {
 	at      float64
 	seq     uint64
@@ -57,75 +52,33 @@ type EventSink interface {
 	Dispatch(kind uint8, subject int32)
 }
 
-// eventQueue is the pending-event structure behind an Engine. Both
-// implementations — the calendar-queue wheel (wheelQueue, the fast path)
-// and the retained binary heap (heapQueue, the test oracle) — dispatch in
-// exactly the same total order: time, then insertion sequence.
-type eventQueue interface {
-	push(ev event)
-	// peek reports the (at, seq) key of the earliest pending event without
-	// removing it. The engine merges it with the lane heads, and a tie on
-	// time across the two is broken on seq.
-	peek() (at float64, seq uint64, ok bool)
-	// pop removes and returns the earliest pending event. It must only be
-	// called when len() > 0.
-	pop() event
-	len() int
-	// reset drops every pending event while retaining grown capacity, so a
-	// pooled engine starts its next run without reallocating.
-	reset()
-}
-
-// Engine owns the virtual clock and the pending-event queue. The zero value
-// is not ready; use NewEngine (or NewReferenceEngine for the heap oracle).
+// Engine owns the virtual clock and the pending events. Use NewEngine.
 type Engine struct {
 	now  float64
 	seq  uint64
-	q    eventQueue
+	q    []event // the general queue: a binary min-heap on (at, seq)
 	sink EventSink
 
-	// lanes are the open monotone lanes; laned is false on the reference
-	// engine, whose lanes keep their kind but hold nothing. laneSeq counts
-	// the events lanes have accepted.
+	// lanes are the open monotone lanes; laneSeq counts the events lanes
+	// have accepted.
 	lanes   []lane
-	laned   bool
 	laneSeq uint64
 }
 
-// NewEngine returns an engine with the clock at time zero, backed by the
-// calendar-queue scheduler and monotone lanes.
-func NewEngine() *Engine {
-	return &Engine{q: newWheelQueue(), laned: true}
-}
-
-// NewReferenceEngine returns an engine backed by the original container/heap
-// scheduler, with every event — lane emits included — going through the
-// heap. It dispatches in exactly the same order as NewEngine and exists as
-// the oracle for the differential test harness: every behavioural property
-// of the wheel and of the lane merge is checked by running the same schedule
-// on both and requiring identical traces.
-func NewReferenceEngine() *Engine {
-	return &Engine{q: &heapQueue{}}
-}
-
-// IsReference reports whether the engine runs the container/heap oracle
-// rather than the production wheel. Engine-pooling callers use it to detect
-// that a cached engine matches the implementation the run asks for.
-func (e *Engine) IsReference() bool {
-	_, ok := e.q.(*heapQueue)
-	return ok
-}
+// NewEngine returns an engine with the clock at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Reset returns the engine to time zero with no pending events, no open
-// lanes and no sink, retaining the queue's and the lane rings' grown
-// capacity. Burst-heavy callers pool one engine across runs instead of
-// re-growing the wheel's ring each time; a reset engine is indistinguishable
-// from a fresh one (same clock, same sequence counter, same dispatch order).
+// lanes and no sink, retaining the heap's and the lane rings' grown
+// capacity. Burst-heavy callers pool one engine across runs; a reset engine
+// is indistinguishable from a fresh one (same clock, same sequence counter,
+// same dispatch order).
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.sink = nil
-	e.q.reset()
+	clear(e.q) // drop callback references
+	e.q = e.q[:0]
 	e.lanes = e.lanes[:0]
 	e.laneSeq = 0
 }
@@ -190,7 +143,7 @@ func TimerAt(from, d float64) float64 {
 func (e *Engine) At(t float64, fn func()) {
 	e.checkAt(t)
 	e.seq++
-	e.q.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d seconds of virtual time from now. Negative or
@@ -205,7 +158,7 @@ func (e *Engine) After(d float64, fn func()) {
 // a plain word in the queue — no allocation. Emitting with no sink
 // registered panics (the event could never dispatch).
 func (e *Engine) Emit(t float64, kind uint8, subject int32) {
-	e.q.push(event{at: t, seq: e.stampTyped(t), kind: kind, subject: subject})
+	e.push(event{at: t, seq: e.stampTyped(t), kind: kind, subject: subject})
 }
 
 // stampTyped validates a typed event's time and issues its sequence number.
@@ -227,7 +180,7 @@ func (e *Engine) EmitAfter(d float64, kind uint8, subject int32) {
 
 // Pending reports the number of events not yet dispatched.
 func (e *Engine) Pending() int {
-	n := e.q.len()
+	n := len(e.q)
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
@@ -240,15 +193,74 @@ func (e *Engine) Pending() int {
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // LaneScheduled reports how many of the Scheduled events rode a monotone
-// lane; the remainder were pushed onto the general queue.
+// lane; the remainder were pushed onto the heap.
 func (e *Engine) LaneScheduled() uint64 { return e.laneSeq }
 
+// before is the engine's total order: time, then insertion sequence.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push adds ev to the heap, sifting it up from the new last slot.
+func (e *Engine) push(ev event) {
+	e.q = append(e.q, ev)
+	q := e.q
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&ev, &q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the heap's earliest event, which must exist. The
+// last event sifts down from the root, and the slot it vacates is zeroed so
+// the heap's spare capacity never pins a dispatched closure.
+func (e *Engine) pop() event {
+	q := e.q
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	e.q = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && before(&q[c+1], &q[c]) {
+			c++
+		}
+		if !before(&q[c], &last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
+
 // next dispatches the earliest pending event — the minimum by (at, seq)
-// over the lane heads and the general queue's head — unless it lies beyond
-// deadline. It reports whether an event was dispatched.
+// over the lane heads and the heap's head — unless it lies beyond deadline.
+// It reports whether an event was dispatched.
 func (e *Engine) next(deadline float64) bool {
-	at, seq, ok := e.q.peek()
-	src := -1 // the general queue
+	var at float64
+	var seq uint64
+	ok := len(e.q) > 0
+	if ok {
+		at, seq = e.q[0].at, e.q[0].seq
+	}
+	src := -1 // the heap
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		if l.n == 0 {
@@ -264,7 +276,7 @@ func (e *Engine) next(deadline float64) bool {
 	}
 	e.now = at
 	if src < 0 {
-		if ev := e.q.pop(); ev.fn != nil {
+		if ev := e.pop(); ev.fn != nil {
 			ev.fn()
 		} else {
 			e.sink.Dispatch(ev.kind, ev.subject)

@@ -7,22 +7,143 @@ import (
 	"testing"
 )
 
-// The differential harness: the wheel engine must dispatch byte-for-byte in
-// the reference heap's order on any schedule. A schedule is a deterministic
-// program driven by a seeded RNG — a mix of up-front events, nested
-// rescheduling from inside callbacks, zero delays, far-future outliers (the
-// overflow path), and partial RunUntil drains — executed against both
-// engines, recording every dispatch as (id, now, pending-after).
+// The engine held to its contract, not to a second engine. Every test
+// program schedules through a spec, which records each event's key when it
+// is scheduled — its time, and its seq read from Scheduled() — and checks at
+// every dispatch that
+//
+//   - (at, seq) strictly increases from one dispatch to the next,
+//   - the clock reads the event's own time, and the event arrives by the
+//     path it was scheduled on (sink or closure),
+//   - Pending() equals the events scheduled minus the events dispatched;
+//
+// and, when the program drains, that RunUntil(d) leaves no pending event at
+// ≤ d and that the final Run dispatched every scheduled event exactly once.
+// That is a complete oracle for the order: an engine that picks the wrong
+// event leaves a smaller one pending, which must dispatch later and break
+// the increasing order. It shares no code with the engine it judges.
 
-// traceEntry is one dispatched event as observed by the harness. typed
-// distinguishes sink-dispatched value events from closure callbacks, so a
-// schedule that delivered the right id at the right time through the wrong
-// path still fails the comparison.
+// traceEntry is one dispatched event as the spec saw it. typed distinguishes
+// sink-dispatched value events from closure callbacks.
 type traceEntry struct {
 	id      int
 	now     float64
 	pending int
 	typed   bool
+}
+
+// key is an event's place in the total order, and the path it rides.
+type key struct {
+	at    float64
+	seq   uint64
+	typed bool
+}
+
+type spec struct {
+	t     testing.TB
+	eng   *Engine
+	due   map[int]key // scheduled and not yet dispatched, by event id
+	last  key         // the latest dispatch's key
+	done  uint64      // events dispatched
+	trace []traceEntry
+}
+
+func newSpec(t testing.TB, eng *Engine) *spec {
+	return &spec{t: t, eng: eng, due: make(map[int]key)}
+}
+
+// expect records that event id will dispatch at time at with sequence seq.
+func (s *spec) expect(id int, at float64, seq uint64, typed bool) {
+	s.t.Helper()
+	if _, dup := s.due[id]; dup {
+		s.t.Fatalf("event id %d scheduled twice: the test program reuses ids", id)
+	}
+	s.due[id] = key{at: at, seq: seq, typed: typed}
+}
+
+// expectAfter records the event a station is about to schedule d seconds
+// from now: the next seq the engine issues.
+func (s *spec) expectAfter(d float64, id int, typed bool) {
+	s.expect(id, s.eng.Now()+d, s.eng.Scheduled()+1, typed)
+}
+
+func (s *spec) after(d float64, id int, fn func()) {
+	at := s.eng.Now() + d
+	s.eng.After(d, func() {
+		s.dispatched(id, false)
+		if fn != nil {
+			fn()
+		}
+	})
+	s.expect(id, at, s.eng.Scheduled(), false)
+}
+
+func (s *spec) emitAfter(d float64, kind uint8, id int) {
+	at := s.eng.Now() + d
+	s.eng.EmitAfter(d, kind, int32(id))
+	s.expect(id, at, s.eng.Scheduled(), true)
+}
+
+func (s *spec) emitLaneAfter(lane int, d float64, id int) {
+	at := s.eng.Now() + d
+	s.eng.emitLaneAfter(lane, d, int32(id))
+	s.expect(id, at, s.eng.Scheduled(), true)
+}
+
+// dispatched checks the contract at event id's dispatch and traces it.
+func (s *spec) dispatched(id int, typed bool) {
+	s.t.Helper()
+	k, ok := s.due[id]
+	if !ok {
+		s.t.Fatalf("event %d dispatched while not pending: never scheduled, or dispatched twice", id)
+	}
+	delete(s.due, id)
+	s.done++
+	now, pending := s.eng.Now(), s.eng.Pending()
+	switch {
+	case k.typed != typed:
+		s.t.Fatalf("event %d scheduled typed=%v dispatched typed=%v", id, k.typed, typed)
+	case now != k.at:
+		s.t.Fatalf("event %d due at %g dispatched with the clock at %g", id, k.at, now)
+	case !(k.at > s.last.at || k.at == s.last.at && k.seq > s.last.seq):
+		s.t.Fatalf("dispatch %d: event %d at (%g, seq %d) after (%g, seq %d): (at, seq) must strictly increase",
+			s.done, id, k.at, k.seq, s.last.at, s.last.seq)
+	case pending != int(s.eng.Scheduled()-s.done):
+		s.t.Fatalf("dispatch %d: Pending() = %d, want scheduled %d − dispatched %d",
+			s.done, pending, s.eng.Scheduled(), s.done)
+	}
+	s.last = k
+	s.trace = append(s.trace, traceEntry{id: id, now: now, pending: pending, typed: typed})
+}
+
+func (s *spec) runUntil(deadline float64) {
+	s.t.Helper()
+	s.eng.RunUntil(deadline)
+	for id, k := range s.due {
+		if k.at <= deadline {
+			s.t.Fatalf("RunUntil(%g) left event %d at %g pending", deadline, id, k.at)
+		}
+	}
+}
+
+// run drains the engine and returns the trace.
+func (s *spec) run() []traceEntry {
+	s.t.Helper()
+	s.eng.Run()
+	if len(s.due) != 0 || s.done != s.eng.Scheduled() || s.eng.Pending() != 0 {
+		s.t.Fatalf("after Run: %d events never dispatched, %d of %d dispatched, Pending() = %d",
+			len(s.due), s.done, s.eng.Scheduled(), s.eng.Pending())
+	}
+	return s.trace
+}
+
+// nextDue is the earliest time any pending event is due (+Inf when none is).
+func (s *spec) nextDue() float64 {
+	next := math.Inf(1)
+	for _, k := range s.due {
+		next = math.Min(next, k.at)
+	}
+	return next
 }
 
 // Typed-event kinds of the schedule programs. Kind 1 is a plain traced
@@ -31,43 +152,32 @@ type traceEntry struct {
 const (
 	progKindPlain uint8 = iota + 1
 	progKindRespawn0
-	progKindRespawn1
-	progKindRespawn2
 )
 
-// programSink receives the typed half of a schedule program. It appends to
-// the same trace the closure half appends to, so one slice records the
-// interleaved dispatch order across both event kinds.
-type programSink struct {
-	eng      *Engine
-	trace    *[]traceEntry
-	schedule func(depth int)
-}
+// sinkFunc adapts a function to EventSink.
+type sinkFunc func(kind uint8, subject int32)
 
-func (s *programSink) Dispatch(kind uint8, subject int32) {
-	*s.trace = append(*s.trace, traceEntry{id: int(subject), now: s.eng.Now(), pending: s.eng.Pending(), typed: true})
-	if kind >= progKindRespawn0 {
-		s.schedule(int(kind-progKindRespawn0) + 1)
-	}
-}
+func (f sinkFunc) Dispatch(kind uint8, subject int32) { f(kind, subject) }
 
-// scheduleProgram runs a randomized schedule on eng and returns the
-// dispatch trace. Events are a seeded mix of legacy closure callbacks
-// (After) and typed value events (EmitAfter through a registered sink) in
-// one program, so the trace also proves the closure adapter and the typed
-// path share one (at, seq) order. All randomness comes from rng, so running
-// it twice with equal-seeded RNGs yields the same program on both engines.
-func scheduleProgram(eng *Engine, rng *rand.Rand, ops int) []traceEntry {
-	var trace []traceEntry
-	sink := &programSink{eng: eng, trace: &trace}
-	eng.SetSink(sink)
+// scheduleProgram runs a randomized schedule through s. Events are a seeded
+// mix of closure callbacks (After) and typed value events (EmitAfter through
+// a registered sink), some of which schedule more from inside their
+// dispatch, so the contract also covers the closure adapter and the typed
+// path sharing one (at, seq) order.
+func scheduleProgram(s *spec, rng *rand.Rand, ops int) {
+	eng := s.eng
 	nextID := 0
 	var schedule func(depth int)
+	eng.SetSink(sinkFunc(func(kind uint8, subject int32) {
+		s.dispatched(int(subject), true)
+		if kind >= progKindRespawn0 {
+			schedule(int(kind-progKindRespawn0) + 1)
+		}
+	}))
 	schedule = func(depth int) {
 		id := nextID
 		nextID++
-		// Delay scale spans seven orders of magnitude so schedules cross
-		// bucket, year, and overflow boundaries.
+		// Delays span eleven orders of magnitude, zero included.
 		var d float64
 		switch rng.Intn(10) {
 		case 0:
@@ -79,7 +189,7 @@ func scheduleProgram(eng *Engine, rng *rand.Rand, ops int) []traceEntry {
 		case 7, 8:
 			d = rng.Float64() * 1e3
 		default:
-			d = rng.Float64() * 1e7 // far future: the overflow bucket
+			d = rng.Float64() * 1e7
 		}
 		respawn := depth < 3 && rng.Intn(3) == 0
 		if rng.Intn(3) == 0 {
@@ -87,150 +197,115 @@ func scheduleProgram(eng *Engine, rng *rand.Rand, ops int) []traceEntry {
 			if respawn {
 				kind = progKindRespawn0 + uint8(depth)
 			}
-			eng.EmitAfter(d, kind, int32(id))
+			s.emitAfter(d, kind, id)
 			return
 		}
-		eng.After(d, func() {
-			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+		s.after(d, id, func() {
 			if respawn {
 				schedule(depth + 1)
 			}
 		})
 	}
-	sink.schedule = schedule
 	for i := 0; i < ops; i++ {
 		schedule(0)
-		// Occasionally drain partway, exercising peek/RunUntil interleaved
-		// with fresh scheduling.
+		// Occasionally drain partway, interleaving RunUntil with fresh
+		// scheduling.
 		if rng.Intn(8) == 0 {
-			eng.RunUntil(eng.Now() + rng.Float64()*10)
+			s.runUntil(eng.Now() + rng.Float64()*10)
 		}
 	}
-	eng.Run()
-	return trace
+	s.run()
 }
 
-// TestEngineDifferentialSchedules locks the wheel to the heap over many
-// randomized schedules: identical dispatch traces (ids, clocks, pending
-// counts) and identical final state.
+// TestEngineDifferentialSchedules holds the engine to its contract over many
+// randomized schedules.
 func TestEngineDifferentialSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		wheel := NewEngine()
-		ref := NewReferenceEngine()
-		wantTrace := scheduleProgram(ref, rand.New(rand.NewSource(seed)), 120)
-		gotTrace := scheduleProgram(wheel, rand.New(rand.NewSource(seed)), 120)
-		if len(gotTrace) != len(wantTrace) {
-			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(gotTrace), len(wantTrace))
-		}
-		for i := range gotTrace {
-			if gotTrace[i] != wantTrace[i] {
-				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v",
-					seed, i, gotTrace[i], wantTrace[i])
-			}
-		}
-		if wheel.Now() != ref.Now() || wheel.Pending() != ref.Pending() {
-			t.Fatalf("seed %d: final state differs: wheel (now=%g pending=%d), heap (now=%g pending=%d)",
-				seed, wheel.Now(), wheel.Pending(), ref.Now(), ref.Pending())
-		}
+		scheduleProgram(newSpec(t, NewEngine()), rand.New(rand.NewSource(seed)), 120)
 	}
 }
 
-// TestEngineDifferentialLockstep drives both engines one dispatch at a time
-// through RunUntil(peek boundary) style stepping, comparing clocks and
-// pending counts after every single event — a sharper oracle than whole-run
-// trace equality when hunting a divergence.
+// TestEngineDifferentialLockstep loads a schedule up front and drains it one
+// instant at a time — RunUntil the earliest pending time — so the contract
+// is checked at every boundary where one dispatch run ends and the next
+// begins.
 func TestEngineDifferentialLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		wheel, ref := NewEngine(), NewReferenceEngine()
-		rw, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		var wTrace, rTrace []traceEntry
-		load := func(eng *Engine, rng *rand.Rand, trace *[]traceEntry) {
-			eng.SetSink(&programSink{eng: eng, trace: trace})
-			for i := 0; i < 200; i++ {
-				id := i
-				d := rng.Float64() * math.Pow(10, float64(rng.Intn(7))-3)
-				if rng.Intn(5) == 0 {
-					d = 0
-				}
-				// Every third event goes through the typed path, so the
-				// lockstep comparison also pins the adapter's seq
-				// interleaving one dispatch at a time.
-				if i%3 == 0 {
-					eng.EmitAfter(d, progKindPlain, int32(id))
-					continue
-				}
-				eng.After(d, func() {
-					*trace = append(*trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-				})
+		s := newSpec(t, NewEngine())
+		rng := rand.New(rand.NewSource(seed))
+		s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
+		for i := 0; i < 200; i++ {
+			d := rng.Float64() * math.Pow(10, float64(rng.Intn(7))-3)
+			if rng.Intn(5) == 0 {
+				d = 0
 			}
+			// Every third event goes through the typed path.
+			if i%3 == 0 {
+				s.emitAfter(d, progKindPlain, i)
+				continue
+			}
+			s.after(d, i, nil)
 		}
-		load(wheel, rw, &wTrace)
-		load(ref, rr, &rTrace)
-		for step := 0; ; step++ {
-			wAt, _, wOK := wheel.q.peek()
-			rAt, _, rOK := ref.q.peek()
-			if wOK != rOK || (wOK && wAt != rAt) {
-				t.Fatalf("seed %d step %d: peek differs: wheel (%g,%v) heap (%g,%v)",
-					seed, step, wAt, wOK, rAt, rOK)
-			}
-			if !wOK {
-				break
-			}
-			wheel.RunUntil(wAt)
-			ref.RunUntil(rAt)
-			if len(wTrace) != len(rTrace) {
-				t.Fatalf("seed %d step %d: trace lengths diverged (%d vs %d)", seed, step, len(wTrace), len(rTrace))
-			}
-			for i := range wTrace {
-				if wTrace[i] != rTrace[i] {
-					t.Fatalf("seed %d step %d: entry %d: wheel %+v heap %+v", seed, step, i, wTrace[i], rTrace[i])
-				}
-			}
+		for len(s.due) > 0 {
+			s.runUntil(s.nextDue())
 		}
+		s.run()
 	}
 }
 
-// TestEngineDifferentialStations runs a contended multi-station workload —
-// the platform simulator's exact usage pattern — on both engines and
-// requires identical completion traces.
+// stationJobs is the size of the two-station workloads below.
+const stationJobs = 300
+
+// closureStations runs a contended two-station workload — the platform
+// simulator's usage pattern — on closure Stations under the contract, and
+// returns each job's "id:schedEnd:buildEnd" in completion order and the two
+// stations' busy seconds. Each completion is expected when its service time
+// is drawn, the instant Station schedules it.
+func closureStations(t *testing.T) ([]string, float64, float64) {
+	const jobs = stationJobs
+	s := newSpec(t, NewEngine())
+	var out []string
+	sched := NewStation(s.eng, 2)
+	build := NewStation(s.eng, 3)
+	rng := NewRNG(99)
+	for i := 0; i < jobs; i++ {
+		i := i
+		sched.Submit(
+			func() float64 {
+				d := 0.1 + 1e-4*float64(sched.Served)
+				s.expectAfter(d, i, false)
+				return d
+			},
+			func(_, end float64) {
+				s.dispatched(i, false)
+				build.Submit(
+					func() float64 {
+						d := 2 + rng.Float64()
+						s.expectAfter(d, jobs+i, false)
+						return d
+					},
+					func(_, be float64) {
+						s.dispatched(jobs+i, false)
+						out = append(out, fmt.Sprintf("%d:%.9f:%.9f", i, end, be))
+					})
+			})
+	}
+	s.run()
+	return out, sched.BusySeconds, build.BusySeconds
+}
+
+// TestEngineDifferentialStations holds closure stations to the contract.
 func TestEngineDifferentialStations(t *testing.T) {
-	run := func(eng *Engine) []string {
-		var out []string
-		sched := NewStation(eng, 2)
-		build := NewStation(eng, 3)
-		rng := NewRNG(99)
-		for i := 0; i < 300; i++ {
-			i := i
-			sched.Submit(
-				func() float64 { return 0.1 + 1e-4*float64(sched.Served) },
-				func(start, end float64) {
-					build.Submit(
-						func() float64 { return 2 + rng.Float64() },
-						func(bs, be float64) {
-							out = append(out, fmt.Sprintf("%d:%.9f:%.9f:%.9f", i, end, bs, be))
-						})
-				})
-		}
-		eng.Run()
-		return out
-	}
-	want := run(NewReferenceEngine())
-	got := run(NewEngine())
-	if len(got) != len(want) {
-		t.Fatalf("wheel completed %d jobs, heap %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d differs:\nwheel %s\nheap  %s", i, got[i], want[i])
-		}
+	if out, _, _ := closureStations(t); len(out) != stationJobs {
+		t.Fatalf("%d jobs completed, want %d", len(out), stationJobs)
 	}
 }
 
-// stationSink drives the typed half of the station differential: two
-// chained TypedStations whose completions follow the Complete → logic →
-// Next protocol.
+// stationSink drives the typed half of the station test: two chained
+// TypedStations whose completions follow the Complete → logic → Next
+// protocol.
 type stationSink struct {
-	eng          *Engine
+	s            *spec
 	sched, build TypedStation
 	schedEnd     []float64
 	out          []string
@@ -241,87 +316,68 @@ const (
 	stKindBuild
 )
 
-func (s *stationSink) Dispatch(kind uint8, sub int32) {
+func (st *stationSink) Dispatch(kind uint8, sub int32) {
+	now := st.s.eng.Now()
 	switch kind {
 	case stKindSched:
-		s.sched.Complete(sub)
-		s.schedEnd[sub] = s.eng.Now()
-		s.build.Submit(sub)
-		s.sched.Next()
+		st.s.dispatched(int(sub), true)
+		st.sched.Complete(sub)
+		st.schedEnd[sub] = now
+		st.build.Submit(sub)
+		st.sched.Next()
 	case stKindBuild:
-		s.build.Complete(sub)
-		s.out = append(s.out, fmt.Sprintf("%d:%.9f:%.9f", sub, s.schedEnd[sub], s.eng.Now()))
-		s.build.Next()
+		st.s.dispatched(len(st.schedEnd)+int(sub), true)
+		st.build.Complete(sub)
+		st.out = append(st.out, fmt.Sprintf("%d:%.9f:%.9f", sub, st.schedEnd[sub], now))
+		st.build.Next()
 	}
 }
 
 // TestEngineDifferentialTypedStations holds TypedStation to the closure
 // Station's contract: the same contended two-stage workload, run through
 // subjects-and-kinds instead of closures, must complete in the identical
-// order at bit-identical times — on both engines — and account the same
-// Served / BusySeconds totals.
+// order at bit-identical times and account the same Served / BusySeconds
+// totals — with the engine's contract checked on both runs. The typed
+// stations' completions ride lanes; the closure ones go through the heap.
 func TestEngineDifferentialTypedStations(t *testing.T) {
-	const jobs = 300
-	closureRun := func(eng *Engine) ([]string, float64, float64) {
-		var out []string
-		sched := NewStation(eng, 2)
-		build := NewStation(eng, 3)
+	const jobs = stationJobs
+	typedRun := func() ([]string, float64, float64, *Engine) {
+		st := &stationSink{s: newSpec(t, NewEngine()), schedEnd: make([]float64, jobs)}
+		eng := st.s.eng
 		rng := NewRNG(99)
-		for i := 0; i < jobs; i++ {
-			i := i
-			sched.Submit(
-				func() float64 { return 0.1 + 1e-4*float64(sched.Served) },
-				func(_, end float64) {
-					build.Submit(
-						func() float64 { return 2 + rng.Float64() },
-						func(_, be float64) {
-							out = append(out, fmt.Sprintf("%d:%.9f:%.9f", i, end, be))
-						})
-				})
-		}
-		eng.Run()
-		return out, sched.BusySeconds, build.BusySeconds
-	}
-	typedRun := func(eng *Engine) ([]string, float64, float64) {
-		s := &stationSink{eng: eng, schedEnd: make([]float64, jobs)}
-		rng := NewRNG(99)
-		s.sched.Init(eng, 2, stKindSched, jobs, func(int32) float64 {
-			return 0.1 + 1e-4*float64(s.sched.Served)
+		st.sched.Init(eng, 2, stKindSched, jobs, func(sub int32) float64 {
+			d := 0.1 + 1e-4*float64(st.sched.Served)
+			st.s.expectAfter(d, int(sub), true)
+			return d
 		})
-		s.build.Init(eng, 3, stKindBuild, jobs, func(int32) float64 {
-			return 2 + rng.Float64()
+		st.build.Init(eng, 3, stKindBuild, jobs, func(sub int32) float64 {
+			d := 2 + rng.Float64()
+			st.s.expectAfter(d, jobs+int(sub), true)
+			return d
 		})
-		eng.SetSink(s)
+		eng.SetSink(st)
 		for i := 0; i < jobs; i++ {
-			s.sched.Submit(int32(i))
+			st.sched.Submit(int32(i))
 		}
-		eng.Run()
-		return s.out, s.sched.BusySeconds, s.build.BusySeconds
+		st.s.run()
+		return st.out, st.sched.BusySeconds, st.build.BusySeconds, eng
 	}
-	want, wantSchedBusy, wantBuildBusy := closureRun(NewReferenceEngine())
-	for _, impl := range []struct {
-		name string
-		run  func(*Engine) ([]string, float64, float64)
-		eng  *Engine
-	}{
-		{"closure/wheel", closureRun, NewEngine()},
-		{"typed/heap", typedRun, NewReferenceEngine()},
-		{"typed/wheel", typedRun, NewEngine()},
-	} {
-		got, schedBusy, buildBusy := impl.run(impl.eng)
-		if len(got) != len(want) {
-			t.Fatalf("%s completed %d jobs, closure/heap %d", impl.name, len(got), len(want))
+	want, wantSchedBusy, wantBuildBusy := closureStations(t)
+	got, schedBusy, buildBusy, eng := typedRun()
+	if len(got) != len(want) {
+		t.Fatalf("typed completed %d jobs, closure %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d differs:\ntyped:   %s\nclosure: %s", i, got[i], want[i])
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s completion %d differs:\n%s: %s\nclosure/heap: %s",
-					impl.name, i, impl.name, got[i], want[i])
-			}
-		}
-		if schedBusy != wantSchedBusy || buildBusy != wantBuildBusy {
-			t.Fatalf("%s busy-seconds differ: sched %g vs %g, build %g vs %g",
-				impl.name, schedBusy, wantSchedBusy, buildBusy, wantBuildBusy)
-		}
+	}
+	if schedBusy != wantSchedBusy || buildBusy != wantBuildBusy {
+		t.Fatalf("busy-seconds differ: sched %g vs %g, build %g vs %g",
+			schedBusy, wantSchedBusy, buildBusy, wantBuildBusy)
+	}
+	if eng.LaneScheduled() == 0 {
+		t.Fatal("no typed completion rode a lane: the comparison holds the heap to itself")
 	}
 }
 
@@ -337,82 +393,63 @@ const (
 // fast ones (the scheduler's share) and growSlowTimers slow ones 25× longer
 // (the builders') — whose delays all grow together by growFactor× over the
 // events budget, the way a station's service time grows with the work it
-// has done. The population stays far below the occupancy trigger, and the
-// fast timers keep the ring from ever draining, so a grid tuned to the
-// opening scale leaves every slow timer beyond the horizon for most of the
-// run. Even timers are typed events, odd ones closures. Every scheduling
-// call goes through emit/after so a caller can observe the pushes.
-func growingScaleProgram(eng *Engine, rng *rand.Rand, events int,
-	emit func(d float64, kind uint8, subject int32), after func(d float64, fn func())) []traceEntry {
-	var trace []traceEntry
+// has done. Even timers are typed events, odd ones closures.
+func growingScaleProgram(s *spec, rng *rand.Rand, events int) []traceEntry {
 	left := events
-	delay := func(id int) float64 {
+	var timerOf []int // event id → the timer it re-arms
+	delay := func(timer int) float64 {
 		base := 0.25 // slow
-		if id < 2 {
+		if timer < 2 {
 			base = 0.01 // fast
 		}
 		progress := float64(events-left) / float64(events)
 		return base * math.Pow(growFactor, progress) * (0.5 + rng.Float64())
 	}
-	var rearm func(id int)
-	rearm = func(id int) {
+	var rearm func(timer int)
+	rearm = func(timer int) {
 		if left == 0 {
 			return
 		}
 		left--
-		if id%2 == 0 {
-			emit(delay(id), progKindRespawn0, int32(id))
+		id := len(timerOf)
+		timerOf = append(timerOf, timer)
+		if timer%2 == 0 {
+			s.emitAfter(delay(timer), progKindPlain, id)
 			return
 		}
-		after(delay(id), func() {
-			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-			rearm(id)
-		})
+		s.after(delay(timer), id, func() { rearm(timer) })
 	}
-	// The typed half re-arms from the sink: programSink calls schedule(1)
-	// for a respawn kind after tracing the event, and the last traced entry
-	// names the timer that fired.
-	eng.SetSink(&programSink{eng: eng, trace: &trace, schedule: func(int) {
-		rearm(trace[len(trace)-1].id)
-	}})
-	for id := 0; id < growSlowTimers+2; id++ {
-		rearm(id)
+	s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+		s.dispatched(int(subject), true)
+		rearm(timerOf[subject])
+	}))
+	for timer := 0; timer < growSlowTimers+2; timer++ {
+		rearm(timer)
 	}
-	eng.Run()
-	return trace
+	return s.run()
 }
 
-// TestEngineDifferentialGrowingTimeScale holds the wheel to the heap on
+// TestEngineDifferentialGrowingTimeScale holds the engine to its contract on
 // schedules whose time scale drifts by five orders of magnitude under a
-// small population — the shape that drives the overflow-churn retune
-// (several grid rebuilds from inside push, mid-revolution, with live
-// overflow and a part-consumed dispatch run).
+// small population.
 func TestEngineDifferentialGrowingTimeScale(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		run := func(eng *Engine) []traceEntry {
-			return growingScaleProgram(eng, rand.New(rand.NewSource(seed)), 20_000, eng.EmitAfter, eng.After)
-		}
-		want, got := run(NewReferenceEngine()), run(NewEngine())
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, got[i], want[i])
-			}
+		trace := growingScaleProgram(newSpec(t, NewEngine()), rand.New(rand.NewSource(seed)), 20_000)
+		if len(trace) != 20_000 {
+			t.Fatalf("seed %d: dispatched %d events, want 20000", seed, len(trace))
 		}
 	}
 }
 
-// laneProgram is the randomized schedule of the lane differential: a few
-// lanes fed from outside and from inside dispatch, beside closure and typed
-// events on the general queue. Each lane emit picks its delay relative to the
-// lane's last one — later, equal, or earlier, the last of which must take the
-// fallback — or zero, so lanes tie with each other and with the queue. Lane
-// events re-emit onto their own or a neighbouring lane from inside the sink.
-// step, when set, is called between top-level operations to drain partway.
-func laneProgram(eng *Engine, rng *rand.Rand, ops int, step func()) []traceEntry {
-	var trace []traceEntry
+// laneProgram is the randomized schedule of the lane tests: a few lanes fed
+// from outside and from inside dispatch, beside closure and typed events on
+// the heap. Each lane emit picks its delay relative to the lane's last one —
+// later, equal, or earlier, the last of which must take the fallback — or
+// zero, so lanes tie with each other and with the heap. Lane events re-emit
+// onto their own or a neighbouring lane from inside the sink. step, when
+// set, is called between top-level operations to drain partway.
+func laneProgram(s *spec, rng *rand.Rand, ops int, step func()) {
+	eng := s.eng
 	const firstLaneKind = 10
 	lanes := make([]int, 2+rng.Intn(4))
 	lastDelay := make([]float64, len(lanes))
@@ -432,11 +469,11 @@ func laneProgram(eng *Engine, rng *rand.Rand, ops int, step func()) []traceEntry
 			d += rng.Float64() * math.Pow(10, float64(rng.Intn(4))-3)
 		}
 		lastDelay[li] = d
-		eng.emitLaneAfter(lanes[li], d, int32(nextID))
+		s.emitLaneAfter(lanes[li], d, nextID)
 		nextID++
 	}
 	eng.SetSink(sinkFunc(func(kind uint8, subject int32) {
-		trace = append(trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
+		s.dispatched(int(subject), true)
 		if kind >= firstLaneKind && rng.Intn(3) == 0 && nextID < 4*ops {
 			emitLane((int(kind-firstLaneKind) + rng.Intn(2)) % len(lanes))
 		}
@@ -444,13 +481,10 @@ func laneProgram(eng *Engine, rng *rand.Rand, ops int, step func()) []traceEntry
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(6) {
 		case 0:
-			id := nextID
+			s.after(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), nextID, nil)
 			nextID++
-			eng.After(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), func() {
-				trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-			})
 		case 1:
-			eng.EmitAfter(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), progKindPlain, int32(nextID))
+			s.emitAfter(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), progKindPlain, nextID)
 			nextID++
 		default:
 			emitLane(rng.Intn(len(lanes)))
@@ -459,151 +493,91 @@ func laneProgram(eng *Engine, rng *rand.Rand, ops int, step func()) []traceEntry
 			step()
 		}
 	}
-	eng.Run()
-	return trace
+	s.run()
 }
 
-// sinkFunc adapts a function to EventSink.
-type sinkFunc func(kind uint8, subject int32)
-
-func (f sinkFunc) Dispatch(kind uint8, subject int32) { f(kind, subject) }
-
-// TestLaneDifferentialSchedules holds wheel + lanes to the lane-free heap
-// over randomized multi-lane schedules: identical traces — ids, clocks and
-// Pending() at every dispatch — and identical final state. It also checks
-// the schedules exercise what they claim to: on the wheel events ride the
-// lanes, on the heap none do.
+// TestLaneDifferentialSchedules holds lanes merged with the heap to the
+// contract over randomized multi-lane schedules, and checks the schedules
+// exercise what they claim to: events both ride the lanes and fall back to
+// the heap.
 func TestLaneDifferentialSchedules(t *testing.T) {
 	var rode, queued uint64
 	for seed := int64(1); seed <= 60; seed++ {
-		wheel, ref := NewEngine(), NewReferenceEngine()
-		drain := func(eng *Engine, rng *rand.Rand) func() {
-			return func() { eng.RunUntil(eng.Now() + rng.Float64()*0.5) }
-		}
-		rw, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		want := laneProgram(ref, rr, 300, drain(ref, rr))
-		got := laneProgram(wheel, rw, 300, drain(wheel, rw))
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: wheel dispatched %d events, heap %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, got[i], want[i])
-			}
-		}
-		if wheel.Now() != ref.Now() || wheel.Pending() != 0 || ref.Pending() != 0 || wheel.Scheduled() != ref.Scheduled() {
-			t.Fatalf("seed %d: final state differs: wheel (now=%g pending=%d scheduled=%d), heap (now=%g pending=%d scheduled=%d)",
-				seed, wheel.Now(), wheel.Pending(), wheel.Scheduled(), ref.Now(), ref.Pending(), ref.Scheduled())
-		}
-		if ref.LaneScheduled() != 0 {
-			t.Fatalf("seed %d: the reference engine put %d events on lanes", seed, ref.LaneScheduled())
-		}
-		rode += wheel.LaneScheduled()
-		queued += wheel.Scheduled() - wheel.LaneScheduled()
+		s := newSpec(t, NewEngine())
+		rng := rand.New(rand.NewSource(seed))
+		laneProgram(s, rng, 300, func() { s.runUntil(s.eng.Now() + rng.Float64()*0.5) })
+		rode += s.eng.LaneScheduled()
+		queued += s.eng.Scheduled() - s.eng.LaneScheduled()
 	}
-	t.Logf("%d events rode lanes, %d went to the general queue", rode, queued)
-	if rode == 0 {
-		t.Fatal("no event ever rode a lane: the suite compares the wheel with itself")
+	t.Logf("%d events rode lanes, %d went to the heap", rode, queued)
+	if rode == 0 || queued == 0 {
+		t.Fatalf("%d events on lanes, %d on the heap: want both", rode, queued)
 	}
 }
 
-// TestLaneDifferentialLockstep drains the same multi-lane schedule on both
-// engines in RunUntil steps that land between events — between two lane
-// heads as often as not — comparing clock, pending count and trace after
-// every step.
+// TestLaneDifferentialLockstep drains a multi-lane schedule in RunUntil
+// steps that land between events — between two lane heads as often as not —
+// with the contract checked at every step.
 func TestLaneDifferentialLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		wheel, ref := NewEngine(), NewReferenceEngine()
-		rw, rr := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		// Load without draining: Run is replaced by the stepping below.
-		load := func(eng *Engine, rng *rand.Rand, trace *[]traceEntry) {
-			eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
-				*trace = append(*trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
-			}))
-			lanes := []int{eng.openLane(1), eng.openLane(2), eng.openLane(3)}
-			for i := 0; i < 240; i++ {
-				d := rng.Float64() * math.Pow(10, float64(rng.Intn(4))-2)
-				if rng.Intn(6) == 0 {
-					d = 0
-				}
-				if i%4 == 3 {
-					id := i
-					eng.After(d, func() {
-						*trace = append(*trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-					})
-					continue
-				}
-				// Lane i%3 sees delays in draw order, not sorted: roughly
-				// half its emits fall back.
-				eng.emitLaneAfter(lanes[i%3], d, int32(i))
+		s := newSpec(t, NewEngine())
+		rng := rand.New(rand.NewSource(seed))
+		s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
+		lanes := []int{s.eng.openLane(1), s.eng.openLane(2), s.eng.openLane(3)}
+		for i := 0; i < 240; i++ {
+			d := rng.Float64() * math.Pow(10, float64(rng.Intn(4))-2)
+			if rng.Intn(6) == 0 {
+				d = 0
 			}
+			if i%4 == 3 {
+				s.after(d, i, nil)
+				continue
+			}
+			// Lane i%3 sees delays in draw order, not sorted: roughly half
+			// its emits fall back.
+			s.emitLaneAfter(lanes[i%3], d, i)
 		}
-		var wTrace, rTrace []traceEntry
-		load(wheel, rw, &wTrace)
-		load(ref, rr, &rTrace)
-		if wheel.LaneScheduled() == 0 || wheel.LaneScheduled() == wheel.Scheduled() {
+		if n := s.eng.LaneScheduled(); n == 0 || n == s.eng.Scheduled() {
 			t.Fatalf("seed %d: %d of %d events on lanes: want both lane residents and fallbacks",
-				seed, wheel.LaneScheduled(), wheel.Scheduled())
+				seed, n, s.eng.Scheduled())
 		}
-		for step := 0; ref.Pending() > 0; step++ {
-			deadline := ref.Now() + rr.Float64()*0.02
-			wheel.RunUntil(deadline)
-			ref.RunUntil(deadline)
-			if wheel.Now() != ref.Now() || wheel.Pending() != ref.Pending() || len(wTrace) != len(rTrace) {
-				t.Fatalf("seed %d step %d: wheel (now=%g pending=%d dispatched=%d), heap (now=%g pending=%d dispatched=%d)",
-					seed, step, wheel.Now(), wheel.Pending(), len(wTrace), ref.Now(), ref.Pending(), len(rTrace))
-			}
+		for len(s.due) > 0 {
+			s.runUntil(s.eng.Now() + rng.Float64()*0.02)
 		}
-		for i := range rTrace {
-			if wTrace[i] != rTrace[i] {
-				t.Fatalf("seed %d: dispatch %d differs: wheel %+v, heap %+v", seed, i, wTrace[i], rTrace[i])
-			}
-		}
+		s.run()
 	}
 }
 
 // TestLaneDifferentialDecreasingService runs a TypedStation whose service
 // time shrinks as it serves — the opposite of the contention growth the
 // lanes are built for — on several servers. Completions are emitted out of
-// time order, so a good share must fall back to the general queue, and the
-// dispatch order must still be the heap's.
+// time order, so a good share must fall back to the heap, and the contract
+// must still hold.
 func TestLaneDifferentialDecreasingService(t *testing.T) {
 	const jobs = 2000
-	run := func(eng *Engine) ([]traceEntry, float64) {
-		var trace []traceEntry
-		var st TypedStation
-		rng := NewRNG(5)
-		st.Init(eng, 7, 1, jobs, func(int32) float64 {
-			return 3/(1+0.01*float64(st.Served)) + 0.2*rng.Float64()
-		})
-		eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
-			st.Complete(subject)
-			trace = append(trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
-			st.Next()
-		}))
-		for i := 0; i < jobs; i++ {
-			st.Submit(int32(i))
-		}
-		eng.Run()
-		if st.Served != jobs {
-			t.Fatalf("station served %d of %d jobs", st.Served, jobs)
-		}
-		return trace, st.BusySeconds
+	s := newSpec(t, NewEngine())
+	var st TypedStation
+	rng := NewRNG(5)
+	st.Init(s.eng, 7, 1, jobs, func(sub int32) float64 {
+		d := 3/(1+0.01*float64(st.Served)) + 0.2*rng.Float64()
+		s.expectAfter(d, int(sub), true)
+		return d
+	})
+	s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+		s.dispatched(int(subject), true)
+		st.Complete(subject)
+		st.Next()
+	}))
+	for i := 0; i < jobs; i++ {
+		st.Submit(int32(i))
 	}
-	wheel, ref := NewEngine(), NewReferenceEngine()
-	want, wantBusy := run(ref)
-	got, gotBusy := run(wheel)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d differs: wheel %+v, heap %+v", i, got[i], want[i])
-		}
+	s.run()
+	if st.Served != jobs {
+		t.Fatalf("station served %d of %d jobs", st.Served, jobs)
 	}
-	if gotBusy != wantBusy {
-		t.Fatalf("busy seconds differ: wheel %g, heap %g", gotBusy, wantBusy)
-	}
-	fellBack := wheel.Scheduled() - wheel.LaneScheduled()
-	t.Logf("%d of %d completions fell back to the general queue", fellBack, wheel.Scheduled())
-	if fellBack == 0 || wheel.LaneScheduled() == 0 {
-		t.Fatalf("%d completions on the lane, %d on the queue: want both", wheel.LaneScheduled(), fellBack)
+	fellBack := s.eng.Scheduled() - s.eng.LaneScheduled()
+	t.Logf("%d of %d completions fell back to the heap", fellBack, s.eng.Scheduled())
+	if fellBack == 0 || s.eng.LaneScheduled() == 0 {
+		t.Fatalf("%d completions on the lane, %d on the heap: want both", s.eng.LaneScheduled(), fellBack)
 	}
 }

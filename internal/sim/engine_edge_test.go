@@ -3,20 +3,37 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 )
 
-// engineImpls enumerates both schedulers so every edge-case test runs against
-// the production wheel and the reference heap: the contract is the engine's,
-// not one implementation's.
+// engineImpls runs every edge-case test on a fresh engine and on a pooled
+// one, so each edge contract also holds after Reset. The subtest names are
+// those of the two schedulers the engine had before the calendar wheel was
+// deleted, kept so the suite's test names stay stable: "heap" is the fresh
+// engine, "wheel" the pooled one.
 var engineImpls = []struct {
 	name string
 	mk   func() *Engine
 }{
-	{"wheel", NewEngine},
-	{"heap", NewReferenceEngine},
+	{"heap", NewEngine},
+	{"wheel", pooledEngine},
+}
+
+// pooledEngine returns an engine Reset after a run that grew its heap past
+// 4096 slots and a lane's ring past its minimum, and abandoned events in
+// both.
+func pooledEngine() *Engine {
+	eng := NewEngine()
+	eng.SetSink(dropSink{})
+	l := eng.openLane(1)
+	for i := 0; i < 5000; i++ {
+		eng.At(float64(i%97), func() {})
+		eng.emitLaneAfter(l, float64(i)*0.01, int32(i))
+	}
+	eng.RunUntil(40)
+	eng.Reset()
+	return eng
 }
 
 // TestEngineZeroDelaySelfRescheduling pins the semantics of an event that
@@ -155,23 +172,19 @@ func (dropSink) Dispatch(uint8, int32) {}
 
 // reuseProgram is the fixed mixed typed-and-closure schedule the reuse
 // contract replays on a fresh engine and on a reset one.
-func reuseProgram(eng *Engine) []traceEntry {
+func reuseProgram(t *testing.T, eng *Engine) []traceEntry {
+	s := newSpec(t, eng)
+	eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
 	rng := NewRNG(7)
-	var trace []traceEntry
-	eng.SetSink(&programSink{eng: eng, trace: &trace, schedule: func(int) {}})
 	for i := 0; i < 100; i++ {
-		id := i
 		d := rng.Float64() * 10
 		if i%4 == 0 {
-			eng.EmitAfter(d, progKindPlain, int32(id))
+			s.emitAfter(d, progKindPlain, i)
 			continue
 		}
-		eng.After(d, func() {
-			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
-		})
+		s.after(d, i, nil)
 	}
-	eng.Run()
-	return trace
+	return s.run()
 }
 
 func requireSameTrace(t *testing.T, got, want []traceEntry) {
@@ -189,19 +202,14 @@ func requireSameTrace(t *testing.T, got, want []traceEntry) {
 // TestEngineResetReuse pins the engine-pooling contract: after Reset, a
 // reused engine is indistinguishable from a fresh one — clock at zero, no
 // pending events, no sink, sequence numbering restarted — so the same
-// program replays to a bit-identical trace, on both implementations and
-// regardless of what the previous run left behind (including undispatched
-// events abandoned mid-run).
+// program replays to a bit-identical trace, regardless of what the previous
+// run left behind (including undispatched events abandoned mid-run).
 func TestEngineResetReuse(t *testing.T) {
 	for _, impl := range engineImpls {
 		t.Run(impl.name, func(t *testing.T) {
-			fresh := impl.mk()
-			want := reuseProgram(fresh)
+			want := reuseProgram(t, NewEngine())
 
 			eng := impl.mk()
-			if eng.IsReference() != (impl.name == "heap") {
-				t.Fatalf("IsReference() = %v for %s engine", eng.IsReference(), impl.name)
-			}
 			// Dirty the engine: advance the clock, abandon pending events,
 			// leave a sink registered.
 			eng.SetSink(dropSink{})
@@ -210,21 +218,14 @@ func TestEngineResetReuse(t *testing.T) {
 				eng.After(float64(i)*0.02, func() {})
 			}
 			eng.RunUntil(2.5)
-			w, isWheel := eng.q.(*wheelQueue)
-			if isWheel && w.spills == 0 {
-				t.Fatal("dirtying schedule left no spills pending: the reset check below proves nothing")
+			if eng.Pending() == 0 {
+				t.Fatal("dirtying schedule left nothing pending: the reset check below proves nothing")
 			}
 
 			eng.Reset()
 			if eng.Now() != 0 || eng.Pending() != 0 || eng.Scheduled() != 0 {
 				t.Fatalf("after Reset: now=%g pending=%d scheduled=%d, want 0/0/0",
 					eng.Now(), eng.Pending(), eng.Scheduled())
-			}
-			// The retune trigger's spill count is per run: a carried-over
-			// count would rebuild the next run's grid early (harmless to
-			// order, but no longer indistinguishable from a fresh engine).
-			if isWheel && w.spills != 0 {
-				t.Fatalf("after Reset: %d spills still counted toward the next retune", w.spills)
 			}
 			// Reset cleared the sink: emitting without re-registering panics.
 			func() {
@@ -235,14 +236,13 @@ func TestEngineResetReuse(t *testing.T) {
 				}()
 				eng.Emit(1, 1, 0)
 			}()
-			requireSameTrace(t, reuseProgram(eng), want)
+			requireSameTrace(t, reuseProgram(t, eng), want)
 		})
 	}
 }
 
-// TestEngineSlotReuseDoesNotResurrect exercises the recycled-slot paths (the
-// heap's freelist, the wheel's compacted ready run) across generations of
-// schedule/drain cycles: every callback fires exactly once, and no recycled
+// TestEngineSlotReuseDoesNotResurrect exercises the heap's reused slots
+// across generations of schedule/drain cycles: every callback fires exactly once, and no recycled
 // slot replays an already-dispatched callback.
 func TestEngineSlotReuseDoesNotResurrect(t *testing.T) {
 	for _, impl := range engineImpls {
@@ -274,95 +274,6 @@ func TestEngineSlotReuseDoesNotResurrect(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWheelOverflowMigration is the regression test for the overflow-bucket
-// ordering bug: an event beyond the ring's horizon at push time spills to
-// overflow, and the frontier — advanced past it by a dense chain that never
-// lets the ring drain — must migrate it into the dispatch run on time rather
-// than strand it until a rebuild. The buggy wheel dispatched the whole chain
-// first and the overflow event last.
-func TestWheelOverflowMigration(t *testing.T) {
-	run := func(eng *Engine) []float64 {
-		var order []float64
-		note := func() { order = append(order, eng.Now()) }
-		// Far beyond the fresh wheel's horizon (256 buckets × 1 ms ≈ 0.25 s).
-		eng.At(2.1005, note)
-		// Dense self-rescheduling chain: the ring always holds the next link,
-		// so the frontier walks bucket by bucket past 2.1005 without ever
-		// draining (which would have rescued the overflow event via rebuild).
-		var chain func()
-		chain = func() {
-			note()
-			if eng.Now() < 3.0 {
-				eng.After(0.01, chain)
-			}
-		}
-		eng.After(0.01, chain)
-		eng.Run()
-		return order
-	}
-	want := run(NewReferenceEngine())
-	got := run(NewEngine())
-	if len(got) != len(want) {
-		t.Fatalf("wheel dispatched %d events, heap %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch %d: wheel at %.6f, heap at %.6f (full wheel order %v)", i, got[i], want[i], got)
-		}
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("wheel dispatched out of time order at %d: %.6f after %.6f", i, got[i], got[i-1])
-		}
-	}
-}
-
-// TestWheelRetunesOnOverflowChurn pins the overflow-driven retune: on a
-// schedule whose time scale grows 10⁵× under a population far too small to
-// trip the occupancy trigger, the grid must follow the scale. Without the
-// retune the ring — kept from draining by the fast timers — stays tuned to
-// the opening scale and every slow timer pays the overflow heap (tens of
-// thousands of spills per 10⁵ events); with it, each rebuild's horizon is at
-// least twice the live spread, so the spill total is a ring's worth per
-// doubling of the scale — O(ring · log growth), independent of the event
-// count.
-func TestWheelRetunesOnOverflowChurn(t *testing.T) {
-	const events = 100_000
-	eng := NewEngine()
-	w := eng.q.(*wheelQueue)
-	var spilled, rebuilds int
-	// A push spilled iff it changed the since-last-rebuild count (bumped it,
-	// or bumped it over the threshold and had it zeroed by the rebuild).
-	observe := func(push func()) {
-		before := w.spills
-		push()
-		if w.spills != before {
-			spilled++
-		}
-		if w.spills < before {
-			rebuilds++
-		}
-	}
-	trace := growingScaleProgram(eng, rand.New(rand.NewSource(11)), events,
-		func(d float64, kind uint8, sub int32) { observe(func() { eng.EmitAfter(d, kind, sub) }) },
-		func(d float64, fn func()) { observe(func() { eng.After(d, fn) }) })
-	if len(trace) != events {
-		t.Fatalf("dispatched %d events, want %d", len(trace), events)
-	}
-	ring := len(w.buckets)
-	if ring != wheelMinBuckets {
-		t.Fatalf("ring grew to %d buckets: the occupancy trigger fired, the schedule no longer isolates the spill trigger", ring)
-	}
-	if rebuilds == 0 {
-		t.Fatal("no push ever retuned the grid")
-	}
-	bound := int(2*math.Log2(growFactor)) * ring
-	t.Logf("%d events: %d spills, %d retunes from push (bound %d spills)", events, spilled, rebuilds, bound)
-	if spilled > bound {
-		t.Errorf("%d of %d events spilled to overflow, want ≤ %d (2·log₂ growth rings)", spilled, events, bound)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // their lane from inside the dispatch, at a delay that depends on the
 // subject alone — so sometimes earlier than the lane's tail.
 type fuzzSink struct {
-	eng      *Engine
-	trace    *[]traceEntry
+	s        *spec
 	schedule func(d float64, respawn int)
 	lanes    []int
 }
@@ -26,52 +25,49 @@ const (
 	fuzzMaxLanes = 4
 )
 
-func (s *fuzzSink) Dispatch(kind uint8, subject int32) {
-	*s.trace = append(*s.trace, traceEntry{id: int(subject), now: s.eng.Now(), pending: s.eng.Pending(), typed: true})
+func (f *fuzzSink) Dispatch(kind uint8, subject int32) {
+	f.s.dispatched(int(subject), true)
 	switch {
 	case kind == fuzzKindRespawn:
-		s.eng.EmitAfter(0, fuzzKindPlain, subject+10_000)
-		s.schedule(float64(subject%7)*1e-3+1e-5, 0)
+		f.s.emitAfter(0, fuzzKindPlain, int(subject)+10_000)
+		f.schedule(float64(subject%7)*1e-3+1e-5, 0)
 	case kind >= fuzzKindLane0 && subject < 10_000 && subject%3 == 0:
-		s.eng.emitLaneAfter(s.lanes[kind-fuzzKindLane0], float64(subject%5)*1e-3, subject+20_000)
+		f.s.emitLaneAfter(f.lanes[kind-fuzzKindLane0], float64(subject%5)*1e-3, int(subject)+20_000)
 	}
 }
 
-// fuzzProgram interprets raw bytes as a deterministic schedule and runs it,
-// recording the dispatch trace. Three bytes per instruction: an opcode and a
-// 16-bit operand. The opcode selects a delay scale (from sub-microsecond up
-// to the overflow bucket's far future) for a closure or typed event, a
-// partial RunUntil drain, or a nested respawn whose callbacks schedule
-// further events — closure respawns schedule closures, typed respawns emit
+// fuzzProgram interprets raw bytes as a deterministic schedule and runs it
+// under the spec. Three bytes per instruction: an opcode and a 16-bit
+// operand. The opcode selects a delay scale (from sub-microsecond up to a
+// far future) for a closure or typed event, a partial RunUntil drain, or a
+// nested respawn whose callbacks schedule further events — closure respawns schedule closures, typed respawns emit
 // typed and closure events both, so a single program interleaves both event
 // kinds in one (at, seq) stream. Opcodes 12–15 drive monotone lanes: open or
 // select one, emit on it at a delay the operand sets (a run of growing
 // operands stays on the lane, an equal one ties, a shrinking one takes the
-// fallback to the general queue), and tie two lanes with a closure at zero
-// delay. Because the program depends only on the bytes, running it on the
-// wheel with its lanes and on the lane-free heap must yield identical
-// traces — that equality is the fuzz property.
-func fuzzProgram(eng *Engine, data []byte) []traceEntry {
-	var trace []traceEntry
+// fallback to the heap), and tie two lanes with a closure at zero
+// delay. Ids stay below 10 000 (at most seven events per instruction), so
+// the sink's re-emits at +10 000 and +20 000 never collide with them.
+func fuzzProgram(s *spec, data []byte) {
+	eng := s.eng
 	nextID := 0
 	var schedule func(d float64, respawn int)
 	schedule = func(d float64, respawn int) {
 		id := nextID
 		nextID++
-		eng.After(d, func() {
-			trace = append(trace, traceEntry{id: id, now: eng.Now(), pending: eng.Pending()})
+		s.after(d, id, func() {
 			if respawn > 0 {
 				schedule(0, 0)
 				schedule(d/3+1e-5, respawn-1)
 			}
 		})
 	}
-	sink := &fuzzSink{eng: eng, trace: &trace, schedule: schedule}
+	sink := &fuzzSink{s: s, schedule: schedule}
 	eng.SetSink(sink)
 	emit := func(d float64, kind uint8) {
 		id := nextID
 		nextID++
-		eng.EmitAfter(d, kind, int32(id))
+		s.emitAfter(d, kind, id)
 	}
 	// cur indexes the selected lane in sink.lanes; the first lane opcode of
 	// any kind opens lane 0.
@@ -86,7 +82,7 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 		}
 		id := nextID
 		nextID++
-		eng.emitLaneAfter(sink.lanes[cur], d, int32(id))
+		s.emitLaneAfter(sink.lanes[cur], d, id)
 	}
 	for i := 0; i+2 < len(data); i += 3 {
 		op := data[i]
@@ -103,9 +99,9 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 		case 5:
 			schedule(v, 0)
 		case 6:
-			schedule(v*1e3, 0) // far future: the overflow bucket
+			schedule(v*1e3, 0) // far future
 		case 7:
-			eng.RunUntil(eng.Now() + v*1e-2)
+			s.runUntil(eng.Now() + v*1e-2)
 		case 8:
 			schedule(v*1e-2, 3)
 		case 9:
@@ -113,7 +109,7 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 		case 10:
 			emit(v*1e-2, fuzzKindRespawn)
 		case 11:
-			emit(v*1e3, fuzzKindPlain) // typed far future: overflow bucket
+			emit(v*1e3, fuzzKindPlain) // typed far future
 		case 12:
 			if len(sink.lanes) < fuzzMaxLanes {
 				openLane()
@@ -133,29 +129,28 @@ func fuzzProgram(eng *Engine, data []byte) []traceEntry {
 			emitLane(0)
 		}
 	}
-	eng.Run()
-	return trace
+	s.run()
 }
 
-// FuzzEngineSchedule fuzzes the differential property directly: any byte
-// string, decoded as a schedule, must dispatch identically on the wheel
-// (lanes included) and the reference heap — same ids, same clocks, same
-// pending counts, same final state. The checked-in corpus under testdata/fuzz seeds the search
-// with schedules that cross bucket, revolution, and overflow boundaries.
+// FuzzEngineSchedule fuzzes the engine's contract directly: any byte
+// string, decoded as a schedule, must dispatch in strictly increasing
+// (at, seq) order with every event exactly once and Pending() exact
+// throughout. The checked-in corpus under testdata/fuzz seeds the search
+// with zero-delay storms, respawn chains, ties between lanes, fallbacks and
+// magnitude spans.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 9})
 	// Every opcode once, mixed operands.
 	f.Add([]byte{0, 0, 1, 1, 0, 200, 2, 3, 7, 3, 0, 50, 4, 10, 0, 5, 0, 2, 6, 0, 1, 7, 0, 90, 8, 0, 40})
-	// Overflow spill then a dense chain marching the frontier past it (the
-	// migration regression, engine-level).
+	// A far-future event, then a dense chain marching the clock past it.
 	f.Add([]byte{6, 0, 1, 3, 0, 1, 3, 0, 2, 3, 0, 4, 3, 1, 0, 3, 2, 0, 3, 8, 0, 8, 16, 0})
 	// Zero-delay storms interleaved with partial drains.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 7, 0, 1, 0, 0, 0, 7, 0, 0, 8, 0, 0})
 	// Tight timestamps around shared values: tie-breaking under pressure.
 	f.Add([]byte{2, 0, 10, 2, 0, 10, 2, 0, 10, 1, 0, 10, 7, 0, 10, 2, 0, 10})
 	// Typed and closure events interleaved: zero-delay ties, a typed
-	// respawn feeding both streams, and a typed overflow spill crossed by
+	// respawn feeding both streams, and a typed far-future event crossed by
 	// closure chains.
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 10, 0, 40, 8, 0, 40, 11, 0, 1, 3, 0, 2, 9, 0, 0, 7, 0, 90})
 	// Lanes: two lanes fed growing, equal and then shrinking delays (the
@@ -166,15 +161,6 @@ func FuzzEngineSchedule(f *testing.F) {
 		if len(data) > 3*512 {
 			t.Skip("schedule longer than the harness budget")
 		}
-		want := fuzzProgram(NewReferenceEngine(), data)
-		got := fuzzProgram(NewEngine(), data)
-		if len(got) != len(want) {
-			t.Fatalf("wheel dispatched %d events, heap %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("dispatch %d differs: wheel %+v, heap %+v", i, got[i], want[i])
-			}
-		}
+		fuzzProgram(newSpec(t, NewEngine()), data)
 	})
 }

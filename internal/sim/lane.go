@@ -4,13 +4,13 @@ package sim
 // emits arrive in non-decreasing time order — a station's completions: the
 // clock never runs backwards and the service time never shrinks, so now + d
 // only grows. Such a stream is already sorted by the engine's total order
-// (at, seq), and sorting it again in the general queue is wasted work. The
+// (at, seq), and sorting it again in the heap is wasted work. The
 // lane holds it in a ring instead, and Engine.next merges the lane heads
-// with the queue's head by (at, seq): the dispatch order is the heap
-// oracle's by construction.
+// with the heap's head by (at, seq): the dispatch order is the one a single
+// heap would give, by construction.
 //
 // Monotonicity is checked at every emit, never assumed. An emit earlier than
-// the lane's resident tail goes to the general queue like any other event,
+// the lane's resident tail goes to the heap like any other event,
 // so a producer that is only mostly monotone costs nothing in correctness:
 // each lane stays sorted, and the merge takes the minimum of sorted sources.
 // (DESIGN §15 has the argument in full, §16 the event budget it buys.)
@@ -88,15 +88,14 @@ func (e *Engine) openLane(kind uint8) int {
 
 // emitLaneAfter is EmitAfter for a lane's owner: the same validation, the
 // same sequence number, the same dispatch. The event rides the lane when it
-// is no earlier than the lane's resident tail, and the general queue
-// otherwise — or always, on the lane-free reference engine.
+// is no earlier than the lane's resident tail, and the heap otherwise.
 func (e *Engine) emitLaneAfter(li int, d float64, subject int32) {
 	checkAfter(d)
 	t := e.now + d
 	seq := e.stampTyped(t)
 	l := &e.lanes[li]
-	if !e.laned || (l.n > 0 && t < l.tailAt()) {
-		e.q.push(event{at: t, seq: seq, kind: l.kind, subject: subject})
+	if l.n > 0 && t < l.tailAt() {
+		e.push(event{at: t, seq: seq, kind: l.kind, subject: subject})
 		return
 	}
 	l.push(laneEvent{at: t, seq: seq, subject: subject})

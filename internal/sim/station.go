@@ -78,7 +78,7 @@ func (s *Station) start(j *job) {
 // loaded million-job station allocates nothing per job in steady state.
 // Completions are emitted on a monotone lane the station opens at Init
 // (lane.go): while service times do not shrink they are already in dispatch
-// order and never enter the general queue.
+// order and never enter the heap.
 //
 // The contract mirrors Station exactly, event for event, so a control plane
 // ported from closures to subjects dispatches in the same (at, seq) order:

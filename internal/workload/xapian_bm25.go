@@ -24,7 +24,10 @@ func (p BM25Params) Validate() error {
 	if p.K1 < 0 {
 		return fmt.Errorf("workload: BM25 k1 %g < 0", p.K1)
 	}
-	if p.B < 0 || p.B > 1 {
+	if !(p.K1 <= math.MaxFloat64) {
+		return fmt.Errorf("workload: BM25 k1 %g not finite", p.K1)
+	}
+	if !(p.B >= 0 && p.B <= 1) {
 		return fmt.Errorf("workload: BM25 b %g outside [0,1]", p.B)
 	}
 	return nil
