@@ -159,3 +159,26 @@ func TestAdviseRejectsNonFiniteFailureModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsOversizedBurst: a -c whose ceil(C/P) overflowed used to
+// panic `propack run` in makeslice (at -degree 2 in Burst.Instances, at
+// -degree 1 in sizing the columns), and one merely too large ran the process
+// out of memory. Each must exit 1 with the burst's validation error.
+func TestRunRejectsOversizedBurst(t *testing.T) {
+	bin := buildPropack(t)
+	for _, args := range [][]string{
+		{"run", "-c", "9223372036854775807", "-degree", "2"},
+		{"run", "-c", "9223372036854775807", "-degree", "1"},
+		{"run", "-c", "4000000000000"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("propack %v: exit %v, want status 1\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "instances, more than 2147483647") {
+			t.Errorf("propack %v: no validation error in the output:\n%s", args, out)
+		}
+	}
+}

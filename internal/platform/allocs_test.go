@@ -140,6 +140,23 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 		t.Errorf("ScalingTime allocates %.0f objects per call, want 0", a)
 	}
 	_ = sink
+
+	// The headline burst, whose jitter draw overlaps the solver when a second
+	// core is there (DESIGN §12): the count is reported, not gated.
+	if testing.Short() {
+		return
+	}
+	big := b
+	big.Functions = 1_000_000
+	run := func() {
+		if _, err := Run(AWSLambda(), big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	objects, bytes := allocsOf(run)
+	t.Logf("steady-state dice-free Run at C=10⁶ (overlapped draw: %v): %d objects, %.2f B/instance",
+		overlapsDraw(AWSLambda(), big.Instances()), objects, float64(bytes)/float64(big.Functions))
 }
 
 func TestServiceTimeQuantilesAllocationLean(t *testing.T) {

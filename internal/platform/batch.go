@@ -92,11 +92,12 @@ func newInstanceColumns(n int, faulty bool) instanceColumns {
 	return c
 }
 
-// reset gives the batch fresh result columns for n instances and sizes and
-// zeroes the pooled simulation-only ones, those only a faulty run reads if so.
+// reset gives the batch fresh result columns for n instances and sizes the
+// pooled simulation-only ones: execs, which the run writes in full before it
+// reads any, as it stands; the backoff scratch zeroed, and only if faulty.
 func (ib *instanceBatch) reset(n int, faulty bool) {
 	ib.instanceColumns = newInstanceColumns(n, faulty)
-	ib.execs = grownZeroed(ib.execs, n)
+	ib.execs = grown(ib.execs, n)
 	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
 	if faulty {
 		ib.prevDelay = grownZeroed(ib.prevDelay, n)
@@ -178,6 +179,14 @@ func (c *instanceColumns) materialize() []Timeline {
 		}
 	}
 	return ts
+}
+
+// grown resizes s to length n, keeping whatever its elements hold.
+func grown(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // grownZeroed resizes s to length n, zeroing every element.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/interfere"
@@ -65,9 +66,12 @@ type Burst struct {
 }
 
 // Instances is the number of function instances the burst spawns:
-// ceil(Functions / Degree).
+// ceil(Functions / Degree), 0 for no functions.
 func (b Burst) Instances() int {
-	return (b.Functions + b.Degree - 1) / b.Degree
+	if b.Functions < 1 {
+		return 0
+	}
+	return (b.Functions-1)/b.Degree + 1 // Functions+Degree−1 overflows at MaxInt
 }
 
 // Validate reports an error for malformed bursts.
@@ -80,6 +84,10 @@ func (b Burst) Validate() error {
 		return fmt.Errorf("platform: burst needs ≥1 function, have %d", b.Functions)
 	case b.Degree < 1:
 		return fmt.Errorf("platform: packing degree must be ≥1, have %d", b.Degree)
+	case b.Instances() > math.MaxInt32:
+		// Instance indices are int32 event subjects and the degree column int32.
+		return fmt.Errorf("platform: burst of %d functions at degree %d spawns %d instances, more than %d",
+			b.Functions, b.Degree, b.Instances(), math.MaxInt32)
 	case b.Warm < 0:
 		return fmt.Errorf("platform: negative warm count %d", b.Warm)
 	case b.StaggerSec < 0:
@@ -126,13 +134,15 @@ type Timeline struct {
 func (t Timeline) ExecSeconds() float64 { return t.End - t.Start }
 
 // Result is the outcome of simulating one burst. The per-instance record is
-// columnar: the Result owns the run's instanceColumns and every metric below
-// folds over the one or two columns it needs, in instance order. The row
-// view is never stored — Timelines materializes it when asked.
+// columnar: the Result owns the run's instanceColumns, and carries the order
+// statistics and sums the scalar metrics read, folded once over the columns
+// by whatever built it (fold). The row view is never stored — Timelines
+// materializes it when asked.
 type Result struct {
 	Config Config
 	Burst  Burst
 	cols   instanceColumns
+	sum    summary
 	// Bins is non-nil for heterogeneous (RunMixed) bursts and records each
 	// instance's resident function set; Burst.Degree is 0 in that case.
 	Bins []Bin
@@ -199,8 +209,8 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// burst's single sequential stream, so results are bit-identical to the
 	// historical per-instance loop.
 	sc := newRunScratch(n, cfg.faulty())
-	defer sc.release()
-	rng := sc.stream(b.Seed, hashName(cfg.Name))
+	defer sc.release() // joins an overlapped draw, panic or not
+	sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
 	fullDeg := b.Degree
 	lastDeg := b.Functions - (n-1)*b.Degree
@@ -220,30 +230,74 @@ func Run(cfg Config, b Burst) (*Result, error) {
 				ErrExecLimit, lastDeg, lastBase, cfg.MaxExecSec, cfg.Name)
 		}
 	}
-	for i := 0; i < n; i++ {
-		base, d := fullBase, fullDeg
-		if i == n-1 {
-			base, d = lastBase, lastDeg
-		}
-		ib.execs[i] = base * rng.Jitter(cfg.JitterRel)
-		ib.degree[i] = int32(d)
-		if i < b.Warm {
-			ib.flags[i] |= flagWarm
-		}
+	// A dice-free burst's solver never reads the stream, so a large one draws
+	// on a second core while the solver runs; runControlPlane joins the draw
+	// before anything reads execs (DESIGN §12).
+	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
+	if overlapsDraw(cfg, n) {
+		sc.drawAsync()
+	} else {
+		sc.drawExecs()
+	}
+	for i := range ib.degree[:n-1] {
+		ib.degree[i] = int32(fullDeg)
+	}
+	ib.degree[n-1] = int32(lastDeg)
+	for i := range ib.flags[:min(b.Warm, n)] {
+		ib.flags[i] |= flagWarm
 	}
 
-	res, err := runCP(cfg, b, sc, rng)
+	res, err := runCP(cfg, b, sc, sc.rng)
 	if err != nil {
 		return nil, err
 	}
-	// All instances share one demand, so billing reuses a single group
-	// descriptor instead of allocating one per instance.
-	group := []demandGroup{{d: b.Demand}}
-	res.bill(func(i int) []demandGroup {
-		group[0].n = int(res.cols.degree[i])
-		return group
-	})
+	res.bill(nil) // every instance holds degree[i] functions of b.Demand
 	return res, nil
+}
+
+// overlapDrawMin is the smallest burst whose jitter draw Run hands to a second
+// goroutine: below it, starting and joining the goroutine costs more than the
+// draw it hides (DESIGN §12 has the ladder it was read from).
+const overlapDrawMin = 1 << 16
+
+// overlapsDraw reports whether Run draws a burst's execution times beside the
+// solver: the tandem solver runs (it never reads the stream the draw
+// advances), the burst is large enough to pay for a goroutine, and there is a
+// second core to run it on.
+func overlapsDraw(cfg Config, n int) bool {
+	return n >= overlapDrawMin && cfg.tandem() && runtime.GOMAXPROCS(0) > 1
+}
+
+// jitterDraw is what drawing a homogeneous burst's execution times takes
+// besides the stream: the full instances' and the last instance's base
+// durations, and the relative jitter.
+type jitterDraw struct{ full, last, rel float64 }
+
+// drawExecs fills the batch's execs from the scratch's stream, in instance
+// order: base duration times jitter.
+func (sc *runScratch) drawExecs() {
+	d, rng, execs := sc.draw, sc.rng, sc.batch.execs
+	last := len(execs) - 1
+	for i := range execs[:last] {
+		execs[i] = d.full * rng.Jitter(d.rel)
+	}
+	execs[last] = d.last * rng.Jitter(d.rel)
+}
+
+// drawAsync runs drawExecs on a new goroutine; sc.drawing.Wait joins it. The
+// goroutine runs a method value bound once per scratch, so a draw allocates
+// nothing.
+func (sc *runScratch) drawAsync() {
+	if sc.drawFn == nil {
+		sc.drawFn = sc.drawThenDone
+	}
+	sc.drawing.Add(1)
+	go sc.drawFn()
+}
+
+func (sc *runScratch) drawThenDone() {
+	sc.drawExecs()
+	sc.drawing.Done()
 }
 
 // demandGroup is a set of identical functions co-resident in one instance;
@@ -277,6 +331,12 @@ type runScratch struct {
 	eng   *sim.Engine
 	rng   *sim.RNG
 	cp    controlPlane
+
+	// Run's jitter draw, which may run on a second goroutine: its
+	// parameters, the method value that goroutine runs, and the join.
+	draw    jitterDraw
+	drawFn  func()
+	drawing sync.WaitGroup
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -316,8 +376,10 @@ func (sc *runScratch) podStates(n int) []podState {
 
 // release returns the scratch to the pool without the run's result columns:
 // they are the Result's now (or garbage, if the run failed), and a pooled
-// reference would pin them until the scratch's next use.
+// reference would pin them until the scratch's next use. It first joins a
+// draw still running, which a panic can leave behind.
 func (sc *runScratch) release() {
+	sc.drawing.Wait()
 	sc.batch.instanceColumns = instanceColumns{}
 	runScratchPool.Put(sc)
 }
@@ -339,19 +401,53 @@ func (sc *runScratch) engine() *sim.Engine {
 // Results and traces; production always runs the typed dispatcher.
 var runCP = runControlPlane
 
-// bill computes the burst's expense: compute GB·seconds, per-request fees,
-// and storage traffic (with the packing-locality savings on shuffle and
-// shared input described in interfere.Demand). groupsOf describes instance
-// i's resident functions as same-demand groups.
+// summary is what the scalar metrics read of a finished burst, folded over
+// its columns in instance order with the float expressions the row-wise
+// originals used (columns_equiv_test.go holds them to the same bits).
+type summary struct {
+	maxStart, minStart, maxEnd float64 // from 0, +Inf and 0: ScalingTime, firstStart, TotalServiceTime
+	execSec                    float64 // Σ(end − start): FunctionSeconds
+	failedSec                  float64 // Σ failedSec: FailedSeconds
+}
+
+// bill is the fold that finishes a simulated burst: one pass over its
+// columns that summarizes it and computes its expense — compute GB·seconds,
+// per-request fees, and storage traffic (with the packing-locality savings
+// on shuffle and shared input described in interfere.Demand). groupsOf
+// describes instance i's resident functions as same-demand groups; nil means
+// degree[i] functions of r.Burst.Demand.
 func (r *Result) bill(groupsOf func(i int) []demandGroup) {
-	cfg := r.Config
-	meter, err := storage.NewMeter(cfg.Storage, cfg.StorageGBps)
+	meter, err := storage.NewMeter(r.Config.Storage, r.Config.StorageGBps)
 	if err != nil {
 		panic(err) // Config.Validate guarantees positive bandwidth
 	}
-	memGB := cfg.MemoryGB()
+	r.fold(meter, groupsOf)
+	r.StorageUSD = meter.CostUSD()
+}
+
+// fold summarizes the Result's columns and, given a meter, bills them. A
+// Result whose bill is already summed — a sharded merge — folds with none.
+func (r *Result) fold(meter *storage.Meter, groupsOf func(i int) []demandGroup) {
 	c := &r.cols
+	faulty, demand := c.faulty(), r.Burst.Demand
+	memGB, gbSecUSD, requestUSD := r.Config.MemoryGB(), r.Config.GBSecondUSD, r.Config.PerRequestUSD
+	// Accumulators live in locals, not in the summary or the Result, so they
+	// can stay in registers.
+	maxStart, minStart, maxEnd, execSec, failedSum := 0.0, math.Inf(1), 0.0, 0.0, 0.0
+	compute, wasted, request := r.ComputeUSD, r.WastedUSD, r.RequestUSD
 	for i := 0; i < c.n; i++ {
+		start, end := c.start[i], c.end[i]
+		if start > maxStart {
+			maxStart = start
+		}
+		if start < minStart {
+			minStart = start
+		}
+		if end > maxEnd {
+			maxEnd = end
+		}
+		exec := end - start
+		execSec += exec
 		// Failed attempts and hedge duplicates bill their partial GB·seconds
 		// — failure visibly raises expense — and every re-invocation or
 		// speculative launch pays the per-request fee. Storage traffic is
@@ -359,21 +455,32 @@ func (r *Result) bill(groupsOf func(i int) []demandGroup) {
 		// land in the store).
 		var failedSec, hedgeExtraSec, wastedSec float64 // absent columns read as zero
 		launches := 1
-		if c.faulty() {
+		if faulty {
 			failedSec, hedgeExtraSec, wastedSec = c.failedSec[i], c.hedgeExtraSec[i], c.wastedSec(i)
 			launches += int(c.retries[i]) + int(c.crashes[i]) + int(c.timeouts[i])
+			failedSum += failedSec
 		}
-		r.ComputeUSD += (c.end[i] - c.start[i] + failedSec + hedgeExtraSec) * memGB * cfg.GBSecondUSD
-		r.WastedUSD += wastedSec * memGB * cfg.GBSecondUSD
+		if meter == nil {
+			continue
+		}
+		compute += (exec + failedSec + hedgeExtraSec) * memGB * gbSecUSD
+		wasted += wastedSec * memGB * gbSecUSD
 		if c.flags[i]&flagHedged != 0 {
 			launches++
 		}
-		r.RequestUSD += cfg.PerRequestUSD * float64(launches)
+		request += requestUSD * float64(launches)
+		if groupsOf == nil {
+			billGroup(meter, demand, int(c.degree[i]))
+			continue
+		}
 		for _, g := range groupsOf(i) {
 			billGroup(meter, g.d, g.n)
 		}
 	}
-	r.StorageUSD = meter.CostUSD()
+	r.sum = summary{maxStart: maxStart, minStart: minStart, maxEnd: maxEnd, execSec: execSec, failedSec: failedSum}
+	if meter != nil {
+		r.ComputeUSD, r.WastedUSD, r.RequestUSD = compute, wasted, request
+	}
 }
 
 // billGroup meters the storage traffic of n same-demand functions resident
@@ -415,45 +522,22 @@ func hashName(name string) uint64 {
 
 // --- Result metrics (the paper's figures of merit, Sec. 3) ---
 //
-// Each is a fold over the Result's columns in instance order, written with
-// the floating-point expressions the row-wise originals used; the retained
+// The scalar ones read the summary the Result was folded into; the rest fold
+// over the columns they need, in instance order. Either way the
+// floating-point expressions are the row-wise originals', and the retained
 // references in columns_equiv_test.go hold them to the same bits.
 
 // ScalingTime is the time between invocation and the start of the last
 // instance (equivalently: first-to-last start spread plus the first
 // instance's provisioning delay).
-func (r *Result) ScalingTime() float64 {
-	var maxStart float64
-	for _, s := range r.cols.start {
-		if s > maxStart {
-			maxStart = s
-		}
-	}
-	return maxStart
-}
+func (r *Result) ScalingTime() float64 { return r.sum.maxStart }
 
 // firstStart is the provisioning delay of the first instance to start.
-func (r *Result) firstStart() float64 {
-	first := math.Inf(1)
-	for _, s := range r.cols.start {
-		if s < first {
-			first = s
-		}
-	}
-	return first
-}
+func (r *Result) firstStart() float64 { return r.sum.minStart }
 
 // TotalServiceTime is the time between the start of the first instance and
 // the end of the last one ("total service time" in the paper).
-func (r *Result) TotalServiceTime() float64 {
-	var maxEnd float64
-	for _, e := range r.cols.end {
-		if e > maxEnd {
-			maxEnd = e
-		}
-	}
-	return maxEnd - r.firstStart()
-}
+func (r *Result) TotalServiceTime() float64 { return r.sum.maxEnd - r.sum.minStart }
 
 // ServiceTimeAtQuantile is the time until the first q% of instances have
 // finished, measured from the first start (q=95 is the paper's "tail",
@@ -476,32 +560,19 @@ func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
 
 // FunctionSeconds is the summed execution time across all instances — the
 // "function hours" resource-accounting metric of paper Fig. 12 (×3600).
-func (r *Result) FunctionSeconds() float64 {
-	c := &r.cols
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += c.end[i] - c.start[i]
-	}
-	return s
-}
+func (r *Result) FunctionSeconds() float64 { return r.sum.execSec }
 
 // MeanExecSeconds is the average per-instance execution time.
 func (r *Result) MeanExecSeconds() float64 {
 	if r.cols.n == 0 {
 		return 0
 	}
-	return r.FunctionSeconds() / float64(r.cols.n)
+	return r.sum.execSec / float64(r.cols.n)
 }
 
 // FailedSeconds is the summed billed execution time of failed attempts
 // (crashes and timeouts) across all instances.
-func (r *Result) FailedSeconds() float64 {
-	var s float64
-	for _, f := range r.cols.failedSec {
-		s += f
-	}
-	return s
-}
+func (r *Result) FailedSeconds() float64 { return r.sum.failedSec }
 
 // StageSpans reports, for each control-plane stage, the largest span any
 // instance of the burst experienced in it (queue wait plus service):

@@ -70,12 +70,25 @@ func TestBurstValidation(t *testing.T) {
 
 func TestBurstInstances(t *testing.T) {
 	cases := []struct{ c, p, want int }{
-		{5000, 1, 5000}, {5000, 8, 625}, {100, 7, 15}, {1, 40, 1},
+		{5000, 1, 5000}, {5000, 8, 625}, {100, 7, 15}, {1, 40, 1}, {0, 3, 0},
+		// C+P−1 overflows here; the count must not.
+		{math.MaxInt, 1, math.MaxInt}, {math.MaxInt, 2, math.MaxInt/2 + 1},
+		{math.MaxInt, math.MaxInt, 1}, {math.MaxInt - 1, math.MaxInt, 1},
 	}
 	for _, tc := range cases {
 		b := Burst{Functions: tc.c, Degree: tc.p}
 		if got := b.Instances(); got != tc.want {
 			t.Fatalf("Instances(C=%d, P=%d) = %d, want %d", tc.c, tc.p, got, tc.want)
+		}
+	}
+	// Validate caps the count at the int32 instance index.
+	for _, tc := range []struct {
+		c, p int
+		ok   bool
+	}{{math.MaxInt32, 1, true}, {math.MaxInt32 + 1, 1, false}, {math.MaxInt, 2, false}, {math.MaxInt, 1 << 33, true}} {
+		err := Burst{Demand: testDemand(), Functions: tc.c, Degree: tc.p}.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Validate(C=%d, P=%d) = %v, want ok = %v", tc.c, tc.p, err, tc.ok)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -385,4 +386,106 @@ func TestResultColumnsDifferential(t *testing.T) {
 			t.Errorf("sweep never exercised %s", name)
 		}
 	}
+}
+
+// withProcs runs fn at GOMAXPROCS procs, restoring the setting after.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestOverlapDrawDifferential carries the row-wise references to the bursts
+// whose jitter draw Run may overlap with the solver (DESIGN §12): dice-free
+// bursts one below, at and one above overlapDrawMin instances — unpacked and
+// packed with a short last instance, with warm prefixes, pods and stagger —
+// each under GOMAXPROCS 1 (drawn inline) and 2 (overlapped). Every metric
+// and USD field is Float64bits-equal to the references, and the two runs
+// are the same Result bit for bit. Above the threshold it adds a burst whose
+// solver declines a tie, so the evented path reads execs after the join, and
+// a two-cell RunSharded whose cells both overlap, merged and re-folded.
+func TestOverlapDrawDifferential(t *testing.T) {
+	d := workload.Video{}.Demand()
+	podded := AWSLambda()
+	podded.PodSize = 4
+	type burstCase struct {
+		what string
+		cfg  Config
+		b    Burst
+	}
+	var cases []burstCase
+	for _, n := range []int{overlapDrawMin - 1, overlapDrawMin, overlapDrawMin + 1} {
+		cases = append(cases,
+			burstCase{fmt.Sprintf("unpacked n=%d", n), AWSLambda(), Burst{Demand: d, Functions: n, Degree: 1, Seed: int64(n)}},
+			burstCase{fmt.Sprintf("packed, short last, warm, pods, stagger n=%d", n), podded,
+				Burst{Demand: d, Functions: 3*n - 1, Degree: 3, Warm: 37, StaggerSec: 1e-5, Seed: int64(n)}})
+	}
+	for _, tc := range cases {
+		n := tc.b.Instances()
+		groupsOf := func(i int) []demandGroup {
+			resident := tc.b.Degree
+			if i == n-1 {
+				resident = tc.b.Functions - i*tc.b.Degree
+			}
+			return []demandGroup{{d: tc.b.Demand, n: resident}}
+		}
+		var byProcs [2]*Result
+		for p := 1; p <= 2; p++ {
+			withProcs(p, func() {
+				if got, want := overlapsDraw(tc.cfg, n), p == 2 && n >= overlapDrawMin; got != want {
+					t.Fatalf("%s at GOMAXPROCS %d: overlapsDraw = %v, want %v", tc.what, p, got, want)
+				}
+				before := tandemFallbacks.Load()
+				res, err := Run(tc.cfg, tc.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tandemFallbacks.Load() != before {
+					t.Fatalf("%s: the solver fell back; the case proves nothing about the solved path", tc.what)
+				}
+				checkColumnsAgainstRows(t, fmt.Sprintf("%s at GOMAXPROCS %d", tc.what, p), res, 1, groupsOf)
+				byProcs[p-1] = res
+			})
+		}
+		sameResultBits(t, tc.what+": GOMAXPROCS 2 vs 1", byProcs[1], byProcs[0])
+	}
+
+	// A tie only the engine can order: the solver declines it partway, and
+	// the evented path re-runs the burst on the execs the join handed over.
+	tied := AWSLambda()
+	tied.SchedBaseSec, tied.SchedPerBusySec = 1, 0
+	tied.BuildSec, tied.BuildGrowthSec, tied.BuildServers = 1, 0, 2
+	b := Burst{Demand: tandemLight, Functions: overlapDrawMin + 1, Degree: 1, Seed: 11}
+	one := func(i int) []demandGroup { return []demandGroup{{d: b.Demand, n: 1}} }
+	withProcs(2, func() {
+		before := tandemFallbacks.Load()
+		res, err := Run(tied, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tandemFallbacks.Load() == before {
+			t.Fatal("the tied burst was solved: the fallback after the join went unexercised")
+		}
+		checkColumnsAgainstRows(t, "tie-forced fallback", res, 1, one)
+		evented, err := Run(forcedEvented(tied, b.Instances()), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResultBits(t, "tie-forced fallback vs forced-evented", res, evented)
+	})
+
+	// Two cells, each above the threshold: both overlap, on the parallel
+	// fan-out's goroutines, and the merge re-folds the concatenated columns.
+	b = Burst{Demand: d, Functions: 2*overlapDrawMin + 3, Degree: 1, Warm: 5, Seed: 13}
+	withProcs(2, func() {
+		res, err := RunSharded(AWSLambda(), b, Sharding{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkColumnsAgainstRows(t, "RunSharded×2 above the threshold", res, 2, one)
+		ref, err := RunSharded(AWSLambda(), b, Sharding{Shards: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResultBits(t, "RunSharded×2: 2 workers vs 1", res, ref)
+	})
 }

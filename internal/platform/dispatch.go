@@ -398,7 +398,8 @@ func (cp *controlPlane) shipService(int32) float64 {
 // tandem solver when nothing couples the instances beyond the three
 // stations, on the typed event path otherwise. It fills in the batch's
 // result columns in place, hands them to the Result, and returns it with the
-// fault roll-up done but no billing.
+// fault roll-up done, neither billed nor summarized: the caller's bill is the
+// fold that does both.
 func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 	ib := &sc.batch
 	n := ib.n
@@ -428,7 +429,8 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	cp.retryPol = cfg.retryPolicy()
 	// The hedge launch threshold is the configured quantile of the fleet's
 	// planned execution durations — known up front in the simulator, so the
-	// policy is deterministic.
+	// policy is deterministic. (A hedging Config is faulty: Run drew its
+	// execution times inline.)
 	cp.hedgeThr = math.Inf(1)
 	if cfg.Hedge.Enabled() && n > 0 {
 		cp.hedgeThr = cfg.Hedge.Threshold(ib.execs)
@@ -450,7 +452,16 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 
 	// A dice-free, unthrottled burst is solved without a single event, unless
 	// the solver declines it (a tie only the engine's sequence numbers order).
-	if cp.limit != 0 || cfg.faulty() || !cp.solveTandem(b) {
+	// The solver reads no execution time, so Run may still be drawing them:
+	// the join comes before the first read, on either path.
+	solved := cfg.tandem() && cp.solveTandem(b)
+	sc.drawing.Wait()
+	if solved {
+		// Execution is a timer from a start nothing else reads.
+		for i, s := range ib.start {
+			ib.end[i] = sim.TimerAt(s, ib.execs[i])
+		}
+	} else {
 		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
 			cp.pods = sc.podStates((n + podSize - 1) / podSize)
 		}

@@ -20,7 +20,7 @@ import (
 // the bill, the row view and the roll-up must not move.
 
 // widened returns res with full columns — the lean ones copied, the fault
-// and hedge ones zero — and the bill recomputed over them.
+// and hedge ones zero — and the bill and the summary folded over them.
 func widened(t *testing.T, res *Result, shards int, groupsOf func(i int) []demandGroup) *Result {
 	t.Helper()
 	if res.cols.faulty() {
@@ -45,6 +45,7 @@ func widened(t *testing.T, res *Result, shards int, groupsOf func(i int) []deman
 		full.StorageUSD += cell.StorageUSD
 		full.WastedUSD += cell.WastedUSD
 	}
+	full.fold(nil, nil)
 	return full
 }
 

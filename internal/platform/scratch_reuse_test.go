@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -81,11 +83,21 @@ func TestOneInstanceBurstSeedsWhatItReads(t *testing.T) {
 	})
 }
 
+// panickingRecorder panics as the burst begins: in runControlPlane, before
+// the solver, while an overlapped jitter draw is still running.
+type panickingRecorder struct{}
+
+func (panickingRecorder) BeginBurst(obs.BurstInfo) { panic("recorder: begin burst") }
+func (panickingRecorder) Span(obs.Span)            {}
+func (panickingRecorder) Event(obs.Event)          {}
+
 // TestScratchReuseAfterPanic poisons a scratch as thoroughly as a run can —
 // a faulty burst that panics mid-dispatch, events still in the heap, the
-// jitter register part-filled — then runs, on that same scratch, each of the
-// eight burst-1m golden seeds at 10⁴ instances and a faulty burst, and
-// requires every Result to match, bit for bit, a run on an empty pool.
+// jitter register part-filled, then a dice-free burst that panics while its
+// jitter draw runs on a second goroutine — then runs, on that same scratch,
+// each of the eight burst-1m golden seeds at 10⁴ instances, a burst whose
+// draw is overlapped and a faulty burst, and requires every Result to match,
+// bit for bit, a run on an empty pool.
 func TestScratchReuseAfterPanic(t *testing.T) {
 	cfg := AWSLambda()
 	d := workload.Video{}.Demand()
@@ -95,16 +107,24 @@ func TestScratchReuseAfterPanic(t *testing.T) {
 	faulty.StragglerFactor = 2
 	faulty.Hedge.Quantile = 95
 
-	bursts := make([]Burst, 0, 9)
+	bursts := make([]Burst, 0, 10)
 	for seed := int64(1); seed <= 8; seed++ {
 		bursts = append(bursts, Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: seed})
 	}
+	// One burst whose jitter draw overlaps the solver at GOMAXPROCS 2, the
+	// setting the scratch is poisoned and reused at.
+	overlapped := Burst{Demand: d, Functions: overlapDrawMin + 1, Degree: 1, Warm: 3, Seed: 21}
+	bursts = append(bursts, overlapped)
 	bursts = append(bursts, Burst{Demand: d, Functions: 4000, Degree: 4, Warm: 16, Seed: 99})
 	cfgOf := func(i int) Config {
 		if i == len(bursts)-1 {
 			return faulty
 		}
 		return cfg
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if !overlapsDraw(cfg, overlapped.Instances()) {
+		t.Fatal("the overlapped burst draws inline: the panic on the overlapped path below proves nothing")
 	}
 
 	want := make([]*Result, len(bursts))
@@ -145,6 +165,18 @@ func TestScratchReuseAfterPanic(t *testing.T) {
 	sc.release()
 
 	withScratch(sc, func() {
+		// A panic on the overlapped path, while the second goroutine may still
+		// be drawing: the scratch goes back to the pool only after the join.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the panicking recorder did not panic")
+				}
+			}()
+			b := overlapped
+			b.Seed, b.Recorder = 22, panickingRecorder{}
+			_, _ = Run(cfg, b)
+		}()
 		for i, b := range bursts {
 			got, err := Run(cfgOf(i), b)
 			if err != nil {

@@ -168,7 +168,8 @@ func RunMixedSharded(cfg Config, m MixedBurst, sh Sharding) (*Result, error) {
 // Timeline's Index is its position, so nothing is renumbered), money and
 // fault counters summed, busy time averaged across the cells (each cell's stations worked
 // in parallel, so the mean is the per-cell load, comparable to a
-// single-cell run's figure).
+// single-cell run's figure). The summary is folded again over the
+// concatenated columns: summing the cells' sums would reassociate them.
 func mergeShardResults(cfg Config, results []*Result) *Result {
 	n := 0
 	for _, r := range results {
@@ -196,6 +197,7 @@ func mergeShardResults(cfg Config, results []*Result) *Result {
 	merged.SchedBusySec *= inv
 	merged.BuildBusySec *= inv
 	merged.ShipBusySec *= inv
+	merged.fold(nil, nil)
 	return merged
 }
 

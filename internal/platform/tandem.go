@@ -25,6 +25,10 @@ import (
 // tandemFallbacks counts the gated bursts the solver handed back.
 var tandemFallbacks atomic.Int64
 
+// tandem reports whether the platform's bursts go to the solver: no dice and
+// no account throttle.
+func (c Config) tandem() bool { return c.ConcurrencyLimit == 0 && !c.faulty() }
+
 // tandemStage is one station: its constants, and the service begin and
 // completion instants of its last `servers` jobs — all that can still be in
 // service — job k's in ring slot k mod servers.
@@ -88,9 +92,11 @@ func (st *tandemStage) serve(arrive, instant float64) (begin, end float64) {
 	return begin, end
 }
 
-// solveTandem fills the milestone columns (and the recorder's arrival tracking)
-// of a dice-free, unthrottled burst: each instance through the three stages,
-// then boot and execution as the timers they are. False, counted: a stage went bad.
+// solveTandem fills the milestone columns up to start (and the recorder's
+// arrival tracking) of a dice-free, unthrottled burst: each instance through
+// the three stages, then boot as the timer it is. It reads no execution time
+// — the caller sets end, after a draw Run may have overlapped with this. False,
+// counted: a stage went bad.
 func (cp *controlPlane) solveTandem(b Burst) bool {
 	cfg, ib := &cp.cfg, cp.ib
 	if min(cfg.SchedServers, cfg.BuildServers, cfg.ShipServers) < 1 {
@@ -136,7 +142,6 @@ func (cp *controlPlane) solveTandem(b Burst) bool {
 			return false
 		}
 		ib.start[i] = sim.TimerAt(from, delay)
-		ib.end[i] = sim.TimerAt(ib.start[i], ib.execs[i])
 	}
 	// The stations' totals, where the Result reads them.
 	cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds = sched.busySec, build.busySec, ship.busySec

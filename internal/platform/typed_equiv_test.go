@@ -8,14 +8,20 @@ import (
 
 	"repro/internal/interfere"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // withClosureControlPlane runs fn with every burst simulated by the frozen
 // closure-based control plane (burst_closure_test.go) instead of the typed
-// dispatcher — the specification side of the typed-equivalence proof.
+// dispatcher — the specification side of the typed-equivalence proof. The
+// oracle reads execution times from its first line, so it starts by joining
+// a draw Run may have overlapped with it.
 func withClosureControlPlane(fn func()) {
-	runCP = runControlPlaneClosure
+	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
+		sc.drawing.Wait()
+		return runControlPlaneClosure(cfg, b, sc, rng)
+	}
 	defer func() { runCP = runControlPlane }()
 	fn()
 }
