@@ -245,7 +245,8 @@ func BenchmarkLocalPacking(b *testing.B) {
 // modeling-plus-planning pipeline, BenchmarkQoSPlan the Sec. 2.6 weight grid
 // on prebuilt models, BenchmarkPlanMixed the heterogeneous composition
 // search, and BenchmarkBurst the discrete-event burst behind every sweep
-// iteration. REPORT.md and BENCH_PLANNER.json record their trajectory.
+// iteration. BENCH_PLANNER.json and CHANGES.md's historical measurements
+// record their trajectory.
 
 // BenchmarkAdvise runs the end-to-end pipeline: interference and scaling
 // probes, model fits, and the Eq. 5–7 degree search.
@@ -425,8 +426,8 @@ func BenchmarkPlannerConcurrent(b *testing.B) {
 // the deterministic fan-out engine on an identical exhaustive degree sweep
 // (the outputs are byte-identical by construction — the determinism tests in
 // internal/baseline enforce it). The parallel variant uses GOMAXPROCS
-// workers, so the speedup scales with the host's core count; REPORT.md
-// records the measured ratio.
+// workers, so the speedup scales with the host's core count; CHANGES.md's
+// historical measurements record the ratio once measured.
 
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()

@@ -141,8 +141,9 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 	}
 	_ = sink
 
-	// The headline burst, whose jitter draw overlaps the solver when a second
-	// core is there (DESIGN §12): the count is reported, not gated.
+	// The headline burst, drawn, ended and folded by a follower behind the
+	// solver when a second core is there (DESIGN §12): the count is reported,
+	// not gated.
 	if testing.Short() {
 		return
 	}
@@ -155,7 +156,7 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 	}
 	run()
 	objects, bytes := allocsOf(run)
-	t.Logf("steady-state dice-free Run at C=10⁶ (overlapped draw: %v): %d objects, %.2f B/instance",
+	t.Logf("steady-state dice-free Run at C=10⁶ (follower: %v): %d objects, %.2f B/instance",
 		overlapsDraw(AWSLambda(), big.Instances()), objects, float64(bytes)/float64(big.Functions))
 }
 

@@ -209,7 +209,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// burst's single sequential stream, so results are bit-identical to the
 	// historical per-instance loop.
 	sc := newRunScratch(n, cfg.faulty())
-	defer sc.release() // joins an overlapped draw, panic or not
+	defer sc.release() // aborts and joins a follower, panic or not
 	sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
 	fullDeg := b.Degree
@@ -230,12 +230,13 @@ func Run(cfg Config, b Burst) (*Result, error) {
 				ErrExecLimit, lastDeg, lastBase, cfg.MaxExecSec, cfg.Name)
 		}
 	}
-	// A dice-free burst's solver never reads the stream, so a large one draws
-	// on a second core while the solver runs; runControlPlane joins the draw
-	// before anything reads execs (DESIGN §12).
+	// A dice-free burst's solver never reads the stream, so a large one draws,
+	// ends and folds on a second core behind the solver (DESIGN §12).
 	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
 	if overlapsDraw(cfg, n) {
-		sc.drawAsync()
+		sc.fold.reset(&cfg, &b.Demand)
+		sc.fold.meter = mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
+		sc.follow()
 	} else {
 		sc.drawExecs()
 	}
@@ -251,19 +252,23 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.bill(nil) // every instance holds degree[i] functions of b.Demand
+	if sc.folded {
+		sc.fold.into(res)
+	} else {
+		res.fold(true, nil) // every instance holds degree[i] functions of b.Demand
+	}
 	return res, nil
 }
 
 // overlapDrawMin is the smallest burst whose jitter draw Run hands to a second
-// goroutine: below it, starting and joining the goroutine costs more than the
-// draw it hides (DESIGN §12 has the ladder it was read from).
+// goroutine, the follower: below it, starting and joining the goroutine costs
+// more than the work it hides (DESIGN §12 has the ladder it was read from).
 const overlapDrawMin = 1 << 16
 
-// overlapsDraw reports whether Run draws a burst's execution times beside the
-// solver: the tandem solver runs (it never reads the stream the draw
-// advances), the burst is large enough to pay for a goroutine, and there is a
-// second core to run it on.
+// overlapsDraw reports whether Run draws a burst's execution times, ends and
+// folds it beside the solver: the tandem solver runs (it never reads the
+// stream the draw advances), the burst is large enough to pay for a
+// goroutine, and there is a second core to run it on.
 func overlapsDraw(cfg Config, n int) bool {
 	return n >= overlapDrawMin && cfg.tandem() && runtime.GOMAXPROCS(0) > 1
 }
@@ -284,20 +289,39 @@ func (sc *runScratch) drawExecs() {
 	execs[last] = d.last * rng.Jitter(d.rel)
 }
 
-// drawAsync runs drawExecs on a new goroutine; sc.drawing.Wait joins it. The
-// goroutine runs a method value bound once per scratch, so a draw allocates
-// nothing.
-func (sc *runScratch) drawAsync() {
-	if sc.drawFn == nil {
-		sc.drawFn = sc.drawThenDone
-	}
+const followChunk = 4096 // rows the solver finishes between sends to the follower
+
+// follow starts the follower: a goroutine that draws execs, then ends and
+// folds into sc.fold, in order, each row range the solver sends on sc.feed.
+func (sc *runScratch) follow() {
+	sc.feed, sc.folded = make(chan int, len(sc.batch.execs)/followChunk+1), false
 	sc.drawing.Add(1)
-	go sc.drawFn()
+	go sc.drawThenFollow(sc.feed)
 }
 
-func (sc *runScratch) drawThenDone() {
+func (sc *runScratch) drawThenFollow(feed <-chan int) {
+	defer sc.drawing.Done()
+	defer func() { _ = recover() }() // a malformed duration: the caller's inline end pass panics with it
 	sc.drawExecs()
-	sc.drawing.Done()
+	c, execs, done := &sc.batch.instanceColumns, sc.batch.execs, 0
+	for rows := range feed {
+		for i := done; i < rows; i++ {
+			c.end[i] = sim.TimerAt(c.start[i], execs[i])
+		}
+		sc.fold.step(c, done, rows, nil)
+		done = rows
+	}
+	sc.folded = done == len(execs) // short of every row, the feed was aborted
+}
+
+// join closes the feed — before the solver's last row, an abort — and waits
+// for the follower; every exit of a run joins, the deferred release last.
+func (sc *runScratch) join() {
+	if sc.feed != nil {
+		close(sc.feed)
+		sc.feed = nil
+	}
+	sc.drawing.Wait()
 }
 
 // demandGroup is a set of identical functions co-resident in one instance;
@@ -332,11 +356,13 @@ type runScratch struct {
 	rng   *sim.RNG
 	cp    controlPlane
 
-	// Run's jitter draw, which may run on a second goroutine: its
-	// parameters, the method value that goroutine runs, and the join.
+	// Run's jitter draw and its follower: the draw's parameters, the join, the
+	// solver's feed (nil: no follower), the fold, and whether it saw every row.
 	draw    jitterDraw
-	drawFn  func()
 	drawing sync.WaitGroup
+	feed    chan int
+	fold    foldState
+	folded  bool
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -376,11 +402,11 @@ func (sc *runScratch) podStates(n int) []podState {
 
 // release returns the scratch to the pool without the run's result columns:
 // they are the Result's now (or garbage, if the run failed), and a pooled
-// reference would pin them until the scratch's next use. It first joins a
-// draw still running, which a panic can leave behind.
+// reference would pin them until the scratch's next use. It first aborts and
+// joins a follower still running, which a panic can leave behind.
 func (sc *runScratch) release() {
-	sc.drawing.Wait()
-	sc.batch.instanceColumns = instanceColumns{}
+	sc.join()
+	sc.batch.instanceColumns, sc.folded = instanceColumns{}, false
 	runScratchPool.Put(sc)
 }
 
@@ -410,32 +436,57 @@ type summary struct {
 	failedSec                  float64 // Σ failedSec: FailedSeconds
 }
 
-// bill is the fold that finishes a simulated burst: one pass over its
-// columns that summarizes it and computes its expense — compute GB·seconds,
-// per-request fees, and storage traffic (with the packing-locality savings
-// on shuffle and shared input described in interfere.Demand). groupsOf
-// describes instance i's resident functions as same-demand groups; nil means
-// degree[i] functions of r.Burst.Demand.
-func (r *Result) bill(groupsOf func(i int) []demandGroup) {
-	meter, err := storage.NewMeter(r.Config.Storage, r.Config.StorageGBps)
-	if err != nil {
-		panic(err) // Config.Validate guarantees positive bandwidth
+// fold is the one pass that finishes a simulated burst: over its columns, in
+// instance order, it summarizes it and, billed, computes its expense —
+// compute GB·seconds, per-request fees, and storage traffic (with the
+// packing-locality savings on shuffle and shared input described in
+// interfere.Demand). groupsOf describes instance i's resident functions as
+// same-demand groups; nil means degree[i] functions of r.Burst.Demand. A
+// Result whose bill is already summed — a sharded merge — folds unbilled.
+func (r *Result) fold(billed bool, groupsOf func(i int) []demandGroup) {
+	var f foldState
+	if f.reset(&r.Config, &r.Burst.Demand); billed {
+		f.meter = mustMeter(storage.NewMeter(r.Config.Storage, r.Config.StorageGBps))
 	}
-	r.fold(meter, groupsOf)
-	r.StorageUSD = meter.CostUSD()
+	f.step(&r.cols, 0, r.cols.n, groupsOf)
+	f.into(r)
 }
 
-// fold summarizes the Result's columns and, given a meter, bills them. A
-// Result whose bill is already summed — a sharded merge — folds with none.
-func (r *Result) fold(meter *storage.Meter, groupsOf func(i int) []demandGroup) {
-	c := &r.cols
-	faulty, demand := c.faulty(), r.Burst.Demand
-	memGB, gbSecUSD, requestUSD := r.Config.MemoryGB(), r.Config.GBSecondUSD, r.Config.PerRequestUSD
-	// Accumulators live in locals, not in the summary or the Result, so they
-	// can stay in registers.
-	maxStart, minStart, maxEnd, execSec, failedSum := 0.0, math.Inf(1), 0.0, 0.0, 0.0
-	compute, wasted, request := r.ComputeUSD, r.WastedUSD, r.RequestUSD
-	for i := 0; i < c.n; i++ {
+// foldState is Result.fold between steps. Stepping it over consecutive
+// ranges of rows gives the bits of one step over all of them.
+type foldState struct {
+	meter                       *storage.Meter // nil: unbilled
+	demand                      interfere.Demand
+	memGB, gbSecUSD, requestUSD float64
+	sum                         summary
+	compute, wasted, request    float64
+}
+
+// reset readies f, unbilled, for a fold's first step, field by field: on a
+// small burst a struct literal's copy stalls on the stores that built it.
+func (f *foldState) reset(cfg *Config, demand *interfere.Demand) {
+	*f = foldState{}
+	f.demand, f.sum.minStart = *demand, math.Inf(1)
+	f.memGB, f.gbSecUSD, f.requestUSD = cfg.MemoryGB(), cfg.GBSecondUSD, cfg.PerRequestUSD
+}
+
+// mustMeter returns NewMeter's meter (Config.Validate guarantees bandwidth); it
+// inlines, so a meter that does not escape stays on the stack.
+func mustMeter(meter *storage.Meter, err error) *storage.Meter {
+	if err != nil {
+		panic(err)
+	}
+	return meter
+}
+
+// step folds rows [lo, hi) of c, in instance order; groupsOf is fold's.
+func (f *foldState) step(c *instanceColumns, lo, hi int, groupsOf func(i int) []demandGroup) {
+	faulty, meter, demand := c.faulty(), f.meter, f.demand
+	memGB, gbSecUSD, requestUSD := f.memGB, f.gbSecUSD, f.requestUSD
+	// Accumulators live in locals for the loop, so they can stay in registers.
+	maxStart, minStart, maxEnd, execSec, failedSum := f.sum.maxStart, f.sum.minStart, f.sum.maxEnd, f.sum.execSec, f.sum.failedSec
+	compute, wasted, request := f.compute, f.wasted, f.request
+	for i := lo; i < hi; i++ {
 		start, end := c.start[i], c.end[i]
 		if start > maxStart {
 			maxStart = start
@@ -477,9 +528,16 @@ func (r *Result) fold(meter *storage.Meter, groupsOf func(i int) []demandGroup) 
 			billGroup(meter, g.d, g.n)
 		}
 	}
-	r.sum = summary{maxStart: maxStart, minStart: minStart, maxEnd: maxEnd, execSec: execSec, failedSec: failedSum}
-	if meter != nil {
-		r.ComputeUSD, r.WastedUSD, r.RequestUSD = compute, wasted, request
+	f.sum = summary{maxStart: maxStart, minStart: minStart, maxEnd: maxEnd, execSec: execSec, failedSec: failedSum}
+	f.compute, f.wasted, f.request = compute, wasted, request
+}
+
+// into stores the folded summary, and the bill if billed, in r.
+func (f *foldState) into(r *Result) {
+	r.sum = f.sum
+	if f.meter != nil {
+		r.ComputeUSD, r.WastedUSD, r.RequestUSD = f.compute, f.wasted, f.request
+		r.StorageUSD = f.meter.CostUSD()
 	}
 }
 

@@ -14,13 +14,14 @@ import (
 // core/table_equiv_test.go. The typed path
 // must reproduce its Results and recorder traces byte for byte; the
 // differential tests in typed_equiv_test.go swap it in through the runCP
-// hook. Only three mechanical edits were made: the function was renamed,
+// hook. Only four mechanical edits were made: the function was renamed,
 // engine construction goes through sc.engine() (the pooled engine; closure
-// events never consult the sink, so no SetSink is needed), and the epilogue
+// events never consult the sink, so no SetSink is needed), the epilogue
 // below eng.Run() hands the batch's columns to the Result the way
 // runControlPlane does — the fault roll-up there stays row-wise, over the
 // materialized timelines, so the typed path's column fold is checked against
-// it too.
+// it too — and the arrival-time array is gone: emitLifecycleSpans derives
+// an instance's arrival from the burst, as the typed path does.
 //
 // Do not "improve" this function; it is a specification, not product code.
 func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
@@ -33,16 +34,15 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 	shipSt := sim.NewStation(eng, cfg.ShipServers)
 
 	// Observability: a nil recorder costs only the guard checks below; with
-	// one attached we additionally track arrival and scheduler-entry times
-	// (they are not part of Timeline) to emit queued/sched spans.
+	// one attached we additionally track scheduler-entry times (they are not
+	// part of Timeline) to emit queued/sched spans.
 	rec := b.Recorder
-	var arrive, admitted []float64
+	var admitted []float64
 	if rec != nil {
 		rec.BeginBurst(obs.BurstInfo{
 			Platform: cfg.Name, Label: b.Label,
 			Functions: b.Functions, Degree: b.Degree, Instances: n,
 		})
-		arrive = make([]float64, n)
 		admitted = make([]float64, n)
 		for i := range admitted {
 			admitted[i] = -1
@@ -88,9 +88,6 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		}
 	}
 	admit := func(i int) {
-		if rec != nil {
-			arrive[i] = eng.Now()
-		}
 		if cfg.ConcurrencyLimit > 0 && running >= cfg.ConcurrencyLimit {
 			throttleQ = append(throttleQ, i)
 			return
@@ -322,7 +319,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		}
 	}
 	if rec != nil {
-		emitLifecycleSpans(rec, &res.cols, arrive, admitted)
+		emitLifecycleSpans(rec, &res.cols, b, admitted)
 	}
 	return res, nil
 }

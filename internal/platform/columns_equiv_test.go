@@ -394,15 +394,17 @@ func withProcs(procs int, fn func()) {
 	fn()
 }
 
-// TestOverlapDrawDifferential carries the row-wise references to the bursts
-// whose jitter draw Run may overlap with the solver (DESIGN §12): dice-free
-// bursts one below, at and one above overlapDrawMin instances — unpacked and
-// packed with a short last instance, with warm prefixes, pods and stagger —
-// each under GOMAXPROCS 1 (drawn inline) and 2 (overlapped). Every metric
-// and USD field is Float64bits-equal to the references, and the two runs
-// are the same Result bit for bit. Above the threshold it adds a burst whose
-// solver declines a tie, so the evented path reads execs after the join, and
-// a two-cell RunSharded whose cells both overlap, merged and re-folded.
+// TestOverlapDrawDifferential holds the pipelined burst to the inline one
+// (DESIGN §12): dice-free bursts one below, at and one above overlapDrawMin
+// instances — unpacked and packed with a short last instance, with warm
+// prefixes, pods and stagger — each under GOMAXPROCS 1 (drawn, ended and
+// folded inline) and 2 (drawn, ended and folded by the follower behind the
+// solver, which it must be above the threshold). Every metric and USD field
+// is Float64bits-equal to the row-wise references, and the two runs are the
+// same Result bit for bit. Above the threshold it adds a burst whose solver
+// declines a tie, so the evented path reads execs after the abort, and a
+// RunSharded whose cells are all pipelined, merged and re-folded, against
+// the same run inline.
 func TestOverlapDrawDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
 	podded := AWSLambda()
@@ -431,16 +433,23 @@ func TestOverlapDrawDifferential(t *testing.T) {
 		var byProcs [2]*Result
 		for p := 1; p <= 2; p++ {
 			withProcs(p, func() {
-				if got, want := overlapsDraw(tc.cfg, n), p == 2 && n >= overlapDrawMin; got != want {
-					t.Fatalf("%s at GOMAXPROCS %d: overlapsDraw = %v, want %v", tc.what, p, got, want)
+				pipelined := p == 2 && n >= overlapDrawMin
+				if got := overlapsDraw(tc.cfg, n); got != pipelined {
+					t.Fatalf("%s at GOMAXPROCS %d: overlapsDraw = %v, want %v", tc.what, p, got, pipelined)
 				}
 				before := tandemFallbacks.Load()
-				res, err := Run(tc.cfg, tc.b)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var res *Result
+				folded := countFolded(func() {
+					var err error
+					if res, err = Run(tc.cfg, tc.b); err != nil {
+						t.Fatal(err)
+					}
+				})
 				if tandemFallbacks.Load() != before {
 					t.Fatalf("%s: the solver fell back; the case proves nothing about the solved path", tc.what)
+				}
+				if want := map[bool]int64{false: 0, true: 1}[pipelined]; folded != want {
+					t.Fatalf("%s at GOMAXPROCS %d: the follower folded %d bursts, want %d", tc.what, p, folded, want)
 				}
 				checkColumnsAgainstRows(t, fmt.Sprintf("%s at GOMAXPROCS %d", tc.what, p), res, 1, groupsOf)
 				byProcs[p-1] = res
@@ -451,14 +460,11 @@ func TestOverlapDrawDifferential(t *testing.T) {
 
 	// A tie only the engine can order: the solver declines it partway, and
 	// the evented path re-runs the burst on the execs the join handed over.
-	tied := AWSLambda()
-	tied.SchedBaseSec, tied.SchedPerBusySec = 1, 0
-	tied.BuildSec, tied.BuildGrowthSec, tied.BuildServers = 1, 0, 2
 	b := Burst{Demand: tandemLight, Functions: overlapDrawMin + 1, Degree: 1, Seed: 11}
 	one := func(i int) []demandGroup { return []demandGroup{{d: b.Demand, n: 1}} }
 	withProcs(2, func() {
 		before := tandemFallbacks.Load()
-		res, err := Run(tied, b)
+		res, err := Run(tiedAboveThreshold(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,26 +472,33 @@ func TestOverlapDrawDifferential(t *testing.T) {
 			t.Fatal("the tied burst was solved: the fallback after the join went unexercised")
 		}
 		checkColumnsAgainstRows(t, "tie-forced fallback", res, 1, one)
-		evented, err := Run(forcedEvented(tied, b.Instances()), b)
+		evented, err := Run(forcedEvented(tiedAboveThreshold(), b.Instances()), b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameResultBits(t, "tie-forced fallback vs forced-evented", res, evented)
 	})
 
-	// Two cells, each above the threshold: both overlap, on the parallel
-	// fan-out's goroutines, and the merge re-folds the concatenated columns.
-	b = Burst{Demand: d, Functions: 2*overlapDrawMin + 3, Degree: 1, Warm: 5, Seed: 13}
+	// Four cells, each above the threshold: all pipelined, on the parallel
+	// fan-out's goroutines, and the merge re-folds the concatenated columns;
+	// at GOMAXPROCS 1 none is.
+	b = Burst{Demand: d, Functions: 4*overlapDrawMin + 3, Degree: 1, Warm: 5, Seed: 13}
+	sharded := func(workers int) *Result {
+		res, err := RunSharded(AWSLambda(), b, Sharding{Shards: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var inline *Result
+	withProcs(1, func() { inline = sharded(0) })
 	withProcs(2, func() {
-		res, err := RunSharded(AWSLambda(), b, Sharding{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
+		var res, ref *Result
+		if folded := countFolded(func() { res, ref = sharded(0), sharded(1) }); folded != 8 {
+			t.Fatalf("RunSharded×4 twice: the follower folded %d cells, want all 8", folded)
 		}
-		checkColumnsAgainstRows(t, "RunSharded×2 above the threshold", res, 2, one)
-		ref, err := RunSharded(AWSLambda(), b, Sharding{Shards: 2, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResultBits(t, "RunSharded×2: 2 workers vs 1", res, ref)
+		checkColumnsAgainstRows(t, "RunSharded×4 above the threshold", res, 4, one)
+		sameResultBits(t, "RunSharded×4: 2 workers vs 1", res, ref)
+		sameResultBits(t, "RunSharded×4: pipelined vs inline", res, inline)
 	})
 }

@@ -58,10 +58,10 @@ type controlPlane struct {
 	rng *sim.RNG
 	rec obs.Recorder
 
-	// arrive and admitted are recorder-only tracking (they are not part of
-	// Timeline): arrival at the platform and first scheduler entry, for the
-	// queued/sched lifecycle spans. Untouched when rec is nil.
-	arrive, admitted []float64
+	// admitted is recorder-only tracking (not part of Timeline): first
+	// scheduler entry, for the queued/sched lifecycle spans. Nil unless a
+	// recorder watches a throttled run; otherwise an instance enters on arrival.
+	admitted []float64
 
 	sched, build, ship          sim.TypedStation
 	schedSvc, buildSvc, shipSvc func(int32) float64
@@ -123,9 +123,6 @@ func (cp *controlPlane) Dispatch(kind uint8, sub int32) {
 // throttling: beyond ConcurrencyLimit, instances wait FIFO for a running
 // one to finish.
 func (cp *controlPlane) admit(i int32) {
-	if cp.rec != nil {
-		cp.arrive[i] = cp.eng.Now()
-	}
 	if cp.limit > 0 && cp.running >= cp.limit {
 		cp.throttleQ = append(cp.throttleQ, i)
 		return
@@ -150,7 +147,7 @@ func (cp *controlPlane) release() {
 }
 
 func (cp *controlPlane) submitSched(i int32) {
-	if cp.rec != nil && cp.admitted[i] < 0 {
+	if cp.admitted != nil && cp.admitted[i] < 0 {
 		cp.admitted[i] = cp.eng.Now()
 	}
 	cp.sched.Submit(i)
@@ -398,8 +395,8 @@ func (cp *controlPlane) shipService(int32) float64 {
 // tandem solver when nothing couples the instances beyond the three
 // stations, on the typed event path otherwise. It fills in the batch's
 // result columns in place, hands them to the Result, and returns it with the
-// fault roll-up done, neither billed nor summarized: the caller's bill is the
-// fold that does both.
+// fault roll-up done, neither billed nor summarized: the caller's fold does
+// both.
 func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 	ib := &sc.batch
 	n := ib.n
@@ -436,32 +433,32 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		cp.hedgeThr = cfg.Hedge.Threshold(ib.execs)
 	}
 	// Observability: a nil recorder costs only the guard checks in the
-	// handlers; with one attached we additionally track arrival and
+	// handlers; with one attached to a throttled run we additionally track
 	// scheduler-entry times to emit queued/sched spans.
-	if cp.rec != nil {
+	if cp.admitted = nil; cp.rec != nil {
 		cp.rec.BeginBurst(obs.BurstInfo{
 			Platform: cfg.Name, Label: b.Label,
 			Functions: b.Functions, Degree: b.Degree, Instances: n,
 		})
-		cp.arrive = grownZeroed(cp.arrive, n)
-		cp.admitted = grownZeroed(cp.admitted, n)
-		for i := range cp.admitted {
-			cp.admitted[i] = -1
+		if cp.limit > 0 {
+			cp.admitted = make([]float64, n)
+			for i := range cp.admitted {
+				cp.admitted[i] = -1
+			}
 		}
 	}
 
 	// A dice-free, unthrottled burst is solved without a single event, unless
 	// the solver declines it (a tie only the engine's sequence numbers order).
-	// The solver reads no execution time, so Run may still be drawing them:
-	// the join comes before the first read, on either path.
-	solved := cfg.tandem() && cp.solveTandem(b)
-	sc.drawing.Wait()
-	if solved {
+	// It reads no execution time: Run's follower joins after it, either way.
+	solved := cfg.tandem() && cp.solveTandem(b, sc.feed)
+	sc.join()
+	if solved && !sc.folded {
 		// Execution is a timer from a start nothing else reads.
 		for i, s := range ib.start {
 			ib.end[i] = sim.TimerAt(s, ib.execs[i])
 		}
-	} else {
+	} else if !solved {
 		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
 			cp.pods = sc.podStates((n + podSize - 1) / podSize)
 		}
@@ -492,7 +489,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		}
 	}
 	if cp.rec != nil {
-		emitLifecycleSpans(cp.rec, c, cp.arrive, cp.admitted)
+		emitLifecycleSpans(cp.rec, c, b, cp.admitted)
 	}
 	return res, nil
 }

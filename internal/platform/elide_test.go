@@ -50,8 +50,9 @@ func withEventCounts(cp controlPlaneFunc, fn func()) (scheduled, queued uint64) 
 }
 
 // sameResultBits requires two Results to agree on everything a run
-// computes: all 13 columns, the four USD fields, the three busy-second
-// fields and the fault roll-up, floats compared by bit pattern.
+// computes: all 13 columns, the folded summary, the four USD fields, the
+// three busy-second fields and the fault roll-up, floats compared by bit
+// pattern.
 func sameResultBits(t *testing.T, what string, got, want *Result) {
 	t.Helper()
 	g, w := &got.cols, &want.cols
@@ -89,6 +90,9 @@ func sameResultBits(t *testing.T, what string, got, want *Result) {
 	if !slices.Equal(g.flags, w.flags) {
 		t.Fatalf("%s: flags columns differ", what)
 	}
+	sameBits("summary",
+		[]float64{got.sum.maxStart, got.sum.minStart, got.sum.maxEnd, got.sum.execSec, got.sum.failedSec},
+		[]float64{want.sum.maxStart, want.sum.minStart, want.sum.maxEnd, want.sum.execSec, want.sum.failedSec})
 	sameBits("USD and busy seconds",
 		[]float64{got.ComputeUSD, got.RequestUSD, got.StorageUSD, got.WastedUSD, got.SchedBusySec, got.BuildBusySec, got.ShipBusySec},
 		[]float64{want.ComputeUSD, want.RequestUSD, want.StorageUSD, want.WastedUSD, want.SchedBusySec, want.BuildBusySec, want.ShipBusySec})

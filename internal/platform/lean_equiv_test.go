@@ -39,13 +39,13 @@ func widened(t *testing.T, res *Result, shards int, groupsOf func(i int) []deman
 		cell.cols.copyAt(0, &instanceColumns{n: hi - lo,
 			degree: src.degree[lo:hi], flags: src.flags[lo:hi], schedDone: src.schedDone[lo:hi],
 			buildDone: src.buildDone[lo:hi], shipDone: src.shipDone[lo:hi], start: src.start[lo:hi], end: src.end[lo:hi]})
-		cell.bill(func(i int) []demandGroup { return groupsOf(lo + i) })
+		cell.fold(true, func(i int) []demandGroup { return groupsOf(lo + i) })
 		full.ComputeUSD += cell.ComputeUSD
 		full.RequestUSD += cell.RequestUSD
 		full.StorageUSD += cell.StorageUSD
 		full.WastedUSD += cell.WastedUSD
 	}
-	full.fold(nil, nil)
+	full.fold(false, nil)
 	return full
 }
 

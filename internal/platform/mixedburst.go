@@ -154,7 +154,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		return nil, err
 	}
 	res.Bins = m.Bins
-	res.bill(func(i int) []demandGroup { return preps[i].groups })
+	res.fold(true, func(i int) []demandGroup { return preps[i].groups })
 	return res, nil
 }
 

@@ -4,10 +4,10 @@ import "repro/internal/obs"
 
 // emitLifecycleSpans converts the finished columns into per-instance
 // lifecycle stage spans, in instance order (deterministic for golden tests).
-// arrive and admitted are the recorder-only tracking arrays filled by
-// runControlPlane: arrival at the platform (t=0, or the staggered arrival)
-// and first scheduler entry (later than arrival only under account-level
-// throttling).
+// Instance i arrives at the platform at b's arrival offset plus i staggers
+// (t=0 for a simultaneous burst). admitted is its first scheduler entry,
+// later than arrival only under account-level throttling; nil means on
+// arrival.
 //
 // The spans tile each instance's critical path exactly as
 // Result.StageBreakdown slices it: queued (arrival → scheduler),
@@ -17,15 +17,20 @@ import "repro/internal/obs"
 // omitted. For instances that survived start retries the sched milestone is
 // the *last* pass's placement, so the boot span absorbs the retry loops —
 // the per-attempt story is in the live fault events, not the spans.
-func emitLifecycleSpans(rec obs.Recorder, c *instanceColumns, arrive, admitted []float64) {
+func emitLifecycleSpans(rec obs.Recorder, c *instanceColumns, b Burst, admitted []float64) {
 	emit := func(i int, st obs.Stage, start, end float64) {
 		if end > start {
 			rec.Span(obs.Span{Instance: i, Stage: st, StartSec: start, EndSec: end})
 		}
 	}
 	for i := 0; i < c.n; i++ {
-		emit(i, obs.StageQueued, arrive[i], admitted[i])
-		emit(i, obs.StageSched, admitted[i], c.schedDone[i])
+		arrive := b.arrivalOffsetSec + float64(i)*b.StaggerSec
+		entered := arrive
+		if admitted != nil {
+			entered = admitted[i]
+		}
+		emit(i, obs.StageQueued, arrive, entered)
+		emit(i, obs.StageSched, entered, c.schedDone[i])
 		emit(i, obs.StageBuild, c.schedDone[i], c.buildDone[i])
 		emit(i, obs.StageShip, c.buildDone[i], c.shipDone[i])
 		// A retried instance's last placement can postdate its pod's

@@ -84,7 +84,7 @@ func TestOneInstanceBurstSeedsWhatItReads(t *testing.T) {
 }
 
 // panickingRecorder panics as the burst begins: in runControlPlane, before
-// the solver, while an overlapped jitter draw is still running.
+// the solver, while a follower may still be drawing.
 type panickingRecorder struct{}
 
 func (panickingRecorder) BeginBurst(obs.BurstInfo) { panic("recorder: begin burst") }
@@ -93,11 +93,12 @@ func (panickingRecorder) Event(obs.Event)          {}
 
 // TestScratchReuseAfterPanic poisons a scratch as thoroughly as a run can —
 // a faulty burst that panics mid-dispatch, events still in the heap, the
-// jitter register part-filled, then a dice-free burst that panics while its
-// jitter draw runs on a second goroutine — then runs, on that same scratch,
-// each of the eight burst-1m golden seeds at 10⁴ instances, a burst whose
-// draw is overlapped and a faulty burst, and requires every Result to match,
-// bit for bit, a run on an empty pool.
+// jitter register part-filled, then every way a run with a follower can end
+// short of the solver finishing (followerExits: a tie-forced fallback, zero
+// servers, the closure oracle swap, a recorder panic) — then runs, on that
+// same scratch, each of the eight burst-1m golden seeds at 10⁴ instances, a
+// followed burst and a faulty burst, and requires every Result to match, bit
+// for bit, a run on an empty pool.
 func TestScratchReuseAfterPanic(t *testing.T) {
 	cfg := AWSLambda()
 	d := workload.Video{}.Demand()
@@ -111,9 +112,9 @@ func TestScratchReuseAfterPanic(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		bursts = append(bursts, Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: seed})
 	}
-	// One burst whose jitter draw overlaps the solver at GOMAXPROCS 2, the
-	// setting the scratch is poisoned and reused at.
-	overlapped := Burst{Demand: d, Functions: overlapDrawMin + 1, Degree: 1, Warm: 3, Seed: 21}
+	// One burst with a follower at GOMAXPROCS 2, the setting the scratch is
+	// poisoned and reused at.
+	overlapped := followedBurst
 	bursts = append(bursts, overlapped)
 	bursts = append(bursts, Burst{Demand: d, Functions: 4000, Degree: 4, Warm: 16, Seed: 99})
 	cfgOf := func(i int) Config {
@@ -165,18 +166,11 @@ func TestScratchReuseAfterPanic(t *testing.T) {
 	sc.release()
 
 	withScratch(sc, func() {
-		// A panic on the overlapped path, while the second goroutine may still
-		// be drawing: the scratch goes back to the pool only after the join.
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("the panicking recorder did not panic")
-				}
-			}()
-			b := overlapped
-			b.Seed, b.Recorder = 22, panickingRecorder{}
-			_, _ = Run(cfg, b)
-		}()
+		// Each exit aborts the follower before anything joins it; the
+		// scratch goes back to the pool only after the join.
+		for _, exit := range followerExits {
+			exit.run(t)
+		}
 		for i, b := range bursts {
 			got, err := Run(cfgOf(i), b)
 			if err != nil {

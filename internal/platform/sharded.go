@@ -197,7 +197,7 @@ func mergeShardResults(cfg Config, results []*Result) *Result {
 	merged.SchedBusySec *= inv
 	merged.BuildBusySec *= inv
 	merged.ShipBusySec *= inv
-	merged.fold(nil, nil)
+	merged.fold(false, nil)
 	return merged
 }
 

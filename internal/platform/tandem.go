@@ -92,12 +92,12 @@ func (st *tandemStage) serve(arrive, instant float64) (begin, end float64) {
 	return begin, end
 }
 
-// solveTandem fills the milestone columns up to start (and the recorder's
-// arrival tracking) of a dice-free, unthrottled burst: each instance through
-// the three stages, then boot as the timer it is. It reads no execution time
-// — the caller sets end, after a draw Run may have overlapped with this. False,
-// counted: a stage went bad.
-func (cp *controlPlane) solveTandem(b Burst) bool {
+// solveTandem fills the milestone columns up to start of a dice-free,
+// unthrottled burst: each instance through the three stages, then boot as
+// the timer it is. It reads no execution time, and sends a non-nil feed its
+// row count every followChunk rows and at the last. False, counted: a stage
+// went bad.
+func (cp *controlPlane) solveTandem(b Burst, feed chan<- int) bool {
 	cfg, ib := &cp.cfg, cp.ib
 	if min(cfg.SchedServers, cfg.BuildServers, cfg.ShipServers) < 1 {
 		return false // the stations' panic, not ours
@@ -114,9 +114,6 @@ func (cp *controlPlane) solveTandem(b Burst) bool {
 	podEnd, led, shippedAt := 0, false, 0.0
 	for i := 0; i < ib.n; i++ {
 		arrive := offset + float64(i)*stagger
-		if cp.rec != nil {
-			cp.arrive[i], cp.admitted[i] = arrive, arrive
-		}
 		if i == podEnd {
 			podEnd, led = podEnd+cp.podSize, false
 		}
@@ -142,6 +139,9 @@ func (cp *controlPlane) solveTandem(b Burst) bool {
 			return false
 		}
 		ib.start[i] = sim.TimerAt(from, delay)
+		if feed != nil && ((i+1)%followChunk == 0 || i+1 == ib.n) {
+			feed <- i + 1 // never blocks: the feed holds every chunk
+		}
 	}
 	// The stations' totals, where the Result reads them.
 	cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds = sched.busySec, build.busySec, ship.busySec

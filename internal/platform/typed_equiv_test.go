@@ -15,11 +15,12 @@ import (
 // withClosureControlPlane runs fn with every burst simulated by the frozen
 // closure-based control plane (burst_closure_test.go) instead of the typed
 // dispatcher — the specification side of the typed-equivalence proof. The
-// oracle reads execution times from its first line, so it starts by joining
-// a draw Run may have overlapped with it.
+// oracle reads execution times from its first line and never runs the
+// solver, so it starts by aborting and joining a follower Run may have
+// started beside it.
 func withClosureControlPlane(fn func()) {
 	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
-		sc.drawing.Wait()
+		sc.join()
 		return runControlPlaneClosure(cfg, b, sc, rng)
 	}
 	defer func() { runCP = runControlPlane }()
