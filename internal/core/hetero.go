@@ -240,8 +240,10 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		bestS = math.Min(bestS, c.serviceSec)
 		bestE = math.Min(bestE, c.expenseUSD)
 	}
-	var best heteroCandidate
-	bestVal := math.Inf(1)
+	// The first candidate in enumeration order stands when no regret compares
+	// (all NaN, e.g. a zero rate makes every expense regret 0/0), as in
+	// GridTable.firstEligible.
+	best, bestVal := cands[0], math.Inf(1)
 	for _, c := range cands {
 		v := opts.Weights.Service*(c.serviceSec-bestS)/bestS +
 			opts.Weights.Expense*(c.expenseUSD-bestE)/bestE

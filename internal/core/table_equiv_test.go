@@ -460,8 +460,7 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		bestS = math.Min(bestS, c.serviceSec)
 		bestE = math.Min(bestE, c.expenseUSD)
 	}
-	var best naiveMixedCand
-	bestVal := math.Inf(1)
+	best, bestVal := cands[0], math.Inf(1) // the first stands when no regret compares
 	for _, c := range cands {
 		v := opts.Weights.Service*(c.serviceSec-bestS)/bestS +
 			opts.Weights.Expense*(c.expenseUSD-bestE)/bestE
@@ -505,11 +504,23 @@ func randMixedCase(r *rand.Rand) ([]App, MixedPlanOptions) {
 	return apps, opts
 }
 
+// TestPlanMixedMatchesNaive holds PlanMixed to the naive sweep on random
+// jobs: some at a zero rate, where every expense regret is 0/0 and no regret
+// compares, some service-only (Weights{1, 0}), some both. A plan must name a
+// candidate — the first, when none compares — never come back empty.
 func TestPlanMixedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	feasible, infeasible := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		apps, opts := randMixedCase(r)
+		switch trial % 5 {
+		case 1:
+			opts.RatePerInstanceSec = 0
+		case 2:
+			opts.Weights = Weights{Service: 1, Expense: 0}
+		case 3:
+			opts.RatePerInstanceSec, opts.Weights = 0, Weights{Service: 1, Expense: 0}
+		}
 		got, gotErr := PlanMixed(apps, opts)
 		want, wantErr := naivePlanMixed(apps, opts)
 		if (gotErr == nil) != (wantErr == nil) {
@@ -521,6 +532,9 @@ func TestPlanMixedMatchesNaive(t *testing.T) {
 			continue
 		}
 		feasible++
+		if got.Strategy == "" || len(got.BinCounts) == 0 {
+			t.Fatalf("trial %d: PlanMixed returned an empty plan %+v (opts=%+v)", trial, got, opts)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: PlanMixed=%+v, naive=%+v (apps=%+v opts=%+v)",
 				trial, got, want, apps, opts)

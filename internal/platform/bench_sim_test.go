@@ -13,10 +13,10 @@ import (
 // function) at C = 10³ … 10⁶, on the production path ("wheel", the row's
 // historical name: for this dice-free burst the tandem solver, no engine at
 // all), forced through the typed dispatcher on the event engine ("evented"),
-// through the retained closure control plane, and on the 8-cell sharded
-// path. Besides ns/op and the standard alloc columns, each sub-benchmark
-// reports allocs/instance and bytes/instance — the steady-state per-instance
-// footprint — and events/instance, the run's event budget (0 solved, 5 on
+// and through the retained closure control plane. Besides ns/op and the
+// standard alloc columns, each sub-benchmark reports allocs/instance and
+// bytes/instance — the steady-state per-instance footprint — and
+// events/instance, the run's event budget (0 solved, 5 on
 // the evented and closure rows, which schedule every timer). CI runs it at
 // -benchtime=1x as a smoke so the million-instance point cannot rot; the
 // recorded curve comes from dedicated -count runs.
@@ -34,7 +34,7 @@ func BenchmarkSim(b *testing.B) {
 	loop := func(b *testing.B, instances int, cp controlPlaneFunc, run func() error) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
-		events := withEventCount(cp, func() {
+		events, _ := withEventCounts(cp, func() {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				if err := run(); err != nil {
@@ -68,11 +68,4 @@ func BenchmarkSim(b *testing.B) {
 			loop(b, c, runControlPlaneClosure, func() error { _, err := Run(cfg, bb); return err })
 		})
 	}
-	b.Run("sharded/C=1000000/shards=8", func(b *testing.B) {
-		bb := burstAt(1_000_000)
-		loop(b, 1_000_000, runControlPlane, func() error {
-			_, err := RunSharded(cfg, bb, Sharding{Shards: 8})
-			return err
-		})
-	})
 }

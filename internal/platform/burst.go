@@ -49,13 +49,6 @@ type Burst struct {
 	// Seed drives execution-time jitter.
 	Seed int64
 
-	// arrivalOffsetSec shifts every instance's arrival by a constant, in
-	// virtual seconds. Sharded runs use it so shard s's staggered arrivals
-	// begin at lo·StaggerSec — global arrival times are preserved even
-	// though the shard numbers its instances from zero. Always zero outside
-	// sharded runs.
-	arrivalOffsetSec float64
-
 	// Recorder receives event-level observability records (lifecycle stage
 	// spans, fault and hedge events). Nil disables observability at zero
 	// cost; see internal/obs.

@@ -14,14 +14,22 @@ import (
 // core/table_equiv_test.go. The typed path
 // must reproduce its Results and recorder traces byte for byte; the
 // differential tests in typed_equiv_test.go swap it in through the runCP
-// hook. Only four mechanical edits were made: the function was renamed,
-// engine construction goes through sc.engine() (the pooled engine; closure
-// events never consult the sink, so no SetSink is needed), the epilogue
-// below eng.Run() hands the batch's columns to the Result the way
-// runControlPlane does — the fault roll-up there stays row-wise, over the
-// materialized timelines, so the typed path's column fold is checked against
-// it too — and the arrival-time array is gone: emitLifecycleSpans derives
-// an instance's arrival from the burst, as the typed path does.
+// hook. Only these mechanical edits were made:
+//
+//   - the function was renamed;
+//   - engine construction goes through sc.engine() (the pooled engine);
+//   - the epilogue below eng.Run() hands the batch's columns to the Result
+//     the way runControlPlane does — the fault roll-up there stays row-wise,
+//     over the materialized timelines, so the typed path's column fold is
+//     checked against it too;
+//   - the arrival-time array is gone: emitLifecycleSpans derives an
+//     instance's arrival from the burst, as the typed path does;
+//   - closures are scheduled through the test adapter clo (closure_test.go)
+//     where they were eng.At and eng.After;
+//   - the stations are closure_test.go's copy of the closure station where
+//     they were sim.NewStation;
+//   - a staggered arrival is i·StaggerSec, without the constant offset only
+//     sharded cells used to set.
 //
 // Do not "improve" this function; it is a specification, not product code.
 func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
@@ -29,9 +37,10 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 	n := ib.n
 	execs := ib.execs
 	eng := sc.engine()
-	sched := sim.NewStation(eng, cfg.SchedServers)
-	buildSt := sim.NewStation(eng, cfg.BuildServers)
-	shipSt := sim.NewStation(eng, cfg.ShipServers)
+	clo := newClosures(eng)
+	sched := newStation(clo, cfg.SchedServers)
+	buildSt := newStation(clo, cfg.BuildServers)
+	shipSt := newStation(clo, cfg.ShipServers)
 
 	// Observability: a nil recorder costs only the guard checks below; with
 	// one attached we additionally track scheduler-entry times (they are not
@@ -104,7 +113,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		if rec != nil {
 			rec.Event(obs.Event{Instance: i, Kind: obs.EventBackoff, AtSec: eng.Now(), DurSec: d})
 		}
-		eng.After(d, func() { submitSched(i) })
+		clo.After(d, func() { submitSched(i) })
 	}
 	// failExec handles a crashed or timed-out attempt: retry within the
 	// policy's budget or fail the burst.
@@ -141,7 +150,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 			timeoutAt = cfg.ExecTimeoutSec
 		}
 		if crashAt < dur && crashAt <= timeoutAt {
-			eng.After(crashAt, func() {
+			clo.After(crashAt, func() {
 				ib.crashes[i]++
 				ib.failedSec[i] += crashAt
 				if rec != nil {
@@ -152,7 +161,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 			return
 		}
 		if timeoutAt < dur {
-			eng.After(timeoutAt, func() {
+			clo.After(timeoutAt, func() {
 				ib.timeouts[i]++
 				ib.failedSec[i] += timeoutAt
 				if rec != nil {
@@ -182,7 +191,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 				rec.Event(obs.Event{Instance: i, Kind: obs.EventHedgeLaunch, AtSec: eng.Now() + hedgeThr})
 			}
 		}
-		eng.After(end, func() {
+		clo.After(end, func() {
 			ib.end[i] = eng.Now()
 			if rec != nil && ib.flags[i]&flagHedged != 0 {
 				kind := obs.EventHedgeWaste
@@ -199,7 +208,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		})
 	}
 	boot := func(i int) {
-		eng.After(cfg.BootSec, func() {
+		clo.After(cfg.BootSec, func() {
 			if cfg.StartFailureProb > 0 && rng.Float64() < cfg.StartFailureProb {
 				// Cold start failed: back off and re-enter the scheduler
 				// (the admission slot stays held through retries).
@@ -222,7 +231,7 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 		})
 	}
 	warmStart := func(i int) {
-		eng.After(cfg.WarmStartSec, func() { finish(i) })
+		clo.After(cfg.WarmStartSec, func() { finish(i) })
 	}
 	podShipped := func(p int) {
 		pods[p].shipped = true
@@ -288,8 +297,8 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 	// "scheduling algorithm needs to search and find more places" effect.
 	for i := 0; i < n; i++ {
 		i := i
-		if b.StaggerSec > 0 || b.arrivalOffsetSec > 0 {
-			eng.At(b.arrivalOffsetSec+float64(i)*b.StaggerSec, func() { admit(i) })
+		if b.StaggerSec > 0 {
+			clo.At(float64(i)*b.StaggerSec, func() { admit(i) })
 		} else {
 			admit(i)
 		}

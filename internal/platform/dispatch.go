@@ -21,9 +21,9 @@ import (
 // Correctness is not renegotiated: the retained closure implementation
 // (burst_closure_test.go) is the frozen specification, and the typed path
 // is held to its exact bytes — Results and JSONL traces — by the
-// differential suite. The oracle's sim.Station schedules on the engine's
-// heap alone, so the comparison also holds the typed stations' lanes to a
-// run without them.
+// differential suite. The oracle's closure station schedules on the
+// engine's heap alone, so the comparison also holds the typed stations'
+// lanes to a run without them.
 //
 // Events are for runs whose instances can affect one another past the three
 // stations: through the fault dice (one RNG stream), the hedge policy or the
@@ -83,7 +83,7 @@ type controlPlane struct {
 }
 
 // Dispatch is the control plane's kind table. Station completions follow
-// the three-step protocol the closure Station performed implicitly:
+// the three-step protocol the closure station performed implicitly:
 // Complete (counters), the lifecycle logic, then Next (start the next
 // queued job) — downstream events are sequence-numbered by that order.
 func (cp *controlPlane) Dispatch(kind uint8, sub int32) {
@@ -509,9 +509,9 @@ func (cp *controlPlane) simulate(b Burst) {
 	cp.sched.Init(eng, cfg.SchedServers, evSchedDone, n, cp.schedSvc)
 	cp.build.Init(eng, cfg.BuildServers, evBuildDone, n, cp.buildSvc)
 	cp.ship.Init(eng, cfg.ShipServers, evShipDone, n, cp.shipSvc)
-	if b.StaggerSec > 0 || b.arrivalOffsetSec > 0 {
+	if b.StaggerSec > 0 {
 		for i := 0; i < n; i++ {
-			eng.Emit(b.arrivalOffsetSec+float64(i)*b.StaggerSec, evAdmit, int32(i))
+			eng.Emit(float64(i)*b.StaggerSec, evAdmit, int32(i))
 		}
 	} else {
 		for i := 0; i < n; i++ {

@@ -25,17 +25,11 @@ import (
 // controlPlaneFunc is the signature behind the runCP hook.
 type controlPlaneFunc = func(Config, Burst, *runScratch, *sim.RNG) (*Result, error)
 
-// withEventCount runs fn with cp installed as the control plane and returns
-// the number of events the engine scheduled across every burst fn simulated.
-func withEventCount(cp controlPlaneFunc, fn func()) uint64 {
-	scheduled, _ := withEventCounts(cp, fn)
-	return scheduled
-}
-
-// withEventCounts is withEventCount that also reports how many of the
-// scheduled events were pushed onto the engine's general queue rather than
-// a station's monotone lane (sharded runs simulate their cells concurrently,
-// hence the atomics).
+// withEventCounts runs fn with cp installed as the control plane and returns
+// the number of events the engine scheduled across every burst fn simulated,
+// and how many of them were pushed onto the engine's general queue rather
+// than a station's monotone lane (RunSharded simulates its cells
+// concurrently, hence the atomics).
 func withEventCounts(cp controlPlaneFunc, fn func()) (scheduled, queued uint64) {
 	var total, lanes atomic.Uint64
 	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
@@ -105,16 +99,16 @@ func sameResultBits(t *testing.T, what string, got, want *Result) {
 
 // TestElidedTailDifferential simulates randomized dice-free bursts — cold,
 // warm prefixes, pods with waiting followers, staggered arrival, packed with
-// a short last instance, mixed bins; single-cell and sharded — solved without
-// events, with every event forced, and through the closure oracle, and
-// requires identical bits from all three.
+// a short last instance, mixed bins — solved without events, with every event
+// forced, and through the closure oracle, and requires identical bits from
+// all three.
 func TestElidedTailDifferential(t *testing.T) {
 	video := workload.Video{}.Demand()
 	light := interfere.Demand{CPUSeconds: 5, MemoryMB: 128, InputMB: 5, OutputMB: 1, SharedInput: true}
 	shuffly := interfere.Demand{CPUSeconds: 12, IOSeconds: 4, MemoryMB: 256, InputMB: 20, OutputMB: 8, ShuffleFraction: 0.5}
 	rng := rand.New(rand.NewSource(577215))
 
-	var verified, seenWarm, seenWarmLed, seenPodOfOne, seenFollower, seenStagger, seenShortLast, seenMixed, seenSharded int
+	var verified, seenWarm, seenWarmLed, seenPodOfOne, seenFollower, seenStagger, seenShortLast, seenMixed int
 	const trials = 48
 	for trial := 0; trial < trials; trial++ {
 		cfg := Providers()[rng.Intn(3)]
@@ -135,7 +129,7 @@ func TestElidedTailDifferential(t *testing.T) {
 			what      string
 			n         int
 			shortLast bool
-			run       func(cfg Config, sh Sharding) (*Result, error)
+			run       func(cfg Config) (*Result, error)
 		)
 		if trial%3 != 0 {
 			c, deg := 1+rng.Intn(800), 1+rng.Intn(8)
@@ -145,7 +139,7 @@ func TestElidedTailDifferential(t *testing.T) {
 			}
 			b := Burst{Demand: d, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
 			what, n, shortLast = fmt.Sprintf("trial %d Run(%s C=%d P=%d seed=%d)", trial, cfg.Name, c, deg, seed), b.Instances(), c%deg != 0
-			run = func(cfg Config, sh Sharding) (*Result, error) { return RunSharded(cfg, b, sh) }
+			run = func(cfg Config) (*Result, error) { return Run(cfg, b) }
 		} else {
 			bins := make([]Bin, 1+rng.Intn(120))
 			for i := range bins {
@@ -158,60 +152,42 @@ func TestElidedTailDifferential(t *testing.T) {
 			}
 			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
 			what, n = fmt.Sprintf("trial %d RunMixed(%s bins=%d seed=%d)", trial, cfg.Name, len(bins), seed), len(bins)
-			run = func(cfg Config, sh Sharding) (*Result, error) { return RunMixedSharded(cfg, m, sh) }
+			run = func(cfg Config) (*Result, error) { return RunMixed(cfg, m) }
 		}
 		// Never throttles (at most n instances are ever admitted), but the
 		// throttle's bookkeeping needs the end events, so the run is evented.
 		forced := cfg
 		forced.ConcurrencyLimit = n
 
-		ok := true
-		simulate := func(what string, cp controlPlaneFunc, cfg Config, sh Sharding) (*Result, uint64) {
-			var res *Result
+		simulate := func(what string, cp controlPlaneFunc, cfg Config) (res *Result, events uint64) {
 			var err error
-			events := withEventCount(cp, func() { res, err = run(cfg, sh) })
-			if errors.Is(err, ErrExecLimit) {
-				ok = false // this degree does not fit the provider's limit: not a burst
-				return nil, 0
-			}
-			if err != nil {
+			if events, _ = withEventCounts(cp, func() { res, err = run(cfg) }); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			return res, events
 		}
-		for _, shards := range []int{1, 2, 4, 8} {
-			what := fmt.Sprintf("%s shards=%d", what, shards)
-			sh := Sharding{Shards: shards}
-			elided, elidedEvents := simulate(what, runControlPlane, cfg, sh)
-			if !ok {
-				break
-			}
-			evented, eventedEvents := simulate(what+" (forced)", runControlPlane, forced, sh)
-			sameResultBits(t, what+": elided vs evented", elided, evented)
-			if elidedEvents >= eventedEvents {
-				t.Fatalf("%s: elided run scheduled %d events, forced run %d — both took the same path",
-					what, elidedEvents, eventedEvents)
-			}
-			closure, closureEvents := simulate(what+" (closure)", runControlPlaneClosure, cfg, sh)
-			sameResultBits(t, what+": elided vs closure oracle", elided, closure)
-			if closureEvents != eventedEvents {
-				t.Fatalf("%s: closure oracle scheduled %d events, forced typed run %d", what, closureEvents, eventedEvents)
-			}
-			if shards == 1 {
-				c := &elided.cols
-				for i := 0; i < c.n; i++ {
-					// A follower that reached its pod before the image did
-					// waited for the leader's ship.
-					if !c.warm(i) && c.buildDone[i] == c.shipDone[i] && c.schedDone[i] < c.shipDone[i] {
-						seenFollower++
-					}
-				}
-			} else if shards <= n {
-				seenSharded++
-			}
+		if _, err := run(cfg); errors.Is(err, ErrExecLimit) {
+			continue // this degree does not fit the provider's limit: not a burst
 		}
-		if !ok {
-			continue
+		elided, elidedEvents := simulate(what, runControlPlane, cfg)
+		evented, eventedEvents := simulate(what+" (forced)", runControlPlane, forced)
+		sameResultBits(t, what+": elided vs evented", elided, evented)
+		if elidedEvents >= eventedEvents {
+			t.Fatalf("%s: elided run scheduled %d events, forced run %d — both took the same path",
+				what, elidedEvents, eventedEvents)
+		}
+		closure, closureEvents := simulate(what+" (closure)", runControlPlaneClosure, cfg)
+		sameResultBits(t, what+": elided vs closure oracle", elided, closure)
+		if closureEvents != eventedEvents {
+			t.Fatalf("%s: closure oracle scheduled %d events, forced typed run %d", what, closureEvents, eventedEvents)
+		}
+		c := &elided.cols
+		for i := 0; i < c.n; i++ {
+			// A follower that reached its pod before the image did waited
+			// for the leader's ship.
+			if !c.warm(i) && c.buildDone[i] == c.shipDone[i] && c.schedDone[i] < c.shipDone[i] {
+				seenFollower++
+			}
 		}
 		verified++
 		if warm > 0 {
@@ -238,7 +214,7 @@ func TestElidedTailDifferential(t *testing.T) {
 	for name, n := range map[string]int{
 		"warm prefixes": seenWarm, "warm-led pods": seenWarmLed, "pods of one": seenPodOfOne,
 		"waiting pod followers": seenFollower, "staggered arrival": seenStagger,
-		"a short last instance": seenShortLast, "mixed bins": seenMixed, "multi-cell sharding": seenSharded,
+		"a short last instance": seenShortLast, "mixed bins": seenMixed,
 	} {
 		if n == 0 {
 			t.Errorf("sweep never exercised %s", name)

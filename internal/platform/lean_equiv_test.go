@@ -21,7 +21,7 @@ import (
 
 // widened returns res with full columns — the lean ones copied, the fault
 // and hedge ones zero — and the bill and the summary folded over them.
-func widened(t *testing.T, res *Result, shards int, groupsOf func(i int) []demandGroup) *Result {
+func widened(t *testing.T, res *Result, groupsOf func(i int) []demandGroup) *Result {
 	t.Helper()
 	if res.cols.faulty() {
 		t.Fatal("widened wants a lean Result")
@@ -30,22 +30,7 @@ func widened(t *testing.T, res *Result, shards int, groupsOf func(i int) []deman
 		SchedBusySec: res.SchedBusySec, BuildBusySec: res.BuildBusySec, ShipBusySec: res.ShipBusySec,
 		cols: newInstanceColumns(res.cols.n, true)}
 	full.cols.copyAt(0, &res.cols)
-	// A sharded bill is the shard-order sum of per-cell bills, and float
-	// addition does not reassociate: bill cell by cell, as the merge did.
-	for s := 0; s < shards; s++ {
-		lo, hi := shardBounds(full.cols.n, shards, s)
-		cell := &Result{Config: res.Config, cols: newInstanceColumns(hi-lo, true)}
-		src := full.cols
-		cell.cols.copyAt(0, &instanceColumns{n: hi - lo,
-			degree: src.degree[lo:hi], flags: src.flags[lo:hi], schedDone: src.schedDone[lo:hi],
-			buildDone: src.buildDone[lo:hi], shipDone: src.shipDone[lo:hi], start: src.start[lo:hi], end: src.end[lo:hi]})
-		cell.fold(true, func(i int) []demandGroup { return groupsOf(lo + i) })
-		full.ComputeUSD += cell.ComputeUSD
-		full.RequestUSD += cell.RequestUSD
-		full.StorageUSD += cell.StorageUSD
-		full.WastedUSD += cell.WastedUSD
-	}
-	full.fold(false, nil)
+	full.fold(true, groupsOf)
 	return full
 }
 
@@ -103,8 +88,8 @@ func sameObservables(t *testing.T, what string, got, want *Result) {
 
 // TestLeanColumnsDifferential: for random dice-free bursts — plain, packed
 // with a short last instance, warm prefixes, staggered, throttled, mixed
-// bins; pods of one and of several; single-cell and sharded — the lean Result
-// and its widening agree on every observable, flags carry nothing but the
+// bins; pods of one and of several — the lean Result and its widening agree
+// on every observable, flags carry nothing but the
 // warm bit, and the fault columns are absent exactly when the Config is not
 // faulty.
 func TestLeanColumnsDifferential(t *testing.T) {
@@ -113,7 +98,7 @@ func TestLeanColumnsDifferential(t *testing.T) {
 	shuffly := interfere.Demand{CPUSeconds: 12, IOSeconds: 4, MemoryMB: 256, InputMB: 20, OutputMB: 8, ShuffleFraction: 0.5}
 	rng := rand.New(rand.NewSource(1618033))
 
-	var verified, seenPods, seenPodOfOne, seenWarm, seenStagger, seenThrottled, seenMixed, seenSharded int
+	var verified, seenPods, seenPodOfOne, seenWarm, seenStagger, seenThrottled, seenMixed int
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		cfg := Providers()[rng.Intn(3)]
@@ -136,8 +121,8 @@ func TestLeanColumnsDifferential(t *testing.T) {
 
 		var (
 			what     string
-			n        int
-			run      func(sh Sharding) (*Result, error)
+			res      *Result
+			err      error
 			groupsOf func(i int) []demandGroup
 		)
 		if trial%3 != 0 {
@@ -147,8 +132,9 @@ func TestLeanColumnsDifferential(t *testing.T) {
 				d = shuffly
 			}
 			b := Burst{Demand: d, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d Run(%s C=%d P=%d pod=%d seed=%d)", trial, cfg.Name, c, deg, cfg.PodSize, seed), b.Instances()
-			run = func(sh Sharding) (*Result, error) { return RunSharded(cfg, b, sh) }
+			what = fmt.Sprintf("trial %d Run(%s C=%d P=%d pod=%d seed=%d)", trial, cfg.Name, c, deg, cfg.PodSize, seed)
+			res, err = Run(cfg, b)
+			n := b.Instances()
 			groupsOf = func(i int) []demandGroup {
 				resident := deg
 				if i == n-1 {
@@ -166,37 +152,23 @@ func TestLeanColumnsDifferential(t *testing.T) {
 					bins[i].Demands = append(bins[i].Demands, video)
 				}
 			}
-			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d RunMixed(%s bins=%d pod=%d seed=%d)", trial, cfg.Name, len(bins), cfg.PodSize, seed), len(bins)
-			run = func(sh Sharding) (*Result, error) { return RunMixedSharded(cfg, m, sh) }
+			what = fmt.Sprintf("trial %d RunMixed(%s bins=%d pod=%d seed=%d)", trial, cfg.Name, len(bins), cfg.PodSize, seed)
+			res, err = RunMixed(cfg, MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed})
 			groupsOf = func(i int) []demandGroup { return groupDemands(bins[i].Demands) }
 		}
-
-		ok := true
-		for _, shards := range []int{1, 3, 8} {
-			what := fmt.Sprintf("%s shards=%d", what, shards)
-			res, err := run(Sharding{Shards: shards})
-			if err != nil {
-				ok = false // this degree does not fit the provider's limit: not a burst
-				break
-			}
-			c := &res.cols
-			if c.faulty() || c.failedSec != nil || c.hedgeExtraSec != nil || c.crashes != nil || c.timeouts != nil || c.straggled != nil {
-				t.Fatalf("%s: a dice-free run carries fault columns", what)
-			}
-			for i, f := range c.flags {
-				if f&^flagWarm != 0 {
-					t.Fatalf("%s: flags[%d] = %#b: a dice-free run set more than the warm bit", what, i, f)
-				}
-			}
-			sameObservables(t, what, res, widened(t, res, minInt(shards, n), groupsOf))
-			if shards > 1 && shards <= n {
-				seenSharded++
+		if err != nil {
+			continue // this degree does not fit the provider's limit: not a burst
+		}
+		c := &res.cols
+		if c.faulty() || c.failedSec != nil || c.hedgeExtraSec != nil || c.crashes != nil || c.timeouts != nil || c.straggled != nil {
+			t.Fatalf("%s: a dice-free run carries fault columns", what)
+		}
+		for i, f := range c.flags {
+			if f&^flagWarm != 0 {
+				t.Fatalf("%s: flags[%d] = %#b: a dice-free run set more than the warm bit", what, i, f)
 			}
 		}
-		if !ok {
-			continue
-		}
+		sameObservables(t, what, res, widened(t, res, groupsOf))
 		verified++
 		if cfg.PodSize > 1 {
 			seenPods++
@@ -221,7 +193,7 @@ func TestLeanColumnsDifferential(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"pods": seenPods, "pods of one": seenPodOfOne, "warm prefixes": seenWarm, "staggered arrival": seenStagger,
-		"an account throttle": seenThrottled, "mixed bins": seenMixed, "multi-cell sharding": seenSharded,
+		"an account throttle": seenThrottled, "mixed bins": seenMixed,
 	} {
 		if n == 0 {
 			t.Errorf("sweep never exercised %s", name)
@@ -254,7 +226,7 @@ func TestLeanColumnsDifferential(t *testing.T) {
 // clean — every check was `x < 0`-shaped — and panic the simulator ("sim:
 // scheduling event at non-finite time NaN") or run as if unstaggered where
 // an error was due. The validators' own tests walk every field; this one
-// holds Run, RunMixed and their sharded forms to the error.
+// holds Run, RunSharded and RunMixed to the error.
 func TestRunRejectsNonFiniteDemand(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		d := interfere.Demand{CPUSeconds: v, MemoryMB: 128}
@@ -263,10 +235,9 @@ func TestRunRejectsNonFiniteDemand(t *testing.T) {
 		shaped := AWSLambda()
 		shaped.Shape.IsolationFactor = v
 		for what, run := range map[string]func() (*Result, error){
-			"Run":             func() (*Result, error) { return Run(AWSLambda(), b) },
-			"RunSharded":      func() (*Result, error) { return RunSharded(AWSLambda(), b, Sharding{Shards: 2}) },
-			"RunMixed":        func() (*Result, error) { return RunMixed(AWSLambda(), m) },
-			"RunMixedSharded": func() (*Result, error) { return RunMixedSharded(AWSLambda(), m, Sharding{Shards: 2}) },
+			"Run":        func() (*Result, error) { return Run(AWSLambda(), b) },
+			"RunSharded": func() (*Result, error) { return RunSharded(AWSLambda(), b, Sharding{Shards: 2}) },
+			"RunMixed":   func() (*Result, error) { return RunMixed(AWSLambda(), m) },
 			"Run on a non-finite Shape": func() (*Result, error) {
 				return Run(shaped, Burst{Demand: testDemand(), Functions: 8, Degree: 1, Seed: 1})
 			},

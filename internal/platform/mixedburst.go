@@ -34,23 +34,11 @@ type MixedBurst struct {
 	// Seed drives execution-time jitter.
 	Seed int64
 
-	// arrivalOffsetSec shifts every instance's arrival by a constant; see
-	// Burst.arrivalOffsetSec. Set only by sharded runs.
-	arrivalOffsetSec float64
-
 	// Recorder receives event-level observability records; nil disables
 	// observability at zero cost (see internal/obs).
 	Recorder obs.Recorder
 	// Label names the burst in exported traces; may be empty.
 	Label string
-
-	// Workers bounds the fan-out that evaluates the per-bin interference
-	// model and billing groups before the (inherently sequential) control-
-	// plane simulation. 0 uses GOMAXPROCS; 1 reproduces fully sequential
-	// execution. The result is byte-identical for every worker count: the
-	// model evaluation is a pure function of the bin, and jitter draws stay
-	// on the burst's single ordered stream.
-	Workers int
 }
 
 // Functions is the total logical function count across bins.
@@ -102,10 +90,10 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 
 	// Per-bin preparation — the interference model over the bin's demand mix
 	// and the same-demand billing groups — is a pure function of the bin, so
-	// it fans out across workers. Everything order-sensitive (the platform-
-	// limit check with its bin index, the jitter draws on the burst's single
-	// sequential stream) happens in the ordered fold below, keeping the
-	// result byte-identical for every worker count.
+	// it fans out across GOMAXPROCS workers. Everything order-sensitive (the
+	// platform-limit check with its bin index, the jitter draws on the
+	// burst's single sequential stream) happens in the ordered fold below,
+	// keeping the result byte-identical for every worker count.
 	type binPrep struct {
 		base   float64
 		groups []demandGroup
@@ -117,7 +105,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		}
 	}
 	var preps []binPrep
-	if parallel.WorkerCount(m.Workers) == 1 || n == 1 {
+	if parallel.WorkerCount(0) == 1 || n == 1 {
 		preps = make([]binPrep, n)
 		for i := range preps {
 			preps[i] = prep(i)
@@ -125,8 +113,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 	} else {
 		var err error
 		preps, err = parallel.Map(context.Background(), n,
-			func(_ context.Context, i int) (binPrep, error) { return prep(i), nil },
-			parallel.Workers(m.Workers))
+			func(_ context.Context, i int) (binPrep, error) { return prep(i), nil })
 		if err != nil {
 			return nil, err
 		}
@@ -146,8 +133,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 	pseudo := Burst{
 		Functions: m.Functions(), Degree: 0, Warm: m.Warm,
 		StaggerSec: m.StaggerSec, Seed: m.Seed,
-		arrivalOffsetSec: m.arrivalOffsetSec,
-		Recorder:         m.Recorder, Label: m.Label,
+		Recorder: m.Recorder, Label: m.Label,
 	}
 	res, err := runCP(cfg, pseudo, sc, rng)
 	if err != nil {

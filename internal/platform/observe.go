@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // emitLifecycleSpans converts the finished columns into per-instance
 // lifecycle stage spans, in instance order (deterministic for golden tests).
-// Instance i arrives at the platform at b's arrival offset plus i staggers
-// (t=0 for a simultaneous burst). admitted is its first scheduler entry,
+// Instance i arrives at the platform at i staggers (t=0 for a simultaneous
+// burst). admitted is its first scheduler entry,
 // later than arrival only under account-level throttling; nil means on
 // arrival.
 //
@@ -23,8 +23,9 @@ func emitLifecycleSpans(rec obs.Recorder, c *instanceColumns, b Burst, admitted 
 			rec.Span(obs.Span{Instance: i, Stage: st, StartSec: start, EndSec: end})
 		}
 	}
+	stagger := max(b.StaggerSec, 0) // −0 becomes +0, so no arrival is −0
 	for i := 0; i < c.n; i++ {
-		arrive := b.arrivalOffsetSec + float64(i)*b.StaggerSec
+		arrive := float64(i) * stagger
 		entered := arrive
 		if admitted != nil {
 			entered = admitted[i]

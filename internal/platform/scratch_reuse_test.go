@@ -13,11 +13,11 @@ import (
 )
 
 // A pooled scratch carries an engine and a jitter generator from run to run,
-// and both are now reset by what the last run touched rather than in full
-// (sim: the engine's reset clears only the heap's live slots, the
-// generator's register is filled as it is read). These tests hold the pool to "a reused
-// scratch is indistinguishable from a fresh one" from the worst state a
-// previous run can leave, and pin the cost of the smallest burst by count.
+// and both are reset by what the last run touched rather than in full (sim:
+// the engine's reset truncates its heap, the generator's register is filled
+// as it is read). These tests hold the pool to "a reused scratch is
+// indistinguishable from a fresh one" from the worst state a previous run can
+// leave, and pin the cost of the smallest burst by count.
 
 // drainScratchPool empties runScratchPool: Get steals from every P, so the
 // first call that reaches New has found nothing anywhere.

@@ -106,14 +106,11 @@ func (cp *controlPlane) solveTandem(b Burst, feed chan<- int) bool {
 	sched.init(cfg.SchedServers, ib.n, cfg.SchedBaseSec, cfg.SchedPerBusySec)
 	build.init(cfg.BuildServers, ib.n, cfg.BuildSec, cfg.BuildGrowthSec)
 	ship.init(cfg.ShipServers, ib.n, cfg.ShipSec, cfg.ShipGrowthSec)
-	offset, stagger := b.arrivalOffsetSec, b.StaggerSec
-	if !(stagger > 0 || offset > 0) {
-		offset, stagger = 0, 0 // everyone arrives at t=0
-	}
+	stagger := max(b.StaggerSec, 0) // −0 becomes +0: unstaggered, everyone arrives at t=0
 	// The pod being walked: its end, whether a cold member leads it yet, when its image shipped.
 	podEnd, led, shippedAt := 0, false, 0.0
 	for i := 0; i < ib.n; i++ {
-		arrive := offset + float64(i)*stagger
+		arrive := float64(i) * stagger
 		if i == podEnd {
 			podEnd, led = podEnd+cp.podSize, false
 		}

@@ -155,17 +155,17 @@ func TestTandemSameInstant(t *testing.T) {
 }
 
 // TestTandemDifferential is the randomized half: tie-prone platforms, warm
-// prefixes, stagger, a packed short last instance, mixed bins, one cell and
-// several — solved, forced through the engine and run by the closure oracle,
-// all to the same bits and trace bytes. Most trials must be solved outright, and some must not be:
-// the fallback is part of what is under test.
+// prefixes, stagger, a packed short last instance, mixed bins — solved,
+// forced through the engine and run by the closure oracle, all to the same
+// bits and trace bytes. Most trials must be solved outright, and some must
+// not be: the fallback is part of what is under test.
 func TestTandemDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(141421))
 	trials := 400
 	if testing.Short() || raceEnabled {
 		trials = 120
 	}
-	var solvedRuns, fallbackRuns, seenWarm, seenStagger, seenShortLast, seenMixed, seenSharded, seenPods int
+	var solvedRuns, fallbackRuns, seenWarm, seenStagger, seenShortLast, seenMixed, seenPods int
 	for trial := 0; trial < trials; trial++ {
 		cfg := tieProneConfig(rng.Intn)
 		var warm int
@@ -177,26 +177,22 @@ func TestTandemDifferential(t *testing.T) {
 			stagger = tieProne[rng.Intn(len(tieProne))]
 		}
 		seed := rng.Int63()
-		shards := []int{1, 1, 2, 5}[rng.Intn(4)]
 
 		var (
-			what string
-			n    int
-			run  func(Config) func(obs.Recorder) (*Result, error)
+			what     string
+			n        int
+			simulate func(Config, obs.Recorder) (*Result, error)
 		)
 		if trial%3 != 0 {
 			c, deg := 1+rng.Intn(240), 1+rng.Intn(8)
 			b := Burst{Demand: tandemLight, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d Run(C=%d P=%d warm=%d stagger=%g shards=%d) on %+v", trial, c, deg, warm, stagger, shards, cfg), b.Instances()
+			what, n = fmt.Sprintf("trial %d Run(C=%d P=%d warm=%d stagger=%g) on %+v", trial, c, deg, warm, stagger, cfg), b.Instances()
 			if c%deg != 0 {
 				seenShortLast++
 			}
-			run = func(cfg Config) func(obs.Recorder) (*Result, error) {
-				return func(rec obs.Recorder) (*Result, error) {
-					b := b
-					b.Recorder = rec
-					return RunSharded(cfg, b, Sharding{Shards: shards})
-				}
+			simulate = func(cfg Config, rec obs.Recorder) (*Result, error) {
+				b.Recorder = rec
+				return Run(cfg, b)
 			}
 		} else {
 			bins := make([]Bin, 1+rng.Intn(80))
@@ -206,15 +202,15 @@ func TestTandemDifferential(t *testing.T) {
 				}
 			}
 			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d RunMixed(bins=%d warm=%d stagger=%g shards=%d) on %+v", trial, len(bins), warm, stagger, shards, cfg), len(bins)
+			what, n = fmt.Sprintf("trial %d RunMixed(bins=%d warm=%d stagger=%g) on %+v", trial, len(bins), warm, stagger, cfg), len(bins)
 			seenMixed++
-			run = func(cfg Config) func(obs.Recorder) (*Result, error) {
-				return func(rec obs.Recorder) (*Result, error) {
-					m := m
-					m.Recorder = rec
-					return RunMixedSharded(cfg, m, Sharding{Shards: shards})
-				}
+			simulate = func(cfg Config, rec obs.Recorder) (*Result, error) {
+				m.Recorder = rec
+				return RunMixed(cfg, m)
 			}
+		}
+		run := func(cfg Config) func(obs.Recorder) (*Result, error) {
+			return func(rec obs.Recorder) (*Result, error) { return simulate(cfg, rec) }
 		}
 
 		solved, solvedTrace, fellBack := tracedRun(t, what, run(cfg))
@@ -240,20 +236,17 @@ func TestTandemDifferential(t *testing.T) {
 		if stagger > 0 {
 			seenStagger++
 		}
-		if shards > 1 && shards <= n {
-			seenSharded++
-		}
 		if cfg.PodSize > 1 {
 			seenPods++
 		}
 	}
-	t.Logf("%d trials solved outright, %d fell back in at least one cell", solvedRuns, fallbackRuns)
+	t.Logf("%d trials solved outright, %d fell back", solvedRuns, fallbackRuns)
 	if solvedRuns < trials/2 {
 		t.Errorf("only %d of %d trials were solved without a fallback", solvedRuns, trials)
 	}
 	for name, n := range map[string]int{
 		"the fallback": fallbackRuns, "warm prefixes": seenWarm, "staggered arrival": seenStagger,
-		"a short last instance": seenShortLast, "mixed bins": seenMixed, "multi-cell sharding": seenSharded, "pods": seenPods,
+		"a short last instance": seenShortLast, "mixed bins": seenMixed, "pods": seenPods,
 	} {
 		if n == 0 {
 			t.Errorf("sweep never exercised %s", name)

@@ -1,10 +1,33 @@
 package platform
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/workload"
 )
+
+// peakRunning is the most instances of res executing at one virtual instant,
+// swept over the start/end intervals with ends before starts at ties.
+func peakRunning(res *Result) int {
+	type event struct {
+		at    float64
+		delta int
+	}
+	var evs []event
+	for _, tl := range res.Timelines() {
+		evs = append(evs, event{tl.Start, 1}, event{tl.End, -1})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		return evs[i].at < evs[j].at || evs[i].at == evs[j].at && evs[i].delta < evs[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range evs {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
+}
 
 func TestThrottlingCapsConcurrency(t *testing.T) {
 	cfg := AWSLambda()
@@ -14,31 +37,8 @@ func TestThrottlingCapsConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At no virtual instant may more than 100 instances be running. Check
-	// by sweeping the start/end intervals.
-	type event struct {
-		at    float64
-		delta int
-	}
-	var evs []event
-	for _, tl := range res.Timelines() {
-		evs = append(evs, event{tl.Start, 1}, event{tl.End, -1})
-	}
-	// Sort by time, ends before starts at ties.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && (evs[j].at < evs[j-1].at ||
-			(evs[j].at == evs[j-1].at && evs[j].delta < evs[j-1].delta)); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	cur, peak := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	if peak > 100 {
+	// At no virtual instant may more than 100 instances be running.
+	if peak := peakRunning(res); peak > 100 {
 		t.Fatalf("throttle violated: %d instances ran concurrently", peak)
 	}
 	// Throttled waves must stretch total service well beyond the unlimited
@@ -126,28 +126,7 @@ func TestStaggerInteractsWithThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type event struct {
-		at    float64
-		delta int
-	}
-	var evs []event
-	for _, tl := range caped.Timelines() {
-		evs = append(evs, event{tl.Start, 1}, event{tl.End, -1})
-	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && (evs[j].at < evs[j-1].at ||
-			(evs[j].at == evs[j-1].at && evs[j].delta < evs[j-1].delta)); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	cur, peak := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	if peak > 50 {
+	if peak := peakRunning(caped); peak > 50 {
 		t.Fatalf("throttle violated under stagger: peak %d", peak)
 	}
 	for _, tl := range caped.Timelines() {

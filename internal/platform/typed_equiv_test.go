@@ -2,11 +2,10 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"repro/internal/interfere"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -61,8 +60,8 @@ func runTypedAndClosure(t *testing.T, cfg Config, b Burst) (typed, closure *Resu
 // closure-free rewrite's proof: at randomized (C, degree, fault-rate, seed)
 // points the typed dispatcher must reproduce the frozen closure
 // implementation bit-for-bit — timelines, billing, fault counters, and the
-// JSONL event trace. The oracle's sim.Station schedules every completion on
-// the engine's heap, where the typed stations ride monotone lanes, so each
+// JSONL event trace. The oracle's closure station schedules every completion
+// on the engine's heap, where the typed stations ride monotone lanes, so each
 // faulty, hedged and throttled trial also holds lanes ≡ no lanes.
 func TestBurstTypedVsClosureDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
@@ -106,20 +105,15 @@ func TestBurstTypedVsClosureDifferential(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			b.StaggerSec = rng.Float64() * 0.01
 		}
+		what := fmt.Sprintf("trial %d (C=%d P=%d crash=%g seed=%d): typed vs closure oracle", trial, c, deg, cfg.CrashRate, b.Seed)
 		typed, closure, typedTrace, closureTrace := runTypedAndClosure(t, cfg, b)
 		if typed != nil {
-			normalize(typed)
-			normalize(closure)
 			startRetries += typed.StartRetries
 			execRetries += typed.Crashes + typed.Timeouts
-		}
-		if !reflect.DeepEqual(typed, closure) {
-			t.Fatalf("trial %d (C=%d P=%d crash=%g seed=%d): typed result differs from closure oracle",
-				trial, c, deg, cfg.CrashRate, b.Seed)
+			sameResultBits(t, what, typed, closure)
 		}
 		if !bytes.Equal(typedTrace, closureTrace) {
-			t.Fatalf("trial %d (C=%d P=%d): JSONL traces differ between typed and closure control planes",
-				trial, c, deg)
+			t.Fatalf("%s: JSONL traces differ", what)
 		}
 	}
 }
@@ -133,91 +127,14 @@ func TestMixedBurstTypedVsClosureDifferential(t *testing.T) {
 	cfg.StragglerProb = 0.04
 	cfg.StragglerFactor = 2.5
 	cfg.Hedge.Quantile = 95
-	light := interfere.Demand{CPUSeconds: 5, MemoryMB: 128, InputMB: 5, OutputMB: 1}
-	heavy := workload.Video{}.Demand()
-	var bins []Bin
-	for i := 0; i < 80; i++ {
-		var bn Bin
-		bn.Demands = append(bn.Demands, light)
-		if i%2 == 0 {
-			bn.Demands = append(bn.Demands, heavy)
-		}
-		if i%5 == 0 {
-			bn.Demands = append(bn.Demands, light, light, light)
-		}
-		bins = append(bins, bn)
+	m := MixedBurst{Bins: mixedEquivBins(), Warm: 6, Seed: 314}
+	run := func(rec obs.Recorder) (*Result, error) {
+		m.Recorder = rec
+		return RunMixed(cfg, m)
 	}
-	m := MixedBurst{Bins: bins, Warm: 6, Seed: 314}
-
-	var tbuf, cbuf bytes.Buffer
-	tm := m
-	tm.Recorder = obs.NewJSONL(&tbuf)
-	typed, err := RunMixed(cfg, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := m
-	cm.Recorder = obs.NewJSONL(&cbuf)
+	typed, typedTrace, _ := tracedRun(t, "mixed burst", run)
 	var closure *Result
-	withClosureControlPlane(func() {
-		closure, err = RunMixed(cfg, cm)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalize(typed)
-	normalize(closure)
-	if !reflect.DeepEqual(typed, closure) {
-		t.Fatal("mixed burst: typed result differs from closure oracle")
-	}
-	if !bytes.Equal(tbuf.Bytes(), cbuf.Bytes()) {
-		t.Fatal("mixed burst: JSONL traces differ between typed and closure control planes")
-	}
-}
-
-// TestConcurrentTypedDispatchSharded puts the typed dispatcher under the
-// race detector's eye: concurrent sharded runs (each worker goroutine owns
-// a pooled engine + dispatcher from runScratchPool) must stay
-// byte-identical to the sequential single-shard result. The Concurrent name
-// opts it into CI's -race -count=2 stress matrix.
-func TestConcurrentTypedDispatchSharded(t *testing.T) {
-	cfg := AWSLambda()
-	cfg.CrashRate = 0.0005
-	cfg.StragglerProb = 0.05
-	cfg.StragglerFactor = 2
-	cfg.Hedge.Quantile = 95
-	b := Burst{
-		Demand:    workload.Video{}.Demand(),
-		Functions: 4000,
-		Degree:    4,
-		Warm:      16,
-		Seed:      99,
-	}
-	base, err := Run(cfg, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalize(base)
-	for _, workers := range []int{2, 4, 8} {
-		got, err := RunSharded(cfg, b, Sharding{Shards: 8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		normalize(got)
-		// Sharded runs split the burst into independent cells, so only the
-		// invariant aggregates are comparable to the unsharded run; the
-		// load-bearing check is that every worker count agrees with the
-		// workers=1 sharded result bit-for-bit.
-		ref, err := RunSharded(cfg, b, Sharding{Shards: 8, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		normalize(ref)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: sharded typed-dispatch result differs from workers=1", workers)
-		}
-	}
-	if len(base.Timelines()) != b.Instances() {
-		t.Fatalf("unsharded run lost instances: %d != %d", len(base.Timelines()), b.Instances())
-	}
+	var closureTrace []byte
+	withClosureControlPlane(func() { closure, closureTrace, _ = tracedRun(t, "mixed burst (closure)", run) })
+	sameRun(t, "mixed burst: typed vs closure oracle", typed, typedTrace, closure, closureTrace)
 }

@@ -8,16 +8,10 @@
 // Time is a float64 in seconds of virtual time. Event ordering is total:
 // ties on time break on insertion sequence, so runs are reproducible.
 //
-// Events come in two kinds sharing one queue and one total order:
-//
-//   - Typed events are plain values — (at, kind, subject, seq) — dispatched
-//     through an EventSink registered once per run. They are the fast path:
-//     scheduling one allocates nothing, so a million-instance simulation is
-//     allocation-free in steady state.
-//   - Closure events (At/After) carry a func() and exist as a thin adapter
-//     over the same queue for callers that don't need the typed path's
-//     economy. Both kinds interleave freely; ordering is always (at, seq)
-//     regardless of kind.
+// An event is a plain value — (at, seq, kind, subject) — dispatched through
+// the one EventSink registered for the run, a switch over the caller's own
+// kind table. Scheduling one allocates nothing, so a million-instance
+// simulation is allocation-free in steady state.
 //
 // The general queue is a binary min-heap on (at, seq). Beside it sit
 // monotone lanes (lane.go): a FIFO per producer whose emits are already in
@@ -31,20 +25,18 @@ import (
 	"math"
 )
 
-// event is one scheduled occurrence in virtual time: a typed word
-// (kind, subject) when fn is nil, or a legacy closure callback otherwise.
-// Only (at, seq) participate in ordering; the payload is opaque to the
-// heap.
+// event is one scheduled occurrence in virtual time: the word (kind,
+// subject) the sink dispatches. Only (at, seq) participate in ordering; the
+// payload is opaque to the heap.
 type event struct {
 	at      float64
 	seq     uint64
-	fn      func()
 	subject int32
 	kind    uint8
 }
 
-// EventSink handles typed events. One sink serves a whole run: Dispatch is
-// called for every typed event in dispatch order, with the engine's clock
+// EventSink handles events. One sink serves a whole run: Dispatch is
+// called for every event in dispatch order, with the engine's clock
 // already advanced to the event's time. Implementations are expected to be
 // a switch over their own kind table — a shape the compiler turns into a
 // jump, keeping dispatch allocation-free and branch-predictable.
@@ -77,15 +69,14 @@ func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.sink = nil
-	clear(e.q) // drop callback references
 	e.q = e.q[:0]
 	e.lanes = e.lanes[:0]
 	e.laneSeq = 0
 }
 
-// SetSink registers the handler for typed events. It must be called before
-// the first Emit of a run and must not be swapped while typed events are
-// pending — the sink is the run's kind table, not a per-event callback.
+// SetSink registers the handler for events. It must be called before the
+// first Emit of a run and must not be swapped while events are pending — the
+// sink is the run's kind table, not a per-event callback.
 func (e *Engine) SetSink(s EventSink) { e.sink = s }
 
 // Now returns the current virtual time in seconds.
@@ -136,33 +127,16 @@ func TimerAt(from, d float64) float64 {
 	return t
 }
 
-// At schedules fn to run at absolute virtual time t. It is the legacy
-// closure adapter over the typed event word: the closure rides the same
-// queue and the same (at, seq) order as typed events, it just costs a heap
-// allocation per call. Hot paths use Emit instead.
-func (e *Engine) At(t float64, fn func()) {
-	e.checkAt(t)
-	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d seconds of virtual time from now. Negative or
-// non-finite delays panic.
-func (e *Engine) After(d float64, fn func()) {
-	checkAfter(d)
-	e.At(e.now+d, fn)
-}
-
-// Emit schedules a typed event at absolute virtual time t: when the clock
+// Emit schedules an event at absolute virtual time t: when the clock
 // reaches t the registered sink's Dispatch(kind, subject) runs. The event is
 // a plain word in the queue — no allocation. Emitting with no sink
 // registered panics (the event could never dispatch).
 func (e *Engine) Emit(t float64, kind uint8, subject int32) {
-	e.push(event{at: t, seq: e.stampTyped(t), kind: kind, subject: subject})
+	e.push(event{at: t, seq: e.stamp(t), kind: kind, subject: subject})
 }
 
-// stampTyped validates a typed event's time and issues its sequence number.
-func (e *Engine) stampTyped(t float64) uint64 {
+// stamp validates an event's time and issues its sequence number.
+func (e *Engine) stamp(t float64) uint64 {
 	if e.sink == nil {
 		panic("sim: Emit with no EventSink registered (call SetSink first)")
 	}
@@ -171,7 +145,7 @@ func (e *Engine) stampTyped(t float64) uint64 {
 	return e.seq
 }
 
-// EmitAfter schedules a typed event d seconds of virtual time from now.
+// EmitAfter schedules an event d seconds of virtual time from now.
 // Negative or non-finite delays panic, as does an unregistered sink.
 func (e *Engine) EmitAfter(d float64, kind uint8, subject int32) {
 	checkAfter(d)
@@ -218,14 +192,12 @@ func (e *Engine) push(ev event) {
 }
 
 // pop removes and returns the heap's earliest event, which must exist. The
-// last event sifts down from the root, and the slot it vacates is zeroed so
-// the heap's spare capacity never pins a dispatched closure.
+// last event sifts down from the root.
 func (e *Engine) pop() event {
 	q := e.q
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{}
 	q = q[:n]
 	e.q = q
 	if n == 0 {
@@ -276,11 +248,8 @@ func (e *Engine) next(deadline float64) bool {
 	}
 	e.now = at
 	if src < 0 {
-		if ev := e.pop(); ev.fn != nil {
-			ev.fn()
-		} else {
-			e.sink.Dispatch(ev.kind, ev.subject)
-		}
+		ev := e.pop()
+		e.sink.Dispatch(ev.kind, ev.subject)
 		return true
 	}
 	l := &e.lanes[src]

@@ -14,7 +14,7 @@ import (
 //
 //   - (at, seq) strictly increases from one dispatch to the next,
 //   - the clock reads the event's own time, and the event arrives by the
-//     path it was scheduled on (sink or closure),
+//     path it was scheduled on (the program's sink or a closure),
 //   - Pending() equals the events scheduled minus the events dispatched;
 //
 // and, when the program drains, that RunUntil(d) leaves no pending event at
@@ -24,7 +24,7 @@ import (
 // the increasing order. It shares no code with the engine it judges.
 
 // traceEntry is one dispatched event as the spec saw it. typed distinguishes
-// sink-dispatched value events from closure callbacks.
+// the program's own events from closures (closure_test.go).
 type traceEntry struct {
 	id      int
 	now     float64
@@ -42,6 +42,7 @@ type key struct {
 type spec struct {
 	t     testing.TB
 	eng   *Engine
+	clo   *closures   // the engine's sink: programs register theirs on it
 	due   map[int]key // scheduled and not yet dispatched, by event id
 	last  key         // the latest dispatch's key
 	done  uint64      // events dispatched
@@ -49,7 +50,7 @@ type spec struct {
 }
 
 func newSpec(t testing.TB, eng *Engine) *spec {
-	return &spec{t: t, eng: eng, due: make(map[int]key)}
+	return &spec{t: t, eng: eng, clo: newClosures(eng), due: make(map[int]key)}
 }
 
 // expect records that event id will dispatch at time at with sequence seq.
@@ -69,7 +70,7 @@ func (s *spec) expectAfter(d float64, id int, typed bool) {
 
 func (s *spec) after(d float64, id int, fn func()) {
 	at := s.eng.Now() + d
-	s.eng.After(d, func() {
+	s.clo.After(d, func() {
 		s.dispatched(id, false)
 		if fn != nil {
 			fn()
@@ -168,7 +169,7 @@ func scheduleProgram(s *spec, rng *rand.Rand, ops int) {
 	eng := s.eng
 	nextID := 0
 	var schedule func(depth int)
-	eng.SetSink(sinkFunc(func(kind uint8, subject int32) {
+	s.clo.SetSink(sinkFunc(func(kind uint8, subject int32) {
 		s.dispatched(int(subject), true)
 		if kind >= progKindRespawn0 {
 			schedule(int(kind-progKindRespawn0) + 1)
@@ -233,7 +234,7 @@ func TestEngineDifferentialLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s := newSpec(t, NewEngine())
 		rng := rand.New(rand.NewSource(seed))
-		s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
+		s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
 		for i := 0; i < 200; i++ {
 			d := rng.Float64() * math.Pow(10, float64(rng.Intn(7))-3)
 			if rng.Intn(5) == 0 {
@@ -257,16 +258,16 @@ func TestEngineDifferentialLockstep(t *testing.T) {
 const stationJobs = 300
 
 // closureStations runs a contended two-station workload — the platform
-// simulator's usage pattern — on closure Stations under the contract, and
-// returns each job's "id:schedEnd:buildEnd" in completion order and the two
-// stations' busy seconds. Each completion is expected when its service time
-// is drawn, the instant Station schedules it.
+// simulator's usage pattern — on closure stations (closure_test.go) under the
+// contract, and returns each job's "id:schedEnd:buildEnd" in completion order
+// and the two stations' busy seconds. Each completion is expected when its
+// service time is drawn, the instant the station schedules it.
 func closureStations(t *testing.T) ([]string, float64, float64) {
 	const jobs = stationJobs
 	s := newSpec(t, NewEngine())
 	var out []string
-	sched := NewStation(s.eng, 2)
-	build := NewStation(s.eng, 3)
+	sched := newStation(s.clo, 2)
+	build := newStation(s.clo, 3)
 	rng := NewRNG(99)
 	for i := 0; i < jobs; i++ {
 		i := i
@@ -334,7 +335,7 @@ func (st *stationSink) Dispatch(kind uint8, sub int32) {
 }
 
 // TestEngineDifferentialTypedStations holds TypedStation to the closure
-// Station's contract: the same contended two-stage workload, run through
+// station's behaviour: the same contended two-stage workload, run through
 // subjects-and-kinds instead of closures, must complete in the identical
 // order at bit-identical times and account the same Served / BusySeconds
 // totals — with the engine's contract checked on both runs. The typed
@@ -355,7 +356,7 @@ func TestEngineDifferentialTypedStations(t *testing.T) {
 			st.s.expectAfter(d, jobs+int(sub), true)
 			return d
 		})
-		eng.SetSink(st)
+		st.s.clo.SetSink(st)
 		for i := 0; i < jobs; i++ {
 			st.sched.Submit(int32(i))
 		}
@@ -419,7 +420,7 @@ func growingScaleProgram(s *spec, rng *rand.Rand, events int) []traceEntry {
 		}
 		s.after(delay(timer), id, func() { rearm(timer) })
 	}
-	s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+	s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) {
 		s.dispatched(int(subject), true)
 		rearm(timerOf[subject])
 	}))
@@ -472,7 +473,7 @@ func laneProgram(s *spec, rng *rand.Rand, ops int, step func()) {
 		s.emitLaneAfter(lanes[li], d, nextID)
 		nextID++
 	}
-	eng.SetSink(sinkFunc(func(kind uint8, subject int32) {
+	s.clo.SetSink(sinkFunc(func(kind uint8, subject int32) {
 		s.dispatched(int(subject), true)
 		if kind >= firstLaneKind && rng.Intn(3) == 0 && nextID < 4*ops {
 			emitLane((int(kind-firstLaneKind) + rng.Intn(2)) % len(lanes))
@@ -522,7 +523,7 @@ func TestLaneDifferentialLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s := newSpec(t, NewEngine())
 		rng := rand.New(rand.NewSource(seed))
-		s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
+		s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
 		lanes := []int{s.eng.openLane(1), s.eng.openLane(2), s.eng.openLane(3)}
 		for i := 0; i < 240; i++ {
 			d := rng.Float64() * math.Pow(10, float64(rng.Intn(4))-2)
@@ -563,7 +564,7 @@ func TestLaneDifferentialDecreasingService(t *testing.T) {
 		s.expectAfter(d, int(sub), true)
 		return d
 	})
-	s.eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+	s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) {
 		s.dispatched(int(subject), true)
 		st.Complete(subject)
 		st.Next()

@@ -28,7 +28,7 @@ func pooledEngine() *Engine {
 	eng.SetSink(dropSink{})
 	l := eng.openLane(1)
 	for i := 0; i < 5000; i++ {
-		eng.At(float64(i%97), func() {})
+		eng.Emit(float64(i%97), 2, int32(i))
 		eng.emitLaneAfter(l, float64(i)*0.01, int32(i))
 	}
 	eng.RunUntil(40)
@@ -44,16 +44,17 @@ func TestEngineZeroDelaySelfRescheduling(t *testing.T) {
 	for _, impl := range engineImpls {
 		t.Run(impl.name, func(t *testing.T) {
 			eng := impl.mk()
+			clo := newClosures(eng)
 			var order []string
 			const links = 50
 			var chain func(k int)
 			chain = func(k int) {
-				eng.After(0, func() {
+				clo.After(0, func() {
 					order = append(order, fmt.Sprintf("chain%d@%g", k, eng.Now()))
 					if k == 0 {
 						// Scheduled from inside link 0, same timestamp: must
 						// run before link 1, which is scheduled after it.
-						eng.After(0, func() {
+						clo.After(0, func() {
 							order = append(order, "interleaved")
 						})
 					}
@@ -62,7 +63,7 @@ func TestEngineZeroDelaySelfRescheduling(t *testing.T) {
 					}
 				})
 			}
-			eng.At(1, func() { chain(0) })
+			clo.At(1, func() { chain(0) })
 			end := eng.Run()
 			if end != 1 {
 				t.Fatalf("zero-delay chain moved the clock to %g", end)
@@ -89,11 +90,12 @@ func TestEngineRunUntilExactTimestamp(t *testing.T) {
 	for _, impl := range engineImpls {
 		t.Run(impl.name, func(t *testing.T) {
 			eng := impl.mk()
+			clo := newClosures(eng)
 			const deadline = 3.7
 			after := math.Nextafter(deadline, math.Inf(1))
 			var fired []float64
-			eng.At(deadline, func() { fired = append(fired, eng.Now()) })
-			eng.At(after, func() { fired = append(fired, eng.Now()) })
+			clo.At(deadline, func() { fired = append(fired, eng.Now()) })
+			clo.At(after, func() { fired = append(fired, eng.Now()) })
 			eng.RunUntil(deadline)
 			if len(fired) != 1 || fired[0] != deadline {
 				t.Fatalf("events at deadline: fired %v, want exactly [%g]", fired, deadline)
@@ -115,26 +117,27 @@ func TestEngineRunUntilExactTimestamp(t *testing.T) {
 }
 
 // TestEngineRejectsBadTimestamps is the table of scheduling inputs the engine
-// must refuse loudly — each panics with a message naming the offense, on both
-// implementations. Silently accepting any of them would corrupt queue
-// ordering (NaN compares false with everything) or causality (the past).
+// must refuse loudly — each panics with a message naming the offense, on a
+// fresh and on a pooled engine. Silently accepting any of them would corrupt
+// queue ordering (NaN compares false with everything) or causality (the
+// past). At and After are the closure adapter's (closure_test.go), which
+// schedules through Emit: a closure meets the same checks as any event.
 func TestEngineRejectsBadTimestamps(t *testing.T) {
 	cases := []struct {
 		name    string
 		wantMsg string
 		call    func(eng *Engine)
 	}{
-		{"At NaN", "non-finite time", func(e *Engine) { e.At(math.NaN(), func() {}) }},
-		{"At +Inf", "non-finite time", func(e *Engine) { e.At(math.Inf(1), func() {}) }},
-		{"At -Inf", "non-finite time", func(e *Engine) { e.At(math.Inf(-1), func() {}) }},
+		{"At NaN", "non-finite time", func(e *Engine) { newClosures(e).At(math.NaN(), func() {}) }},
+		{"At +Inf", "non-finite time", func(e *Engine) { newClosures(e).At(math.Inf(1), func() {}) }},
+		{"At -Inf", "non-finite time", func(e *Engine) { newClosures(e).At(math.Inf(-1), func() {}) }},
 		{"At past", "before now", func(e *Engine) {
 			e.RunUntil(5)
-			e.At(4.999, func() {})
+			newClosures(e).At(4.999, func() {})
 		}},
-		{"After negative", "negative delay", func(e *Engine) { e.After(-0.001, func() {}) }},
-		{"After NaN", "non-finite delay", func(e *Engine) { e.After(math.NaN(), func() {}) }},
+		{"After negative", "negative delay", func(e *Engine) { newClosures(e).After(-0.001, func() {}) }},
+		{"After NaN", "non-finite delay", func(e *Engine) { newClosures(e).After(math.NaN(), func() {}) }},
 		{"RunUntil NaN", "non-finite RunUntil deadline", func(e *Engine) { e.RunUntil(math.NaN()) }},
-		// The typed path refuses the same inputs as the closure adapter.
 		{"Emit NaN", "non-finite time", func(e *Engine) { e.SetSink(dropSink{}); e.Emit(math.NaN(), 1, 0) }},
 		{"Emit past", "before now", func(e *Engine) {
 			e.SetSink(dropSink{})
@@ -174,7 +177,7 @@ func (dropSink) Dispatch(uint8, int32) {}
 // contract replays on a fresh engine and on a reset one.
 func reuseProgram(t *testing.T, eng *Engine) []traceEntry {
 	s := newSpec(t, eng)
-	eng.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
+	s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
 	rng := NewRNG(7)
 	for i := 0; i < 100; i++ {
 		d := rng.Float64() * 10
@@ -215,7 +218,7 @@ func TestEngineResetReuse(t *testing.T) {
 			eng.SetSink(dropSink{})
 			for i := 0; i < 500; i++ {
 				eng.EmitAfter(float64(i)*0.01, 1, int32(i))
-				eng.After(float64(i)*0.02, func() {})
+				eng.EmitAfter(float64(i)*0.02, 2, int32(i))
 			}
 			eng.RunUntil(2.5)
 			if eng.Pending() == 0 {
@@ -242,12 +245,13 @@ func TestEngineResetReuse(t *testing.T) {
 }
 
 // TestEngineSlotReuseDoesNotResurrect exercises the heap's reused slots
-// across generations of schedule/drain cycles: every callback fires exactly once, and no recycled
-// slot replays an already-dispatched callback.
+// across generations of schedule/drain cycles: every callback fires exactly
+// once, and no recycled slot replays an already-dispatched callback.
 func TestEngineSlotReuseDoesNotResurrect(t *testing.T) {
 	for _, impl := range engineImpls {
 		t.Run(impl.name, func(t *testing.T) {
 			eng := impl.mk()
+			clo := newClosures(eng)
 			const perGen, gens = 300, 5
 			counts := make(map[int]int)
 			id := 0
@@ -255,7 +259,7 @@ func TestEngineSlotReuseDoesNotResurrect(t *testing.T) {
 				for i := 0; i < perGen; i++ {
 					id++
 					ev := id
-					eng.After(float64(i)*1e-3, func() { counts[ev]++ })
+					clo.After(float64(i)*1e-3, func() { counts[ev]++ })
 				}
 				// Drain halfway through the generation, then fully: partial
 				// drains force slot recycling while events are still pending.

@@ -63,7 +63,7 @@ func fuzzProgram(s *spec, data []byte) {
 		})
 	}
 	sink := &fuzzSink{s: s, schedule: schedule}
-	eng.SetSink(sink)
+	s.clo.SetSink(sink)
 	emit := func(d float64, kind uint8) {
 		id := nextID
 		nextID++

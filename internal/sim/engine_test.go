@@ -4,14 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
 	eng := NewEngine()
+	clo := newClosures(eng)
 	var order []int
-	eng.At(3, func() { order = append(order, 3) })
-	eng.At(1, func() { order = append(order, 1) })
-	eng.At(2, func() { order = append(order, 2) })
+	clo.At(3, func() { order = append(order, 3) })
+	clo.At(1, func() { order = append(order, 1) })
+	clo.At(2, func() { order = append(order, 2) })
 	end := eng.Run()
 	if end != 3 {
 		t.Fatalf("final time %g, want 3", end)
@@ -23,10 +25,11 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineTieBreakFIFO(t *testing.T) {
 	eng := NewEngine()
+	clo := newClosures(eng)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.At(5, func() { order = append(order, i) })
+		clo.At(5, func() { order = append(order, i) })
 	}
 	eng.Run()
 	for i, v := range order {
@@ -38,10 +41,11 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 
 func TestEngineNestedScheduling(t *testing.T) {
 	eng := NewEngine()
+	clo := newClosures(eng)
 	var times []float64
-	eng.At(1, func() {
+	clo.At(1, func() {
 		times = append(times, eng.Now())
-		eng.After(2, func() { times = append(times, eng.Now()) })
+		clo.After(2, func() { times = append(times, eng.Now()) })
 	})
 	eng.Run()
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
@@ -51,13 +55,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.At(5, func() {
+	clo := newClosures(eng)
+	clo.At(5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		eng.At(1, func() {})
+		clo.At(1, func() {})
 	})
 	eng.Run()
 
@@ -66,15 +71,16 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 			t.Error("negative delay should panic")
 		}
 	}()
-	eng.After(-1, func() {})
+	clo.After(-1, func() {})
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	eng := NewEngine()
+	clo := newClosures(eng)
 	fired := 0
-	eng.At(1, func() { fired++ })
-	eng.At(2, func() { fired++ })
-	eng.At(10, func() { fired++ })
+	clo.At(1, func() { fired++ })
+	clo.At(2, func() { fired++ })
+	clo.At(10, func() { fired++ })
 	eng.RunUntil(5)
 	if fired != 2 {
 		t.Fatalf("fired %d events before deadline, want 2", fired)
@@ -91,14 +97,34 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestStationSingleServerSerializes(t *testing.T) {
-	eng := NewEngine()
-	st := NewStation(eng, 1)
-	var ends []float64
-	for i := 0; i < 4; i++ {
-		st.Submit(func() float64 { return 2 }, func(_, end float64) { ends = append(ends, end) })
+// TestEventWordIs24Bytes pins the heap element: time, sequence, subject and
+// kind, and no pointer for the collector to trace.
+func TestEventWordIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event is %d bytes, want 24", n)
 	}
-	eng.Run()
+}
+
+// runStation runs jobs through a fresh TypedStation of servers servers and
+// returns it, its completion times in order and the final virtual time.
+func runStation(servers, jobs int, service func(st *TypedStation) float64) (*TypedStation, []float64, float64) {
+	eng := NewEngine()
+	st := new(TypedStation)
+	var ends []float64
+	eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
+		st.Complete(subject)
+		ends = append(ends, eng.Now())
+		st.Next()
+	}))
+	st.Init(eng, servers, 1, jobs, func(int32) float64 { return service(st) })
+	for i := 0; i < jobs; i++ {
+		st.Submit(int32(i))
+	}
+	return st, ends, eng.Run()
+}
+
+func TestStationSingleServerSerializes(t *testing.T) {
+	st, ends, _ := runStation(1, 4, func(*TypedStation) float64 { return 2 })
 	want := []float64{2, 4, 6, 8}
 	for i, e := range ends {
 		if e != want[i] {
@@ -111,13 +137,7 @@ func TestStationSingleServerSerializes(t *testing.T) {
 }
 
 func TestStationMultiServerParallelism(t *testing.T) {
-	eng := NewEngine()
-	st := NewStation(eng, 3)
-	var ends []float64
-	for i := 0; i < 6; i++ {
-		st.Submit(func() float64 { return 5 }, func(_, end float64) { ends = append(ends, end) })
-	}
-	eng.Run()
+	_, ends, _ := runStation(3, 6, func(*TypedStation) float64 { return 5 })
 	// Two waves of 3: ends at 5,5,5,10,10,10.
 	for i, e := range ends {
 		want := 5.0
@@ -133,32 +153,25 @@ func TestStationMultiServerParallelism(t *testing.T) {
 func TestStationStateDependentService(t *testing.T) {
 	// Service time grows with number already served — the scheduler-search
 	// pattern. Completion of job k is sum_{i<=k} (base + i*step).
-	eng := NewEngine()
-	st := NewStation(eng, 1)
 	const base, step = 1.0, 0.5
-	var last float64
-	for i := 0; i < 10; i++ {
-		st.Submit(func() float64 { return base + float64(st.Served)*step },
-			func(_, end float64) { last = end })
-	}
-	eng.Run()
+	_, ends, _ := runStation(1, 10, func(st *TypedStation) float64 { return base + float64(st.Served)*step })
 	want := 0.0
 	for i := 0; i < 10; i++ {
 		want += base + float64(i)*step
 	}
-	if math.Abs(last-want) > 1e-9 {
+	if last := ends[len(ends)-1]; math.Abs(last-want) > 1e-9 {
 		t.Fatalf("last completion %g, want %g", last, want)
 	}
 }
 
 func TestStationValidation(t *testing.T) {
-	eng := NewEngine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("0-server station should panic")
 		}
 	}()
-	NewStation(eng, 0)
+	var st TypedStation
+	st.Init(NewEngine(), 0, 1, 1, func(int32) float64 { return 1 })
 }
 
 func TestRNGDeterminismAndStreams(t *testing.T) {
@@ -199,12 +212,7 @@ func TestStationMakespanProperty(t *testing.T) {
 	f := func(n, k uint8) bool {
 		jobs := int(n)%64 + 1
 		servers := int(k)%8 + 1
-		eng := NewEngine()
-		st := NewStation(eng, servers)
-		for i := 0; i < jobs; i++ {
-			st.Submit(func() float64 { return 1 }, nil)
-		}
-		end := eng.Run()
+		_, _, end := runStation(servers, jobs, func(*TypedStation) float64 { return 1 })
 		want := math.Ceil(float64(jobs) / float64(servers))
 		return math.Abs(end-want) < 1e-9
 	}

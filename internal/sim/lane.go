@@ -1,6 +1,6 @@
 package sim
 
-// A monotone lane is a FIFO of typed events owned by one producer whose
+// A monotone lane is a FIFO of events owned by one producer whose
 // emits arrive in non-decreasing time order — a station's completions: the
 // clock never runs backwards and the service time never shrinks, so now + d
 // only grows. Such a stream is already sorted by the engine's total order
@@ -92,7 +92,7 @@ func (e *Engine) openLane(kind uint8) int {
 func (e *Engine) emitLaneAfter(li int, d float64, subject int32) {
 	checkAfter(d)
 	t := e.now + d
-	seq := e.stampTyped(t)
+	seq := e.stamp(t)
 	l := &e.lanes[li]
 	if l.n > 0 && t < l.tailAt() {
 		e.push(event{at: t, seq: seq, kind: l.kind, subject: subject})
