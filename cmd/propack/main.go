@@ -26,13 +26,13 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/funcx"
 	"repro/internal/localfaas"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/parallel"
 	"repro/internal/platform"
 	"repro/internal/resilience"
+	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -106,21 +106,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "\nrun 'propack <command> -h' for that command's flags")
 }
 
-func platformByName(name string) (platform.Config, error) {
-	switch strings.ToLower(name) {
-	case "aws", "lambda", "aws-lambda":
-		return platform.AWSLambda(), nil
-	case "google", "gcf":
-		return platform.GoogleCloudFunctions(), nil
-	case "azure":
-		return platform.AzureFunctions(), nil
-	case "funcx":
-		return funcx.Config(), nil
-	default:
-		return platform.Config{}, fmt.Errorf("unknown platform %q (aws, google, azure, funcx)", name)
-	}
-}
-
 // parseMemGrid parses the -mem.grid flag: a comma-separated list of memory
 // sizes in MB, strictly increasing (the core layer enforces the ordering so
 // a shuffled grid fails loudly rather than silently re-sorting).
@@ -173,8 +158,15 @@ func cmdAdvise(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
+		return err
+	}
+	if math.IsNaN(*qos) || math.IsInf(*qos, 0) || *qos < 0 {
+		return fmt.Errorf("-qos must be a positive p95 bound in seconds, or 0 for none: got %g", *qos)
+	}
+	failure := core.FailureModel{CrashRate: *crashRate, RetryDelaySec: *retryDelay}
+	if err := failure.Validate(); err != nil {
 		return err
 	}
 	if *qos > 0 && *crashRate > 0 {
@@ -239,8 +231,7 @@ func cmdAdvise(args []string) error {
 			weights.Service, weights.Expense, *qos)
 	case *crashRate > 0:
 		weights = core.Weights{Service: *ws, Expense: 1 - *ws}
-		rm := core.ReliableModels{Models: models,
-			Failure: core.FailureModel{CrashRate: *crashRate, RetryDelaySec: *retryDelay}}
+		rm := core.ReliableModels{Models: models, Failure: failure}
 		plan, err = rm.PlanFor(*c, weights)
 		if err != nil {
 			return err
@@ -398,7 +389,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
 		return err
 	}
@@ -497,7 +488,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
 		return err
 	}
@@ -665,7 +656,7 @@ func cmdHetero(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
 		return err
 	}
@@ -739,7 +730,7 @@ func cmdPareto(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
 		return err
 	}
@@ -776,7 +767,7 @@ func cmdValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := platformByName(*plat)
+	cfg, err := server.PlatformByName(*plat)
 	if err != nil {
 		return err
 	}

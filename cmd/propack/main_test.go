@@ -140,22 +140,40 @@ func TestFaultFlagsNeverPanic(t *testing.T) {
 
 // TestAdviseRejectsNonFiniteFailureModel: flag.Float64 parses NaN and Inf,
 // and advise used to plan with them and exit 0 — a NaN retry delay printed
-// "predicted service: NaNs", an infinite crash rate "$NaN". The binary must
-// exit 1 with the validation error instead.
+// "predicted service: NaNs", an infinite crash rate "$NaN" — and read a
+// negative or NaN -qos or -crashrate as "off". The binary must exit 1 with
+// the validation error instead, before any probe runs.
 func TestAdviseRejectsNonFiniteFailureModel(t *testing.T) {
 	bin := buildPropack(t)
-	for _, args := range [][]string{
-		{"advise", "-crashrate", "0.001", "-retrydelay", "NaN"},
-		{"advise", "-crashrate", "+Inf"},
+	const (
+		nonFinite = "non-finite failure-model parameter"
+		negative  = "negative failure-model parameter"
+		badQoS    = "-qos must be a positive p95 bound"
+	)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"advise", "-crashrate", "0.001", "-retrydelay", "NaN"}, nonFinite},
+		{[]string{"advise", "-crashrate", "+Inf"}, nonFinite},
+		{[]string{"advise", "-crashrate", "NaN"}, nonFinite},
+		{[]string{"advise", "-crashrate", "-1"}, negative},
+		{[]string{"advise", "-qos", "-1"}, badQoS},
+		{[]string{"advise", "-qos", "NaN"}, badQoS},
+		{[]string{"advise", "-qos", "+Inf"}, badQoS},
+		{[]string{"advise", "-mem.grid", "5120,10240", "-qos", "-1"}, badQoS},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("propack %v: exit %v, want status 1\n%s", args, err, out)
+			t.Errorf("propack %v: exit %v, want status 1\n%s", tc.args, err, out)
 			continue
 		}
-		if !strings.Contains(string(out), "non-finite failure-model parameter") {
-			t.Errorf("propack %v: no validation error in the output:\n%s", args, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("propack %v: no %q error in the output:\n%s", tc.args, tc.want, out)
+		}
+		if strings.Contains(string(out), "probe runs") {
+			t.Errorf("propack %v: probed before rejecting the flag:\n%s", tc.args, out)
 		}
 	}
 }

@@ -125,13 +125,6 @@ func Sweep(cfg platform.Config, d interfere.Demand, c int, seed int64, maxDeg in
 	return SweepWithOptions(cfg, d, c, seed, maxDeg, SweepOptions{})
 }
 
-// SweepObserved is Sweep with event-level observability: every degree's
-// burst is recorded into rec (nil disables recording), labeled "sweep".
-// Exported traces keep the runs apart by their per-burst packing degree.
-func SweepObserved(cfg platform.Config, d interfere.Demand, c int, seed int64, maxDeg int, rec obs.Recorder) ([]trace.Metrics, error) {
-	return SweepWithOptions(cfg, d, c, seed, maxDeg, SweepOptions{Recorder: rec})
-}
-
 // SweepOptions configures SweepWithOptions.
 type SweepOptions struct {
 	// Workers bounds the parallel degree runs; 0 means GOMAXPROCS and 1
@@ -154,10 +147,10 @@ type degreeRun struct {
 	tape *obs.Tape
 }
 
-// SweepWithOptions is the engine behind Sweep and SweepObserved. Each
-// packing degree is an independent task: it shares no RNG state with its
-// neighbours (platform.Run derives its streams from (seed, platform)), so
-// the sweep parallelizes without perturbing a single sample. The fan-in
+// SweepWithOptions is the engine behind Sweep. Each packing degree is an
+// independent task: it shares no RNG state with its neighbours
+// (platform.Run derives its streams from (seed, platform)), so the sweep
+// parallelizes without perturbing a single sample. The fan-in
 // then applies the sequential contract in degree order: stop at the first
 // exec-limit degree, fail on the first real error, and replay recorded
 // bursts in degree order.

@@ -1,149 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
-
-// driftScenario builds models fitted to a "stale" platform (ET curve 30%
-// steeper than current reality) plus the truth the tracker should converge
-// toward.
-func driftScenario() (stale Models, staleSamples []ETSample, truth ETModel) {
-	truth = ETModel{MfuncGB: 0.25, Alpha: 0.16, Intercept: math.Log(100) - 0.16*0.25}
-	staleTruth := ETModel{MfuncGB: 0.25, Alpha: 0.16 * 1.3, Intercept: truth.Intercept}
-	for _, d := range SampleDegrees(29) {
-		staleSamples = append(staleSamples, ETSample{Degree: d, ETSec: staleTruth.At(d)})
-	}
-	stale = synthModels()
-	stale.ET = staleTruth
-	stale.MaxDegree = 29
-	return stale, staleSamples, truth
-}
-
-func TestTrackerConvergesUnderDrift(t *testing.T) {
-	stale, samples, truth := driftScenario()
-	tr, err := NewTracker(stale, samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = 3000
-	before, err := tr.Models().OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feed production observations from the *current* platform: mostly at
-	// the recommended degree, with periodic exploration at other degrees
-	// (observations clustered at one degree pin the intercept, not the
-	// slope — any real adaptive deployment explores occasionally).
-	for i := 0; i < 40; i++ {
-		deg, err := tr.Models().OptimalDegree(c, Balanced())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%4 == 3 {
-			deg = (7*i)%28 + 1 // exploration
-		}
-		if err := tr.Observe(deg, truth.At(deg)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := tr.Models().OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The true platform interferes less than the stale fit believed, so the
-	// refreshed model should pack at least as deep, and its α should have
-	// moved toward the truth.
-	if after < before {
-		t.Fatalf("degree moved the wrong way: %d → %d", before, after)
-	}
-	staleErr := math.Abs(stale.ET.Alpha - truth.Alpha)
-	newErr := math.Abs(tr.Models().ET.Alpha - truth.Alpha)
-	if newErr >= staleErr {
-		t.Fatalf("α did not move toward truth: |Δ| %g → %g", staleErr, newErr)
-	}
-	if tr.Observations() != 40 {
-		t.Fatalf("retained %d observations, want 40", tr.Observations())
-	}
-}
-
-func TestTrackerObservationCapEvicts(t *testing.T) {
-	stale, samples, truth := driftScenario()
-	tr, err := NewTracker(stale, samples, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := tr.Observe(5, truth.At(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Observations() != 8 {
-		t.Fatalf("cap not enforced: %d", tr.Observations())
-	}
-}
-
-func TestTrackerReprofileResets(t *testing.T) {
-	stale, samples, truth := driftScenario()
-	tr, err := NewTracker(stale, samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh []ETSample
-	for _, d := range SampleDegrees(29) {
-		fresh = append(fresh, ETSample{Degree: d, ETSec: truth.At(d)})
-	}
-	if err := tr.Reprofile(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Observations() != 0 {
-		t.Fatal("reprofile should clear observations")
-	}
-	if math.Abs(tr.Models().ET.Alpha-truth.Alpha) > 1e-9 {
-		t.Fatalf("reprofile did not adopt the fresh fit: α %g vs %g",
-			tr.Models().ET.Alpha, truth.Alpha)
-	}
-}
-
-func TestTrackerResidualSignalsDrift(t *testing.T) {
-	stale, samples, truth := driftScenario()
-	tr, err := NewTracker(stale, samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At a deep degree, the stale (steeper) model over-predicts: residual
-	// is clearly negative.
-	r := tr.Residual(20, truth.At(20))
-	if r >= -0.05 {
-		t.Fatalf("expected a strong negative residual under drift, got %g", r)
-	}
-}
-
-func TestTrackerValidation(t *testing.T) {
-	stale, samples, _ := driftScenario()
-	if _, err := NewTracker(Models{}, samples, 0); err == nil {
-		t.Fatal("invalid models accepted")
-	}
-	if _, err := NewTracker(stale, samples[:1], 0); err == nil {
-		t.Fatal("single probe sample accepted")
-	}
-	if _, err := NewTracker(stale, samples, -1); err == nil {
-		t.Fatal("negative cap accepted")
-	}
-	tr, err := NewTracker(stale, samples, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Observe(0, 10); err == nil {
-		t.Fatal("degree 0 accepted")
-	}
-	if err := tr.Observe(2, -1); err == nil {
-		t.Fatal("negative ET accepted")
-	}
-	if err := tr.Reprofile(nil); err == nil {
-		t.Fatal("empty reprofile accepted")
-	}
-}
+import "testing"
 
 func TestDegreeRangeStability(t *testing.T) {
 	m := synthModels()

@@ -15,23 +15,11 @@
 //     which is why ProPack's service-time gains are larger on Lambda.
 //
 // The paper's testbed is a 100-node EC2 cluster (r5.2xlarge/r5.4xlarge,
-// 1000 cores, 20,608 GB RAM); Cluster describes it, and the billing fields
-// of Config charge EC2-equivalent prices rather than serverless ones.
+// 1000 cores, 20,608 GB RAM); the billing fields of Config charge
+// EC2-equivalent prices rather than serverless ones.
 package funcx
 
 import "repro/internal/platform"
-
-// Cluster describes the paper's FuncX deployment (Sec. 3).
-type Cluster struct {
-	Nodes    int
-	Cores    int
-	MemoryGB int
-}
-
-// PaperCluster is the 100-node EC2 cluster used in the paper's evaluation.
-func PaperCluster() Cluster {
-	return Cluster{Nodes: 100, Cores: 1000, MemoryGB: 20608}
-}
 
 // PodSize is the number of FuncX workers co-located in one Kubernetes pod.
 const PodSize = 8

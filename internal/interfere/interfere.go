@@ -185,9 +185,3 @@ func ExecSeconds(d Demand, s Shape, degree int) float64 {
 	}
 	return et * s.IsolationFactor
 }
-
-// Slowdown is ExecSeconds(degree) normalized by the solo execution time on
-// the same shape.
-func Slowdown(d Demand, s Shape, degree int) float64 {
-	return ExecSeconds(d, s, degree) / ExecSeconds(d, s, 1)
-}

@@ -59,9 +59,10 @@ func TestComputeBoundDegradesFaster(t *testing.T) {
 	s := demoShape()
 	cpuBound := Demand{CPUSeconds: 92, IOSeconds: 10, MemoryMB: 292, MemBWMBps: 3600}
 	ioBound := Demand{CPUSeconds: 22, IOSeconds: 18, MemoryMB: 341, MemBWMBps: 1600}
-	if Slowdown(cpuBound, s, 12) <= Slowdown(ioBound, s, 12) {
-		t.Fatalf("CPU-bound slowdown %g should exceed I/O-bound %g",
-			Slowdown(cpuBound, s, 12), Slowdown(ioBound, s, 12))
+	cpuSlow := ExecSeconds(cpuBound, s, 12) / ExecSeconds(cpuBound, s, 1)
+	ioSlow := ExecSeconds(ioBound, s, 12) / ExecSeconds(ioBound, s, 1)
+	if cpuSlow <= ioSlow {
+		t.Fatalf("CPU-bound slowdown %g should exceed I/O-bound %g", cpuSlow, ioSlow)
 	}
 }
 
@@ -241,7 +242,8 @@ func TestDegreeZeroPanics(t *testing.T) {
 	ExecSeconds(demoDemand(), demoShape(), 0)
 }
 
-// Property: slowdown is ≥1 and monotone for arbitrary sane demands.
+// Property: slowdown, ExecSeconds normalized by the solo time on the same
+// shape, is ≥1 and monotone for arbitrary sane demands.
 func TestSlowdownProperty(t *testing.T) {
 	f := func(cpu, io, bw uint8) bool {
 		d := Demand{
@@ -253,7 +255,7 @@ func TestSlowdownProperty(t *testing.T) {
 		s := demoShape()
 		prev := 0.0
 		for deg := 1; deg <= 40; deg++ {
-			sl := Slowdown(d, s, deg)
+			sl := ExecSeconds(d, s, deg) / ExecSeconds(d, s, 1)
 			if sl < 1-1e-12 || sl < prev-1e-12 {
 				return false
 			}

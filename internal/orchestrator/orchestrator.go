@@ -78,43 +78,3 @@ func RunProPack(cfg platform.Config, d interfere.Demand, c int, w core.Weights, 
 	}
 	return ProPackRun{Plan: plan, Models: models, Metrics: metrics, Overhead: overhead}, nil
 }
-
-// RunProPackQoS is RunProPack with the Sec. 2.6 QoS-aware weight search:
-// the objective weights are chosen so the modeled tail service time stays
-// within qosSec.
-func RunProPackQoS(cfg platform.Config, d interfere.Demand, c int, qosSec float64, seed int64) (ProPackRun, core.Weights, error) {
-	meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: seed}
-	models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, d))
-	if err != nil {
-		return ProPackRun{}, core.Weights{}, fmt.Errorf("orchestrator: modeling failed: %w", err)
-	}
-	plan, w, err := models.QoSPlan(c, qosSec, core.QoSOptions{})
-	if err != nil {
-		return ProPackRun{}, core.Weights{}, err
-	}
-	metrics, err := Execute(cfg, d, c, plan.Degree, seed)
-	if err != nil {
-		return ProPackRun{}, core.Weights{}, err
-	}
-	return ProPackRun{Plan: plan, Models: models, Metrics: metrics, Overhead: overhead}, w, nil
-}
-
-// ExecuteWarm is Execute with a warm-instance pool: the first `warm`
-// instances reuse provisioned capacity (no build/ship/boot). Packing and
-// reuse are complementary, not competitive — the paper positions ProPack
-// against Pywren's reuse, but a manager can stack both.
-func ExecuteWarm(cfg platform.Config, d interfere.Demand, c, degree, warm int, seed int64) (trace.Metrics, error) {
-	if warm < 0 {
-		return trace.Metrics{}, fmt.Errorf("orchestrator: negative warm pool %d", warm)
-	}
-	b := platform.Burst{Demand: d, Functions: c, Degree: degree, Warm: warm, Seed: seed}
-	if n := b.Instances(); warm > n {
-		warm = n
-		b.Warm = warm
-	}
-	res, err := platform.Run(cfg, b)
-	if err != nil {
-		return trace.Metrics{}, err
-	}
-	return trace.FromResult(res), nil
-}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -49,33 +50,6 @@ func TestRunProPackBeatsBaseline(t *testing.T) {
 	}
 }
 
-func TestRunProPackQoSMeetsBound(t *testing.T) {
-	cfg := platform.AWSLambda()
-	d := workload.Xapian{}.Demand()
-	const c = 2000
-	// First find what the expense-only tail looks like, then bound between
-	// that and the best possible.
-	exp, err := RunProPack(cfg, d, c, core.ExpenseOnly(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := RunProPack(cfg, d, c, core.ServiceOnly(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := (exp.Metrics.TailService + svc.Metrics.TailService) / 2
-	run, w, err := RunProPackQoS(cfg, d, c, bound, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Service <= 0 || w.Service > 1 {
-		t.Fatalf("degenerate QoS weights: %+v", w)
-	}
-	if run.Metrics.TailService > bound*1.1 { // modeled bound, 10% slack on observed
-		t.Fatalf("observed tail %g far above QoS bound %g", run.Metrics.TailService, bound)
-	}
-}
-
 // TestWarmReuseStacksWithPacking: a pool covering the whole packed burst
 // removes the remaining cold-start path, so the time to the last start
 // (scaling time, measured from invocation) drops — reuse and packing
@@ -89,10 +63,11 @@ func TestWarmReuseStacksWithPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stacked, err := ExecuteWarm(cfg, d, c, deg, 200, 5)
+	res, err := platform.Run(cfg, platform.Burst{Demand: d, Functions: c, Degree: deg, Warm: 200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stacked := trace.FromResult(res)
 	if stacked.ScalingTime >= packed.ScalingTime {
 		t.Fatalf("warm reuse should cut the packed burst's scaling time: %g vs %g",
 			stacked.ScalingTime, packed.ScalingTime)
@@ -101,38 +76,34 @@ func TestWarmReuseStacksWithPacking(t *testing.T) {
 		t.Fatalf("stacking should not hurt service: %g vs %g",
 			stacked.TotalService, packed.TotalService)
 	}
-	// Oversized pools clamp rather than error.
-	if _, err := ExecuteWarm(cfg, d, c, deg, 10_000, 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExecuteWarm(cfg, d, c, deg, -1, 5); err == nil {
+	if _, err := platform.Run(cfg, platform.Burst{Demand: d, Functions: c, Degree: deg, Warm: -1, Seed: 5}); err == nil {
 		t.Fatal("negative pool accepted")
 	}
 }
 
-// TestExecuteWarmClampEquivalence pins the clamp semantics: a pool larger
-// than the instance count behaves exactly like a pool of all instances, for
-// every degree shape (including a ragged last instance).
-func TestExecuteWarmClampEquivalence(t *testing.T) {
+// TestWarmPoolClampEquivalence pins the clamp semantics: a pool larger than
+// the instance count behaves exactly like a pool of all instances, for every
+// degree shape (including a ragged last instance).
+func TestWarmPoolClampEquivalence(t *testing.T) {
 	cfg := platform.AWSLambda()
 	d := workload.Video{}.Demand()
 	for _, tc := range []struct{ c, deg int }{{100, 1}, {100, 7}, {64, 8}} {
 		n := (tc.c + tc.deg - 1) / tc.deg
-		exact, err := ExecuteWarm(cfg, d, tc.c, tc.deg, n, 9)
-		if err != nil {
-			t.Fatal(err)
+		var m [2]trace.Metrics
+		for i, warm := range []int{n, n*10 + 1} {
+			res, err := platform.Run(cfg, platform.Burst{Demand: d, Functions: tc.c, Degree: tc.deg, Warm: warm, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[i] = trace.FromResult(res)
 		}
-		over, err := ExecuteWarm(cfg, d, tc.c, tc.deg, n*10+1, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact != over {
+		if m[0] != m[1] {
 			t.Fatalf("c=%d deg=%d: oversized pool diverged from full pool:\nexact %+v\nover  %+v",
-				tc.c, tc.deg, exact, over)
+				tc.c, tc.deg, m[0], m[1])
 		}
 		// An all-warm burst has no cold path left: warm-start-only scaling.
-		if exact.ScalingTime <= 0 {
-			t.Fatalf("degenerate scaling time %g", exact.ScalingTime)
+		if m[0].ScalingTime <= 0 {
+			t.Fatalf("degenerate scaling time %g", m[0].ScalingTime)
 		}
 	}
 }

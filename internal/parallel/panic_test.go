@@ -112,18 +112,3 @@ func TestMapEveryTaskPanics(t *testing.T) {
 		}
 	}
 }
-
-func TestForEachPanicReachesCaller(t *testing.T) {
-	defer func() {
-		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "boom 3") {
-			t.Fatalf("recovered %v, want boom 3", v)
-		}
-	}()
-	_ = ForEach(context.Background(), 8, func(_ context.Context, i int) error {
-		if i == 3 {
-			explode(i)
-		}
-		return nil
-	}, Workers(2))
-	t.Fatal("ForEach returned")
-}

@@ -41,7 +41,7 @@ type options struct {
 	workers int
 }
 
-// Option configures a Map or ForEach call.
+// Option configures a Map call.
 type Option func(*options)
 
 // Workers bounds the number of concurrent tasks. n <= 0 selects the
@@ -179,14 +179,4 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 		return nil, ctx.Err()
 	}
 	return out, nil
-}
-
-// ForEach is Map for side-effect-free-result tasks: it runs fn(ctx, i) for
-// i in [0, n) under the same worker, cancellation, and determinism
-// contract and returns the first (lowest-index) task error.
-func ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error, opts ...Option) error {
-	_, err := Map(ctx, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	}, opts...)
-	return err
 }

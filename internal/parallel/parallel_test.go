@@ -164,24 +164,6 @@ func TestMapSkipsUnstartedTasksAfterFailure(t *testing.T) {
 	}
 }
 
-func TestForEachPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := ForEach(context.Background(), 5, func(_ context.Context, i int) error {
-		if i == 2 {
-			return boom
-		}
-		return nil
-	}, Workers(1))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if err := ForEach(context.Background(), 5, func(_ context.Context, i int) error {
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWorkerCount(t *testing.T) {
 	if got := WorkerCount(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("WorkerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))

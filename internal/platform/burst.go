@@ -625,28 +625,6 @@ func (r *Result) MeanExecSeconds() float64 {
 // (crashes and timeouts) across all instances.
 func (r *Result) FailedSeconds() float64 { return r.sum.failedSec }
 
-// StageSpans reports, for each control-plane stage, the largest span any
-// instance of the burst experienced in it (queue wait plus service):
-// scheduling (invocation → placement), image build, and shipping. Unlike
-// StageBreakdown these are per-stage maxima, so they expose each stage's
-// contention growth with concurrency even when a single stage dominates
-// the last instance's critical path (paper Fig. 2).
-func (r *Result) StageSpans() (sched, build, ship float64) {
-	c := &r.cols
-	for i := 0; i < c.n; i++ {
-		if c.schedDone[i] > sched {
-			sched = c.schedDone[i]
-		}
-		if b := c.buildDone[i] - c.schedDone[i]; b > build {
-			build = b
-		}
-		if s := c.shipDone[i] - c.buildDone[i]; s > ship {
-			ship = s
-		}
-	}
-	return sched, build, ship
-}
-
 // StageBreakdown decomposes the scaling time along the critical path of the
 // last instance to start: time in scheduling, image build, shipping, and
 // boot. The four components sum to ScalingTime (paper Fig. 2).

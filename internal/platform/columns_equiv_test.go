@@ -77,21 +77,6 @@ func rowFunctionSeconds(ts []Timeline) float64 {
 	return s
 }
 
-func rowStageSpans(ts []Timeline) (sched, build, ship float64) {
-	for _, t := range ts {
-		if t.SchedDone > sched {
-			sched = t.SchedDone
-		}
-		if b := t.BuildDone - t.SchedDone; b > build {
-			build = b
-		}
-		if s := t.ShipDone - t.BuildDone; s > ship {
-			ship = s
-		}
-	}
-	return sched, build, ship
-}
-
 func rowStageBreakdown(ts []Timeline) (sched, build, ship, boot float64) {
 	var last Timeline
 	for _, t := range ts {
@@ -210,11 +195,6 @@ func checkColumnsAgainstRows(t *testing.T, what string, res *Result, shards int,
 	same("FunctionSeconds", res.FunctionSeconds(), rowFunctionSeconds(ts))
 	same("MeanExecSeconds", res.MeanExecSeconds(), rowFunctionSeconds(ts)/float64(len(ts)))
 	same("FailedSeconds", res.FailedSeconds(), rowFailedSeconds(ts))
-	s1, b1, h1 := res.StageSpans()
-	s2, b2, h2 := rowStageSpans(ts)
-	same("StageSpans.sched", s1, s2)
-	same("StageSpans.build", b1, b2)
-	same("StageSpans.ship", h1, h2)
 	s1, b1, h1, o1 := res.StageBreakdown()
 	s2, b2, h2, o2 := rowStageBreakdown(ts)
 	same("StageBreakdown.sched", s1, s2)

@@ -63,7 +63,6 @@ func sameObservables(t *testing.T, what string, got, want *Result) {
 		for i, v := range r.ServiceTimeAtQuantiles(qs...) {
 			m[fmt.Sprintf("ServiceTimeAtQuantiles(%g)", qs[i])] = v
 		}
-		m["StageSpans.sched"], m["StageSpans.build"], m["StageSpans.ship"] = r.StageSpans()
 		m["StageBreakdown.sched"], m["StageBreakdown.build"], m["StageBreakdown.ship"], m["StageBreakdown.boot"] = r.StageBreakdown()
 		return m
 	}

@@ -206,34 +206,3 @@ func TestBreakerConcurrentHalfOpen(t *testing.T) {
 		t.Fatalf("half-open in-flight accounting broken: %d", inFlight)
 	}
 }
-
-func TestRetryBudget(t *testing.T) {
-	if _, err := NewRetryBudget(-1, 10); err == nil {
-		t.Fatal("negative ratio accepted")
-	}
-	rb, err := NewRetryBudget(0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starts full: cap=2 retries available.
-	if !rb.Spend() || !rb.Spend() {
-		t.Fatal("budget should start full")
-	}
-	if rb.Spend() {
-		t.Fatal("empty budget allowed a retry")
-	}
-	// 10 successes bank one retry at ratio 0.1.
-	for i := 0; i < 10; i++ {
-		rb.Success()
-	}
-	if !rb.Spend() {
-		t.Fatal("banked tokens not spendable")
-	}
-	// Cap bounds banking.
-	for i := 0; i < 100; i++ {
-		rb.Success()
-	}
-	if got := rb.Tokens(); got != 2 {
-		t.Fatalf("tokens = %g, want capped at 2", got)
-	}
-}

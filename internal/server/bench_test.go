@@ -231,7 +231,7 @@ func TestOverloadShedding(t *testing.T) {
 
 	if *record {
 		rec := loadBenchServeRecord(t)
-		rec.Description = "propack serve overload experiment: closed-loop load generator (internal/server/loadgen.go) against the real daemon with synthetic 20ms service time (delayms test hook). 'uncontended' is 1 client; 'overload' is 4x admission capacity (MaxInFlight+MaxQueue) clients. Acceptance: excess load shed with 429s while admitted p99 stays within 5x uncontended p99. Regenerate: go test ./internal/server/ -run TestOverloadShedding -record"
+		rec.Description = "propack serve overload experiment: closed-loop load generator (internal/server/loadgen_test.go) against the real daemon with synthetic 20ms service time (delayms test hook). 'uncontended' is 1 client; 'overload' is 4x admission capacity (MaxInFlight+MaxQueue) clients. Acceptance: excess load shed with 429s while admitted p99 stays within 5x uncontended p99. Regenerate: go test ./internal/server/ -run TestOverloadShedding -record"
 		rec.Date = time.Now().Format("2006-01-02")
 		rec.Config = benchServeConfig{
 			MaxInFlight: maxInFlight, MaxQueue: maxQueue,

@@ -436,7 +436,7 @@ func (s *Server) computeJoint(ctx context.Context, q *params, e *jsonEnc) error 
 		return err
 	}
 	if len(sizes) == 0 {
-		cfg, err := platformByName(plat)
+		cfg, err := PlatformByName(plat)
 		if err != nil {
 			return badRequest("%v", err)
 		}
@@ -531,7 +531,7 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	if len(specs) < 2 || len(specs) > len(workload.All()) {
 		return badRequest("need two to %d app=Name:count parameters, one per application", len(workload.All()))
 	}
-	cfg, err := platformByName(plat)
+	cfg, err := PlatformByName(plat)
 	if err != nil {
 		return badRequest("%v", err)
 	}

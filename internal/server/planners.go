@@ -52,9 +52,9 @@ func newPlannerPool(seed int64) *plannerPool {
 	return &plannerPool{seed: seed, entries: make(map[string]*plannerEntry)}
 }
 
-// platformByName maps the API's platform parameter to a config, mirroring
-// the CLI's accepted spellings.
-func platformByName(name string) (platform.Config, error) {
+// PlatformByName maps a platform name — the API's platform parameter and
+// the CLI's -platform flag — to its config.
+func PlatformByName(name string) (platform.Config, error) {
 	switch strings.ToLower(name) {
 	case "aws", "lambda", "aws-lambda":
 		return platform.AWSLambda(), nil
@@ -107,7 +107,7 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		cfg, err := platformByName(platformName)
+		cfg, err := PlatformByName(platformName)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}

@@ -33,6 +33,25 @@ func percentileCI(replicates []float64, conf float64) CI {
 	}
 }
 
+// percentileSorted returns the q-th percentile (q in [0,100]) of ascending
+// data by linear interpolation between closest ranks.
+func percentileSorted(sorted []float64, q float64) float64 {
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := q / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
 // ExpFitBootstrap fits y = exp(a·x + b) and bootstrap-resamples the
 // log-space residuals to produce confidence intervals for a and b at the
 // given confidence level (e.g. 0.95). iters ≥ 100 recommended.

@@ -3,7 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func noisyExpData(slope, intercept, noise float64, n int, seed int64) (xs, ys []float64) {
@@ -105,5 +107,41 @@ func TestCIHelpers(t *testing.T) {
 	}
 	if ci.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+func TestPercentile(t *testing.T) {
+	xs := []float64{15, 20, 35, 40, 50}
+	approx(t, percentileSorted(xs, 0), 15, 1e-12, "p0")
+	approx(t, percentileSorted(xs, 100), 50, 1e-12, "p100")
+	approx(t, percentileSorted(xs, 50), 35, 1e-12, "median odd")
+	approx(t, percentileSorted(xs, 25), 20, 1e-12, "p25 exact rank")
+	// Interpolated: rank = 0.4*4 = 1.6 → 20 + 0.6*(35-20) = 29.
+	approx(t, percentileSorted(xs, 40), 29, 1e-12, "p40 interpolated")
+	approx(t, percentileSorted([]float64{1, 2, 3, 4}, 50), 2.5, 1e-12, "median even")
+}
+
+// Property: percentiles are monotone in q and bounded by min/max.
+func TestPercentileMonotoneProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	f := func(n uint8) bool {
+		size := int(n)%50 + 1
+		sorted := make([]float64, size)
+		for i := range sorted {
+			sorted[i] = rng.NormFloat64() * 100
+		}
+		sort.Float64s(sorted)
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 100; q += 7 {
+			p := percentileSorted(sorted, q)
+			if p < prev-1e-9 || p < sorted[0]-1e-9 || p > sorted[size-1]+1e-9 {
+				return false
+			}
+			prev = p
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -180,27 +180,3 @@ func solveAugmented(m [][]float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// RSquared reports the coefficient of determination of predictions preds
-// against observations ys: 1 − SS_res/SS_tot. A constant observation vector
-// yields 1 when perfectly predicted and 0 otherwise.
-func RSquared(ys, preds []float64) float64 {
-	if len(ys) != len(preds) || len(ys) == 0 {
-		return math.NaN()
-	}
-	mean := Mean(ys)
-	var ssRes, ssTot float64
-	for i, y := range ys {
-		d := y - preds[i]
-		ssRes += d * d
-		t := y - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}

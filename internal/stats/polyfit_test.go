@@ -111,21 +111,6 @@ func TestPolyFitRecoveryProperty(t *testing.T) {
 	}
 }
 
-func TestRSquared(t *testing.T) {
-	ys := []float64{1, 2, 3, 4}
-	approx(t, RSquared(ys, ys), 1, 1e-12, "perfect prediction")
-	mean := []float64{2.5, 2.5, 2.5, 2.5}
-	approx(t, RSquared(ys, mean), 0, 1e-12, "mean prediction")
-	if !math.IsNaN(RSquared(nil, nil)) {
-		t.Fatal("empty input should be NaN")
-	}
-	const5 := []float64{5, 5, 5}
-	approx(t, RSquared(const5, const5), 1, 1e-12, "constant observed, perfect")
-	if RSquared(const5, []float64{5, 5, 6}) != 0 {
-		t.Fatal("constant observed, imperfect prediction should be 0")
-	}
-}
-
 func TestFiniteNonNeg(t *testing.T) {
 	if !FiniteNonNeg() || !FiniteNonNeg(0, 1.5, math.MaxFloat64, 5e-324) {
 		t.Error("finite non-negative values refused")

@@ -106,13 +106,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row from values formatted by the given verbs. Values
-// and verbs must align with the header.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	parts := strings.Split(fmt.Sprintf(format, args...), "\t")
-	t.AddRow(parts...)
-}
-
 // Fprint writes the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) error {
 	widths := make([]int, len(t.Header))

@@ -277,83 +277,6 @@ func TestTracebackConsistencyProperty(t *testing.T) {
 	}
 }
 
-// --- Xapian BM25 ---
-
-func TestBM25PrefersHeavierTermUse(t *testing.T) {
-	task := &xapianTask{seed: 3, docs: 4, topK: 4}
-	// Hand-built index: term 0 appears 8× in doc 0, 1× in doc 1; all docs
-	// same length.
-	index := make([][]posting, xapianVocab)
-	index[0] = []posting{{doc: 0, tf: 8}, {doc: 1, tf: 1}}
-	index[1] = []posting{{doc: 2, tf: 3}}
-	docLens := []int32{100, 100, 100, 100}
-	top, err := task.SearchBM25(index, docLens, []int32{0}, DefaultBM25())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 || top[0] != 0 || top[1] != 1 {
-		t.Fatalf("BM25 ranking wrong: %v", top)
-	}
-}
-
-func TestBM25LengthNormalization(t *testing.T) {
-	task := &xapianTask{seed: 3, docs: 2, topK: 2}
-	index := make([][]posting, xapianVocab)
-	// Same tf, wildly different document lengths: the short document must
-	// rank first when b > 0.
-	index[5] = []posting{{doc: 0, tf: 3}, {doc: 1, tf: 3}}
-	docLens := []int32{50, 500}
-	top, err := task.SearchBM25(index, docLens, []int32{5}, DefaultBM25())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top[0] != 0 {
-		t.Fatalf("short document should rank first under length normalization: %v", top)
-	}
-	// With b = 0 the two tie; both must still be returned.
-	top, err = task.SearchBM25(index, docLens, []int32{5}, BM25Params{K1: 1.2, B: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 {
-		t.Fatalf("expected both docs, got %v", top)
-	}
-}
-
-func TestBM25Validation(t *testing.T) {
-	task := &xapianTask{seed: 3, docs: 2, topK: 2}
-	index := make([][]posting, xapianVocab)
-	docLens := []int32{10, 10}
-	if _, err := task.SearchBM25(index, docLens, []int32{1}, BM25Params{K1: -1, B: 0.5}); err == nil {
-		t.Fatal("negative k1 accepted")
-	}
-	if _, err := task.SearchBM25(index, docLens, []int32{1}, BM25Params{K1: 1, B: 2}); err == nil {
-		t.Fatal("b>1 accepted")
-	}
-	if _, err := task.SearchBM25(index, docLens, []int32{-1}, DefaultBM25()); err == nil {
-		t.Fatal("out-of-vocabulary term accepted")
-	}
-}
-
-func TestBM25OnRealIndex(t *testing.T) {
-	task := Xapian{Docs: 400, Queries: 1, TopK: 10}.NewTask(55).(*xapianTask)
-	index, docLens := task.buildIndex()
-	top, err := task.SearchBM25(index, docLens, []int32{2, 30, 400}, DefaultBM25())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) == 0 || len(top) > 10 {
-		t.Fatalf("top-k size %d", len(top))
-	}
-	seen := map[int32]bool{}
-	for _, d := range top {
-		if d < 0 || int(d) >= task.docs || seen[d] {
-			t.Fatalf("bad result set %v", top)
-		}
-		seen[d] = true
-	}
-}
-
 // TestSortTaskExternalMatchesInMemory: the external-sort reducer path must
 // produce the same checksum as the in-memory path.
 func TestSortTaskExternalMatchesInMemory(t *testing.T) {

@@ -72,3 +72,35 @@ func TestFacadeQoS(t *testing.T) {
 		t.Fatal("no plan degree")
 	}
 }
+
+// TestFacadeQoSRunMeetsBound: a burst run at AdviseQoS's degree observes a
+// tail within the bound, the bound set between the observed tails of the
+// expense-only and service-only plans.
+func TestFacadeQoSRunMeetsBound(t *testing.T) {
+	cfg := AWSLambda()
+	d := XapianWorkload().Demand()
+	const c = 2000
+	exp, _, err := RunProPack(cfg, d, c, ExpenseOnly(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _, err := RunProPack(cfg, d, c, ServiceOnly(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := (exp.TailService + svc.TailService) / 2
+	rec, w, err := AdviseQoS(cfg, d, c, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Service <= 0 || w.Service > 1 {
+		t.Fatalf("degenerate QoS weights: %+v", w)
+	}
+	m, err := Run(cfg, d, c, rec.Plan.Degree, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.TailService > bound*1.1 { // modeled bound, 10% slack on observed
+		t.Fatalf("observed tail %g far above QoS bound %g", m.TailService, bound)
+	}
+}

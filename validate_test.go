@@ -120,7 +120,6 @@ func TestValidateRejectsNonFiniteEverywhere(t *testing.T) {
 		{"platform.Burst", func() any { return platform.Burst{Demand: video, Functions: 8, Degree: 1, StaggerSec: 0.01} }, validate},
 		{"interfere.Demand", func() any { return video }, validate},
 		{"interfere.Shape", func() any { return platform.AWSLambda().Shape }, validate},
-		{"workload.BM25Params", func() any { return workload.DefaultBM25() }, validate},
 		{"resilience.Backoff", func() any {
 			return resilience.Backoff{Kind: resilience.Exponential, BaseSec: 0.5, CapSec: 10, Factor: 2, MaxAttempts: 3, MaxElapsedSec: 60}
 		}, validate},
