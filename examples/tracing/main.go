@@ -74,8 +74,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\n--- metrics registry (obs.RegistryRecorder) ---")
-	if err := reg.Fprint(os.Stdout); err != nil {
+	fmt.Println("\n--- metrics registry (obs.RegistryRecorder, Prometheus text) ---")
+	if err := reg.WritePrometheus(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

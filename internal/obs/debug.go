@@ -6,23 +6,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 )
-
-// publishOnce guards the process-global expvar namespace: expvar.Publish
-// panics on duplicate names, and tests may start several debug servers.
-var publishOnce sync.Once
 
 // DebugMux builds the Go diagnostic mux shared by the CLI's -debug.addr
 // server and the serve daemon (which mounts it on its main listener instead
 // of running a second server):
 //
 //	/debug/pprof/...  CPU, heap, goroutine, block profiles
-//	/debug/vars       expvar (incl. a live snapshot of reg, if non-nil)
-//	/metrics          Prometheus text exposition of reg, with the legacy
-//	                  human dump behind ?format=legacy (absent when reg is
-//	                  nil) — see MetricsHandler
+//	/debug/vars       expvar: the Go runtime's own variables
+//	/metrics          Prometheus text exposition of reg (absent when reg
+//	                  is nil) — see MetricsHandler
 func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -32,7 +26,6 @@ func DebugMux(reg *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	if reg != nil {
-		publishOnce.Do(func() { expvar.Publish("propack", reg.ExpvarFunc()) })
 		mux.Handle("/metrics", MetricsHandler(reg))
 	}
 	return mux

@@ -1,91 +1,57 @@
 package obs
 
 import (
-	"math"
+	"strings"
 	"testing"
 )
 
 // Regression tests for the histogram zero-value contract: a Histogram built
 // without bounds (directly, or via a RegistryRecorder's nil-bounds path) must
-// adopt the default latency buckets and never leak NaN from Quantile.
+// adopt the default latency buckets and never leak NaN into the exposition.
 
 func TestHistogramZeroValue(t *testing.T) {
 	var h Histogram
 	h.Observe(0.02)
 	h.Observe(3)
-	bounds, _ := h.Buckets()
+	bounds, counts, _, n := h.export()
 	if len(bounds) != len(DefaultLatencyBuckets) {
 		t.Fatalf("zero-value bounds len = %d, want default %d", len(bounds), len(DefaultLatencyBuckets))
 	}
-	if h.Count() != 2 {
+	if n != 2 || h.Count() != 2 {
 		t.Errorf("count = %d", h.Count())
 	}
-	if got := h.Quantile(50); got != 0.025 {
-		t.Errorf("p50 = %v, want 0.025", got)
+	if counts[2] != 1 { // 0.02 falls in (0.01, 0.025]
+		t.Errorf("bucket counts = %v, want one observation under 0.025", counts)
 	}
 }
 
 func TestNewHistogramNilBounds(t *testing.T) {
 	h := NewHistogram(nil)
 	h.Observe(0.5)
-	if got := h.Quantile(100); got != 0.5 {
-		t.Errorf("p100 = %v, want observed max 0.5", got)
+	if bounds, _, _, _ := h.export(); len(bounds) != len(DefaultLatencyBuckets) {
+		t.Errorf("nil bounds len = %d, want default %d", len(bounds), len(DefaultLatencyBuckets))
 	}
 	// The registry path with nil bounds behaves identically.
 	reg := NewRegistry()
-	rh := reg.Histogram("stage_seconds_custom", nil)
+	rh := reg.Histogram("custom_seconds", nil)
 	rh.Observe(0.5)
-	if got := rh.Quantile(95); math.IsNaN(got) {
-		t.Error("registry nil-bounds histogram Quantile returned NaN")
+	if bounds, _, _, _ := rh.export(); len(bounds) != len(DefaultLatencyBuckets) {
+		t.Errorf("registry nil-bounds len = %d, want default %d", len(bounds), len(DefaultLatencyBuckets))
 	}
 }
 
-func TestHistogramQuantileEmpty(t *testing.T) {
-	var h Histogram
-	for _, q := range []float64{0, 50, 95, 100, -5, 250, math.NaN()} {
-		if got := h.Quantile(q); got != 0 || math.IsNaN(got) {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	if h.Mean() != 0 || h.Max() != 0 {
-		t.Errorf("empty mean/max = %v/%v", h.Mean(), h.Max())
-	}
-}
-
-func TestHistogramQuantileOverflowBucket(t *testing.T) {
-	h := NewHistogram([]float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(100) // overflow bucket
-	h.Observe(200) // overflow bucket
-	// p100 lands in the overflow bucket: report the observed max, not a
-	// bound and never NaN/Inf.
-	if got := h.Quantile(100); got != 200 {
-		t.Errorf("overflow p100 = %v, want observed max 200", got)
-	}
-	if got := h.Quantile(50); got != 200 {
-		// 2 of 3 observations are past the last bound, so the median already
-		// sits in overflow.
-		t.Errorf("overflow p50 = %v, want 200", got)
-	}
-	// Out-of-range q clamps instead of walking off the table.
-	if got := h.Quantile(1000); math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Errorf("Quantile(1000) = %v", got)
-	}
-	if got := h.Quantile(math.NaN()); math.IsNaN(got) {
-		t.Error("Quantile(NaN) returned NaN")
-	}
-}
-
-func TestHistogramSnapshotNoNaN(t *testing.T) {
+func TestHistogramExpositionNoNaN(t *testing.T) {
 	reg := NewRegistry()
 	reg.Histogram("empty_hist", nil) // registered, never observed
-	snap := reg.Snapshot()
-	hs := snap.Hists["empty_hist"]
-	for name, v := range map[string]float64{
-		"mean": hs.Mean, "p50": hs.P50, "p95": hs.P95, "max": hs.Max, "sum": hs.Sum,
-	} {
-		if math.IsNaN(v) {
-			t.Errorf("empty histogram snapshot leaks NaN in %s", name)
-		}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := validateExposition(t, sb.String())
+	if samples["empty_hist_sum"] != "0" || samples["empty_hist_count"] != "0" {
+		t.Errorf("empty histogram sum/count = %q/%q, want 0/0", samples["empty_hist_sum"], samples["empty_hist_count"])
+	}
+	if strings.Contains(sb.String(), "NaN") {
+		t.Errorf("empty histogram exposition leaks NaN:\n%s", sb.String())
 	}
 }

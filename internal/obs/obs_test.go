@@ -131,14 +131,14 @@ func TestJSONLOutput(t *testing.T) {
 
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("events_crash")
+	c := reg.Counter("crashes_total")
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // ignored: counters are monotonic
 	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %d, want 3", got)
 	}
-	if reg.Counter("events_crash") != c {
+	if reg.Counter("crashes_total") != c {
 		t.Fatal("counter handle not stable")
 	}
 
@@ -152,32 +152,34 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	for _, v := range []float64{0.5, 2, 3, 50, 500} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 555.5 || h.Max() != 500 {
-		t.Fatalf("histogram stats wrong: n=%d sum=%g max=%g", h.Count(), h.Sum(), h.Max())
+	if h.Count() != 5 || h.Sum() != 555.5 {
+		t.Fatalf("histogram stats wrong: n=%d sum=%g", h.Count(), h.Sum())
 	}
-	if got := h.Quantile(50); got != 10 { // 3rd of 5 obs falls in (1,10]
-		t.Fatalf("p50 = %g, want 10", got)
+	if reg.Histogram("lat", nil) != h {
+		t.Fatal("histogram handle not stable")
 	}
-	if got := h.Quantile(100); got != 500 { // overflow bucket reports max
-		t.Fatalf("p100 = %g, want 500", got)
-	}
+}
 
-	snap := reg.Snapshot()
-	if snap.Counters["events_crash"] != 3 || snap.Gauges["last_burst_instances"] != 42.5 {
-		t.Fatalf("snapshot wrong: %+v", snap)
-	}
-	if hs := snap.Hists["lat"]; hs.Count != 5 || hs.Mean != 111.1 {
-		t.Fatalf("hist snapshot wrong: %+v", hs)
-	}
-
-	var sb strings.Builder
-	if err := reg.Fprint(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"events_crash", "last_burst_instances", "lat", "n=5"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("Fprint missing %q:\n%s", want, sb.String())
-		}
+// TestRegistryOneKindPerName checks that a name keeps the kind and label
+// count it was created with: a second `# TYPE` line for one name would make
+// the exposition invalid, so the registry refuses to build one.
+func TestRegistryOneKindPerName(t *testing.T) {
+	for name, second := range map[string]func(*Registry){
+		"gauge":             func(r *Registry) { r.Gauge("x") },
+		"histogram":         func(r *Registry) { r.Histogram("x", nil) },
+		"one-label counter": func(r *Registry) { r.CounterVec("x", "l") },
+		"one-label gauge":   func(r *Registry) { r.GaugeVec("x", "l") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.Counter("x")
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("x re-registered as a %s without a panic", name)
+				}
+			}()
+			second(reg)
+		})
 	}
 }
 
@@ -196,17 +198,33 @@ func TestRegistryRecorder(t *testing.T) {
 	if got := reg.Counter("instances_total").Value(); got != 5 {
 		t.Fatalf("instances_total = %d", got)
 	}
-	if got := reg.Histogram("stage_seconds_exec", nil).Count(); got != 2 {
-		t.Fatalf("exec histogram count = %d", got)
+	if got := reg.HistogramVec("stage_seconds", []string{"stage"}, nil).With("exec").Count(); got != 2 {
+		t.Fatalf(`stage_seconds{stage="exec"} count = %d`, got)
 	}
-	if got := reg.Counter("events_crash").Value(); got != 1 {
-		t.Fatalf("events_crash = %d", got)
+	if got := reg.CounterVec("events_total", "kind").With("crash").Value(); got != 1 {
+		t.Fatalf(`events_total{kind="crash"} = %d`, got)
 	}
 	if got := reg.Histogram("wasted_seconds", nil).Sum(); got != 1.5 {
 		t.Fatalf("wasted_seconds sum = %g", got)
 	}
 	if got := reg.Histogram("backoff_seconds", nil).Sum(); got != 0.5 {
 		t.Fatalf("backoff_seconds sum = %g", got)
+	}
+}
+
+// TestRegistryRecorderAllocs pins the recorder's per-record cost: once a
+// stage's or kind's child exists, a span or event allocates nothing.
+func TestRegistryRecorderAllocs(t *testing.T) {
+	rec := RegistryRecorder{Reg: NewRegistry()}
+	span := Span{Stage: StageExec, StartSec: 0, EndSec: 2}
+	event := Event{Kind: EventCrash, DurSec: 1}
+	rec.Span(span)
+	rec.Event(event)
+	if got := testing.AllocsPerRun(100, func() { rec.Span(span) }); got != 0 {
+		t.Errorf("Span allocates %v per call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { rec.Event(event) }); got != 0 {
+		t.Errorf("Event allocates %v per call, want 0", got)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) for the whole registry:
-// scalar counters/gauges, labeled vectors, and histograms with cumulative
-// _bucket/_sum/_count series. The encoder is deterministic — families sort
+// Prometheus text exposition (format version 0.0.4) for the whole registry,
+// the only form in which metrics leave the process: every family under one
+// `# TYPE` line, histograms as cumulative _bucket/_sum/_count series. An
+// unlabeled metric is its family's zero-label child and renders as a bare
+// `name value` sample. The encoder is deterministic — families sort
 // by name, series sort by label values — so golden tests and diff-based
 // alerting both work against it.
 
@@ -23,77 +25,45 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // registered collectors first so derived metrics are scrape-fresh.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.collect()
-	bw := bufio.NewWriter(w)
-
-	type family struct {
+	type named struct {
 		name string // sanitized
-		typ  string
-		emit func(*bufio.Writer, string)
+		f    family
 	}
-	var fams []family
-	add := func(name, typ string, emit func(*bufio.Writer, string)) {
-		fams = append(fams, family{name: sanitizeMetricName(name), typ: typ, emit: emit})
-	}
-
-	r.counters.Range(func(k, v any) bool {
-		c := v.(*Counter)
-		add(k.(string), "counter", func(bw *bufio.Writer, name string) {
-			writeSample(bw, name, "", float64(c.Value()))
-		})
+	var fams []named
+	r.families.Range(func(k, v any) bool {
+		fams = append(fams, named{sanitizeMetricName(k.(string)), v.(family)})
 		return true
 	})
-	r.gauges.Range(func(k, v any) bool {
-		g := v.(*Gauge)
-		add(k.(string), "gauge", func(bw *bufio.Writer, name string) {
-			writeSample(bw, name, "", g.Value())
-		})
-		return true
-	})
-	r.hists.Range(func(k, v any) bool {
-		h := v.(*Histogram)
-		add(k.(string), "histogram", func(bw *bufio.Writer, name string) {
-			writeHistogram(bw, name, "", h)
-		})
-		return true
-	})
-	r.counterVecs.Range(func(k, v any) bool {
-		vec := v.(*CounterVec)
-		add(k.(string), "counter", func(bw *bufio.Writer, name string) {
-			vec.Range(func(values []string, c *Counter) {
-				writeSample(bw, name, formatLabels(vec.core.labels, values), float64(c.Value()))
-			})
-		})
-		return true
-	})
-	r.gaugeVecs.Range(func(k, v any) bool {
-		vec := v.(*GaugeVec)
-		add(k.(string), "gauge", func(bw *bufio.Writer, name string) {
-			vec.Range(func(values []string, g *Gauge) {
-				writeSample(bw, name, formatLabels(vec.core.labels, values), g.Value())
-			})
-		})
-		return true
-	})
-	r.histVecs.Range(func(k, v any) bool {
-		vec := v.(*HistogramVec)
-		add(k.(string), "histogram", func(bw *bufio.Writer, name string) {
-			vec.Range(func(values []string, h *Histogram) {
-				writeHistogram(bw, name, formatLabels(vec.core.labels, values), h)
-			})
-		})
-		return true
-	})
-
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	bw := bufio.NewWriter(w)
 	for _, f := range fams {
+		kind, _ := f.f.describe()
 		bw.WriteString("# TYPE ")
 		bw.WriteString(f.name)
 		bw.WriteByte(' ')
-		bw.WriteString(f.typ)
+		bw.WriteString(kind)
 		bw.WriteByte('\n')
-		f.emit(bw, f.name)
+		f.f.write(bw, f.name)
 	}
 	return bw.Flush()
+}
+
+func (v *CounterVec) write(bw *bufio.Writer, name string) {
+	v.Range(func(values []string, c *Counter) {
+		writeSample(bw, name, formatLabels(v.labels, values), float64(c.Value()))
+	})
+}
+
+func (v *GaugeVec) write(bw *bufio.Writer, name string) {
+	v.Range(func(values []string, g *Gauge) {
+		writeSample(bw, name, formatLabels(v.labels, values), g.Value())
+	})
+}
+
+func (v *HistogramVec) write(bw *bufio.Writer, name string) {
+	v.Range(func(values []string, h *Histogram) {
+		writeHistogram(bw, name, formatLabels(v.labels, values), h)
+	})
 }
 
 // writeSample emits one `name{labels} value` line; labels may be "".
@@ -163,14 +133,8 @@ func formatLabels(labels, values []string) string {
 	return sb.String()
 }
 
-// formatSeries is the flattened `name{labels}` key used by Snapshot.
-func formatSeries(name string, labels, values []string) string {
-	return sanitizeMetricName(name) + "{" + formatLabels(labels, values) + "}"
-}
-
 // sanitizeMetricName maps a registry name onto the exposition grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*; invalid runes become '_' (the registry's event
-// names contain hyphens, e.g. events_start-retry).
+// [a-zA-Z_:][a-zA-Z0-9_:]*; invalid runes (a hyphen, say) become '_'.
 func sanitizeMetricName(name string) string {
 	return sanitizeName(name, true)
 }
@@ -217,25 +181,10 @@ func escapeLabelValue(v string) string {
 	return sb.String()
 }
 
-// legacyFormatParam and legacyAccept are the two ways a client asks
-// /metrics for the pre-Prometheus human dump.
-const (
-	legacyFormatParam = "legacy"
-	legacyAccept      = "text/x-propack-dump"
-)
-
-// MetricsHandler serves the registry over HTTP with content negotiation:
-// Prometheus text format (version 0.0.4) by default — what scrapers and
-// `curl` get — and the legacy aligned human dump when the client asks for
-// it with ?format=legacy or `Accept: text/x-propack-dump`.
+// MetricsHandler serves the registry over HTTP in Prometheus text format
+// (version 0.0.4), the registry's only exposition.
 func MetricsHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == legacyFormatParam ||
-			strings.Contains(r.Header.Get("Accept"), legacyAccept) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = reg.Fprint(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PrometheusContentType)
 		_ = reg.WritePrometheus(w)
 	})

@@ -2,10 +2,15 @@ package obs
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,6 +179,56 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the exposition golden")
+
+// fixtureRegistry holds one of every shape the encoder renders: unlabeled
+// counter, gauge and histograms (custom, default and empty bounds), labeled
+// vectors of each kind, an escaped label value and a hyphenated name.
+func fixtureRegistry() *Registry {
+	reg := NewRegistry()
+	reg.Counter("bursts_total").Add(7)
+	reg.Gauge("inflight").Set(2.5)
+	h := reg.Histogram("lat_seconds", []float64{0.1, 1, 10})
+	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
+		h.Observe(v)
+	}
+	reg.Histogram("default_seconds", nil).Observe(0.3)
+	reg.Histogram("empty_seconds", nil)
+	reg.Counter("events_start-retry").Inc()
+	cv := reg.CounterVec("req_total", "route", "code")
+	cv.With("plan", "500").Inc()
+	cv.With("advise", "200").Add(4)
+	gv := reg.GaugeVec("g", "k")
+	gv.With("b").Set(1)
+	gv.With("a").Set(-0.125)
+	reg.HistogramVec("req_seconds", []string{"route"}, []float64{1}).With("advise").Observe(0.5)
+	reg.CounterVec("weird", "label-name").With("quote\" slash\\ nl\n").Inc()
+	return reg
+}
+
+// TestWritePrometheusGolden pins the exposition byte for byte.
+func TestWritePrometheusGolden(t *testing.T) {
+	var sb strings.Builder
+	if err := fixtureRegistry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	validateExposition(t, sb.String())
+	golden := filepath.Join("testdata", "prometheus_fixture.golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("exposition drifted from %s:\ngot:\n%s\nwant:\n%s", golden, sb.String(), want)
+	}
+}
+
 func TestFormatValue(t *testing.T) {
 	cases := map[float64]string{
 		0:           "0",
@@ -199,32 +254,13 @@ func TestFormatValue(t *testing.T) {
 func TestMetricsHandlerContentNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("bursts_total").Inc()
-	h := MetricsHandler(reg)
-
-	// Default: Prometheus text format.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	MetricsHandler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != PrometheusContentType {
-		t.Errorf("default Content-Type = %q", ct)
+		t.Errorf("Content-Type = %q", ct)
 	}
 	if !strings.Contains(rec.Body.String(), "# TYPE bursts_total counter") {
-		t.Errorf("default body not Prometheus: %q", rec.Body.String())
-	}
-
-	// ?format=legacy: the aligned human dump.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=legacy", nil))
-	if !strings.Contains(rec.Body.String(), "counter") || strings.Contains(rec.Body.String(), "# TYPE") {
-		t.Errorf("legacy body wrong: %q", rec.Body.String())
-	}
-
-	// Accept header route to legacy.
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", legacyAccept)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if strings.Contains(rec.Body.String(), "# TYPE") {
-		t.Error("Accept negotiation did not select legacy dump")
+		t.Errorf("body not Prometheus: %q", rec.Body.String())
 	}
 }
 
@@ -235,29 +271,54 @@ func TestCollectorRunsAtScrape(t *testing.T) {
 		calls++
 		r.Gauge("derived").Set(float64(calls))
 	})
-	var sb strings.Builder
-	_ = reg.WritePrometheus(&sb)
-	if calls != 1 || !strings.Contains(sb.String(), "derived 1") {
-		t.Errorf("collector not run at encode: calls=%d body=%q", calls, sb.String())
+	for want := 1; want <= 2; want++ {
+		var sb strings.Builder
+		_ = reg.WritePrometheus(&sb)
+		if calls != want || !strings.Contains(sb.String(), fmt.Sprintf("derived %d", want)) {
+			t.Errorf("collector not run at encode %d: calls=%d body=%q", want, calls, sb.String())
+		}
 	}
-	snap := reg.Snapshot()
-	if calls != 2 || snap.Gauges["derived"] != 2 {
-		t.Errorf("collector not run at snapshot: calls=%d", calls)
+}
+
+// TestCollectorMayRegister checks that a collector registering another
+// collector does not deadlock the scrape that runs it.
+func TestCollectorMayRegister(t *testing.T) {
+	reg := NewRegistry()
+	reg.RegisterCollector(func(r *Registry) {
+		r.RegisterCollector(func(r *Registry) { r.Counter("late_total").Inc() })
+	})
+	_ = reg.WritePrometheus(io.Discard)
+	_ = reg.WritePrometheus(io.Discard)
+	if got := reg.Counter("late_total").Value(); got != 1 {
+		t.Errorf("late_total = %d, want 1 (the late collector runs from the second scrape on)", got)
 	}
 }
 
 func TestGoRuntimeCollector(t *testing.T) {
 	reg := NewRegistry()
 	reg.RegisterCollector(GoRuntimeCollector())
-	snap := reg.Snapshot()
-	if snap.Gauges["go_goroutines"] < 1 {
-		t.Errorf("go_goroutines = %v", snap.Gauges["go_goroutines"])
+	runtime.GC()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Gauges["go_heap_alloc_bytes"] <= 0 {
-		t.Errorf("go_heap_alloc_bytes = %v", snap.Gauges["go_heap_alloc_bytes"])
+	if got := reg.Gauge("go_goroutines").Value(); got < 1 {
+		t.Errorf("go_goroutines = %v", got)
 	}
-	if snap.Gauges["go_gomaxprocs"] < 1 {
-		t.Errorf("go_gomaxprocs = %v", snap.Gauges["go_gomaxprocs"])
+	if got := reg.Gauge("go_heap_alloc_bytes").Value(); got <= 0 {
+		t.Errorf("go_heap_alloc_bytes = %v", got)
+	}
+	if got := reg.Gauge("go_gomaxprocs").Value(); got < 1 {
+		t.Errorf("go_gomaxprocs = %v", got)
+	}
+	// The GC cycle count is a counter mirrored from MemStats.NumGC.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if got := reg.Counter("go_gc_cycles_total").Value(); got < 1 || got > int64(ms.NumGC) {
+		t.Errorf("go_gc_cycles_total = %d, want in [1, %d]", got, ms.NumGC)
+	}
+	if !strings.Contains(sb.String(), "# TYPE go_gc_cycles_total counter\n") {
+		t.Error("go_gc_cycles_total is not exposed as a counter")
 	}
 }
 

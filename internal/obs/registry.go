@@ -1,14 +1,10 @@
 package obs
 
 import (
-	"expvar"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 )
 
 // Counter is a monotonically increasing integer metric.
@@ -56,7 +52,6 @@ type Histogram struct {
 	counts []uint64
 	sum    float64
 	n      uint64
-	max    float64
 }
 
 // NewHistogram builds a histogram with the given bucket bounds; nil bounds
@@ -88,9 +83,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.sum += v
 	h.n++
-	if v > h.max {
-		h.max = v
-	}
 }
 
 // Count returns the number of observations.
@@ -98,59 +90,6 @@ func (h *Histogram) Count() uint64 { h.mu.Lock(); defer h.mu.Unlock(); return h.
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.sum }
-
-// Max returns the largest observation (0 with no observations).
-func (h *Histogram) Max() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.max }
-
-// Mean returns the mean observation (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-th percentile (q in [0,100]):
-// the bucket bound below which at least q% of observations fall. The last
-// bucket reports the observed maximum. An empty histogram reports 0 and a
-// non-finite or out-of-range q is clamped — Quantile never returns NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	if math.IsNaN(q) || q < 0 {
-		q = 0
-	} else if q > 100 {
-		q = 100
-	}
-	target := uint64(math.Ceil(q / 100 * float64(h.n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
-// Buckets returns the histogram's (bound, cumulative-count) pairs plus the
-// overflow count, for exporters.
-func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
 
 // export copies the full histogram state under one lock, so exposition
 // emits a self-consistent (buckets, sum, count) triple even under
@@ -161,34 +100,36 @@ func (h *Histogram) export() (bounds []float64, counts []uint64, sum float64, n 
 	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...), h.sum, h.n
 }
 
-// Registry is an in-process metrics registry: named counters, gauges, and
-// fixed-bucket histograms. All methods are safe for concurrent use; metric
-// handles are created on first touch and stable thereafter. Lookups on the
-// hot increment path (every burst event under a RegistryRecorder) ride
-// sync.Map's lock-free read fast path: after a metric's first touch, no
-// Registry method takes a lock to reach it, so recorders on different
-// goroutines never contend.
+// Registry is an in-process metrics registry: one map of metric families by
+// name, each a CounterVec, GaugeVec or HistogramVec keyed by zero or more
+// labels. An unlabeled metric is its family's one zero-label child. All
+// methods are safe for concurrent use; handles are created on first touch
+// and stable thereafter. Lookups on the hot increment path (every burst
+// event under a RegistryRecorder) ride sync.Map's lock-free read fast path:
+// after a metric's first touch, no Registry method takes a lock to reach it,
+// so recorders on different goroutines never contend.
 type Registry struct {
-	counters sync.Map // string → *Counter
-	gauges   sync.Map // string → *Gauge
-	hists    sync.Map // string → *Histogram
+	families sync.Map // name → *CounterVec | *GaugeVec | *HistogramVec
 
-	counterVecs sync.Map // string → *CounterVec
-	gaugeVecs   sync.Map // string → *GaugeVec
-	histVecs    sync.Map // string → *HistogramVec
-
+	// collectMu serializes collector runs: a collector that mirrors a source
+	// count with Add(source − Value()) would apply its delta twice under two
+	// overlapping scrapes. collectorMu guards only the list, so a collector
+	// may register another without deadlocking.
+	collectMu   sync.Mutex
 	collectorMu sync.Mutex
 	collectors  []Collector
 }
 
 // Collector refreshes derived metrics (runtime stats, breaker state, SLO
 // burn rates) at observation time. Registered collectors run before every
-// Snapshot, Fprint, and WritePrometheus, so scrape-time values are current
-// without a background goroutine polling between scrapes.
+// WritePrometheus, so scrape-time values are current without a background
+// goroutine polling between scrapes.
 type Collector func(*Registry)
 
-// RegisterCollector adds a collector. Collectors run in registration order
-// and must be safe to invoke concurrently with metric updates.
+// RegisterCollector adds a collector. Collectors run in registration order,
+// one scrape at a time, and must be safe to invoke concurrently with metric
+// updates. A collector may register another, which runs from the next
+// scrape on, but must not scrape its own registry.
 func (r *Registry) RegisterCollector(c Collector) {
 	r.collectorMu.Lock()
 	defer r.collectorMu.Unlock()
@@ -197,6 +138,8 @@ func (r *Registry) RegisterCollector(c Collector) {
 
 // collect runs the registered collectors.
 func (r *Registry) collect() {
+	r.collectMu.Lock()
+	defer r.collectMu.Unlock()
 	r.collectorMu.Lock()
 	cs := append([]Collector(nil), r.collectors...)
 	r.collectorMu.Unlock()
@@ -208,171 +151,22 @@ func (r *Registry) collect() {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter returns the named counter, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters.Load(name); ok {
-		return c.(*Counter)
-	}
-	c, _ := r.counters.LoadOrStore(name, &Counter{})
-	return c.(*Counter)
-}
+// Counter returns the named unlabeled counter, creating it if needed.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges.Load(name); ok {
-		return g.(*Gauge)
-	}
-	g, _ := r.gauges.LoadOrStore(name, &Gauge{})
-	return g.(*Gauge)
-}
+// Gauge returns the named unlabeled gauge, creating it if needed.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// if needed (nil bounds mean DefaultLatencyBuckets). Bounds are fixed at
-// creation; later calls ignore the argument. (A racing first touch may
-// build a histogram that loses the LoadOrStore and is dropped — the winner
-// is the stable handle.)
+// Histogram returns the named unlabeled histogram, creating it with the
+// given bounds if needed (nil bounds mean DefaultLatencyBuckets). Bounds are
+// fixed at creation; later calls ignore the argument.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if h, ok := r.hists.Load(name); ok {
-		return h.(*Histogram)
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	fresh := NewHistogram(append([]float64(nil), bounds...))
-	h, _ := r.hists.LoadOrStore(name, fresh)
-	return h.(*Histogram)
-}
-
-// Snapshot is a point-in-time, sorted view of every metric, for printing and
-// expvar export.
-type Snapshot struct {
-	Counters map[string]int64        `json:"counters"`
-	Gauges   map[string]float64      `json:"gauges"`
-	Hists    map[string]HistSnapshot `json:"histograms"`
-	// Series flattens labeled counter and gauge series under
-	// `name{label="value",…}` keys; HistSeries does the same for labeled
-	// histograms. Both are omitted when no vectors exist.
-	Series     map[string]float64      `json:"series,omitempty"`
-	HistSeries map[string]HistSnapshot `json:"hist_series,omitempty"`
-}
-
-// HistSnapshot summarizes one histogram.
-type HistSnapshot struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	Max   float64 `json:"max"`
-}
-
-// Snapshot captures the current metric values (running collectors first).
-func (r *Registry) Snapshot() Snapshot {
-	r.collect()
-	snap := Snapshot{
-		Counters: map[string]int64{},
-		Gauges:   map[string]float64{},
-		Hists:    map[string]HistSnapshot{},
-	}
-	r.counters.Range(func(k, v any) bool {
-		snap.Counters[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-	r.gauges.Range(func(k, v any) bool {
-		snap.Gauges[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	r.hists.Range(func(k, v any) bool {
-		h := v.(*Histogram)
-		snap.Hists[k.(string)] = histSnapshotOf(h)
-		return true
-	})
-	r.counterVecs.Range(func(k, v any) bool {
-		vec := v.(*CounterVec)
-		vec.Range(func(values []string, c *Counter) {
-			if snap.Series == nil {
-				snap.Series = map[string]float64{}
-			}
-			snap.Series[formatSeries(k.(string), vec.core.labels, values)] = float64(c.Value())
-		})
-		return true
-	})
-	r.gaugeVecs.Range(func(k, v any) bool {
-		vec := v.(*GaugeVec)
-		vec.Range(func(values []string, g *Gauge) {
-			if snap.Series == nil {
-				snap.Series = map[string]float64{}
-			}
-			snap.Series[formatSeries(k.(string), vec.core.labels, values)] = g.Value()
-		})
-		return true
-	})
-	r.histVecs.Range(func(k, v any) bool {
-		vec := v.(*HistogramVec)
-		vec.Range(func(values []string, h *Histogram) {
-			if snap.HistSeries == nil {
-				snap.HistSeries = map[string]HistSnapshot{}
-			}
-			snap.HistSeries[formatSeries(k.(string), vec.core.labels, values)] = histSnapshotOf(h)
-		})
-		return true
-	})
-	return snap
-}
-
-func histSnapshotOf(h *Histogram) HistSnapshot {
-	return HistSnapshot{
-		Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
-		P50: h.Quantile(50), P95: h.Quantile(95), Max: h.Max(),
-	}
-}
-
-// Fprint writes a human-readable, alphabetically sorted dump of the
-// registry's current values.
-func (r *Registry) Fprint(w io.Writer) error {
-	snap := r.Snapshot()
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	for _, name := range sortedKeys(snap.Counters) {
-		fmt.Fprintf(tw, "counter\t%s\t%d\n", name, snap.Counters[name])
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		fmt.Fprintf(tw, "gauge\t%s\t%g\n", name, snap.Gauges[name])
-	}
-	for _, name := range sortedKeys(snap.Hists) {
-		h := snap.Hists[name]
-		fmt.Fprintf(tw, "histogram\t%s\tn=%d mean=%.3fs p50≤%.3gs p95≤%.3gs max=%.3fs\n",
-			name, h.Count, h.Mean, h.P50, h.P95, h.Max)
-	}
-	for _, name := range sortedKeys(snap.Series) {
-		fmt.Fprintf(tw, "series\t%s\t%g\n", name, snap.Series[name])
-	}
-	for _, name := range sortedKeys(snap.HistSeries) {
-		h := snap.HistSeries[name]
-		fmt.Fprintf(tw, "histogram\t%s\tn=%d mean=%.3fs p50≤%.3gs p95≤%.3gs max=%.3fs\n",
-			name, h.Count, h.Mean, h.P50, h.P95, h.Max)
-	}
-	return tw.Flush()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ExpvarFunc adapts the registry to expvar: publish it once under a name
-// (e.g. expvar.Publish("propack", reg.ExpvarFunc())) and /debug/vars shows
-// a live snapshot.
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return func() any { return r.Snapshot() }
+	return r.HistogramVec(name, nil, bounds).With()
 }
 
 // RegistryRecorder is a Recorder feeding a Registry: per-stage latency
-// histograms ("stage_seconds_<stage>"), per-kind event counters
-// ("events_<kind>"), burst counters, and instance gauges. This is what the
+// histograms (stage_seconds{stage}), per-kind event counters
+// (events_total{kind}), burst counters, and instance gauges. This is what the
 // CLI's -debug.addr endpoint exposes while a long run is in flight.
 type RegistryRecorder struct {
 	Reg *Registry
@@ -386,52 +180,14 @@ func (rr RegistryRecorder) BeginBurst(b BurstInfo) {
 	rr.Reg.Gauge("last_burst_instances").Set(float64(b.Instances))
 }
 
-// stageMetricNames and eventMetricNames precompute the per-stage and
-// per-kind metric names so the recorder's hot path does no string
-// concatenation (one allocation per span/event otherwise).
-var (
-	stageMetricNames = func() [numStages]string {
-		var names [numStages]string
-		for i := range names {
-			names[i] = "stage_seconds_" + Stage(i).String()
-		}
-		return names
-	}()
-	eventMetricNames = func() [numEventKinds]string {
-		var names [numEventKinds]string
-		for i := range names {
-			names[i] = "events_" + EventKind(i).String()
-		}
-		return names
-	}()
-)
-
-// stageMetricName returns "stage_seconds_<stage>" without allocating for
-// known stages.
-func stageMetricName(s Stage) string {
-	if int(s) < len(stageMetricNames) {
-		return stageMetricNames[s]
-	}
-	return "stage_seconds_" + s.String()
-}
-
-// eventMetricName returns "events_<kind>" without allocating for known
-// kinds.
-func eventMetricName(k EventKind) string {
-	if int(k) < len(eventMetricNames) {
-		return eventMetricNames[k]
-	}
-	return "events_" + k.String()
-}
-
 // Span implements Recorder.
 func (rr RegistryRecorder) Span(s Span) {
-	rr.Reg.Histogram(stageMetricName(s.Stage), nil).Observe(s.DurSec())
+	rr.Reg.HistogramVec("stage_seconds", []string{"stage"}, nil).With(s.Stage.String()).Observe(s.DurSec())
 }
 
 // Event implements Recorder.
 func (rr RegistryRecorder) Event(e Event) {
-	rr.Reg.Counter(eventMetricName(e.Kind)).Inc()
+	rr.Reg.CounterVec("events_total", "kind").With(e.Kind.String()).Inc()
 	if e.DurSec > 0 {
 		switch e.Kind {
 		case EventCrash, EventTimeout, EventHedgeWaste:

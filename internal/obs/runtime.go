@@ -22,7 +22,8 @@ func GoRuntimeCollector() Collector {
 		r.Gauge("go_heap_objects").Set(float64(ms.HeapObjects))
 		r.Gauge("go_stack_inuse_bytes").Set(float64(ms.StackInuse))
 		r.Gauge("go_next_gc_bytes").Set(float64(ms.NextGC))
-		r.Gauge("go_gc_cycles_total").Set(float64(ms.NumGC))
+		gc := r.Counter("go_gc_cycles_total")
+		gc.Add(int64(ms.NumGC) - gc.Value())
 		r.Gauge("go_gc_pause_total_seconds").Set(float64(ms.PauseTotalNs) / 1e9)
 		if ms.NumGC > 0 {
 			last := ms.PauseNs[(ms.NumGC+255)%256]

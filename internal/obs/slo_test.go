@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,11 +207,15 @@ func TestSLOCollectorExports(t *testing.T) {
 	s.Record(false, 0.01)
 	reg := NewRegistry()
 	reg.RegisterCollector(SLOCollector(s))
-	snap := reg.Snapshot()
-	if _, ok := snap.Series[`slo_error_rate{window="300s"}`]; !ok {
-		t.Errorf("slo_error_rate series missing: %v", snap.Series)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := snap.Gauges["slo_page_burn"]; !ok {
+	samples := validateExposition(t, sb.String())
+	if samples[`slo_error_rate{window="300s"}`] != "0.5" {
+		t.Errorf("slo_error_rate{window=300s} = %q, want 0.5", samples[`slo_error_rate{window="300s"}`])
+	}
+	if _, ok := samples["slo_page_burn"]; !ok {
 		t.Error("slo_page_burn gauge missing")
 	}
 }

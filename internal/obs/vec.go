@@ -1,15 +1,16 @@
 package obs
 
 import (
+	"bufio"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Labeled metric vectors: a family of Counter/Gauge/Histogram children keyed
-// by an ordered tuple of label values. Two production constraints shape the
-// implementation:
+// Metric families: a family of Counter/Gauge/Histogram children keyed by an
+// ordered tuple of label values — zero values for an unlabeled metric. Two
+// production constraints shape the implementation:
 //
 //  1. The hot path must stay lock-free after first touch, consistent with
 //     the registry's sharded/sync.Map design (PR 5): With() on an existing
@@ -23,7 +24,7 @@ import (
 //     should still map unbounded attributes to small classes before
 //     labeling.
 
-// DefaultMaxSeries bounds the distinct label-value combinations per vector.
+// DefaultMaxSeries bounds the distinct label-value combinations per family.
 const DefaultMaxSeries = 256
 
 // VecOverflowValue is the label value of the shared overflow series that
@@ -45,6 +46,7 @@ type series[M any] struct {
 // vecCore is the shared label-keying and cardinality-bounding machinery.
 type vecCore[M any] struct {
 	name   string
+	kind   string // the exposition type: counter, gauge or histogram
 	labels []string
 	max    int64
 	mk     func() M
@@ -52,9 +54,11 @@ type vecCore[M any] struct {
 	n      atomic.Int64
 }
 
-func newVecCore[M any](name string, labels []string, mk func() M) *vecCore[M] {
-	return &vecCore[M]{name: name, labels: append([]string(nil), labels...), max: DefaultMaxSeries, mk: mk}
+func newVecCore[M any](name, kind string, labels []string, mk func() M) *vecCore[M] {
+	return &vecCore[M]{name: name, kind: kind, labels: append([]string(nil), labels...), max: DefaultMaxSeries, mk: mk}
 }
+
+func (v *vecCore[M]) describe() (kind string, arity int) { return v.kind, len(v.labels) }
 
 func joinLabels(values []string) string { return strings.Join(values, labelSep) }
 
@@ -69,13 +73,16 @@ func (v *vecCore[M]) with(values []string) M {
 	if s, ok := v.m.Load(key); ok {
 		return s.(*series[M]).metric
 	}
-	if v.n.Load() >= v.max {
+	// Reserve a slot before storing, so racing first touches of distinct
+	// tuples cannot overshoot the cap; a lost LoadOrStore returns its slot.
+	if v.n.Add(1) > v.max {
+		v.n.Add(-1)
 		return v.overflow()
 	}
 	fresh := &series[M]{values: append([]string(nil), values...), metric: v.mk()}
 	actual, loaded := v.m.LoadOrStore(key, fresh)
-	if !loaded {
-		v.n.Add(1)
+	if loaded {
+		v.n.Add(-1)
 	}
 	return actual.(*series[M]).metric
 }
@@ -95,13 +102,6 @@ func (v *vecCore[M]) overflow() M {
 	return actual.(*series[M]).metric
 }
 
-// len reports the live series count (overflow included once created).
-func (v *vecCore[M]) len() int {
-	n := 0
-	v.m.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
 // rangeSorted visits every series in deterministic (key-sorted) order.
 func (v *vecCore[M]) rangeSorted(f func(values []string, m M)) {
 	keys := make([]string, 0, 16)
@@ -116,86 +116,87 @@ func (v *vecCore[M]) rangeSorted(f func(values []string, m M)) {
 }
 
 // CounterVec is a family of counters keyed by label values.
-type CounterVec struct{ core *vecCore[*Counter] }
+type CounterVec struct{ *vecCore[*Counter] }
 
 // With returns the counter for the label tuple.
-func (v *CounterVec) With(values ...string) *Counter { return v.core.with(values) }
-
-// Labels returns the vector's label names.
-func (v *CounterVec) Labels() []string { return append([]string(nil), v.core.labels...) }
-
-// Len reports the live series count.
-func (v *CounterVec) Len() int { return v.core.len() }
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
 // Range visits every series in deterministic order.
-func (v *CounterVec) Range(f func(values []string, c *Counter)) { v.core.rangeSorted(f) }
+func (v *CounterVec) Range(f func(values []string, c *Counter)) { v.rangeSorted(f) }
 
 // GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct{ core *vecCore[*Gauge] }
+type GaugeVec struct{ *vecCore[*Gauge] }
 
 // With returns the gauge for the label tuple.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.core.with(values) }
-
-// Labels returns the vector's label names.
-func (v *GaugeVec) Labels() []string { return append([]string(nil), v.core.labels...) }
-
-// Len reports the live series count.
-func (v *GaugeVec) Len() int { return v.core.len() }
+func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
 
 // Range visits every series in deterministic order.
-func (v *GaugeVec) Range(f func(values []string, g *Gauge)) { v.core.rangeSorted(f) }
+func (v *GaugeVec) Range(f func(values []string, g *Gauge)) { v.rangeSorted(f) }
 
 // HistogramVec is a family of histograms keyed by label values; every child
 // shares the bounds fixed at the vector's creation.
-type HistogramVec struct{ core *vecCore[*Histogram] }
+type HistogramVec struct{ *vecCore[*Histogram] }
 
 // With returns the histogram for the label tuple.
-func (v *HistogramVec) With(values ...string) *Histogram { return v.core.with(values) }
-
-// Labels returns the vector's label names.
-func (v *HistogramVec) Labels() []string { return append([]string(nil), v.core.labels...) }
-
-// Len reports the live series count.
-func (v *HistogramVec) Len() int { return v.core.len() }
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
 
 // Range visits every series in deterministic order.
-func (v *HistogramVec) Range(f func(values []string, h *Histogram)) { v.core.rangeSorted(f) }
+func (v *HistogramVec) Range(f func(values []string, h *Histogram)) { v.rangeSorted(f) }
 
-// CounterVec returns the named counter vector, creating it with the given
-// label names if needed. Label names are fixed at creation; later calls
-// ignore the argument (same contract as Histogram bounds).
-func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
-	if v, ok := r.counterVecs.Load(name); ok {
-		return v.(*CounterVec)
-	}
-	fresh := &CounterVec{core: newVecCore(name, labels, func() *Counter { return &Counter{} })}
-	v, _ := r.counterVecs.LoadOrStore(name, fresh)
-	return v.(*CounterVec)
+// family is what the registry holds under a name: one of the three vector
+// kinds, which the exposition asks for its header and its samples.
+type family interface {
+	describe() (kind string, arity int)
+	write(bw *bufio.Writer, name string)
 }
 
-// GaugeVec returns the named gauge vector, creating it with the given label
+// lookup returns the family registered under name, building it with mk on
+// first touch. A name keeps one kind and one label count for the registry's
+// lifetime: asking for it as another panics, as a With with the wrong label
+// count does, since the exposition carries one `# TYPE` line per name.
+func lookup[F family](r *Registry, name string, arity int, mk func() F) F {
+	v, ok := r.families.Load(name)
+	if !ok {
+		v, _ = r.families.LoadOrStore(name, mk())
+	}
+	f, ok := v.(F)
+	if !ok {
+		panic("obs: metric " + name + " already registered as another kind")
+	}
+	if _, n := f.describe(); n != arity {
+		panic("obs: metric " + name + " already registered with another label count")
+	}
+	return f
+}
+
+// CounterVec returns the named counter family, creating it with the given
+// label names if needed. Label names are fixed at creation: later calls must
+// pass as many, and their names are ignored (same contract as Histogram
+// bounds).
+func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
+	return lookup(r, name, len(labels), func() *CounterVec {
+		return &CounterVec{newVecCore(name, "counter", labels, func() *Counter { return &Counter{} })}
+	})
+}
+
+// GaugeVec returns the named gauge family, creating it with the given label
 // names if needed.
 func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	if v, ok := r.gaugeVecs.Load(name); ok {
-		return v.(*GaugeVec)
-	}
-	fresh := &GaugeVec{core: newVecCore(name, labels, func() *Gauge { return &Gauge{} })}
-	v, _ := r.gaugeVecs.LoadOrStore(name, fresh)
-	return v.(*GaugeVec)
+	return lookup(r, name, len(labels), func() *GaugeVec {
+		return &GaugeVec{newVecCore(name, "gauge", labels, func() *Gauge { return &Gauge{} })}
+	})
 }
 
-// HistogramVec returns the named histogram vector, creating it with the
+// HistogramVec returns the named histogram family, creating it with the
 // given label names and bucket bounds (nil bounds mean
 // DefaultLatencyBuckets) if needed.
 func (r *Registry) HistogramVec(name string, labels []string, bounds []float64) *HistogramVec {
-	if v, ok := r.histVecs.Load(name); ok {
-		return v.(*HistogramVec)
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	shared := append([]float64(nil), bounds...)
-	fresh := &HistogramVec{core: newVecCore(name, labels, func() *Histogram { return NewHistogram(shared) })}
-	v, _ := r.histVecs.LoadOrStore(name, fresh)
-	return v.(*HistogramVec)
+	return lookup(r, name, len(labels), func() *HistogramVec {
+		shared := DefaultLatencyBuckets
+		if bounds != nil {
+			shared = bounds
+		}
+		shared = append([]float64(nil), shared...)
+		return &HistogramVec{newVecCore(name, "histogram", labels, func() *Histogram { return NewHistogram(shared) })}
+	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -19,16 +20,13 @@ func TestCounterVecBasics(t *testing.T) {
 	if got := vec.With("plan", "500").Value(); got != 1 {
 		t.Errorf("plan/500 = %d, want 1", got)
 	}
-	if got := vec.Len(); got != 2 {
-		t.Errorf("Len = %d, want 2", got)
-	}
-	if got := vec.Labels(); len(got) != 2 || got[0] != "route" || got[1] != "code" {
-		t.Errorf("Labels = %v", got)
+	if got := seriesCount(vec.vecCore); got != 2 {
+		t.Errorf("series = %d, want 2", got)
 	}
 
-	// Same name returns the same vector; the label argument is ignored after
+	// Same name returns the same vector; label names are ignored after
 	// creation.
-	if reg.CounterVec("http_requests", "other") != vec {
+	if reg.CounterVec("http_requests", "other", "names") != vec {
 		t.Error("second CounterVec call returned a different vector")
 	}
 }
@@ -68,7 +66,7 @@ func TestVecCardinalityBound(t *testing.T) {
 	for i := 0; i < attack; i++ {
 		vec.With(fmt.Sprintf("tenant-%d", i)).Inc()
 	}
-	if got, want := vec.Len(), DefaultMaxSeries+1; got != want {
+	if got, want := seriesCount(vec.vecCore), DefaultMaxSeries+1; got != want {
 		t.Errorf("series count after attack = %d, want %d (cap + overflow)", got, want)
 	}
 	if got := vec.With(VecOverflowValue).Value(); got != attack-DefaultMaxSeries {
@@ -92,14 +90,14 @@ func TestHistogramVecSharedBounds(t *testing.T) {
 	vec := reg.HistogramVec("lat", []string{"route"}, []float64{0.1, 1})
 	vec.With("a").Observe(0.05)
 	vec.With("b").Observe(5)
-	ba, _ := vec.With("a").Buckets()
-	bb, _ := vec.With("b").Buckets()
+	ba, _, _, _ := vec.With("a").export()
+	bb, _, _, _ := vec.With("b").export()
 	if len(ba) != 2 || len(bb) != 2 || ba[0] != 0.1 || bb[1] != 1 {
 		t.Errorf("bounds a=%v b=%v, want [0.1 1] for both", ba, bb)
 	}
 	// nil bounds adopt the default latency buckets.
 	dv := reg.HistogramVec("lat_default", []string{"route"}, nil)
-	db, _ := dv.With("x").Buckets()
+	db, _, _, _ := dv.With("x").export()
 	if len(db) != len(DefaultLatencyBuckets) {
 		t.Errorf("default bounds len = %d, want %d", len(db), len(DefaultLatencyBuckets))
 	}
@@ -130,13 +128,20 @@ func TestVecConcurrentAccess(t *testing.T) {
 	if total != workers*perWorker {
 		t.Errorf("total = %d, want %d", total, workers*perWorker)
 	}
-	if got := vec.Len(); got > DefaultMaxSeries+1 {
+	if got := seriesCount(vec.vecCore); got > DefaultMaxSeries+1 {
 		t.Errorf("series count = %d, exceeds cap+overflow", got)
 	}
 }
 
-// TestVecSnapshotConcurrent interleaves vector writes with full registry
-// snapshots and Prometheus encodes, the shapes a live scrape sees.
+// seriesCount reports a family's live series (overflow included once made).
+func seriesCount[M any](v *vecCore[M]) int {
+	n := 0
+	v.m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// TestVecSnapshotConcurrent interleaves vector writes with Prometheus
+// encodes, the shape a live scrape sees.
 func TestVecSnapshotConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	reg.CounterVec("cv", "k").With("k0").Inc() // series exist before the first snapshot
@@ -157,18 +162,14 @@ func TestVecSnapshotConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		snap := reg.Snapshot()
-		if snap.Series == nil {
-			t.Error("snapshot missing series")
-		}
-		if err := reg.WritePrometheus(discard{}); err != nil {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
+		}
+		if !strings.Contains(sb.String(), `cv{k="k0"}`) {
+			t.Error("exposition missing series")
 		}
 	}
 	close(stop)
 	wg.Wait()
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -90,7 +90,6 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 	// (a family list that depends on which failures have fired is miserable to
 	// alert on; the e2e golden pins it).
 	var (
-		requests        = s.reg.Counter("http_requests_total")
 		rateLimited     = s.reg.Counter("http_ratelimited_total")
 		shed            = s.reg.Counter("http_shed_total")
 		queueTimeout    = s.reg.Counter("http_queue_timeout_total")
@@ -113,7 +112,6 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			writeAPIError(w, &apiError{status: http.StatusMethodNotAllowed, msg: "use GET"})
 			return
 		}
-		requests.Inc()
 		rt := traceOf(w)
 
 		// Per-tenant token bucket (the tenant already resolved by telemetry).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -229,8 +230,9 @@ func TestEvictionCounterConcurrent(t *testing.T) {
 		t.Errorf("ratelimit_evictions_total = %d, limiter says %d, inserts − survivors = %d", got, s.tenants.evicted(), want)
 	}
 	// The sizes are mirrored at scrape time.
-	if snap := s.reg.Snapshot(); snap.Gauges["ratelimit_tenants"] != 4 || snap.Gauges["planner_models"] != 1 {
-		t.Errorf("scrape-time gauges: tenants %v, models %v", snap.Gauges["ratelimit_tenants"], snap.Gauges["planner_models"])
+	_ = s.reg.WritePrometheus(io.Discard)
+	if tenants, models := s.reg.Gauge("ratelimit_tenants").Value(), s.reg.Gauge("planner_models").Value(); tenants != 4 || models != 1 {
+		t.Errorf("scrape-time gauges: tenants %v, models %v", tenants, models)
 	}
 }
 

@@ -4,9 +4,9 @@
 //
 // The API surface is deliberately small — /v1/advise, /v1/plan, /v1/qos,
 // /v1/joint and /v1/mixed mirror the CLI subcommands, /healthz and /readyz
-// speak to load balancers, and obs.DebugMux's pprof/expvar/metrics routes
-// mount on the same listener. The bulk of the package is the robustness layer wrapped
-// around the shared propack planner:
+// speak to load balancers, and /metrics serves the registry as Prometheus
+// text. The bulk of the package is the robustness layer around the shared
+// propack planner:
 //
 //   - admission control: a bounded in-flight semaphore with a queue-depth
 //     watermark; excess load is shed with 429 + Retry-After before
@@ -23,10 +23,6 @@
 //     optionally keeps serving through a grace period so load balancers
 //     notice, then drains in-flight requests under a deadline. No admitted
 //     request is ever dropped by a drain.
-//
-// Every limiter decision and request outcome is surfaced through an
-// obs.Registry, so the /metrics route shows shed rates, queue depths,
-// breaker state, and per-endpoint latency histograms live.
 package server
 
 import (
@@ -244,8 +240,8 @@ func New(cfg Config) (*Server, error) {
 
 // stateCollector mirrors the daemon's state into the registry at scrape time,
 // so no request refreshes a gauge nobody is reading: admission depth, limiter
-// and planner-pool sizes, the numeric breaker_state gauge (kept for existing
-// dashboards), a one-hot breaker_states{state} vector, and the trip count.
+// and planner-pool sizes, a one-hot breaker_states{state} vector, and the
+// trip count.
 func (s *Server) stateCollector() obs.Collector {
 	return func(r *obs.Registry) {
 		r.Gauge("http_queue_depth").Set(float64(s.adm.queued()))
@@ -253,7 +249,6 @@ func (s *Server) stateCollector() obs.Collector {
 		r.Gauge("ratelimit_tenants").Set(float64(s.tenants.size()))
 		r.Gauge("planner_models").Set(float64(s.pool.size()))
 		cur := s.breaker.State()
-		r.Gauge("breaker_state").Set(float64(cur))
 		vec := r.GaugeVec("breaker_states", "state")
 		for _, st := range resilience.BreakerStates() {
 			v := 0.0
@@ -262,7 +257,8 @@ func (s *Server) stateCollector() obs.Collector {
 			}
 			vec.With(st.String()).Set(v)
 		}
-		r.Counter("breaker_opens_total").Add(s.breaker.Opens() - r.Counter("breaker_opens_total").Value())
+		opens := r.Counter("breaker_opens_total")
+		opens.Add(s.breaker.Opens() - opens.Value())
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 // feeds four sinks —
 //
 //   - RED metrics: http_route_requests_total{route,code,tenant_class} and
-//     http_route_seconds{route} in the registry (labeled, Prometheus-ready;
-//     the only per-route series — the guard chain itself counts just the
-//     unlabeled http_requests_total and its rejection counters);
+//     http_route_seconds{route} in the registry (the only per-route series —
+//     the guard chain itself counts just its rejections);
 //   - the SLO tracker behind /slo (availability = no 5xx; latency judged
 //     against the configured threshold);
-//   - per-stage latency histograms stage_seconds_{limit,admit,coalesce,plan}
-//     mirroring the guard chain;
+//   - the guard chain's children of stage_seconds{stage}: limit, admit,
+//     coalesce and plan;
 //   - optionally a Recorder (Config.Trace): one burst per request, labeled
 //     with the request ID, carrying the guard-stage spans — the same typed
 //     stream the simulator emits, so the existing JSONL/Chrome-trace
@@ -170,8 +169,8 @@ type telemetry struct {
 	access *slog.Logger
 	clock  func() time.Time
 
-	// stageHist pre-resolves the guard stages' histograms so flush does no
-	// name concatenation or registry lookup per span.
+	// stageHist pre-resolves the guard stages' stage_seconds children so
+	// flush does no registry lookup per span.
 	stageHist map[obs.Stage]*obs.Histogram
 
 	// traceMu serializes burst flushes into the shared Recorder: a Recorder
@@ -189,21 +188,21 @@ type telemetry struct {
 func newTelemetry(cfg Config, slo *obs.SLO) *telemetry {
 	var buf [4]byte
 	_, _ = rand.Read(buf[:])
+	stages := cfg.Reg.HistogramVec("stage_seconds", []string{"stage"}, nil)
+	stageHist := map[obs.Stage]*obs.Histogram{}
+	for _, st := range []obs.Stage{obs.StageLimit, obs.StageAdmit, obs.StageCoalesce, obs.StagePlan} {
+		stageHist[st] = stages.With(st.String())
+	}
 	return &telemetry{
-		reg:    cfg.Reg,
-		red:    cfg.Reg.CounterVec("http_route_requests_total", "route", "code", "tenant_class"),
-		lat:    cfg.Reg.HistogramVec("http_route_seconds", []string{"route"}, nil),
-		slo:    slo,
-		trace:  cfg.Trace,
-		access: cfg.AccessLog,
-		clock:  cfg.Clock,
-		idBase: hex.EncodeToString(buf[:]),
-		stageHist: map[obs.Stage]*obs.Histogram{
-			obs.StageLimit:    cfg.Reg.Histogram("stage_seconds_"+obs.StageLimit.String(), nil),
-			obs.StageAdmit:    cfg.Reg.Histogram("stage_seconds_"+obs.StageAdmit.String(), nil),
-			obs.StageCoalesce: cfg.Reg.Histogram("stage_seconds_"+obs.StageCoalesce.String(), nil),
-			obs.StagePlan:     cfg.Reg.Histogram("stage_seconds_"+obs.StagePlan.String(), nil),
-		},
+		reg:       cfg.Reg,
+		red:       cfg.Reg.CounterVec("http_route_requests_total", "route", "code", "tenant_class"),
+		lat:       cfg.Reg.HistogramVec("http_route_seconds", []string{"route"}, nil),
+		slo:       slo,
+		trace:     cfg.Trace,
+		access:    cfg.AccessLog,
+		clock:     cfg.Clock,
+		idBase:    hex.EncodeToString(buf[:]),
+		stageHist: stageHist,
 	}
 }
 

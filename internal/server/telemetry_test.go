@@ -171,27 +171,29 @@ func TestREDMetricsLabeled(t *testing.T) {
 	get(t, s, "/v1/advise?app=Video&platform=aws&c=-3", nil)         // 400 anon
 	get(t, s, "/v1/plan?app=Video&platform=aws&c=500&degree=2", nil) // other route
 
-	snap := s.Registry().Snapshot()
-	want := map[string]float64{
-		`http_route_requests_total{route="advise",code="200",tenant_class="anon"}`:  1,
-		`http_route_requests_total{route="advise",code="200",tenant_class="keyed"}`: 1,
-		`http_route_requests_total{route="advise",code="400",tenant_class="anon"}`:  1,
-		`http_route_requests_total{route="plan",code="200",tenant_class="anon"}`:    1,
-	}
-	for k, v := range want {
-		if snap.Series[k] != v {
-			t.Errorf("%s = %v, want %v", k, snap.Series[k], v)
+	red := redSeries(s)
+	for _, k := range []string{"advise 200 anon", "advise 200 keyed", "advise 400 anon", "plan 200 anon"} {
+		if red[k] != 1 {
+			t.Errorf("http_route_requests_total{%s} = %v, want 1", k, red[k])
 		}
 	}
-	if hs, ok := snap.HistSeries[`http_route_seconds{route="advise"}`]; !ok || hs.Count != 3 {
-		t.Errorf("http_route_seconds{route=advise} = %+v", hs)
+	if got := s.Registry().HistogramVec("http_route_seconds", []string{"route"}, nil).With("advise").Count(); got != 3 {
+		t.Errorf("http_route_seconds{route=advise} count = %d, want 3", got)
 	}
 	// The raw tenant key must never appear as a label value.
-	for k := range snap.Series {
+	for k := range red {
 		if strings.Contains(k, "tenant-a") {
 			t.Errorf("raw tenant key leaked into series %q", k)
 		}
 	}
+}
+
+// redSeries reads http_route_requests_total by "route code class".
+func redSeries(s *Server) map[string]int64 {
+	out := map[string]int64{}
+	s.Registry().CounterVec("http_route_requests_total", "route", "code", "tenant_class").Range(
+		func(values []string, c *obs.Counter) { out[strings.Join(values, " ")] = c.Value() })
+	return out
 }
 
 // TestTelemetryCardinalityBounded floods the server with adversarial tenant
@@ -201,19 +203,14 @@ func TestTelemetryCardinalityBounded(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		get(t, s, adviseURL, map[string]string{"X-API-Key": fmt.Sprintf("attacker-%d", i)})
 	}
-	snap := s.Registry().Snapshot()
-	classes := map[string]bool{}
-	for k := range snap.Series {
-		if !strings.HasPrefix(k, "http_route_requests_total{") {
-			continue
-		}
-		classes[k] = true
+	red := redSeries(s)
+	for k := range red {
 		if strings.Contains(k, "attacker-") {
 			t.Fatalf("attacker key leaked: %q", k)
 		}
 	}
-	if len(classes) > 10 { // routes × codes × {anon,keyed} stays tiny
-		t.Errorf("RED series exploded to %d: %v", len(classes), classes)
+	if len(red) > 10 { // routes × codes × {anon,keyed} stays tiny
+		t.Errorf("RED series exploded to %d: %v", len(red), red)
 	}
 }
 
@@ -258,14 +255,43 @@ func TestMetricsRouteServesPrometheus(t *testing.T) {
 		"# TYPE http_route_requests_total counter",
 		`http_route_requests_total{route="advise",code="200",tenant_class="anon"} 1`,
 		"# TYPE http_route_seconds histogram",
-		"# TYPE stage_seconds_plan histogram",
+		"# TYPE stage_seconds histogram",
+		`_count{stage="plan"} 1`, // the plan child of stage_seconds
 		"# TYPE go_goroutines gauge",
+		"# TYPE go_gc_cycles_total counter",
 		`breaker_states{state="closed"} 1`,
 		`slo_error_rate{window="300s"}`,
 		"# TYPE http_shed_total counter", // preregistered despite never firing
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The whole scrape parses: each family has one `# TYPE` line, and each
+	// sample belongs to the family above it (a histogram's by its
+	// _bucket/_sum/_count suffix).
+	var fam, kind string
+	typed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if head, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam, kind, _ = strings.Cut(head, " ")
+			if typed[fam] {
+				t.Errorf("family %s has a second # TYPE line", fam)
+			}
+			typed[fam] = true
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if kind == "histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok {
+					name = base
+					break
+				}
+			}
+		}
+		if name != fam {
+			t.Errorf("sample %q sits under family %q", line, fam)
 		}
 	}
 }
@@ -279,15 +305,8 @@ func TestDisableTelemetry(t *testing.T) {
 	if rr.Header().Get("X-Request-ID") != "" {
 		t.Error("telemetry-disabled server still assigns request IDs")
 	}
-	snap := s.Registry().Snapshot()
-	for k := range snap.Series {
-		if strings.HasPrefix(k, "http_route_requests_total{") {
-			t.Errorf("telemetry-disabled server recorded RED series %q", k)
-		}
-	}
-	// The legacy scalars still work.
-	if snap.Counters["http_requests_total"] != 1 {
-		t.Errorf("http_requests_total = %d", snap.Counters["http_requests_total"])
+	if red := redSeries(s); len(red) != 0 {
+		t.Errorf("telemetry-disabled server recorded RED series %v", red)
 	}
 }
 
@@ -330,14 +349,13 @@ func TestTelemetryConcurrentRequests(t *testing.T) {
 			t.Fatalf("burst %q span order broken: %+v", b.Info.Label, b.Spans)
 		}
 	}
-	var total float64
-	snap := s.Registry().Snapshot()
-	for k, v := range snap.Series {
-		if strings.HasPrefix(k, `http_route_requests_total{route="advise"`) {
+	var total int64
+	for k, v := range redSeries(s) {
+		if strings.HasPrefix(k, "advise ") {
 			total += v
 		}
 	}
-	if int(total) != workers*perWorker {
+	if total != workers*perWorker {
 		t.Errorf("RED total = %v, want %d", total, workers*perWorker)
 	}
 }
