@@ -19,10 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -106,28 +103,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "\nrun 'propack <command> -h' for that command's flags")
 }
 
-// parseMemGrid parses the -mem.grid flag: a comma-separated list of memory
-// sizes in MB, strictly increasing (the core layer enforces the ordering so
-// a shuffled grid fails loudly rather than silently re-sorting).
-func parseMemGrid(s string) ([]float64, error) {
-	var sizes []float64
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		mb, err := strconv.ParseFloat(field, 64)
-		if err != nil || math.IsNaN(mb) || math.IsInf(mb, 0) {
-			return nil, fmt.Errorf("bad -mem.grid entry %q (want comma-separated MB values)", field)
-		}
-		sizes = append(sizes, mb)
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("-mem.grid lists no memory sizes")
-	}
-	return sizes, nil
-}
-
 func cmdApps([]string) error {
 	for _, w := range workload.All() {
 		d := w.Demand()
@@ -162,24 +137,23 @@ func cmdAdvise(args []string) error {
 	if err != nil {
 		return err
 	}
-	if math.IsNaN(*qos) || math.IsInf(*qos, 0) || *qos < 0 {
-		return fmt.Errorf("-qos must be a positive p95 bound in seconds, or 0 for none: got %g", *qos)
-	}
-	failure := core.FailureModel{CrashRate: *crashRate, RetryDelaySec: *retryDelay}
-	if err := failure.Validate(); err != nil {
-		return err
-	}
-	if *qos > 0 && *crashRate > 0 {
-		return fmt.Errorf("-qos and -crashrate cannot be combined: QoS planning has no reliability-aware variant")
+	r := core.Request{
+		C: *c, Weights: core.Weights{Service: *ws, Expense: 1 - *ws}, QoSSec: *qos,
+		Failure: core.FailureModel{CrashRate: *crashRate, RetryDelaySec: *retryDelay},
 	}
 	if *memGrid != "" {
-		if *crashRate > 0 {
-			return fmt.Errorf("-mem.grid and -crashrate cannot be combined: joint planning has no reliability-aware variant")
-		}
 		if *registry != "" || *ci {
 			return fmt.Errorf("-mem.grid supports neither -registry nor -ci yet")
 		}
-		return adviseJoint(cfg, w, *memGrid, *c, *ws, *qos, *seed)
+		if r.SizesMB, err = server.ParseMemSizes(*memGrid); err != nil {
+			return err
+		}
+	}
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	if len(r.SizesMB) > 0 {
+		return adviseJoint(cfg, w, r, *seed)
 	}
 	meas := &core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: *seed}
 	var models core.Models
@@ -219,47 +193,31 @@ func cmdAdvise(args []string) error {
 	fmt.Printf("scaling model : %s\n", models.Scaling)
 	fmt.Printf("max degree    : %d\n", models.MaxDegree)
 
-	var plan core.Plan
-	var weights core.Weights
-	switch {
-	case *qos > 0:
-		plan, weights, err = models.QoSPlan(*c, *qos, core.QoSOptions{})
-		if err != nil {
-			return err
-		}
+	plan, err := models.Answer(r)
+	if err != nil {
+		return err
+	}
+	if r.QoSSec > 0 {
 		fmt.Printf("QoS weights   : W_S=%.2f W_E=%.2f (p95 bound %.1fs)\n",
-			weights.Service, weights.Expense, *qos)
-	case *crashRate > 0:
-		weights = core.Weights{Service: *ws, Expense: 1 - *ws}
-		rm := core.ReliableModels{Models: models, Failure: failure}
-		plan, err = rm.PlanFor(*c, weights)
-		if err != nil {
-			return err
-		}
-		blind, err := models.PlanFor(*c, weights)
+			plan.Weights.Service, plan.Weights.Expense, r.QoSSec)
+	}
+	if r.Failure.Enabled() {
+		blind, err := models.PlanFor(r.C, r.Weights)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("failure model : λ=%g crashes/instance-sec, retry delay %.1fs (blind degree would be %d)\n",
-			*crashRate, *retryDelay, blind.Degree)
-	default:
-		weights = core.Weights{Service: *ws, Expense: 1 - *ws}
-		plan, err = models.PlanFor(*c, weights)
-		if err != nil {
-			return err
-		}
-	}
-	if *crashRate > 0 {
+			r.Failure.CrashRate, r.Failure.RetryDelaySec, blind.Degree)
 		// The 2%-band is defined on the failure-blind objective; under a
 		// failure model just report the chosen degree.
-		fmt.Printf("\nrecommended packing degree at C=%d: %d (reliability-aware)\n", *c, plan.Degree)
+		fmt.Printf("\nrecommended packing degree at C=%d: %d (reliability-aware)\n", r.C, plan.Degree)
 	} else {
-		lo, hi, err := models.DegreeRange(*c, weights, 0.02)
+		lo, hi, err := models.DegreeRange(r.C, plan.Weights, 0.02)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("\nrecommended packing degree at C=%d: %d (degrees %d–%d stay within 2%% of optimal)\n",
-			*c, plan.Degree, lo, hi)
+			r.C, plan.Degree, lo, hi)
 	}
 	fmt.Printf("predicted service: %.1fs (baseline %.1fs)\n", plan.PredictedServiceSec, plan.BaselineServiceSec)
 	fmt.Printf("predicted expense: $%.2f (baseline $%.2f)\n", plan.PredictedExpenseUSD, plan.BaselineExpenseUSD)
@@ -268,13 +226,10 @@ func cmdAdvise(args []string) error {
 }
 
 // adviseJoint is advise's -mem.grid branch: profile the application once
-// per memory size, then run the pruned 2-D argmin over (degree, memory).
-func adviseJoint(cfg platform.Config, w workload.Workload, gridSpec string, c int, ws, qos float64, seed int64) error {
-	sizes, err := parseMemGrid(gridSpec)
-	if err != nil {
-		return err
-	}
-	probes, err := core.GridProbesFor(cfg, w.Demand(), sizes, seed)
+// per memory size, then answer r with the pruned 2-D argmin over (degree,
+// memory).
+func adviseJoint(cfg platform.Config, w workload.Workload, r core.Request, seed int64) error {
+	probes, err := core.GridProbesFor(cfg, w.Demand(), r.SizesMB, seed)
 	if err != nil {
 		return err
 	}
@@ -289,26 +244,17 @@ func adviseJoint(cfg platform.Config, w workload.Workload, gridSpec string, c in
 	}
 	fmt.Printf("scaling model : %s\n", grid.Base().Scaling)
 
-	var plan core.JointPlan
-	var weights core.Weights
-	if qos > 0 {
-		plan, weights, err = grid.QoSPlanJoint(c, qos, core.QoSOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("QoS weights   : W_S=%.2f W_E=%.2f (p95 bound %.1fs)\n",
-			weights.Service, weights.Expense, qos)
-	} else {
-		weights = core.Weights{Service: ws, Expense: 1 - ws}
-		plan, err = grid.PlanJointFor(c, weights)
-		if err != nil {
-			return err
-		}
+	plan, err := grid.Answer(r)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\nrecommended config at C=%d: degree %d at %.0f MB\n", c, plan.Degree, plan.MemMB)
-	base := grid.Sizes[len(grid.Sizes)-1].MemMB
+	if r.QoSSec > 0 {
+		fmt.Printf("QoS weights   : W_S=%.2f W_E=%.2f (p95 bound %.1fs)\n",
+			plan.Weights.Service, plan.Weights.Expense, r.QoSSec)
+	}
+	fmt.Printf("\nrecommended config at C=%d: degree %d at %.0f MB\n", r.C, plan.Degree, plan.MemMB)
 	fmt.Printf("predicted service: %.1fs (baseline %.1fs at %.0f MB, degree 1)\n",
-		plan.PredictedServiceSec, plan.BaselineServiceSec, base)
+		plan.PredictedServiceSec, plan.BaselineServiceSec, r.SizesMB[len(r.SizesMB)-1])
 	fmt.Printf("predicted expense: $%.2f (baseline $%.2f)\n", plan.PredictedExpenseUSD, plan.BaselineExpenseUSD)
 	fmt.Printf("modeling bill    : $%.4f\n", overhead.TotalUSD())
 	return nil
@@ -397,11 +343,14 @@ func cmdRun(args []string) error {
 		// Plan on the fault-free platform (the models assume clean probes),
 		// then resize the config to the chosen memory before injecting
 		// faults. The notice goes to stderr so -json keeps stdout pure.
-		sizes, err := parseMemGrid(*memGrid)
+		r := core.Request{C: *c, Weights: core.Weights{Service: *ws, Expense: 1 - *ws}}
+		if r.SizesMB, err = server.ParseMemSizes(*memGrid); err == nil {
+			err = r.Validate()
+		}
 		if err != nil {
 			return err
 		}
-		probes, err := core.GridProbesFor(cfg, w.Demand(), sizes, *seed)
+		probes, err := core.GridProbesFor(cfg, w.Demand(), r.SizesMB, *seed)
 		if err != nil {
 			return err
 		}
@@ -409,7 +358,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		jp, err := grid.PlanJointFor(*c, core.Weights{Service: *ws, Expense: 1 - *ws})
+		jp, err := grid.Answer(r)
 		if err != nil {
 			return err
 		}
@@ -497,12 +446,11 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	if *memGrid != "" {
-		sizes, err := parseMemGrid(*memGrid)
-		if err != nil {
-			sink.Close()
-			return err
+		sizes, err := server.ParseMemSizes(*memGrid)
+		if err == nil {
+			err = sweepGrid(cfg, w, sizes, *c, *seed, *workers, *jsonOut, sink)
 		}
-		if err := sweepGrid(cfg, w, sizes, *c, *seed, *workers, *jsonOut, sink); err != nil {
+		if err != nil {
 			sink.Close()
 			return err
 		}
@@ -547,11 +495,12 @@ func sweepGrid(cfg platform.Config, w workload.Workload, sizes []float64, c int,
 		memMB float64
 		rows  []trace.Metrics
 	}
+	// A grid the planner would refuse is refused here too.
+	if err := core.CheckSizeGrid(sizes); err != nil {
+		return err
+	}
 	var swept []sized
-	for i, mb := range sizes {
-		if i > 0 && mb <= sizes[i-1] {
-			return fmt.Errorf("-mem.grid sizes must be strictly increasing, got %g after %g", mb, sizes[i-1])
-		}
+	for _, mb := range sizes {
 		scfg, err := cfg.WithMemory(mb)
 		if err != nil {
 			return err

@@ -51,27 +51,6 @@ func TestCommandByName(t *testing.T) {
 	}
 }
 
-func TestParseMemGrid(t *testing.T) {
-	got, err := parseMemGrid(" 2048, 4096 ,10240 ")
-	if err != nil {
-		t.Fatalf("parseMemGrid: %v", err)
-	}
-	want := []float64{2048, 4096, 10240}
-	if len(got) != len(want) {
-		t.Fatalf("parseMemGrid = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseMemGrid = %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"", ",,", "abc", "2048,NaN", "2048,+Inf"} {
-		if _, err := parseMemGrid(bad); err == nil {
-			t.Errorf("parseMemGrid(%q) accepted", bad)
-		}
-	}
-}
-
 func TestCommandNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range commands {
@@ -141,14 +120,18 @@ func TestFaultFlagsNeverPanic(t *testing.T) {
 // TestAdviseRejectsNonFiniteFailureModel: flag.Float64 parses NaN and Inf,
 // and advise used to plan with them and exit 0 — a NaN retry delay printed
 // "predicted service: NaNs", an infinite crash rate "$NaN" — and read a
-// negative or NaN -qos or -crashrate as "off". The binary must exit 1 with
-// the validation error instead, before any probe runs.
+// negative or NaN -qos or -crashrate as "off". It also planned with a -ws
+// outside [0,1] whenever -qos replaced it, and with a -mem.grid holding an
+// empty entry, both of which /v1 refused. The binary must exit 1 with the
+// validation error instead, before any probe runs.
 func TestAdviseRejectsNonFiniteFailureModel(t *testing.T) {
 	bin := buildPropack(t)
 	const (
 		nonFinite = "non-finite failure-model parameter"
 		negative  = "negative failure-model parameter"
-		badQoS    = "-qos must be a positive p95 bound"
+		badQoS    = "is not a finite p95 bound in seconds"
+		badWeight = "core: weights outside [0,1]"
+		badGrid   = "bad memory size"
 	)
 	for _, tc := range []struct {
 		args []string
@@ -162,6 +145,10 @@ func TestAdviseRejectsNonFiniteFailureModel(t *testing.T) {
 		{[]string{"advise", "-qos", "NaN"}, badQoS},
 		{[]string{"advise", "-qos", "+Inf"}, badQoS},
 		{[]string{"advise", "-mem.grid", "5120,10240", "-qos", "-1"}, badQoS},
+		{[]string{"advise", "-qos", "300", "-ws", "2"}, badWeight},
+		{[]string{"advise", "-mem.grid", "5120,10240", "-qos", "300", "-ws", "2"}, badWeight},
+		{[]string{"advise", "-mem.grid", "5120,,10240"}, badGrid},
+		{[]string{"advise", "-mem.grid", "5120,10240,"}, badGrid},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		var exit *exec.ExitError

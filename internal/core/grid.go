@@ -545,7 +545,7 @@ func BuildGridModels(probes []SizeProbe) (GridModels, Overhead, error) {
 	for i, sp := range probes {
 		g.Sizes[i].MemMB = sp.MemMB
 	}
-	if err := checkSizeGrid(g.MemSizesMB()); err != nil {
+	if err := CheckSizeGrid(g.MemSizesMB()); err != nil {
 		return GridModels{}, ov, err
 	}
 	for i, sp := range probes {

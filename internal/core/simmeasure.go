@@ -189,7 +189,7 @@ func ProfileOptionsFor(cfg platform.Config, d interfere.Demand) ProfileOptions {
 // second). Sizes must be strictly increasing and small enough that the
 // demand still fits (MaxDegree ≥ 1).
 func GridProbesFor(cfg platform.Config, d interfere.Demand, sizesMB []float64, seed int64) ([]SizeProbe, error) {
-	if err := checkSizeGrid(sizesMB); err != nil {
+	if err := CheckSizeGrid(sizesMB); err != nil {
 		return nil, err
 	}
 	probes := make([]SizeProbe, 0, len(sizesMB))

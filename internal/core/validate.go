@@ -15,9 +15,9 @@ import (
 var ErrNonMonotoneSizes = errors.New("core: memory size grid not strictly increasing")
 
 // Validate reports an error if the grid cannot be planned over: its sizes must
-// pass checkSizeGrid and every size's models must validate (errors name it).
+// pass CheckSizeGrid and every size's models must validate (errors name it).
 func (g GridModels) Validate() error {
-	if err := checkSizeGrid(g.MemSizesMB()); err != nil {
+	if err := CheckSizeGrid(g.MemSizesMB()); err != nil {
 		return err
 	}
 	for _, s := range g.Sizes {
@@ -28,9 +28,9 @@ func (g GridModels) Validate() error {
 	return nil
 }
 
-// checkSizeGrid is every entrance's test of a memory grid, made before any one
-// size is looked at: non-empty, positive, strictly increasing.
-func checkSizeGrid(sizesMB []float64) error {
+// CheckSizeGrid is every entrance's test of a memory grid, made before any one
+// size is looked at: non-empty, positive, finite, strictly increasing.
+func CheckSizeGrid(sizesMB []float64) error {
 	if len(sizesMB) == 0 {
 		return fmt.Errorf("core: empty memory size grid")
 	}

@@ -29,7 +29,11 @@ import (
 //   - the stations are closure_test.go's copy of the closure station where
 //     they were sim.NewStation;
 //   - a staggered arrival is i·StaggerSec, without the constant offset only
-//     sharded cells used to set.
+//     sharded cells used to set;
+//   - the retry budget and policy are read from Config.Retry, where they
+//     were Config.MaxStartRetries and the retryPolicy() mapping of
+//     Config.RetryDelaySec onto a fixed backoff (the two fields are gone;
+//     the zero Retry is the same fixed, zero-delay, three-retry policy).
 //
 // Do not "improve" this function; it is a specification, not product code.
 func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
@@ -64,11 +68,11 @@ func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (
 	}
 	pods := sc.podStates((n + podSize - 1) / podSize)
 
-	maxRetries := cfg.MaxStartRetries
+	maxRetries := cfg.Retry.MaxAttempts
 	if maxRetries == 0 {
 		maxRetries = 3
 	}
-	retryPol := cfg.retryPolicy()
+	retryPol := cfg.Retry
 	// prevDelay feeds the decorrelated-jitter schedule; per instance so
 	// parallel retry chains stay independent.
 	prevDelay := ib.prevDelay

@@ -91,16 +91,10 @@ type Config struct {
 
 	// StartFailureProb is the probability that a cold instance fails to
 	// come up (image pull error, placement race) and must be re-submitted
-	// to the scheduler after RetryDelaySec. Retried instances lengthen the
+	// to the scheduler after Retry's delay. Retried instances lengthen the
 	// scaling tail — a real-cloud effect the failure-injection tests
 	// exercise. 0 disables failures.
 	StartFailureProb float64
-	// RetryDelaySec is the back-off before a failed start re-enters the
-	// scheduler queue.
-	RetryDelaySec float64
-	// MaxStartRetries bounds re-submissions per instance; an instance that
-	// exhausts them fails the whole burst. 0 means the default (3).
-	MaxStartRetries int
 
 	// CrashRate injects mid-execution instance crashes, in crashes per
 	// instance-second: an attempt that runs for t seconds survives with
@@ -119,10 +113,10 @@ type Config struct {
 	// timed-out attempt is billed and retried like a crash. 0 disables the
 	// timeout (MaxExecSec still rejects over-long bursts up front).
 	ExecTimeoutSec float64
-	// Retry is the backoff policy for crashed and timed-out attempts and,
-	// when set, for failed cold starts too. The zero value preserves the
-	// legacy behaviour: fixed RetryDelaySec with the MaxStartRetries
-	// budget.
+	// Retry is the backoff policy for failed cold starts and for crashed
+	// and timed-out attempts. An instance that exhausts its budget
+	// (MaxAttempts, 0 meaning 3) fails the whole burst. The zero value
+	// retries at once, three times.
 	Retry resilience.Backoff
 	// Hedge launches one speculative duplicate for attempts still running
 	// past the fleet's Hedge.Quantile-th percentile execution duration;
@@ -161,8 +155,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("platform %s: negative concurrency limit", c.Name)
 	case !(c.StartFailureProb >= 0 && c.StartFailureProb < 1):
 		return fmt.Errorf("platform %s: start-failure probability %g outside [0,1)", c.Name, c.StartFailureProb)
-	case !stats.FiniteNonNeg(c.RetryDelaySec) || c.MaxStartRetries < 0:
-		return fmt.Errorf("platform %s: negative or non-finite retry parameters", c.Name)
 	case !stats.FiniteNonNeg(c.CrashRate):
 		return fmt.Errorf("platform %s: crash rate %g negative or non-finite", c.Name, c.CrashRate)
 	case !(c.StragglerProb >= 0 && c.StragglerProb < 1):
@@ -187,15 +179,6 @@ func (c Config) Validate() error {
 func (c Config) faulty() bool {
 	return c.StartFailureProb > 0 || c.StragglerProb > 0 || c.CrashRate > 0 ||
 		c.ExecTimeoutSec > 0 || c.Hedge.Enabled()
-}
-
-// retryPolicy is the effective backoff policy for retried attempts: the
-// configured one, or the legacy fixed-delay policy when unset.
-func (c Config) retryPolicy() resilience.Backoff {
-	if c.Retry.IsZero() {
-		return resilience.Backoff{Kind: resilience.Fixed, BaseSec: c.RetryDelaySec}
-	}
-	return c.Retry
 }
 
 // MemoryGB is the billed memory size of one instance.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -47,6 +46,9 @@ const (
 	evEnd                          // execution completes
 )
 
+// defaultRetries is an instance's retry budget when Config.Retry sets none.
+const defaultRetries = 3
+
 // controlPlane is the per-run dispatcher: the engine's EventSink plus every
 // piece of state the closure implementation captured in its environment. It
 // lives inside the pooled runScratch, so its queues and recorder-tracking
@@ -67,8 +69,6 @@ type controlPlane struct {
 	schedSvc, buildSvc, shipSvc func(int32) float64
 	pods                        []podState
 	podSize                     int
-	maxRetries                  int
-	retryPol                    resilience.Backoff
 	hedgeThr                    float64
 	limit                       int
 	tandem                      [3]tandemStage // the dice-free solver's stages
@@ -233,7 +233,7 @@ func (cp *controlPlane) onBootDone(i int32) {
 		if cp.rec != nil {
 			cp.rec.Event(obs.Event{Instance: int(i), Kind: obs.EventStartRetry, AtSec: cp.eng.Now()})
 		}
-		if !cp.retryPol.Allow(int(ib.retries[i]), cp.eng.Now(), cp.maxRetries) {
+		if !cp.cfg.Retry.Allow(int(ib.retries[i]), cp.eng.Now(), defaultRetries) {
 			if cp.burstErr == nil {
 				cp.burstErr = fmt.Errorf("%w: instance %d after %d attempts",
 					ErrStartFailed, i, ib.retries[i])
@@ -250,7 +250,7 @@ func (cp *controlPlane) onBootDone(i int32) {
 // backoffThenResubmit re-enters the scheduler after the retry policy's
 // delay for the given retry number (the admission slot stays held).
 func (cp *controlPlane) backoffThenResubmit(i int32, retry int) {
-	d := cp.retryPol.Delay(retry, cp.ib.prevDelay[i], cp.rng.Float64)
+	d := cp.cfg.Retry.Delay(retry, cp.ib.prevDelay[i], cp.rng.Float64)
 	cp.ib.prevDelay[i] = d
 	if cp.rec != nil {
 		cp.rec.Event(obs.Event{Instance: int(i), Kind: obs.EventBackoff, AtSec: cp.eng.Now(), DurSec: d})
@@ -262,7 +262,7 @@ func (cp *controlPlane) backoffThenResubmit(i int32, retry int) {
 // policy's budget or fail the burst.
 func (cp *controlPlane) failExec(i int32) {
 	retry := int(cp.ib.crashes[i] + cp.ib.timeouts[i])
-	if !cp.retryPol.Allow(retry, cp.eng.Now(), cp.maxRetries) {
+	if !cp.cfg.Retry.Allow(retry, cp.eng.Now(), defaultRetries) {
 		if cp.burstErr == nil {
 			cp.burstErr = fmt.Errorf("%w: instance %d after %d failed attempts",
 				ErrExecFailed, i, retry)
@@ -419,11 +419,6 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	}
 	cp.podSize = podSize
 
-	cp.maxRetries = cfg.MaxStartRetries
-	if cp.maxRetries == 0 {
-		cp.maxRetries = 3
-	}
-	cp.retryPol = cfg.retryPolicy()
 	// The hedge launch threshold is the configured quantile of the fleet's
 	// planned execution durations — known up front in the simulator, so the
 	// policy is deterministic. (A hedging Config is faulty: Run drew its

@@ -325,8 +325,8 @@ func TestEventsPerInstance(t *testing.T) {
 		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
 		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
 		{name: "stragglers", mutate: func(c *Config) { c.StragglerProb, c.StragglerFactor = 0.1, 2 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
-		{name: "start failures", mutate: func(c *Config) { c.StartFailureProb, c.RetryDelaySec = 0.05, 0.5 }, burst: cold},
-		{name: "crashes", mutate: func(c *Config) { c.CrashRate, c.RetryDelaySec = 0.0005, 0.5 }, burst: cold},
+		{name: "start failures", mutate: func(c *Config) { c.StartFailureProb, c.Retry.BaseSec = 0.05, 0.5 }, burst: cold},
+		{name: "crashes", mutate: func(c *Config) { c.CrashRate, c.Retry.BaseSec = 0.0005, 0.5 }, burst: cold},
 	} {
 		cfg := AWSLambda()
 		if tc.mutate != nil {

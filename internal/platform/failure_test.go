@@ -11,7 +11,7 @@ import (
 func failingConfig(p float64) Config {
 	cfg := AWSLambda()
 	cfg.StartFailureProb = p
-	cfg.RetryDelaySec = 5
+	cfg.Retry.BaseSec = 5
 	return cfg
 }
 
@@ -48,7 +48,7 @@ func TestFailureInjectionRetriesLengthenTail(t *testing.T) {
 
 func TestFailureInjectionExhaustedRetriesFailBurst(t *testing.T) {
 	cfg := failingConfig(0.97)
-	cfg.MaxStartRetries = 1
+	cfg.Retry.MaxAttempts = 1
 	d := workload.Video{}.Demand()
 	_, err := Run(cfg, Burst{Demand: d, Functions: 50, Degree: 1, Seed: 22})
 	if !errors.Is(err, ErrStartFailed) {
@@ -64,7 +64,7 @@ func TestFailureInjectionZeroProbIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := AWSLambda()
-	cfg.RetryDelaySec = 5 // irrelevant without failures
+	cfg.Retry.BaseSec = 5 // irrelevant without failures
 	c, err := Run(cfg, b)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +91,12 @@ func TestFailureConfigValidation(t *testing.T) {
 		t.Fatal("negative probability accepted")
 	}
 	cfg = AWSLambda()
-	cfg.RetryDelaySec = -1
+	cfg.Retry.BaseSec = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative retry delay accepted")
 	}
 	cfg = AWSLambda()
-	cfg.MaxStartRetries = -1
+	cfg.Retry.MaxAttempts = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative retry cap accepted")
 	}

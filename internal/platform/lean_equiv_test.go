@@ -391,7 +391,6 @@ func TestConfigValidateRejectsNonFinite(t *testing.T) {
 		"JitterRel":              func(c *Config) *float64 { return &c.JitterRel },
 		"MaxExecSec":             func(c *Config) *float64 { return &c.MaxExecSec },
 		"StartFailureProb":       func(c *Config) *float64 { return &c.StartFailureProb },
-		"RetryDelaySec":          func(c *Config) *float64 { return &c.RetryDelaySec },
 		"CrashRate":              func(c *Config) *float64 { return &c.CrashRate },
 		"StragglerProb":          func(c *Config) *float64 { return &c.StragglerProb },
 		"StragglerFactor":        func(c *Config) *float64 { return &c.StragglerFactor },

@@ -82,7 +82,7 @@ func TestBurstTypedVsClosureDifferential(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.CrashRate = rng.Float64() * 0.002
 			cfg.StartFailureProb = rng.Float64() * 0.1
-			cfg.RetryDelaySec = 0.5
+			cfg.Retry.BaseSec = 0.5
 			cfg.StragglerProb = rng.Float64() * 0.1
 			cfg.StragglerFactor = 2
 		}

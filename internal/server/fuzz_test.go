@@ -66,6 +66,16 @@ func FuzzRouteParams(f *testing.F) {
 	f.Add(uint8(1), "app=Video&app=Sort&platform=aws&platform=funcx&c=1&c=2&degree=1&degree=99")
 	f.Add(uint8(2), strings.Repeat("k", 5000)+"=1&app=Video&platform=aws&qos=200")
 	f.Add(uint8(4), "app=:&app=Video:&app=:1&platform=%zz&x;y=1")
+	// TestAdviseDoorsAgree's hostile values (cmd/propack), on every parameter
+	// the planning routes share with `propack advise`.
+	for _, v := range []string{"NaN", "%2BInf", "-Inf", "-1", "-0", "0", "1e308", "0x1p-2"} {
+		f.Add(uint8(0), "app=Video&platform=aws&c="+v)
+		f.Add(uint8(0), "app=Video&platform=aws&ws="+v)
+		f.Add(uint8(2), "app=Video&platform=aws&qos="+v)
+		f.Add(uint8(2), "app=Video&platform=aws&qos=120&ws="+v)
+		f.Add(uint8(3), "app=Video&platform=aws&sizes="+v)
+		f.Add(uint8(3), "app=Video&platform=aws&sizes=5120,10240&qos="+v)
+	}
 
 	f.Fuzz(func(t *testing.T, route uint8, rawQuery string) {
 		s, err := fuzzServer()

@@ -258,40 +258,38 @@ func floatParam(q *params, name string, def float64) (float64, error) {
 // milliseconds of simulation, well inside RequestTimeout.
 const maxGridSizes = 16
 
-// sizesParam reads sizes, a comma-separated memory grid in MB (e.g.
-// sizes=2048,4096,10240). Empty means the platform default grid; order and
-// positivity are validated downstream by the grid builder with typed
-// errors.
-func sizesParam(q *params) ([]float64, error) {
-	v := q.Get("sizes")
-	if v == "" {
-		return nil, nil
-	}
-	if strings.Count(v, ",") >= maxGridSizes {
-		return nil, badRequest("sizes lists more than %d memory sizes, the most /v1/joint profiles for one grid", maxGridSizes)
-	}
-	parts := strings.Split(v, ",")
-	sizes := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, badRequest("bad sizes entry %q", p)
-		}
-		sizes = append(sizes, f)
-	}
-	return sizes, nil
-}
-
-// weightsParam reads ws (service weight; expense is 1−ws).
+// weightsParam reads ws (service weight, default 0.5; expense is 1−ws).
 func weightsParam(q *params) (core.Weights, error) {
 	ws, err := floatParam(q, "ws", 0.5)
+	return core.Weights{Service: ws, Expense: 1 - ws}, err
+}
+
+// requestParams reads the planning question /v1/advise, /v1/qos and
+// /v1/joint share: c (default 5000) and ws. A route adds what else it takes.
+func requestParams(q *params) (core.Request, error) {
+	c, err := intParam(q, "c", 5000)
 	if err != nil {
-		return core.Weights{}, err
+		return core.Request{}, err
 	}
-	if ws < 0 || ws > 1 {
-		return core.Weights{}, badRequest("ws %g outside [0,1]", ws)
+	w, err := weightsParam(q)
+	return core.Request{C: c, Weights: w}, err
+}
+
+// answer judges r — core.Request's Validate, as a 400 — before any model is
+// built, then answers it from the pool entry for (platform, app, r's grid).
+func (s *Server) answer(ctx context.Context, plat, app string, r core.Request) (*plannerEntry, core.JointPlan, error) {
+	if err := r.Validate(); err != nil {
+		return nil, core.JointPlan{}, badRequest("%v", err)
 	}
-	return core.Weights{Service: ws, Expense: 1 - ws}, nil
+	pe, err := s.pool.get(ctx, plat, app, r.SizesMB)
+	if err != nil {
+		return nil, core.JointPlan{}, err
+	}
+	plan, err := pe.planner.Answer(r)
+	if err != nil {
+		return nil, core.JointPlan{}, badRequest("%v", err)
+	}
+	return pe, plan, nil
 }
 
 // ceilDiv is the instance count ⌈c/degree⌉, safe for c up to MaxInt.
@@ -338,33 +336,22 @@ func appendPlan(e *jsonEnc, p core.Plan) {
 // equivalent of `propack advise`.
 func (s *Server) computeAdvise(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
-	c, err := intParam(q, "c", 5000)
+	r, err := requestParams(q)
 	if err != nil {
 		return err
 	}
-	if c < 1 {
-		return badRequest("c %d < 1", c)
-	}
-	w, err := weightsParam(q)
+	pe, plan, err := s.answer(ctx, plat, app, r)
 	if err != nil {
 		return err
 	}
-	pe, err := s.pool.get(ctx, plat, app, nil)
-	if err != nil {
-		return err
-	}
-	plan, err := pe.planner.PlanFor(c, w)
+	lo, hi, err := pe.planner.DegreeRange(r.C, r.Weights, 0.02)
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	lo, hi, err := pe.planner.DegreeRange(c, w, 0.02)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	openEcho(e, app, pe.platformName, c)
-	appendWeights(e, w)
+	openEcho(e, app, pe.platformName, r.C)
+	appendWeights(e, r.Weights)
 	e.int("max_degree", pe.planner.Models().MaxDegree)
-	appendPlan(e, plan)
+	appendPlan(e, plan.Plan)
 	e.int("degree_lo", lo)
 	e.int("degree_hi", hi)
 	e.float("model_overhead_usd", pe.overhead.TotalUSD())
@@ -372,34 +359,31 @@ func (s *Server) computeAdvise(ctx context.Context, q *params, e *jsonEnc) error
 	return nil
 }
 
-// computeQoS is GET /v1/qos?app=&platform=&c=&qos= — tail-latency-bounded
-// planning (Sec. 2.6).
+// computeQoS is GET /v1/qos?app=&platform=&c=&qos=&ws= — tail-latency-bounded
+// planning (Sec. 2.6). The bound is the route's question, so it must be
+// positive here; ws is read and judged as on every route, and the bound
+// replaces it.
 func (s *Server) computeQoS(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
-	c, err := intParam(q, "c", 5000)
+	r, err := requestParams(q)
+	if err == nil {
+		r.QoSSec, err = floatParam(q, "qos", 0)
+	}
 	if err != nil {
 		return err
 	}
-	qos, err := floatParam(q, "qos", 0)
-	if err != nil {
-		return err
-	}
-	if qos <= 0 {
+	if !(r.QoSSec > 0) {
 		return badRequest("qos must be a positive p95 bound in seconds")
 	}
-	pe, err := s.pool.get(ctx, plat, app, nil)
+	pe, plan, err := s.answer(ctx, plat, app, r)
 	if err != nil {
 		return err
 	}
-	plan, w, err := pe.planner.QoSPlan(c, qos, core.QoSOptions{})
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	openEcho(e, app, pe.platformName, c)
-	e.float("qos_sec", qos)
+	openEcho(e, app, pe.platformName, r.C)
+	e.float("qos_sec", r.QoSSec)
 	e.float("tail_quantile", 95)
-	appendWeights(e, w)
-	appendPlan(e, plan)
+	appendWeights(e, plan.Weights)
+	appendPlan(e, plan.Plan)
 	e.end('}')
 	return nil
 }
@@ -411,47 +395,30 @@ func (s *Server) computeQoS(ctx context.Context, q *params, e *jsonEnc) error {
 // platform's instance memory.
 func (s *Server) computeJoint(ctx context.Context, q *params, e *jsonEnc) error {
 	app, plat := q.Get("app"), q.Get("platform")
-	c, err := intParam(q, "c", 5000)
+	r, err := requestParams(q)
+	if err == nil {
+		r.QoSSec, err = floatParam(q, "qos", 0)
+	}
 	if err != nil {
 		return err
 	}
-	if c < 1 {
-		return badRequest("c %d < 1", c)
-	}
-	w, err := weightsParam(q)
-	if err != nil {
-		return err
-	}
-	qos, err := floatParam(q, "qos", 0)
-	if err != nil {
-		return err
-	}
-	if qos < 0 {
-		return badRequest("qos must be a positive p95 bound in seconds")
-	}
-	sizes, err := sizesParam(q)
-	if err != nil {
-		return err
-	}
-	if len(sizes) == 0 {
+	if v := q.Get("sizes"); v != "" {
+		if strings.Count(v, ",") >= maxGridSizes {
+			return badRequest("sizes lists more than %d memory sizes, the most /v1/joint profiles for one grid", maxGridSizes)
+		}
+		if r.SizesMB, err = ParseMemSizes(v); err != nil {
+			return badRequest("%v", err)
+		}
+	} else {
 		cfg, err := PlatformByName(plat)
 		if err != nil {
 			return badRequest("%v", err)
 		}
-		sizes = defaultGridSizes(cfg.Shape.MemoryMB)
+		r.SizesMB = defaultGridSizes(cfg.Shape.MemoryMB)
 	}
-	pe, err := s.pool.get(ctx, plat, app, sizes)
+	pe, plan, err := s.answer(ctx, plat, app, r)
 	if err != nil {
 		return err
-	}
-	var plan core.JointPlan
-	if qos > 0 {
-		plan, w, err = pe.planner.QoSPlanJoint(c, qos, core.QoSOptions{})
-	} else {
-		plan, err = pe.planner.PlanJointFor(c, w)
-	}
-	if err != nil {
-		return badRequest("%v", err)
 	}
 	maxDegree := 0
 	grid, _ := pe.planner.Grid()
@@ -460,10 +427,10 @@ func (s *Server) computeJoint(ctx context.Context, q *params, e *jsonEnc) error 
 			maxDegree = sm.Models.MaxDegree
 		}
 	}
-	openEcho(e, app, pe.platformName, c)
-	appendWeights(e, w)
-	if qos > 0 { // a weighted request carries neither member
-		e.float("qos_sec", qos)
+	openEcho(e, app, pe.platformName, r.C)
+	appendWeights(e, plan.Weights)
+	if r.QoSSec > 0 { // a weighted request carries neither member
+		e.float("qos_sec", r.QoSSec)
 		e.float("tail_quantile", 95)
 	}
 	e.floats("sizes_mb", pe.sizesMB)
@@ -524,6 +491,9 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	w, err := weightsParam(q)
 	if err != nil {
 		return err
+	}
+	if err := w.Validate(); err != nil {
+		return badRequest("%v", err)
 	}
 	specs := q.All("app")
 	if len(specs) < 2 || len(specs) > len(workload.All()) {

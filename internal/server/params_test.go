@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,5 +69,23 @@ func TestParamsReuse(t *testing.T) {
 		"b=2&a=1&a=0",
 	} {
 		checkParams(t, raw)
+	}
+}
+
+// TestParseMemSizes: the one reader of a comma-separated memory grid, behind
+// both -mem.grid and sizes=. Spaces are trimmed; an empty, non-numeric or
+// non-finite entry is refused, wherever in the list it stands.
+func TestParseMemSizes(t *testing.T) {
+	got, err := ParseMemSizes(" 2048, 4096 ,10240 ")
+	if err != nil {
+		t.Fatalf("ParseMemSizes: %v", err)
+	}
+	if want := []float64{2048, 4096, 10240}; !slices.Equal(got, want) {
+		t.Fatalf("ParseMemSizes = %v, want %v", got, want)
+	}
+	for _, bad := range []string{"", ",,", "abc", "2048,NaN", "2048,+Inf", "5120,,10240", "5120,10240,", ",5120"} {
+		if sizes, err := ParseMemSizes(bad); err == nil {
+			t.Errorf("ParseMemSizes(%q) = %v, want an error", bad, sizes)
+		}
 	}
 }

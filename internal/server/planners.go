@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,6 +69,23 @@ func PlatformByName(name string) (platform.Config, error) {
 	default:
 		return platform.Config{}, fmt.Errorf("unknown platform %q (aws, google, azure, funcx)", name)
 	}
+}
+
+// ParseMemSizes reads a memory grid in MB written as a comma-separated list —
+// the API's sizes parameter and the CLI's -mem.grid flag. Each entry is
+// trimmed of spaces and must be a finite number; an empty entry is refused.
+// The grid's own rules (positive, strictly increasing) are core.Request's.
+func ParseMemSizes(s string) ([]float64, error) {
+	fields := strings.Split(s, ",")
+	sizes := make([]float64, len(fields))
+	for i, f := range fields {
+		mb, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || math.IsNaN(mb) || math.IsInf(mb, 0) {
+			return nil, fmt.Errorf("bad memory size %q (want comma-separated MB values)", f)
+		}
+		sizes[i] = mb
+	}
+	return sizes, nil
 }
 
 // defaultGridSizes is the memory grid used when the caller does not pass

@@ -218,24 +218,29 @@ func TestBadRequests(t *testing.T) {
 	cases := []struct {
 		path string
 		want int
+		text string // in the error, where the test pins it
 	}{
-		{"/v1/advise?app=NoSuchApp&platform=aws", http.StatusBadRequest},
-		{"/v1/advise?app=Video&platform=nowhere", http.StatusBadRequest},
-		{"/v1/advise?app=Video&platform=aws&c=zero", http.StatusBadRequest},
-		{"/v1/advise?app=Video&platform=aws&c=-5", http.StatusBadRequest},
-		{"/v1/advise?app=Video&platform=aws&ws=1.5", http.StatusBadRequest},
-		{"/v1/qos?app=Video&platform=aws&c=100", http.StatusBadRequest}, // missing qos
-		{"/v1/plan?app=Video&platform=aws&c=100&degree=9999", http.StatusBadRequest},
-		{"/v1/mixed?app=Video:100&platform=aws", http.StatusBadRequest},        // one app
-		{"/v1/mixed?app=Video&app=Sort:1&platform=aws", http.StatusBadRequest}, // bad spec
+		{"/v1/advise?app=NoSuchApp&platform=aws", http.StatusBadRequest, ""},
+		{"/v1/advise?app=Video&platform=nowhere", http.StatusBadRequest, ""},
+		{"/v1/advise?app=Video&platform=aws&c=zero", http.StatusBadRequest, ""},
+		{"/v1/advise?app=Video&platform=aws&c=-5", http.StatusBadRequest, ""},
+		{"/v1/advise?app=Video&platform=aws&ws=1.5", http.StatusBadRequest, ""},
+		{"/v1/qos?app=Video&platform=aws&c=100", http.StatusBadRequest, ""}, // missing qos
+		// A bound replaces ws, but every route still judges it.
+		{"/v1/qos?app=Video&platform=aws&c=100&qos=120&ws=2", http.StatusBadRequest, "core: weights outside [0,1]"},
+		{"/v1/joint?app=Video&platform=aws&c=100&qos=120&ws=2", http.StatusBadRequest, "core: weights outside [0,1]"},
+		{"/v1/joint?app=Video&platform=aws&sizes=5120,,10240", http.StatusBadRequest, "bad memory size"},
+		{"/v1/plan?app=Video&platform=aws&c=100&degree=9999", http.StatusBadRequest, ""},
+		{"/v1/mixed?app=Video:100&platform=aws", http.StatusBadRequest, ""},        // one app
+		{"/v1/mixed?app=Video&app=Sort:1&platform=aws", http.StatusBadRequest, ""}, // bad spec
 	}
 	for _, tc := range cases {
 		rr, body := get(t, s, tc.path, nil)
 		if rr.Code != tc.want {
 			t.Errorf("GET %s: status %d (%v), want %d", tc.path, rr.Code, body, tc.want)
 		}
-		if body["error"] == "" {
-			t.Errorf("GET %s: missing error body", tc.path)
+		if msg, _ := body["error"].(string); msg == "" || !strings.Contains(msg, tc.text) {
+			t.Errorf("GET %s: error %q, want one containing %q", tc.path, msg, tc.text)
 		}
 	}
 	// Wrong method.

@@ -21,6 +21,8 @@
 package propack
 
 import (
+	"errors"
+
 	"repro/internal/core"
 	"repro/internal/funcx"
 	"repro/internal/interfere"
@@ -165,16 +167,8 @@ type Recommendation struct {
 // plan for running the application at concurrency c under the given
 // objective weights.
 func Advise(cfg PlatformConfig, d Demand, c int, w Weights) (Recommendation, error) {
-	meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-	models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, d))
-	if err != nil {
-		return Recommendation{}, err
-	}
-	plan, err := models.PlanFor(c, w)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	return Recommendation{Plan: plan, Models: models, Overhead: overhead}, nil
+	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: w}, false)
+	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, err
 }
 
 // AdviseReliable is Advise for an unreliable platform: the same modeling
@@ -184,33 +178,16 @@ func Advise(cfg PlatformConfig, d Demand, c int, w Weights) (Recommendation, err
 // recommended degree drops as the crash rate rises. With a zero FailureModel
 // it agrees exactly with Advise.
 func AdviseReliable(cfg PlatformConfig, d Demand, c int, w Weights, f FailureModel) (Recommendation, error) {
-	meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-	models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, d))
-	if err != nil {
-		return Recommendation{}, err
-	}
-	rm := core.ReliableModels{Models: models, Failure: f}
-	plan, err := rm.PlanFor(c, w)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	return Recommendation{Plan: plan, Models: models, Overhead: overhead}, nil
+	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: w, Failure: f}, false)
+	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, err
 }
 
 // AdviseQoS is Advise with a tail-latency bound: the objective weights are
 // chosen per Sec. 2.6 so the modeled tail service time stays within qosSec.
 // It returns the chosen weights alongside the recommendation.
 func AdviseQoS(cfg PlatformConfig, d Demand, c int, qosSec float64) (Recommendation, Weights, error) {
-	meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-	models, _, _, overhead, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, d))
-	if err != nil {
-		return Recommendation{}, Weights{}, err
-	}
-	plan, w, err := models.QoSPlan(c, qosSec, core.QoSOptions{})
-	if err != nil {
-		return Recommendation{}, Weights{}, err
-	}
-	return Recommendation{Plan: plan, Models: models, Overhead: overhead}, w, nil
+	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: Balanced(), QoSSec: qosSec}, true)
+	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, rec.Plan.Weights, err
 }
 
 // JointRecommendation is what AdviseJoint returns: the joint (degree,
@@ -228,38 +205,50 @@ type JointRecommendation struct {
 // power-tuning knob folded into Eq. 7. sizesMB must be strictly increasing
 // and within the platform's instance memory.
 func AdviseJoint(cfg PlatformConfig, d Demand, c int, w Weights, sizesMB []float64) (JointRecommendation, error) {
-	probes, err := core.GridProbesFor(cfg, d, sizesMB, 1)
-	if err != nil {
-		return JointRecommendation{}, err
-	}
-	grid, overhead, err := core.BuildGridModels(probes)
-	if err != nil {
-		return JointRecommendation{}, err
-	}
-	plan, err := grid.PlanJointFor(c, w)
-	if err != nil {
-		return JointRecommendation{}, err
-	}
-	return JointRecommendation{Plan: plan, Grid: grid, Overhead: overhead}, nil
+	rec, _, err := advise(cfg, d, core.Request{C: c, Weights: w, SizesMB: sizesMB}, false)
+	return rec, err
 }
 
 // AdviseJointQoS is AdviseJoint with a tail-latency bound: the weights are
 // chosen per Sec. 2.6 over the whole grid, so a larger memory size can buy
 // feasibility that no packing degree at the default size could.
 func AdviseJointQoS(cfg PlatformConfig, d Demand, c int, qosSec float64, sizesMB []float64) (JointRecommendation, Weights, error) {
-	probes, err := core.GridProbesFor(cfg, d, sizesMB, 1)
-	if err != nil {
-		return JointRecommendation{}, Weights{}, err
+	rec, _, err := advise(cfg, d, core.Request{C: c, Weights: Balanced(), QoSSec: qosSec, SizesMB: sizesMB}, true)
+	return rec, rec.Plan.Weights, err
+}
+
+// advise is the one profile-then-answer sequence behind every Advise
+// variant: the request is judged before any probe runs, the application is
+// profiled — once, or once per memory size of the request's grid — and the
+// uncached planner answers. The fixed-size models come back beside the
+// recommendation; a grid comes back in it. bounded marks the QoS variants:
+// their question is the bound, so like /v1/qos they refuse a bound of 0,
+// which a Request reads as none. Their weights are the doors' default, which
+// the bound replaces.
+func advise(cfg PlatformConfig, d Demand, r core.Request, bounded bool) (rec JointRecommendation, m Models, err error) {
+	if err = r.Validate(); err == nil && bounded && r.QoSSec == 0 {
+		err = errors.New("propack: a QoS bound of 0 s is no bound")
 	}
-	grid, overhead, err := core.BuildGridModels(probes)
-	if err != nil {
-		return JointRecommendation{}, Weights{}, err
+	switch {
+	case err != nil:
+	case len(r.SizesMB) == 0:
+		meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: 1}
+		if m, _, _, rec.Overhead, err = core.BuildModels(meas, core.ProfileOptionsFor(cfg, d)); err == nil {
+			rec.Plan, err = m.Answer(r)
+		}
+	default:
+		var probes []core.SizeProbe
+		if probes, err = core.GridProbesFor(cfg, d, r.SizesMB, 1); err == nil {
+			rec.Grid, rec.Overhead, err = core.BuildGridModels(probes)
+		}
+		if err == nil {
+			rec.Plan, err = rec.Grid.Answer(r)
+		}
 	}
-	plan, w, err := grid.QoSPlanJoint(c, qosSec, core.QoSOptions{})
 	if err != nil {
-		return JointRecommendation{}, Weights{}, err
+		return JointRecommendation{}, Models{}, err
 	}
-	return JointRecommendation{Plan: plan, Grid: grid, Overhead: overhead}, w, nil
+	return rec, m, nil
 }
 
 // Run executes c concurrent functions packed at the given degree on the

@@ -135,6 +135,9 @@ func TestValidateRejectsNonFiniteEverywhere(t *testing.T) {
 		}, validate},
 		{"core.Weights", func() any { return core.Balanced() }, validate},
 		{"core.FailureModel", func() any { return core.FailureModel{CrashRate: 1e-3, RetryDelaySec: 5} }, validate},
+		{"core.Request", func() any {
+			return core.Request{C: 100, Weights: core.Balanced(), QoSSec: 60, SizesMB: []float64{1024, 2048}}
+		}, validate},
 		{"core.MixedPlanOptions", func() any {
 			return core.MixedPlanOptions{InstanceMemoryMB: 3072, MaxExecSec: 900, Weights: core.Balanced(),
 				Scaling: core.ScalingModel{B1: 2e-6, B2: 0.004, B3: 0.1}, RatePerInstanceSec: 1e-4, CrossDiscount: 0.2}
