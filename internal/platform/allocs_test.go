@@ -12,8 +12,9 @@ import (
 // multi-quantile metrics, and — since the typed-dispatch rewrite — no event
 // or control-plane closures at all. Steady state, the only O(n) allocations
 // left in Run are the three column slabs the Result owns (45 B/instance, 77
-// when the Config can inject faults); the row view is built only when a
-// caller asks for Timelines(). The regression bounds below hold that line.
+// when the Config can inject faults, 13 when the schedule store serves the
+// four milestone columns); the row view is built only when a caller asks for
+// Timelines(). The regression bounds below hold that line.
 
 func TestRunAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
@@ -97,9 +98,10 @@ func allocsOf(fn func()) (objects, bytes uint64) {
 }
 
 // TestAllocsPerRunColumnarResult pins the columnar Result's footprint at
-// C=10⁴: a steady-state Run allocates the three column slabs — 45
-// B/instance when the Config rolls no dice, 77 with the fault and hedge
-// columns — plus a fixed handful of small objects and nothing else
+// C=10⁴: a steady-state Run allocates the three column slabs — at most 45
+// B/instance when the Config rolls no dice (13 once the schedule store holds
+// the burst), 77 with the fault and hedge columns — plus a fixed handful of
+// small objects and nothing else
 // proportional to n, and asking the Result for its scaling time — all
 // Advise's scaling probes ever do — allocates nothing at all, i.e. never
 // materializes the row view. (trace.FromResult's share of the same gate is
@@ -160,6 +162,41 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 		overlapsDraw(AWSLambda(), big.Instances()), objects, float64(bytes)/float64(big.Functions))
 }
 
+// TestAllocsPerRunStoredSchedule pins what the schedule and bill stores save
+// (store.go, DESIGN §12). A dice-free Run of 10³ instances whose schedule is
+// stored reads its four milestone columns there and allocates only end,
+// degree and flags — 13 B/instance — and the Result. A one-instance probe,
+// below storeMin, never looks up: it allocates the four objects it always
+// has, its three column slabs and the Result.
+func TestAllocsPerRunStoredSchedule(t *testing.T) {
+	defer resetStores()
+	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
+	for _, tc := range []struct {
+		name     string
+		b        Burst
+		maxBytes float64
+	}{
+		{"stored 10³", Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 7}, 15},
+		{"one instance", Burst{Demand: d, Functions: 4, Degree: 4, Seed: 7}, 1200},
+	} {
+		run := func() {
+			if _, err := Run(AWSLambda(), tc.b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the stores and the scratch pool
+		objects, bytes := allocsOf(run)
+		n := float64(tc.b.Instances())
+		if per := float64(bytes) / n; per > tc.maxBytes {
+			t.Errorf("%s Run allocates %.1f B/instance (%d B total), want ≤ %.0f", tc.name, per, bytes, tc.maxBytes)
+		}
+		if objects != 4 && !raceEnabled {
+			t.Errorf("%s Run allocates %d objects, want 4", tc.name, objects)
+		}
+		t.Logf("%s Run: %d objects, %.2f B/instance", tc.name, objects, float64(bytes)/n)
+	}
+}
+
 func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
@@ -167,13 +204,14 @@ func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One copy of the end column, the ranks and the result slice, regardless
-	// of how many quantiles are requested.
+	// The ranks and the result slice, regardless of how many quantiles are
+	// requested: the copy of the end column it selects in is pooled
+	// (stats.Quantiles), which the race detector's pool drops at random.
 	allocs := testing.AllocsPerRun(20, func() {
 		res.ServiceTimeAtQuantiles(95, 50)
 	})
-	if allocs > 4 {
-		t.Errorf("ServiceTimeAtQuantiles allocates %.0f objects per call, want ≤ 4", allocs)
+	if want := 2.0; allocs > want && !raceEnabled {
+		t.Errorf("ServiceTimeAtQuantiles allocates %.0f objects per call, want ≤ %.0f", allocs, want)
 	}
 	// And both answers must agree with the single-quantile path.
 	sv := res.ServiceTimeAtQuantiles(95, 50)

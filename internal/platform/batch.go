@@ -105,6 +105,26 @@ func (ib *instanceBatch) reset(n int, faulty bool) {
 	}
 }
 
+// resetPlanned is reset for a run inside the schedule store's gate
+// (store.go), which is dice-free: its four milestone columns are n-row
+// prefixes of the plan's slab — on a hit the store's, which nothing writes —
+// and end, degree and flags come in slabs of their own, so a stored slab
+// keeps no end column alive.
+func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
+	ib.instanceColumns = instanceColumns{
+		n:         n,
+		degree:    make([]int32, n),
+		flags:     make([]uint8, n),
+		schedDone: p.column(0, n),
+		buildDone: p.column(1, n),
+		shipDone:  p.column(2, n),
+		start:     p.column(3, n),
+		end:       make([]float64, n),
+	}
+	ib.execs = grown(ib.execs, n)
+	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
+}
+
 // faulty reports whether the fault and hedge columns exist.
 func (c *instanceColumns) faulty() bool { return c.retries != nil }
 

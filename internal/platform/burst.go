@@ -201,7 +201,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// at most) instead of once per instance. The jitter draws stay on the
 	// burst's single sequential stream, so results are bit-identical to the
 	// historical per-instance loop.
-	sc := newRunScratch(n, cfg.faulty())
+	sc := newRunScratch(&cfg, n, b.Warm, b.StaggerSec)
 	defer sc.release() // aborts and joins a follower, panic or not
 	sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
@@ -228,7 +228,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
 	if overlapsDraw(cfg, n) {
 		sc.fold.reset(&cfg, &b.Demand)
-		sc.fold.meter = mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
+		sc.fold.billed, sc.fold.meter = true, mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
 		sc.follow()
 	} else {
 		sc.drawExecs()
@@ -245,9 +245,12 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.folded {
+	switch {
+	case sc.folded:
 		sc.fold.into(res)
-	} else {
+	case sc.plan.on:
+		res.foldStoredBill(fullDeg, lastDeg)
+	default:
 		res.fold(true, nil) // every instance holds degree[i] functions of b.Demand
 	}
 	return res, nil
@@ -356,15 +359,23 @@ type runScratch struct {
 	feed    chan int
 	fold    foldState
 	folded  bool
+
+	plan schedulePlan // the run's part in the schedule store (store.go)
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// newRunScratch returns a scratch whose batch is sized and zeroed for n
-// instances of a run that is or is not Config.faulty, with fresh columns.
-func newRunScratch(n int, faulty bool) *runScratch {
-	sc := runScratchPool.Get().(*runScratch)
-	sc.batch.reset(n, faulty)
+// newRunScratch returns a scratch whose batch is sized and zeroed for a run
+// of n instances on cfg with warm instances and stagger, with fresh columns
+// — except, on a hit in the schedule store, the milestones it reads there.
+func newRunScratch(cfg *Config, n, warm int, stagger float64) *runScratch {
+	sc := runScratchPool.Get().(*runScratch) // its plan off: release left it so
+	if storesRun(cfg, n) {
+		sc.plan = lookupSchedule(scheduleKeyOf(cfg, warm, stagger), n)
+		sc.batch.resetPlanned(n, &sc.plan)
+	} else {
+		sc.batch.reset(n, cfg.faulty())
+	}
 	return sc
 }
 
@@ -393,13 +404,15 @@ func (sc *runScratch) podStates(n int) []podState {
 	return sc.pods
 }
 
-// release returns the scratch to the pool without the run's result columns:
-// they are the Result's now (or garbage, if the run failed), and a pooled
-// reference would pin them until the scratch's next use. It first aborts and
-// joins a follower still running, which a panic can leave behind.
+// release returns the scratch to the pool without the run's result columns
+// or milestone slab: they are the Result's now (or garbage, if the run
+// failed), and a pooled reference would pin them until the scratch's next
+// use. Its schedule plan is left off. It first aborts and joins a follower
+// still running, which a panic can leave behind.
 func (sc *runScratch) release() {
 	sc.join()
 	sc.batch.instanceColumns, sc.folded = instanceColumns{}, false
+	sc.plan.on, sc.plan.hit, sc.plan.slab = false, false, nil
 	runScratchPool.Put(sc)
 }
 
@@ -439,20 +452,42 @@ type summary struct {
 func (r *Result) fold(billed bool, groupsOf func(i int) []demandGroup) {
 	var f foldState
 	if f.reset(&r.Config, &r.Burst.Demand); billed {
-		f.meter = mustMeter(storage.NewMeter(r.Config.Storage, r.Config.StorageGBps))
+		f.billed, f.meter = true, mustMeter(storage.NewMeter(r.Config.Storage, r.Config.StorageGBps))
 	}
 	f.step(&r.cols, 0, r.cols.n, groupsOf)
 	f.into(r)
 }
 
+// foldStoredBill is fold(true, nil) for a homogeneous run inside the stores'
+// gate (store.go), full and last its degrees: the request and storage fees
+// are the bill store's, or metered and then stored.
+func (r *Result) foldStoredBill(full, last int) {
+	var f foldState
+	f.reset(&r.Config, &r.Burst.Demand)
+	f.billed = true
+	key := billKeyOf(&r.Config, &r.Burst.Demand, full, last, r.cols.n)
+	stored, hit := lookupBill(key)
+	if hit {
+		f.request, f.storage = stored.requestUSD, stored.storageUSD
+	} else {
+		f.meter = mustMeter(storage.NewMeter(r.Config.Storage, r.Config.StorageGBps))
+	}
+	f.step(&r.cols, 0, r.cols.n, nil)
+	f.into(r)
+	if !hit {
+		storeBill(key, bill{r.RequestUSD, r.StorageUSD})
+	}
+}
+
 // foldState is Result.fold between steps. Stepping it over consecutive
 // ranges of rows gives the bits of one step over all of them.
 type foldState struct {
-	meter                       *storage.Meter // nil: unbilled
-	demand                      interfere.Demand
-	memGB, gbSecUSD, requestUSD float64
-	sum                         summary
-	compute, wasted, request    float64
+	billed                            bool           // compute and waste are summed
+	meter                             *storage.Meter // nil: requests and storage are not metered
+	demand                            interfere.Demand
+	memGB, gbSecUSD, requestUSD       float64
+	sum                               summary
+	compute, wasted, request, storage float64
 }
 
 // reset readies f, unbilled, for a fold's first step, field by field: on a
@@ -474,7 +509,7 @@ func mustMeter(meter *storage.Meter, err error) *storage.Meter {
 
 // step folds rows [lo, hi) of c, in instance order; groupsOf is fold's.
 func (f *foldState) step(c *instanceColumns, lo, hi int, groupsOf func(i int) []demandGroup) {
-	faulty, meter, demand := c.faulty(), f.meter, f.demand
+	faulty, billed, meter, demand := c.faulty(), f.billed, f.meter, f.demand
 	memGB, gbSecUSD, requestUSD := f.memGB, f.gbSecUSD, f.requestUSD
 	// Accumulators live in locals for the loop, so they can stay in registers.
 	maxStart, minStart, maxEnd, execSec, failedSum := f.sum.maxStart, f.sum.minStart, f.sum.maxEnd, f.sum.execSec, f.sum.failedSec
@@ -504,11 +539,14 @@ func (f *foldState) step(c *instanceColumns, lo, hi int, groupsOf func(i int) []
 			launches += int(c.retries[i]) + int(c.crashes[i]) + int(c.timeouts[i])
 			failedSum += failedSec
 		}
-		if meter == nil {
+		if !billed {
 			continue
 		}
 		compute += (exec + failedSec + hedgeExtraSec) * memGB * gbSecUSD
 		wasted += wastedSec * memGB * gbSecUSD
+		if meter == nil {
+			continue // the fees are the bill store's
+		}
 		if c.flags[i]&flagHedged != 0 {
 			launches++
 		}
@@ -529,8 +567,10 @@ func (f *foldState) step(c *instanceColumns, lo, hi int, groupsOf func(i int) []
 func (f *foldState) into(r *Result) {
 	r.sum = f.sum
 	if f.meter != nil {
-		r.ComputeUSD, r.WastedUSD, r.RequestUSD = f.compute, f.wasted, f.request
-		r.StorageUSD = f.meter.CostUSD()
+		f.storage = f.meter.CostUSD()
+	}
+	if f.billed {
+		r.ComputeUSD, r.WastedUSD, r.RequestUSD, r.StorageUSD = f.compute, f.wasted, f.request, f.storage
 	}
 }
 

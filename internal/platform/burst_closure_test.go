@@ -8,6 +8,16 @@ import (
 	"repro/internal/sim"
 )
 
+// ownMilestones gives a run that hit the schedule store milestone columns of
+// its own, so a control plane that writes them leaves the store as it was.
+func (sc *runScratch) ownMilestones() {
+	if p := &sc.plan; p.hit {
+		n, c := sc.batch.n, &sc.batch.instanceColumns
+		p.hit, p.slab, p.rows = false, make([]float64, 4*n), n
+		c.schedDone, c.buildDone, c.shipDone, c.start = p.column(0, n), p.column(1, n), p.column(2, n), p.column(3, n)
+	}
+}
+
 // runControlPlaneClosure is the closure-based control plane the typed
 // dispatcher (dispatch.go) replaced, retained VERBATIM as a frozen oracle —
 // the same pattern as the retained quadratic planner in
@@ -33,10 +43,15 @@ import (
 //   - the retry budget and policy are read from Config.Retry, where they
 //     were Config.MaxStartRetries and the retryPolicy() mapping of
 //     Config.RetryDelaySec onto a fixed backoff (the two fields are gone;
-//     the zero Retry is the same fixed, zero-delay, three-retry policy).
+//     the zero Retry is the same fixed, zero-delay, three-retry policy);
+//   - a run whose milestone columns the schedule store serves (store.go)
+//     first gets columns of its own: the oracle writes every column, and
+//     the stored ones are read-only.
 //
 // Do not "improve" this function; it is a specification, not product code.
+
 func runControlPlaneClosure(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
+	sc.ownMilestones()
 	ib := &sc.batch
 	n := ib.n
 	execs := ib.execs

@@ -446,7 +446,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	// A dice-free, unthrottled burst is solved without a single event, unless
 	// the solver declines it (a tie only the engine's sequence numbers order).
 	// It reads no execution time: Run's follower joins after it, either way.
-	solved := cfg.tandem() && cp.solveTandem(b, sc.feed)
+	solved := cfg.tandem() && sc.solve(b)
 	sc.join()
 	if solved && !sc.folded {
 		// Execution is a timer from a start nothing else reads.

@@ -87,13 +87,13 @@ var followerExits = []struct {
 		cfg, b := AWSLambda(), followedBurst
 		cfg.SchedServers = 0
 		n := b.Instances()
-		sc := newRunScratch(n, false)
+		sc := newRunScratch(&cfg, n, b.Warm, b.StaggerSec)
 		defer sc.release()
 		rng := sc.stream(b.Seed, hashName(cfg.Name))
 		base := interfere.ExecSeconds(b.Demand, cfg.Shape, b.Degree)
 		sc.draw = jitterDraw{full: base, last: base, rel: cfg.JitterRel}
 		sc.fold.reset(&cfg, &b.Demand)
-		sc.fold.meter = mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
+		sc.fold.billed, sc.fold.meter = true, mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
 		sc.follow()
 		for i := range sc.batch.degree {
 			sc.batch.degree[i] = int32(b.Degree)

@@ -83,7 +83,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		return nil, err
 	}
 	n := len(m.Bins)
-	sc := newRunScratch(n, cfg.faulty())
+	sc := newRunScratch(&cfg, n, m.Warm, m.StaggerSec)
 	defer sc.release()
 	rng := sc.stream(m.Seed, hashName(cfg.Name)^0x6d69786564) // "mixed"
 	ib := &sc.batch

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Quantile returns the q-th percentile of xs (q in (0, 100]) under the
@@ -25,14 +26,34 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 	for i, q := range qs {
 		ranks[i] = QuantileIndex(len(xs), q)
 	}
-	work := make([]float64, len(xs))
+	var pooled *[]float64
+	var work []float64
+	if len(xs) <= selectScratchMax {
+		pooled = selectScratch.Get().(*[]float64)
+		if cap(*pooled) < len(xs) {
+			*pooled = make([]float64, len(xs))
+		}
+		work = (*pooled)[:len(xs)]
+	} else {
+		work = make([]float64, len(xs))
+	}
 	selectRanks(work, xs, ranks)
 	out := make([]float64, len(qs))
 	for i, q := range qs {
 		out[i] = work[QuantileIndex(len(xs), q)]
 	}
+	if pooled != nil {
+		selectScratch.Put(pooled)
+	}
 	return out
 }
+
+// selectScratchMax is the largest input Quantiles selects in a pooled copy;
+// a larger one allocates its own, so the pool never pins a big burst's end
+// column (≤ 512 KB a buffer).
+const selectScratchMax = 1 << 16
+
+var selectScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // QuantileSorted is Quantile over data already in ascending order.
 func QuantileSorted(sorted []float64, q float64) float64 {

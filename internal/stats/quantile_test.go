@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -151,5 +152,43 @@ func TestQuantilesMatchSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuantilesPooledScratch holds the pooled selection copy to a full sort:
+// inputs on both sides of selectScratchMax, interleaved so a pooled buffer
+// left by a longer input serves a shorter one, answer every rank with the
+// bits sort.Float64s leaves there. The pool never holds a buffer longer than
+// selectScratchMax, whatever Quantiles was asked.
+func TestQuantilesPooledScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	qs := []float64{0, 1, 50, 95, 99.9, 100}
+	for _, n := range []int{selectScratchMax, 1, 7, selectScratchMax + 1, 1000, selectScratchMax - 1, 3} {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch rng.Intn(50) {
+			case 0:
+				xs[i] = math.NaN()
+			case 1:
+				xs[i] = xs[rng.Intn(i+1)] // a duplicate
+			default:
+				xs[i] = rng.NormFloat64()
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		got := Quantiles(xs, qs...)
+		for k, q := range qs {
+			if want := sorted[QuantileIndex(n, q)]; math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Fatalf("n=%d q=%g: %v, want %v as sorted", n, q, got[k], want)
+			}
+		}
+		for range 4 { // whatever the pool hands out, none is over the cap
+			p := selectScratch.Get().(*[]float64)
+			if cap(*p) > selectScratchMax {
+				t.Fatalf("after n=%d the pool holds a %d-element buffer, cap %d", n, cap(*p), selectScratchMax)
+			}
+			defer selectScratch.Put(p)
+		}
 	}
 }
