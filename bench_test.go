@@ -182,7 +182,7 @@ func BenchmarkOptimalDegree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := models.OptimalDegree(5000, core.Balanced()); err != nil {
+		if _, err := models.PlanFor(5000, core.Balanced()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkQoSPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := models.QoSPlan(c, qos, core.QoSOptions{}); err != nil {
+		if _, err := models.Answer(core.Request{C: c, Weights: core.Balanced(), QoSSec: qos}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -129,8 +129,13 @@ func httpGet(t *testing.T, url string, hdr map[string]string) (int, string, http
 }
 
 // TestServeE2E drives the built binary end to end: golden responses for
-// every /v1 endpoint, rate-limit shedding, and a lossless SIGTERM drain
-// with a request in flight.
+// every /v1 endpoint, rate-limit shedding, a /metrics scrape validated line
+// by line as Prometheus text (its family set pinned to
+// testdata/serve_metrics_types.golden.txt), request-ID echo and access-log
+// propagation, and a lossless SIGTERM drain with a request in flight (the
+// in-flight request completes, the process exits 0). On an intended model,
+// response-shape or telemetry-schema change, regenerate the goldens with
+// `go test ./cmd/propack -run TestServeE2E -update`.
 func TestServeE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary; skipped in -short")

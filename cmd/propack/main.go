@@ -212,7 +212,7 @@ func cmdAdvise(args []string) error {
 		// failure model just report the chosen degree.
 		fmt.Printf("\nrecommended packing degree at C=%d: %d (reliability-aware)\n", r.C, plan.Degree)
 	} else {
-		lo, hi, err := models.DegreeRange(r.C, plan.Weights, 0.02)
+		lo, hi, err := core.NewPlanner(models).DegreeRange(r.C, plan.Weights, 0.02)
 		if err != nil {
 			return err
 		}

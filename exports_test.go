@@ -1,162 +1,322 @@
 package propack
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestInternalExportsHaveCallers: production ships only what a caller runs.
-// Every exported top-level func, type, var and const declared in a non-test
-// file under internal/ must be used by non-test code other than its own
-// declaration — as a bare identifier in its package, or as pkg.Name in a file
-// that imports it. A name only tests reach belongs in a _test.go file, or
-// nowhere. (Methods are out of scope: an interface or a public re-export may
-// be their only caller.)
+// Every exported name declared in a non-test file under internal/ — a
+// top-level func, type, var or const, or a method — must be reached by
+// non-test code other than its own declaration. A name is reached when
+// non-test code uses it (a method: selects it, promoted or not). A method is
+// also reached when it implements a method of an interface that non-test
+// code uses, or one of the standard library's dynamic protocols, which are
+// matched by signature (fmt's String and Format, error's Error, errors.Is/As's
+// Unwrap, encoding's Marshal*). A name only tests reach belongs in a _test.go
+// file, or nowhere.
 func TestInternalExportsHaveCallers(t *testing.T) {
+	tr := loadTree(t)
+
+	type span struct{ from, to token.Pos }
+	declared := map[types.Object]span{} // exported internal names → their declaration
+	var methods []*types.Func
+	for dir, files := range tr.files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.IsExported() {
+						fn := tr.info.Defs[d.Name].(*types.Func)
+						declared[fn] = span{d.Pos(), d.End()}
+						if d.Recv != nil {
+							methods = append(methods, fn)
+						}
+					}
+				case *ast.GenDecl:
+					// Each spec is its own unit: a const may be used by the
+					// next one in its block.
+					for _, spec := range d.Specs {
+						var names []*ast.Ident
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{s.Name}
+						case *ast.ValueSpec:
+							names = s.Names
+						}
+						for _, id := range names {
+							if id.IsExported() {
+								declared[tr.info.Defs[id]] = span{spec.Pos(), spec.End()}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(declared) == 0 || len(methods) == 0 {
+		t.Fatal("found no exported name or method under internal/: the walk is out of step with the tree")
+	}
+
+	reached := map[types.Object]bool{}
+	for id, obj := range tr.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if s, ok := declared[obj]; ok && (id.Pos() < s.from || id.Pos() >= s.to) {
+			reached[obj] = true
+		}
+	}
+	ifaces := usedInterfaces(tr.info)
+	for _, fn := range methods {
+		if !reached[fn] && (isProtocol(fn) || implementsUsed(fn, ifaces)) {
+			reached[fn] = true
+		}
+	}
+
+	var unused []string
+	for obj := range declared {
+		if !reached[obj] {
+			name := obj.Name()
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				name = recvName(fn) + "." + name
+			}
+			unused = append(unused, tr.fset.Position(obj.Pos()).String()+": "+name)
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is exported but no non-test code reaches it", u)
+	}
+}
+
+// recvName is the name of a method's receiver base type.
+func recvName(fn *types.Func) string {
+	typ := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	if n, ok := typ.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return typ.String()
+}
+
+// protocols are the standard library's dynamic method protocols: methods it
+// finds by type assertion on an any, so no interface type in the caller's
+// code names them.
+var protocols = map[string]string{
+	"Error":         "func() string",
+	"String":        "func() string",
+	"Unwrap":        "func() error",
+	"Format":        "func(fmt.State, rune)",
+	"MarshalJSON":   "func() ([]byte, error)",
+	"MarshalText":   "func() ([]byte, error)",
+	"MarshalBinary": "func() ([]byte, error)",
+}
+
+func isProtocol(fn *types.Func) bool {
+	want, ok := protocols[fn.Name()]
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	bare := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+	return types.TypeString(bare, func(p *types.Package) string { return p.Path() }) == want
+}
+
+// implementsUsed reports whether fn's receiver type, or a pointer to it,
+// implements an interface in ifaces that has a method of fn's name.
+func implementsUsed(fn *types.Func, ifaces map[string][]*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, iface := range ifaces[fn.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// usedInterfaces indexes by method name every interface that non-test code
+// uses: the interfaces in the type of each expression, definition and use,
+// through composite types and signatures (sort.Sort's parameter is
+// sort.Interface), but not through a named type's fields.
+func usedInterfaces(info *types.Info) map[string][]*types.Interface {
+	seen := map[types.Type]bool{}
+	byName := map[string][]*types.Interface{}
+	var walk func(types.Type)
+	walk = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Named:
+			if iface, ok := typ.Underlying().(*types.Interface); ok {
+				walk(iface)
+			}
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				walk(typ.TypeArgs().At(i))
+			}
+		case *types.Alias:
+			walk(types.Unalias(typ))
+		case *types.Interface:
+			for i := 0; i < typ.NumMethods(); i++ {
+				name := typ.Method(i).Name()
+				byName[name] = append(byName[name], typ)
+			}
+		case *types.Pointer:
+			walk(typ.Elem())
+		case *types.Slice:
+			walk(typ.Elem())
+		case *types.Array:
+			walk(typ.Elem())
+		case *types.Chan:
+			walk(typ.Elem())
+		case *types.Map:
+			walk(typ.Key())
+			walk(typ.Elem())
+		case *types.Signature:
+			walk(typ.Params())
+			walk(typ.Results())
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				walk(typ.At(i).Type())
+			}
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				walk(typ.Field(i).Type())
+			}
+		case *types.TypeParam:
+			walk(typ.Constraint())
+		}
+	}
+	for _, tv := range info.Types {
+		walk(tv.Type)
+	}
+	for _, obj := range info.Defs {
+		if obj != nil {
+			walk(obj.Type())
+		}
+	}
+	for _, obj := range info.Uses {
+		walk(obj.Type())
+	}
+	return byName
+}
+
+// srcTree is the module's non-test code, type-checked from source: its own
+// packages by this importer, the standard library by go/importer's source
+// importer, so every package is checked once and types are shared.
+type srcTree struct {
+	fset   *token.FileSet
+	module string
+	std    types.Importer
+	info   *types.Info
+	files  map[string][]*ast.File // module-relative directory → its files
+	pkgs   map[string]*types.Package
+}
+
+// loadTree type-checks every package of the module with its non-test files.
+func loadTree(t *testing.T) *srcTree {
+	t.Helper()
+	tr := parseTree(t)
+	for dir := range tr.files {
+		if _, err := tr.check(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
+}
+
+// parseTree parses the non-test files of every package of the module; check
+// type-checks one package and what it imports.
+func parseTree(t *testing.T) *srcTree {
+	t.Helper()
 	modFile, err := os.ReadFile("go.mod")
 	if err != nil {
 		t.Fatal(err)
 	}
-	module := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(modFile), "\n", 2)[0], "module"))
-
-	type name struct{ dir, id string }
-	declared := map[name]token.Position{}
-	used := map[name]bool{}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
+	tr := &srcTree{
+		fset:   fset,
+		module: strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(modFile), "\n", 2)[0], "module")),
+		std:    importer.ForCompiler(fset, "source", nil),
+		info:   &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		files:  map[string][]*ast.File{},
+		pkgs:   map[string]*types.Package{},
+	}
+	err = filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if file != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
+		if dir != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		bp, err := build.Default.ImportDir(dir, 0)
 		if err != nil {
+			var none *build.NoGoError
+			if errors.As(err, &none) {
+				return nil
+			}
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		imports := map[string]string{} // local name → directory of a module package
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			rel, ok := strings.CutPrefix(p, module+"/")
-			if !ok {
-				continue
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
-			local := path.Base(rel)
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = rel
-		}
-		for _, unit := range declUnits(f) {
-			self := map[string]bool{}
-			for _, id := range unitNames(unit) {
-				self[id.Name] = true
-				if strings.HasPrefix(dir, "internal/") && id.IsExported() {
-					declared[name{dir, id.Name}] = fset.Position(id.Pos())
-				}
-			}
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if pkg, ok := imports[x.Name]; ok {
-							used[name{pkg, n.Sel.Name}] = true
-							return false
-						}
-					}
-					ast.Inspect(n.X, visit) // n.Sel is a field or method, not a package-level name
-					return false
-				case *ast.FuncDecl:
-					if n.Recv != nil {
-						ast.Inspect(n.Recv, visit)
-					}
-					ast.Inspect(n.Type, visit) // n.Name is the declaration itself
-					if n.Body != nil {
-						ast.Inspect(n.Body, visit)
-					}
-					return false
-				case *ast.Field:
-					ast.Inspect(n.Type, visit) // n.Names are fields, methods or parameters
-					return false
-				case *ast.Ident:
-					if !self[n.Name] {
-						used[name{dir, n.Name}] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(unit, visit)
+			tr.files[filepath.ToSlash(dir)] = append(tr.files[filepath.ToSlash(dir)], f)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(declared) == 0 {
-		t.Fatal("found no exported name under internal/: the walk is out of step with the tree")
-	}
-	var unused []string
-	for n, pos := range declared {
-		if !used[n] {
-			unused = append(unused, pos.String()+": "+n.id)
-		}
-	}
-	sort.Strings(unused)
-	for _, u := range unused {
-		t.Errorf("%s is exported but no non-test code uses it", u)
-	}
+	return tr
 }
 
-// declUnits splits a file's top-level declarations into the units whose
-// names count as declared together: each function, and each spec of a type,
-// var or const block (a const may be used by the next one in its block).
-func declUnits(f *ast.File) []ast.Node {
-	var units []ast.Node
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			units = append(units, decl)
-		case *ast.GenDecl:
-			if decl.Tok == token.IMPORT {
-				continue
-			}
-			for _, spec := range decl.Specs {
-				units = append(units, spec)
-			}
-		}
+func (tr *srcTree) Import(path string) (*types.Package, error) {
+	if path == tr.module {
+		return tr.check(".")
 	}
-	return units
+	if rel, ok := strings.CutPrefix(path, tr.module+"/"); ok {
+		return tr.check(rel)
+	}
+	return tr.std.Import(path)
 }
 
-// unitNames returns the package-level names a declaration unit declares:
-// a function's name (a method declares none), or a spec's names.
-func unitNames(unit ast.Node) []*ast.Ident {
-	switch unit := unit.(type) {
-	case *ast.FuncDecl:
-		if unit.Recv == nil {
-			return []*ast.Ident{unit.Name}
-		}
-	case *ast.TypeSpec:
-		return []*ast.Ident{unit.Name}
-	case *ast.ValueSpec:
-		return unit.Names
+// check type-checks the package in a module-relative directory, once.
+func (tr *srcTree) check(dir string) (*types.Package, error) {
+	if pkg, ok := tr.pkgs[dir]; ok {
+		return pkg, nil
 	}
-	return nil
+	path := tr.module
+	if dir != "." {
+		path += "/" + dir
+	}
+	conf := types.Config{Importer: tr}
+	pkg, err := conf.Check(path, tr.fset, tr.files[dir], tr.info)
+	if err != nil {
+		return nil, err
+	}
+	tr.pkgs[dir] = pkg
+	return pkg, nil
 }

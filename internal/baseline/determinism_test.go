@@ -2,13 +2,13 @@ package baseline
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -20,7 +20,7 @@ import (
 // worker count, and the recorder must see byte-identical JSONL output.
 func TestSweepDeterminismProperty(t *testing.T) {
 	apps := workload.Motivation()
-	meta := sim.NewRNG(80086)
+	meta := rand.New(rand.NewSource(80086))
 	for trial := 0; trial < 8; trial++ {
 		cfg := platform.AWSLambda()
 		w := apps[meta.Intn(len(apps))]

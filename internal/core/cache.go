@@ -130,12 +130,3 @@ func (sc *shardedCache) hit(e *cacheEntry) *GridTable {
 	<-e.ready
 	return e.v.Load()
 }
-
-// len reports the number of cached values (for tests and diagnostics).
-func (sc *shardedCache) len() int {
-	n := 0
-	for i := range sc.shards {
-		n += len(*sc.shards[i].read.Load())
-	}
-	return n
-}

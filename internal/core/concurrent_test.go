@@ -32,18 +32,19 @@ func TestConcurrentPlannerStress(t *testing.T) {
 		plans   map[int]Plan
 		qosDeg  map[int]int
 		optServ map[int]int
-		optExp  map[int]int
 	}
 	want := expected{
 		plans:   map[int]Plan{},
 		qosDeg:  map[int]int{},
 		optServ: map[int]int{},
-		optExp:  map[int]int{},
 	}
 	qosSec := func(c int) float64 {
 		// A comfortably feasible bound: the service-only optimum's tail.
-		deg := oracle.OptimalDegreeService(c)
-		return m.ServiceTimeQuantile(c, deg, 95) * 1.5
+		p, err := oracle.PlanFor(c, ServiceOnly())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.ServiceTimeQuantile(c, p.Degree, 95) * 1.5
 	}
 	for _, c := range concurrencies {
 		p, err := oracle.PlanFor(c, weights[0])
@@ -56,8 +57,7 @@ func TestConcurrentPlannerStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.qosDeg[c] = qp.Degree
-		want.optServ[c] = oracle.OptimalDegreeService(c)
-		want.optExp[c] = oracle.OptimalDegreeExpense(c)
+		want.optServ[c] = degreeFor(t, m, c, ServiceOnly())
 	}
 
 	shared := NewPlanner(m)
@@ -85,8 +85,9 @@ func TestConcurrentPlannerStress(t *testing.T) {
 						return
 					}
 				case 2:
-					if deg := shared.OptimalDegreeService(c); deg != want.optServ[c] {
-						t.Errorf("OptimalDegreeService(%d) = %d, want %d", c, deg, want.optServ[c])
+					p, err := shared.PlanFor(c, ServiceOnly())
+					if err != nil || p.Degree != want.optServ[c] {
+						t.Errorf("PlanFor(%d, ServiceOnly()) degree %d (%v), want %d", c, p.Degree, err, want.optServ[c])
 						return
 					}
 				case 3:
@@ -103,7 +104,7 @@ func TestConcurrentPlannerStress(t *testing.T) {
 	if got, wantN := shared.cache.Builds(), uint64(len(concurrencies)); got != wantN {
 		t.Fatalf("singleflight built %d tables for %d distinct concurrencies", got, wantN)
 	}
-	if got := shared.cache.Len(); got != len(concurrencies) {
+	if got := shared.cache.sc.len(); got != len(concurrencies) {
 		t.Fatalf("cache holds %d tables, want %d", got, len(concurrencies))
 	}
 }
@@ -156,7 +157,7 @@ func TestTableCacheShardedEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tc.Len(); got > capacity {
+	if got := tc.sc.len(); got > capacity {
 		t.Fatalf("cache grew to %d entries, capacity %d", got, capacity)
 	}
 	if builds := tc.Builds(); builds != uint64(10*capacity) {

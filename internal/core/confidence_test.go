@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -20,19 +21,20 @@ func TestConfidenceForRealSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every interval must contain its own point estimate.
-	if !conf.Alpha.Contains(models.ET.Alpha) {
+	contains := func(ci stats.CI, v float64) bool { return v >= ci.Lo && v <= ci.Hi }
+	if !contains(conf.Alpha, models.ET.Alpha) {
 		t.Fatalf("α %g outside its CI %v", models.ET.Alpha, conf.Alpha)
 	}
-	if !conf.Intercept.Contains(models.ET.Intercept) {
+	if !contains(conf.Intercept, models.ET.Intercept) {
 		t.Fatalf("intercept %g outside %v", models.ET.Intercept, conf.Intercept)
 	}
-	if !conf.B1.Contains(models.Scaling.B1) {
+	if !contains(conf.B1, models.Scaling.B1) {
 		t.Fatalf("β1 %g outside %v", models.Scaling.B1, conf.B1)
 	}
-	if !conf.B2.Contains(models.Scaling.B2) {
+	if !contains(conf.B2, models.Scaling.B2) {
 		t.Fatalf("β2 %g outside %v", models.Scaling.B2, conf.B2)
 	}
-	if !conf.B3.Contains(models.Scaling.B3) {
+	if !contains(conf.B3, models.Scaling.B3) {
 		t.Fatalf("β3 %g outside %v", models.Scaling.B3, conf.B3)
 	}
 	// α is well pinned by 20 samples × 3 trials of 1.5% jitter: the

@@ -38,36 +38,12 @@ type entryPoint struct {
 func fixedSizeEntryPoints() []entryPoint {
 	const qos = 1e6 // a bound every valid model meets
 	return []entryPoint{
-		{"Models.OptimalDegree", "mwc", func(in entryInputs) error {
-			_, err := in.m.OptimalDegree(in.c, in.w)
-			return err
-		}},
-		{"Models.OptimalDegreeForQuantile", "mwcq", func(in entryInputs) error {
-			_, err := in.m.OptimalDegreeForQuantile(in.c, in.q, in.w)
-			return err
-		}},
-		{"Models.OptimalDegreeConstrained", "mwci", func(in entryInputs) error {
-			_, err := in.m.OptimalDegreeConstrained(in.c, in.w, in.maxInst)
-			return err
-		}},
 		{"Models.PlanFor", "mwc", func(in entryInputs) error {
 			_, err := in.m.PlanFor(in.c, in.w)
 			return err
 		}},
-		{"Models.DegreeRange", "mwc", func(in entryInputs) error {
-			_, _, err := in.m.DegreeRange(in.c, in.w, 0.02)
-			return err
-		}},
 		{"Models.TailServiceAt", "mwc", func(in entryInputs) error {
 			_, err := in.m.TailServiceAt(in.c, in.w, 95)
-			return err
-		}},
-		{"Models.QoSWeights", "mc", func(in entryInputs) error {
-			_, err := in.m.QoSWeights(in.c, qos, QoSOptions{})
-			return err
-		}},
-		{"Models.QoSPlan", "mc", func(in entryInputs) error {
-			_, _, err := in.m.QoSPlan(in.c, qos, QoSOptions{})
 			return err
 		}},
 		{"NewDegreeTable", "mc", func(in entryInputs) error {
@@ -76,10 +52,6 @@ func fixedSizeEntryPoints() []entryPoint {
 		}},
 		{"NewTableCache.Table", "mc", func(in entryInputs) error {
 			_, err := NewTableCache(in.m, 0).Table(in.c)
-			return err
-		}},
-		{"Planner.OptimalDegree", "mwc", func(in entryInputs) error {
-			_, err := NewPlanner(in.m).OptimalDegree(in.c, in.w)
 			return err
 		}},
 		{"Planner.OptimalDegreeForQuantile", "mwcq", func(in entryInputs) error {
@@ -100,10 +72,6 @@ func fixedSizeEntryPoints() []entryPoint {
 		}},
 		{"Planner.TailServiceAt", "mwc", func(in entryInputs) error {
 			_, err := NewPlanner(in.m).TailServiceAt(in.c, in.w, 95)
-			return err
-		}},
-		{"Planner.QoSWeights", "mc", func(in entryInputs) error {
-			_, err := NewPlanner(in.m).QoSWeights(in.c, qos, QoSOptions{})
 			return err
 		}},
 		{"Planner.QoSPlan", "mc", func(in entryInputs) error {
@@ -163,56 +131,17 @@ func TestFixedSizeEntryPointErrorText(t *testing.T) {
 	// QoS entry points judge the bound and options before the models.
 	bad := stressModels()
 	bad.MaxDegree = 0
-	if _, _, err := bad.QoSPlan(0, 0, QoSOptions{}); errStr(err) != "core: non-positive QoS bound 0" {
-		t.Errorf("Models.QoSPlan precedence: %v", err)
+	if _, _, err := NewPlanner(bad).QoSPlan(0, 0, QoSOptions{}); errStr(err) != "core: non-positive QoS bound 0" {
+		t.Errorf("Planner.QoSPlan bound precedence: %v", err)
 	}
 	if _, _, err := NewPlanner(bad).QoSPlan(0, 10, QoSOptions{TailQuantile: 120}); errStr(err) != "core: tail quantile 120 outside (0,100]" {
 		t.Errorf("Planner.QoSPlan precedence: %v", err)
 	}
-	if _, err := stressModels().QoSWeights(5000, 1e-6, QoSOptions{}); errStr(err) != "core: no weighting satisfies the QoS bound: bound 1e-06s at concurrency 5000" {
+	if _, _, err := NewPlanner(stressModels()).QoSPlan(5000, 1e-6, QoSOptions{}); errStr(err) != "core: no weighting satisfies the QoS bound: bound 1e-06s at concurrency 5000" {
 		t.Errorf("infeasible QoS bound: %v", err)
 	}
-	if _, _, err := stressModels().DegreeRange(0, Balanced(), -1); errStr(err) != "core: negative tolerance -1" {
+	if _, _, err := NewPlanner(stressModels()).DegreeRange(0, Balanced(), -1); errStr(err) != "core: negative tolerance -1" {
 		t.Errorf("DegreeRange precedence: %v", err)
-	}
-}
-
-// TestSingleObjectivePanicContracts pins the two panic contracts of the
-// error-less single-objective optima: the Models methods panic only on an
-// empty degree range, the Planner methods panic with the validation error.
-func TestSingleObjectivePanicContracts(t *testing.T) {
-	panicOf := func(f func()) (v any) {
-		defer func() { v = recover() }()
-		f()
-		return nil
-	}
-	empty := stressModels()
-	empty.MaxDegree = 0
-	for name, f := range map[string]func(){
-		"Models.OptimalDegreeService": func() { empty.OptimalDegreeService(100) },
-		"Models.OptimalDegreeExpense": func() { empty.OptimalDegreeExpense(100) },
-	} {
-		if got := panicOf(f); got != "core: degree table over empty degree range" {
-			t.Errorf("%s on an empty degree range panicked with %v", name, got)
-		}
-	}
-	// Only the degree range matters to the Models methods.
-	if got := panicOf(func() { stressModels().OptimalDegreeService(0) }); got != nil {
-		t.Errorf("Models.OptimalDegreeService(0) panicked: %v", got)
-	}
-	for name, tc := range map[string]struct {
-		f    func()
-		want string
-	}{
-		"Planner.OptimalDegreeService invalid models": {func() { NewPlanner(empty).OptimalDegreeService(100) }, "core: max packing degree 0 < 1"},
-		"Planner.OptimalDegreeExpense invalid models": {func() { NewPlanner(empty).OptimalDegreeExpense(100) }, "core: max packing degree 0 < 1"},
-		"Planner.OptimalDegreeService c=0":            {func() { NewPlanner(stressModels()).OptimalDegreeService(0) }, "core: concurrency 0 < 1"},
-		"Planner.OptimalDegreeExpense c=0":            {func() { NewPlanner(stressModels()).OptimalDegreeExpense(0) }, "core: concurrency 0 < 1"},
-	} {
-		err, ok := panicOf(tc.f).(error)
-		if !ok || err.Error() != tc.want {
-			t.Errorf("%s: panic value %v, want error %q", name, err, tc.want)
-		}
 	}
 }
 
@@ -241,11 +170,8 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 
 	qos := func(qosSec float64, opts QoSOptions) map[string]func() error {
 		return map[string]func() error{
-			"Models.QoSPlan":          func() error { _, _, err := m.QoSPlan(c, qosSec, opts); return err },
-			"Models.QoSWeights":       func() error { _, err := m.QoSWeights(c, qosSec, opts); return err },
-			"Planner.QoSPlan":         func() error { _, _, err := pl.QoSPlan(c, qosSec, opts); return err },
-			"GridModels.QoSPlanJoint": func() error { _, _, err := stressGrid().QoSPlanJoint(c, qosSec, opts); return err },
-			"Planner.QoSPlanJoint":    func() error { _, _, err := jpl.QoSPlanJoint(c, qosSec, opts); return err },
+			"Planner.QoSPlan":      func() error { _, _, err := pl.QoSPlan(c, qosSec, opts); return err },
+			"Planner.QoSPlanJoint": func() error { _, _, err := jpl.QoSPlanJoint(c, qosSec, opts); return err },
 		}
 	}
 	type boundaryCase struct {
@@ -260,10 +186,7 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 			"Planner.PlanJointFor": func() error { _, err := jpl.PlanJointFor(c, Weights{1, nan}); return err },
 		}},
 		{"NaN quantile", map[string]func() error{
-			"Models.OptimalDegreeForQuantile":  func() error { _, err := m.OptimalDegreeForQuantile(c, nan, w); return err },
 			"Planner.OptimalDegreeForQuantile": func() error { _, err := pl.OptimalDegreeForQuantile(c, nan, w); return err },
-			"GridModels.OptimalConfig":         func() error { _, err := stressGrid().OptimalConfig(c, nan, w); return err },
-			"Planner.OptimalConfig":            func() error { _, err := jpl.OptimalConfig(c, nan, w); return err },
 		}},
 	}
 	for _, q := range []float64{500, -5, 0, nan} {
@@ -307,7 +230,7 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 		t.Errorf("cached row grew from %d to %d quantile columns on rejected inputs", columns, got)
 	}
 	// The finest step under the cap still searches.
-	if _, _, err := m.QoSPlan(c, 1e6, QoSOptions{Step: 1e-5}); err != nil {
+	if _, _, err := pl.QoSPlan(c, 1e6, QoSOptions{Step: 1e-5}); err != nil {
 		t.Errorf("step 1e-5 rejected: %v", err)
 	}
 }

@@ -65,12 +65,6 @@ func (g GridModels) MemSizesMB() []float64 {
 	return out
 }
 
-// JointConfig is a chosen (packing degree, memory size) cell.
-type JointConfig struct {
-	Degree int
-	MemMB  float64
-}
-
 // JointPlan is a Plan extended with the chosen memory size. The embedded
 // Plan's baseline is degree 1 at the grid's largest memory size — the
 // deployment a user who tunes nothing would run.
@@ -146,9 +140,6 @@ func (t *GridTable) addRow(memMB float64, dt *DegreeTable) {
 	}
 	t.sizes = append(t.sizes, gs)
 }
-
-// NumSizes returns the number of memory sizes in the grid.
-func (t *GridTable) NumSizes() int { return len(t.sizes) }
 
 // Size returns the i-th memory size's DegreeTable, for callers that scan
 // cells themselves (sweeps, the serve daemon's per-size reporting).
@@ -373,49 +364,21 @@ func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) 
 	return bestSi, bestDeg
 }
 
-// argminService is the joint Eq. 3 argmin (first-wins across the size-major
-// enumeration).
-func (t *GridTable) argminService() (si, deg int) {
-	return t.argminColumnJoint(func(gs *gridSize) []float64 { return gs.t.service })
-}
-
-// argminExpense is the joint Eq. 4 argmin.
-func (t *GridTable) argminExpense() (si, deg int) {
-	return t.argminColumnJoint(func(gs *gridSize) []float64 { return gs.t.expense })
-}
-
-func (t *GridTable) argminColumnJoint(col func(*gridSize) []float64) (si, deg int) {
-	bestSi, bestDeg, bestVal := 0, 1, col(&t.sizes[0])[0]
-	for i := range t.sizes {
-		vals := col(&t.sizes[i])
-		for j, v := range vals {
-			if v < bestVal {
-				bestSi, bestDeg, bestVal = i, j+1, v
-			}
-		}
-	}
-	return bestSi, bestDeg
-}
-
-// cell names the (degree, memory size) of a chosen cell.
-func (t *GridTable) cell(si, deg int) JointConfig {
-	return JointConfig{Degree: deg, MemMB: t.sizes[si].memMB}
-}
-
-// constrainedJoint is the Eq. 7 argmin restricted to cells whose instance
+// constrainedDegree is the Eq. 7 argmin restricted to cells whose instance
 // count stays within maxInstances (≤ 0 means unconstrained), with the regret
 // baselines (Eqs. 5–6) taken over the same restricted range. The
 // infeasibility error quotes the widest degree range across sizes.
-func (t *GridTable) constrainedJoint(w Weights, maxInstances int) (JointConfig, error) {
+func (t *GridTable) constrainedDegree(w Weights, maxInstances int) (int, error) {
 	minDegree := 1
 	if maxInstances > 0 {
 		minDegree = (t.c + maxInstances - 1) / maxInstances
 		if minDegree > t.maxDegreeAny() {
-			return JointConfig{}, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
+			return 0, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
 				t.c, maxInstances, t.maxDegreeAny())
 		}
 	}
-	return t.cell(t.argminJoint(100, minDegree, w)), nil
+	_, deg := t.argminJoint(100, minDegree, w)
+	return deg, nil
 }
 
 // plan materializes the JointPlan for a chosen cell from memoized
@@ -466,55 +429,6 @@ func (t *GridTable) degreeRange(w Weights, tol float64) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// --- GridModels entry points -------------------------------------------------
-
-// OptimalConfig is the joint Eq. 7 argmin at service quantile q: the
-// (degree, memory size) cell minimizing the weighted regret sum, with the
-// Eqs. 5–6 baselines taken over the whole grid.
-func (g GridModels) OptimalConfig(c int, q float64, w Weights) (JointConfig, error) {
-	return g.direct().OptimalConfig(c, q, w)
-}
-
-// OptimalConfigService is the joint Eq. 3 argmin: the cell minimizing
-// modeled total service time.
-func (g GridModels) OptimalConfigService(c int) JointConfig {
-	t := newGridTable(g, c)
-	return t.cell(t.argminService())
-}
-
-// OptimalConfigExpense is the joint Eq. 4 argmin: the cell minimizing
-// modeled expense.
-func (g GridModels) OptimalConfigExpense(c int) JointConfig {
-	t := newGridTable(g, c)
-	return t.cell(t.argminExpense())
-}
-
-// OptimalConfigConstrained is OptimalConfig restricted to cells whose
-// instance count stays within maxInstances. maxInstances ≤ 0 means
-// unconstrained.
-func (g GridModels) OptimalConfigConstrained(c int, w Weights, maxInstances int) (JointConfig, error) {
-	return g.direct().OptimalConfigConstrained(c, w, maxInstances)
-}
-
-// PlanJointFor computes the full joint recommendation at concurrency c.
-func (g GridModels) PlanJointFor(c int, w Weights) (JointPlan, error) {
-	return g.direct().PlanJointFor(c, w)
-}
-
-// QoSWeightsJoint is Eq. 9 over the grid: the smallest W_S whose joint
-// recommendation keeps the modeled tail service time within qosSec.
-func (g GridModels) QoSWeightsJoint(c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	_, w, err := g.direct().QoSPlanJoint(c, qosSec, opts)
-	return w, err
-}
-
-// QoSPlanJoint recommends a (degree, memory size) cell that jointly
-// optimizes service time and expense while keeping the modeled tail latency
-// within qosSec. The weight search and the final plan share one grid table.
-func (g GridModels) QoSPlanJoint(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
-	return g.direct().QoSPlanJoint(c, qosSec, opts)
 }
 
 // --- Grid profiling ----------------------------------------------------------

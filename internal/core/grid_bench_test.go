@@ -30,7 +30,7 @@ func BenchmarkGridTableBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := newGridTable(g, 5000)
-		if t.NumSizes() != len(g.Sizes) {
+		if len(t.sizes) != len(g.Sizes) {
 			b.Fatal("bad table")
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkGridArgmin(b *testing.B) {
 	t := newGridTable(benchGrid(), 5000)
 	w := Balanced()
 	t.Size(0).quantile(95) // warm the lazy quantile columns once per size
-	for i := 1; i < t.NumSizes(); i++ {
+	for i := 1; i < len(t.sizes); i++ {
 		t.Size(i).quantile(95)
 	}
 	b.Run("pruned", func(b *testing.B) {

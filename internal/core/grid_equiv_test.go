@@ -92,44 +92,34 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewJointPlanner: %v", trial, err)
 		}
+		pl := NewPlanner(m)
 
-		// Single-objective optima.
-		if got, want := g.OptimalConfigService(c), m.OptimalDegreeService(c); got.Degree != want || got.MemMB != memMB {
-			t.Fatalf("trial %d: OptimalConfigService=%+v, 1-D degree=%d", trial, got, want)
-		}
-		if got, want := g.OptimalConfigExpense(c), m.OptimalDegreeExpense(c); got.Degree != want || got.MemMB != memMB {
-			t.Fatalf("trial %d: OptimalConfigExpense=%+v, 1-D degree=%d", trial, got, want)
-		}
-
-		// The weighted argmin at a quantile.
-		gotCfg, gotErr := g.OptimalConfig(c, q, w)
-		wantDeg, wantErr := m.OptimalDegreeForQuantile(c, q, w)
-		if errStr(gotErr) != errStr(wantErr) || gotCfg.Degree != wantDeg {
-			t.Fatalf("trial %d: OptimalConfig=(%+v,%v), 1-D=(%d,%v)", trial, gotCfg, gotErr, wantDeg, wantErr)
-		}
-
-		// The full plan.
-		jointPlan, planErr := g.PlanJointFor(c, w)
+		// The full plan, through Answer and the cached joint planner.
+		sizes := []float64{memMB}
 		wantPlan, wantErr := m.PlanFor(c, w)
+		jointPlan, planErr := g.Answer(Request{C: c, Weights: w, SizesMB: sizes})
 		if errStr(planErr) != errStr(wantErr) || !planEq(jointPlan.Plan, wantPlan) || (planErr == nil && jointPlan.MemMB != memMB) {
-			t.Fatalf("trial %d: PlanJointFor=(%+v,%v), 1-D=(%+v,%v)", trial, jointPlan, planErr, wantPlan, wantErr)
+			t.Fatalf("trial %d: GridModels.Answer=(%+v,%v), 1-D=(%+v,%v)", trial, jointPlan, planErr, wantPlan, wantErr)
+		}
+		if answer, err := m.Answer(Request{C: c, Weights: w}); errStr(err) != errStr(wantErr) || !planEq(answer.Plan, wantPlan) {
+			t.Fatalf("trial %d: Models.Answer=(%+v,%v), Models.PlanFor=(%+v,%v)", trial, answer, err, wantPlan, wantErr)
 		}
 
-		// Constrained, across feasible and infeasible instance caps.
-		maxInst := r.Intn(2*c) - c/2
-		gotCfg, gotErr = g.OptimalConfigConstrained(c, w, maxInst)
-		wantDeg, wantErr = m.OptimalDegreeConstrained(c, w, maxInst)
-		if errStr(gotErr) != errStr(wantErr) || (gotErr == nil && gotCfg.Degree != wantDeg) {
-			t.Fatalf("trial %d: Constrained=(%+v,%v), 1-D=(%d,%v) (maxInst=%d)",
-				trial, gotCfg, gotErr, wantDeg, wantErr, maxInst)
+		// The argmin at another quantile, at the joint planner's base size.
+		gotDeg, gotErr := jpl.OptimalDegreeForQuantile(c, q, w)
+		wantDeg, wantErr := pl.OptimalDegreeForQuantile(c, q, w)
+		if errStr(gotErr) != errStr(wantErr) || gotDeg != wantDeg {
+			t.Fatalf("trial %d: joint planner ForQuantile=(%d,%v), 1-D=(%d,%v)", trial, gotDeg, gotErr, wantDeg, wantErr)
 		}
 
 		// QoS: aim bounds across the feasibility spectrum, as the 1-D
 		// equivalence suite does.
 		opts := QoSOptions{Step: []float64{0, 0.05, 0.25, 0.7, 1}[trial%5]}
 		tailQ := 95.0
-		lo := m.ServiceTimeQuantile(c, m.OptimalDegreeService(c), tailQ)
-		hi := m.ServiceTimeQuantile(c, m.OptimalDegreeExpense(c), tailQ)
+		bestDeg, _ := naiveArgminColumn(g, c, Models.ServiceTime)
+		worstDeg, _ := naiveArgminColumn(g, c, Models.Expense)
+		lo := m.ServiceTimeQuantile(c, bestDeg, tailQ)
+		hi := m.ServiceTimeQuantile(c, worstDeg, tailQ)
 		qos := lo*0.5 + r.Float64()*(hi*1.5-lo*0.5)
 		if !(qos > 0) {
 			qos = lo + 1
@@ -137,24 +127,26 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 		if !(qos > 0) {
 			qos = 1
 		}
-		qosJP, qosW, qosErr := g.QoSPlanJoint(c, qos, opts)
-		wantP, wantW, wantErr := m.QoSPlan(c, qos, opts)
-		if errStr(qosErr) != errStr(wantErr) || qosW != wantW || !planEq(qosJP.Plan, wantP) {
-			t.Fatalf("trial %d: QoSPlanJoint=(%+v,%+v,%v), 1-D=(%+v,%+v,%v) (qos=%g)",
-				trial, qosJP, qosW, qosErr, wantP, wantW, wantErr, qos)
+		wantP, wantW, wantErr := pl.QoSPlan(c, qos, opts)
+		if opts == (QoSOptions{}) && !math.IsInf(qos, 1) { // a Request's bound is finite
+			qosJP, qosErr := g.Answer(Request{C: c, Weights: w, QoSSec: qos, SizesMB: sizes})
+			if errStr(qosErr) != errStr(wantErr) || (qosErr == nil && (qosJP.Weights != wantW || !planEq(qosJP.Plan, wantP))) {
+				t.Fatalf("trial %d: GridModels.Answer with a bound=(%+v,%v), 1-D=(%+v,%+v,%v) (qos=%g)",
+					trial, qosJP, qosErr, wantP, wantW, wantErr, qos)
+			}
 		}
 
 		// The cached Planner path must agree verbatim, first call and hit.
 		for pass := 0; pass < 2; pass++ {
 			pPlan, pErr := jpl.PlanJointFor(c, w)
 			if errStr(pErr) != errStr(planErr) || !jointPlanEq(pPlan, jointPlan) {
-				t.Fatalf("trial %d pass %d: Planner.PlanJointFor=(%+v,%v), GridModels=(%+v,%v)",
+				t.Fatalf("trial %d pass %d: Planner.PlanJointFor=(%+v,%v), GridModels.Answer=(%+v,%v)",
 					trial, pass, pPlan, pErr, jointPlan, planErr)
 			}
 			pJP, pW, pqErr := jpl.QoSPlanJoint(c, qos, opts)
-			if errStr(pqErr) != errStr(qosErr) || pW != qosW || !jointPlanEq(pJP, qosJP) {
-				t.Fatalf("trial %d pass %d: Planner.QoSPlanJoint=(%+v,%+v,%v), GridModels=(%+v,%+v,%v)",
-					trial, pass, pJP, pW, pqErr, qosJP, qosW, qosErr)
+			if errStr(pqErr) != errStr(wantErr) || pW != wantW || !planEq(pJP.Plan, wantP) || (pqErr == nil && pJP.MemMB != memMB) {
+				t.Fatalf("trial %d pass %d: Planner.QoSPlanJoint=(%+v,%+v,%v), 1-D=(%+v,%+v,%v)",
+					trial, pass, pJP, pW, pqErr, wantP, wantW, wantErr)
 			}
 		}
 	}
@@ -255,7 +247,11 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 			step = 0.05
 		}
 		want, wantErr := naiveQoSJoint(gt, qos, tailQ, step)
-		got, gotErr := g.QoSWeightsJoint(c, qos, opts)
+		jpl, err := NewJointPlanner(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, got, gotErr := jpl.QoSPlanJoint(c, qos, opts)
 		if errStr(gotErr) != errStr(wantErr) {
 			t.Fatalf("trial %d: error mismatch: got %v, naive %v (qos=%g c=%d step=%g grid=%+v)",
 				trial, gotErr, wantErr, qos, c, opts.Step, g)
@@ -268,18 +264,21 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 		}
 		feasible++
 		if got != want {
-			t.Fatalf("trial %d: QoSWeightsJoint=%+v, naive=%+v (qos=%g c=%d step=%g)",
+			t.Fatalf("trial %d: QoSPlanJoint weights=%+v, naive=%+v (qos=%g c=%d step=%g)",
 				trial, got, want, qos, c, opts.Step)
 		}
 
-		// The plan must be the joint plan at exactly those weights.
-		plan, pw, err := g.QoSPlanJoint(c, qos, opts)
-		if err != nil || pw != want {
-			t.Fatalf("trial %d: QoSPlanJoint weights=%+v (%v), want %+v", trial, pw, err, want)
-		}
+		// The plan must be the joint plan at exactly those weights, and
+		// Answer must ask the same question.
 		si, deg := gt.argminJointExact(100, 1, want)
 		if wantPlan := gt.plan(si, deg, want); !jointPlanEq(plan, wantPlan) {
 			t.Fatalf("trial %d: QoSPlanJoint plan=%+v, oracle=%+v", trial, plan, wantPlan)
+		}
+		if opts == (QoSOptions{}) && !math.IsInf(qos, 1) { // a Request's bound is finite
+			answer, err := g.Answer(Request{C: c, Weights: Balanced(), QoSSec: qos, SizesMB: g.MemSizesMB()})
+			if err != nil || !jointPlanEq(answer, plan) {
+				t.Fatalf("trial %d: GridModels.Answer=%+v (%v), QoSPlanJoint=%+v", trial, answer, err, plan)
+			}
 		}
 	}
 	if feasible == 0 {
@@ -381,16 +380,6 @@ func TestPlanJointAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("Planner.PlanJointFor allocates %.0f objects per call in steady state, want 0", got)
-	}
-	if _, err := pl.OptimalConfig(5000, 100, w); err != nil {
-		t.Fatal(err)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		if _, err := pl.OptimalConfig(5000, 100, w); err != nil {
-			t.Error(err)
-		}
-	}); got != 0 {
-		t.Errorf("Planner.OptimalConfig allocates %.0f objects per call in steady state, want 0", got)
 	}
 }
 

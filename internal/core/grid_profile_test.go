@@ -183,7 +183,7 @@ func TestBuildGridModelsSimEndToEnd(t *testing.T) {
 	if small.MaxDegree > large.MaxDegree {
 		t.Fatalf("degree cap shrank with memory: %d vs %d", small.MaxDegree, large.MaxDegree)
 	}
-	plan, err := g.PlanJointFor(5000, Balanced())
+	plan, err := g.Answer(Request{C: 5000, Weights: Balanced(), SizesMB: g.MemSizesMB()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -496,11 +496,11 @@ func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []he
 // the other apps (used only to bound the combinatorial walk).
 func bestSoloDegree(a App, maxDeg int, opts MixedPlanOptions) int {
 	m := Models{ET: a.ET, Scaling: opts.Scaling, RatePerInstanceSec: opts.RatePerInstanceSec, MaxDegree: maxDeg}
-	deg, err := m.OptimalDegree(a.Count, opts.Weights)
+	plan, err := m.PlanFor(a.Count, opts.Weights)
 	if err != nil {
 		return 1
 	}
-	return deg
+	return plan.Degree
 }
 
 // segregatedBins materializes per-application bins at the given degrees.

@@ -194,12 +194,21 @@ func TestOptimizerInvariantsProperty(t *testing.T) {
 			MaxDegree:          30,
 		}
 		for _, c := range []int{200, 1000, 5000} {
-			dj, err := m.OptimalDegree(c, Balanced())
-			if err != nil || dj < 1 || dj > m.MaxDegree {
+			degree := func(w Weights) int {
+				plan, err := m.PlanFor(c, w)
+				if err != nil {
+					return 0
+				}
+				return plan.Degree
+			}
+			dj := degree(Balanced())
+			if dj < 1 || dj > m.MaxDegree {
 				return false
 			}
-			ds := m.OptimalDegreeService(c)
-			de := m.OptimalDegreeExpense(c)
+			ds, de := degree(ServiceOnly()), degree(ExpenseOnly())
+			if ds < 1 || de < 1 {
+				return false
+			}
 			lo, hi := ds, de
 			if lo > hi {
 				lo, hi = hi, lo

@@ -61,43 +61,6 @@ func checkQuantile(q float64) error {
 	return nil
 }
 
-// OptimalDegreeService is Eq. 3: the packing degree minimizing modeled
-// total service time at concurrency c.
-func (m Models) OptimalDegreeService(c int) int {
-	_, deg := newRowTable(m, FailureModel{}, c).argminService()
-	return deg
-}
-
-// OptimalDegreeExpense is Eq. 4: the packing degree minimizing modeled
-// expense at concurrency c.
-func (m Models) OptimalDegreeExpense(c int) int {
-	_, deg := newRowTable(m, FailureModel{}, c).argminExpense()
-	return deg
-}
-
-// OptimalDegree is Eq. 7: the packing degree minimizing the weighted sum of
-// fractional regrets from the two single-objective optima (Eqs. 5–6).
-func (m Models) OptimalDegree(c int, w Weights) (int, error) {
-	return m.OptimalDegreeForQuantile(c, 100, w)
-}
-
-// OptimalDegreeForQuantile is Eq. 7 with the service objective replaced by
-// the q-th percentile service time — ProPack "predicts different packing
-// degrees that jointly minimize total, tail, and median service times"
-// (Sec. 3); q=100 is the total, 95 the tail, 50 the median.
-func (m Models) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, error) {
-	return m.direct().OptimalDegreeForQuantile(c, q, w)
-}
-
-// OptimalDegreeConstrained is Eq. 7 restricted to packing degrees whose
-// instance count stays within maxInstances — planning against an
-// account-level concurrency limit so the burst never throttles.
-// maxInstances ≤ 0 means unconstrained. It returns an error if even the
-// maximum degree spawns too many instances.
-func (m Models) OptimalDegreeConstrained(c int, w Weights, maxInstances int) (int, error) {
-	return m.direct().OptimalDegreeConstrained(c, w, maxInstances)
-}
-
 // Plan is ProPack's recommendation for running an application at a
 // concurrency level.
 type Plan struct {
@@ -112,5 +75,7 @@ type Plan struct {
 	BaselineExpenseUSD float64
 }
 
-// PlanFor computes the full recommendation at concurrency c.
+// PlanFor is Eq. 7's recommendation at concurrency c: the packing degree
+// minimizing the weighted sum of fractional regrets from the two
+// single-objective optima (Eqs. 5–6), with its predictions.
 func (m Models) PlanFor(c int, w Weights) (Plan, error) { return m.direct().PlanFor(c, w) }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -19,6 +22,16 @@ func TestWeightsValidate(t *testing.T) {
 	}
 }
 
+// degreeFor is the Eq. 7 packing degree of m's plan at c.
+func degreeFor(t *testing.T, m Models, c int, w Weights) int {
+	t.Helper()
+	plan, err := m.PlanFor(c, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Degree
+}
+
 func TestOptimalDegreeBruteForceAgreement(t *testing.T) {
 	m := synthModels()
 	for _, c := range []int{500, 1000, 2000, 5000} {
@@ -33,10 +46,10 @@ func TestOptimalDegreeBruteForceAgreement(t *testing.T) {
 				bruteE, bruteEVal = p, e
 			}
 		}
-		if got := m.OptimalDegreeService(c); got != bruteS {
+		if got := degreeFor(t, m, c, ServiceOnly()); got != bruteS {
 			t.Fatalf("C=%d: service degree %d, brute force %d", c, got, bruteS)
 		}
-		if got := m.OptimalDegreeExpense(c); got != bruteE {
+		if got := degreeFor(t, m, c, ExpenseOnly()); got != bruteE {
 			t.Fatalf("C=%d: expense degree %d, brute force %d", c, got, bruteE)
 		}
 	}
@@ -48,10 +61,7 @@ func TestOptimalDegreeIncreasesWithConcurrency(t *testing.T) {
 	m := synthModels()
 	prev := 0
 	for _, c := range []int{500, 1000, 2000, 5000} {
-		deg, err := m.OptimalDegree(c, Balanced())
-		if err != nil {
-			t.Fatal(err)
-		}
+		deg := degreeFor(t, m, c, Balanced())
 		if deg < prev {
 			t.Fatalf("optimal degree decreased with concurrency: %d at C=%d after %d", deg, c, prev)
 		}
@@ -67,12 +77,9 @@ func TestJointDegreeBetweenSingleObjectiveOptima(t *testing.T) {
 	// service-only and expense-only optima.
 	m := synthModels()
 	c := 5000
-	ds := m.OptimalDegreeService(c)
-	de := m.OptimalDegreeExpense(c)
-	dj, err := m.OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := degreeFor(t, m, c, ServiceOnly())
+	de := degreeFor(t, m, c, ExpenseOnly())
+	dj := degreeFor(t, m, c, Balanced())
 	lo, hi := ds, de
 	if lo > hi {
 		lo, hi = hi, lo
@@ -82,36 +89,112 @@ func TestJointDegreeBetweenSingleObjectiveOptima(t *testing.T) {
 	}
 }
 
+// TestWeightExtremesMatchSingleObjectives: Eqs. 3 and 4 are Eq. 7 at the
+// extreme weights. PlanFor and Answer at ServiceOnly() and ExpenseOnly()
+// must pick the cell the naive single-objective scan picks
+// (naiveArgminColumn) — the degree-only entry points on each size's models,
+// the joint ones over the whole grid — on the paper fixture, the stress
+// fixtures, and random multi-size grids. Fig 15's ProPack columns are these
+// plans.
+//
+// The identity needs finite regrets. Eq. 7 multiplies the other objective's
+// regret by a zero weight, and 0·Inf and 0·NaN are NaN, so on a stack whose
+// service or expense is non-finite somewhere or whose minimum is zero
+// (randSizeModels' degenerate rows) the extreme-weight plan is Eq. 7's —
+// which TestGridArgminPrunedMatchesExact holds to the exhaustive scan — and
+// mostly not Eq. 3's or 4's. Fig 15's fitted stacks are not degenerate (its
+// table is unchanged); those random grids are counted, not compared.
 func TestWeightExtremesMatchSingleObjectives(t *testing.T) {
-	m := synthModels()
-	c := 3000
-	dj, err := m.OptimalDegree(c, ServiceOnly())
-	if err != nil {
-		t.Fatal(err)
+	extremes := []struct {
+		w   Weights
+		col func(m Models, c, degree int) float64
+	}{{ServiceOnly(), Models.ServiceTime}, {ExpenseOnly(), Models.Expense}}
+	check := func(name string, g GridModels, c int) {
+		t.Helper()
+		jpl, err := NewJointPlanner(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, x := range extremes {
+			wantDeg, wantMB := naiveArgminColumn(g, c, x.col)
+			joint, err := jpl.PlanJointFor(c, x.w)
+			if err != nil || joint.Degree != wantDeg || joint.MemMB != wantMB {
+				t.Fatalf("%s C=%d W=%+v: PlanJointFor=(%d, %g MB) (%v), naive=(%d, %g MB)", name, c, x.w, joint.Degree, joint.MemMB, err, wantDeg, wantMB)
+			}
+			answer, err := g.Answer(Request{C: c, Weights: x.w, SizesMB: g.MemSizesMB()})
+			if err != nil || !jointPlanEq(answer, joint) {
+				t.Fatalf("%s C=%d W=%+v: GridModels.Answer=%+v (%v), PlanJointFor=%+v", name, c, x.w, answer, err, joint)
+			}
+			for _, s := range g.Sizes {
+				want, _ := naiveArgminColumn(oneSize(s.Models), c, x.col)
+				plan, err := s.Models.PlanFor(c, x.w)
+				if err != nil || plan.Degree != want {
+					t.Fatalf("%s %g MB C=%d W=%+v: PlanFor=%d (%v), naive=%d", name, s.MemMB, c, x.w, plan.Degree, err, want)
+				}
+				answer, err := s.Models.Answer(Request{C: c, Weights: x.w})
+				if err != nil || !planEq(answer.Plan, plan) {
+					t.Fatalf("%s %g MB C=%d W=%+v: Models.Answer=%+v (%v), PlanFor=%+v", name, s.MemMB, c, x.w, answer.Plan, err, plan)
+				}
+			}
+		}
 	}
-	if dj != m.OptimalDegreeService(c) {
-		t.Fatalf("W_S=1 gave %d, service-only optimum is %d", dj, m.OptimalDegreeService(c))
+	for _, c := range []int{1, 500, 3000, 20000} {
+		check("synthModels", oneSize(synthModels()), c)
+		check("stressModels", oneSize(stressModels()), c)
+		check("stressGrid", stressGrid(), c)
 	}
-	dj, err = m.OptimalDegree(c, ExpenseOnly())
-	if err != nil {
-		t.Fatal(err)
+	r := rand.New(rand.NewSource(43))
+	degenerate := 0
+	for trial := 0; trial < 300; trial++ {
+		g := randGrid(r)
+		c := 1 + r.Intn(20000)
+		if !finiteRegrets(g, c) {
+			degenerate++
+			continue
+		}
+		check(fmt.Sprintf("trial %d", trial), g, c)
 	}
-	if dj != m.OptimalDegreeExpense(c) {
-		t.Fatalf("W_E=1 gave %d, expense-only optimum is %d", dj, m.OptimalDegreeExpense(c))
+	if degenerate == 0 || degenerate > 150 {
+		t.Fatalf("%d of 300 random grids degenerate: the generator no longer mixes both kinds", degenerate)
 	}
+}
+
+// finiteRegrets reports whether every cell of g at c has a finite service
+// and expense, and every size's minima are positive: Eq. 5 and 6 regrets
+// that are finite everywhere, per size and over the grid.
+func finiteRegrets(g GridModels, c int) bool {
+	for _, s := range g.Sizes {
+		minS, minE := math.Inf(1), math.Inf(1)
+		for d := 1; d <= s.Models.MaxDegree; d++ {
+			sv, ev := s.Models.ServiceTime(c, d), s.Models.Expense(c, d)
+			if math.IsNaN(sv) || math.IsInf(sv, 0) || math.IsNaN(ev) || math.IsInf(ev, 0) {
+				return false
+			}
+			minS, minE = math.Min(minS, sv), math.Min(minE, ev)
+		}
+		if !(minS > 0 && minE > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// oneSize is m as a one-size grid.
+func oneSize(m Models) GridModels {
+	return GridModels{Sizes: []SizeModels{{MemMB: 1024, Models: m}}}
 }
 
 func TestOptimalDegreeErrors(t *testing.T) {
 	m := synthModels()
-	if _, err := m.OptimalDegree(0, Balanced()); err == nil {
+	if _, err := m.PlanFor(0, Balanced()); err == nil {
 		t.Fatal("C=0 accepted")
 	}
-	if _, err := m.OptimalDegree(100, Weights{0.9, 0.9}); err == nil {
+	if _, err := m.PlanFor(100, Weights{0.9, 0.9}); err == nil {
 		t.Fatal("bad weights accepted")
 	}
 	bad := m
 	bad.MaxDegree = 0
-	if _, err := bad.OptimalDegree(100, Balanced()); err == nil {
+	if _, err := bad.PlanFor(100, Balanced()); err == nil {
 		t.Fatal("invalid models accepted")
 	}
 }
@@ -149,10 +232,11 @@ func TestQoSWeightSearch(t *testing.T) {
 		t.Fatalf("service-only tail %g should not exceed expense-only tail %g", bestTail, loosest)
 	}
 	bound := bestTail*0.3 + loosest*0.7
-	w, err := m.QoSWeights(c, bound, QoSOptions{})
+	plan, err := m.Answer(Request{C: c, Weights: Balanced(), QoSSec: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := plan.Weights
 	ts, err := m.TailServiceAt(c, w, 95)
 	if err != nil {
 		t.Fatal(err)
@@ -177,21 +261,21 @@ func TestQoSWeightSearch(t *testing.T) {
 
 func TestQoSInfeasible(t *testing.T) {
 	m := synthModels()
-	_, err := m.QoSWeights(5000, 1e-6, QoSOptions{})
-	if err == nil {
-		t.Fatal("impossible bound accepted")
+	_, err := m.Answer(Request{C: 5000, Weights: Balanced(), QoSSec: 1e-6})
+	if !errors.Is(err, ErrQoSInfeasible) {
+		t.Fatalf("impossible bound: %v, want ErrQoSInfeasible", err)
 	}
 }
 
 func TestQoSValidation(t *testing.T) {
-	m := synthModels()
-	if _, err := m.QoSWeights(100, 0, QoSOptions{}); err == nil {
+	pl := NewPlanner(synthModels())
+	if _, _, err := pl.QoSPlan(100, 0, QoSOptions{}); err == nil {
 		t.Fatal("zero bound accepted")
 	}
-	if _, err := m.QoSWeights(100, 10, QoSOptions{TailQuantile: 120}); err == nil {
+	if _, _, err := pl.QoSPlan(100, 10, QoSOptions{TailQuantile: 120}); err == nil {
 		t.Fatal("quantile >100 accepted")
 	}
-	if _, err := m.QoSWeights(100, 10, QoSOptions{Step: -1}); err == nil {
+	if _, _, err := pl.QoSPlan(100, 10, QoSOptions{Step: -1}); err == nil {
 		t.Fatal("negative step accepted")
 	}
 }
@@ -203,37 +287,35 @@ func TestQoSPlanMeetsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, w, err := m.QoSPlan(c, loosest, QoSOptions{})
+	plan, w, err := NewPlanner(m).QoSPlan(c, loosest, QoSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Service != 0 {
 		t.Fatalf("loosest bound should need no service weight, got %g", w.Service)
 	}
-	if plan.Degree != m.OptimalDegreeExpense(c) {
-		t.Fatalf("plan degree %d, want expense optimum %d", plan.Degree, m.OptimalDegreeExpense(c))
+	if want := degreeFor(t, m, c, ExpenseOnly()); plan.Degree != want {
+		t.Fatalf("plan degree %d, want expense optimum %d", plan.Degree, want)
 	}
 }
 
 func TestOptimalDegreeConstrained(t *testing.T) {
 	m := synthModels()
+	pl := NewPlanner(m)
 	const c = 5000
-	unconstrained, err := m.OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
+	unconstrained := degreeFor(t, m, c, Balanced())
 	// No limit (or a generous one) reproduces the unconstrained choice.
-	got, err := m.OptimalDegreeConstrained(c, Balanced(), 0)
+	got, err := pl.OptimalDegreeConstrained(c, Balanced(), 0)
 	if err != nil || got != unconstrained {
 		t.Fatalf("unlimited: got %d (%v), want %d", got, err, unconstrained)
 	}
-	got, err = m.OptimalDegreeConstrained(c, Balanced(), c)
+	got, err = pl.OptimalDegreeConstrained(c, Balanced(), c)
 	if err != nil || got != unconstrained {
 		t.Fatalf("generous limit: got %d (%v), want %d", got, err, unconstrained)
 	}
 	// A tight limit forces a deeper degree that respects it.
 	const limit = 150
-	got, err = m.OptimalDegreeConstrained(c, Balanced(), limit)
+	got, err = pl.OptimalDegreeConstrained(c, Balanced(), limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +326,46 @@ func TestOptimalDegreeConstrained(t *testing.T) {
 		t.Fatalf("tight limit should force deeper packing: %d vs %d", got, unconstrained)
 	}
 	// An impossible limit errors.
-	if _, err := m.OptimalDegreeConstrained(c, Balanced(), 10); err == nil {
+	if _, err := pl.OptimalDegreeConstrained(c, Balanced(), 10); err == nil {
 		t.Fatal("infeasible limit accepted")
 	}
-	if _, err := m.OptimalDegreeConstrained(c, Weights{2, -1}, limit); err == nil {
+	if _, err := pl.OptimalDegreeConstrained(c, Weights{2, -1}, limit); err == nil {
 		t.Fatal("bad weights accepted")
+	}
+}
+
+func TestDegreeRangeStability(t *testing.T) {
+	m := synthModels()
+	pl := NewPlanner(m)
+	const c = 5000
+	best := degreeFor(t, m, c, Balanced())
+	lo, hi, err := pl.DegreeRange(c, Balanced(), 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best < lo || best > hi {
+		t.Fatalf("optimum %d outside band [%d, %d]", best, lo, hi)
+	}
+	if lo < 1 || hi > m.MaxDegree {
+		t.Fatalf("band [%d, %d] out of bounds", lo, hi)
+	}
+	// Zero tolerance collapses near the optimum; a huge tolerance spans
+	// everything.
+	lo0, hi0, err := pl.DegreeRange(c, Balanced(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hi0-lo0 > hi-lo {
+		t.Fatal("tighter tolerance produced a wider band")
+	}
+	loAll, hiAll, err := pl.DegreeRange(c, Balanced(), 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loAll != 1 || hiAll != m.MaxDegree {
+		t.Fatalf("huge tolerance should span [1, %d], got [%d, %d]", m.MaxDegree, loAll, hiAll)
+	}
+	if _, _, err := pl.DegreeRange(c, Balanced(), -1); err == nil {
+		t.Fatal("negative tolerance accepted")
 	}
 }

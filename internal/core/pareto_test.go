@@ -20,18 +20,15 @@ func TestParetoFrontierContainsOptima(t *testing.T) {
 		}
 		return false
 	}
-	if !has(m.OptimalDegreeService(c)) {
+	if !has(degreeFor(t, m, c, ServiceOnly())) {
 		t.Fatal("service optimum missing from frontier")
 	}
-	if !has(m.OptimalDegreeExpense(c)) {
+	if !has(degreeFor(t, m, c, ExpenseOnly())) {
 		t.Fatal("expense optimum missing from frontier")
 	}
 	// Every Eq. 7 weighting's optimum must be on the frontier.
 	for _, ws := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		deg, err := m.OptimalDegree(c, Weights{Service: ws, Expense: 1 - ws})
-		if err != nil {
-			t.Fatal(err)
-		}
+		deg := degreeFor(t, m, c, Weights{Service: ws, Expense: 1 - ws})
 		if !has(deg) {
 			t.Fatalf("W_S=%g optimum (degree %d) not on frontier", ws, deg)
 		}

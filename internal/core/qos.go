@@ -184,20 +184,3 @@ func qosSearchJoint(t *GridTable, qosSec, tailQ, step float64) (Weights, error) 
 	}
 	return gridScan()
 }
-
-// QoSWeights is Eq. 9: find the service-time weight W_S so that the modeled
-// tail service time stays within qosSec while retaining as much expense
-// optimization as possible — i.e. the *smallest* feasible W_S. (Eq. 9's
-// literal argmin over TS would always return W_S = 1; the paper's own use —
-// W_S = 0.65 for Xapian rather than 1 — shows the intended reading is the
-// minimal weight that meets the bound, which is what we implement.)
-func (m Models) QoSWeights(c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	return m.direct().QoSWeights(c, qosSec, opts)
-}
-
-// QoSPlan recommends a packing degree that jointly optimizes service time
-// and expense while keeping the modeled tail latency within qosSec. The
-// weight search and the final plan share one degree table.
-func (m Models) QoSPlan(c int, qosSec float64, opts QoSOptions) (Plan, Weights, error) {
-	return m.direct().QoSPlan(c, qosSec, opts)
-}

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -109,37 +108,6 @@ func (r *Registry) Load(platformName, app string) (Models, error) {
 		return Models{}, fmt.Errorf("core: invalid cached models: %w", err)
 	}
 	return e.Models, nil
-}
-
-// List returns the cached (platform, app) keys in sorted order.
-func (r *Registry) List() ([][2]string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	entries, err := os.ReadDir(r.dir)
-	if err != nil {
-		return nil, err
-	}
-	var keys [][2]string
-	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(r.dir, ent.Name()))
-		if err != nil {
-			continue
-		}
-		var e registryEntry
-		if json.Unmarshal(data, &e) == nil && e.Platform != "" {
-			keys = append(keys, [2]string{e.Platform, e.App})
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys, nil
 }
 
 // LoadOrBuild returns cached models if present, otherwise builds them with

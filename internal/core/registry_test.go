@@ -40,26 +40,33 @@ func TestRegistryMiss(t *testing.T) {
 	}
 }
 
+// TestRegistryList: the registry holds exactly the keys saved into it, one
+// entry each, and answers each from its own entry.
 func TestRegistryList(t *testing.T) {
 	r := tempRegistry(t)
-	m := synthModels()
-	for _, key := range [][2]string{{"Azure", "Sort"}, {"AWS Lambda", "Video"}, {"AWS Lambda", "Sort"}} {
+	keys := [][2]string{{"Azure", "Sort"}, {"AWS Lambda", "Video"}, {"AWS Lambda", "Sort"}}
+	for i, key := range keys {
+		m := synthModels()
+		m.MaxDegree += i
 		if err := r.Save(key[0], key[1], m, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	keys, err := r.List()
+	for i, key := range keys {
+		got, err := r.Load(key[0], key[1])
+		if err != nil || got.MaxDegree != synthModels().MaxDegree+i {
+			t.Fatalf("%v: loaded MaxDegree %d (%v), want %d", key, got.MaxDegree, err, synthModels().MaxDegree+i)
+		}
+	}
+	if _, err := r.Load("Azure", "Video"); err == nil {
+		t.Fatal("an unsaved key loaded")
+	}
+	entries, err := os.ReadDir(r.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][2]string{{"AWS Lambda", "Sort"}, {"AWS Lambda", "Video"}, {"Azure", "Sort"}}
-	if len(keys) != len(want) {
-		t.Fatalf("got %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("order: got %v, want %v", keys, want)
-		}
+	if len(entries) != len(keys) {
+		t.Fatalf("registry holds %d entries for %d saved keys", len(entries), len(keys))
 	}
 }
 

@@ -76,57 +76,3 @@ func (f FailureModel) ExpectedLatencySec(T float64) float64 {
 	failures := math.Exp(f.CrashRate*T) - 1
 	return f.ExpectedBilledSec(T) + failures*f.RetryDelaySec
 }
-
-// ReliableModels folds a FailureModel into ProPack's fitted models: service
-// time and expense are replaced by their expectations under crash-and-retry,
-// and the Eq. 5–7 optimizer runs on those. With a zero FailureModel every
-// method agrees exactly (bit-for-bit) with the embedded failure-blind
-// Models.
-type ReliableModels struct {
-	Models
-	Failure FailureModel
-}
-
-// ServiceTime is the expected total service time at concurrency c and
-// packing degree: expected execution latency under crashes plus the scaling
-// time of the instance fleet.
-func (m ReliableModels) ServiceTime(c, degree int) float64 {
-	return m.Failure.ExpectedLatencySec(m.ET.At(degree)) + m.Scaling.At(instances(c, degree))
-}
-
-// Expense is the expected user expense at concurrency c and packing degree:
-// every attempt's compute is billed, so the per-instance compute term is
-// the expected billed time, and the non-compute term recurs once per
-// expected attempt (each re-invocation pays request fees).
-func (m ReliableModels) Expense(c, degree int) float64 {
-	n := instances(c, degree)
-	T := m.ET.At(degree)
-	return (m.Failure.ExpectedBilledSec(T)*m.RatePerInstanceSec +
-		m.Storage.At(degree)*m.Failure.ExpectedAttempts(T)) * n
-}
-
-// direct is the planner the failure-aware methods answer through: the
-// failure-blind planner's searches over a row whose service and expense
-// vectors are the expectations under m.Failure.
-func (m ReliableModels) direct() *Planner {
-	invalid := m.Models.Validate()
-	if invalid == nil {
-		invalid = m.Failure.Validate()
-	}
-	return &Planner{cache: &GridCache{row: m.Models, failure: m.Failure, invalid: invalid}}
-}
-
-// OptimalDegree is Eq. 7 over the failure-aware objectives: the packing
-// degree minimizing the weighted fractional regrets of expected service
-// time and expected expense.
-func (m ReliableModels) OptimalDegree(c int, w Weights) (int, error) {
-	return m.direct().OptimalDegree(c, w)
-}
-
-// PlanFor computes the failure-aware recommendation at concurrency c. The
-// predicted fields are expectations under the failure model; the baseline
-// fields describe degree 1 under the same failures, so the packing-vs-crash
-// trade stays visible.
-func (m ReliableModels) PlanFor(c int, w Weights) (Plan, error) {
-	return m.direct().PlanFor(c, w)
-}

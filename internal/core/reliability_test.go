@@ -63,25 +63,84 @@ func TestFailureModelMonotoneInRateAndDuration(t *testing.T) {
 	}
 }
 
+// reliableServiceTime and reliableExpense are the failure-folded predictors
+// evaluated straight off the Models ones: the expected total service time
+// (expected execution latency under crashes plus the scaling time of the
+// fleet) and the expected expense (every attempt's compute billed, the
+// non-compute term once per expected attempt) at concurrency c and packing
+// degree under f. They are the oracle a failure-folded row must reproduce
+// bit for bit.
+func reliableServiceTime(m Models, f FailureModel, c, degree int) float64 {
+	return f.ExpectedLatencySec(m.ET.At(degree)) + m.Scaling.At(instances(c, degree))
+}
+
+func reliableExpense(m Models, f FailureModel, c, degree int) float64 {
+	n := instances(c, degree)
+	T := m.ET.At(degree)
+	return (f.ExpectedBilledSec(T)*m.RatePerInstanceSec + m.Storage.At(degree)*f.ExpectedAttempts(T)) * n
+}
+
+// naiveReliablePlan is the Eq. 7 plan over the oracle predictors, scanned
+// degree by degree as naiveArgminRegret scans the failure-blind ones.
+func naiveReliablePlan(m Models, f FailureModel, c int, w Weights) Plan {
+	bestS, bestE := math.Inf(1), math.Inf(1)
+	for d := 1; d <= m.MaxDegree; d++ {
+		bestS = math.Min(bestS, reliableServiceTime(m, f, c, d))
+		bestE = math.Min(bestE, reliableExpense(m, f, c, d))
+	}
+	best, bestVal := 0, math.Inf(1)
+	for d := 1; d <= m.MaxDegree; d++ {
+		dS := (reliableServiceTime(m, f, c, d) - bestS) / bestS
+		dE := (reliableExpense(m, f, c, d) - bestE) / bestE
+		if v := w.Service*dS + w.Expense*dE; v < bestVal {
+			best, bestVal = d, v
+		}
+	}
+	return Plan{
+		Concurrency:         c,
+		Degree:              best,
+		Weights:             w,
+		PredictedServiceSec: reliableServiceTime(m, f, c, best),
+		PredictedExpenseUSD: reliableExpense(m, f, c, best),
+		BaselineServiceSec:  reliableServiceTime(m, f, c, 1),
+		BaselineExpenseUSD:  reliableExpense(m, f, c, 1),
+	}
+}
+
+// TestReliableModelsZeroFailureAgreesExactly: the failure-folded row is the
+// oracle's, bit for bit, at every crash rate; Answer's failure-aware plan is
+// the naive plan over it; and with a zero failure model both reduce to the
+// failure-blind predictors and plan exactly.
 func TestReliableModelsZeroFailureAgreesExactly(t *testing.T) {
 	m := reliabilityFixtureModels()
-	rm := ReliableModels{Models: m}
 	const c = 2000
-	for _, w := range []Weights{Balanced(), ServiceOnly(), ExpenseOnly()} {
-		blind, err := m.PlanFor(c, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := rm.PlanFor(c, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blind != rel {
-			t.Fatalf("zero-failure reliable plan diverged:\nblind %+v\nrel   %+v", blind, rel)
-		}
+	for _, f := range []FailureModel{{}, {CrashRate: 0.002, RetryDelaySec: 5}, {CrashRate: 0.05, RetryDelaySec: 1}} {
+		row := newDegreeTable(m, f, c)
 		for p := 1; p <= m.MaxDegree; p++ {
-			if m.ServiceTime(c, p) != rm.ServiceTime(c, p) || m.Expense(c, p) != rm.Expense(c, p) {
+			if !f64eq(row.ServiceTime(p), reliableServiceTime(m, f, c, p)) || !f64eq(row.Expense(p), reliableExpense(m, f, c, p)) {
+				t.Fatalf("λ=%g: folded row diverged from the oracle at degree %d", f.CrashRate, p)
+			}
+			if !f.Enabled() && (m.ServiceTime(c, p) != reliableServiceTime(m, f, c, p) || m.Expense(c, p) != reliableExpense(m, f, c, p)) {
 				t.Fatalf("zero-failure predictions diverged at degree %d", p)
+			}
+		}
+		for _, w := range []Weights{Balanced(), ServiceOnly(), ExpenseOnly()} {
+			rel, err := m.Answer(Request{C: c, Weights: w, Failure: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveReliablePlan(m, f, c, w); !planEq(rel.Plan, want) {
+				t.Fatalf("λ=%g: reliable plan diverged from the oracle:\nAnswer %+v\noracle %+v", f.CrashRate, rel.Plan, want)
+			}
+			if f.Enabled() {
+				continue
+			}
+			blind, err := m.PlanFor(c, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blind != rel.Plan {
+				t.Fatalf("zero-failure reliable plan diverged:\nblind %+v\nrel   %+v", blind, rel.Plan)
 			}
 		}
 	}
@@ -90,28 +149,24 @@ func TestReliableModelsZeroFailureAgreesExactly(t *testing.T) {
 func TestReliablePlanningShiftsToLowerDegrees(t *testing.T) {
 	m := reliabilityFixtureModels()
 	const c = 2000
-	blind, err := m.OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := blind
-	for _, rate := range []float64{0.002, 0.01, 0.05} {
-		rm := ReliableModels{Models: m, Failure: FailureModel{CrashRate: rate, RetryDelaySec: 5}}
-		deg, err := rm.OptimalDegree(c, Balanced())
+	degree := func(f FailureModel) int {
+		t.Helper()
+		plan, err := m.Answer(Request{C: c, Weights: Balanced(), Failure: f})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return plan.Degree
+	}
+	blind := degree(FailureModel{})
+	prev := blind
+	for _, rate := range []float64{0.002, 0.01, 0.05} {
+		deg := degree(FailureModel{CrashRate: rate, RetryDelaySec: 5})
 		if deg > prev {
 			t.Fatalf("degree rose with crash rate: %d → %d at λ=%g", prev, deg, rate)
 		}
 		prev = deg
 	}
-	rm := ReliableModels{Models: m, Failure: FailureModel{CrashRate: 0.05, RetryDelaySec: 5}}
-	deg, err := rm.OptimalDegree(c, Balanced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deg >= blind {
+	if deg := degree(FailureModel{CrashRate: 0.05, RetryDelaySec: 5}); deg >= blind {
 		t.Fatalf("high crash rate should force a strictly lower degree: blind %d, reliable %d", blind, deg)
 	}
 }

@@ -69,8 +69,9 @@ func (pl *Planner) Answer(r Request) (JointPlan, error) {
 }
 
 // Answer is the uncached Planner.Answer, over the request's failure model
-// (which Planner.Answer validates). Built in place rather than by
-// ReliableModels.direct, the planner stays on the stack, as PlanFor's does.
+// (which Planner.Answer validates): with one, the row's service and expense
+// vectors are their expectations under crash-and-retry. Built in place, the
+// planner stays on the stack, as PlanFor's does.
 func (m Models) Answer(r Request) (JointPlan, error) {
 	pl := m.direct()
 	pl.cache.failure = r.Failure

@@ -46,10 +46,11 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-// TestAnswerIsEachEntryPoint: Answer dispatches to the entry point its
-// request names — PlanFor, QoSPlan, the failure-folded PlanFor, PlanJointFor,
-// QoSPlanJoint — bit for bit, on the uncached model stacks and on cached
-// planners alike, and a cached weighted answer allocates nothing.
+// TestAnswerIsEachEntryPoint: Answer dispatches to the question its request
+// names — the weighted plan, the bounded plan, the failure-folded plan, and
+// each over the memory grid or at its base size — bit for bit, on the
+// uncached model stacks and on cached planners alike, and a cached weighted
+// answer allocates nothing.
 func TestAnswerIsEachEntryPoint(t *testing.T) {
 	const c = 1000
 	m, g := stressModels(), stressGrid()
@@ -61,11 +62,18 @@ func TestAnswerIsEachEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The references come from fresh planners, so no answer below reads a
+	// table its own reference built.
+	ref := NewPlanner(m)
+	jref, err := NewJointPlanner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bound, err := m.TailServiceAt(c, Balanced(), 95) // met mid-way through the weight search
 	if err != nil {
 		t.Fatal(err)
 	}
-	jbound, err := jpl.TailServiceAt(c, Balanced(), 95) // met at the base size
+	jbound, err := jref.TailServiceAt(c, Balanced(), 95) // met at the base size
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +81,41 @@ func TestAnswerIsEachEntryPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qos, qw, err := m.QoSPlan(c, bound, QoSOptions{})
+	base, err := g.Base().PlanFor(c, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qos, qw, err := ref.QoSPlan(c, bound, QoSOptions{})
 	if err != nil || qw != qos.Weights || qw == w {
 		t.Fatalf("QoSPlan: weights %+v (plan's %+v), %v", qw, qos.Weights, err)
 	}
-	reliable, err := ReliableModels{Models: m, Failure: f}.PlanFor(c, w)
-	if err != nil || reliable == plan {
-		t.Fatalf("reliable PlanFor: %+v, %v", reliable, err)
+	reliable := naiveReliablePlan(m, f, c, w)
+	if reliable == plan {
+		t.Fatalf("the failure model changes no plan: %+v", reliable)
 	}
-	joint, err := g.PlanJointFor(c, w)
+	joint, err := jref.PlanJointFor(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jointQoS, _, err := g.QoSPlanJoint(c, jbound, QoSOptions{})
+	jointQoS, _, err := jref.QoSPlanJoint(c, jbound, QoSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A degree-only request to a grid is answered at its base size. On a
+	// two-size grid of the paper fixture that is synthModels' own degree.
+	small := synthModels()
+	small.ET.Alpha, small.RatePerInstanceSec = 0.2, small.RatePerInstanceSec/2
+	synthGrid := GridModels{Sizes: []SizeModels{{MemMB: 1024, Models: small}, {MemMB: 2048, Models: synthModels()}}}
+	synthPlanner, err := NewJointPlanner(synthGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := synthModels().PlanFor(3000, Balanced())
+	if err != nil || synth.Degree != 17 {
+		t.Fatalf("synthModels at C=3000: degree %d (%v), want 17", synth.Degree, err)
+	}
+	synthRequest := Request{C: 3000, Weights: Balanced()}
 
 	weighted := Request{C: c, Weights: w}
 	bounded := Request{C: c, Weights: w, QoSSec: bound}
@@ -105,11 +132,15 @@ func TestAnswerIsEachEntryPoint(t *testing.T) {
 		{"Models, bound", func() (JointPlan, error) { return m.Answer(bounded) }, JointPlan{Plan: qos}},
 		{"Planner, bound", func() (JointPlan, error) { return pl.Answer(bounded) }, JointPlan{Plan: qos}},
 		{"Models, failure", func() (JointPlan, error) { return m.Answer(failing) }, JointPlan{Plan: reliable}},
-		{"reliable planner, failure", func() (JointPlan, error) { return ReliableModels{Models: m, Failure: f}.direct().Answer(failing) }, JointPlan{Plan: reliable}},
+		{"failure-folding planner, failure", func() (JointPlan, error) { return foldingPlanner(m, f).Answer(failing) }, JointPlan{Plan: reliable}},
 		{"GridModels, weights", func() (JointPlan, error) { return g.Answer(grid) }, joint},
 		{"joint Planner, weights", func() (JointPlan, error) { return jpl.Answer(grid) }, joint},
 		{"GridModels, bound", func() (JointPlan, error) { return g.Answer(gridBounded) }, jointQoS},
 		{"joint Planner, bound", func() (JointPlan, error) { return jpl.Answer(gridBounded) }, jointQoS},
+		{"GridModels, degree only", func() (JointPlan, error) { return g.Answer(weighted) }, JointPlan{Plan: base}},
+		{"joint Planner, degree only", func() (JointPlan, error) { return jpl.Answer(weighted) }, JointPlan{Plan: base}},
+		{"synthModels grid, degree only", func() (JointPlan, error) { return synthGrid.Answer(synthRequest) }, JointPlan{Plan: synth}},
+		{"synthModels joint Planner, degree only", func() (JointPlan, error) { return synthPlanner.Answer(synthRequest) }, JointPlan{Plan: synth}},
 	} {
 		if got, err := tc.answer(); err != nil || got != tc.want {
 			t.Errorf("%s: Answer = %+v, %v; want %+v", tc.name, got, err, tc.want)
@@ -152,12 +183,12 @@ func TestAnswerRefusesWhatThePlannerLacks(t *testing.T) {
 	}{
 		{"cached planner, failure model", func() (JointPlan, error) { return NewPlanner(m).Answer(Request{C: c, Weights: w, Failure: f}) },
 			"core: the request's failure model {CrashRate:0.005 RetryDelaySec:5} is not the planner's {CrashRate:0 RetryDelaySec:0}"},
-		{"reliable stack, no failure model", func() (JointPlan, error) {
-			return ReliableModels{Models: m, Failure: f}.direct().Answer(Request{C: c, Weights: w})
+		{"failure-folding planner, no failure model", func() (JointPlan, error) {
+			return foldingPlanner(m, f).Answer(Request{C: c, Weights: w})
 		},
 			"core: the request's failure model {CrashRate:0 RetryDelaySec:0} is not the planner's {CrashRate:0.005 RetryDelaySec:5}"},
-		{"reliable stack, another failure model", func() (JointPlan, error) {
-			return ReliableModels{Models: m, Failure: f}.direct().Answer(Request{C: c, Weights: w, Failure: FailureModel{CrashRate: 0.01}})
+		{"failure-folding planner, another failure model", func() (JointPlan, error) {
+			return foldingPlanner(m, f).Answer(Request{C: c, Weights: w, Failure: FailureModel{CrashRate: 0.01}})
 		}, "core: the request's failure model {CrashRate:0.01 RetryDelaySec:0} is not the planner's {CrashRate:0.005 RetryDelaySec:5}"},
 		{"joint planner, another grid", func() (JointPlan, error) {
 			return jpl.Answer(Request{C: c, Weights: w, SizesMB: []float64{2048, 4096}})
@@ -178,4 +209,12 @@ func TestAnswerRefusesWhatThePlannerLacks(t *testing.T) {
 	if _, err := NewPlanner(m).Answer(Request{C: c, Weights: w, Failure: FailureModel{RetryDelaySec: 5}}); err != nil {
 		t.Errorf("disabled failure model refused: %v", err)
 	}
+}
+
+// foldingPlanner is the uncached planner Models.Answer builds for a request
+// carrying f: its one row folds f.
+func foldingPlanner(m Models, f FailureModel) *Planner {
+	pl := m.direct()
+	pl.cache.failure = f
+	return pl
 }

@@ -15,6 +15,13 @@ import (
 	"repro/internal/workload"
 )
 
+// The scaling-probe store's proof chain (DESIGN §12, "Eq. 2 is a platform
+// property"): models, samples and Overhead Float64bits-equal to a
+// store-bypassing measurer for every platform × application pair and a
+// four-size grid, shared bursts for racing builds, the cap, errors, panics
+// and NaN keys, key non-aliasing, and what a warm platform costs. Under the
+// race detector the allocation pins skip and the rest runs as is.
+//
 // The scaling-probe store is tested against the code it fronts: a direct
 // platform.Run of the same no-op burst, and BuildModels over a measurer
 // whose MeasureScaling is that direct run (what every SimMeasurer did

@@ -9,8 +9,8 @@ import (
 // The amortized planner hot path. Every Eq. 5–7 entry point needs the same
 // per-degree vectors — ET(P), the instance count, service time (total and
 // at quantiles), and expense — and the naive formulation recomputed them
-// from scratch on every scan: OptimalDegreeForQuantile walked the degree
-// range three times per call, QoSWeights repeated that for every weight
+// from scratch on every scan: a quantile argmin walked the degree range
+// three times per call, the QoS weight search repeated that for every weight
 // step, and sweeps repeated *that* per concurrency and repetition. A
 // DegreeTable computes the vectors once per (Models, concurrency) pair as
 // one memory size's row of a GridTable (grid.go), which owns every search;
@@ -76,8 +76,8 @@ func newDegreeTable(m Models, f FailureModel, c int) *DegreeTable {
 		lat := f.ExpectedLatencySec(et)
 		t.et[i] = lat
 		t.inst[i] = n
-		// Same expressions as (Reliable)Models.ServiceTime and Expense — the
-		// bit-identity contract depends on it.
+		// Same expressions as Models.ServiceTime and Expense with the failure
+		// expectations folded in — the bit-identity contract depends on it.
 		t.service[i] = lat + m.Scaling.At(n)
 		t.expense[i] = (f.ExpectedBilledSec(et)*m.RatePerInstanceSec + m.Storage.At(p)*f.ExpectedAttempts(et)) * n
 	}
@@ -159,7 +159,7 @@ const defaultTableCap = 64
 type GridCache struct {
 	g       GridModels    // the memory grid; without sizes, the stack is the one row below
 	row     Models        // the one-row stack
-	failure FailureModel  // folded into the row's expectations (ReliableModels)
+	failure FailureModel  // folded into the row's expectations (Request.Failure)
 	invalid error         // the stack's Validate verdict, fixed with the stack
 	sc      *shardedCache // nil: nothing is kept, every lookup builds
 }
@@ -213,35 +213,11 @@ func (gc *GridCache) table(c int, w *Weights) (*GridTable, error) {
 	return gc.sc.get(c), nil
 }
 
-// Len reports the number of cached tables (for tests and diagnostics).
-func (gc *GridCache) Len() int { return gc.sc.len() }
-
 // Builds reports how many tables the cache has constructed since creation.
 // With singleflight coalescing it equals the number of distinct concurrency
 // levels requested (absent evictions) no matter how many goroutines raced —
 // the concurrency stress tests assert exactly that.
 func (gc *GridCache) Builds() uint64 { return gc.sc.builds.Load() }
-
-// optimalConfig is the Eq. 7 argmin with the service objective at quantile q.
-func (gc *GridCache) optimalConfig(c int, q float64, w Weights) (JointConfig, error) {
-	t, err := gc.table(c, &w)
-	if err == nil {
-		err = checkQuantile(q)
-	}
-	if err != nil {
-		return JointConfig{}, err
-	}
-	return t.cell(t.argminJoint(q, 1, w)), nil
-}
-
-// constrainedConfig is optimalConfig over the cells within maxInstances.
-func (gc *GridCache) constrainedConfig(c int, w Weights, maxInstances int) (JointConfig, error) {
-	t, err := gc.table(c, &w)
-	if err != nil {
-		return JointConfig{}, err
-	}
-	return t.constrainedJoint(w, maxInstances)
-}
 
 // planFor is the full recommendation at weights w: the Eq. 7 argmin's plan.
 func (gc *GridCache) planFor(c int, w Weights) (JointPlan, error) {
@@ -280,20 +256,24 @@ func (gc *GridCache) qosPlan(c int, qosSec float64, opts QoSOptions) (JointPlan,
 // was built without a memory grid (NewPlanner instead of NewJointPlanner).
 var ErrNoGrid = errors.New("core: planner has no memory grid")
 
-// Planner is the one implementation of every planning entry point: each
-// method fetches the GridTable for its concurrency and runs the shared
-// search over it. NewPlanner and NewJointPlanner give it grid-table caches,
-// so repeated calls at the same concurrency — sweeps over weights,
-// quantiles, or repetitions — reuse one table; the Models and GridModels
-// methods are these same methods on a planner that keeps no tables, so the
-// two agree bit for bit and differ only in amortization. Safe for
-// concurrent use.
+// Planner is the one implementation of every planning question: each method
+// fetches the GridTable for its concurrency and runs the shared search over
+// it. NewPlanner and NewJointPlanner give it grid-table caches, so repeated
+// calls at the same concurrency — sweeps over weights, quantiles, or
+// repetitions — reuse one table; Models.Answer, Models.PlanFor,
+// Models.TailServiceAt and GridModels.Answer are these same methods on a
+// planner that keeps no tables, so the two agree bit for bit and differ only
+// in amortization. Safe for concurrent use.
 //
-// The 1-D methods search the one-row grid of the planner's Models. A planner
-// built with NewJointPlanner additionally carries a memory-size grid and
-// answers the joint (degree × memory) entry points — OptimalConfig,
-// PlanJointFor, QoSPlanJoint — with the same searches over every row; its
-// 1-D methods answer at the grid's largest (base) size.
+// Answer is the question the paper asks — the Eq. 7 plan at given weights or
+// the Sec. 2.6 plan under a tail bound, over the degree or over (degree,
+// memory). The other methods ask what a Request cannot: the argmin at another
+// service quantile, under an instance cap, the plan-stability band, and the
+// modeled tail at given weights. The degree-only methods search the one-row
+// grid of the planner's Models; a planner built with NewJointPlanner also
+// carries a memory-size grid, which PlanJointFor, QoSPlanJoint and Answer
+// (for a request naming that grid) search, and answers the degree-only
+// methods at the grid's largest (base) size.
 type Planner struct {
 	cache *GridCache // the one-row grid of the (base) models
 	grid  *GridCache // nil unless built with NewJointPlanner
@@ -304,8 +284,8 @@ func NewPlanner(m Models) *Planner {
 	return &Planner{cache: NewTableCache(m, 0)}
 }
 
-// NewJointPlanner builds a planner over a memory-size grid: the joint entry
-// points plan over every (degree, size) cell, and the 1-D entry points keep
+// NewJointPlanner builds a planner over a memory-size grid: the joint
+// questions search every (degree, size) cell, and the degree-only ones keep
 // working against the grid's largest (base) size — the conventional
 // deployment the joint plans are baselined against.
 func NewJointPlanner(g GridModels) (*Planner, error) {
@@ -320,9 +300,15 @@ func (m Models) direct() *Planner {
 	return &Planner{cache: &GridCache{row: m, invalid: m.Validate()}}
 }
 
-// direct is the planner the GridModels methods answer through.
+// direct is the planner GridModels.Answer answers through: no tables kept,
+// and, as NewJointPlanner's, a degree-only request answered at the base size.
 func (g GridModels) direct() *Planner {
-	return &Planner{grid: &GridCache{g: g, invalid: g.Validate()}}
+	invalid := g.Validate()
+	var base Models
+	if invalid == nil {
+		base = g.Base()
+	}
+	return &Planner{cache: &GridCache{row: base, invalid: invalid}, grid: &GridCache{g: g, invalid: invalid}}
 }
 
 // Models returns the wrapped models (the base size's, for a joint planner).
@@ -348,50 +334,47 @@ func (pl *Planner) Table(c int) (*DegreeTable, error) {
 	return t.Size(0), nil
 }
 
-// OptimalDegree is the cached Models.OptimalDegree.
-func (pl *Planner) OptimalDegree(c int, w Weights) (int, error) {
-	return pl.OptimalDegreeForQuantile(c, 100, w)
-}
-
-// OptimalDegreeForQuantile is the cached Models.OptimalDegreeForQuantile.
+// OptimalDegreeForQuantile is Eq. 7 with the service objective replaced by
+// the q-th percentile service time — ProPack "predicts different packing
+// degrees that jointly minimize total, tail, and median service times"
+// (Sec. 3); q=100 is the total, 95 the tail, 50 the median.
 func (pl *Planner) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, error) {
-	cfg, err := pl.cache.optimalConfig(c, q, w)
-	return cfg.Degree, err
-}
-
-// OptimalDegreeService is the cached Models.OptimalDegreeService.
-func (pl *Planner) OptimalDegreeService(c int) int {
-	t, err := pl.cache.Table(c)
-	if err != nil {
-		panic(err) // mirrors the naive argmin's panic contract
+	t, err := pl.cache.table(c, &w)
+	if err == nil {
+		err = checkQuantile(q)
 	}
-	_, deg := t.argminService()
-	return deg
-}
-
-// OptimalDegreeExpense is the cached Models.OptimalDegreeExpense.
-func (pl *Planner) OptimalDegreeExpense(c int) int {
-	t, err := pl.cache.Table(c)
 	if err != nil {
-		panic(err)
+		return 0, err
 	}
-	_, deg := t.argminExpense()
-	return deg
+	_, deg := t.argminJoint(q, 1, w)
+	return deg, nil
 }
 
-// OptimalDegreeConstrained is the cached Models.OptimalDegreeConstrained.
+// OptimalDegreeConstrained is Eq. 7 restricted to packing degrees whose
+// instance count stays within maxInstances — planning against an
+// account-level concurrency limit so the burst never throttles.
+// maxInstances ≤ 0 means unconstrained. It returns an error if even the
+// maximum degree spawns too many instances.
 func (pl *Planner) OptimalDegreeConstrained(c int, w Weights, maxInstances int) (int, error) {
-	cfg, err := pl.cache.constrainedConfig(c, w, maxInstances)
-	return cfg.Degree, err
+	t, err := pl.cache.table(c, &w)
+	if err != nil {
+		return 0, err
+	}
+	return t.constrainedDegree(w, maxInstances)
 }
 
-// PlanFor is the cached Models.PlanFor.
+// PlanFor is the cached Models.PlanFor: Answer's degree-only weighted plan
+// without the Request.
 func (pl *Planner) PlanFor(c int, w Weights) (Plan, error) {
 	jp, err := pl.cache.planFor(c, w)
 	return jp.Plan, err
 }
 
-// DegreeRange is the cached Models.DegreeRange.
+// DegreeRange reports the contiguous range of packing degrees around the
+// optimum whose Eq. 7 weighted regret stays within tol (e.g. 0.02 = 2%) of
+// the best — the "plan stability" band. A wide band means the choice is
+// forgiving; a narrow one means the degree matters. The optimum is always
+// inside the returned range.
 func (pl *Planner) DegreeRange(c int, w Weights, tol float64) (lo, hi int, err error) {
 	if tol < 0 {
 		return 0, 0, fmt.Errorf("core: negative tolerance %g", tol)
@@ -417,34 +400,27 @@ func (pl *Planner) TailServiceAt(c int, w Weights, tailQuantile float64) (float6
 	return t.sizes[si].t.quantile(tailQuantile).vals[deg-1], nil
 }
 
-// QoSWeights is the cached Models.QoSWeights.
-func (pl *Planner) QoSWeights(c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	_, w, err := pl.cache.qosPlan(c, qosSec, opts)
-	return w, err
-}
-
-// QoSPlan is the cached Models.QoSPlan.
+// QoSPlan is Eq. 9's plan: the packing degree that jointly optimizes service
+// time and expense at the smallest service-time weight W_S whose plan keeps
+// the modeled tail service time within qosSec, and that weight. (Eq. 9's
+// literal argmin over TS would always return W_S = 1; the paper's own use —
+// W_S = 0.65 for Xapian rather than 1 — shows the intended reading is the
+// minimal weight that meets the bound.) The weight search and the plan share
+// one table.
 func (pl *Planner) QoSPlan(c int, qosSec float64, opts QoSOptions) (Plan, Weights, error) {
 	jp, w, err := pl.cache.qosPlan(c, qosSec, opts)
 	return jp.Plan, w, err
 }
 
-// OptimalConfig is the cached GridModels.OptimalConfig.
-func (pl *Planner) OptimalConfig(c int, q float64, w Weights) (JointConfig, error) {
-	return pl.grid.optimalConfig(c, q, w)
-}
-
-// OptimalConfigConstrained is the cached GridModels.OptimalConfigConstrained.
-func (pl *Planner) OptimalConfigConstrained(c int, w Weights, maxInstances int) (JointConfig, error) {
-	return pl.grid.constrainedConfig(c, w, maxInstances)
-}
-
-// PlanJointFor is the cached GridModels.PlanJointFor.
+// PlanJointFor is the joint Eq. 7 recommendation: the (degree, memory size)
+// cell minimizing the weighted regret sum, with the Eqs. 5–6 baselines taken
+// over the whole grid.
 func (pl *Planner) PlanJointFor(c int, w Weights) (JointPlan, error) {
 	return pl.grid.planFor(c, w)
 }
 
-// QoSPlanJoint is the cached GridModels.QoSPlanJoint.
+// QoSPlanJoint is QoSPlan over the grid: the joint plan at the smallest W_S
+// whose joint recommendation keeps the modeled tail within qosSec.
 func (pl *Planner) QoSPlanJoint(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
 	return pl.grid.qosPlan(c, qosSec, opts)
 }

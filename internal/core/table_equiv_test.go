@@ -15,6 +15,14 @@ import (
 // evaluates the Models predictors degree by degree — the pre-table code
 // path — and the randomized trials compare recommendations, plans, and
 // errors for exact equality (floats compared with ==, never a tolerance).
+//
+// This is the first link of the planner's proof chain. There is one search
+// (the fixed-size planner is the one-row grid), so these *MatchesNaive*
+// suites prove it at one size; grid_equiv_test.go's exhaustive oracles prove
+// the pruning at many sizes and hold a one-size grid to the degree-only
+// answers; TestPlanForAllocs and TestPlanJointAllocs keep cached plans
+// allocation-free. TestMixedCandidatesMatchesNaive holds the mixed planner's
+// run walk to the per-bin sweep candidate by candidate.
 
 // naiveArgminRegret is the Eq. 7 scan evaluated straight off the Models
 // predictors, one call per degree, exactly like the pre-table optimizer.
@@ -37,6 +45,24 @@ func naiveArgminRegret(m Models, c int, q float64, minDeg int, w Weights) int {
 		}
 	}
 	return best
+}
+
+// naiveArgminColumn is Eq. 3 (col = Models.ServiceTime) or Eq. 4 (col =
+// Models.Expense) scanned straight off the predictors over every cell of g:
+// sizes ascending, then degrees, first-wins strict <. On a one-size grid it
+// is the degree-by-degree single-objective optimum. It returns the winning
+// cell's degree and memory size.
+func naiveArgminColumn(g GridModels, c int, col func(m Models, c, degree int) float64) (degree int, memMB float64) {
+	degree, memMB = 1, g.Sizes[0].MemMB
+	best := col(g.Sizes[0].Models, c, 1)
+	for _, s := range g.Sizes {
+		for d := 1; d <= s.Models.MaxDegree; d++ {
+			if v := col(s.Models, c, d); v < best {
+				degree, memMB, best = d, s.MemMB, v
+			}
+		}
+	}
+	return degree, memMB
 }
 
 // naivePlanFor assembles the Plan from direct Models predictions.
@@ -111,14 +137,8 @@ func TestTablePlannerMatchesNaive(t *testing.T) {
 		w := randWeights(r)
 		pl := NewPlanner(m)
 
-		if got, want := m.OptimalDegreeService(c), naiveArgminRegret(m, c, 100, 1, ServiceOnly()); got != want {
-			t.Fatalf("trial %d: OptimalDegreeService=%d, naive=%d (m=%+v c=%d)", trial, got, want, m, c)
-		}
-		if got, want := m.OptimalDegreeExpense(c), naiveArgminRegret(m, c, 100, 1, ExpenseOnly()); got != want {
-			t.Fatalf("trial %d: OptimalDegreeExpense=%d, naive=%d", trial, got, want)
-		}
 		q := quantiles[trial%len(quantiles)]
-		got, err := m.OptimalDegreeForQuantile(c, q, w)
+		got, err := pl.OptimalDegreeForQuantile(c, q, w)
 		if err != nil {
 			t.Fatalf("trial %d: ForQuantile: %v", trial, err)
 		}
@@ -143,7 +163,7 @@ func TestTablePlannerMatchesNaive(t *testing.T) {
 			}
 			pdeg, err := pl.OptimalDegreeForQuantile(c, q, w)
 			if err != nil || pdeg != got {
-				t.Fatalf("trial %d pass %d: Planner.ForQuantile=%d (%v), Models=%d", trial, pass, pdeg, err, got)
+				t.Fatalf("trial %d pass %d: Planner.ForQuantile=%d (%v), first call=%d", trial, pass, pdeg, err, got)
 			}
 		}
 	}
@@ -156,7 +176,8 @@ func TestConstrainedMatchesNaive(t *testing.T) {
 		c := 1 + r.Intn(20000)
 		w := randWeights(r)
 		maxInst := r.Intn(2*c) - c/2 // includes ≤0 (unconstrained) and infeasibly tight
-		got, gotErr := m.OptimalDegreeConstrained(c, w, maxInst)
+		pl := NewPlanner(m)
+		got, gotErr := pl.OptimalDegreeConstrained(c, w, maxInst)
 
 		minDeg := 1
 		wantErr := false
@@ -177,9 +198,9 @@ func TestConstrainedMatchesNaive(t *testing.T) {
 			t.Fatalf("trial %d: Constrained=%d, naive=%d (c=%d maxInst=%d minDeg=%d)",
 				trial, got, want, c, maxInst, minDeg)
 		}
-		pgot, err := NewPlanner(m).OptimalDegreeConstrained(c, w, maxInst)
+		pgot, err := pl.OptimalDegreeConstrained(c, w, maxInst)
 		if err != nil || pgot != got {
-			t.Fatalf("trial %d: Planner.Constrained=%d (%v), Models=%d", trial, pgot, err, got)
+			t.Fatalf("trial %d: cached Planner.Constrained=%d (%v), first call=%d", trial, pgot, err, got)
 		}
 	}
 }
@@ -211,7 +232,8 @@ func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 		}
 
 		want, wantErr := naiveQoSWeights(m, c, qos, opts)
-		got, gotErr := m.QoSWeights(c, qos, opts)
+		pl := NewPlanner(m)
+		plan, got, gotErr := pl.QoSPlan(c, qos, opts)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: error mismatch: got %v, naive %v (qos=%g c=%d step=%g)",
 				trial, gotErr, wantErr, qos, c, opts.Step)
@@ -223,24 +245,25 @@ func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 			continue
 		}
 		if got != want {
-			t.Fatalf("trial %d: QoSWeights=%+v, naive=%+v (qos=%g c=%d step=%g)",
+			t.Fatalf("trial %d: QoSPlan weights=%+v, naive=%+v (qos=%g c=%d step=%g)",
 				trial, got, want, qos, c, opts.Step)
 		}
 
-		// QoSPlan must pick the plan at exactly those weights, and the
-		// Planner path must agree verbatim.
-		plan, pw, err := m.QoSPlan(c, qos, opts)
-		if err != nil || pw != want {
-			t.Fatalf("trial %d: QoSPlan weights=%+v (%v), want %+v", trial, pw, err, want)
-		}
+		// The plan must be the plan at exactly those weights, on the first
+		// call and on a cache hit, and Answer must ask the same question.
 		if wantPlan := naivePlanFor(m, c, want); plan != wantPlan {
 			t.Fatalf("trial %d: QoSPlan plan=%+v, naive=%+v", trial, plan, wantPlan)
 		}
-		pl := NewPlanner(m)
 		plPlan, plW, err := pl.QoSPlan(c, qos, opts)
 		if err != nil || plW != want || plPlan != plan {
-			t.Fatalf("trial %d: Planner.QoSPlan=(%+v,%+v,%v), want (%+v,%+v)",
+			t.Fatalf("trial %d: cached Planner.QoSPlan=(%+v,%+v,%v), want (%+v,%+v)",
 				trial, plPlan, plW, err, plan, want)
+		}
+		if opts == (QoSOptions{}) {
+			answer, err := m.Answer(Request{C: c, Weights: Balanced(), QoSSec: qos})
+			if err != nil || answer.Plan != plan {
+				t.Fatalf("trial %d: Models.Answer=%+v (%v), QoSPlan=%+v", trial, answer.Plan, err, plan)
+			}
 		}
 	}
 }
@@ -294,6 +317,15 @@ func TestDegreeTableAccessorsMatchModels(t *testing.T) {
 	}
 }
 
+// len reports the number of cached values.
+func (sc *shardedCache) len() int {
+	n := 0
+	for i := range sc.shards {
+		n += len(*sc.shards[i].read.Load())
+	}
+	return n
+}
+
 func TestTableCacheLRU(t *testing.T) {
 	m := Models{
 		ET:                 ETModel{MfuncGB: 0.5, Alpha: 0.3},
@@ -304,16 +336,16 @@ func TestTableCacheLRU(t *testing.T) {
 	tc := NewTableCache(m, 2)
 	t1, _ := tc.Table(100)
 	t2, _ := tc.Table(200)
-	if tc.Len() != 2 {
-		t.Fatalf("len=%d, want 2", tc.Len())
+	if tc.sc.len() != 2 {
+		t.Fatalf("len=%d, want 2", tc.sc.len())
 	}
 	// Touch 100 so 200 becomes the LRU victim.
 	if again, _ := tc.Table(100); again != t1 {
 		t.Fatal("cache hit should return the same table")
 	}
 	t3, _ := tc.Table(300)
-	if tc.Len() != 2 {
-		t.Fatalf("len=%d after eviction, want 2", tc.Len())
+	if tc.sc.len() != 2 {
+		t.Fatalf("len=%d after eviction, want 2", tc.sc.len())
 	}
 	if again, _ := tc.Table(100); again != t1 {
 		t.Fatal("100 should have survived the eviction")

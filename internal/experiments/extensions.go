@@ -142,9 +142,13 @@ func ExtJoint(cfg Config) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl, err := core.NewJointPlanner(grid) // every weight reads one grid table
+	if err != nil {
+		return nil, err
+	}
 	c := cfg.topConcurrency()
 	for _, ws := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		plan, err := grid.PlanJointFor(c, core.Weights{Service: ws, Expense: 1 - ws})
+		plan, err := pl.PlanJointFor(c, core.Weights{Service: ws, Expense: 1 - ws})
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +240,7 @@ func ExtThrottle(cfg Config) (*trace.Table, error) {
 		if limit > 0 && run.Plan.Degree*limit < c {
 			// The stock plan still exceeds the limit; the limit-aware
 			// variant packs deeper so the burst never throttles.
-			deg, err := run.Models.OptimalDegreeConstrained(c, core.Balanced(), limit)
+			deg, err := core.NewPlanner(run.Models).OptimalDegreeConstrained(c, core.Balanced(), limit)
 			if err != nil {
 				return nil, err
 			}
@@ -325,10 +329,11 @@ func ExtAmortize(cfg Config) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	deg, err := models.OptimalDegree(c, core.Balanced())
+	plan, err := models.PlanFor(c, core.Balanced())
 	if err != nil {
 		return nil, err
 	}
+	deg := plan.Degree
 	// …then reuse the cached models for every subsequent job. Each job's
 	// seed depends only on its index, so the stream fans out in parallel
 	// and the cumulative sums fold in job order.

@@ -121,9 +121,18 @@ func Fig15(cfg Config) (*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Eqs. 3 and 4 are Eq. 7 at the extreme weights.
+			pS, err := pl.PlanFor(c, core.ServiceOnly())
+			if err != nil {
+				return nil, err
+			}
+			pE, err := pl.PlanFor(c, core.ExpenseOnly())
+			if err != nil {
+				return nil, err
+			}
 			out = append(out, []string{w.Name(), itoa(c),
-				itoa(oS.Degree), itoa(pl.OptimalDegreeService(c)),
-				itoa(oE.Degree), itoa(pl.OptimalDegreeExpense(c))})
+				itoa(oS.Degree), itoa(pS.Degree),
+				itoa(oE.Degree), itoa(pE.Degree)})
 		}
 		return out, nil
 	})
@@ -162,10 +171,11 @@ func Fig16(cfg Config) (*trace.Table, error) {
 	rows, err := forAll(cfg, len(wss), func(i int) ([]string, error) {
 		ws := wss[i]
 		weights := core.Weights{Service: ws, Expense: 1 - ws}
-		deg, err := pl.OptimalDegree(c, weights)
+		plan, err := pl.PlanFor(c, weights)
 		if err != nil {
 			return nil, err
 		}
+		deg := plan.Degree
 		m, err := orchestrator.Execute(p, w.Demand(), c, deg, cfg.Seed)
 		if err != nil {
 			return nil, err

@@ -30,7 +30,7 @@ func fig12CSV(t *testing.T, workers int) []byte {
 // TestFig12GoldenSeedStability pins the exact CSV bytes of Fig12 at seed 1:
 // the figure drivers promise that a fixed seed reproduces a fixed table, so
 // any drift here is either an intentional model change (regenerate with
-// -update) or a lost determinism guarantee. The parallel renderings must
+// `go test ./internal/experiments -update`) or a lost determinism guarantee. The parallel renderings must
 // match the same golden bytes — the sequential ≡ parallel contract applied
 // to a whole figure pipeline.
 func TestFig12GoldenSeedStability(t *testing.T) {

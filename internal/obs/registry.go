@@ -85,12 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { h.mu.Lock(); defer h.mu.Unlock(); return h.n }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.sum }
-
 // export copies the full histogram state under one lock, so exposition
 // emits a self-consistent (buckets, sum, count) triple even under
 // concurrent Observes.

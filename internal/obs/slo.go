@@ -112,19 +112,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 	}
 }
 
-// Objectives returns the tracker's targets.
-func (s *SLO) Objectives() SLOObjectives { return s.obj }
-
-// Record tallies one request outcome: ok is the availability verdict (false
-// for server-side failure), durSec the request latency. Latency attainment
-// only judges successful requests — a fast 500 is not "good".
-func (s *SLO) Record(ok bool, durSec float64) {
-	if s == nil {
-		return
-	}
-	s.RecordAt(s.clock(), ok, durSec)
-}
-
 // RecordAt is Record with a caller-supplied observation time, for callers on
 // a hot path that already hold a reading of the same clock.
 func (s *SLO) RecordAt(at time.Time, ok bool, durSec float64) {

@@ -48,13 +48,6 @@ func (t *Tape) Event(e Event) {
 	t.mu.Unlock()
 }
 
-// Len reports the number of recorded calls.
-func (t *Tape) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ops)
-}
-
 // Replay forwards every recorded call to rec in capture order. A nil
 // receiver or a nil rec is a no-op, so callers can replay unconditionally.
 func (t *Tape) Replay(rec Recorder) {

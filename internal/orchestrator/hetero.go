@@ -202,10 +202,11 @@ func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, s
 			RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
 			MaxDegree:          cfg.Shape.MaxDegree(a.Workload.Demand()),
 		}
-		deg, err := models.OptimalDegree(a.Count, w)
+		plan, err := models.PlanFor(a.Count, w)
 		if err != nil {
 			return trace.Metrics{}, nil, err
 		}
+		deg := plan.Degree
 		degrees[k] = deg
 		remaining := a.Count
 		for remaining > 0 {

@@ -77,10 +77,11 @@ func RunPipeline(cfg platform.Config, stages []Stage, w core.Weights, seed int64
 				models.Scaling = *scaling
 			}
 			out.Overhead.Add(ov)
-			degree, err = models.OptimalDegree(st.Count, w)
+			plan, err := models.PlanFor(st.Count, w)
 			if err != nil {
 				return PipelineResult{}, err
 			}
+			degree = plan.Degree
 		} else if degree < 0 {
 			return PipelineResult{}, fmt.Errorf("orchestrator: stage %q: negative degree", st.Name)
 		}

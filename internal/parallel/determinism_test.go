@@ -3,10 +3,9 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // workerCounts is the equivalence grid the issue prescribes: the sequential
@@ -21,16 +20,17 @@ func workerCounts() []int {
 // produce byte-identical output for every worker count. 50 random trials
 // per run; each trial varies the task count and the per-task work shape.
 func TestMapDeterminismProperty(t *testing.T) {
-	meta := sim.NewRNG(20240806) // drives the trial shapes, not the tasks
+	meta := rand.New(rand.NewSource(20240806)) // drives the trial shapes, not the tasks
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + meta.Intn(200)
 		seed := int64(meta.Int63())
 		task := func(_ context.Context, i int) (string, error) {
-			// Each task owns an RNG stream split from (seed, i) and does a
+			// Each task owns an RNG stream split from (seed, i) — the
+			// stream sim.NewRNG(TaskSeed(seed, i)) draws — and does a
 			// scheduling-sensitive amount of work: if any cross-task state
 			// leaked, worker counts would interleave differently and the
 			// digest would drift.
-			rng := sim.NewRNG(TaskSeed(seed, i))
+			rng := rand.New(rand.NewSource(TaskSeed(seed, i)))
 			rounds := 1 + rng.Intn(64)
 			var acc uint64
 			for r := 0; r < rounds; r++ {
@@ -66,7 +66,7 @@ func TestMapDeterminismProperty(t *testing.T) {
 // result either.
 func TestMapDeterministicUnderRepetition(t *testing.T) {
 	task := func(_ context.Context, i int) (uint64, error) {
-		return uint64(sim.NewRNG(TaskSeed(7, i)).Int63()), nil
+		return uint64(rand.New(rand.NewSource(TaskSeed(7, i))).Int63()), nil
 	}
 	want, err := Map(context.Background(), 128, task, Workers(4))
 	if err != nil {

@@ -121,11 +121,6 @@ type Timeline struct {
 	HedgeExtraSec float64
 }
 
-// ExecSeconds is the billed execution duration of the instance's winning
-// copy (failed attempts and hedge duplicates are accounted separately in
-// FailedSec and HedgeExtraSec).
-func (t Timeline) ExecSeconds() float64 { return t.End - t.Start }
-
 // Result is the outcome of simulating one burst. The per-instance record is
 // columnar: the Result owns the run's instanceColumns, and carries the order
 // statistics and sums the scalar metrics read, folded once over the columns
@@ -630,13 +625,6 @@ func (r *Result) firstStart() float64 { return r.sum.minStart }
 // the end of the last one ("total service time" in the paper).
 func (r *Result) TotalServiceTime() float64 { return r.sum.maxEnd - r.sum.minStart }
 
-// ServiceTimeAtQuantile is the time until the first q% of instances have
-// finished, measured from the first start (q=95 is the paper's "tail",
-// q=50 its "median" service time).
-func (r *Result) ServiceTimeAtQuantile(q float64) float64 {
-	return r.ServiceTimeAtQuantiles(q)[0]
-}
-
 // ServiceTimeAtQuantiles answers several service-time quantiles from one
 // copy of the end column and one selection over it — callers reporting tail
 // and median together pay for two ranks, not a sort apiece.
@@ -664,24 +652,3 @@ func (r *Result) MeanExecSeconds() float64 {
 // FailedSeconds is the summed billed execution time of failed attempts
 // (crashes and timeouts) across all instances.
 func (r *Result) FailedSeconds() float64 { return r.sum.failedSec }
-
-// StageBreakdown decomposes the scaling time along the critical path of the
-// last instance to start: time in scheduling, image build, shipping, and
-// boot. The four components sum to ScalingTime (paper Fig. 2).
-func (r *Result) StageBreakdown() (sched, build, ship, boot float64) {
-	c := &r.cols
-	if c.n == 0 {
-		return 0, 0, 0, 0
-	}
-	// >= from a zero start: ties go to the highest index.
-	last, lastStart := 0, 0.0
-	for i, s := range c.start {
-		if s >= lastStart {
-			last, lastStart = i, s
-		}
-	}
-	return c.schedDone[last],
-		c.buildDone[last] - c.schedDone[last],
-		c.shipDone[last] - c.buildDone[last],
-		c.start[last] - c.shipDone[last]
-}

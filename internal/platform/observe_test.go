@@ -86,7 +86,9 @@ func TestLifecycleSpansReconcileWithStageBreakdown(t *testing.T) {
 // TestChromeTraceGolden locks the exported Chrome trace of a deterministic
 // faulty burst byte-for-byte. The simulator is seeded and single-threaded
 // and the exporter emits integer microseconds in a fixed order, so any diff
-// is a real behaviour change. Regenerate with -update.
+// is a real behaviour change. On an intended format change, regenerate with
+// `go test ./internal/platform -run TestChromeTraceGolden -update` and commit
+// the new golden file.
 func TestChromeTraceGolden(t *testing.T) {
 	cfg := AWSLambda()
 	cfg.CrashRate = 0.0004

@@ -318,6 +318,9 @@ func TestAppendJSONPrimitives(t *testing.T) {
 	}
 }
 
+// FuzzAppendJSON holds the appending encoder to json.MarshalIndent of the
+// same oracle struct on fuzzer-chosen floats and strings, and a NaN or ±Inf
+// to the 500 body. A reproducing input lands in testdata/fuzz/.
 func FuzzAppendJSON(f *testing.F) {
 	for i, v := range jsonFloatCases {
 		f.Add(math.Float64bits(v), math.Float64bits(jsonFloatCases[(i+5)%len(jsonFloatCases)]), jsonStringCases[i%len(jsonStringCases)], uint8(37*i))

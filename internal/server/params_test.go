@@ -45,6 +45,9 @@ func checkParams(t testing.TB, raw string) {
 	}
 }
 
+// FuzzParams holds the query parser and the coalescing key to url.Values on
+// any raw query: the same pairs, in order, and the same answer to every key.
+// A reproducing input lands in testdata/fuzz/.
 func FuzzParams(f *testing.F) {
 	f.Add("")
 	f.Add("b=2&a=1&a=0&%zz=1&x;y=2&&=&a+b=c%20d&=v")

@@ -268,12 +268,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the metrics registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Ready reports whether the server currently passes /readyz.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
-// SetReady overrides readiness (Run manages it; tests may force it).
-func (s *Server) SetReady(v bool) { s.ready.Store(v) }
-
 // Run serves on ln until ctx is cancelled, then drains gracefully:
 //
 //	ctx cancelled → /readyz flips to 503

@@ -133,7 +133,7 @@ func TestJointEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := grid.PlanJointFor(2000, core.Weights{Service: 0.5, Expense: 0.5})
+	want, err := grid.Answer(core.Request{C: 2000, Weights: core.Weights{Service: 0.5, Expense: 0.5}, SizesMB: grid.MemSizesMB()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,24 +152,6 @@ func (e *Engine) EmitAfter(d float64, kind uint8, subject int32) {
 	e.Emit(e.now+d, kind, subject)
 }
 
-// Pending reports the number of events not yet dispatched.
-func (e *Engine) Pending() int {
-	n := len(e.q)
-	for i := range e.lanes {
-		n += e.lanes[i].n
-	}
-	return n
-}
-
-// Scheduled reports the number of events scheduled since the engine was
-// created or last Reset, dispatched or not — the run's event budget, which
-// the platform's events-per-instance gate pins.
-func (e *Engine) Scheduled() uint64 { return e.seq }
-
-// LaneScheduled reports how many of the Scheduled events rode a monotone
-// lane; the remainder were pushed onto the heap.
-func (e *Engine) LaneScheduled() uint64 { return e.laneSeq }
-
 // before is the engine's total order: time, then insertion sequence.
 func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
@@ -263,18 +245,4 @@ func (e *Engine) Run() float64 {
 	for e.next(math.Inf(1)) {
 	}
 	return e.now
-}
-
-// RunUntil dispatches events with time ≤ deadline, then advances the clock
-// to the deadline. Events scheduled beyond it stay pending. An event exactly
-// at the deadline fires. A NaN deadline panics.
-func (e *Engine) RunUntil(deadline float64) {
-	if math.IsNaN(deadline) {
-		panic("sim: non-finite RunUntil deadline NaN")
-	}
-	for e.next(deadline) {
-	}
-	if deadline > e.now {
-		e.now = deadline
-	}
 }

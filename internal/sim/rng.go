@@ -48,15 +48,6 @@ func SplitSeed(seed int64, id uint64) int64 {
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Intn returns a uniform sample in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
-// NormFloat64 returns a standard normal sample.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // ExpFloat64 returns an exponential sample with rate 1 (mean 1). Divide by a
 // rate λ to sample Exp(λ) — e.g. the crash time of an instance that fails at
 // λ crashes per second.

@@ -79,12 +79,6 @@ func (s *TypedStation) Submit(subject int32) {
 	s.queue = append(s.queue, subject)
 }
 
-// QueueLen reports jobs waiting (not in service).
-func (s *TypedStation) QueueLen() int { return len(s.queue) - s.queuePos }
-
-// Busy reports servers currently serving.
-func (s *TypedStation) Busy() int { return s.busy }
-
 func (s *TypedStation) start(subject int32) {
 	s.busy++
 	d := s.service(subject)

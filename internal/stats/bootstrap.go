@@ -17,9 +17,6 @@ type CI struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether v lies in the interval.
-func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
-
 func (c CI) String() string { return fmt.Sprintf("[%.4g, %.4g]", c.Lo, c.Hi) }
 
 // percentileCI extracts the central `conf` mass of sorted bootstrap

@@ -17,11 +17,6 @@ type ExpModel struct {
 	Intercept float64
 }
 
-// At evaluates the model at x.
-func (m ExpModel) At(x float64) float64 {
-	return math.Exp(m.Slope*x + m.Intercept)
-}
-
 func (m ExpModel) String() string {
 	return fmt.Sprintf("exp(%.6g·x %+.6g)", m.Slope, m.Intercept)
 }

