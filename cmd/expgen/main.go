@@ -23,14 +23,13 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "experiment id (e.g. fig9, validation, ablation) or 'all'")
-		quick   = flag.Bool("quick", false, "use the reduced concurrency grid")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		workers = flag.Int("workers", 0, "parallel workers per experiment (0 = GOMAXPROCS, 1 = sequential; tables are identical for any value)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		out     = flag.String("o", "", "write each experiment to <dir>/<id>.txt (or .csv) instead of stdout")
-		report  = flag.String("report", "", "write a single markdown report with every experiment to this file")
-		list    = flag.Bool("list", false, "list available experiments and exit")
+		fig    = flag.String("fig", "all", "experiment id (e.g. fig9, validation, ablation) or 'all'")
+		quick  = flag.Bool("quick", false, "use the reduced concurrency grid")
+		seed   = flag.Int64("seed", 1, "simulation seed")
+		csv    = flag.Bool("csv", false, "emit CSV instead of an aligned table")
+		out    = flag.String("o", "", "write each experiment to <dir>/<id>.txt (or .csv) instead of stdout")
+		report = flag.String("report", "", "write a single markdown report with every experiment to this file")
+		list   = flag.Bool("list", false, "list available experiments and exit")
 	)
 	flag.Parse()
 
@@ -41,7 +40,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick}
 	var todo []experiments.Experiment
 	if *fig == "all" {
 		todo = experiments.All()

@@ -212,7 +212,7 @@ func cmdAdvise(args []string) error {
 		// failure model just report the chosen degree.
 		fmt.Printf("\nrecommended packing degree at C=%d: %d (reliability-aware)\n", r.C, plan.Degree)
 	} else {
-		lo, hi, err := core.NewPlanner(models).DegreeRange(r.C, plan.Weights, 0.02)
+		lo, hi, err := core.NewPlanner(models).DegreeRange(r.C, plan.Weights)
 		if err != nil {
 			return err
 		}
@@ -428,7 +428,6 @@ func cmdSweep(args []string) error {
 	memGrid := fs.String("mem.grid", "", "comma-separated memory sizes in MB: sweep degrees at every size and add a mem column")
 	jsonOut := fs.Bool("json", false, "emit one JSON line of metrics per degree on stdout")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "parallel workers over packing degrees; the default 0 uses one worker per core (bounded by GOMAXPROCS), and -workers 1 reproduces fully sequential execution for debugging — output is byte-identical for any value")
 	setupObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -448,7 +447,7 @@ func cmdSweep(args []string) error {
 	if *memGrid != "" {
 		sizes, err := server.ParseMemSizes(*memGrid)
 		if err == nil {
-			err = sweepGrid(cfg, w, sizes, *c, *seed, *workers, *jsonOut, sink)
+			err = sweepGrid(cfg, w, sizes, *c, *seed, *jsonOut, sink)
 		}
 		if err != nil {
 			sink.Close()
@@ -457,7 +456,7 @@ func cmdSweep(args []string) error {
 		return sink.Close()
 	}
 	all, err := baseline.SweepWithOptions(cfg, w.Demand(), *c, *seed, cfg.Shape.MaxDegree(w.Demand()),
-		baseline.SweepOptions{Workers: *workers, Recorder: sink.Rec})
+		baseline.SweepOptions{Recorder: sink.Rec})
 	if err != nil {
 		sink.Close()
 		return err
@@ -490,7 +489,7 @@ func cmdSweep(args []string) error {
 // sweepGrid is sweep's -mem.grid branch: one degree sweep per memory size,
 // sizes in ascending order, rendered as a single table with a mem column
 // (or, with -json, one line per (size, degree) carrying a mem_mb field).
-func sweepGrid(cfg platform.Config, w workload.Workload, sizes []float64, c int, seed int64, workers int, jsonOut bool, sink *obsSink) error {
+func sweepGrid(cfg platform.Config, w workload.Workload, sizes []float64, c int, seed int64, jsonOut bool, sink *obsSink) error {
 	type sized struct {
 		memMB float64
 		rows  []trace.Metrics
@@ -506,7 +505,7 @@ func sweepGrid(cfg platform.Config, w workload.Workload, sizes []float64, c int,
 			return err
 		}
 		rows, err := baseline.SweepWithOptions(scfg, w.Demand(), c, seed, scfg.Shape.MaxDegree(w.Demand()),
-			baseline.SweepOptions{Workers: workers, Recorder: sink.Rec})
+			baseline.SweepOptions{Recorder: sink.Rec})
 		if err != nil {
 			return err
 		}
@@ -592,7 +591,6 @@ func cmdHetero(args []string) error {
 	plat := fs.String("platform", "aws", "platform: aws, google, azure, funcx")
 	ws := fs.Float64("ws", 0.5, "service-time weight W_S")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	workers := fs.Int("workers", 0, "parallel workers over the three deployments; the default 0 uses one worker per core (bounded by GOMAXPROCS), and -workers 1 reproduces fully sequential execution for debugging — output is byte-identical for any value")
 	setupObs := obsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -646,7 +644,7 @@ func cmdHetero(args []string) error {
 			o.run, err = orchestrator.RunMixedProPack(cfg, apps, weights, *seed, rec)
 		}
 		return o, err
-	}, parallel.Workers(*workers))
+	})
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 //
 //  3. shows the same resilience machinery on the local runtime: kernels that
 //     panic are retried per instance, and a context deadline aborts the job
-//     promptly with partial results.
+//     promptly.
 //
 //     go run ./examples/fault-tolerance
 package main

@@ -81,7 +81,7 @@ func TestFacadeParetoAndStability(t *testing.T) {
 	if len(frontier) == 0 {
 		t.Fatal("empty frontier")
 	}
-	lo, hi, err := NewPlanner(rec.Models).DegreeRange(3000, Balanced(), 0.02)
+	lo, hi, err := NewPlanner(rec.Models).DegreeRange(3000, Balanced())
 	if err != nil {
 		t.Fatal(err)
 	}

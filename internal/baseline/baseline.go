@@ -132,43 +132,29 @@ func (s Staggered) Execute(cfg platform.Config, d interfere.Demand, c int, seed 
 	return trace.FromResult(res), nil
 }
 
-// Pywren models the Jonas et al. workload manager: a pool of WarmInstances
-// reusable instances avoids cold starts for part of the burst, and its
-// optimized data-movement path trims the I/O phase of every function. It
-// does not pack — which is why the scaling bottleneck survives at high
+// Pywren models the Jonas et al. workload manager: a pool of 200 reusable
+// instances avoids cold starts for part of the burst, and its optimized
+// data-movement path trims the I/O phase of every function by 20%. It does
+// not pack — which is why the scaling bottleneck survives at high
 // concurrency (paper Fig. 19).
-type Pywren struct {
-	// WarmInstances is the reuse-pool size; zero means the default (200).
-	WarmInstances int
-	// IOSavings is the fractional I/O-time reduction from Pywren's data
-	// movement optimizations; zero means the default (0.2).
-	IOSavings float64
-}
+type Pywren struct{}
+
+const (
+	// pywrenWarmInstances is the reuse-pool size.
+	pywrenWarmInstances = 200
+	// pywrenIOSavings is the fractional I/O-time reduction from Pywren's
+	// data movement optimizations.
+	pywrenIOSavings = 0.2
+)
 
 // Name implements Strategy.
 func (Pywren) Name() string { return "Pywren" }
 
 // Execute implements Strategy.
-func (p Pywren) Execute(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, error) {
-	warm := p.WarmInstances
-	if warm == 0 {
-		warm = 200
-	}
-	if warm < 0 {
-		return trace.Metrics{}, fmt.Errorf("baseline: negative warm pool %d", warm)
-	}
-	sav := p.IOSavings
-	if sav == 0 {
-		sav = 0.2
-	}
-	if sav < 0 || sav >= 1 {
-		return trace.Metrics{}, fmt.Errorf("baseline: I/O savings %g outside [0,1)", sav)
-	}
+func (Pywren) Execute(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, error) {
 	tuned := d
-	tuned.IOSeconds *= 1 - sav
-	if warm > c {
-		warm = c
-	}
+	tuned.IOSeconds *= 1 - pywrenIOSavings
+	warm := min(pywrenWarmInstances, c)
 	res, err := platform.Run(cfg, platform.Burst{
 		Demand: tuned, Functions: c, Degree: 1, Warm: warm, Seed: seed,
 	})

@@ -110,15 +110,6 @@ func TestPywrenHelpsAtLowConcurrencyOnly(t *testing.T) {
 	}
 }
 
-func TestPywrenValidation(t *testing.T) {
-	if _, err := (Pywren{WarmInstances: -1}).Execute(platform.AWSLambda(), demand(), 10, 1); err == nil {
-		t.Fatal("negative pool accepted")
-	}
-	if _, err := (Pywren{IOSavings: 1.5}).Execute(platform.AWSLambda(), demand(), 10, 1); err == nil {
-		t.Fatal("I/O savings ≥1 accepted")
-	}
-}
-
 func TestOracleBeatsBaselineAndEndpoints(t *testing.T) {
 	cfg := platform.AWSLambda()
 	const c = 1500

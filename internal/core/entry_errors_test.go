@@ -67,7 +67,7 @@ func fixedSizeEntryPoints() []entryPoint {
 			return err
 		}},
 		{"Planner.DegreeRange", "mwc", func(in entryInputs) error {
-			_, _, err := NewPlanner(in.m).DegreeRange(in.c, in.w, 0.02)
+			_, _, err := NewPlanner(in.m).DegreeRange(in.c, in.w)
 			return err
 		}},
 		{"Planner.TailServiceAt", "mwc", func(in entryInputs) error {
@@ -139,9 +139,6 @@ func TestFixedSizeEntryPointErrorText(t *testing.T) {
 	}
 	if _, _, err := NewPlanner(stressModels()).QoSPlan(5000, 1e-6, QoSOptions{}); errStr(err) != "core: no weighting satisfies the QoS bound: bound 1e-06s at concurrency 5000" {
 		t.Errorf("infeasible QoS bound: %v", err)
-	}
-	if _, _, err := NewPlanner(stressModels()).DegreeRange(0, Balanced(), -1); errStr(err) != "core: negative tolerance -1" {
-		t.Errorf("DegreeRange precedence: %v", err)
 	}
 }
 

@@ -408,11 +408,11 @@ func (t *GridTable) planFor(w Weights) JointPlan {
 }
 
 // degreeRange is the plan-stability band of a one-row table: the contiguous
-// degrees around the Eq. 7 optimum whose weighted regret stays within tol of
-// the optimum's. The regret keeps DegreeRange's historical grouping,
-// W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the band edges
-// are pinned in the serve goldens.
-func (t *GridTable) degreeRange(w Weights, tol float64) (lo, hi int) {
+// degrees around the Eq. 7 optimum whose weighted regret stays within
+// degreeRangeTol of the optimum's. The regret keeps DegreeRange's historical
+// grouping, W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the
+// band edges are pinned in the serve goldens.
+func (t *GridTable) degreeRange(w Weights) (lo, hi int) {
 	gs := &t.sizes[0]
 	svc, exp := gs.t.service, gs.t.expense
 	bestS, bestE := gs.minService, gs.minExpense
@@ -420,7 +420,7 @@ func (t *GridTable) degreeRange(w Weights, tol float64) (lo, hi int) {
 		return w.Service*(svc[p-1]-bestS)/bestS + w.Expense*(exp[p-1]-bestE)/bestE
 	}
 	_, best := t.argminJoint(100, 1, w)
-	bound := regret(best) + tol
+	bound := regret(best) + degreeRangeTol
 	lo, hi = best, best
 	for lo > 1 && regret(lo-1) <= bound {
 		lo--

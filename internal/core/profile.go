@@ -131,20 +131,11 @@ type ProfileOptions struct {
 	// FullSweep disables alternate-point skipping and profiles every
 	// degree (used by the sampling ablation).
 	FullSweep bool
-	// Trials is how many times each packing degree is measured and
-	// averaged (the paper pre-runs a function "a few times"). Zero means 3.
-	Trials int
-	// Workers bounds the probe fan-out when the measurer implements
-	// ConcurrentMeasurer: interference probes (one task per sampled degree)
-	// and scaling probes (one task per concurrency level) run on a bounded
-	// parallel.Map pool. 0 means GOMAXPROCS; 1 reproduces fully sequential
-	// execution. The fitted models, samples, and overhead are byte-identical
-	// for every worker count — and to the historical sequential pipeline —
-	// because probe seeds derive from the call index, results fold in degree
-	// order, and overhead accumulates in the exact sequential expression
-	// order. Measurers without ConcurrentMeasurer always run sequentially.
-	Workers int
 }
+
+// probeTrials is how many times each packing degree is measured and
+// averaged: the paper pre-runs a function "a few times" (Sec. 2.1).
+const probeTrials = 3
 
 // DefaultScalingProbes are the concurrency levels used to fit Eq. 2: nine
 // points spanning the operating range.
@@ -189,11 +180,11 @@ func BuildModels(meas Measurer, opts ProfileOptions) (Models, []ETSample, []Scal
 }
 
 // probeInterference is the per-size half of model building that every
-// profile shares: the option checks, the sampled degree list, the trials
-// default, the sequential-or-concurrent interference train, and the
-// feasibility check. BuildModels runs it once and BuildGridModels once per
-// memory size; each fits Eq. 1 and the storage term from the samples it
-// returns, alongside the highest feasible packing degree.
+// profile shares: the option checks, the sampled degree list, the
+// sequential-or-concurrent interference train, and the feasibility check.
+// BuildModels runs it once and BuildGridModels once per memory size; each
+// fits Eq. 1 and the storage term from the samples it returns, alongside
+// the highest feasible packing degree.
 func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamples []ETSample, costSamples []CostSample, maxFeasible int, err error) {
 	if opts.MaxDegree < 1 {
 		return nil, nil, 0, fmt.Errorf("core: profile needs MaxDegree ≥ 1, have %d", opts.MaxDegree)
@@ -212,18 +203,11 @@ func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamp
 			degrees = append(degrees, d)
 		}
 	}
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 3
-	}
-	if trials < 1 {
-		return nil, nil, 0, fmt.Errorf("core: probe trials must be ≥1, have %d", trials)
-	}
 	_, hasCost := meas.(CostMeasurer)
 	if cm, ok := meas.(ConcurrentMeasurer); ok {
-		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, trials, opts, ov)
+		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, opts, ov)
 	} else {
-		etSamples, costSamples, maxFeasible, err = probeExecSequential(meas, hasCost, degrees, trials, opts, ov)
+		etSamples, costSamples, maxFeasible, err = probeExecSequential(meas, hasCost, degrees, opts, ov)
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -238,7 +222,7 @@ func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamp
 // alternate degrees in order, trials per degree, stopping at the first
 // infeasible degree (probing is monotone). This is the historical pipeline
 // and the oracle probeExecConcurrent must reproduce bit-for-bit.
-func probeExecSequential(meas Measurer, hasCost bool, degrees []int, trials int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
+func probeExecSequential(meas Measurer, hasCost bool, degrees []int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
 	costMeas, _ := meas.(CostMeasurer)
 	etSamples := make([]ETSample, 0, len(degrees))
 	costSamples := make([]CostSample, 0, len(degrees))
@@ -246,7 +230,7 @@ func probeExecSequential(meas Measurer, hasCost bool, degrees []int, trials int,
 probing:
 	for _, d := range degrees {
 		var sum, costSum float64
-		for t := 0; t < trials; t++ {
+		for t := 0; t < probeTrials; t++ {
 			et, err := meas.MeasureExec(d)
 			if errors.Is(err, ErrDegreeInfeasible) {
 				// The platform's execution limit caps the packing degree
@@ -266,9 +250,9 @@ probing:
 				ov.ExecProbeUSD += storage
 			}
 		}
-		etSamples = append(etSamples, ETSample{Degree: d, ETSec: sum / float64(trials)})
+		etSamples = append(etSamples, ETSample{Degree: d, ETSec: sum / probeTrials})
 		if hasCost {
-			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / float64(trials)})
+			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / probeTrials})
 		}
 	}
 	return etSamples, costSamples, maxFeasible, nil
@@ -284,23 +268,23 @@ probing:
 // sequential train itself. Degrees past the first infeasible one may probe
 // speculatively (the sequential train would have stopped); their results are
 // discarded by the fold and their cost never reaches the Overhead.
-func probeExecConcurrent(cm ConcurrentMeasurer, hasCost bool, degrees []int, trials int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
+func probeExecConcurrent(cm ConcurrentMeasurer, hasCost bool, degrees []int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
 	type trialResult struct {
 		et, storage float64
 		err         error
 	}
 	results, err := parallel.Map(context.Background(), len(degrees),
 		func(_ context.Context, i int) ([]trialResult, error) {
-			out := make([]trialResult, 0, trials)
-			for t := 0; t < trials; t++ {
-				et, storage, err := cm.MeasureExecCall(degrees[i], i*trials+t+1)
+			out := make([]trialResult, 0, probeTrials)
+			for t := 0; t < probeTrials; t++ {
+				et, storage, err := cm.MeasureExecCall(degrees[i], i*probeTrials+t+1)
 				out = append(out, trialResult{et: et, storage: storage, err: err})
 				if err != nil {
 					break // the sequential train stops at this call
 				}
 			}
 			return out, nil
-		}, parallel.Workers(opts.Workers))
+		})
 	if err != nil {
 		return nil, nil, 0, err // unreachable: tasks never fail, ctx never cancels
 	}
@@ -330,9 +314,9 @@ fold:
 				ov.ExecProbeUSD += r.storage
 			}
 		}
-		etSamples = append(etSamples, ETSample{Degree: d, ETSec: sum / float64(trials)})
+		etSamples = append(etSamples, ETSample{Degree: d, ETSec: sum / probeTrials})
 		if hasCost {
-			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / float64(trials)})
+			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / probeTrials})
 		}
 	}
 	cm.AdvanceCalls(calls)
@@ -363,7 +347,7 @@ func probeScaling(meas Measurer, opts ProfileOptions, ov *Overhead) ([]ScalingSa
 			func(_ context.Context, i int) (scalingResult, error) {
 				st, err := meas.MeasureScaling(probes[i])
 				return scalingResult{st: st, err: err}, nil
-			}, parallel.Workers(opts.Workers))
+			})
 		if err != nil {
 			return nil, err // unreachable: tasks never fail, ctx never cancels
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,6 +37,14 @@ func probeTestConfig() (platform.Config, interfere.Demand) {
 	return cfg, d
 }
 
+// withProcs runs fn at GOMAXPROCS procs, restoring the setting after. The
+// probe fan-out sizes its pool from GOMAXPROCS, so this is how a test
+// varies the worker count.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // buildAll runs BuildModels and returns everything it produced, failing the
 // test on error.
 func buildAll(t *testing.T, meas Measurer, opts ProfileOptions) (Models, []ETSample, []ScalingSample, Overhead) {
@@ -49,33 +58,35 @@ func buildAll(t *testing.T, meas Measurer, opts ProfileOptions) (Models, []ETSam
 
 // TestConcurrentProbeEquivalence locks in the tentpole determinism
 // contract: the concurrent probe fan-out produces byte-identical models,
-// samples, and overhead for every worker count — and to the sequential
-// train a plain Measurer gets.
+// samples, and overhead at every GOMAXPROCS — and to the sequential train a
+// plain Measurer gets.
 func TestConcurrentProbeEquivalence(t *testing.T) {
 	cfg, d := probeTestConfig()
 	opts := ProfileOptionsFor(cfg, d)
 
-	seqOpts := opts
-	seqOpts.Workers = 1
 	wantM, wantET, wantSC, wantOV := buildAll(t,
-		seqOnly{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}}, seqOpts)
+		seqOnly{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}}, opts)
 
-	for _, workers := range []int{0, 1, 2, 4, 8, 17} {
-		o := opts
-		o.Workers = workers
-		gotM, gotET, gotSC, gotOV := buildAll(t,
-			&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, o)
+	for _, procs := range []int{1, 2, 4, 8, 17} {
+		var gotM Models
+		var gotET []ETSample
+		var gotSC []ScalingSample
+		var gotOV Overhead
+		withProcs(procs, func() {
+			gotM, gotET, gotSC, gotOV = buildAll(t,
+				&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, opts)
+		})
 		if gotM != wantM {
-			t.Fatalf("workers=%d: models differ:\n got %+v\nwant %+v", workers, gotM, wantM)
+			t.Fatalf("GOMAXPROCS=%d: models differ:\n got %+v\nwant %+v", procs, gotM, wantM)
 		}
 		if !reflect.DeepEqual(gotET, wantET) {
-			t.Fatalf("workers=%d: ET samples differ", workers)
+			t.Fatalf("GOMAXPROCS=%d: ET samples differ", procs)
 		}
 		if !reflect.DeepEqual(gotSC, wantSC) {
-			t.Fatalf("workers=%d: scaling samples differ", workers)
+			t.Fatalf("GOMAXPROCS=%d: scaling samples differ", procs)
 		}
 		if gotOV != wantOV {
-			t.Fatalf("workers=%d: overhead differs:\n got %+v\nwant %+v", workers, gotOV, wantOV)
+			t.Fatalf("GOMAXPROCS=%d: overhead differs:\n got %+v\nwant %+v", procs, gotOV, wantOV)
 		}
 	}
 }
@@ -89,23 +100,21 @@ func TestConcurrentProbeInfeasibleTruncation(t *testing.T) {
 	cfg.MaxExecSec = 60 // high packing degrees blow the limit
 	opts := ProfileOptionsFor(cfg, d)
 
-	seqOpts := opts
-	seqOpts.Workers = 1
 	wantM, wantET, wantSC, wantOV := buildAll(t,
-		seqOnly{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}}, seqOpts)
+		seqOnly{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}}, opts)
 	if wantM.MaxDegree >= opts.MaxDegree {
 		t.Fatalf("test config not truncating: MaxDegree %d of %d", wantM.MaxDegree, opts.MaxDegree)
 	}
 
-	for _, workers := range []int{0, 2, 8} {
-		o := opts
-		o.Workers = workers
-		gotM, gotET, gotSC, gotOV := buildAll(t,
-			&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, o)
-		if gotM != wantM || gotOV != wantOV ||
-			!reflect.DeepEqual(gotET, wantET) || !reflect.DeepEqual(gotSC, wantSC) {
-			t.Fatalf("workers=%d: truncated build differs from sequential", workers)
-		}
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
+			gotM, gotET, gotSC, gotOV := buildAll(t,
+				&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, opts)
+			if gotM != wantM || gotOV != wantOV ||
+				!reflect.DeepEqual(gotET, wantET) || !reflect.DeepEqual(gotSC, wantSC) {
+				t.Fatalf("GOMAXPROCS=%d: truncated build differs from sequential", procs)
+			}
+		})
 	}
 }
 
@@ -118,14 +127,10 @@ func TestConcurrentProbeCallCounterContinuity(t *testing.T) {
 	opts := ProfileOptionsFor(cfg, d)
 
 	seqMeas := &SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-	seqOpts := opts
-	seqOpts.Workers = 1
-	buildAll(t, seqOnly{seqMeas}, seqOpts)
+	buildAll(t, seqOnly{seqMeas}, opts)
 
 	parMeas := &SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-	parOpts := opts
-	parOpts.Workers = 4
-	buildAll(t, parMeas, parOpts)
+	withProcs(4, func() { buildAll(t, parMeas, opts) })
 
 	if seqMeas.calls != parMeas.calls {
 		t.Fatalf("call counter diverged: sequential %d, concurrent %d", seqMeas.calls, parMeas.calls)
@@ -162,20 +167,19 @@ func (p panickyMeasurer) MeasureExecCall(degree, call int) (float64, float64, er
 // not end the process.
 func TestBuildModelsProbePanicReachesCaller(t *testing.T) {
 	cfg, d := probeTestConfig()
-	for _, workers := range []int{1, 4} {
-		opts := ProfileOptionsFor(cfg, d)
-		opts.Workers = workers
-		func() {
+	opts := ProfileOptionsFor(cfg, d)
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() {
 			defer func() {
 				msg := fmt.Sprint(recover())
 				for _, want := range []string{"non-finite time NaN", "panickyMeasurer", "MeasureExecCall"} {
 					if !strings.Contains(msg, want) {
-						t.Fatalf("workers=%d: recovered value lacks %q:\n%s", workers, want, msg)
+						t.Fatalf("GOMAXPROCS=%d: recovered value lacks %q:\n%s", procs, want, msg)
 					}
 				}
 			}()
 			_, _, _, _, err := BuildModels(panickyMeasurer{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, 3}, opts)
-			t.Fatalf("workers=%d: BuildModels returned (err %v), want a panic", workers, err)
-		}()
+			t.Fatalf("GOMAXPROCS=%d: BuildModels returned (err %v), want a panic", procs, err)
+		})
 	}
 }

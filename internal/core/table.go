@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -370,20 +369,20 @@ func (pl *Planner) PlanFor(c int, w Weights) (Plan, error) {
 	return jp.Plan, err
 }
 
+// degreeRangeTol is the plan-stability band's regret tolerance: 2%.
+const degreeRangeTol = 0.02
+
 // DegreeRange reports the contiguous range of packing degrees around the
-// optimum whose Eq. 7 weighted regret stays within tol (e.g. 0.02 = 2%) of
-// the best — the "plan stability" band. A wide band means the choice is
-// forgiving; a narrow one means the degree matters. The optimum is always
-// inside the returned range.
-func (pl *Planner) DegreeRange(c int, w Weights, tol float64) (lo, hi int, err error) {
-	if tol < 0 {
-		return 0, 0, fmt.Errorf("core: negative tolerance %g", tol)
-	}
+// optimum whose Eq. 7 weighted regret stays within 2% of the best — the
+// "plan stability" band. A wide band means the choice is forgiving; a
+// narrow one means the degree matters. The optimum is always inside the
+// returned range.
+func (pl *Planner) DegreeRange(c int, w Weights) (lo, hi int, err error) {
 	t, err := pl.cache.table(c, &w)
 	if err != nil {
 		return 0, 0, err
 	}
-	lo, hi = t.degreeRange(w, tol)
+	lo, hi = t.degreeRange(w)
 	return lo, hi, nil
 }
 

@@ -23,7 +23,7 @@ import (
 //  4. packing vs the rejected alternatives (serial batching, staggering,
 //     Pywren-style reuse).
 //
-// Each sub-ablation fans its variants out with cfg.Workers and appends the
+// Each sub-ablation fans its variants out in parallel and appends the
 // resulting rows in variant order; a variant that needs a SimMeasurer owns
 // its own instance (the measurer's probe counter is mutable state, so one
 // is never shared across parallel cells).
@@ -62,7 +62,7 @@ func ablateInstanceSize(cfg Config) ([][]string, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	sizes := []float64{3584, 7168, 10240}
-	return forAll(cfg, len(sizes), func(i int) ([]string, error) {
+	return forAll(len(sizes), func(i int) ([]string, error) {
 		mb := sizes[i]
 		p, err := platform.AWSLambda().WithMemory(mb)
 		if err != nil {
@@ -83,7 +83,7 @@ func ablateInstanceSize(cfg Config) ([][]string, error) {
 // sweep: probe seconds spent vs mean model error over all degrees.
 func ablateSampling(cfg Config, p platform.Config, w workload.Workload) ([][]string, error) {
 	variants := []bool{false, true}
-	return forAll(cfg, len(variants), func(i int) ([]string, error) {
+	return forAll(len(variants), func(i int) ([]string, error) {
 		full := variants[i]
 		meas := &core.SimMeasurer{Config: p, Demand: w.Demand(), Seed: cfg.Seed}
 		opts := core.ProfileOptionsFor(p, w.Demand())
@@ -121,7 +121,7 @@ func ablateScalingOrder(cfg Config, p platform.Config) ([][]string, error) {
 	meas := &core.SimMeasurer{Config: p, Demand: workload.Video{}.Demand(), Seed: cfg.Seed}
 	probes := []int{100, 250, 500, 1000, 1500, 2000, 3000}
 	holdout := cfg.topConcurrency()
-	ys, err := forAll(cfg, len(probes)+1, func(i int) (float64, error) {
+	ys, err := forAll(len(probes)+1, func(i int) (float64, error) {
 		if i == len(probes) {
 			return meas.MeasureScaling(holdout)
 		}
@@ -153,7 +153,7 @@ func ablateScalingOrder(cfg Config, p platform.Config) ([][]string, error) {
 // the fitted-intercept variant on prediction error.
 func ablateIntercept(cfg Config, p platform.Config, w workload.Workload) ([][]string, error) {
 	variants := []bool{true, false}
-	return forAll(cfg, len(variants), func(i int) ([]string, error) {
+	return forAll(len(variants), func(i int) ([]string, error) {
 		exact := variants[i]
 		meas := &core.SimMeasurer{Config: p, Demand: w.Demand(), Seed: cfg.Seed}
 		opts := core.ProfileOptionsFor(p, w.Demand())
@@ -188,7 +188,7 @@ func ablateAlternatives(cfg Config, p platform.Config, w workload.Workload) ([][
 		baseline.Staggered{DelaySec: 0.2},
 		baseline.Pywren{},
 	}
-	out, err := forAll(cfg, len(strategies), func(i int) ([]string, error) {
+	out, err := forAll(len(strategies), func(i int) ([]string, error) {
 		s := strategies[i]
 		m, err := s.Execute(p, w.Demand(), c, cfg.Seed)
 		if err != nil {

@@ -28,23 +28,17 @@ type Config struct {
 	// Quick shrinks concurrency grids so the full suite runs in seconds
 	// (used by unit tests); the default false reproduces the paper's grids.
 	Quick bool
-	// Workers bounds the parallel fan-out of each driver's repetition
-	// loops (grid cells, trials, probe runs). 0 means GOMAXPROCS; 1
-	// reproduces the historical sequential execution. Every driver's
-	// output is byte-identical for any value — cells derive their RNG
-	// streams from (Seed, cell) and rows are assembled in grid order.
-	Workers int
 }
 
-// forAll evaluates n independent grid cells of a figure with cfg.Workers
+// forAll evaluates n independent grid cells of a figure on GOMAXPROCS
 // parallel workers and returns the per-cell results in cell order. Cells
 // must be pure functions of their index (all randomness from cfg.Seed plus
 // the cell's own coordinates) so the table bytes stay independent of the
 // worker count.
-func forAll[R any](cfg Config, n int, fn func(i int) (R, error)) ([]R, error) {
+func forAll[R any](n int, fn func(i int) (R, error)) ([]R, error) {
 	return parallel.Map(context.Background(), n, func(_ context.Context, i int) (R, error) {
 		return fn(i)
-	}, parallel.Workers(cfg.Workers))
+	})
 }
 
 // concurrencies is the paper's evaluation grid (Figs. 8–11 etc.).

@@ -39,7 +39,7 @@ func ExtHetero(cfg Config) (*trace.Table, error) {
 			{Workload: workload.StatelessCost{}, Count: count},
 		}},
 	}
-	rows, err := forAll(cfg, len(jobs), func(i int) ([][]string, error) {
+	rows, err := forAll(len(jobs), func(i int) ([][]string, error) {
 		job := jobs[i]
 		base, err := orchestrator.ExecuteJointUnpacked(p, job.apps, cfg.Seed, nil)
 		if err != nil {
@@ -85,7 +85,7 @@ func ExtProvider(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	speedups := []float64{1, 2, 4, 10}
-	rows, err := forAll(cfg, len(speedups), func(i int) ([]string, error) {
+	rows, err := forAll(len(speedups), func(i int) ([]string, error) {
 		speedup := speedups[i]
 		// Mitigation applies across the control plane: placement search,
 		// image builds, and shipping all speed up together.
@@ -158,7 +158,7 @@ func ExtJoint(cfg Config) (*trace.Table, error) {
 				sec(plan.PredictedServiceSec), usd(plan.PredictedExpenseUSD)), "—")
 	}
 	vc := cfg.midConcurrency()
-	rows, err := forAll(cfg, len(grid.Sizes), func(i int) ([][]string, error) {
+	rows, err := forAll(len(grid.Sizes), func(i int) ([][]string, error) {
 		s := grid.Sizes[i]
 		sized, err := p.WithMemory(s.MemMB)
 		if err != nil {
@@ -217,7 +217,7 @@ func ExtThrottle(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	limits := []int{0, 500, 250}
-	rows, err := forAll(cfg, len(limits), func(i int) ([][]string, error) {
+	rows, err := forAll(len(limits), func(i int) ([][]string, error) {
 		limit := limits[i]
 		p := platform.AWSLambda()
 		p.ConcurrencyLimit = limit
@@ -280,7 +280,7 @@ func ExtDecentral(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	shardCounts := []int{1, 2, 4, 8}
-	rows, err := forAll(cfg, len(shardCounts), func(i int) ([]string, error) {
+	rows, err := forAll(len(shardCounts), func(i int) ([]string, error) {
 		shards := shardCounts[i]
 		p := platform.AWSLambda()
 		p.SchedServers = shards
@@ -342,7 +342,7 @@ func ExtAmortize(cfg Config) (*trace.Table, error) {
 		jobs = []int{1, 5, 20}
 	}
 	total := jobs[len(jobs)-1]
-	expenses, err := forAll(cfg, total, func(i int) (float64, error) {
+	expenses, err := forAll(total, func(i int) (float64, error) {
 		m, err := orchestrator.Execute(p, w.Demand(), c, deg, cfg.Seed+int64(i))
 		if err != nil {
 			return 0, err

@@ -22,7 +22,7 @@ func Fig17(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	w := workload.SmithWaterman{}
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(cs), func(i int) ([]string, error) {
 		c := cs[i]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -60,7 +60,7 @@ func Fig18(cfg Config) (*trace.Table, error) {
 	fx := funcx.Config()
 	d := workload.Video{}.Demand()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(cs), func(i int) ([]string, error) {
 		c := cs[i]
 		baseA, err := platform.Run(aws, platform.Burst{Demand: d, Functions: c, Degree: 1, Seed: cfg.Seed})
 		if err != nil {
@@ -105,7 +105,7 @@ func Fig19(cfg Config) (*trace.Table, error) {
 	py := baseline.Pywren{}
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		pm, err := py.Execute(p, w.Demand(), c, cfg.Seed)
 		if err != nil {
@@ -164,7 +164,7 @@ func Fig20(cfg Config) (*trace.Table, error) {
 		{"joint", core.Balanced()},
 		{"expense-only", core.ExpenseOnly()},
 	}
-	rows, err := forAll(cfg, len(objectives), func(i int) ([]string, error) {
+	rows, err := forAll(len(objectives), func(i int) ([]string, error) {
 		row := objectives[i]
 		deg, err := pl.OptimalDegreeForQuantile(c, 95, row.w)
 		if err != nil {
@@ -221,7 +221,7 @@ func Fig21(cfg Config) (*trace.Table, error) {
 	c := 1000
 	providers := platform.Providers()
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(providers)*len(apps), func(i int) ([]string, error) {
+	rows, err := forAll(len(providers)*len(apps), func(i int) ([]string, error) {
 		p, w := providers[i/len(apps)], apps[i%len(apps)]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {

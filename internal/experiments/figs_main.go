@@ -49,13 +49,12 @@ func oracleFromSweep(sweep []trace.Metrics, q float64) int {
 // averages the metrics per degree — the paper repeats every experiment for
 // statistical significance, and the Oracle degree is meaningless otherwise
 // (neighbouring degrees differ by less than the run-to-run jitter). The
-// trials fan out over `workers` in parallel (each trial owns its seed), and
-// the averages are folded in trial order, so the result is bit-identical to
-// the sequential loop.
+// trials fan out in parallel (each trial owns its seed), and the averages
+// are folded in trial order, so the result is bit-identical to the
+// sequential loop.
 func averagedSweep(cfg Config, p platform.Config, d interfere.Demand, c int, maxDeg, trials int) ([]trace.Metrics, error) {
-	sweeps, err := forAll(cfg, trials, func(t int) ([]trace.Metrics, error) {
-		return baseline.SweepWithOptions(p, d, c, cfg.Seed+int64(t)*1009, maxDeg,
-			baseline.SweepOptions{Workers: cfg.Workers})
+	sweeps, err := forAll(trials, func(t int) ([]trace.Metrics, error) {
+		return baseline.Sweep(p, d, c, cfg.Seed+int64(t)*1009, maxDeg)
 	})
 	if err != nil {
 		return nil, err
@@ -99,7 +98,7 @@ func Fig8(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(apps), func(i int) ([][]string, error) {
+	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -155,7 +154,7 @@ func improvementRows(cfg Config, title string, header string,
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -207,7 +206,7 @@ func Fig11(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -243,7 +242,7 @@ func Fig12(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	c := cfg.midConcurrency()
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(apps), func(i int) ([][]string, error) {
+	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		base, err := orchestrator.Execute(p, w.Demand(), c, 1, cfg.Seed)
 		if err != nil {

@@ -27,7 +27,7 @@ func Fig4(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(apps), func(i int) ([][]string, error) {
+	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, samples, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -68,7 +68,7 @@ func Validation(cfg Config) (*trace.Table, error) {
 		providers = providers[:1] // AWS only on the quick grid
 	}
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(providers)*len(apps), func(i int) ([][]string, error) {
+	rows, err := forAll(len(providers)*len(apps), func(i int) ([][]string, error) {
 		p, w := providers[i/len(apps)], apps[i%len(apps)]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {

@@ -17,7 +17,7 @@ func Fig1(cfg Config) (*trace.Table, error) {
 	providers := platform.Providers()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(providers)*len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(providers)*len(apps)*len(cs), func(i int) ([]string, error) {
 		p := providers[i/(len(apps)*len(cs))]
 		w := apps[i/len(cs)%len(apps)]
 		c := cs[i%len(cs)]
@@ -57,7 +57,7 @@ func Fig2(cfg Config) (*trace.Table, error) {
 		sched, build, ship, scaling float64
 	}
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(cs), func(i int) (row, error) {
+	rows, err := forAll(len(cs), func(i int) (row, error) {
 		c := cs[i]
 		res, err := platform.Run(p, platform.Burst{Demand: d, Functions: c, Degree: 1, Seed: cfg.Seed})
 		if err != nil {
@@ -92,7 +92,7 @@ func Fig5a(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	ets, err := forAll(cfg, len(apps)*len(cs), func(i int) (float64, error) {
+	ets, err := forAll(len(apps)*len(cs), func(i int) (float64, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		res, err := platform.Run(p, platform.Burst{Demand: w.Demand(), Functions: c, Degree: 1, Seed: cfg.Seed})
 		if err != nil {
@@ -123,7 +123,7 @@ func Fig5b(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	scalings, err := forAll(cfg, len(cs)*len(apps), func(i int) (float64, error) {
+	scalings, err := forAll(len(cs)*len(apps), func(i int) (float64, error) {
 		c, w := cs[i/len(apps)], apps[i%len(apps)]
 		res, err := platform.Run(p, platform.Burst{Demand: w.Demand(), Functions: c, Degree: 1, Seed: cfg.Seed})
 		if err != nil {
@@ -172,7 +172,7 @@ func Fig6(cfg Config) (*trace.Table, error) {
 			cells = append(cells, cell{w, deg})
 		}
 	}
-	rows, err := forAll(cfg, len(cells), func(i int) ([]string, error) {
+	rows, err := forAll(len(cells), func(i int) ([]string, error) {
 		w, deg := cells[i].w, cells[i].deg
 		res, err := platform.Run(p, platform.Burst{Demand: w.Demand(), Functions: c, Degree: deg, Seed: cfg.Seed})
 		if err != nil {
@@ -210,7 +210,7 @@ func Fig7(cfg Config) (*trace.Table, error) {
 		expense float64
 		ok      bool
 	}
-	cells, err := forAll(cfg, len(apps)*len(degrees), func(i int) (cell, error) {
+	cells, err := forAll(len(apps)*len(degrees), func(i int) (cell, error) {
 		w, deg := apps[i/len(degrees)], degrees[i%len(degrees)]
 		if deg > p.Shape.MaxDegree(w.Demand()) {
 			return cell{}, nil

@@ -22,7 +22,7 @@ func Fig13(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		joint, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -60,7 +60,7 @@ func Fig14(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(cfg, len(apps)*len(cs), func(i int) ([]string, error) {
+	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		joint, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -99,7 +99,7 @@ func Fig15(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(cfg, len(apps), func(i int) ([][]string, error) {
+	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -168,7 +168,7 @@ func Fig16(cfg Config) (*trace.Table, error) {
 	}
 	pl := core.NewPlanner(models) // all weight steps share the table at c
 	wss := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	rows, err := forAll(cfg, len(wss), func(i int) ([]string, error) {
+	rows, err := forAll(len(wss), func(i int) ([]string, error) {
 		ws := wss[i]
 		weights := core.Weights{Service: ws, Expense: 1 - ws}
 		plan, err := pl.PlanFor(c, weights)

@@ -13,12 +13,14 @@ import (
 // (the repo convention: every golden test watches this flag).
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fig12CSV renders Fig12 (quick grid, fixed seed) at a worker count.
-func fig12CSV(t *testing.T, workers int) []byte {
+// fig12CSV renders Fig12 (quick grid, fixed seed) at GOMAXPROCS procs, the
+// drivers' worker count, restoring the setting after.
+func fig12CSV(t *testing.T, procs int) []byte {
 	t.Helper()
-	tab, err := Fig12(Config{Seed: 1, Quick: true, Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	tab, err := Fig12(Config{Seed: 1, Quick: true})
 	if err != nil {
-		t.Fatalf("Fig12 (workers=%d): %v", workers, err)
+		t.Fatalf("Fig12 (GOMAXPROCS=%d): %v", procs, err)
 	}
 	var buf bytes.Buffer
 	if err := tab.FprintCSV(&buf); err != nil {
@@ -52,10 +54,10 @@ func TestFig12GoldenSeedStability(t *testing.T) {
 	if !bytes.Equal(seq, want) {
 		t.Fatalf("Fig12 CSV drifted from golden (sequential run):\n got:\n%s\n want:\n%s", seq, want)
 	}
-	for _, workers := range []int{7, runtime.GOMAXPROCS(0)} {
-		if got := fig12CSV(t, workers); !bytes.Equal(got, want) {
-			t.Fatalf("Fig12 CSV with workers=%d differs from golden:\n got:\n%s\n want:\n%s",
-				workers, got, want)
+	for _, procs := range []int{7, runtime.GOMAXPROCS(0)} {
+		if got := fig12CSV(t, procs); !bytes.Equal(got, want) {
+			t.Fatalf("Fig12 CSV at GOMAXPROCS=%d differs from golden:\n got:\n%s\n want:\n%s",
+				procs, got, want)
 		}
 	}
 }

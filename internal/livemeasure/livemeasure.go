@@ -10,11 +10,9 @@
 package livemeasure
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -27,25 +25,16 @@ type Options struct {
 	MaxDegree int
 	// Trials averages repeated measurements per degree; 0 means 3.
 	Trials int
-	// MfuncGB is the nominal per-function footprint used in Eq. 1's
-	// exponent; zero means the workload demand's MemoryMB.
-	MfuncGB float64
 	// Seed derives the workloads' deterministic inputs.
 	Seed int64
-	// Workers fans the (degree, trial) probe grid out over a bounded pool.
-	// 0 and 1 both mean sequential — unlike elsewhere, the default here is
-	// NOT GOMAXPROCS, because concurrent probes contend for the very cores
-	// whose wall time is being measured and would skew the fit. Raise it
-	// only when probe fidelity matters less than throughput (e.g. smoke
-	// tests). The workload inputs stay deterministic per (Seed, degree,
-	// trial) regardless, so the sample *structure* is worker-independent
-	// even though measured wall times always jitter.
-	Workers int
 }
 
 // Profile runs the workload's real kernel at alternate packing degrees
 // (the Sec. 2.1 sampling policy) and fits Eq. 1 to the measured wall
-// times. It returns the fitted model and the raw samples.
+// times, with the workload demand's MemoryMB as Eq. 1's per-function
+// footprint. It returns the fitted model and the raw samples. Probes run
+// one at a time: concurrent probes would contend for the very cores whose
+// wall time is being measured and skew the fit.
 func Profile(w workload.Workload, opts Options) (core.ETModel, []core.ETSample, error) {
 	if w == nil {
 		return core.ETModel{}, nil, fmt.Errorf("livemeasure: nil workload")
@@ -63,37 +52,22 @@ func Profile(w workload.Workload, opts Options) (core.ETModel, []core.ETSample, 
 	if trials < 1 {
 		return core.ETModel{}, nil, fmt.Errorf("livemeasure: trials %d < 1", trials)
 	}
-	mfuncGB := opts.MfuncGB
-	if mfuncGB == 0 {
-		mfuncGB = w.Demand().MemoryMB / 1024
-	}
+	mfuncGB := w.Demand().MemoryMB / 1024
 	if mfuncGB <= 0 {
 		return core.ETModel{}, nil, fmt.Errorf("livemeasure: non-positive Mfunc")
 	}
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1 // sequential by default: parallel probes skew wall times
-	}
 	degrees := core.SampleDegrees(opts.MaxDegree)
-	walls, err := parallel.Map(context.Background(), len(degrees)*trials,
-		func(_ context.Context, i int) (float64, error) {
-			degree, t := degrees[i/trials], i%trials
-			res, err := workload.RunPacked(w, degree, opts.Cores,
-				opts.Seed+int64(1000*degree+t))
-			if err != nil {
-				return 0, fmt.Errorf("livemeasure: degree %d: %w", degree, err)
-			}
-			return res.Wall.Seconds(), nil
-		}, parallel.Workers(workers))
-	if err != nil {
-		return core.ETModel{}, nil, err
-	}
 	samples := make([]core.ETSample, len(degrees))
 	for di, degree := range degrees {
 		var sum float64
 		for t := 0; t < trials; t++ {
-			sum += walls[di*trials+t]
+			res, err := workload.RunPacked(w, degree, opts.Cores,
+				opts.Seed+int64(1000*degree+t))
+			if err != nil {
+				return core.ETModel{}, nil, fmt.Errorf("livemeasure: degree %d: %w", degree, err)
+			}
+			sum += res.Wall.Seconds()
 		}
 		samples[di] = core.ETSample{Degree: degree, ETSec: sum / float64(trials)}
 	}

@@ -54,7 +54,4 @@ func TestProfileValidation(t *testing.T) {
 	if _, _, err := Profile(w, Options{Cores: 1, MaxDegree: 1, Trials: -1}); err == nil {
 		t.Fatal("negative trials accepted")
 	}
-	if _, _, err := Profile(w, Options{Cores: 1, MaxDegree: 1, MfuncGB: -2}); err == nil {
-		t.Fatal("negative Mfunc accepted")
-	}
 }

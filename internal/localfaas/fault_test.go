@@ -133,7 +133,7 @@ func TestKernelErrorWithoutRetryFailsJob(t *testing.T) {
 	}
 }
 
-func TestPartialResultsMode(t *testing.T) {
+func TestExhaustedRetriesFailJob(t *testing.T) {
 	// Functions with seed ≡ 0 (mod 2·1000003) fail permanently: with
 	// Seed=0 and degree 1 that is exactly the even-indexed instances.
 	res, err := Run(Job{
@@ -143,30 +143,22 @@ func TestPartialResultsMode(t *testing.T) {
 		CoresPerInstance: 1,
 		Seed:             0,
 		Retry:            retryFast(1),
-		PartialResults:   true,
 	})
+	if res != nil {
+		t.Fatalf("failed job returned a result: %+v", res)
+	}
 	var jerr *JobError
 	if !errors.As(err, &jerr) {
-		t.Fatalf("expected *JobError alongside partial results, got %v", err)
+		t.Fatalf("expected *JobError, got %v", err)
 	}
-	if res == nil {
-		t.Fatal("partial mode should still return a result")
-	}
-	if len(res.Instances) != 3 || len(res.Failed) != 3 {
-		t.Fatalf("got %d completed, %d failed; want 3/3", len(res.Instances), len(res.Failed))
-	}
-	if jerr.Completed != 3 {
-		t.Fatalf("JobError.Completed = %d, want 3", jerr.Completed)
+	if len(jerr.Failures) != 3 || jerr.Completed != 3 {
+		t.Fatalf("got %d failed, %d completed; want 3/3", len(jerr.Failures), jerr.Completed)
 	}
 	// Failed instances exhausted their retry budget.
-	for _, f := range res.Failed {
+	for _, f := range jerr.Failures {
 		if f.Attempts != 2 { // 1 attempt + 1 retry
 			t.Fatalf("instance %d: attempts %d, want 2", f.Index, f.Attempts)
 		}
-	}
-	// Metrics cover only the completed instances.
-	if res.Metrics.Instances != 3 {
-		t.Fatalf("metrics over %d instances, want 3", res.Metrics.Instances)
 	}
 }
 

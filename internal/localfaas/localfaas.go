@@ -15,9 +15,9 @@
 //
 // The runtime is fault-tolerant: a panicking kernel fails only its own
 // instance, failed instances are retried under a resilience.Backoff policy,
-// the whole job honours a context deadline, and a partial-results mode
-// returns metrics over the instances that completed plus a structured
-// multi-error instead of all-or-nothing.
+// the whole job honours a context deadline, and an instance that exhausts
+// its retries fails the job with a structured multi-error naming every
+// failed instance.
 //
 // This is how the examples demonstrate ProPack end-to-end without any
 // cloud: profile real kernels, fit Eq. 1 with livemeasure, plan, then
@@ -83,10 +83,6 @@ type Job struct {
 	// The policy's MaxAttempts is the retry budget; the zero value disables
 	// retries (one attempt per instance).
 	Retry resilience.Backoff
-	// PartialResults makes the job return a Result covering the instances
-	// that completed, plus a *JobError listing the ones that did not,
-	// instead of failing the whole job on the first instance error.
-	PartialResults bool
 
 	// Recorder receives event-level observability records (queued and exec
 	// spans, retry and backoff events) with wall-clock timestamps relative
@@ -126,9 +122,6 @@ type InstanceRecord struct {
 	Checksums []uint64
 }
 
-// completed reports whether the instance finished successfully.
-func (r InstanceRecord) completed() bool { return r.End > r.Start }
-
 // InstanceError is one instance's terminal failure.
 type InstanceError struct {
 	Index    int
@@ -164,9 +157,7 @@ func (e *JobError) Error() string {
 type Result struct {
 	Job       Job
 	Instances []InstanceRecord
-	// Failed lists instances that never completed (PartialResults mode).
-	Failed  []InstanceError
-	Metrics trace.Metrics
+	Metrics   trace.Metrics
 }
 
 // Run executes the job and blocks until every instance finishes.
@@ -267,23 +258,10 @@ func RunContext(ctx context.Context, job Job) (*Result, error) {
 			jerr.Completed++
 		}
 	}
-	if len(jerr.Failures) > 0 && !job.PartialResults {
-		return nil, jerr
-	}
-	out := &Result{Job: job, Failed: jerr.Failures}
-	for _, r := range records {
-		if r.completed() {
-			out.Instances = append(out.Instances, r)
-		}
-	}
-	if len(out.Instances) == 0 {
-		return nil, jerr
-	}
-	out.Metrics = metricsFrom(job, out.Instances)
 	if len(jerr.Failures) > 0 {
-		return out, jerr
+		return nil, jerr
 	}
-	return out, nil
+	return &Result{Job: job, Instances: records, Metrics: metricsFrom(job, records)}, nil
 }
 
 // runInstance executes one packed instance with per-attempt panic recovery

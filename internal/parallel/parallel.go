@@ -51,8 +51,8 @@ func Workers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WorkerCount resolves a Workers option value to the effective pool size.
-func WorkerCount(n int) int {
+// workerCount resolves a Workers option value to the effective pool size.
+func workerCount(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -111,7 +111,7 @@ func Map[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	workers := WorkerCount(o.workers)
+	workers := workerCount(o.workers)
 	if workers > n {
 		workers = n
 	}

@@ -165,14 +165,14 @@ func TestMapSkipsUnstartedTasksAfterFailure(t *testing.T) {
 }
 
 func TestWorkerCount(t *testing.T) {
-	if got := WorkerCount(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("WorkerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := workerCount(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := WorkerCount(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("WorkerCount(-3) = %d, want GOMAXPROCS", got)
+	if got := workerCount(-3); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workerCount(-3) = %d, want GOMAXPROCS", got)
 	}
-	if got := WorkerCount(5); got != 5 {
-		t.Fatalf("WorkerCount(5) = %d, want 5", got)
+	if got := workerCount(5); got != 5 {
+		t.Fatalf("workerCount(5) = %d, want 5", got)
 	}
 }
 

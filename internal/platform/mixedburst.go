@@ -1,12 +1,11 @@
 package platform
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/interfere"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -89,41 +88,23 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 	ib := &sc.batch
 
 	// Per-bin preparation — the interference model over the bin's demand mix
-	// and the same-demand billing groups — is a pure function of the bin, so
-	// it fans out across GOMAXPROCS workers. Everything order-sensitive (the
-	// platform-limit check with its bin index, the jitter draws on the
-	// burst's single sequential stream) happens in the ordered fold below,
-	// keeping the result byte-identical for every worker count.
-	type binPrep struct {
-		base   float64
-		groups []demandGroup
-	}
-	prep := func(i int) binPrep {
-		return binPrep{
-			base:   interfere.ExecSecondsMixed(m.Bins[i].Demands, cfg.Shape),
-			groups: groupDemands(m.Bins[i].Demands),
-		}
-	}
-	var preps []binPrep
-	if parallel.WorkerCount(0) == 1 || n == 1 {
-		preps = make([]binPrep, n)
-		for i := range preps {
-			preps[i] = prep(i)
-		}
-	} else {
-		var err error
-		preps, err = parallel.Map(context.Background(), n,
-			func(_ context.Context, i int) (binPrep, error) { return prep(i), nil })
-		if err != nil {
-			return nil, err
-		}
-	}
+	// and the same-demand billing groups — is a pure function of the bin's
+	// demands, so a bin equal to its predecessor reuses its prep (packed
+	// plans repeat one composition across most bins).
+	groups := make([][]demandGroup, n)
+	var base float64
 	for i, bin := range m.Bins {
-		if preps[i].base > cfg.MaxExecSec {
-			return nil, fmt.Errorf("%w: bin %d needs %.1fs > %.0fs on %s",
-				ErrExecLimit, i, preps[i].base, cfg.MaxExecSec, cfg.Name)
+		if i == 0 || !slices.Equal(bin.Demands, m.Bins[i-1].Demands) {
+			base = interfere.ExecSecondsMixed(bin.Demands, cfg.Shape)
+			groups[i] = groupDemands(bin.Demands)
+		} else {
+			groups[i] = groups[i-1]
 		}
-		ib.execs[i] = preps[i].base * rng.Jitter(cfg.JitterRel)
+		if base > cfg.MaxExecSec {
+			return nil, fmt.Errorf("%w: bin %d needs %.1fs > %.0fs on %s",
+				ErrExecLimit, i, base, cfg.MaxExecSec, cfg.Name)
+		}
+		ib.execs[i] = base * rng.Jitter(cfg.JitterRel)
 		ib.degree[i] = int32(bin.Degree())
 		if i < m.Warm {
 			ib.flags[i] |= flagWarm
@@ -140,7 +121,7 @@ func RunMixed(cfg Config, m MixedBurst) (*Result, error) {
 		return nil, err
 	}
 	res.Bins = m.Bins
-	res.fold(true, func(i int) []demandGroup { return preps[i].groups })
+	res.fold(true, func(i int) []demandGroup { return groups[i] })
 	return res, nil
 }
 

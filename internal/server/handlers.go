@@ -344,7 +344,7 @@ func (s *Server) computeAdvise(ctx context.Context, q *params, e *jsonEnc) error
 	if err != nil {
 		return err
 	}
-	lo, hi, err := pe.planner.DegreeRange(r.C, r.Weights, 0.02)
+	lo, hi, err := pe.planner.DegreeRange(r.C, r.Weights)
 	if err != nil {
 		return badRequest("%v", err)
 	}
