@@ -226,8 +226,8 @@ func cmdAdvise(args []string) error {
 }
 
 // adviseJoint is advise's -mem.grid branch: profile the application once
-// per memory size, then answer r with the pruned 2-D argmin over (degree,
-// memory).
+// per memory size, then answer r with the Eq. 7 scan over every (degree,
+// memory) cell.
 func adviseJoint(cfg platform.Config, w workload.Workload, r core.Request, seed int64) error {
 	probes, err := core.GridProbesFor(cfg, w.Demand(), r.SizesMB, seed)
 	if err != nil {

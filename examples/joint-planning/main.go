@@ -4,7 +4,7 @@
 // fewer functions and interfere more. Tuning tools sweep the sizes by brute
 // force; ProPack instead fits one model stack per size (the scaling probes
 // run once — Eq. 2 is size-independent) and solves Eq. 7 over the whole
-// (degree, memory) grid with a pruned 2-D argmin.
+// (degree, memory) grid with one scan over every cell.
 //
 // This example
 //

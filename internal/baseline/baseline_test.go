@@ -152,13 +152,6 @@ func TestOracleObjectivesDiffer(t *testing.T) {
 	if degE <= degS {
 		t.Fatalf("expense oracle degree %d should exceed service oracle %d", degE, degS)
 	}
-	_, degB, err := Oracle{Objective: MinBalanced}.Search(cfg, demand(), c, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degB < degS || degB > degE {
-		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, degS, degE)
-	}
 }
 
 // TestPickIsSearchOverOneSweep: Search is Sweep then Pick, so a caller after
@@ -172,7 +165,7 @@ func TestPickIsSearchOverOneSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, obj := range []Objective{MinTotalService, MinTailService, MinMedianService, MinExpense, MinBalanced} {
+	for _, obj := range []Objective{MinTotalService, MinExpense} {
 		o := Oracle{Objective: obj}
 		want, deg, err := o.Search(cfg, demand(), c, seed)
 		if err != nil {
@@ -225,7 +218,7 @@ func TestStrategyNames(t *testing.T) {
 			t.Fatal("empty strategy name")
 		}
 	}
-	if got := (Oracle{Objective: MinTailService}).Name(); got != "Oracle (tail service time)" {
+	if got := (Oracle{Objective: MinExpense}).Name(); got != "Oracle (expense)" {
 		t.Fatalf("unexpected name %q", got)
 	}
 }

@@ -13,37 +13,25 @@ import (
 	"repro/internal/trace"
 )
 
-// Objective selects the figure of merit the Oracle minimizes. The paper
-// reports Oracle degrees for total, tail, and median service time, for
-// expense, and for the equal-weight combination (Figs. 8 and 15).
+// Objective selects the figure of merit the Oracle minimizes: total service
+// time or expense, the single objectives of Fig. 15. The equal-weight
+// combination the paper's Fig. 8 Oracle minimizes is the observed analogue
+// of Eq. 7 and lives with that figure (experiments.oracleFromSweep).
 type Objective int
 
 const (
 	// MinTotalService minimizes the time to the last instance's completion.
 	MinTotalService Objective = iota
-	// MinTailService minimizes the 95th-percentile service time.
-	MinTailService
-	// MinMedianService minimizes the median service time.
-	MinMedianService
 	// MinExpense minimizes the user's bill.
 	MinExpense
-	// MinBalanced minimizes the equal-weight fractional-regret combination
-	// of total service time and expense (the observed analogue of Eq. 7).
-	MinBalanced
 )
 
 func (o Objective) String() string {
 	switch o {
 	case MinTotalService:
 		return "total service time"
-	case MinTailService:
-		return "tail service time"
-	case MinMedianService:
-		return "median service time"
 	case MinExpense:
 		return "expense"
-	case MinBalanced:
-		return "service+expense"
 	default:
 		return fmt.Sprintf("Objective(%d)", int(o))
 	}
@@ -53,10 +41,6 @@ func (o Objective) value(m trace.Metrics) float64 {
 	switch o {
 	case MinTotalService:
 		return m.TotalService
-	case MinTailService:
-		return m.TailService
-	case MinMedianService:
-		return m.MedianService
 	case MinExpense:
 		return m.ExpenseUSD
 	default:
@@ -102,9 +86,6 @@ func (o Oracle) Search(cfg platform.Config, d interfere.Demand, c int, seed int6
 func (o Oracle) Pick(all []trace.Metrics) (trace.Metrics, error) {
 	if len(all) == 0 {
 		return trace.Metrics{}, ErrNoFeasibleDegree
-	}
-	if o.Objective == MinBalanced {
-		return bestBalanced(all), nil
 	}
 	best := all[0]
 	for _, m := range all[1:] {
@@ -183,30 +164,4 @@ func SweepWithOptions(cfg platform.Config, d interfere.Demand, c int, seed int64
 		out = append(out, r.m)
 	}
 	return out, nil
-}
-
-// bestBalanced picks the run minimizing the equal-weight fractional regret
-// from the per-objective optima — the observed analogue of Eq. 7.
-func bestBalanced(all []trace.Metrics) trace.Metrics {
-	bestS, bestE := all[0].TotalService, all[0].ExpenseUSD
-	for _, m := range all[1:] {
-		if m.TotalService < bestS {
-			bestS = m.TotalService
-		}
-		if m.ExpenseUSD < bestE {
-			bestE = m.ExpenseUSD
-		}
-	}
-	best := all[0]
-	bestVal := regret(all[0], bestS, bestE)
-	for _, m := range all[1:] {
-		if v := regret(m, bestS, bestE); v < bestVal {
-			best, bestVal = m, v
-		}
-	}
-	return best
-}
-
-func regret(m trace.Metrics, bestS, bestE float64) float64 {
-	return 0.5*(m.TotalService-bestS)/bestS + 0.5*(m.ExpenseUSD-bestE)/bestE
 }

@@ -19,20 +19,13 @@ import (
 // argmin over it. The paper's fixed-size planner is the one-row grid: the
 // Models entry points build a single row and run this same code.
 //
-// Two disciplines hold the search to the paper's definition:
-//
-//   - Bit-identity: candidate enumeration is size-major with first-wins
-//     strict-< tie-breaking, every per-cell expression is the Models
-//     predictor's, and the minima folds are plain left-to-right comparison
-//     chains — so on one row the search is the naive degree-by-degree Eq. 7
-//     scan, float for float. table_equiv_test.go checks exactly that against
-//     retained naive references.
-//
-//   - Pruned search stays exact: the 2-D argmin skips whole memory rows via
-//     per-size lower bounds, but only when skipping provably cannot change
-//     the answer *in float arithmetic* (see argminJoint); anything
-//     degenerate falls back to the exhaustive scan, which is retained as
-//     the test oracle (argminJointExact, grid_equiv_test.go).
+// The search is one exhaustive Eq. 7 scan (argminJoint): candidate
+// enumeration is size-major with first-wins strict-< tie-breaking, every
+// per-cell expression is the Models predictor's, and the baseline folds are
+// plain left-to-right comparison chains — so on one row it is the naive
+// degree-by-degree Eq. 7 scan, float for float. table_equiv_test.go and
+// grid_equiv_test.go hold it to naive references evaluated straight off the
+// Models predictors.
 
 // SizeModels is one memory size's fitted model stack. Alpha, the storage
 // term, the expense rate, and the feasible degree range are all per-size
@@ -76,33 +69,18 @@ type JointPlan struct {
 // --- GridTable ---------------------------------------------------------------
 
 // GridTable holds the memoized per-size DegreeTables for one (GridModels,
-// concurrency) pair, plus the per-size minima that power the pruned 2-D
-// argmin. Quantile columns stay lazy per size (a size whose row is pruned
-// never materializes them). Safe for concurrent use.
+// concurrency) pair. Quantile columns stay lazy per size. Safe for
+// concurrent use.
 type GridTable struct {
 	c int
 
 	sizes []gridSize
-
-	// expenseNaN records whether any row's expense minimum is NaN (an
-	// overflowed ET times a zero rate). A NaN row minimum means the row's
-	// first element is NaN — minOf never leaves NaN once seeded with it —
-	// and folding such row minima is NOT equivalent to the flat fold the
-	// exact scan implies, so bestExpense must take the flat fold then.
-	expenseNaN bool
 }
 
-// gridSize is one memory row: its DegreeTable and the row minima used as
-// pruning lower bounds.
+// gridSize is one memory row.
 type gridSize struct {
 	memMB float64
 	t     *DegreeTable
-
-	// Row minima over the full degree range (hence lower bounds for any
-	// restricted range too):
-	minET      float64 // min ET(P): lower bound on every quantile-service value
-	minService float64 // min total service (the q=100 column)
-	minExpense float64 // min expense
 }
 
 // NewGridTable validates the grid and concurrency and builds the per-size
@@ -112,9 +90,9 @@ func NewGridTable(g GridModels, c int) (*GridTable, error) { return g.direct().g
 // newGridTable builds without validation (internal callers validate first,
 // preserving each entry point's error order).
 func newGridTable(g GridModels, c int) *GridTable {
-	t := &GridTable{c: c, sizes: make([]gridSize, 0, len(g.Sizes))}
-	for _, s := range g.Sizes {
-		t.addRow(s.MemMB, newDegreeTable(s.Models, FailureModel{}, c))
+	t := &GridTable{c: c, sizes: make([]gridSize, len(g.Sizes))}
+	for i, s := range g.Sizes {
+		t.sizes[i] = gridSize{memMB: s.MemMB, t: newDegreeTable(s.Models, FailureModel{}, c)}
 	}
 	return t
 }
@@ -122,23 +100,7 @@ func newGridTable(g GridModels, c int) *GridTable {
 // newRowTable builds the one-row grid the fixed-size entry points search:
 // m's row under failure model f, at no particular memory size.
 func newRowTable(m Models, f FailureModel, c int) *GridTable {
-	t := &GridTable{c: c, sizes: make([]gridSize, 0, 1)}
-	t.addRow(0, newDegreeTable(m, f, c))
-	return t
-}
-
-func (t *GridTable) addRow(memMB float64, dt *DegreeTable) {
-	gs := gridSize{
-		memMB:      memMB,
-		t:          dt,
-		minET:      minOf(dt.et),
-		minService: minOf(dt.service),
-		minExpense: minOf(dt.expense),
-	}
-	if math.IsNaN(gs.minExpense) {
-		t.expenseNaN = true
-	}
-	t.sizes = append(t.sizes, gs)
+	return &GridTable{c: c, sizes: []gridSize{{t: newDegreeTable(m, f, c)}}}
 }
 
 // Size returns the i-th memory size's DegreeTable, for callers that scan
@@ -168,13 +130,14 @@ func (t *GridTable) firstEligible(minDeg int) (si, deg int) {
 	return 0, minDeg // unreachable: callers check minDeg ≤ maxDegreeAny
 }
 
-// argminJointExact is the exhaustive Eq. 7 scan over every (size, degree)
-// cell — the oracle the pruned argminJoint must match on every input, and
-// the fallback it takes on degenerate inputs. Candidates are enumerated
-// size-major (sizes ascending, degrees minDeg..MaxDegree) with first-wins
-// strict-< tie-breaking — ties resolve to the smallest size, then the
-// smallest degree — so on one row it is the naive degree-by-degree scan.
-func (t *GridTable) argminJointExact(q float64, minDeg int, w Weights) (si, deg int) {
+// argminJoint is the Eq. 7 argmin over every (size, degree) cell at degrees
+// ≥ minDeg, with the Eqs. 5–6 baselines taken over the same cells.
+// Candidates are enumerated size-major (sizes ascending, degrees
+// minDeg..MaxDegree) with first-wins strict-< tie-breaking — ties resolve to
+// the smallest size, then the smallest degree — so on one row it is the
+// naive degree-by-degree scan. A zero weight drops its term
+// (Weights.regret); when no regret compares (all NaN), firstEligible stands.
+func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) {
 	bestS, bestE := t.jointBaselines(q, minDeg)
 	bestSi, bestDeg, bestVal := -1, 0, math.Inf(1)
 	for i := range t.sizes {
@@ -187,7 +150,7 @@ func (t *GridTable) argminJointExact(q float64, minDeg int, w Weights) (si, deg 
 		for j, s := range svc {
 			dS := (s - bestS) / bestS      // Eq. 5, over the whole grid
 			dE := (exp[j] - bestE) / bestE // Eq. 6, over the whole grid
-			if v := w.Service*dS + w.Expense*dE; v < bestVal {
+			if v := w.regret(dS, dE); v < bestVal {
 				bestSi, bestDeg, bestVal = i, j+minDeg, v
 			}
 		}
@@ -198,11 +161,9 @@ func (t *GridTable) argminJointExact(q float64, minDeg int, w Weights) (si, deg 
 	return bestSi, bestDeg
 }
 
-// jointBaselines computes the Eqs. 5–6 baselines over every cell with the
-// exact fold the exhaustive scan implies: initialized from the first
-// candidate, then strict-< comparisons in enumeration order — identical to
-// minOf over the virtual concatenation of rows (including its NaN
-// semantics).
+// jointBaselines computes the Eqs. 5–6 baselines over every cell at degrees
+// ≥ minDeg: initialized from the first candidate, then strict-< comparisons
+// in enumeration order (so a NaN first cell stays the baseline).
 func (t *GridTable) jointBaselines(q float64, minDeg int) (bestS, bestE float64) {
 	started := false
 	for i := range t.sizes {
@@ -228,140 +189,6 @@ func (t *GridTable) jointBaselines(q float64, minDeg int) (bestS, bestE float64)
 		}
 	}
 	return bestS, bestE
-}
-
-// bestExpense is the exact Eq. 6 baseline over the restricted grid. With
-// the full range and no NaN row minima it folds the cached row minima
-// (grouping a strict-< fold by rows changes nothing when no group's minimum
-// is NaN); a restricted range or a NaN row minimum folds the vectors
-// directly, reproducing the exact scan's comparison chain verbatim.
-func (t *GridTable) bestExpense(minDeg int) float64 {
-	if minDeg == 1 && !t.expenseNaN {
-		best := t.sizes[0].minExpense
-		for i := 1; i < len(t.sizes); i++ {
-			if m := t.sizes[i].minExpense; m < best {
-				best = m
-			}
-		}
-		return best
-	}
-	return t.minOver(minDeg, func(gs *gridSize) []float64 { return gs.t.expense }, false)
-}
-
-// bestServiceAt is the exact Eq. 5 baseline at quantile q over the
-// restricted grid. For q < 100 a size's quantile column is materialized only
-// when its ET row minimum admits an improvement: every quantile value is
-// et + Scaling.At(·) with Scaling clamped ≥ 0, and correctly-rounded
-// addition of a non-negative term never rounds below et, so a row with
-// minET > best cannot contain a smaller value. Service vectors are NaN-free
-// (sums of non-negatives), so the fold's minimum is order-independent and
-// skipping preserves the exact value.
-func (t *GridTable) bestServiceAt(q float64, minDeg int) float64 {
-	if q == 100 && minDeg == 1 {
-		best := t.sizes[0].minService
-		for i := 1; i < len(t.sizes); i++ {
-			if m := t.sizes[i].minService; m < best {
-				best = m
-			}
-		}
-		return best
-	}
-	return t.minOver(minDeg, func(gs *gridSize) []float64 { return gs.t.quantile(q).vals }, q != 100)
-}
-
-// minOver folds one column over the cells at degrees ≥ minDeg exactly as the
-// exhaustive scan would: seeded from the first such cell, then strict-<
-// comparisons in size-major order. With etFloor (service columns only) a
-// row whose minET exceeds the running minimum is skipped before col
-// materializes its vector.
-func (t *GridTable) minOver(minDeg int, col func(*gridSize) []float64, etFloor bool) float64 {
-	best, started := math.NaN(), false
-	for i := range t.sizes {
-		gs := &t.sizes[i]
-		if minDeg > gs.t.MaxDegree() {
-			continue
-		}
-		if started && etFloor && gs.minET > best {
-			continue // every value in this row is ≥ minET > best
-		}
-		vals := col(gs)[minDeg-1:]
-		if !started {
-			best, started = vals[0], true
-		}
-		for _, v := range vals {
-			if v < best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
-// argminJoint is the pruned 2-D Eq. 7 argmin. It returns exactly what
-// argminJointExact returns — pruning only skips work, never changes the
-// answer — at a cost that approaches the 1-D scan when one size dominates:
-//
-//   - The baselines bestS/bestE are exact minima (bestServiceAt
-//     materializes quantile columns only for rows whose minET admits an
-//     improvement).
-//   - A whole memory row is skipped when its cheapest possible regret —
-//     computed from the cached row minima — already exceeds the incumbent:
-//     lb = W_S·(lbS−bestS)/bestS + W_E·(minExpense−bestE)/bestE with
-//     lbS ≤ every service value and minExpense ≤ every expense value in the
-//     row. With bestS, bestE positive finite and W_S, W_E ≥ 0, every
-//     operation in a candidate's regret (subtraction of a constant,
-//     division by a positive constant, multiplication by a non-negative
-//     weight, addition) is monotone under correct rounding, so every
-//     candidate in the row has v ≥ lb > bestVal and would lose the strict-<
-//     comparison anyway. Skipping such a row is therefore exact in float
-//     arithmetic, not just in real arithmetic. Ties are unaffected: a
-//     skipped candidate could at best *equal* the incumbent's value, and
-//     equal-valued later candidates lose under first-wins.
-//   - Degenerate inputs — a non-positive or non-finite baseline (regrets
-//     divide by it) or a negative weight (Weights.Validate admits −1e-9) —
-//     void the monotonicity argument, so the search falls back to the
-//     exhaustive oracle.
-//
-// The first eligible row can never be skipped (lb > +Inf is false), so the
-// incumbent always exists before any skip test can pass.
-func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) {
-	if w.Service < 0 || w.Expense < 0 {
-		return t.argminJointExact(q, minDeg, w)
-	}
-	bestE := t.bestExpense(minDeg)
-	bestS := t.bestServiceAt(q, minDeg)
-	if !(bestS > 0) || !(bestE > 0) || math.IsInf(bestS, 1) || math.IsInf(bestE, 1) {
-		return t.argminJointExact(q, minDeg, w)
-	}
-	bestSi, bestDeg, bestVal := -1, 0, math.Inf(1)
-	for i := range t.sizes {
-		gs := &t.sizes[i]
-		dt := gs.t
-		if minDeg > dt.MaxDegree() {
-			continue
-		}
-		lbS := gs.minService
-		if q != 100 {
-			lbS = gs.minET
-		}
-		lb := w.Service*((lbS-bestS)/bestS) + w.Expense*((gs.minExpense-bestE)/bestE)
-		if lb > bestVal {
-			continue // no cell in this row can beat the incumbent
-		}
-		svc := dt.quantile(q).vals[minDeg-1:]
-		exp := dt.expense[minDeg-1:]
-		for j, s := range svc {
-			dS := (s - bestS) / bestS
-			dE := (exp[j] - bestE) / bestE
-			if v := w.Service*dS + w.Expense*dE; v < bestVal {
-				bestSi, bestDeg, bestVal = i, j+minDeg, v
-			}
-		}
-	}
-	if bestSi < 0 {
-		return t.firstEligible(minDeg)
-	}
-	return bestSi, bestDeg
 }
 
 // constrainedDegree is the Eq. 7 argmin restricted to cells whose instance
@@ -413,9 +240,8 @@ func (t *GridTable) planFor(w Weights) JointPlan {
 // grouping, W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the
 // band edges are pinned in the serve goldens.
 func (t *GridTable) degreeRange(w Weights) (lo, hi int) {
-	gs := &t.sizes[0]
-	svc, exp := gs.t.service, gs.t.expense
-	bestS, bestE := gs.minService, gs.minExpense
+	svc, exp := t.sizes[0].t.service, t.sizes[0].t.expense
+	bestS, bestE := t.jointBaselines(100, 1)
 	regret := func(p int) float64 {
 		return w.Service*(svc[p-1]-bestS)/bestS + w.Expense*(exp[p-1]-bestE)/bestE
 	}

@@ -6,7 +6,7 @@ import (
 
 // benchGrid is a 5-size Lambda-like grid with per-size interference (more
 // CPU share → weaker α) and per-size expense rates, MaxDegree 40 at every
-// size — 200 (P, mem) cells, the regime the pruned argmin exists for.
+// size — 200 (P, mem) cells.
 func benchGrid() GridModels {
 	scaling := ScalingModel{B1: 2e-6, B2: 0.004, B3: 0.1}
 	alphas := []float64{0.61, 0.48, 0.39, 0.34, 0.30}
@@ -24,7 +24,7 @@ func benchGrid() GridModels {
 }
 
 // BenchmarkGridTableBuild times the one-off cost a cache miss pays: K
-// DegreeTables plus the per-size row minima the pruning uses.
+// DegreeTables.
 func BenchmarkGridTableBuild(b *testing.B) {
 	g := benchGrid()
 	b.ReportAllocs()
@@ -36,59 +36,34 @@ func BenchmarkGridTableBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGridArgmin compares the pruned 2-D argmin against the exhaustive
-// oracle on a warm table: the pruned scan skips whole memory sizes via the
-// cached row lower bounds, so it should cost close to the 1-D argmin rather
-// than K times it.
+// BenchmarkGridArgmin times the Eq. 7 scan over every (P, mem) cell of a warm
+// table at the 95th-percentile service objective.
 func BenchmarkGridArgmin(b *testing.B) {
 	t := newGridTable(benchGrid(), 5000)
 	w := Balanced()
-	t.Size(0).quantile(95) // warm the lazy quantile columns once per size
-	for i := 1; i < len(t.sizes); i++ {
-		t.Size(i).quantile(95)
+	for i := range t.sizes {
+		t.Size(i).quantile(95) // warm the lazy quantile columns once per size
 	}
-	b.Run("pruned", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			si, deg := t.argminJoint(95, 1, w)
-			if deg < 1 || si < 0 {
-				b.Fatal("bad argmin")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		si, deg := t.argminJoint(95, 1, w)
+		if deg < 1 || si < 0 {
+			b.Fatal("bad argmin")
 		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			si, deg := t.argminJointExact(95, 1, w)
-			if deg < 1 || si < 0 {
-				b.Fatal("bad argmin")
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkGridQoSSearch compares the full Eq. 9 weight search over the
-// grid: the production path (memoized argmins, prefix certificates, binary
-// search, pruned argmin) against the naive left-to-right scan over
-// exhaustive argmins. The bound sits just above the tightest achievable
-// tail so the search walks deep into the weight grid.
+// BenchmarkGridQoSSearch times the full Eq. 9 weight search over the grid.
+// The bound sits just above the tightest achievable tail so the search walks
+// deep into the weight grid.
 func BenchmarkGridQoSSearch(b *testing.B) {
 	t := newGridTable(benchGrid(), 5000)
-	qos := t.bestServiceAt(95, 1) * 1.02
-	b.Run("pruned", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := qosSearchJoint(t, qos, 95, 0.05); err != nil {
-				b.Fatal(err)
-			}
+	tightest, _ := t.jointBaselines(95, 1)
+	qos := tightest * 1.02
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := qosSearchJoint(t, qos, 95, 0.05); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := naiveQoSJoint(t, qos, 95, 0.05); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

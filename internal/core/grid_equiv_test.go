@@ -15,14 +15,15 @@ import (
 //  1. A grid with a single memory size reproduces the 1-D planner's
 //     answers byte-for-byte on every entry point — recommendations, plans,
 //     weights, and error text.
-//  2. The pruned 2-D argmin and QoS search match the exhaustive oracle
-//     (argminJointExact, a plain left-to-right grid scan) on every input,
-//     including degenerate model stacks where the pruning bounds are void.
+//  2. The 2-D argmin and QoS search match naive references evaluated
+//     straight off the Models predictors (naiveArgminGrid, naiveQoSJoint)
+//     on every input, including degenerate model stacks with zero or NaN
+//     cells.
 
 // randSizeModels is randModels with occasional adversarial extremes: a zero
-// expense rate with an overflowing ET curve makes expense vectors NaN
-// (Inf·0), exercising the pruned argmin's degenerate-input fallback and the
-// NaN row-minimum handling in bestExpense.
+// expense rate makes the expense baseline 0, and with an overflowing ET
+// curve the expense cells NaN (Inf·0) — the stacks where a zero weight must
+// drop its term and where no regret may compare at all.
 func randSizeModels(r *rand.Rand) Models {
 	m := randModels(r)
 	switch r.Intn(10) {
@@ -34,7 +35,7 @@ func randSizeModels(r *rand.Rand) Models {
 		m.Storage = StorageModel{}
 		m.ET.Alpha = 400
 		if r.Intn(2) == 0 {
-			m.ET.Alpha = -400 // overflow at degree 1: NaN row minimum
+			m.ET.Alpha = -400 // overflow at degree 1: a NaN first expense cell
 			m.ET.Intercept = 2000
 		}
 	}
@@ -152,11 +153,11 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestGridArgminPrunedMatchesExact holds contract 2 for the argmin: the
-// pruned scan must return the exhaustive oracle's cell on randomized
-// multi-size grids, across quantiles, restricted degree ranges, and weights
-// — including the adversarial stacks whose bounds are NaN or zero.
-func TestGridArgminPrunedMatchesExact(t *testing.T) {
+// TestGridArgminMatchesNaive holds contract 2 for the argmin: the scan must
+// return the naive reference's cell on randomized multi-size grids, across
+// quantiles, restricted degree ranges, and weights — including the
+// adversarial stacks whose baselines are NaN or zero.
+func TestGridArgminMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	quantiles := []float64{100, 95, 50, 99.5, 10}
 	for trial := 0; trial < 500; trial++ {
@@ -170,48 +171,27 @@ func TestGridArgminPrunedMatchesExact(t *testing.T) {
 			minDeg = 1 + r.Intn(gt.maxDegreeAny())
 		}
 		gsi, gdeg := gt.argminJoint(q, minDeg, w)
-		wsi, wdeg := gt.argminJointExact(q, minDeg, w)
+		wsi, wdeg := naiveArgminGrid(g, c, q, minDeg, w)
 		if gsi != wsi || gdeg != wdeg {
-			t.Fatalf("trial %d: pruned=(%d,%d), exact=(%d,%d) (q=%g minDeg=%d w=%+v grid=%+v c=%d)",
+			t.Fatalf("trial %d: argminJoint=(%d,%d), naive=(%d,%d) (q=%g minDeg=%d w=%+v grid=%+v c=%d)",
 				trial, gsi, gdeg, wsi, wdeg, q, minDeg, w, g, c)
 		}
 	}
 }
 
-// TestGridBaselinesMatchExactFold holds the pruned argmin's Eqs. 5–6
-// baselines (cached row minima, minET row skipping) bit-equal to the
-// exhaustive scan's own fold over every cell.
-func TestGridBaselinesMatchExactFold(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	quantiles := []float64{100, 95, 50, 99.5, 10}
-	for trial := 0; trial < 500; trial++ {
-		gt := newGridTable(randGrid(r), 1+r.Intn(20000))
-		q := quantiles[trial%len(quantiles)]
-		minDeg := 1
-		if r.Intn(2) == 0 {
-			minDeg = 1 + r.Intn(gt.maxDegreeAny())
-		}
-		wantS, wantE := gt.jointBaselines(q, minDeg)
-		if gotS, gotE := gt.bestServiceAt(q, minDeg), gt.bestExpense(minDeg); !f64eq(gotS, wantS) || !f64eq(gotE, wantE) {
-			t.Fatalf("trial %d: baselines (%g,%g), exact fold (%g,%g) (q=%g minDeg=%d)",
-				trial, gotS, gotE, wantS, wantE, q, minDeg)
-		}
-	}
-}
-
-// naiveQoSJoint is the plain left-to-right weight-grid scan over exhaustive
-// joint argmins: the reference QoSPlanJoint's pruned/binary-searched path
-// must agree with on every input.
-func naiveQoSJoint(gt *GridTable, qosSec, tailQ, step float64) (Weights, error) {
+// naiveQoSJoint is the plain left-to-right weight-grid scan over naive joint
+// argmins, with every tail read off the Models predictors: the reference
+// QoSPlanJoint must agree with on every input.
+func naiveQoSJoint(g GridModels, c int, qosSec, tailQ, step float64) (Weights, error) {
 	n := qosGridSize(step)
 	for j := 0; j < n; j++ {
 		w := qosWeightAt(j, n, step)
-		si, deg := gt.argminJointExact(100, 1, w)
-		if gt.sizes[si].t.quantile(tailQ).vals[deg-1] <= qosSec {
+		si, deg := naiveArgminGrid(g, c, 100, 1, w)
+		if g.Sizes[si].Models.ServiceTimeQuantile(c, deg, tailQ) <= qosSec {
 			return w, nil
 		}
 	}
-	return Weights{}, fmt.Errorf("%w: bound %.3gs at concurrency %d", ErrQoSInfeasible, qosSec, gt.c)
+	return Weights{}, fmt.Errorf("%w: bound %.3gs at concurrency %d", ErrQoSInfeasible, qosSec, c)
 }
 
 func TestGridQoSMatchesNaive(t *testing.T) {
@@ -229,11 +209,10 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 		if tailQ == 0 {
 			tailQ = 95
 		}
-		gt := newGridTable(g, c)
-		bsi, bdeg := gt.argminJointExact(100, 1, ServiceOnly())
-		esi, edeg := gt.argminJointExact(100, 1, ExpenseOnly())
-		lo := gt.sizes[bsi].t.quantile(tailQ).vals[bdeg-1]
-		hi := gt.sizes[esi].t.quantile(tailQ).vals[edeg-1]
+		bsi, bdeg := naiveArgminGrid(g, c, 100, 1, ServiceOnly())
+		esi, edeg := naiveArgminGrid(g, c, 100, 1, ExpenseOnly())
+		lo := g.Sizes[bsi].Models.ServiceTimeQuantile(c, bdeg, tailQ)
+		hi := g.Sizes[esi].Models.ServiceTimeQuantile(c, edeg, tailQ)
 		qos := lo*0.5 + r.Float64()*(hi*1.5-lo*0.5)
 		if !(qos > 0) {
 			qos = lo + 1
@@ -246,7 +225,7 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 		if step == 0 {
 			step = 0.05
 		}
-		want, wantErr := naiveQoSJoint(gt, qos, tailQ, step)
+		want, wantErr := naiveQoSJoint(g, c, qos, tailQ, step)
 		jpl, err := NewJointPlanner(g)
 		if err != nil {
 			t.Fatal(err)
@@ -270,8 +249,8 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 
 		// The plan must be the joint plan at exactly those weights, and
 		// Answer must ask the same question.
-		si, deg := gt.argminJointExact(100, 1, want)
-		if wantPlan := gt.plan(si, deg, want); !jointPlanEq(plan, wantPlan) {
+		si, deg := naiveArgminGrid(g, c, 100, 1, want)
+		if wantPlan := newGridTable(g, c).plan(si, deg, want); !jointPlanEq(plan, wantPlan) {
 			t.Fatalf("trial %d: QoSPlanJoint plan=%+v, oracle=%+v", trial, plan, wantPlan)
 		}
 		if opts == (QoSOptions{}) && !math.IsInf(qos, 1) { // a Request's bound is finite

@@ -241,13 +241,11 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		bestE = math.Min(bestE, c.expenseUSD)
 	}
 	// The first candidate in enumeration order stands when no regret compares
-	// (all NaN, e.g. a zero rate makes every expense regret 0/0), as in
-	// GridTable.firstEligible.
+	// (all NaN, e.g. a zero rate makes every expense regret 0/0 under a
+	// non-zero expense weight), as in GridTable.firstEligible.
 	best, bestVal := cands[0], math.Inf(1)
 	for _, c := range cands {
-		v := opts.Weights.Service*(c.serviceSec-bestS)/bestS +
-			opts.Weights.Expense*(c.expenseUSD-bestE)/bestE
-		if v < bestVal {
+		if v := opts.Weights.regret((c.serviceSec-bestS)/bestS, (c.expenseUSD-bestE)/bestE); v < bestVal {
 			best, bestVal = c, v
 		}
 	}

@@ -20,6 +20,21 @@ func ServiceOnly() Weights { return Weights{Service: 1, Expense: 0} }
 // ExpenseOnly optimizes expense alone ("ProPack (Expense)").
 func ExpenseOnly() Weights { return Weights{Service: 0, Expense: 1} }
 
+// regret is Eq. 7: the weighted sum of the Eq. 5 and Eq. 6 regrets. A zero
+// weight drops its term, so an objective the caller ignores cannot turn the
+// sum into NaN (0·NaN, 0·Inf): ServiceOnly is Eq. 3 even on a stack whose
+// expense baseline is 0. Where both regrets are finite, 0·d = ±0 and
+// x + ±0 = x, so dropping the term changes nothing.
+func (w Weights) regret(dS, dE float64) float64 {
+	switch {
+	case w.Expense == 0:
+		return w.Service * dS
+	case w.Service == 0:
+		return w.Expense * dE
+	}
+	return w.Service*dS + w.Expense*dE
+}
+
 // Validate reports an error for malformed weights. The range guard is
 // written !(lo ≤ x ≤ hi) so that NaN fails it.
 func (w Weights) Validate() error {

@@ -125,18 +125,6 @@ func (t *DegreeTable) quantile(q float64) *quantileColumn {
 	return col
 }
 
-// minOf returns the minimum of a non-empty vector (ties keep the first,
-// like the naive argmin scan; the value is what matters here).
-func minOf(vals []float64) float64 {
-	best := vals[0]
-	for _, v := range vals[1:] {
-		if v < best {
-			best = v
-		}
-	}
-	return best
-}
-
 // --- Grid cache --------------------------------------------------------------
 
 // defaultTableCap bounds a Planner's table cache: sweeps revisit a modest

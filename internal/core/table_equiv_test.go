@@ -18,9 +18,8 @@ import (
 //
 // This is the first link of the planner's proof chain. There is one search
 // (the fixed-size planner is the one-row grid), so these *MatchesNaive*
-// suites prove it at one size; grid_equiv_test.go's exhaustive oracles prove
-// the pruning at many sizes and hold a one-size grid to the degree-only
-// answers; TestPlanForAllocs and TestPlanJointAllocs keep cached plans
+// suites prove it at one size; grid_equiv_test.go holds it to naiveArgminGrid
+// at many sizes and a one-size grid to the degree-only answers; TestPlanForAllocs and TestPlanJointAllocs keep cached plans
 // allocation-free. TestMixedCandidatesMatchesNaive holds the mixed planner's
 // run walk to the per-bin sweep candidate by candidate.
 
@@ -65,6 +64,49 @@ func naiveArgminColumn(g GridModels, c int, col func(m Models, c, degree int) fl
 	return degree, memMB
 }
 
+// naiveArgminGrid is the Eq. 7 scan over every (size, degree) cell of g at
+// degrees ≥ minDeg, evaluated straight off the Models predictors: the Eqs.
+// 5–6 baselines are seeded from the first cell and folded with strict < in
+// enumeration order (sizes ascending, then degrees), a zero weight drops its
+// term, the first strict-< regret wins, and the first cell stands when no
+// regret compares. It returns the winning cell's size index and degree.
+func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si, deg int) {
+	type cell struct {
+		si, deg int
+		s, e    float64
+	}
+	var cells []cell
+	for i, sz := range g.Sizes {
+		for d := minDeg; d <= sz.Models.MaxDegree; d++ {
+			cells = append(cells, cell{i, d, sz.Models.ServiceTimeQuantile(c, d, q), sz.Models.Expense(c, d)})
+		}
+	}
+	bestS, bestE := cells[0].s, cells[0].e
+	for _, x := range cells[1:] {
+		if x.s < bestS {
+			bestS = x.s
+		}
+		if x.e < bestE {
+			bestE = x.e
+		}
+	}
+	si, deg = cells[0].si, cells[0].deg
+	bestVal := math.Inf(1)
+	for _, x := range cells {
+		var v float64
+		if w.Service != 0 {
+			v += w.Service * ((x.s - bestS) / bestS)
+		}
+		if w.Expense != 0 {
+			v += w.Expense * ((x.e - bestE) / bestE)
+		}
+		if v < bestVal {
+			si, deg, bestVal = x.si, x.deg, v
+		}
+	}
+	return si, deg
+}
+
 // naivePlanFor assembles the Plan from direct Models predictions.
 func naivePlanFor(m Models, c int, w Weights) Plan {
 	deg := naiveArgminRegret(m, c, 100, 1, w)
@@ -80,8 +122,8 @@ func naivePlanFor(m Models, c int, w Weights) Plan {
 }
 
 // naiveQoSWeights is the plain left-to-right weight-grid scan over direct
-// Models evaluations: the reference the pruned/binary-searched qosSearch
-// must agree with on every input.
+// Models evaluations: the reference the planner's QoS search must agree
+// with on every input.
 func naiveQoSWeights(m Models, c int, qosSec float64, opts QoSOptions) (Weights, error) {
 	tailQ, step, err := opts.normalize(qosSec)
 	if err != nil {
@@ -494,8 +536,13 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	}
 	best, bestVal := cands[0], math.Inf(1) // the first stands when no regret compares
 	for _, c := range cands {
-		v := opts.Weights.Service*(c.serviceSec-bestS)/bestS +
-			opts.Weights.Expense*(c.expenseUSD-bestE)/bestE
+		var v float64 // a zero weight drops its term
+		if opts.Weights.Service != 0 {
+			v += opts.Weights.Service * (c.serviceSec - bestS) / bestS
+		}
+		if opts.Weights.Expense != 0 {
+			v += opts.Weights.Expense * (c.expenseUSD - bestE) / bestE
+		}
 		if v < bestVal {
 			best, bestVal = c, v
 		}
@@ -538,8 +585,10 @@ func randMixedCase(r *rand.Rand) ([]App, MixedPlanOptions) {
 
 // TestPlanMixedMatchesNaive holds PlanMixed to the naive sweep on random
 // jobs: some at a zero rate, where every expense regret is 0/0 and no regret
-// compares, some service-only (Weights{1, 0}), some both. A plan must name a
-// candidate — the first, when none compares — never come back empty.
+// compares, some service-only (Weights{1, 0}), some both, where the zero
+// expense weight drops the 0/0 term and the service regret decides. A plan
+// must name a candidate — the first, when none compares — never come back
+// empty.
 func TestPlanMixedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	feasible, infeasible := 0, 0

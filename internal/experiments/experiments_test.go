@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
@@ -206,6 +210,29 @@ func TestFig8OracleMatches(t *testing.T) {
 	// full grid does better) and closeness always.
 	if frac := float64(misses) / float64(len(tab.Rows)); frac > 0.5 {
 		t.Fatalf("ProPack missed the Oracle degree in %d/%d cases", misses, len(tab.Rows))
+	}
+}
+
+// TestFig8OracleBalancesObjectives: the balanced Oracle Fig. 8 compares
+// against (oracleFromSweep at the total service time) lies between the
+// service and expense Oracles of one sweep — Video on AWS Lambda at C = 2000.
+func TestFig8OracleBalancesObjectives(t *testing.T) {
+	cfg := platform.AWSLambda()
+	d := workload.Video{}.Demand()
+	all, err := baseline.Sweep(cfg, d, 2000, 6, cfg.Shape.MaxDegree(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oS, err := baseline.Oracle{Objective: baseline.MinTotalService}.Pick(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oE, err := baseline.Oracle{Objective: baseline.MinExpense}.Pick(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if degB := oracleFromSweep(all, 100); degB < oS.Degree || degB > oE.Degree {
+		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, oS.Degree, oE.Degree)
 	}
 }
 
