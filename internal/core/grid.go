@@ -238,12 +238,20 @@ func (t *GridTable) planFor(w Weights) JointPlan {
 // degrees around the Eq. 7 optimum whose weighted regret stays within
 // degreeRangeTol of the optimum's. The regret keeps DegreeRange's historical
 // grouping, W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the
-// band edges are pinned in the serve goldens.
+// band edges are pinned in the serve goldens; a zero weight drops its term,
+// as Weights.regret does, so a 0/0 regret the caller ignores cannot close
+// the band.
 func (t *GridTable) degreeRange(w Weights) (lo, hi int) {
 	svc, exp := t.sizes[0].t.service, t.sizes[0].t.expense
 	bestS, bestE := t.jointBaselines(100, 1)
-	regret := func(p int) float64 {
-		return w.Service*(svc[p-1]-bestS)/bestS + w.Expense*(exp[p-1]-bestE)/bestE
+	regret := func(p int) (r float64) {
+		if w.Service != 0 {
+			r = w.Service * (svc[p-1] - bestS) / bestS
+		}
+		if w.Expense != 0 {
+			r += w.Expense * (exp[p-1] - bestE) / bestE
+		}
+		return r
 	}
 	_, best := t.argminJoint(100, 1, w)
 	bound := regret(best) + degreeRangeTol

@@ -188,16 +188,7 @@ func finiteCells(g GridModels, c int, col func(m Models, c, degree int) float64)
 // still plan Eq. 3's argmin — the zero expense weight drops that term —
 // rather than fall back to degree 1 because no regret compares.
 func TestZeroPriceServiceOnlyIsEq3(t *testing.T) {
-	cfg := platform.AWSLambda()
-	cfg.GBSecondUSD, cfg.PerRequestUSD, cfg.Storage = 0, 0, storage.Pricing{}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d := workload.Video{}.Demand()
-	m, _, _, _, err := BuildModels(&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, ProfileOptionsFor(cfg, d))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := zeroPriceModels(t)
 	const c = 5000
 	if e := m.Expense(c, 1); e != 0 {
 		t.Fatalf("zero-price stack fits expense %g at degree 1, want 0", e)
@@ -214,6 +205,45 @@ func TestZeroPriceServiceOnlyIsEq3(t *testing.T) {
 	answer, err := NewPlanner(m).Answer(Request{C: c, Weights: ServiceOnly()})
 	if err != nil || answer.Degree != want {
 		t.Fatalf("Planner.Answer(ServiceOnly) = degree %d (%v), Eq. 3 argmin %d", answer.Degree, err, want)
+	}
+}
+
+// zeroPriceModels fits Video on AWS Lambda with every price set to 0.
+func zeroPriceModels(t *testing.T) Models {
+	t.Helper()
+	cfg := platform.AWSLambda()
+	cfg.GBSecondUSD, cfg.PerRequestUSD, cfg.Storage = 0, 0, storage.Pricing{}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d := workload.Video{}.Demand()
+	m, _, _, _, err := BuildModels(&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, ProfileOptionsFor(cfg, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestZeroPriceDegreeRange: on the same zero-price stack the ServiceOnly
+// stability band drops the NaN expense regret as the plan does, so it spans
+// every degree within degreeRangeTol of Eq. 3's optimum — 8 (1.65 %) to 12
+// (1.72 %) around 10 — instead of collapsing to the optimum alone.
+func TestZeroPriceDegreeRange(t *testing.T) {
+	m := zeroPriceModels(t)
+	const c = 5000
+	lo, hi, err := NewPlanner(m).DegreeRange(c, ServiceOnly())
+	if err != nil || lo != 8 || hi != 12 {
+		t.Fatalf("DegreeRange(ServiceOnly) = %d..%d (%v), want 8..12", lo, hi, err)
+	}
+	plan, err := m.PlanFor(c, ServiceOnly())
+	if err != nil || plan.Degree != 10 {
+		t.Fatalf("PlanFor(ServiceOnly) = degree %d (%v), want 10", plan.Degree, err)
+	}
+	best := m.ServiceTime(c, plan.Degree)
+	for _, p := range []int{lo, hi} {
+		if regret := (m.ServiceTime(c, p) - best) / best; !(regret > 0 && regret <= degreeRangeTol) {
+			t.Fatalf("degree %d: service regret %.4f, want within (0, %g]", p, regret, degreeRangeTol)
+		}
 	}
 }
 

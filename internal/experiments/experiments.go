@@ -108,7 +108,7 @@ func All() []Experiment {
 		{ID: "ext-throttle", Title: "Extension: packing dodges account concurrency limits", Run: ExtThrottle},
 		{ID: "ext-decentral", Title: "Extension: decentralized scheduling is complementary to packing (Sec. 5)", Run: ExtDecentral},
 		{ID: "ext-amortize", Title: "Extension: modeling overhead amortizes across runs (Sec. 2.2)", Run: ExtAmortize},
-		{ID: "ext-joint", Title: "Extension: joint degree × memory planning (pruned 2-D argmin)", Run: ExtJoint},
+		{ID: "ext-joint", Title: "Extension: joint degree × memory planning (exhaustive Eq. 7 scan)", Run: ExtJoint},
 	}
 }
 

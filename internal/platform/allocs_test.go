@@ -167,17 +167,26 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 // stored reads its four milestone columns there and allocates only end,
 // degree and flags — 13 B/instance — and the Result. A one-instance probe,
 // below storeMin, never looks up: it allocates the four objects it always
-// has, its three column slabs and the Result.
+// has, its three column slabs and the Result. A followed burst whose schedule
+// and bill are stored adds the follower's feed and goroutine to those four:
+// 6 objects and 13 B/instance, where a solved one allocates 45.
 func TestAllocsPerRunStoredSchedule(t *testing.T) {
 	defer resetStores()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
+	followed := Burst{Demand: d, Functions: overlapDrawMin + 1, Degree: 1, Seed: 7}
+	if !overlapsDraw(AWSLambda(), followed.Instances()) {
+		t.Fatal("the followed burst runs inline: its pin proves nothing")
+	}
 	for _, tc := range []struct {
 		name     string
 		b        Burst
 		maxBytes float64
+		objects  uint64
 	}{
-		{"stored 10³", Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 7}, 15},
-		{"one instance", Burst{Demand: d, Functions: 4, Degree: 4, Seed: 7}, 1200},
+		{"stored 10³", Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 7}, 15, 4},
+		{"one instance", Burst{Demand: d, Functions: 4, Degree: 4, Seed: 7}, 1200, 4},
+		{"followed, stored", followed, 14, 6},
 	} {
 		run := func() {
 			if _, err := Run(AWSLambda(), tc.b); err != nil {
@@ -190,8 +199,8 @@ func TestAllocsPerRunStoredSchedule(t *testing.T) {
 		if per := float64(bytes) / n; per > tc.maxBytes {
 			t.Errorf("%s Run allocates %.1f B/instance (%d B total), want ≤ %.0f", tc.name, per, bytes, tc.maxBytes)
 		}
-		if objects != 4 && !raceEnabled {
-			t.Errorf("%s Run allocates %d objects, want 4", tc.name, objects)
+		if objects != tc.objects && !raceEnabled {
+			t.Errorf("%s Run allocates %d objects, want %d", tc.name, objects, tc.objects)
 		}
 		t.Logf("%s Run: %d objects, %.2f B/instance", tc.name, objects, float64(bytes)/n)
 	}

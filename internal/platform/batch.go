@@ -109,7 +109,7 @@ func (ib *instanceBatch) reset(n int, faulty bool) {
 // (store.go), which is dice-free: its four milestone columns are n-row
 // prefixes of the plan's slab — on a hit the store's, which nothing writes —
 // and end, degree and flags come in slabs of their own, so a stored slab
-// keeps no end column alive.
+// keeps no end column alive. A large hit draws in place (schedulePlan.inPlace).
 func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 	ib.instanceColumns = instanceColumns{
 		n:         n,
@@ -121,7 +121,11 @@ func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 		start:     p.column(3, n),
 		end:       make([]float64, n),
 	}
-	ib.execs = grown(ib.execs, n)
+	if p.inPlace(n) {
+		ib.execs = ib.end
+	} else {
+		ib.execs = grown(ib.execs, n)
+	}
 	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
 }
 

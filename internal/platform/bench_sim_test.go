@@ -65,7 +65,7 @@ func BenchmarkSim(b *testing.B) {
 	for _, c := range cs {
 		b.Run(fmt.Sprintf("closure/C=%d", c), func(b *testing.B) {
 			bb := burstAt(c)
-			loop(b, c, runControlPlaneClosure, func() error { _, err := Run(cfg, bb); return err })
+			loop(b, c, runControlPlaneClosureJoined, func() error { _, err := Run(cfg, bb); return err })
 		})
 	}
 }

@@ -218,15 +218,20 @@ func Run(cfg Config, b Burst) (*Result, error) {
 				ErrExecLimit, lastDeg, lastBase, cfg.MaxExecSec, cfg.Name)
 		}
 	}
-	// A dice-free burst's solver never reads the stream, so a large one draws,
-	// ends and folds on a second core behind the solver (DESIGN §12).
+	// A dice-free burst's solver never reads the stream, so a large one ends
+	// and folds on a second core behind the solver — behind the draw, when its
+	// schedule is stored and this goroutine has nothing to solve (DESIGN §12).
 	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
-	if overlapsDraw(cfg, n) {
-		sc.fold.reset(&cfg, &b.Demand)
-		sc.fold.billed, sc.fold.meter = true, mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
-		sc.follow()
+	bk := billKeyOf(&cfg, &b.Demand, fullDeg, lastDeg, n)
+	if !overlapsDraw(cfg, n) {
+		sc.drawExecs(nil)
 	} else {
-		sc.drawExecs()
+		sc.fold.reset(&cfg, &b.Demand)
+		sc.fold.billStored(&cfg, bk)
+		sc.follow()
+		if sc.plan.hit {
+			sc.drawExecs(sc.feed)
+		}
 	}
 	for i := range ib.degree[:n-1] {
 		ib.degree[i] = int32(fullDeg)
@@ -242,9 +247,9 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	}
 	switch {
 	case sc.folded:
-		sc.fold.into(res)
+		sc.fold.intoStored(res, bk)
 	case sc.plan.on:
-		res.foldStoredBill(fullDeg, lastDeg)
+		res.foldStoredBill(bk)
 	default:
 		res.fold(true, nil) // every instance holds degree[i] functions of b.Demand
 	}
@@ -256,10 +261,10 @@ func Run(cfg Config, b Burst) (*Result, error) {
 // more than the work it hides (DESIGN §12 has the ladder it was read from).
 const overlapDrawMin = 1 << 16
 
-// overlapsDraw reports whether Run draws a burst's execution times, ends and
-// folds it beside the solver: the tandem solver runs (it never reads the
-// stream the draw advances), the burst is large enough to pay for a
-// goroutine, and there is a second core to run it on.
+// overlapsDraw reports whether Run ends and folds a burst beside the solver:
+// the tandem solver runs (it never reads the stream the draw advances), the
+// burst is large enough to pay for a goroutine, and there is a second core
+// to run it on. Such a burst is inside the stores' gate (store.go).
 func overlapsDraw(cfg Config, n int) bool {
 	return n >= overlapDrawMin && cfg.tandem() && runtime.GOMAXPROCS(0) > 1
 }
@@ -270,30 +275,43 @@ func overlapsDraw(cfg Config, n int) bool {
 type jitterDraw struct{ full, last, rel float64 }
 
 // drawExecs fills the batch's execs from the scratch's stream, in instance
-// order: base duration times jitter.
-func (sc *runScratch) drawExecs() {
+// order: base duration times jitter. A non-nil feed is sent the row count
+// every followChunk rows and at the last, as the solver sends it.
+func (sc *runScratch) drawExecs(feed chan<- int) {
 	d, rng, execs := sc.draw, sc.rng, sc.batch.execs
 	last := len(execs) - 1
-	for i := range execs[:last] {
-		execs[i] = d.full * rng.Jitter(d.rel)
+	for lo := 0; lo < last; lo += followChunk {
+		hi := min(lo+followChunk, last)
+		for i := range execs[lo:hi] {
+			execs[lo+i] = d.full * rng.Jitter(d.rel)
+		}
+		if feed != nil && hi%followChunk == 0 {
+			feed <- hi // never blocks: the feed holds every chunk
+		}
 	}
 	execs[last] = d.last * rng.Jitter(d.rel)
+	if feed != nil {
+		feed <- last + 1
+	}
 }
 
 const followChunk = 4096 // rows the solver finishes between sends to the follower
 
-// follow starts the follower: a goroutine that draws execs, then ends and
-// folds into sc.fold, in order, each row range the solver sends on sc.feed.
+// follow starts the follower: a goroutine that draws execs unless the solver
+// goroutine does, then ends and folds into sc.fold, in order, each row range
+// sent on sc.feed.
 func (sc *runScratch) follow() {
 	sc.feed, sc.folded = make(chan int, len(sc.batch.execs)/followChunk+1), false
 	sc.drawing.Add(1)
-	go sc.drawThenFollow(sc.feed)
+	go sc.drawThenFollow(sc.feed, !sc.plan.hit)
 }
 
-func (sc *runScratch) drawThenFollow(feed <-chan int) {
+func (sc *runScratch) drawThenFollow(feed <-chan int, draw bool) {
 	defer sc.drawing.Done()
 	defer func() { _ = recover() }() // a malformed duration: the caller's inline end pass panics with it
-	sc.drawExecs()
+	if draw {
+		sc.drawExecs(nil)
+	}
 	c, execs, done := &sc.batch.instanceColumns, sc.batch.execs, 0
 	for rows := range feed {
 		for i := done; i < rows; i++ {
@@ -406,6 +424,9 @@ func (sc *runScratch) podStates(n int) []podState {
 // still running, which a panic can leave behind.
 func (sc *runScratch) release() {
 	sc.join()
+	if sc.plan.inPlace(sc.batch.n) {
+		sc.batch.execs = nil // the Result's end column
+	}
 	sc.batch.instanceColumns, sc.folded = instanceColumns{}, false
 	sc.plan.on, sc.plan.hit, sc.plan.slab = false, false, nil
 	runScratchPool.Put(sc)
@@ -454,22 +475,32 @@ func (r *Result) fold(billed bool, groupsOf func(i int) []demandGroup) {
 }
 
 // foldStoredBill is fold(true, nil) for a homogeneous run inside the stores'
-// gate (store.go), full and last its degrees: the request and storage fees
-// are the bill store's, or metered and then stored.
-func (r *Result) foldStoredBill(full, last int) {
+// gate (store.go), key its bill's: the request and storage fees are the bill
+// store's, or metered and then stored.
+func (r *Result) foldStoredBill(key billKey) {
 	var f foldState
 	f.reset(&r.Config, &r.Burst.Demand)
+	f.billStored(&r.Config, key)
+	f.step(&r.cols, 0, r.cols.n, nil)
+	f.intoStored(r, key)
+}
+
+// billStored readies a reset f for a billed fold whose request and storage
+// fees are the bill store's under key, or, on a miss, metered.
+func (f *foldState) billStored(cfg *Config, key billKey) {
 	f.billed = true
-	key := billKeyOf(&r.Config, &r.Burst.Demand, full, last, r.cols.n)
-	stored, hit := lookupBill(key)
-	if hit {
+	if stored, hit := lookupBill(key); hit {
 		f.request, f.storage = stored.requestUSD, stored.storageUSD
 	} else {
-		f.meter = mustMeter(storage.NewMeter(r.Config.Storage, r.Config.StorageGBps))
+		f.meter = mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
 	}
-	f.step(&r.cols, 0, r.cols.n, nil)
+}
+
+// intoStored is into for a fold billStored readied: a metered bill is stored.
+func (f *foldState) intoStored(r *Result, key billKey) {
+	metered := f.meter != nil
 	f.into(r)
-	if !hit {
+	if metered {
 		storeBill(key, bill{r.RequestUSD, r.StorageUSD})
 	}
 }

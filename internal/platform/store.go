@@ -23,10 +23,9 @@ import (
 const storeMin = 16
 
 // storesRun reports whether a burst of n instances on cfg consults the
-// stores: the solver runs, the burst is worth a lookup, and it is too small
-// for the follower, whose path stays as it is.
+// stores: the solver runs and the burst is worth a lookup.
 func storesRun(cfg *Config, n int) bool {
-	return n >= storeMin && n < overlapDrawMin && cfg.tandem()
+	return n >= storeMin && cfg.tandem()
 }
 
 // scheduleKey is the solver's read set besides the instance count: each
@@ -71,9 +70,11 @@ type schedule struct {
 }
 
 // scheduleStoreCap bounds what the schedule store holds, in rows plus busy
-// records (≈ 32 B apiece, ≈ 4 MB full). It is reached only by keys of a
-// caller's choosing; a full store is emptied, as core's scaling store is.
-const scheduleStoreCap = 1 << 17
+// records (≈ 32 B apiece, ≈ 64 MB full): one 10⁶-instance schedule fits
+// beside a figure pass's. It is reached only by keys of a caller's choosing;
+// a full store is emptied, as core's scaling store is, and a run larger than
+// the whole store is not stored.
+const scheduleStoreCap = 1 << 21
 
 var schedules = struct {
 	sync.Mutex
@@ -99,6 +100,14 @@ func (p *schedulePlan) column(k, n int) []float64 {
 	return p.slab[k*p.rows : k*p.rows+n : k*p.rows+n]
 }
 
+// inPlace reports whether a run of n instances on the plan draws its
+// execution times into its end column, which the end pass then overwrites
+// row by row — end[i] = TimerAt(start[i], end[i]) — so it needs no execs
+// buffer of 8 B a row: a hit never falls back to the engine, the one reader
+// of execs besides the end pass, and a burst as large as the follower's is
+// worth it. Below that the pooled buffer is cheaper than losing it.
+func (p *schedulePlan) inPlace(n int) bool { return p.hit && n >= overlapDrawMin }
+
 // lookupSchedule plans a run of n instances: a hit needs n stored rows and
 // the busy seconds of n itself. A miss allocates its slab.
 func lookupSchedule(key scheduleKey, n int) schedulePlan {
@@ -122,6 +131,9 @@ func lookupSchedule(key scheduleKey, n int) schedulePlan {
 // the prefix property every busy record the entry held stays true of the
 // longer slab.
 func storeSchedule(key scheduleKey, n int, slab []float64, busy [3]float64) {
+	if n >= scheduleStoreCap {
+		return
+	}
 	schedules.Lock()
 	defer schedules.Unlock()
 	s := schedules.m[key]

@@ -100,8 +100,9 @@ var storeOther = interfere.Demand{CPUSeconds: 3, MemoryMB: 256, InputMB: 4, Outp
 // has been emptied at least once.
 func floodStores(t *testing.T, cfg Config) {
 	t.Helper()
-	for k := 0; k*(overlapDrawMin-1) <= scheduleStoreCap; k++ {
-		b := Burst{Demand: tandemLight, Functions: overlapDrawMin - 1, Degree: 1, Warm: 1<<20 + k, Seed: 1}
+	const rows = scheduleStoreCap / 8
+	for k := 0; k*rows <= scheduleStoreCap; k++ {
+		b := Burst{Demand: tandemLight, Functions: rows, Degree: 1, Warm: 1<<20 + k, Seed: 1}
 		if _, err := Run(cfg, b); err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +192,9 @@ func TestScheduleStoreStateIndependence(t *testing.T) {
 	}
 }
 
-// TestScheduleStoreGate: faulty and throttled platforms, one-instance
-// probes and bursts large enough for the follower never touch either store.
+// TestScheduleStoreGate: faulty and throttled platforms and one-instance
+// probes never touch either store; a burst large enough for the follower
+// leaves exactly one schedule and one bill behind.
 func TestScheduleStoreGate(t *testing.T) {
 	defer resetStores()
 	faulty := AWSLambda()
@@ -207,7 +209,6 @@ func TestScheduleStoreGate(t *testing.T) {
 	}{
 		{"faulty", faulty, 500}, {"throttled", throttled, 500},
 		{"one instance", AWSLambda(), 1}, {"below storeMin", AWSLambda(), storeMin - 1},
-		{"followed", AWSLambda(), overlapDrawMin},
 	} {
 		b := Burst{Demand: tandemLight, Functions: tc.n, Degree: 1, Seed: 3}
 		if _, err := Run(tc.cfg, b); err != nil {
@@ -228,6 +229,96 @@ func TestScheduleStoreGate(t *testing.T) {
 			t.Fatalf("%s bursts left %d schedules (%d rows and records) and %d bills in the stores", tc.name, keys, held, billed)
 		}
 	}
+	withProcs(2, func() {
+		b := Burst{Demand: tandemLight, Functions: overlapDrawMin, Degree: 1, Seed: 3}
+		if folded := countFolded(func() {
+			if _, err := Run(AWSLambda(), b); err != nil {
+				t.Fatal(err)
+			}
+		}); folded != 1 {
+			t.Fatalf("the followed burst was folded by %d followers, want 1", folded)
+		}
+		if keys, held, billed := storeSizes(t); keys != 1 || held != b.Functions+1 || billed != 1 {
+			t.Fatalf("a followed burst left %d schedules (%d rows and records) and %d bills, want 1 (%d) and 1",
+				keys, held, billed, b.Functions+1)
+		}
+	})
+}
+
+// TestScheduleStoreFollowed runs bursts the follower ends and folds — at,
+// one above and well above overlapDrawMin, with a warm prefix — from every
+// store state: empty, warmed by the burst itself, by a longer and by a
+// shorter burst, by another seed, and warmed and then emptied by a flood. At
+// GOMAXPROCS 1 each is drawn, ended and folded inline; at 2 the follower
+// folds it behind the solver, or, on a hit, behind the draw. Either way it is
+// the burst forced through the engine, bit for bit.
+func TestScheduleStoreFollowed(t *testing.T) {
+	defer resetStores()
+	cfg := AWSLambda()
+	for _, n := range []int{overlapDrawMin, overlapDrawMin + 1, 4*overlapDrawMin + 3} {
+		burst := func(functions int, seed int64) Burst {
+			return Burst{Demand: tandemLight, Functions: functions, Degree: 1, Warm: 5, Seed: seed}
+		}
+		b := burst(n, 7)
+		want, err := Run(forcedEvented(cfg, math.MaxInt32), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmBy := func(functions int, seed int64) func() {
+			return func() {
+				if _, err := Run(cfg, burst(functions, seed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		states := []struct {
+			name string
+			warm func()
+			hit  bool // the burst reads its schedule from the store
+		}{
+			{"empty", func() {}, false},
+			{"itself", warmBy(n, 7), true},
+			{"a longer burst", warmBy(n+followChunk+1, 7), false},
+			{"a shorter burst", warmBy(n-followChunk-1, 7), false},
+			{"another seed", warmBy(n, 8), true},
+			{"a clear", func() { warmBy(n, 7)(); floodStores(t, cfg) }, false},
+		}
+		for p := 1; p <= 2; p++ {
+			withProcs(p, func() {
+				for _, st := range states {
+					resetStores()
+					st.warm()
+					what := fmt.Sprintf("n=%d at GOMAXPROCS %d, store warmed by %s", n, p, st.name)
+					if hit := scheduleStored(cfg, b); hit != st.hit {
+						t.Fatalf("%s: the schedule is stored: %v, want %v", what, hit, st.hit)
+					}
+					var got *Result
+					folded := countFolded(func() {
+						if got, err = Run(cfg, b); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if followed := int64(p - 1); folded != followed {
+						t.Fatalf("%s: the follower folded %d bursts, want %d", what, folded, followed)
+					}
+					sameResultBits(t, what, got, want)
+				}
+			})
+		}
+	}
+}
+
+// scheduleStored reports whether b's schedule on cfg is in the store: its
+// rows and its instance count's busy seconds.
+func scheduleStored(cfg Config, b Burst) bool {
+	schedules.Lock()
+	defer schedules.Unlock()
+	s, n := schedules.m[scheduleKeyOf(&cfg, b.Warm, b.StaggerSec)], b.Instances()
+	if s == nil || s.rows < n {
+		return false
+	}
+	_, ok := s.busy[n]
+	return ok
 }
 
 // TestScheduleStoreConcurrentFills fills one key from parallel.Map: bursts
@@ -297,6 +388,12 @@ func TestScheduleStoreCap(t *testing.T) {
 	}
 	if !cleared {
 		t.Fatalf("floods of %d rows never emptied the schedule store", 5*scheduleStoreCap)
+	}
+	keys, held, _ := storeSizes(t)
+	storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap, nil, [3]float64{})
+	if k, h, _ := storeSizes(t); k != keys || h != held {
+		t.Fatalf("a schedule of %d rows, the whole store, was stored: %d keys holding %d, had %d holding %d",
+			scheduleStoreCap, k, h, keys, held)
 	}
 	for n := storeMin; n < storeMin+billStoreCap+10; n++ { // a bill and a busy record per count
 		if _, err := Run(cfg, Burst{Demand: tandemLight, Functions: n, Degree: 1, Seed: 9}); err != nil {

@@ -18,12 +18,25 @@ import (
 // solver, so it starts by aborting and joining a follower Run may have
 // started beside it.
 func withClosureControlPlane(fn func()) {
-	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
-		sc.join()
-		return runControlPlaneClosure(cfg, b, sc, rng)
-	}
+	runCP = runControlPlaneClosureJoined
 	defer func() { runCP = runControlPlane }()
 	fn()
+}
+
+// runControlPlaneClosureJoined runs the closure oracle after the follower:
+// it joins first, as the oracle reads every execution time at once, and a
+// Run the follower ended in place (schedulePlan.inPlace), its durations
+// overwritten by their ends, draws them again into a buffer of their own.
+// Unended, an in-place column serves the oracle as it is: it reads each
+// instance's duration before it writes that instance's end.
+func runControlPlaneClosureJoined(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
+	sc.join()
+	if sc.folded && sc.plan.inPlace(sc.batch.n) {
+		sc.batch.execs = make([]float64, sc.batch.n)
+		sc.stream(b.Seed, hashName(cfg.Name))
+		sc.drawExecs(nil)
+	}
+	return runControlPlaneClosure(cfg, b, sc, rng)
 }
 
 // runTypedAndClosure simulates the same burst through the typed dispatcher
