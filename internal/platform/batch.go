@@ -109,7 +109,10 @@ func (ib *instanceBatch) reset(n int, faulty bool) {
 // (store.go), which is dice-free: its four milestone columns are n-row
 // prefixes of the plan's slab — on a hit the store's, which nothing writes —
 // and end, degree and flags come in slabs of their own, so a stored slab
-// keeps no end column alive. A large hit draws in place (schedulePlan.inPlace).
+// keeps no end column alive. A hit draws its execution times into its end
+// column, which the end pass then overwrites row by row — end[i] =
+// TimerAt(start[i], end[i]) — so it needs no execs buffer: a hit never falls
+// back to the engine, the one reader of execs besides the end pass.
 func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 	ib.instanceColumns = instanceColumns{
 		n:         n,
@@ -121,7 +124,7 @@ func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 		start:     p.column(3, n),
 		end:       make([]float64, n),
 	}
-	if p.inPlace(n) {
+	if p.hit {
 		ib.execs = ib.end
 	} else {
 		ib.execs = grown(ib.execs, n)

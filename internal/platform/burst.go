@@ -218,9 +218,18 @@ func Run(cfg Config, b Burst) (*Result, error) {
 				ErrExecLimit, lastDeg, lastBase, cfg.MaxExecSec, cfg.Name)
 		}
 	}
+	for i := range ib.degree[:n-1] {
+		ib.degree[i] = int32(fullDeg)
+	}
+	ib.degree[n-1] = int32(lastDeg)
+	for i := range ib.flags[:min(b.Warm, n)] {
+		ib.flags[i] |= flagWarm
+	}
 	// A dice-free burst's solver never reads the stream, so a large one ends
 	// and folds on a second core behind the solver — behind the draw, when its
 	// schedule is stored and this goroutine has nothing to solve (DESIGN §12).
+	// The follower reads the degrees and warm flags as soon as a row range is
+	// sent, so they are filled before it starts.
 	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
 	bk := billKeyOf(&cfg, &b.Demand, fullDeg, lastDeg, n)
 	if !overlapsDraw(cfg, n) {
@@ -232,13 +241,6 @@ func Run(cfg Config, b Burst) (*Result, error) {
 		if sc.plan.hit {
 			sc.drawExecs(sc.feed)
 		}
-	}
-	for i := range ib.degree[:n-1] {
-		ib.degree[i] = int32(fullDeg)
-	}
-	ib.degree[n-1] = int32(lastDeg)
-	for i := range ib.flags[:min(b.Warm, n)] {
-		ib.flags[i] |= flagWarm
 	}
 
 	res, err := runCP(cfg, b, sc, sc.rng)
@@ -424,7 +426,7 @@ func (sc *runScratch) podStates(n int) []podState {
 // still running, which a panic can leave behind.
 func (sc *runScratch) release() {
 	sc.join()
-	if sc.plan.inPlace(sc.batch.n) {
+	if sc.plan.hit {
 		sc.batch.execs = nil // the Result's end column
 	}
 	sc.batch.instanceColumns, sc.folded = instanceColumns{}, false

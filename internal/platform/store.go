@@ -100,14 +100,6 @@ func (p *schedulePlan) column(k, n int) []float64 {
 	return p.slab[k*p.rows : k*p.rows+n : k*p.rows+n]
 }
 
-// inPlace reports whether a run of n instances on the plan draws its
-// execution times into its end column, which the end pass then overwrites
-// row by row — end[i] = TimerAt(start[i], end[i]) — so it needs no execs
-// buffer of 8 B a row: a hit never falls back to the engine, the one reader
-// of execs besides the end pass, and a burst as large as the follower's is
-// worth it. Below that the pooled buffer is cheaper than losing it.
-func (p *schedulePlan) inPlace(n int) bool { return p.hit && n >= overlapDrawMin }
-
 // lookupSchedule plans a run of n instances: a hit needs n stored rows and
 // the busy seconds of n itself. A miss allocates its slab.
 func lookupSchedule(key scheduleKey, n int) schedulePlan {

@@ -248,7 +248,9 @@ func TestScheduleStoreGate(t *testing.T) {
 // TestScheduleStoreFollowed runs bursts the follower ends and folds — at,
 // one above and well above overlapDrawMin, with a warm prefix — from every
 // store state: empty, warmed by the burst itself, by a longer and by a
-// shorter burst, by another seed, and warmed and then emptied by a flood. At
+// shorter burst, by another seed, by another application and by another
+// degree at the same instance count (the schedule stored, the bill not), and
+// warmed and then emptied by a flood. At
 // GOMAXPROCS 1 each is drawn, ended and folded inline; at 2 the follower
 // folds it behind the solver, or, on a hit, behind the draw. Either way it is
 // the burst forced through the engine, bit for bit.
@@ -264,24 +266,29 @@ func TestScheduleStoreFollowed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmBy := func(functions int, seed int64) func() {
+		warmWith := func(w Burst) func() {
 			return func() {
-				if _, err := Run(cfg, burst(functions, seed)); err != nil {
+				if _, err := Run(cfg, w); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		warmBy := func(functions int, seed int64) func() { return warmWith(burst(functions, seed)) }
+		other, packed := burst(n, 7), burst(3*n-1, 7)
+		other.Demand, packed.Degree = storeOther, 3
 		states := []struct {
-			name string
-			warm func()
-			hit  bool // the burst reads its schedule from the store
+			name      string
+			warm      func()
+			hit, paid bool // the burst reads its schedule, its bill from the store
 		}{
-			{"empty", func() {}, false},
-			{"itself", warmBy(n, 7), true},
-			{"a longer burst", warmBy(n+followChunk+1, 7), false},
-			{"a shorter burst", warmBy(n-followChunk-1, 7), false},
-			{"another seed", warmBy(n, 8), true},
-			{"a clear", func() { warmBy(n, 7)(); floodStores(t, cfg) }, false},
+			{"empty", func() {}, false, false},
+			{"itself", warmBy(n, 7), true, true},
+			{"a longer burst", warmBy(n+followChunk+1, 7), false, false},
+			{"a shorter burst", warmBy(n-followChunk-1, 7), false, false},
+			{"another seed", warmBy(n, 8), true, true},
+			{"another application", warmWith(other), true, false},
+			{"another degree", warmWith(packed), true, false},
+			{"a clear", func() { warmBy(n, 7)(); floodStores(t, cfg) }, false, true}, // the flood fills no bill
 		}
 		for p := 1; p <= 2; p++ {
 			withProcs(p, func() {
@@ -291,6 +298,9 @@ func TestScheduleStoreFollowed(t *testing.T) {
 					what := fmt.Sprintf("n=%d at GOMAXPROCS %d, store warmed by %s", n, p, st.name)
 					if hit := scheduleStored(cfg, b); hit != st.hit {
 						t.Fatalf("%s: the schedule is stored: %v, want %v", what, hit, st.hit)
+					}
+					if _, paid := lookupBill(billKeyOf(&cfg, &b.Demand, 1, 1, n)); paid != st.paid {
+						t.Fatalf("%s: the bill is stored: %v, want %v", what, paid, st.paid)
 					}
 					var got *Result
 					folded := countFolded(func() {

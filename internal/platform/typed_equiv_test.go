@@ -25,13 +25,13 @@ func withClosureControlPlane(fn func()) {
 
 // runControlPlaneClosureJoined runs the closure oracle after the follower:
 // it joins first, as the oracle reads every execution time at once, and a
-// Run the follower ended in place (schedulePlan.inPlace), its durations
+// Run the follower ended in place (a schedule-store hit), its durations
 // overwritten by their ends, draws them again into a buffer of their own.
 // Unended, an in-place column serves the oracle as it is: it reads each
 // instance's duration before it writes that instance's end.
 func runControlPlaneClosureJoined(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 	sc.join()
-	if sc.folded && sc.plan.inPlace(sc.batch.n) {
+	if sc.folded && sc.plan.hit {
 		sc.batch.execs = make([]float64, sc.batch.n)
 		sc.stream(b.Seed, hashName(cfg.Name))
 		sc.drawExecs(nil)
