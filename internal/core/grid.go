@@ -136,7 +136,8 @@ func (t *GridTable) firstEligible(minDeg int) (si, deg int) {
 // minDeg..MaxDegree) with first-wins strict-< tie-breaking — ties resolve to
 // the smallest size, then the smallest degree — so on one row it is the
 // naive degree-by-degree scan. A zero weight drops its term
-// (Weights.regret); when no regret compares (all NaN), firstEligible stands.
+// (Weights.regret), a zero baseline takes FracRegret's limit, and when no
+// regret compares (all NaN), firstEligible stands.
 func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) {
 	bestS, bestE := t.jointBaselines(q, minDeg)
 	bestSi, bestDeg, bestVal := -1, 0, math.Inf(1)
@@ -148,8 +149,8 @@ func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) 
 		svc := dt.quantile(q).vals[minDeg-1:]
 		exp := dt.expense[minDeg-1:]
 		for j, s := range svc {
-			dS := (s - bestS) / bestS      // Eq. 5, over the whole grid
-			dE := (exp[j] - bestE) / bestE // Eq. 6, over the whole grid
+			dS := FracRegret(s, bestS)      // Eq. 5, over the whole grid
+			dE := FracRegret(exp[j], bestE) // Eq. 6, over the whole grid
 			if v := w.regret(dS, dE); v < bestVal {
 				bestSi, bestDeg, bestVal = i, j+minDeg, v
 			}
@@ -238,18 +239,24 @@ func (t *GridTable) planFor(w Weights) JointPlan {
 // degrees around the Eq. 7 optimum whose weighted regret stays within
 // degreeRangeTol of the optimum's. The regret keeps DegreeRange's historical
 // grouping, W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the
-// band edges are pinned in the serve goldens; a zero weight drops its term,
-// as Weights.regret does, so a 0/0 regret the caller ignores cannot close
-// the band.
+// band edges are pinned in the serve goldens. A zero weight drops its term,
+// as Weights.regret does, and a zero baseline takes FracRegret's limit, so
+// neither can close the band with a NaN.
 func (t *GridTable) degreeRange(w Weights) (lo, hi int) {
 	svc, exp := t.sizes[0].t.service, t.sizes[0].t.expense
 	bestS, bestE := t.jointBaselines(100, 1)
+	term := func(w, x, b float64) float64 {
+		if b == 0 {
+			return w * FracRegret(x, b)
+		}
+		return w * (x - b) / b
+	}
 	regret := func(p int) (r float64) {
 		if w.Service != 0 {
-			r = w.Service * (svc[p-1] - bestS) / bestS
+			r = term(w.Service, svc[p-1], bestS)
 		}
 		if w.Expense != 0 {
-			r += w.Expense * (exp[p-1] - bestE) / bestE
+			r += term(w.Expense, exp[p-1], bestE)
 		}
 		return r
 	}

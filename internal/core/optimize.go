@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Weights are the objective weights of Eq. 7: W_S on service time, W_E on
@@ -33,6 +34,22 @@ func (w Weights) regret(dS, dE float64) float64 {
 		return w.Expense * dE
 	}
 	return w.Service*dS + w.Expense*dE
+}
+
+// FracRegret is the fractional regret of x from baseline b, (x−b)/b — the
+// term of Eqs. 5 and 6, and of the measured Oracle that Fig. 8 compares
+// against. At b = 0 it is the limit of (x−b)/b as b → 0⁺: 0
+// for x = 0 and +Inf otherwise, so on a stack whose every cell costs 0 (a
+// free platform) the expense regret is 0 and Eq. 7 reduces to Eq. 3 instead
+// of turning every cell's regret into NaN.
+func FracRegret(x, b float64) float64 {
+	if b != 0 {
+		return (x - b) / b
+	}
+	if x == 0 {
+		return 0
+	}
+	return math.Inf(1)
 }
 
 // Validate reports an error for malformed weights. The range guard is

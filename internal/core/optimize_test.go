@@ -101,13 +101,14 @@ func TestJointDegreeBetweenSingleObjectiveOptima(t *testing.T) {
 // fixtures, and random multi-size grids. Fig 15's ProPack columns are these
 // plans.
 //
-// The identity needs a finite regret on the objective that counts. A zero
+// The identity needs finite cells on the objective that counts. A zero
 // weight drops its term (Weights.regret), so ServiceOnly is Eq. 3 on every
-// grid whose service cells are finite, even where expense is zero or NaN
-// (randSizeModels' degenerate rows). ExpenseOnly is Eq. 4 only where the
-// expense regrets are finite too: at an expense baseline of 0 every regret
-// is 0/0 (ROADMAP item 3). Random grids with a non-finite service cell are
-// counted, not compared; Fig 15's fitted stacks are not degenerate.
+// grid whose service cells are finite, even where expense is NaN
+// (randSizeModels' degenerate rows), and ExpenseOnly is Eq. 4 wherever the
+// expense cells are finite — also at an expense baseline of 0, where the
+// regret is FracRegret's b → 0⁺ limit. Random grids with a non-finite
+// service cell are counted, not compared; Fig 15's fitted stacks are not
+// degenerate.
 func TestWeightExtremesMatchSingleObjectives(t *testing.T) {
 	type extreme struct {
 		w   Weights
@@ -149,24 +150,29 @@ func TestWeightExtremesMatchSingleObjectives(t *testing.T) {
 		check("stressGrid", stressGrid(), c, extremes)
 	}
 	r := rand.New(rand.NewSource(43))
-	serviceOnly, degenerate := 0, 0
+	serviceOnly, zeroExpense, degenerate := 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		g := randGrid(r)
 		c := 1 + r.Intn(20000)
 		name := fmt.Sprintf("trial %d", trial)
 		switch {
-		case finiteRegrets(g, c):
-			check(name, g, c, extremes)
-		case finiteCells(g, c, Models.ServiceTime):
+		case !finiteCells(g, c, Models.ServiceTime):
+			degenerate++
+		case !finiteCells(g, c, Models.Expense):
 			serviceOnly++
 			check(name, g, c, extremes[:1])
 		default:
-			degenerate++
+			if zeroExpenseCell(g, c) {
+				zeroExpense++
+			}
+			check(name, g, c, extremes)
 		}
 	}
-	t.Logf("of 300 random grids: %d compared at ServiceOnly only, %d with a non-finite service cell", serviceOnly, degenerate)
-	if serviceOnly == 0 || serviceOnly+degenerate > 150 {
-		t.Fatalf("%d of 300 random grids degenerate: the generator no longer mixes both kinds", serviceOnly+degenerate)
+	t.Logf("of 300 random grids: %d compared at ServiceOnly only, %d at both over a zero expense cell, %d with a non-finite service cell",
+		serviceOnly, zeroExpense, degenerate)
+	if zeroExpense == 0 || serviceOnly+degenerate > 150 {
+		t.Fatalf("%d of 300 random grids over a zero expense cell, %d not compared at ExpenseOnly: the generator no longer mixes both kinds",
+			zeroExpense, serviceOnly+degenerate)
 	}
 }
 
@@ -184,9 +190,8 @@ func finiteCells(g GridModels, c int, col func(m Models, c, degree int) float64)
 
 // TestZeroPriceServiceOnlyIsEq3: a platform whose prices are all 0 passes
 // Config.Validate and fits an expense of 0 at every degree, so Eq. 6's
-// baseline is 0 and every expense regret is 0/0 = NaN. ServiceOnly must
-// still plan Eq. 3's argmin — the zero expense weight drops that term —
-// rather than fall back to degree 1 because no regret compares.
+// baseline is 0. ServiceOnly must plan Eq. 3's argmin — the zero expense
+// weight drops that term — rather than fall back to degree 1.
 func TestZeroPriceServiceOnlyIsEq3(t *testing.T) {
 	m := zeroPriceModels(t)
 	const c = 5000
@@ -208,6 +213,35 @@ func TestZeroPriceServiceOnlyIsEq3(t *testing.T) {
 	}
 }
 
+// TestZeroPriceEq7IsEq3: on the same stack every expense is 0, so each
+// cell's Eq. 6 regret is FracRegret's limit 0 and Eq. 7 reduces to Eq. 3 at
+// any positive service weight. ExpenseOnly is Eq. 4, every cell tied at 0,
+// so its first-wins argmin is degree 1. Before the limit every regret was
+// 0/0 and all three fell back to degree 1.
+func TestZeroPriceEq7IsEq3(t *testing.T) {
+	m := zeroPriceModels(t)
+	const c = 5000
+	eq3, _ := naiveArgminColumn(oneSize(m), c, Models.ServiceTime)
+	eq4, _ := naiveArgminColumn(oneSize(m), c, Models.Expense)
+	if eq3 != 10 || eq4 != 1 {
+		t.Fatalf("fixture moved: Eq. 3 argmin %d, Eq. 4 argmin %d, want 10 and 1", eq3, eq4)
+	}
+	pl := NewPlanner(m)
+	for _, tc := range []struct {
+		w    Weights
+		want int
+	}{{Balanced(), eq3}, {Weights{Service: 0.9, Expense: 0.1}, eq3}, {ExpenseOnly(), eq4}} {
+		plan, err := m.PlanFor(c, tc.w)
+		if err != nil || plan.Degree != tc.want {
+			t.Fatalf("PlanFor(%+v) = degree %d (%v), want %d", tc.w, plan.Degree, err, tc.want)
+		}
+		answer, err := pl.Answer(Request{C: c, Weights: tc.w})
+		if err != nil || answer.Degree != tc.want {
+			t.Fatalf("Planner.Answer(%+v) = degree %d (%v), want %d", tc.w, answer.Degree, err, tc.want)
+		}
+	}
+}
+
 // zeroPriceModels fits Video on AWS Lambda with every price set to 0.
 func zeroPriceModels(t *testing.T) Models {
 	t.Helper()
@@ -225,7 +259,7 @@ func zeroPriceModels(t *testing.T) Models {
 }
 
 // TestZeroPriceDegreeRange: on the same zero-price stack the ServiceOnly
-// stability band drops the NaN expense regret as the plan does, so it spans
+// stability band drops the expense term as the plan does, so it spans
 // every degree within degreeRangeTol of Eq. 3's optimum — 8 (1.65 %) to 12
 // (1.72 %) around 10 — instead of collapsing to the optimum alone.
 func TestZeroPriceDegreeRange(t *testing.T) {
@@ -247,24 +281,18 @@ func TestZeroPriceDegreeRange(t *testing.T) {
 	}
 }
 
-// finiteRegrets reports whether every cell of g at c has a finite service
-// and expense, and every size's minima are positive: Eq. 5 and 6 regrets
-// that are finite everywhere, per size and over the grid.
-func finiteRegrets(g GridModels, c int) bool {
+// zeroExpenseCell reports whether some cell of g costs 0 at c: a size whose
+// Eq. 6 baseline is 0, so its expense regrets compare only through
+// FracRegret's b → 0⁺ limit.
+func zeroExpenseCell(g GridModels, c int) bool {
 	for _, s := range g.Sizes {
-		minS, minE := math.Inf(1), math.Inf(1)
 		for d := 1; d <= s.Models.MaxDegree; d++ {
-			sv, ev := s.Models.ServiceTime(c, d), s.Models.Expense(c, d)
-			if math.IsNaN(sv) || math.IsInf(sv, 0) || math.IsNaN(ev) || math.IsInf(ev, 0) {
-				return false
+			if s.Models.Expense(c, d) == 0 {
+				return true
 			}
-			minS, minE = math.Min(minS, sv), math.Min(minE, ev)
-		}
-		if !(minS > 0 && minE > 0) {
-			return false
 		}
 	}
-	return true
+	return false
 }
 
 // oneSize is m as a one-size grid.

@@ -94,6 +94,7 @@ func FuzzPlanGrid(f *testing.F) {
 	f.Add(encodePlanGrid([]fuzzSize{overflow, overflowAt1}, 0, 20000, 95, 0.5, 1e9))
 	f.Add(encodePlanGrid([]fuzzSize{lambda, overflowAt1, free}, 7, 1, 99.5, 0.7, 1))
 	f.Add(encodePlanGrid([]fuzzSize{lambda}, 0, -3, 100, 0.5, math.NaN()))
+	f.Add(encodePlanGrid([]fuzzSize{free, lambda}, 0, 5000, 100, 0.5, 300)) // Eq. 7 over a zero expense baseline
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, c, minDeg, q, w, qos := decodePlanGrid(data)
 		sizes := g.MemSizesMB()

@@ -90,6 +90,11 @@ func (r *Registry) Save(platformName, app string, m Models, probeUSD float64) er
 }
 
 // Load retrieves the cached models for a (platform, application) pair.
+// Names that slug alike ("AWS Lambda", "aws_lambda") share a file, so an
+// entry recorded under other names is a miss, not a hit: the error wraps
+// ErrNotCached and LoadOrBuild rebuilds. The rebuilt entry overwrites the
+// file, so colliding keys evict each other: callers that alternate between
+// two such spellings re-probe on every call.
 func (r *Registry) Load(platformName, app string) (Models, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -103,6 +108,9 @@ func (r *Registry) Load(platformName, app string) (Models, error) {
 	var e registryEntry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return Models{}, fmt.Errorf("core: corrupt registry entry %s: %w", r.path(platformName, app), err)
+	}
+	if e.Platform != platformName || e.App != app {
+		return Models{}, fmt.Errorf("%w for %s on %s (the entry holds %s on %s)", ErrNotCached, app, platformName, e.App, e.Platform)
 	}
 	if err := e.Models.Validate(); err != nil {
 		return Models{}, fmt.Errorf("core: invalid cached models: %w", err)

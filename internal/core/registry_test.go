@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -96,19 +95,35 @@ func TestRegistryCorruptEntry(t *testing.T) {
 	}
 }
 
+// TestRegistrySlugCollisionSafety: names that slug to one file are still
+// distinct keys. A load under the other names is a miss that wraps
+// ErrNotCached — never another platform's models — and LoadOrBuild rebuilds.
 func TestRegistrySlugCollisionSafety(t *testing.T) {
 	r := tempRegistry(t)
-	// Distinct names that slug to distinct files.
-	if err := r.Save("AWS Lambda", "Stateless Cost", synthModels(), 0); err != nil {
+	if err := r.Save("AWS Lambda", "Video", synthModels(), 0); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(t.TempDir(), "*"))
-	if err != nil {
-		t.Fatal(err)
+	if r.path("AWS Lambda", "Video") != r.path("aws_lambda", "VIDEO") {
+		t.Fatal("fixture moved: the two keys no longer share a file")
 	}
-	_ = entries
-	if _, err := r.Load("AWS Lambda", "Stateless Cost"); err != nil {
-		t.Fatal(err)
+	if m, err := r.Load("aws_lambda", "VIDEO"); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("Load under colliding names = %+v (%v), want ErrNotCached", m, err)
+	}
+	fm := &fakeMeasurer{
+		et: ETModel{MfuncGB: 0.25, Alpha: 0.15, Intercept: 4},
+		sc: ScalingModel{B1: 2e-5, B2: 0.01},
+	}
+	opts := ProfileOptions{MaxDegree: 15, MfuncGB: 0.25, RatePerInstanceSec: 1e-4}
+	if _, hit, err := r.LoadOrBuild("aws_lambda", "VIDEO", fm, opts); err != nil || hit {
+		t.Fatalf("LoadOrBuild under colliding names: hit %v (%v), want a rebuild", hit, err)
+	}
+	if _, err := r.Load("aws_lambda", "VIDEO"); err != nil {
+		t.Fatalf("the rebuilt entry does not load: %v", err)
+	}
+	// The two keys share one file, so the rebuild evicted the original
+	// entry: a load under the original names is now the miss.
+	if m, err := r.Load("AWS Lambda", "Video"); !errors.Is(err, ErrNotCached) {
+		t.Fatalf("Load under the evicted names = %+v (%v), want ErrNotCached", m, err)
 	}
 }
 

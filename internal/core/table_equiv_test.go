@@ -68,8 +68,8 @@ func naiveArgminColumn(g GridModels, c int, col func(m Models, c, degree int) fl
 // degrees ≥ minDeg, evaluated straight off the Models predictors: the Eqs.
 // 5–6 baselines are seeded from the first cell and folded with strict < in
 // enumeration order (sizes ascending, then degrees), a zero weight drops its
-// term, the first strict-< regret wins, and the first cell stands when no
-// regret compares. It returns the winning cell's size index and degree.
+// term, a zero baseline takes FracRegret's b → 0⁺ limit, the first strict-<
+// regret wins, and the first cell stands when no regret compares. It returns the winning cell's size index and degree.
 func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si, deg int) {
 	type cell struct {
 		si, deg int
@@ -95,10 +95,10 @@ func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si,
 	for _, x := range cells {
 		var v float64
 		if w.Service != 0 {
-			v += w.Service * ((x.s - bestS) / bestS)
+			v += w.Service * FracRegret(x.s, bestS)
 		}
 		if w.Expense != 0 {
-			v += w.Expense * ((x.e - bestE) / bestE)
+			v += w.Expense * FracRegret(x.e, bestE)
 		}
 		if v < bestVal {
 			si, deg, bestVal = x.si, x.deg, v
@@ -536,12 +536,12 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	}
 	best, bestVal := cands[0], math.Inf(1) // the first stands when no regret compares
 	for _, c := range cands {
-		var v float64 // a zero weight drops its term
+		var v float64 // a zero weight drops its term; a zero baseline takes the b → 0⁺ limit
 		if opts.Weights.Service != 0 {
-			v += opts.Weights.Service * (c.serviceSec - bestS) / bestS
+			v += opts.Weights.Service * FracRegret(c.serviceSec, bestS)
 		}
 		if opts.Weights.Expense != 0 {
-			v += opts.Weights.Expense * (c.expenseUSD - bestE) / bestE
+			v += opts.Weights.Expense * FracRegret(c.expenseUSD, bestE)
 		}
 		if v < bestVal {
 			best, bestVal = c, v
@@ -584,11 +584,11 @@ func randMixedCase(r *rand.Rand) ([]App, MixedPlanOptions) {
 }
 
 // TestPlanMixedMatchesNaive holds PlanMixed to the naive sweep on random
-// jobs: some at a zero rate, where every expense regret is 0/0 and no regret
-// compares, some service-only (Weights{1, 0}), some both, where the zero
-// expense weight drops the 0/0 term and the service regret decides. A plan
-// must name a candidate — the first, when none compares — never come back
-// empty.
+// jobs: some at a zero rate, where every expense is 0, the expense regret is
+// its b → 0⁺ limit 0 and the service regret decides, some service-only
+// (Weights{1, 0}), some both, where the zero expense weight drops the term.
+// A plan must name a candidate — the first, when none compares — never come
+// back empty.
 func TestPlanMixedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	feasible, infeasible := 0, 0

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/platform"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -233,6 +234,21 @@ func TestFig8OracleBalancesObjectives(t *testing.T) {
 	}
 	if degB := oracleFromSweep(all, 100); degB < oS.Degree || degB > oE.Degree {
 		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, oS.Degree, oE.Degree)
+	}
+}
+
+// TestOracleFromSweepZeroPrice: on a free platform every expense is 0, so
+// the expense regret is core.FracRegret's limit 0 and the balanced Oracle
+// is the service Oracle — as the planner's Eq. 7 reduces to Eq. 3 there —
+// instead of falling back to the sweep's first degree on 0/0.
+func TestOracleFromSweepZeroPrice(t *testing.T) {
+	sweep := []trace.Metrics{
+		{Degree: 1, TotalService: 9},
+		{Degree: 2, TotalService: 4},
+		{Degree: 3, TotalService: 6},
+	}
+	if deg := oracleFromSweep(sweep, 100); deg != 2 {
+		t.Fatalf("zero-price oracle = degree %d, want the service argmin 2", deg)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 
 // oracleFromSweep picks, from an exhaustive degree sweep, the degree that
 // minimizes the equal-weight fractional regret of (q-percentile service,
-// expense) — the observed analogue of Eq. 7 at a given figure of merit.
+// expense) — the observed analogue of Eq. 7 at a given figure of merit. A
+// zero baseline takes core.FracRegret's limit, as the planner's does.
 func oracleFromSweep(sweep []trace.Metrics, q float64) int {
 	service := func(m trace.Metrics) float64 {
 		switch q {
@@ -37,7 +38,7 @@ func oracleFromSweep(sweep []trace.Metrics, q float64) int {
 	}
 	deg, best := sweep[0].Degree, math.Inf(1)
 	for _, m := range sweep {
-		v := 0.5*(service(m)-bestS)/bestS + 0.5*(m.ExpenseUSD-bestE)/bestE
+		v := 0.5*core.FracRegret(service(m), bestS) + 0.5*core.FracRegret(m.ExpenseUSD, bestE)
 		if v < best {
 			deg, best = m.Degree, v
 		}

@@ -212,7 +212,7 @@ func TestRegistryRecorder(t *testing.T) {
 	}
 }
 
-// TestRegistryRecorderAllocs pins the recorder's per-record cost: once a
+// TestRegistryRecorderAllocs pins the recorder's cost per span or event: once a
 // stage's or kind's child exists, a span or event allocates nothing.
 func TestRegistryRecorderAllocs(t *testing.T) {
 	rec := RegistryRecorder{Reg: NewRegistry()}

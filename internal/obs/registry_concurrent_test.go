@@ -116,61 +116,3 @@ func TestCollectorsSerializedConcurrent(t *testing.T) {
 		t.Fatalf("mirrored_total = %d after two concurrent scrapes, want %d", got, source)
 	}
 }
-
-// BenchmarkRegistryRecorderEvent measures the recorder's per-event cost:
-// sync.Map reads for the events_total family and its kind child.
-func BenchmarkRegistryRecorderEvent(b *testing.B) {
-	reg := NewRegistry()
-	rr := RegistryRecorder{Reg: reg}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			rr.Event(Event{Kind: EventStartRetry})
-		}
-	})
-}
-
-// BenchmarkRegistryCounterInc measures a bare named-counter increment.
-func BenchmarkRegistryCounterInc(b *testing.B) {
-	reg := NewRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			reg.Counter("bursts_total").Inc()
-		}
-	})
-}
-
-// mutexRegistry replicates the pre-sync.Map registry lookup (a mutex
-// around a plain map) so the conversion's effect is measurable in one run.
-type mutexRegistry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-func (r *mutexRegistry) counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// BenchmarkRegistryCounterIncMutex is the historical baseline for
-// BenchmarkRegistryCounterInc: the same increment through a mutex-guarded
-// map.
-func BenchmarkRegistryCounterIncMutex(b *testing.B) {
-	reg := &mutexRegistry{counters: map[string]*Counter{}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			reg.counter("bursts_total").Inc()
-		}
-	})
-}

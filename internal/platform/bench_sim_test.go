@@ -8,18 +8,14 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkSim is the burst scaling curve recorded in BENCH_SIM.json: one
-// unpacked burst of C functions (C instances, the event-heaviest shape per
-// function) at C = 10³ … 10⁶, on the production path ("wheel", the row's
-// historical name: for this dice-free burst the tandem solver, no engine at
-// all), forced through the typed dispatcher on the event engine ("evented"),
-// and through the retained closure control plane. Besides ns/op and the
-// standard alloc columns, each sub-benchmark reports allocs/instance and
-// bytes/instance — the steady-state per-instance footprint — and
-// events/instance, the run's event budget (0 solved, 5 on
-// the evented and closure rows, which schedule every timer). CI runs it at
-// -benchtime=1x as a smoke so the million-instance point cannot rot; the
-// recorded curve comes from dedicated -count runs.
+// BenchmarkSim times one unpacked burst of C functions (C instances, the
+// event-heaviest shape per function) at C = 10³ … 10⁶ on the two oracle
+// control planes the production path is checked against: forced through the
+// typed dispatcher on the event engine ("evented"), and through the retained
+// closure control plane. Besides ns/op and the standard alloc columns, each
+// sub-benchmark reports allocs/instance, bytes/instance and events/instance
+// (5: both schedule every timer). The production path's numbers are
+// burst-1m's and the platform.* metrics of `go run ./benchmark`.
 func BenchmarkSim(b *testing.B) {
 	cs := []int{1_000, 10_000, 100_000, 1_000_000}
 	burstAt := func(c int) Burst {
@@ -49,12 +45,6 @@ func BenchmarkSim(b *testing.B) {
 		b.ReportMetric(float64(events)/den, "events/instance")
 	}
 
-	for _, c := range cs {
-		b.Run(fmt.Sprintf("wheel/C=%d", c), func(b *testing.B) {
-			bb := burstAt(c)
-			loop(b, c, runControlPlane, func() error { _, err := Run(cfg, bb); return err })
-		})
-	}
 	// A limit that never throttles keeps the burst out of the solver's gate.
 	for _, c := range cs {
 		b.Run(fmt.Sprintf("evented/C=%d", c), func(b *testing.B) {

@@ -14,9 +14,8 @@ import (
 
 // Closed-loop load generator for the daemon: N clients each keep exactly
 // one request in flight, so offered load is clients/latency and overload is
-// expressed as clients ≫ admission capacity. This is both the bench driver
-// behind BENCH_SERVE.json and the overload harness for the shed-rate
-// acceptance test (shed requests must get fast 429s while admitted
+// expressed as clients ≫ admission capacity. It is the harness of
+// TestOverloadShedding (shed requests must get fast 429s while admitted
 // requests keep a sane tail).
 
 // LoadgenOptions configures one closed-loop run.
@@ -33,14 +32,10 @@ type LoadgenOptions struct {
 	Client *http.Client
 }
 
-// LatencySummary is the percentile digest of one outcome class.
+// LatencySummary is the tail of one outcome class.
 type LatencySummary struct {
-	N       int     `json:"n"`
-	MeanSec float64 `json:"mean_sec"`
-	P50Sec  float64 `json:"p50_sec"`
-	P95Sec  float64 `json:"p95_sec"`
-	P99Sec  float64 `json:"p99_sec"`
-	MaxSec  float64 `json:"max_sec"`
+	N      int
+	P99Sec float64
 }
 
 func summarize(durs []float64) LatencySummary {
@@ -48,37 +43,21 @@ func summarize(durs []float64) LatencySummary {
 		return LatencySummary{}
 	}
 	sort.Float64s(durs)
-	var sum float64
-	for _, d := range durs {
-		sum += d
-	}
-	return LatencySummary{
-		N:       len(durs),
-		MeanSec: sum / float64(len(durs)),
-		P50Sec:  stats.QuantileSorted(durs, 50),
-		P95Sec:  stats.QuantileSorted(durs, 95),
-		P99Sec:  stats.QuantileSorted(durs, 99),
-		MaxSec:  durs[len(durs)-1],
-	}
+	return LatencySummary{N: len(durs), P99Sec: stats.QuantileSorted(durs, 99)}
 }
 
-// LoadgenResult is one closed-loop run's outcome record (the shape stored
-// in BENCH_SERVE.json).
+// LoadgenResult is one closed-loop run's outcome.
 type LoadgenResult struct {
-	Clients       int     `json:"clients"`
-	Requests      int     `json:"requests"`
-	OK            int     `json:"ok"`
-	Shed          int     `json:"shed"`        // 429 (admission or rate limit)
-	Unavailable   int     `json:"unavailable"` // 503 (queue timeout, breaker, drain)
-	Failed        int     `json:"failed"`      // transport errors and other statuses
-	DurationSec   float64 `json:"duration_sec"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	ShedRate      float64 `json:"shed_rate"`
+	Requests    int
+	OK          int
+	Shed        int // 429 (admission or rate limit)
+	Unavailable int // 503 (queue timeout, breaker, drain)
+	Failed      int // transport errors and other statuses
 	// Admitted summarizes latencies of 200s only — the tail that admission
 	// control promises to protect. Rejected summarizes the 429/503 fast
 	// path, which must stay cheap for shedding to mean anything.
-	Admitted LatencySummary `json:"admitted"`
-	Rejected LatencySummary `json:"rejected"`
+	Admitted LatencySummary
+	Rejected LatencySummary
 }
 
 // RunLoadgen drives the closed loop and aggregates outcomes.
@@ -97,7 +76,6 @@ func RunLoadgen(opts LoadgenOptions) (LoadgenResult, error) {
 		rejected []float64
 		res      LoadgenResult
 	)
-	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
@@ -132,13 +110,7 @@ func RunLoadgen(opts LoadgenOptions) (LoadgenResult, error) {
 		}()
 	}
 	wg.Wait()
-	res.Clients = opts.Clients
 	res.Requests = opts.Requests
-	res.DurationSec = time.Since(start).Seconds()
-	if res.DurationSec > 0 {
-		res.ThroughputRPS = float64(opts.Requests) / res.DurationSec
-	}
-	res.ShedRate = float64(res.Shed+res.Unavailable) / float64(opts.Requests)
 	res.Admitted = summarize(admitted)
 	res.Rejected = summarize(rejected)
 	return res, nil

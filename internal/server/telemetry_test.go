@@ -9,7 +9,9 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -359,5 +361,70 @@ func TestTelemetryConcurrentRequests(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Errorf("RED total = %v, want %d", total, workers*perWorker)
+	}
+}
+
+// TestTelemetryOverhead gates the per-request cost of the telemetry
+// middleware (request IDs, RED vectors, SLO accounting, stage histograms) on
+// the advise hot path by what that cost is made of: the objects allocated
+// and the clock reads made per request, instrumented minus bare. Both are
+// exact on any machine however loaded; the benchmark's
+// server.telemetry_overhead_pct carries the timed delta.
+func TestTelemetryOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("telemetry cost experiment; skipped in -short")
+	}
+	const path = "/v1/advise?app=Video&platform=aws&c=2000"
+	var bareReads, instReads atomic.Int64
+	newSrv := func(disable bool, reads *atomic.Int64) *Server {
+		clock := func() time.Time { reads.Add(1); return time.Now() }
+		s, err := New(Config{TenantRPS: -1, Seed: 1, DisableTelemetry: disable, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	warm := func(s *Server) { // the planner pools, outside the measurement
+		for i := 0; i < 50; i++ {
+			req := httptest.NewRequest("GET", fmt.Sprintf("%s&i=%d", path, i), nil)
+			rr := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rr, req)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+			}
+		}
+	}
+	bareSrv, instSrv := newSrv(true, &bareReads), newSrv(false, &instReads)
+	warm(bareSrv)
+	warm(instSrv)
+
+	// Counts per request on one reused request and writer, so the only
+	// objects and clock reads are the server's own.
+	perRequest := func(s *Server, reads *atomic.Int64) (allocs, clockReads float64) {
+		req := httptest.NewRequest("GET", path+"&i=gate", nil)
+		w := &bareWriter{h: http.Header{}}
+		h := s.Handler()
+		serve := func() {
+			clear(w.h)
+			h.ServeHTTP(w, req)
+		}
+		serve()
+		const runs = 200
+		before := reads.Load()
+		allocs = testing.AllocsPerRun(runs, serve)
+		return allocs, float64(reads.Load()-before) / (runs + 1) // AllocsPerRun warms up once
+	}
+	bareAllocs, bareClock := perRequest(bareSrv, &bareReads)
+	instAllocs, instClock := perRequest(instSrv, &instReads)
+	t.Logf("per request: bare %.1f objects / %.1f clock reads, instrumented %.1f / %.1f",
+		bareAllocs, bareClock, instAllocs, instClock)
+	// As measured: the request's start and end and one read closing each of the
+	// three guard stages; two objects.
+	const allocBudget, clockBudget = 2, 5
+	if d := instClock - bareClock; d > clockBudget {
+		t.Errorf("telemetry reads the clock %.1f more times per request, budget %d", d, clockBudget)
+	}
+	if d := instAllocs - bareAllocs; d > allocBudget && !raceEnabled { // sync.Pool drops items under the detector
+		t.Errorf("telemetry allocates %.1f more objects per request, budget %d", d, allocBudget)
 	}
 }
