@@ -120,8 +120,16 @@ func (r *Registry) Load(platformName, app string) (Models, error) {
 
 // LoadOrBuild returns cached models if present, otherwise builds them with
 // the measurer, saves, and returns them. The boolean reports a cache hit.
+// Cached models that pack deeper than opts.MaxDegree, the memory bound they
+// would be profiled under (a latency cap only lowers it), are an error: the
+// file is not to be trusted, and a planner sized by it would not fit in
+// memory.
 func (r *Registry) LoadOrBuild(platformName, app string, meas Measurer, opts ProfileOptions) (Models, bool, error) {
 	if m, err := r.Load(platformName, app); err == nil {
+		if m.MaxDegree > opts.MaxDegree {
+			return Models{}, false, fmt.Errorf("core: cached models for %s on %s pack up to degree %d, past the %d they are profiled under",
+				app, platformName, m.MaxDegree, opts.MaxDegree)
+		}
 		return m, true, nil
 	} else if !errors.Is(err, ErrNotCached) {
 		return Models{}, false, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"testing"
@@ -155,4 +156,75 @@ func TestLoadOrBuild(t *testing.T) {
 	if m1.ET != m2.ET {
 		t.Fatal("cached models differ")
 	}
+}
+
+// TestLoadOrBuildOversizedEntry: an entry that packs deeper than the memory
+// bound LoadOrBuild would profile under is an error, not models a planner
+// then sizes its tables by (2⁴⁰ degrees is an out-of-memory crash no recover
+// catches).
+func TestLoadOrBuildOversizedEntry(t *testing.T) {
+	r := tempRegistry(t)
+	m := synthModels()
+	m.MaxDegree = 1 << 40
+	if err := r.Save("AWS", "Video", m, 0); err != nil {
+		t.Fatal(err)
+	}
+	opts := ProfileOptions{MaxDegree: 40, MfuncGB: 0.25, RatePerInstanceSec: 1e-4}
+	if got, hit, err := r.LoadOrBuild("AWS", "Video", failingMeasurer, opts); err == nil {
+		t.Fatalf("LoadOrBuild returned MaxDegree %d (hit %v) for an entry past opts.MaxDegree %d", got.MaxDegree, hit, opts.MaxDegree)
+	}
+}
+
+// failingMeasurer fails every probe, so a LoadOrBuild that misses returns at
+// once.
+var failingMeasurer = measurerFunc{
+	exec:  func(int) (float64, error) { return 0, errors.New("no probes here") },
+	scale: func(int) (float64, error) { return 0, errors.New("no probes here") },
+}
+
+// FuzzRegistryLoad: whatever bytes a registry file holds, neither Load nor
+// LoadOrBuild panics; models Load returns pass Validate, and models
+// LoadOrBuild returns also pack no deeper than opts.MaxDegree.
+func FuzzRegistryLoad(f *testing.F) {
+	entry := func(mutate func(*registryEntry)) []byte {
+		e := registryEntry{Platform: "AWS", App: "Video", Models: synthModels()}
+		if mutate != nil {
+			mutate(&e)
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	f.Add(entry(nil))
+	f.Add(entry(nil)[:60]) // truncated
+	f.Add(entry(func(e *registryEntry) { e.Platform = "Azure" }))
+	f.Add(entry(func(e *registryEntry) { e.Models.MaxDegree = 1 << 40 }))
+	f.Add(entry(func(e *registryEntry) { e.Models.RatePerInstanceSec = -1 }))
+	opts := ProfileOptions{MaxDegree: 40, MfuncGB: 0.25, RatePerInstanceSec: 1e-4}
+	r, err := NewRegistry(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(r.path("AWS", "Video"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := r.Load("AWS", "Video"); err == nil {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("Load returned invalid models: %v", err)
+			}
+		}
+		m, _, err := r.LoadOrBuild("AWS", "Video", failingMeasurer, opts)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("LoadOrBuild returned invalid models: %v", err)
+		}
+		if m.MaxDegree > opts.MaxDegree {
+			t.Fatalf("LoadOrBuild returned MaxDegree %d past opts.MaxDegree %d", m.MaxDegree, opts.MaxDegree)
+		}
+	})
 }

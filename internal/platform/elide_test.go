@@ -1,27 +1,18 @@
 package platform
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/interfere"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// The event-free proof. A dice-free, unthrottled run schedules nothing: it is
-// solved stage by stage as three queues in tandem (tandem.go, DESIGN §16).
-// Setting ConcurrencyLimit to the instance count never throttles — the run
-// is observably identical — but takes the gate's other branch, so the same
-// burst can be solved and simulated event by event and the two Results
-// compared bit for bit, with the frozen closure control plane as the third
-// witness. (tandem_test.go aims the same comparison at the ties.)
+// The event-free path: a dice-free, unthrottled run schedules nothing, as it
+// is solved as three queues in tandem (tandem.go, DESIGN §16). Here are its
+// event budget and panics; FuzzStoreSequence holds its bits to the engine's.
 
 // controlPlaneFunc is the signature behind the runCP hook.
 type controlPlaneFunc = func(Config, Burst, *runScratch, *sim.RNG) (*Result, error)
@@ -105,131 +96,6 @@ func sameResultBits(t *testing.T, what string, got, want *Result) {
 	wantFaults := rowFaults{want.StartRetries, want.Crashes, want.Timeouts, want.HedgesLaunched, want.HedgesWon}
 	if gotFaults != wantFaults {
 		t.Fatalf("%s: fault roll-up %+v vs %+v", what, gotFaults, wantFaults)
-	}
-}
-
-// TestElidedTailDifferential simulates randomized dice-free bursts — cold,
-// warm prefixes, pods with waiting followers, staggered arrival, packed with
-// a short last instance, mixed bins — solved without events, with every event
-// forced, and through the closure oracle, and requires identical bits from
-// all three.
-func TestElidedTailDifferential(t *testing.T) {
-	video := workload.Video{}.Demand()
-	light := interfere.Demand{CPUSeconds: 5, MemoryMB: 128, InputMB: 5, OutputMB: 1, SharedInput: true}
-	shuffly := interfere.Demand{CPUSeconds: 12, IOSeconds: 4, MemoryMB: 256, InputMB: 20, OutputMB: 8, ShuffleFraction: 0.5}
-	rng := rand.New(rand.NewSource(577215))
-
-	var verified, seenWarm, seenWarmLed, seenPodOfOne, seenFollower, seenStagger, seenShortLast, seenMixed int
-	const trials = 48
-	for trial := 0; trial < trials; trial++ {
-		cfg := Providers()[rng.Intn(3)]
-		if rng.Intn(2) == 0 {
-			cfg.PodSize = 2 + rng.Intn(7)
-		}
-		var warm int
-		if rng.Intn(2) == 0 {
-			warm = 1 + rng.Intn(12)
-		}
-		var stagger float64
-		if rng.Intn(3) == 0 {
-			stagger = rng.Float64() * 0.01
-		}
-		seed := rng.Int63()
-
-		var (
-			what      string
-			n         int
-			shortLast bool
-			run       func(cfg Config) (*Result, error)
-		)
-		if trial%3 != 0 {
-			c, deg := 1+rng.Intn(800), 1+rng.Intn(8)
-			d := video
-			if trial%2 == 0 {
-				d = shuffly
-			}
-			b := Burst{Demand: d, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n, shortLast = fmt.Sprintf("trial %d Run(%s C=%d P=%d seed=%d)", trial, cfg.Name, c, deg, seed), b.Instances(), c%deg != 0
-			run = func(cfg Config) (*Result, error) { return Run(cfg, b) }
-		} else {
-			bins := make([]Bin, 1+rng.Intn(120))
-			for i := range bins {
-				for k := rng.Intn(3); k >= 0; k-- {
-					bins[i].Demands = append(bins[i].Demands, light)
-				}
-				if rng.Intn(2) == 0 {
-					bins[i].Demands = append(bins[i].Demands, video)
-				}
-			}
-			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d RunMixed(%s bins=%d seed=%d)", trial, cfg.Name, len(bins), seed), len(bins)
-			run = func(cfg Config) (*Result, error) { return RunMixed(cfg, m) }
-		}
-		// Never throttles (at most n instances are ever admitted), but the
-		// throttle's bookkeeping needs the end events, so the run is evented.
-		forced := cfg
-		forced.ConcurrencyLimit = n
-
-		simulate := func(what string, cp controlPlaneFunc, cfg Config) (res *Result, events uint64) {
-			var err error
-			if events, _ = withEventCounts(cp, func() { res, err = run(cfg) }); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			return res, events
-		}
-		if _, err := run(cfg); errors.Is(err, ErrExecLimit) {
-			continue // this degree does not fit the provider's limit: not a burst
-		}
-		elided, elidedEvents := simulate(what, runControlPlane, cfg)
-		evented, eventedEvents := simulate(what+" (forced)", runControlPlane, forced)
-		sameResultBits(t, what+": elided vs evented", elided, evented)
-		if elidedEvents >= eventedEvents {
-			t.Fatalf("%s: elided run scheduled %d events, forced run %d — both took the same path",
-				what, elidedEvents, eventedEvents)
-		}
-		closure, closureEvents := simulate(what+" (closure)", runControlPlaneClosure, cfg)
-		sameResultBits(t, what+": elided vs closure oracle", elided, closure)
-		if closureEvents != eventedEvents {
-			t.Fatalf("%s: closure oracle scheduled %d events, forced typed run %d", what, closureEvents, eventedEvents)
-		}
-		c := &elided.cols
-		for i := 0; i < c.n; i++ {
-			// A follower that reached its pod before the image did waited
-			// for the leader's ship.
-			if !c.warm(i) && c.buildDone[i] == c.shipDone[i] && c.schedDone[i] < c.shipDone[i] {
-				seenFollower++
-			}
-		}
-		verified++
-		if warm > 0 {
-			seenWarm++
-		}
-		if cfg.PodSize <= 1 {
-			seenPodOfOne++ // no podState at all: the instance is its own pod
-		} else if warm%cfg.PodSize != 0 && warm < n {
-			seenWarmLed++ // the warm prefix ends inside a pod: its first cold member leads
-		}
-		if stagger > 0 {
-			seenStagger++
-		}
-		if shortLast {
-			seenShortLast++
-		}
-		if trial%3 == 0 {
-			seenMixed++
-		}
-	}
-	if verified < 40 {
-		t.Errorf("only %d of %d trials were simulated, want ≥ 40", verified, trials)
-	}
-	for name, n := range map[string]int{
-		"warm prefixes": seenWarm, "warm-led pods": seenWarmLed, "pods of one": seenPodOfOne,
-		"waiting pod followers": seenFollower, "staggered arrival": seenStagger,
-		"a short last instance": seenShortLast, "mixed bins": seenMixed,
-	} {
-		if n == 0 {
-			t.Errorf("sweep never exercised %s", name)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package platform
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,13 +15,15 @@ func TandemFallbacks() int64 { return tandemFallbacks.Load() }
 // RaceEnabled reports that the race detector is on.
 const RaceEnabled = raceEnabled
 
-// CheckStoreStates runs a Run, a RunMixed and a RunSharded burst on cfg from
-// every state the schedule and bill stores can be in, requires each to be the
-// burst forced through the event engine, and reports whether they stored
-// anything (store_test.go).
-func CheckStoreStates(t *testing.T, cfg Config, seed int64) (stored bool) {
-	defer resetStores()
-	return checkStoreStates(t, cfg, rand.New(rand.NewSource(seed)))
+// CheckStoreSequences runs FuzzStoreSequence's seeds below overlapDrawMin on
+// cfg (store_fuzz_test.go); the followed ones run on the presets there.
+func CheckStoreSequences(t *testing.T, cfg Config) {
+	for _, seed := range storeSequenceSeeds {
+		bursts := decodeStoreSequence(seed, &cfg)
+		if !slices.ContainsFunc(bursts, func(s storeBurst) bool { return s.b.Instances() >= overlapDrawMin }) {
+			checkStoreSequence(t, bursts)
+		}
+	}
 }
 
 // Readings only tests take of a Result: production reads the quantiles it

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,12 +14,9 @@ import (
 	"repro/internal/parallel"
 )
 
-// The schedule and bill stores' proof (store.go, DESIGN §12): a burst inside
-// their gate is, bit for bit and trace byte for trace byte, the burst forced
-// through the event engine — which never reads the stores — whatever the
-// stores hold when it runs; bursts outside the gate never touch them; they
-// stay within their caps; and their keys hold every field the solver and the
-// bill read.
+// The stores (store.go, DESIGN §12) beside FuzzStoreSequence: bursts outside
+// the gate never touch them, they keep their caps, and their keys hold every
+// field the solver and the bill read.
 
 // resetStores empties both stores, as a full one is emptied.
 func resetStores() {
@@ -49,147 +45,6 @@ func storeSizes(t *testing.T) (keys, held, billed int) {
 	bills.Lock()
 	defer bills.Unlock()
 	return len(schedules.m), schedules.held, len(bills.m)
-}
-
-// teeRecorder hands every record to both recorders.
-type teeRecorder [2]obs.Recorder
-
-func (r teeRecorder) BeginBurst(b obs.BurstInfo) { r[0].BeginBurst(b); r[1].BeginBurst(b) }
-func (r teeRecorder) Span(s obs.Span)            { r[0].Span(s); r[1].Span(s) }
-func (r teeRecorder) Event(e obs.Event)          { r[0].Event(e); r[1].Event(e) }
-
-// storeRun is one kind of burst the stores serve, spelled by what the store
-// states vary: the platform, a size multiplier, the seed and the demand.
-type storeRun func(cfg Config, scale int, seed int64, d interfere.Demand, rec obs.Recorder) (*Result, error)
-
-// storeRuns draws a Run, a RunMixed and a RunSharded burst, each inside the
-// stores' gate (RunSharded's in every cell).
-func storeRuns(rng *rand.Rand) map[string]storeRun {
-	n, degree, warm := storeMin+rng.Intn(200), 1+rng.Intn(8), rng.Intn(20)
-	short := rng.Intn(degree) // the last instance's missing functions
-	stagger := []float64{0, 0, 1.0 / 16, 1e-3}[rng.Intn(4)]
-	binDegrees := make([]int, 2*n)
-	for i := range binDegrees {
-		binDegrees[i] = 1 + rng.Intn(4)
-	}
-	return map[string]storeRun{
-		"Run": func(cfg Config, scale int, seed int64, d interfere.Demand, rec obs.Recorder) (*Result, error) {
-			return Run(cfg, Burst{Demand: d, Functions: scale*n*degree - short, Degree: degree,
-				Warm: warm, StaggerSec: stagger, Seed: seed, Recorder: rec, Label: "store"})
-		},
-		"RunMixed": func(cfg Config, scale int, seed int64, d interfere.Demand, rec obs.Recorder) (*Result, error) {
-			bins := make([]Bin, scale*n)
-			for i := range bins {
-				for k := 0; k < binDegrees[i%len(binDegrees)]; k++ {
-					bins[i].Demands = append(bins[i].Demands, []interfere.Demand{d, tandemLight}[k%2])
-				}
-			}
-			return RunMixed(cfg, MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed, Recorder: rec, Label: "store"})
-		},
-		"RunSharded": func(cfg Config, scale int, seed int64, d interfere.Demand, _ obs.Recorder) (*Result, error) {
-			return RunSharded(cfg, Burst{Demand: d, Functions: 4 * scale * n * degree, Degree: degree, Warm: warm, Seed: seed},
-				Sharding{Shards: 4})
-		},
-	}
-}
-
-// storeOther is an application with other I/O than tandemLight.
-var storeOther = interfere.Demand{CPUSeconds: 3, MemoryMB: 256, InputMB: 4, OutputMB: 2, ShuffleFraction: 0.5, SharedInput: true}
-
-// floodStores runs bursts of keys no test burst has until the schedule store
-// has been emptied at least once.
-func floodStores(t *testing.T, cfg Config) {
-	t.Helper()
-	const rows = scheduleStoreCap / 8
-	for k := 0; k*rows <= scheduleStoreCap; k++ {
-		b := Burst{Demand: tandemLight, Functions: rows, Degree: 1, Warm: 1<<20 + k, Seed: 1}
-		if _, err := Run(cfg, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// checkStoreStates runs each of storeRuns' bursts on cfg from every state
-// the stores can be in — empty, warmed by the burst itself, by a longer
-// burst, by another seed, another application or another memory size, and
-// warmed and then emptied by a flood — and requires each run to be the burst
-// forced through the engine. It reports whether the bursts left schedules and
-// bills in the stores: a platform whose ties the solver declines leaves none.
-func checkStoreStates(t *testing.T, cfg Config, rng *rand.Rand) (stored bool) {
-	t.Helper()
-	smaller, err := cfg.WithMemory(cfg.Shape.MemoryMB / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seed = 5
-	states := []struct {
-		name string
-		warm func(run storeRun) error
-	}{
-		{"empty", func(storeRun) error { return nil }},
-		{"itself", func(run storeRun) error { _, err := run(cfg, 1, seed, tandemLight, nil); return err }},
-		{"a longer burst", func(run storeRun) error { _, err := run(cfg, 3, seed, tandemLight, nil); return err }},
-		{"another seed", func(run storeRun) error { _, err := run(cfg, 1, seed+1, tandemLight, nil); return err }},
-		{"another application", func(run storeRun) error { _, err := run(cfg, 1, seed, storeOther, nil); return err }},
-		{"another memory size", func(run storeRun) error { _, err := run(smaller, 1, seed, tandemLight, nil); return err }},
-		{"a clear", func(run storeRun) error {
-			if _, err := run(cfg, 1, seed, tandemLight, nil); err != nil {
-				return err
-			}
-			floodStores(t, cfg)
-			return nil
-		}},
-	}
-	traced := func(run storeRun, cfg Config) (*Result, []byte, []byte) {
-		var jsonl, chrome bytes.Buffer
-		mem := &obs.Memory{}
-		res, err := run(cfg, 1, seed, tandemLight, teeRecorder{obs.NewJSONL(&jsonl), mem})
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		if err := obs.WriteChromeTrace(&chrome, mem.Bursts()); err != nil {
-			t.Fatal(err)
-		}
-		return res, jsonl.Bytes(), chrome.Bytes()
-	}
-	for kind, run := range storeRuns(rng) {
-		want, wantJSONL, wantChrome := traced(run, forcedEvented(cfg, math.MaxInt32))
-		for _, st := range states {
-			resetStores()
-			if err := st.warm(run); err != nil {
-				t.Fatalf("%s %s, warming by %s: %v", cfg.Name, kind, st.name, err)
-			}
-			what := fmt.Sprintf("%s %s, store warmed by %s", cfg.Name, kind, st.name)
-			got, gotJSONL, gotChrome := traced(run, cfg)
-			sameResultBits(t, what, got, want)
-			if !bytes.Equal(gotJSONL, wantJSONL) || !bytes.Equal(gotChrome, wantChrome) {
-				t.Fatalf("%s: traces differ from the forced-evented burst's", what)
-			}
-		}
-	}
-	keys, _, billed := storeSizes(t)
-	return keys > 0 && billed > 0
-}
-
-// TestScheduleStoreStateIndependence aims checkStoreStates at tie-prone
-// platforms — warm prefixes, staggers, pods, and ties the solver declines
-// (those runs fall back and store nothing). The presets (FuncX among them)
-// are TestScheduleStorePresets in the external package.
-func TestScheduleStoreStateIndependence(t *testing.T) {
-	defer resetStores()
-	rng := rand.New(rand.NewSource(1618))
-	trials, stored := 12, 0
-	if testing.Short() || raceEnabled {
-		trials = 4
-	}
-	for trial := 0; trial < trials; trial++ {
-		if checkStoreStates(t, tieProneConfig(rng.Intn), rng) {
-			stored++
-		}
-	}
-	if stored < trials/2 {
-		t.Fatalf("%d of %d tie-prone platforms stored anything: the states went untested", stored, trials)
-	}
 }
 
 // TestScheduleStoreGate: faulty and throttled platforms and one-instance
@@ -245,92 +100,6 @@ func TestScheduleStoreGate(t *testing.T) {
 	})
 }
 
-// TestScheduleStoreFollowed runs bursts the follower ends and folds — at,
-// one above and well above overlapDrawMin, with a warm prefix — from every
-// store state: empty, warmed by the burst itself, by a longer and by a
-// shorter burst, by another seed, by another application and by another
-// degree at the same instance count (the schedule stored, the bill not), and
-// warmed and then emptied by a flood. At
-// GOMAXPROCS 1 each is drawn, ended and folded inline; at 2 the follower
-// folds it behind the solver, or, on a hit, behind the draw. Either way it is
-// the burst forced through the engine, bit for bit.
-func TestScheduleStoreFollowed(t *testing.T) {
-	defer resetStores()
-	cfg := AWSLambda()
-	for _, n := range []int{overlapDrawMin, overlapDrawMin + 1, 4*overlapDrawMin + 3} {
-		burst := func(functions int, seed int64) Burst {
-			return Burst{Demand: tandemLight, Functions: functions, Degree: 1, Warm: 5, Seed: seed}
-		}
-		b := burst(n, 7)
-		want, err := Run(forcedEvented(cfg, math.MaxInt32), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmWith := func(w Burst) func() {
-			return func() {
-				if _, err := Run(cfg, w); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		warmBy := func(functions int, seed int64) func() { return warmWith(burst(functions, seed)) }
-		other, packed := burst(n, 7), burst(3*n-1, 7)
-		other.Demand, packed.Degree = storeOther, 3
-		states := []struct {
-			name      string
-			warm      func()
-			hit, paid bool // the burst reads its schedule, its bill from the store
-		}{
-			{"empty", func() {}, false, false},
-			{"itself", warmBy(n, 7), true, true},
-			{"a longer burst", warmBy(n+followChunk+1, 7), false, false},
-			{"a shorter burst", warmBy(n-followChunk-1, 7), false, false},
-			{"another seed", warmBy(n, 8), true, true},
-			{"another application", warmWith(other), true, false},
-			{"another degree", warmWith(packed), true, false},
-			{"a clear", func() { warmBy(n, 7)(); floodStores(t, cfg) }, false, true}, // the flood fills no bill
-		}
-		for p := 1; p <= 2; p++ {
-			withProcs(p, func() {
-				for _, st := range states {
-					resetStores()
-					st.warm()
-					what := fmt.Sprintf("n=%d at GOMAXPROCS %d, store warmed by %s", n, p, st.name)
-					if hit := scheduleStored(cfg, b); hit != st.hit {
-						t.Fatalf("%s: the schedule is stored: %v, want %v", what, hit, st.hit)
-					}
-					if _, paid := lookupBill(billKeyOf(&cfg, &b.Demand, 1, 1, n)); paid != st.paid {
-						t.Fatalf("%s: the bill is stored: %v, want %v", what, paid, st.paid)
-					}
-					var got *Result
-					folded := countFolded(func() {
-						if got, err = Run(cfg, b); err != nil {
-							t.Fatal(err)
-						}
-					})
-					if followed := int64(p - 1); folded != followed {
-						t.Fatalf("%s: the follower folded %d bursts, want %d", what, folded, followed)
-					}
-					sameResultBits(t, what, got, want)
-				}
-			})
-		}
-	}
-}
-
-// scheduleStored reports whether b's schedule on cfg is in the store: its
-// rows and its instance count's busy seconds.
-func scheduleStored(cfg Config, b Burst) bool {
-	schedules.Lock()
-	defer schedules.Unlock()
-	s, n := schedules.m[scheduleKeyOf(&cfg, b.Warm, b.StaggerSec)], b.Instances()
-	if s == nil || s.rows < n {
-		return false
-	}
-	_, ok := s.busy[n]
-	return ok
-}
-
 // TestScheduleStoreConcurrentFills fills one key from parallel.Map: bursts
 // of several lengths and seeds race to miss, solve, store and replace, and
 // each must still be the burst forced through the engine (run under -race in
@@ -368,10 +137,10 @@ func TestScheduleStoreConcurrentFills(t *testing.T) {
 	}
 }
 
-// TestScheduleStoreCap: however many keys and counts a caller brings, the
-// schedule store holds at most scheduleStoreCap rows and records and the
-// bill store billStoreCap entries, each emptied when full, and a burst run
-// after the clear is the burst it was before.
+// TestScheduleStoreCap: the stores hold at most scheduleStoreCap rows and
+// records and billStoreCap bills, each emptied when full, the whole store's
+// rows are not stored, and a burst after the clear is the burst before it.
+// The callers are synthetic: keys no burst has, slabs never read.
 func TestScheduleStoreCap(t *testing.T) {
 	defer resetStores()
 	resetStores()
@@ -381,23 +150,14 @@ func TestScheduleStoreCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleared := false
-	for k := 0; k < 5; k++ {
-		floodStores(t, cfg)
-		keys, held, _ := storeSizes(t)
-		if held > scheduleStoreCap {
+	for k := 0; scheduleStored(scheduleKeyOf(&cfg, 0, 0), b.Functions); k++ {
+		if k > 8 {
+			t.Fatalf("schedules of %d rows never emptied the schedule store", k*scheduleStoreCap/8)
+		}
+		storeSchedule(scheduleKey{warm: -1 - k}, scheduleStoreCap/8, nil, [3]float64{})
+		if _, held, _ := storeSizes(t); held > scheduleStoreCap {
 			t.Fatalf("the schedule store holds %d rows and records, cap %d", held, scheduleStoreCap)
 		}
-		schedules.Lock()
-		_, kept := schedules.m[scheduleKeyOf(&cfg, b.Warm, b.StaggerSec)]
-		schedules.Unlock()
-		cleared = cleared || !kept
-		if keys < 1 {
-			t.Fatalf("a flood left no schedule behind")
-		}
-	}
-	if !cleared {
-		t.Fatalf("floods of %d rows never emptied the schedule store", 5*scheduleStoreCap)
 	}
 	keys, held, _ := storeSizes(t)
 	storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap, nil, [3]float64{})
@@ -405,14 +165,14 @@ func TestScheduleStoreCap(t *testing.T) {
 		t.Fatalf("a schedule of %d rows, the whole store, was stored: %d keys holding %d, had %d holding %d",
 			scheduleStoreCap, k, h, keys, held)
 	}
-	for n := storeMin; n < storeMin+billStoreCap+10; n++ { // a bill and a busy record per count
-		if _, err := Run(cfg, Burst{Demand: tandemLight, Functions: n, Degree: 1, Seed: 9}); err != nil {
-			t.Fatal(err)
-		}
-		if _, held, billed := storeSizes(t); held > scheduleStoreCap || billed > billStoreCap {
-			t.Fatalf("n=%d: the stores hold %d rows and records and %d bills, caps %d and %d",
-				n, held, billed, scheduleStoreCap, billStoreCap)
-		}
+	for i := 0; i < billStoreCap; i++ { // with the burst's own bill, one past the cap
+		storeBill(billKey{n: -1 - i}, bill{})
+	}
+	if _, paid := lookupBill(billKeyOf(&cfg, &b.Demand, 1, 1, b.Functions)); paid {
+		t.Fatalf("%d bills never emptied the bill store", billStoreCap+1)
+	}
+	if _, _, billed := storeSizes(t); billed > billStoreCap {
+		t.Fatalf("the bill store holds %d bills, cap %d", billed, billStoreCap)
 	}
 	after, err := Run(cfg, b)
 	if err != nil {

@@ -42,14 +42,11 @@ func TestTandemPresetsNeverFallBack(t *testing.T) {
 	}
 }
 
-// TestScheduleStorePresets holds the presets, FuncX's pods among them, to
-// the schedule and bill stores' state independence (store_test.go): every
-// burst from every store state is the burst forced through the engine, and
-// each preset's bursts are stored.
+// TestScheduleStorePresets runs FuzzStoreSequence's seed corpus below the
+// follower's threshold on the presets and on FuncX, whose own pods the
+// corpus then meets through the stores.
 func TestScheduleStorePresets(t *testing.T) {
-	for i, cfg := range append(platform.Providers(), funcx.Config()) {
-		if !platform.CheckStoreStates(t, cfg, int64(i)) {
-			t.Errorf("%s: its bursts stored nothing", cfg.Name)
-		}
+	for _, cfg := range append(platform.Providers(), funcx.Config()) {
+		platform.CheckStoreSequences(t, cfg)
 	}
 }

@@ -4,21 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/interfere"
 	"repro/internal/obs"
 )
 
-// The tandem solver's proof (tandem.go, DESIGN §16): a dice-free burst solved
-// by its stage recurrences is, bit for bit and trace byte for trace byte, the
-// burst the event engine simulates. elide_test.go makes that comparison on
-// the presets; here it is aimed at the one thing the recurrence has to
-// reason about — events at the same instant — with stage constants drawn
-// from a set where sums collide all the time. A tie the solver cannot order
-// falls back, so every trial must agree; what these tests add is that the
-// ties it does order, it orders as the engine does, and that it orders most.
+// The tandem solver's ties (tandem.go, DESIGN §16): events at the same
+// instant, on stage constants drawn from a set where sums collide all the
+// time. A tie the solver cannot order falls back; the ties it does order, it
+// orders as the engine does. FuzzStoreSequence holds its bursts to the engine.
 
 // tieProne holds the stage constants the randomized suites draw from: zero,
 // equal values, powers of two (sums stay exact, so distinct paths land on
@@ -68,7 +63,7 @@ func sameRun(t *testing.T, what string, got *Result, gotTrace []byte, want *Resu
 	t.Helper()
 	sameResultBits(t, what, got, want)
 	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Fatalf("%s: JSONL traces differ", what)
+		t.Fatalf("%s: traces differ", what)
 	}
 }
 
@@ -150,106 +145,6 @@ func TestTandemSameInstant(t *testing.T) {
 	for _, tc := range sameInstantCases {
 		if got := tc.c.check(t, tc.name); got != tc.fallbacks {
 			t.Errorf("%s: the solver fell back %d times, want %d", tc.name, got, tc.fallbacks)
-		}
-	}
-}
-
-// TestTandemDifferential is the randomized half: tie-prone platforms, warm
-// prefixes, stagger, a packed short last instance, mixed bins — solved,
-// forced through the engine and run by the closure oracle, all to the same
-// bits and trace bytes. Most trials must be solved outright, and some must
-// not be: the fallback is part of what is under test.
-func TestTandemDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(141421))
-	trials := 400
-	if testing.Short() || raceEnabled {
-		trials = 120
-	}
-	var solvedRuns, fallbackRuns, seenWarm, seenStagger, seenShortLast, seenMixed, seenPods int
-	for trial := 0; trial < trials; trial++ {
-		cfg := tieProneConfig(rng.Intn)
-		var warm int
-		if rng.Intn(2) == 0 {
-			warm = 1 + rng.Intn(12)
-		}
-		var stagger float64
-		if rng.Intn(3) == 0 {
-			stagger = tieProne[rng.Intn(len(tieProne))]
-		}
-		seed := rng.Int63()
-
-		var (
-			what     string
-			n        int
-			simulate func(Config, obs.Recorder) (*Result, error)
-		)
-		if trial%3 != 0 {
-			c, deg := 1+rng.Intn(240), 1+rng.Intn(8)
-			b := Burst{Demand: tandemLight, Functions: c, Degree: deg, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d Run(C=%d P=%d warm=%d stagger=%g) on %+v", trial, c, deg, warm, stagger, cfg), b.Instances()
-			if c%deg != 0 {
-				seenShortLast++
-			}
-			simulate = func(cfg Config, rec obs.Recorder) (*Result, error) {
-				b.Recorder = rec
-				return Run(cfg, b)
-			}
-		} else {
-			bins := make([]Bin, 1+rng.Intn(80))
-			for i := range bins {
-				for k := rng.Intn(4); k >= 0; k-- {
-					bins[i].Demands = append(bins[i].Demands, tandemLight)
-				}
-			}
-			m := MixedBurst{Bins: bins, Warm: warm, StaggerSec: stagger, Seed: seed}
-			what, n = fmt.Sprintf("trial %d RunMixed(bins=%d warm=%d stagger=%g) on %+v", trial, len(bins), warm, stagger, cfg), len(bins)
-			seenMixed++
-			simulate = func(cfg Config, rec obs.Recorder) (*Result, error) {
-				m.Recorder = rec
-				return RunMixed(cfg, m)
-			}
-		}
-		run := func(cfg Config) func(obs.Recorder) (*Result, error) {
-			return func(rec obs.Recorder) (*Result, error) { return simulate(cfg, rec) }
-		}
-
-		solved, solvedTrace, fellBack := tracedRun(t, what, run(cfg))
-		if fellBack == 0 {
-			solvedRuns++
-		} else {
-			fallbackRuns++
-		}
-		forced := forcedEvented(cfg, n)
-		evented, eventedTrace, forcedFellBack := tracedRun(t, what+" (forced)", run(forced))
-		if forcedFellBack != 0 {
-			t.Fatalf("%s: the forced run went through the solver's gate", what)
-		}
-		sameRun(t, what+": solved vs evented", solved, solvedTrace, evented, eventedTrace)
-		var closure *Result
-		var closureTrace []byte
-		withClosureControlPlane(func() { closure, closureTrace, _ = tracedRun(t, what+" (closure)", run(cfg)) })
-		sameRun(t, what+": solved vs closure oracle", solved, solvedTrace, closure, closureTrace)
-
-		if warm > 0 {
-			seenWarm++
-		}
-		if stagger > 0 {
-			seenStagger++
-		}
-		if cfg.PodSize > 1 {
-			seenPods++
-		}
-	}
-	t.Logf("%d trials solved outright, %d fell back", solvedRuns, fallbackRuns)
-	if solvedRuns < trials/2 {
-		t.Errorf("only %d of %d trials were solved without a fallback", solvedRuns, trials)
-	}
-	for name, n := range map[string]int{
-		"the fallback": fallbackRuns, "warm prefixes": seenWarm, "staggered arrival": seenStagger,
-		"a short last instance": seenShortLast, "mixed bins": seenMixed, "pods": seenPods,
-	} {
-		if n == 0 {
-			t.Errorf("sweep never exercised %s", name)
 		}
 	}
 }

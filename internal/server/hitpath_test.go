@@ -147,6 +147,33 @@ func TestJointGridBounded(t *testing.T) {
 	}
 }
 
+// TestPlannerPoolKeysPlatform: every spelling of one platform — case and
+// aliases — shares one pool entry, degree-only and default-grid alike, and
+// answers with the same bytes.
+func TestPlannerPoolKeysPlatform(t *testing.T) {
+	s := newTestServer(t, nil)
+	for _, endpoint := range []string{"advise", "joint"} {
+		builds, first := s.pool.builds.Load(), ""
+		for _, name := range []string{"aws", "AWS", "lambda", "Aws-Lambda"} {
+			rr, body := get(t, s, "/v1/"+endpoint+"?app=Video&c=2000&platform="+name, nil)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s on %s: status %d: %v", endpoint, name, rr.Code, body)
+			}
+			if first == "" {
+				first = rr.Body.String()
+			} else if rr.Body.String() != first {
+				t.Errorf("%s on %s answered\n%s\nafter\n%s", endpoint, name, rr.Body.String(), first)
+			}
+		}
+		if n := s.pool.builds.Load() - builds; n != 1 {
+			t.Errorf("/v1/%s: four spellings of one platform cost %d model builds, want 1", endpoint, n)
+		}
+	}
+	if n := s.pool.size(); n != 2 {
+		t.Errorf("the pool holds %d entries, want 2: degree-only and the default grid", n)
+	}
+}
+
 // TestPlannerPoolBounded walks more distinct caller-supplied grids through
 // the pool than it retains: the pool stops growing at maxCallerGrids plus
 // the fixed entries (which are never the ones evicted), and an evicted grid

@@ -57,10 +57,10 @@ func newPlannerPool(seed int64) *plannerPool {
 // PlatformByName maps a platform name — the API's platform parameter and
 // the CLI's -platform flag — to its config.
 func PlatformByName(name string) (platform.Config, error) {
-	switch strings.ToLower(name) {
-	case "aws", "lambda", "aws-lambda":
+	switch platformKey(name) {
+	case "aws":
 		return platform.AWSLambda(), nil
-	case "google", "gcf":
+	case "google":
 		return platform.GoogleCloudFunctions(), nil
 	case "azure":
 		return platform.AzureFunctions(), nil
@@ -68,6 +68,23 @@ func PlatformByName(name string) (platform.Config, error) {
 		return funcx.Config(), nil
 	default:
 		return platform.Config{}, fmt.Errorf("unknown platform %q (aws, google, azure, funcx)", name)
+	}
+}
+
+// platformKey is the one spelling of every name PlatformByName resolves to a
+// platform — its case and aliases folded — and an unknown name as it is.
+func platformKey(name string) string {
+	switch strings.ToLower(name) {
+	case "aws", "lambda", "aws-lambda":
+		return "aws"
+	case "google", "gcf":
+		return "google"
+	case "azure":
+		return "azure"
+	case "funcx":
+		return "funcx"
+	default:
+		return name
 	}
 }
 
@@ -103,6 +120,9 @@ func defaultGridSizes(instanceMemMB float64) []float64 {
 // (400s) so they never count against the circuit breaker; only the modeling
 // pipeline itself can produce a 500.
 func (p *plannerPool) get(ctx context.Context, platformName, appName string, sizesMB []float64) (*plannerEntry, error) {
+	// Keyed by the platform, not the caller's spelling of it: the fixed set
+	// holds one entry per platform and application.
+	platformName = platformKey(platformName)
 	key := platformName + "|" + appName
 	if len(sizesMB) > 0 {
 		key = fmt.Sprintf("joint|%s|%v", key, sizesMB)
