@@ -78,12 +78,16 @@ func TestAllocsPerRunTypedVsClosure(t *testing.T) {
 }
 
 // allocsOf reports the objects and bytes one call of fn allocates, as the
-// minimum over a few runs (a GC-evicted pool entry being rebuilt inflates
-// the odd run; the steady state is the floor).
+// minimum over twenty runs: the steady state is the floor, and two
+// things inflate a run above it. A GC-evicted pool entry is rebuilt. And a
+// run that starts a goroutine (the follower) allocates the goroutine's g
+// afresh whenever the spawning P's free list is empty — the previous
+// follower's g died on the other P — which some processes meet on several
+// runs in a row, so five samples did not always reach the floor.
 func allocsOf(fn func()) (objects, bytes uint64) {
 	objects, bytes = ^uint64(0), ^uint64(0)
 	var before, after runtime.MemStats
-	for k := 0; k < 5; k++ {
+	for k := 0; k < 20; k++ {
 		runtime.ReadMemStats(&before)
 		fn()
 		runtime.ReadMemStats(&after)

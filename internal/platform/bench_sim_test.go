@@ -30,7 +30,7 @@ func BenchmarkSim(b *testing.B) {
 	loop := func(b *testing.B, instances int, cp controlPlaneFunc, run func() error) {
 		b.ReportAllocs()
 		var before, after runtime.MemStats
-		events, _ := withEventCounts(cp, func() {
+		events := withEventCounts(cp, func() {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				if err := run(); err != nil {

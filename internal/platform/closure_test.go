@@ -5,9 +5,8 @@ import "repro/internal/sim"
 // closures schedules func() callbacks for the frozen closure control plane
 // (burst_closure_test.go): registered as the engine's sink, it carries each
 // on a word whose subject indexes the func. It schedules with Emit, which
-// stamps seq as the engine stamps any event and never rides a lane, so the
-// oracle dispatches in the (at, seq) order it always did, every event on the
-// heap.
+// stamps seq as the engine stamps any event, so the oracle dispatches in the
+// (at, seq) order it always did.
 type closures struct {
 	eng *sim.Engine
 	fns map[int32]func() // the pending closures, by subject
@@ -42,9 +41,7 @@ func (c *closures) Dispatch(_ uint8, subject int32) {
 
 // station is the closure station sim.TypedStation replaced, kept for the
 // oracle: a multi-server FCFS queue whose jobs carry a service-time function
-// evaluated at dispatch and a completion callback. Its completions go
-// through the heap alone, so the oracle holds the typed stations' lanes to a
-// run without them.
+// evaluated at dispatch and a completion callback.
 type station struct {
 	clo         *closures
 	servers     int

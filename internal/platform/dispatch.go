@@ -20,9 +20,7 @@ import (
 // Correctness is not renegotiated: the retained closure implementation
 // (burst_closure_test.go) is the frozen specification, and the typed path
 // is held to its exact bytes — Results and JSONL traces — by the
-// differential suite. The oracle's closure station schedules on the
-// engine's heap alone, so the comparison also holds the typed stations'
-// lanes to a run without them.
+// differential suite.
 //
 // Events are for runs whose instances can affect one another past the three
 // stations: through the fault dice (one RNG stream), the hedge policy or the
@@ -255,7 +253,23 @@ func (cp *controlPlane) backoffThenResubmit(i int32, retry int) {
 	if cp.rec != nil {
 		cp.rec.Event(obs.Event{Instance: int(i), Kind: obs.EventBackoff, AtSec: cp.eng.Now(), DurSec: d})
 	}
-	cp.eng.EmitAfter(d, evBackoffDone, i)
+	cp.after(d, evBackoffDone, i)
+}
+
+// after schedules instance i's kind event d seconds from now. A straggler
+// factor or a retry backoff that Validate accepts can still push an instant
+// past the largest float64, and then the burst fails with an error rather
+// than the engine with a panic. An infinite execution duration is no such
+// setting but a malformed input, and stays the engine's panic.
+func (cp *controlPlane) after(d float64, kind uint8, i int32) {
+	if now := cp.eng.Now(); math.IsInf(now+d, 1) && !math.IsInf(cp.ib.execs[i], 1) {
+		if cp.burstErr == nil {
+			cp.burstErr = fmt.Errorf("platform %s: instance %d schedules an event %g s after %g s, past the largest virtual time",
+				cp.cfg.Name, i, d, now)
+		}
+		return
+	}
+	cp.eng.EmitAfter(d, kind, i)
 }
 
 // failExec handles a crashed or timed-out attempt: retry within the
@@ -305,12 +319,12 @@ func (cp *controlPlane) finish(i int32) {
 	}
 	if crashAt < dur && crashAt <= timeoutAt {
 		ib.pendDur[i] = crashAt
-		eng.EmitAfter(crashAt, evCrash, i)
+		cp.after(crashAt, evCrash, i)
 		return
 	}
 	if timeoutAt < dur {
 		ib.pendDur[i] = timeoutAt
-		eng.EmitAfter(timeoutAt, evTimeout, i)
+		cp.after(timeoutAt, evTimeout, i)
 		return
 	}
 	// The attempt will complete. If it is a straggler (past the fleet's
@@ -333,7 +347,7 @@ func (cp *controlPlane) finish(i int32) {
 			cp.rec.Event(obs.Event{Instance: int(i), Kind: obs.EventHedgeLaunch, AtSec: eng.Now() + cp.hedgeThr})
 		}
 	}
-	eng.EmitAfter(end, evEnd, i)
+	cp.after(end, evEnd, i)
 }
 
 func (cp *controlPlane) onCrash(i int32) {

@@ -18,31 +18,25 @@ import (
 type controlPlaneFunc = func(Config, Burst, *runScratch, *sim.RNG) (*Result, error)
 
 // withEventCounts runs fn with cp installed as the control plane and returns
-// the number of events the engine scheduled across every burst fn simulated,
-// and how many of them were pushed onto the engine's general queue rather
-// than a station's monotone lane (RunSharded simulates its cells
-// concurrently, hence the atomics).
-func withEventCounts(cp controlPlaneFunc, fn func()) (scheduled, queued uint64) {
-	var total, lanes atomic.Uint64
+// the number of events the engine scheduled across every burst fn simulated
+// (RunSharded simulates its cells concurrently, hence the atomic).
+func withEventCounts(cp controlPlaneFunc, fn func()) uint64 {
+	var total atomic.Uint64
 	runCP = func(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result, error) {
 		res, err := cp(cfg, b, sc, rng)
-		scheduled, onLanes := engineCounts(sc.eng)
-		total.Add(scheduled)
-		lanes.Add(onLanes)
+		total.Add(engineScheduled(sc.eng))
 		return res, err
 	}
 	defer func() { runCP = runControlPlane }()
 	fn()
-	return total.Load(), total.Load() - lanes.Load()
+	return total.Load()
 }
 
-// engineCounts reads the engine's own counters, as registerWords reads the
+// engineScheduled reads the engine's own counter, as registerWords reads the
 // generator's register: seq numbers every event scheduled since the last
-// Reset, laneSeq those that rode a station's monotone lane. Production never
-// asks for either.
-func engineCounts(eng *sim.Engine) (scheduled, onLanes uint64) {
-	v := reflect.ValueOf(eng).Elem()
-	return v.FieldByName("seq").Uint(), v.FieldByName("laneSeq").Uint()
+// Reset. Production never asks for it.
+func engineScheduled(eng *sim.Engine) uint64 {
+	return reflect.ValueOf(eng).Elem().FieldByName("seq").Uint()
 }
 
 // sameResultBits requires two Results to agree on everything a run
@@ -157,23 +151,15 @@ func TestElidedTailDifferentialPanics(t *testing.T) {
 // event the frozen closure control plane schedules. A handler that comes to
 // need an event cannot silently lose it, and a regression cannot silently
 // bring the events back.
-//
-// It pins where the events of an evented run queue as well. Station
-// completions are monotone per station, so every one rides its station's lane
-// and only the rest — staggered admits, boot and execution timers, backoffs —
-// is pushed onto the general queue. The closure oracle has no lanes; every
-// event it schedules is a queue push.
 func TestEventsPerInstance(t *testing.T) {
 	const n = 500
-	events := func(cp controlPlaneFunc, cfg Config, b Burst) (scheduled, queued uint64, res *Result) {
+	events := func(cp controlPlaneFunc, cfg Config, b Burst) uint64 {
 		t.Helper()
-		scheduled, queued = withEventCounts(cp, func() {
-			var err error
-			if res, err = Run(cfg, b); err != nil {
+		return withEventCounts(cp, func() {
+			if _, err := Run(cfg, b); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return scheduled, queued, res
 	}
 	cold := Burst{Demand: testDemand(), Functions: n, Degree: 1, Seed: 3}
 	allWarm, staggered := cold, cold
@@ -184,24 +170,23 @@ func TestEventsPerInstance(t *testing.T) {
 		name   string
 		mutate func(*Config)
 		burst  Burst
-		// typed and closure are the expected events per burst, queued the
-		// typed events expected on the general queue. solved means none of
-		// either; otherwise typed 0 means a faulty run: both are whatever the
-		// closure oracle implies.
-		solved                 bool
-		typed, queued, closure uint64
+		// typed and closure are the expected events per burst. solved means
+		// none of the typed ones; otherwise typed 0 means a faulty run: it is
+		// whatever the closure oracle implies.
+		solved         bool
+		typed, closure uint64
 	}{
 		{name: "dice-free cold", burst: cold, solved: true, closure: 5 * n},
 		{name: "dice-free all-warm", burst: allWarm, solved: true, closure: 3 * n},
 		{name: "dice-free staggered", burst: staggered, solved: true, closure: 6 * n},
 		// Pods of 4: the leader builds and ships, three followers only schedule.
 		{name: "dice-free pods", mutate: func(c *Config) { c.PodSize = 4 }, burst: cold, solved: true, closure: n/4*5 + 3*n/4*3},
-		{name: "unthrottling limit", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
-		{name: "unthrottling limit, staggered", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: staggered, typed: 6 * n, queued: 3 * n, closure: 6 * n},
-		{name: "throttled", mutate: func(c *Config) { c.ConcurrencyLimit = 50 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
-		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
-		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
-		{name: "stragglers", mutate: func(c *Config) { c.StragglerProb, c.StragglerFactor = 0.1, 2 }, burst: cold, typed: 5 * n, queued: 2 * n, closure: 5 * n},
+		{name: "unthrottling limit", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: cold, typed: 5 * n, closure: 5 * n},
+		{name: "unthrottling limit, staggered", mutate: func(c *Config) { c.ConcurrencyLimit = n }, burst: staggered, typed: 6 * n, closure: 6 * n},
+		{name: "throttled", mutate: func(c *Config) { c.ConcurrencyLimit = 50 }, burst: cold, typed: 5 * n, closure: 5 * n},
+		{name: "idle timeout", mutate: func(c *Config) { c.ExecTimeoutSec = 800 }, burst: cold, typed: 5 * n, closure: 5 * n},
+		{name: "hedged", mutate: func(c *Config) { c.Hedge.Quantile = 90 }, burst: cold, typed: 5 * n, closure: 5 * n},
+		{name: "stragglers", mutate: func(c *Config) { c.StragglerProb, c.StragglerFactor = 0.1, 2 }, burst: cold, typed: 5 * n, closure: 5 * n},
 		{name: "start failures", mutate: func(c *Config) { c.StartFailureProb, c.Retry.BaseSec = 0.05, 0.5 }, burst: cold},
 		{name: "crashes", mutate: func(c *Config) { c.CrashRate, c.Retry.BaseSec = 0.0005, 0.5 }, burst: cold},
 	} {
@@ -209,33 +194,22 @@ func TestEventsPerInstance(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(&cfg)
 		}
-		typed, queued, _ := events(runControlPlane, cfg, tc.burst)
-		closure, closureQueued, oracle := events(runControlPlaneClosure, cfg, tc.burst)
-		t.Logf("%-20s typed %.2f events/instance (%d on the general queue), closure oracle %.2f",
-			tc.name, float64(typed)/n, queued, float64(closure)/n)
+		typed := events(runControlPlane, cfg, tc.burst)
+		closure := events(runControlPlaneClosure, cfg, tc.burst)
+		t.Logf("%-20s typed %.2f events/instance, closure oracle %.2f",
+			tc.name, float64(typed)/n, float64(closure)/n)
 		if tc.closure != 0 && closure != tc.closure {
 			t.Errorf("%s: closure oracle scheduled %d events, want %d", tc.name, closure, tc.closure)
 		}
-		if closureQueued != closure {
-			t.Errorf("%s: closure oracle pushed %d of its %d events onto the queue, want all", tc.name, closureQueued, closure)
-		}
-		wantTyped, wantQueued := tc.typed, tc.queued
+		wantTyped := tc.typed
 		if wantTyped == 0 && !tc.solved {
 			wantTyped = closure
 			if closure <= 5*n {
 				t.Errorf("%s: closure oracle scheduled %d events — no retry ever happened, the case proves nothing", tc.name, closure)
 			}
-			// Every instance is placed, built and shipped once, and placed
-			// once more per retried attempt (its pod has shipped by then);
-			// all else the oracle scheduled is a timer.
-			stationJobs := uint64(3*n + oracle.StartRetries + oracle.Crashes + oracle.Timeouts)
-			wantQueued = closure - stationJobs
 		}
 		if typed != wantTyped {
 			t.Errorf("%s: typed control plane scheduled %d events, want %d", tc.name, typed, wantTyped)
-		}
-		if queued != wantQueued {
-			t.Errorf("%s: typed control plane pushed %d events onto the general queue, want %d", tc.name, queued, wantQueued)
 		}
 	}
 }

@@ -73,9 +73,7 @@ func runTypedAndClosure(t *testing.T, cfg Config, b Burst) (typed, closure *Resu
 // closure-free rewrite's proof: at randomized (C, degree, fault-rate, seed)
 // points the typed dispatcher must reproduce the frozen closure
 // implementation bit-for-bit — timelines, billing, fault counters, and the
-// JSONL event trace. The oracle's closure station schedules every completion
-// on the engine's heap, where the typed stations ride monotone lanes, so each
-// faulty, hedged and throttled trial also holds lanes ≡ no lanes.
+// JSONL event trace.
 func TestBurstTypedVsClosureDifferential(t *testing.T) {
 	d := workload.Video{}.Demand()
 	rng := rand.New(rand.NewSource(271828))

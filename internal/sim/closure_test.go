@@ -3,8 +3,8 @@ package sim
 // closures schedules func() callbacks for tests: registered as the engine's
 // sink, it carries each on a word of kind closureKind whose subject indexes
 // the func, and hands every other kind to the program's sink. It schedules
-// with Emit, which stamps seq as the engine stamps any event and never rides
-// a lane, so closures take their place in the one (at, seq) order.
+// with Emit, which stamps seq as the engine stamps any event, so closures
+// take their place in the one (at, seq) order.
 type closures struct {
 	eng  *Engine
 	next EventSink        // the program's sink; nil when it emits no words of its own
@@ -51,7 +51,7 @@ func (c *closures) Dispatch(kind uint8, subject int32) {
 // station is the closure station TypedStation replaced, the reference
 // TestEngineDifferentialTypedStations holds TypedStation to: a multi-server
 // FCFS queue whose jobs carry a service-time function evaluated at dispatch
-// and a completion callback. Its completions go through the heap alone.
+// and a completion callback.
 type station struct {
 	clo         *closures
 	servers     int

@@ -13,11 +13,8 @@
 // kind table. Scheduling one allocates nothing, so a million-instance
 // simulation is allocation-free in steady state.
 //
-// The general queue is a binary min-heap on (at, seq). Beside it sit
-// monotone lanes (lane.go): a FIFO per producer whose emits are already in
-// (at, seq) order, merged with the heap's head at dispatch. A station's
-// completions ride one, so FIFO traffic never pays for a priority queue
-// (see DESIGN §15–16).
+// The pending events live in one binary min-heap of event values ordered by
+// (at, seq) (see DESIGN §15).
 package sim
 
 import (
@@ -48,30 +45,22 @@ type EventSink interface {
 type Engine struct {
 	now  float64
 	seq  uint64
-	q    []event // the general queue: a binary min-heap on (at, seq)
+	q    []event // the pending events: a binary min-heap on (at, seq)
 	sink EventSink
-
-	// lanes are the open monotone lanes; laneSeq counts the events lanes
-	// have accepted.
-	lanes   []lane
-	laneSeq uint64
 }
 
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// Reset returns the engine to time zero with no pending events, no open
-// lanes and no sink, retaining the heap's and the lane rings' grown
-// capacity. Burst-heavy callers pool one engine across runs; a reset engine
-// is indistinguishable from a fresh one (same clock, same sequence counter,
-// same dispatch order).
+// Reset returns the engine to time zero with no pending events and no sink,
+// retaining the heap's grown capacity. Burst-heavy callers pool one engine
+// across runs; a reset engine is indistinguishable from a fresh one (same
+// clock, same sequence counter, same dispatch order).
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.sink = nil
 	e.q = e.q[:0]
-	e.lanes = e.lanes[:0]
-	e.laneSeq = 0
 }
 
 // SetSink registers the handler for events. It must be called before the
@@ -132,17 +121,12 @@ func TimerAt(from, d float64) float64 {
 // a plain word in the queue — no allocation. Emitting with no sink
 // registered panics (the event could never dispatch).
 func (e *Engine) Emit(t float64, kind uint8, subject int32) {
-	e.push(event{at: t, seq: e.stamp(t), kind: kind, subject: subject})
-}
-
-// stamp validates an event's time and issues its sequence number.
-func (e *Engine) stamp(t float64) uint64 {
 	if e.sink == nil {
 		panic("sim: Emit with no EventSink registered (call SetSink first)")
 	}
 	e.checkAt(t)
 	e.seq++
-	return e.seq
+	e.push(event{at: t, seq: e.seq, kind: kind, subject: subject})
 }
 
 // EmitAfter schedules an event d seconds of virtual time from now.
@@ -204,38 +188,15 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// next dispatches the earliest pending event — the minimum by (at, seq)
-// over the lane heads and the heap's head — unless it lies beyond deadline.
-// It reports whether an event was dispatched.
+// next dispatches the earliest pending event unless it lies beyond
+// deadline. It reports whether an event was dispatched.
 func (e *Engine) next(deadline float64) bool {
-	var at float64
-	var seq uint64
-	ok := len(e.q) > 0
-	if ok {
-		at, seq = e.q[0].at, e.q[0].seq
-	}
-	src := -1 // the heap
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		if l.n == 0 {
-			continue
-		}
-		h := &l.ring[l.head]
-		if !ok || h.at < at || (h.at == at && h.seq < seq) {
-			at, seq, src, ok = h.at, h.seq, i, true
-		}
-	}
-	if !ok || at > deadline {
+	if len(e.q) == 0 || e.q[0].at > deadline {
 		return false
 	}
-	e.now = at
-	if src < 0 {
-		ev := e.pop()
-		e.sink.Dispatch(ev.kind, ev.subject)
-		return true
-	}
-	l := &e.lanes[src]
-	e.sink.Dispatch(l.kind, l.pop())
+	ev := e.pop()
+	e.now = ev.at
+	e.sink.Dispatch(ev.kind, ev.subject)
 	return true
 }
 

@@ -85,12 +85,6 @@ func (s *spec) emitAfter(d float64, kind uint8, id int) {
 	s.expect(id, at, s.eng.Scheduled(), true)
 }
 
-func (s *spec) emitLaneAfter(lane int, d float64, id int) {
-	at := s.eng.Now() + d
-	s.eng.emitLaneAfter(lane, d, int32(id))
-	s.expect(id, at, s.eng.Scheduled(), true)
-}
-
 // dispatched checks the contract at event id's dispatch and traces it.
 func (s *spec) dispatched(id int, typed bool) {
 	s.t.Helper()
@@ -257,28 +251,57 @@ func TestEngineDifferentialLockstep(t *testing.T) {
 // stationJobs is the size of the two-station workloads below.
 const stationJobs = 300
 
+// stationLoad is one input of the two-station workloads: the scheduler's
+// server count and its service time after served completions, and whether
+// each of its completions arms a zero-delay timer from inside the dispatch.
+type stationLoad struct {
+	name    string
+	servers int
+	service func(served int) float64
+	timers  bool
+}
+
+var stationLoads = []stationLoad{
+	// Service that grows with the work done: the platform simulator's
+	// contention.
+	{name: "growing", servers: 2, service: func(served int) float64 { return 0.1 + 1e-4*float64(served) }},
+	// Service that shrinks as the station serves, on seven servers, so
+	// completions are scheduled out of time order. Every fifth job takes no
+	// time: its completion ties at one instant with the zero-delay timer the
+	// completion before it armed.
+	{name: "shrinking", servers: 7, timers: true, service: func(served int) float64 {
+		if served%5 == 4 {
+			return 0
+		}
+		return 3 / (1 + 0.01*float64(served))
+	}},
+}
+
 // closureStations runs a contended two-station workload — the platform
 // simulator's usage pattern — on closure stations (closure_test.go) under the
 // contract, and returns each job's "id:schedEnd:buildEnd" in completion order
 // and the two stations' busy seconds. Each completion is expected when its
 // service time is drawn, the instant the station schedules it.
-func closureStations(t *testing.T) ([]string, float64, float64) {
+func closureStations(t *testing.T, load stationLoad) ([]string, float64, float64) {
 	const jobs = stationJobs
 	s := newSpec(t, NewEngine())
 	var out []string
-	sched := newStation(s.clo, 2)
+	sched := newStation(s.clo, load.servers)
 	build := newStation(s.clo, 3)
 	rng := NewRNG(99)
 	for i := 0; i < jobs; i++ {
 		i := i
 		sched.Submit(
 			func() float64 {
-				d := 0.1 + 1e-4*float64(sched.Served)
+				d := load.service(sched.Served)
 				s.expectAfter(d, i, false)
 				return d
 			},
 			func(_, end float64) {
 				s.dispatched(i, false)
+				if load.timers {
+					s.after(0, 2*jobs+i, nil)
+				}
 				build.Submit(
 					func() float64 {
 						d := 2 + rng.Float64()
@@ -297,8 +320,10 @@ func closureStations(t *testing.T) ([]string, float64, float64) {
 
 // TestEngineDifferentialStations holds closure stations to the contract.
 func TestEngineDifferentialStations(t *testing.T) {
-	if out, _, _ := closureStations(t); len(out) != stationJobs {
-		t.Fatalf("%d jobs completed, want %d", len(out), stationJobs)
+	for _, load := range stationLoads {
+		if out, _, _ := closureStations(t, load); len(out) != stationJobs {
+			t.Fatalf("%s: %d jobs completed, want %d", load.name, len(out), stationJobs)
+		}
 	}
 }
 
@@ -307,6 +332,7 @@ func TestEngineDifferentialStations(t *testing.T) {
 // protocol.
 type stationSink struct {
 	s            *spec
+	timers       bool
 	sched, build TypedStation
 	schedEnd     []float64
 	out          []string
@@ -319,15 +345,19 @@ const (
 
 func (st *stationSink) Dispatch(kind uint8, sub int32) {
 	now := st.s.eng.Now()
+	jobs := len(st.schedEnd)
 	switch kind {
 	case stKindSched:
 		st.s.dispatched(int(sub), true)
 		st.sched.Complete(sub)
 		st.schedEnd[sub] = now
+		if st.timers {
+			st.s.after(0, 2*jobs+int(sub), nil)
+		}
 		st.build.Submit(sub)
 		st.sched.Next()
 	case stKindBuild:
-		st.s.dispatched(len(st.schedEnd)+int(sub), true)
+		st.s.dispatched(jobs+int(sub), true)
 		st.build.Complete(sub)
 		st.out = append(st.out, fmt.Sprintf("%d:%.9f:%.9f", sub, st.schedEnd[sub], now))
 		st.build.Next()
@@ -338,16 +368,16 @@ func (st *stationSink) Dispatch(kind uint8, sub int32) {
 // station's behaviour: the same contended two-stage workload, run through
 // subjects-and-kinds instead of closures, must complete in the identical
 // order at bit-identical times and account the same Served / BusySeconds
-// totals — with the engine's contract checked on both runs. The typed
-// stations' completions ride lanes; the closure ones go through the heap.
+// totals — with the engine's contract checked on both runs, for every
+// stationLoad.
 func TestEngineDifferentialTypedStations(t *testing.T) {
 	const jobs = stationJobs
-	typedRun := func() ([]string, float64, float64, *Engine) {
-		st := &stationSink{s: newSpec(t, NewEngine()), schedEnd: make([]float64, jobs)}
+	typedRun := func(load stationLoad) ([]string, float64, float64) {
+		st := &stationSink{s: newSpec(t, NewEngine()), timers: load.timers, schedEnd: make([]float64, jobs)}
 		eng := st.s.eng
 		rng := NewRNG(99)
-		st.sched.Init(eng, 2, stKindSched, jobs, func(sub int32) float64 {
-			d := 0.1 + 1e-4*float64(st.sched.Served)
+		st.sched.Init(eng, load.servers, stKindSched, jobs, func(sub int32) float64 {
+			d := load.service(st.sched.Served)
 			st.s.expectAfter(d, int(sub), true)
 			return d
 		})
@@ -361,24 +391,23 @@ func TestEngineDifferentialTypedStations(t *testing.T) {
 			st.sched.Submit(int32(i))
 		}
 		st.s.run()
-		return st.out, st.sched.BusySeconds, st.build.BusySeconds, eng
+		return st.out, st.sched.BusySeconds, st.build.BusySeconds
 	}
-	want, wantSchedBusy, wantBuildBusy := closureStations(t)
-	got, schedBusy, buildBusy, eng := typedRun()
-	if len(got) != len(want) {
-		t.Fatalf("typed completed %d jobs, closure %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d differs:\ntyped:   %s\nclosure: %s", i, got[i], want[i])
+	for _, load := range stationLoads {
+		want, wantSchedBusy, wantBuildBusy := closureStations(t, load)
+		got, schedBusy, buildBusy := typedRun(load)
+		if len(got) != len(want) {
+			t.Fatalf("%s: typed completed %d jobs, closure %d", load.name, len(got), len(want))
 		}
-	}
-	if schedBusy != wantSchedBusy || buildBusy != wantBuildBusy {
-		t.Fatalf("busy-seconds differ: sched %g vs %g, build %g vs %g",
-			schedBusy, wantSchedBusy, buildBusy, wantBuildBusy)
-	}
-	if eng.LaneScheduled() == 0 {
-		t.Fatal("no typed completion rode a lane: the comparison holds the heap to itself")
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: completion %d differs:\ntyped:   %s\nclosure: %s", load.name, i, got[i], want[i])
+			}
+		}
+		if schedBusy != wantSchedBusy || buildBusy != wantBuildBusy {
+			t.Fatalf("%s: busy-seconds differ: sched %g vs %g, build %g vs %g",
+				load.name, schedBusy, wantSchedBusy, buildBusy, wantBuildBusy)
+		}
 	}
 }
 
@@ -439,146 +468,5 @@ func TestEngineDifferentialGrowingTimeScale(t *testing.T) {
 		if len(trace) != 20_000 {
 			t.Fatalf("seed %d: dispatched %d events, want 20000", seed, len(trace))
 		}
-	}
-}
-
-// laneProgram is the randomized schedule of the lane tests: a few lanes fed
-// from outside and from inside dispatch, beside closure and typed events on
-// the heap. Each lane emit picks its delay relative to the lane's last one —
-// later, equal, or earlier, the last of which must take the fallback — or
-// zero, so lanes tie with each other and with the heap. Lane events re-emit
-// onto their own or a neighbouring lane from inside the sink. step, when
-// set, is called between top-level operations to drain partway.
-func laneProgram(s *spec, rng *rand.Rand, ops int, step func()) {
-	eng := s.eng
-	const firstLaneKind = 10
-	lanes := make([]int, 2+rng.Intn(4))
-	lastDelay := make([]float64, len(lanes))
-	for i := range lanes {
-		lanes[i] = eng.openLane(firstLaneKind + uint8(i))
-	}
-	nextID := 0
-	emitLane := func(li int) {
-		d := lastDelay[li]
-		switch rng.Intn(8) {
-		case 0:
-			d = 0
-		case 1: // equal: ties on time with the lane's tail when now is unchanged
-		case 2:
-			d *= rng.Float64() // earlier than the last: the fallback, unless the clock moved enough
-		default:
-			d += rng.Float64() * math.Pow(10, float64(rng.Intn(4))-3)
-		}
-		lastDelay[li] = d
-		s.emitLaneAfter(lanes[li], d, nextID)
-		nextID++
-	}
-	s.clo.SetSink(sinkFunc(func(kind uint8, subject int32) {
-		s.dispatched(int(subject), true)
-		if kind >= firstLaneKind && rng.Intn(3) == 0 && nextID < 4*ops {
-			emitLane((int(kind-firstLaneKind) + rng.Intn(2)) % len(lanes))
-		}
-	}))
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(6) {
-		case 0:
-			s.after(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), nextID, nil)
-			nextID++
-		case 1:
-			s.emitAfter(rng.Float64()*math.Pow(10, float64(rng.Intn(5))-3), progKindPlain, nextID)
-			nextID++
-		default:
-			emitLane(rng.Intn(len(lanes)))
-		}
-		if step != nil && rng.Intn(6) == 0 {
-			step()
-		}
-	}
-	s.run()
-}
-
-// TestLaneDifferentialSchedules holds lanes merged with the heap to the
-// contract over randomized multi-lane schedules, and checks the schedules
-// exercise what they claim to: events both ride the lanes and fall back to
-// the heap.
-func TestLaneDifferentialSchedules(t *testing.T) {
-	var rode, queued uint64
-	for seed := int64(1); seed <= 60; seed++ {
-		s := newSpec(t, NewEngine())
-		rng := rand.New(rand.NewSource(seed))
-		laneProgram(s, rng, 300, func() { s.runUntil(s.eng.Now() + rng.Float64()*0.5) })
-		rode += s.eng.LaneScheduled()
-		queued += s.eng.Scheduled() - s.eng.LaneScheduled()
-	}
-	t.Logf("%d events rode lanes, %d went to the heap", rode, queued)
-	if rode == 0 || queued == 0 {
-		t.Fatalf("%d events on lanes, %d on the heap: want both", rode, queued)
-	}
-}
-
-// TestLaneDifferentialLockstep drains a multi-lane schedule in RunUntil
-// steps that land between events — between two lane heads as often as not —
-// with the contract checked at every step.
-func TestLaneDifferentialLockstep(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		s := newSpec(t, NewEngine())
-		rng := rand.New(rand.NewSource(seed))
-		s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) { s.dispatched(int(subject), true) }))
-		lanes := []int{s.eng.openLane(1), s.eng.openLane(2), s.eng.openLane(3)}
-		for i := 0; i < 240; i++ {
-			d := rng.Float64() * math.Pow(10, float64(rng.Intn(4))-2)
-			if rng.Intn(6) == 0 {
-				d = 0
-			}
-			if i%4 == 3 {
-				s.after(d, i, nil)
-				continue
-			}
-			// Lane i%3 sees delays in draw order, not sorted: roughly half
-			// its emits fall back.
-			s.emitLaneAfter(lanes[i%3], d, i)
-		}
-		if n := s.eng.LaneScheduled(); n == 0 || n == s.eng.Scheduled() {
-			t.Fatalf("seed %d: %d of %d events on lanes: want both lane residents and fallbacks",
-				seed, n, s.eng.Scheduled())
-		}
-		for len(s.due) > 0 {
-			s.runUntil(s.eng.Now() + rng.Float64()*0.02)
-		}
-		s.run()
-	}
-}
-
-// TestLaneDifferentialDecreasingService runs a TypedStation whose service
-// time shrinks as it serves — the opposite of the contention growth the
-// lanes are built for — on several servers. Completions are emitted out of
-// time order, so a good share must fall back to the heap, and the contract
-// must still hold.
-func TestLaneDifferentialDecreasingService(t *testing.T) {
-	const jobs = 2000
-	s := newSpec(t, NewEngine())
-	var st TypedStation
-	rng := NewRNG(5)
-	st.Init(s.eng, 7, 1, jobs, func(sub int32) float64 {
-		d := 3/(1+0.01*float64(st.Served)) + 0.2*rng.Float64()
-		s.expectAfter(d, int(sub), true)
-		return d
-	})
-	s.clo.SetSink(sinkFunc(func(_ uint8, subject int32) {
-		s.dispatched(int(subject), true)
-		st.Complete(subject)
-		st.Next()
-	}))
-	for i := 0; i < jobs; i++ {
-		st.Submit(int32(i))
-	}
-	s.run()
-	if st.Served != jobs {
-		t.Fatalf("station served %d of %d jobs", st.Served, jobs)
-	}
-	fellBack := s.eng.Scheduled() - s.eng.LaneScheduled()
-	t.Logf("%d of %d completions fell back to the heap", fellBack, s.eng.Scheduled())
-	if fellBack == 0 || s.eng.LaneScheduled() == 0 {
-		t.Fatalf("%d completions on the lane, %d on the heap: want both", s.eng.LaneScheduled(), fellBack)
 	}
 }

@@ -21,15 +21,12 @@ var engineImpls = []struct {
 }
 
 // pooledEngine returns an engine Reset after a run that grew its heap past
-// 4096 slots and a lane's ring past its minimum, and abandoned events in
-// both.
+// 4096 slots and abandoned events in it.
 func pooledEngine() *Engine {
 	eng := NewEngine()
 	eng.SetSink(dropSink{})
-	l := eng.openLane(1)
 	for i := 0; i < 5000; i++ {
 		eng.Emit(float64(i%97), 2, int32(i))
-		eng.emitLaneAfter(l, float64(i)*0.01, int32(i))
 	}
 	eng.RunUntil(40)
 	eng.Reset()
@@ -278,141 +275,5 @@ func TestEngineSlotReuseDoesNotResurrect(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// countSink counts dispatches.
-type countSink struct{ n int }
-
-func (s *countSink) Dispatch(uint8, int32) { s.n++ }
-
-// laneCycle is one pooled run over lanes: reset, open two lanes, push a
-// stream through each with at most eight resident, drain. It returns the
-// number of events dispatched.
-func laneCycle(eng *Engine, sink *countSink, events int) int {
-	eng.Reset()
-	sink.n = 0
-	eng.SetSink(sink)
-	a, b := eng.openLane(1), eng.openLane(2)
-	for i := 0; i < events; i++ {
-		eng.emitLaneAfter(a, 1, int32(i))
-		eng.emitLaneAfter(b, 1.5, int32(i))
-		if i%4 == 3 {
-			eng.RunUntil(eng.Now() + 1.25) // a drains; b keeps four behind it
-		}
-	}
-	eng.Run()
-	return sink.n
-}
-
-// TestLaneRingWrapsWithoutGrowing pins that a lane's ring is sized by its
-// peak residency, not by the traffic through it: 10⁵ events pass through
-// lanes that never hold more than eight, and the rings end at their minimum
-// size, having wrapped thousands of times.
-func TestLaneRingWrapsWithoutGrowing(t *testing.T) {
-	const events = 100_000
-	eng := NewEngine()
-	if got := laneCycle(eng, new(countSink), events); got != 2*events {
-		t.Fatalf("dispatched %d events, want %d", got, 2*events)
-	}
-	if eng.LaneScheduled() != 2*events || eng.Scheduled() != 2*events {
-		t.Fatalf("%d of %d events rode lanes, want all %d", eng.LaneScheduled(), eng.Scheduled(), 2*events)
-	}
-	for i := range eng.lanes {
-		if n := len(eng.lanes[i].ring); n != laneMinRing {
-			t.Errorf("lane %d's ring grew to %d slots under ≤ 8 residents, want %d", i, n, laneMinRing)
-		}
-	}
-}
-
-// TestLaneRingGrowsWrapped fills a lane whose head sits mid-ring past its
-// capacity, several doublings over: growth must unwrap the residents in
-// order.
-func TestLaneRingGrowsWrapped(t *testing.T) {
-	eng := NewEngine()
-	var order []int32
-	eng.SetSink(sinkFunc(func(_ uint8, subject int32) { order = append(order, subject) }))
-	l := eng.openLane(1)
-	next := int32(0)
-	emit := func(n int) {
-		for i := 0; i < n; i++ {
-			eng.emitLaneAfter(l, 1+float64(next)*1e-3, next)
-			next++
-		}
-	}
-	emit(laneMinRing - 3)
-	eng.RunUntil(1.0055) // dispatch six: the head moves off slot 0
-	if len(order) != 6 || eng.Pending() != laneMinRing-9 {
-		t.Fatalf("partial drain dispatched %d, left %d pending", len(order), eng.Pending())
-	}
-	emit(10 * laneMinRing) // wraps, then doubles four times with the head mid-ring
-	if eng.Pending() != int(next)-6 {
-		t.Fatalf("pending %d after growth, want %d", eng.Pending(), int(next)-6)
-	}
-	eng.Run()
-	if len(order) != int(next) {
-		t.Fatalf("dispatched %d events, want %d", len(order), next)
-	}
-	for i, s := range order {
-		if s != int32(i) {
-			t.Fatalf("dispatch %d was subject %d: growth scrambled the ring", i, s)
-		}
-	}
-	if eng.LaneScheduled() != uint64(next) {
-		t.Fatalf("%d of %d events rode the lane, want all", eng.LaneScheduled(), next)
-	}
-}
-
-// TestLaneResetReuse pins the pooling contract for lanes: Reset closes every
-// lane — residents dropped, counters zeroed, handles invalid until reopened —
-// but keeps the rings, so a pooled engine's next run replays the fresh
-// engine's trace and allocates nothing.
-func TestLaneResetReuse(t *testing.T) {
-	program := func(eng *Engine) []traceEntry {
-		var trace []traceEntry
-		eng.SetSink(sinkFunc(func(_ uint8, subject int32) {
-			trace = append(trace, traceEntry{id: int(subject), now: eng.Now(), pending: eng.Pending(), typed: true})
-		}))
-		a, b := eng.openLane(1), eng.openLane(2)
-		rng := NewRNG(3)
-		for i := 0; i < 200; i++ {
-			eng.emitLaneAfter(a, float64(i)*0.01, int32(i))
-			eng.emitLaneAfter(b, rng.Float64(), int32(1000+i)) // unsorted: about half fall back
-		}
-		eng.Run()
-		return trace
-	}
-	want := program(NewEngine())
-
-	eng := NewEngine()
-	eng.SetSink(dropSink{})
-	for i := 0; i < 3; i++ {
-		l := eng.openLane(uint8(7 + i))
-		for k := 0; k < 100; k++ {
-			eng.emitLaneAfter(l, float64(k), int32(k))
-		}
-	}
-	eng.RunUntil(40) // abandon the run with lanes part-drained and wrapped
-	if eng.Pending() == 0 || eng.LaneScheduled() == 0 {
-		t.Fatal("dirtying schedule left no lane residents: the reset check below proves nothing")
-	}
-	eng.Reset()
-	if eng.Pending() != 0 || eng.Scheduled() != 0 || eng.LaneScheduled() != 0 || len(eng.lanes) != 0 {
-		t.Fatalf("after Reset: pending=%d scheduled=%d laneScheduled=%d open lanes=%d, want all 0",
-			eng.Pending(), eng.Scheduled(), eng.LaneScheduled(), len(eng.lanes))
-	}
-	got := program(eng)
-	if len(got) != len(want) {
-		t.Fatalf("reused engine dispatched %d events, fresh %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch %d differs after reuse: got %+v, fresh %+v", i, got[i], want[i])
-		}
-	}
-
-	sink := new(countSink)
-	if allocs := testing.AllocsPerRun(10, func() { laneCycle(eng, sink, 64) }); allocs != 0 {
-		t.Errorf("a pooled engine's lane run allocates %.0f objects, want 0", allocs)
 	}
 }

@@ -7,22 +7,22 @@ import (
 // fuzzSink receives the typed events of a fuzz program. Plain kinds just
 // trace; the respawn kind additionally emits a typed zero-delay follow-up
 // and a small-delay closure event, so typed and closure events keep feeding
-// each other's (at, seq) stream from inside a dispatch. A lane kind names
-// the lane it rode; a third of first-generation lane events re-emit onto
-// their lane from inside the dispatch, at a delay that depends on the
-// subject alone — so sometimes earlier than the lane's tail.
+// each other's (at, seq) stream from inside a dispatch. A producer kind
+// names the producer that emitted it; a third of first-generation producer
+// events re-emit as their producer from inside the dispatch, at a delay that
+// depends on the subject alone — so sometimes earlier than the producer's
+// last event.
 type fuzzSink struct {
 	s        *spec
 	schedule func(d float64, respawn int)
-	lanes    []int
 }
 
 const (
 	fuzzKindPlain uint8 = iota + 1
 	fuzzKindRespawn
-	fuzzKindLane0 // lane i dispatches as fuzzKindLane0 + i
+	fuzzKindProducer0 // producer i emits fuzzKindProducer0 + i
 
-	fuzzMaxLanes = 4
+	fuzzMaxProducers = 4
 )
 
 func (f *fuzzSink) Dispatch(kind uint8, subject int32) {
@@ -31,8 +31,8 @@ func (f *fuzzSink) Dispatch(kind uint8, subject int32) {
 	case kind == fuzzKindRespawn:
 		f.s.emitAfter(0, fuzzKindPlain, int(subject)+10_000)
 		f.schedule(float64(subject%7)*1e-3+1e-5, 0)
-	case kind >= fuzzKindLane0 && subject < 10_000 && subject%3 == 0:
-		f.s.emitLaneAfter(f.lanes[kind-fuzzKindLane0], float64(subject%5)*1e-3, int(subject)+20_000)
+	case kind >= fuzzKindProducer0 && subject < 10_000 && subject%3 == 0:
+		f.s.emitAfter(float64(subject%5)*1e-3, kind, int(subject)+20_000)
 	}
 }
 
@@ -42,10 +42,11 @@ func (f *fuzzSink) Dispatch(kind uint8, subject int32) {
 // far future) for a closure or typed event, a partial RunUntil drain, or a
 // nested respawn whose callbacks schedule further events — closure respawns schedule closures, typed respawns emit
 // typed and closure events both, so a single program interleaves both event
-// kinds in one (at, seq) stream. Opcodes 12–15 drive monotone lanes: open or
-// select one, emit on it at a delay the operand sets (a run of growing
-// operands stays on the lane, an equal one ties, a shrinking one takes the
-// fallback to the heap), and tie two lanes with a closure at zero
+// kinds in one (at, seq) stream. Opcodes 12–15 drive producers, each a typed
+// kind of its own, as a station's completions are: open or select one, emit
+// as it at a delay the operand sets (a run of growing operands emits in time
+// order, an equal one ties, a shrinking one emits earlier than the
+// producer's last event), and tie two producers with a closure at zero
 // delay. Ids stay below 10 000 (at most seven events per instruction), so
 // the sink's re-emits at +10 000 and +20 000 never collide with them.
 func fuzzProgram(s *spec, data []byte) {
@@ -69,20 +70,18 @@ func fuzzProgram(s *spec, data []byte) {
 		nextID++
 		s.emitAfter(d, kind, id)
 	}
-	// cur indexes the selected lane in sink.lanes; the first lane opcode of
-	// any kind opens lane 0.
-	cur := 0
-	openLane := func() {
-		cur = len(sink.lanes)
-		sink.lanes = append(sink.lanes, eng.openLane(fuzzKindLane0+uint8(cur)))
+	// cur is the selected one of the producers opened; the first producer
+	// opcode of any kind opens producer 0.
+	producers, cur := 0, 0
+	openProducer := func() {
+		cur = producers
+		producers++
 	}
-	emitLane := func(d float64) {
-		if len(sink.lanes) == 0 {
-			openLane()
+	emitProducer := func(d float64) {
+		if producers == 0 {
+			openProducer()
 		}
-		id := nextID
-		nextID++
-		s.emitLaneAfter(sink.lanes[cur], d, id)
+		emit(d, fuzzKindProducer0+uint8(cur))
 	}
 	for i := 0; i+2 < len(data); i += 3 {
 		op := data[i]
@@ -111,22 +110,22 @@ func fuzzProgram(s *spec, data []byte) {
 		case 11:
 			emit(v*1e3, fuzzKindPlain) // typed far future
 		case 12:
-			if len(sink.lanes) < fuzzMaxLanes {
-				openLane()
+			if producers < fuzzMaxProducers {
+				openProducer()
 			} else {
-				cur = int(v) % fuzzMaxLanes
+				cur = int(v) % fuzzMaxProducers
 			}
 		case 13:
-			emitLane(v * 1e-2)
+			emitProducer(v * 1e-2)
 		case 14:
-			emitLane(v * 1e-5) // fine-grained: ties and near-ties between lanes
+			emitProducer(v * 1e-5) // fine-grained: ties and near-ties between producers
 		case 15:
-			// A three-way tie at one instant: this lane, a closure, the
-			// next lane — dispatched in that order, by seq alone.
-			emitLane(0)
+			// A three-way tie at one instant: this producer, a closure, the
+			// next producer — dispatched in that order, by seq alone.
+			emitProducer(0)
 			schedule(0, 0)
-			cur = (cur + 1) % len(sink.lanes)
-			emitLane(0)
+			cur = (cur + 1) % producers
+			emitProducer(0)
 		}
 	}
 	s.run()
@@ -136,8 +135,8 @@ func fuzzProgram(s *spec, data []byte) {
 // string, decoded as a schedule, must dispatch in strictly increasing
 // (at, seq) order with every event exactly once and Pending() exact
 // throughout. The checked-in corpus under testdata/fuzz seeds the search
-// with zero-delay storms, respawn chains, ties between lanes, fallbacks and
-// magnitude spans.
+// with zero-delay storms, respawn chains, ties between producers, shrinking
+// delays and magnitude spans.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 9})
@@ -153,9 +152,9 @@ func FuzzEngineSchedule(f *testing.F) {
 	// respawn feeding both streams, and a typed far-future event crossed by
 	// closure chains.
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 10, 0, 40, 8, 0, 40, 11, 0, 1, 3, 0, 2, 9, 0, 0, 7, 0, 90})
-	// Lanes: two lanes fed growing, equal and then shrinking delays (the
-	// fallback), a three-way zero-delay tie, and a RunUntil that stops
-	// between the two lane heads before more is emitted behind them.
+	// Producers: two fed growing, equal and then shrinking delays, a
+	// three-way zero-delay tie, and a RunUntil that stops between the two
+	// producers' next events before more is emitted behind them.
 	f.Add([]byte{12, 0, 0, 13, 0, 100, 13, 0, 200, 13, 0, 200, 12, 0, 0, 13, 0, 150, 13, 0, 50, 15, 0, 0, 7, 0, 120, 13, 0, 10, 14, 0, 3, 7, 0, 90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {

@@ -7,22 +7,12 @@ import "math"
 // what a station holds.
 
 // Pending reports the number of events not yet dispatched.
-func (e *Engine) Pending() int {
-	n := len(e.q)
-	for i := range e.lanes {
-		n += e.lanes[i].n
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Scheduled reports the number of events scheduled since the engine was
 // created or last Reset, dispatched or not — the run's event budget, which
 // the platform's events-per-instance gate pins.
 func (e *Engine) Scheduled() uint64 { return e.seq }
-
-// LaneScheduled reports how many of the Scheduled events rode a monotone
-// lane; the remainder were pushed onto the heap.
-func (e *Engine) LaneScheduled() uint64 { return e.laneSeq }
 
 // RunUntil dispatches events with time ≤ deadline, then advances the clock
 // to the deadline. Events scheduled beyond it stay pending. An event exactly
