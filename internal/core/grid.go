@@ -199,7 +199,7 @@ func (t *GridTable) jointBaselines(q float64, minDeg int) (bestS, bestE float64)
 func (t *GridTable) constrainedDegree(w Weights, maxInstances int) (int, error) {
 	minDegree := 1
 	if maxInstances > 0 {
-		minDegree = (t.c + maxInstances - 1) / maxInstances
+		minDegree = (t.c-1)/maxInstances + 1 // ⌈c/max⌉; c+max−1 overflows near MaxInt
 		if minDegree > t.maxDegreeAny() {
 			return 0, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
 				t.c, maxInstances, t.maxDegreeAny())

@@ -231,10 +231,10 @@ func finite(xs ...float64) bool {
 	return true
 }
 
-// instances is the number of function instances at concurrency C and
+// instances is the number of function instances at concurrency C ≥ 1 and
 // degree P (the system spawns ceil(C/P); the paper's algebra uses C/P).
 func instances(c, degree int) float64 {
-	return float64((c + degree - 1) / degree)
+	return float64((c-1)/degree + 1) // c+degree−1 overflows near MaxInt
 }
 
 // ServiceTime is the argument of Eq. 3: modeled total service time at

@@ -450,6 +450,27 @@ func TestOptimalDegreeConstrained(t *testing.T) {
 	}
 }
 
+// TestMaxIntConcurrency: at c = MaxInt, where (c+P−1)/P overflows, every
+// degree spawns ⌈c/P⌉ instances at a non-negative expense, the plan's
+// expense is non-negative, and two instances cannot hold c functions.
+func TestMaxIntConcurrency(t *testing.T) {
+	m := synthModels()
+	const c = math.MaxInt
+	for p := 1; p <= m.MaxDegree; p++ {
+		want := c/p + min(c%p, 1)
+		if got := m.Expense(c, p); instances(c, p) != float64(want) || !(got >= 0) {
+			t.Errorf("degree %d: %v instances, want %d; expense %v", p, instances(c, p), want, got)
+		}
+	}
+	pl := NewPlanner(m)
+	if plan, err := pl.PlanFor(c, Balanced()); err != nil || !(plan.PredictedExpenseUSD >= 0) {
+		t.Errorf("plan at MaxInt: %+v (%v)", plan, err)
+	}
+	if deg, err := pl.OptimalDegreeConstrained(c, Balanced(), 2); err == nil {
+		t.Errorf("degree %d fits %d functions in 2 instances", deg, c)
+	}
+}
+
 func TestDegreeRangeStability(t *testing.T) {
 	m := synthModels()
 	pl := NewPlanner(m)

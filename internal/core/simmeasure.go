@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/interfere"
 	"repro/internal/platform"
@@ -80,93 +78,11 @@ func (s *SimMeasurer) execProbe(degree int, call int64) (float64, float64, error
 // most recent interference probe.
 func (s *SimMeasurer) LastProbeStorageUSD() float64 { return s.lastStorageUSD }
 
-// nopDemand is the trivial function used for scaling probes: near-zero
-// work, minimal memory.
-func nopDemand() interfere.Demand {
-	return interfere.Demand{CPUSeconds: 0.1, MemoryMB: 128}
-}
-
-// scalingKey is everything a scaling probe's result depends on. The whole
-// Config is the key, not a chosen subset of its control-plane fields: it is
-// comparable, and any field platform.Run reads now or later then splits
-// keys by itself (sizes from WithMemory, fault dice, throttles).
-type scalingKey struct {
-	cfg       platform.Config
-	seed      int64
-	instances int
-}
-
-// scalingProbe is one stored result; once makes concurrent callers of a
-// key share a single burst.
-type scalingProbe struct {
-	once sync.Once
-	sec  float64
-	err  error
-}
-
-// scalingStoreCap bounds the store (≈ 400 B per result, ≈ 1.6 MB full):
-// /v1/joint's size grids and a library caller's seed sweep reach it with
-// keys of their choosing. A full store is emptied rather than trimmed —
-// clear is the one removal that also works on a key holding a NaN, which
-// equals nothing, itself included — and its platforms pay their probes
-// once more, as every build did before the store existed.
-const scalingStoreCap = 4096
-
-// scalingStore holds Eq. 2's measurements process-wide: the scaling model
-// is application-independent (Sec. 2.2), so every SimMeasurer on one
-// (Config, Seed) would simulate the same no-op bursts. scalingBursts counts
-// the bursts actually run, for the tests.
-var (
-	scalingStore = struct {
-		sync.Mutex
-		m map[scalingKey]*scalingProbe
-	}{m: map[scalingKey]*scalingProbe{}}
-	scalingBursts atomic.Int64
-)
-
-var errScalingProbeAborted = errors.New("core: scaling probe did not complete")
-
-// MeasureScaling implements Measurer by spawning a burst of no-op
-// instances and timing until the last one starts — once per process for a
-// given (Config, Seed, instances): later and concurrent callers get the
-// stored seconds, bit for bit what their own burst would have returned. An
-// error is returned to everyone waiting on the probe and not retained.
+// MeasureScaling implements Measurer with Eq. 2's no-op probe,
+// platform.ScalingTime: application-independent, so every SimMeasurer on a
+// control plane shares its answers.
 func (s *SimMeasurer) MeasureScaling(instances int) (float64, error) {
-	key := scalingKey{s.Config, s.Seed, instances}
-	scalingStore.Lock()
-	p := scalingStore.m[key]
-	if p == nil {
-		if len(scalingStore.m) >= scalingStoreCap {
-			clear(scalingStore.m)
-		}
-		// Born aborted: if the simulator panics (a non-finite stage time),
-		// whoever is waiting on this probe must not read a zero as a result.
-		p = &scalingProbe{err: errScalingProbeAborted}
-		scalingStore.m[key] = p
-	}
-	scalingStore.Unlock()
-	p.once.Do(func() {
-		defer func() {
-			if p.err != nil { // not a result: an error or a panic leaves the store
-				scalingStore.Lock()
-				if scalingStore.m[key] == p {
-					delete(scalingStore.m, key)
-				}
-				scalingStore.Unlock()
-			}
-		}()
-		scalingBursts.Add(1)
-		res, err := platform.Run(s.Config, platform.Burst{
-			Demand:    nopDemand(),
-			Functions: instances,
-			Degree:    1,
-			Seed:      s.Seed + int64(instances)*7919,
-		})
-		if p.err = err; err == nil {
-			p.sec = res.ScalingTime()
-		}
-	})
-	return p.sec, p.err
+	return platform.ScalingTime(s.Config, s.Seed, instances)
 }
 
 // ProfileOptionsFor derives the standard ProfileOptions for an application

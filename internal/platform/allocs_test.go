@@ -106,9 +106,8 @@ func allocsOf(fn func()) (objects, bytes uint64) {
 // B/instance when the Config rolls no dice (13 once the schedule store holds
 // the burst), 77 with the fault and hedge columns — plus a fixed handful of
 // small objects and nothing else
-// proportional to n, and asking the Result for its scaling time — all
-// Advise's scaling probes ever do — allocates nothing at all, i.e. never
-// materializes the row view. (trace.FromResult's share of the same gate is
+// proportional to n, and asking the Result for its scaling time allocates
+// nothing at all, i.e. never materializes the row view. (trace.FromResult's share of the same gate is
 // TestAllocsPerRunFromResult in internal/trace.)
 func TestAllocsPerRunColumnarResult(t *testing.T) {
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}

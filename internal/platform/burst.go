@@ -181,43 +181,16 @@ func (r *Result) End(i int) float64 { return r.cols.end[i] }
 // Run simulates one invocation burst on the platform and returns the
 // per-instance timelines plus the bill.
 func Run(cfg Config, b Burst) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := b.Validate(); err != nil {
+	draw, err := validateRun(&cfg, &b)
+	if err != nil {
 		return nil, err
 	}
 	n := b.Instances()
-	// Execution durations are determined before the control-plane race so
-	// any platform-limit violation fails fast and deterministically. All but
-	// the last instance hold exactly Degree functions, so the per-instance
-	// degree is derived arithmetically instead of via a materialized slice —
-	// and the interference model is evaluated once per distinct degree (two
-	// at most) instead of once per instance. The jitter draws stay on the
-	// burst's single sequential stream, so results are bit-identical to the
-	// historical per-instance loop.
 	sc := newRunScratch(&cfg, n, b.Warm, b.StaggerSec)
 	defer sc.release() // aborts and joins a follower, panic or not
 	sc.stream(b.Seed, hashName(cfg.Name))
 	ib := &sc.batch
-	fullDeg := b.Degree
-	lastDeg := b.Functions - (n-1)*b.Degree
-	var fullBase float64
-	if n > 1 {
-		fullBase = interfere.ExecSeconds(b.Demand, cfg.Shape, fullDeg)
-		if fullBase > cfg.MaxExecSec {
-			return nil, fmt.Errorf("%w: degree %d needs %.1fs > %.0fs on %s",
-				ErrExecLimit, fullDeg, fullBase, cfg.MaxExecSec, cfg.Name)
-		}
-	}
-	lastBase := fullBase
-	if lastDeg != fullDeg || n == 1 {
-		lastBase = interfere.ExecSeconds(b.Demand, cfg.Shape, lastDeg)
-		if lastBase > cfg.MaxExecSec {
-			return nil, fmt.Errorf("%w: degree %d needs %.1fs > %.0fs on %s",
-				ErrExecLimit, lastDeg, lastBase, cfg.MaxExecSec, cfg.Name)
-		}
-	}
+	fullDeg, lastDeg := b.Degree, b.Functions-(n-1)*b.Degree
 	for i := range ib.degree[:n-1] {
 		ib.degree[i] = int32(fullDeg)
 	}
@@ -230,7 +203,7 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	// schedule is stored and this goroutine has nothing to solve (DESIGN §12).
 	// The follower reads the degrees and warm flags as soon as a row range is
 	// sent, so they are filled before it starts.
-	sc.draw = jitterDraw{full: fullBase, last: lastBase, rel: cfg.JitterRel}
+	sc.draw = draw
 	bk := billKeyOf(&cfg, &b.Demand, fullDeg, lastDeg, n)
 	if !overlapsDraw(cfg, n) {
 		sc.drawExecs(nil)
@@ -256,6 +229,34 @@ func Run(cfg Config, b Burst) (*Result, error) {
 		res.fold(true, nil) // every instance holds degree[i] functions of b.Demand
 	}
 	return res, nil
+}
+
+// validateRun is Run's validation, before the control-plane race: the Config,
+// the Burst, and the execution limit at the full and the last instance's
+// degree, the only two. It returns the burst's jitter draw.
+func validateRun(cfg *Config, b *Burst) (jitterDraw, error) {
+	if err := cfg.Validate(); err != nil {
+		return jitterDraw{}, err
+	}
+	if err := b.Validate(); err != nil {
+		return jitterDraw{}, err
+	}
+	n := b.Instances()
+	fullDeg, lastDeg := b.Degree, b.Functions-(n-1)*b.Degree
+	d := jitterDraw{rel: cfg.JitterRel}
+	if n > 1 {
+		d.full = interfere.ExecSeconds(b.Demand, cfg.Shape, fullDeg)
+	}
+	if d.last = d.full; lastDeg != fullDeg || n == 1 {
+		d.last = interfere.ExecSeconds(b.Demand, cfg.Shape, lastDeg)
+	}
+	if n > 1 && d.full > cfg.MaxExecSec {
+		return jitterDraw{}, fmt.Errorf("%w: degree %d needs %.1fs > %.0fs on %s", ErrExecLimit, fullDeg, d.full, cfg.MaxExecSec, cfg.Name)
+	}
+	if d.last > cfg.MaxExecSec {
+		return jitterDraw{}, fmt.Errorf("%w: degree %d needs %.1fs > %.0fs on %s", ErrExecLimit, lastDeg, d.last, cfg.MaxExecSec, cfg.Name)
+	}
+	return d, nil
 }
 
 // overlapDrawMin is the smallest burst whose jitter draw Run hands to a second
@@ -491,7 +492,7 @@ func (r *Result) foldStoredBill(key billKey) {
 // fees are the bill store's under key, or, on a miss, metered.
 func (f *foldState) billStored(cfg *Config, key billKey) {
 	f.billed = true
-	if stored, hit := lookupBill(key); hit {
+	if stored, hit := bills.lookup(key); hit {
 		f.request, f.storage = stored.requestUSD, stored.storageUSD
 	} else {
 		f.meter = mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
@@ -503,7 +504,7 @@ func (f *foldState) intoStored(r *Result, key billKey) {
 	metered := f.meter != nil
 	f.into(r)
 	if metered {
-		storeBill(key, bill{r.RequestUSD, r.StorageUSD})
+		bills.store(key, bill{r.RequestUSD, r.StorageUSD})
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // plane, the warm prefix, the stagger and the instance count, and row j only
 // on the rows before it. Its storage and request fees depend only on the
 // pricing, the demand's I/O and the degrees. Both halves are kept here, once
-// per process, and every Run and RunMixed inside the gate reads them instead
-// of computing them again; only the seed's half — the jitter draw, the end
-// column and the fold's extrema and compute sums — is left to each run.
+// per process, for every Run and RunMixed inside the gate and for ScalingTime
+// (Eq. 2's probe); only the seed's half — the jitter draw, the end column and
+// the fold's extrema and compute sums — is left to each run.
 
 // storeMin is the smallest burst that consults the stores: below it a lookup
 // costs more than the solve and the allocation it saves (DESIGN §12 has the
@@ -60,26 +60,45 @@ func scheduleKeyOf(cfg *Config, warm int, stagger float64) scheduleKey {
 
 // schedule is one key's stored solution: the milestone columns of the
 // longest burst solved — schedDone, buildDone, shipDone and start, rows
-// apiece, in one slab that nothing writes once it is stored — and the
-// stages' busy seconds for each instance count run. Busy seconds are kept
-// per count, not as per-row running sums: those would cost 24 B a row more.
+// apiece, in one slab that nothing writes once it is stored — and a record
+// for each instance count run. Records are kept per count, not as per-row
+// running sums: those would cost 24 B a row more.
 type schedule struct {
-	rows int
-	slab []float64
-	busy map[int][3]float64
+	rows   int
+	slab   []float64
+	counts map[int]countRecord
 }
 
-// scheduleStoreCap bounds what the schedule store holds, in rows plus busy
+// countRecord is what a schedule keeps of an instance count n: the stages'
+// busy seconds and the latest of start[:n], that burst's ScalingTime.
+type countRecord struct {
+	busy     [3]float64
+	maxStart float64
+}
+
+// maxStart is the fold's ScalingTime over a start column: the same
+// comparison from the same zero, in the same order, so the same bits.
+func maxStart(start []float64) float64 {
+	m := 0.0
+	for _, s := range start {
+		if s > m {
+			m = s
+		}
+	}
+	return m
+}
+
+// scheduleStoreCap bounds what the schedule store holds, in rows plus count
 // records (≈ 32 B apiece, ≈ 64 MB full): one 10⁶-instance schedule fits
 // beside a figure pass's. It is reached only by keys of a caller's choosing;
-// a full store is emptied, as core's scaling store is, and a run larger than
-// the whole store is not stored.
+// a full store is emptied, as the bounded maps are, and a run larger than the
+// whole store is not stored.
 const scheduleStoreCap = 1 << 21
 
 var schedules = struct {
 	sync.Mutex
 	m    map[scheduleKey]*schedule
-	held int // rows and busy records across m
+	held int // rows and count records across m
 }{m: map[scheduleKey]*schedule{}}
 
 // schedulePlan is a run's part in the schedule store, settled before its
@@ -100,14 +119,15 @@ func (p *schedulePlan) column(k, n int) []float64 {
 	return p.slab[k*p.rows : k*p.rows+n : k*p.rows+n]
 }
 
-// lookupSchedule plans a run of n instances: a hit needs n stored rows and
-// the busy seconds of n itself. A miss allocates its slab.
+// lookupSchedule plans a run of n instances: a hit needs n's record, and
+// with it n stored rows. A miss allocates its slab.
 func lookupSchedule(key scheduleKey, n int) schedulePlan {
 	p := schedulePlan{on: true, key: key}
 	schedules.Lock()
-	if s := schedules.m[key]; s != nil && s.rows >= n {
-		if p.busy, p.hit = s.busy[n]; p.hit {
-			p.slab, p.rows = s.slab, s.rows
+	if s := schedules.m[key]; s != nil {
+		var r countRecord
+		if r, p.hit = s.counts[n]; p.hit {
+			p.busy, p.slab, p.rows = r.busy, s.slab, s.rows
 		}
 	}
 	schedules.Unlock()
@@ -118,11 +138,10 @@ func lookupSchedule(key scheduleKey, n int) schedulePlan {
 }
 
 // storeSchedule records a solved run of n instances, slab its milestone
-// columns and busy its stages' busy seconds: the busy seconds join the
-// stored entry if that holds n rows already, else the slab replaces it. By
-// the prefix property every busy record the entry held stays true of the
-// longer slab.
-func storeSchedule(key scheduleKey, n int, slab []float64, busy [3]float64) {
+// columns and r its record: the record joins the stored entry if that holds
+// n rows already, else the slab replaces it. By the prefix property every
+// record the entry held stays true of the longer slab.
+func storeSchedule(key scheduleKey, n int, slab []float64, r countRecord) {
 	if n >= scheduleStoreCap {
 		return
 	}
@@ -130,22 +149,37 @@ func storeSchedule(key scheduleKey, n int, slab []float64, busy [3]float64) {
 	defer schedules.Unlock()
 	s := schedules.m[key]
 	if s == nil {
-		s = &schedule{busy: map[int][3]float64{}}
+		s = &schedule{counts: map[int]countRecord{}}
 	}
-	add := max(n-s.rows, 0) // rows and busy records this adds
-	if _, known := s.busy[n]; !known {
+	add := max(n-s.rows, 0) // rows and records this adds
+	if _, known := s.counts[n]; !known {
 		add++
 	}
 	if schedules.held+add > scheduleStoreCap {
 		clear(schedules.m)
-		s, schedules.held, add = &schedule{busy: map[int][3]float64{}}, 0, n+1
+		s, schedules.held, add = &schedule{counts: map[int]countRecord{}}, 0, n+1
 	}
 	if s.rows < n {
 		s.rows, s.slab = n, slab
 	}
-	s.busy[n] = busy
+	s.counts[n] = r
 	schedules.m[key] = s
 	schedules.held += add
+}
+
+// recordedScalingTime is the stored record's ScalingTime of a burst of n
+// instances on cfg inside the stores' gate, without warm prefix or stagger.
+func recordedScalingTime(cfg *Config, n int) (float64, bool) {
+	if !storesRun(cfg, n) {
+		return 0, false
+	}
+	schedules.Lock()
+	defer schedules.Unlock()
+	if s := schedules.m[scheduleKeyOf(cfg, 0, 0)]; s != nil {
+		r, ok := s.counts[n]
+		return r.maxStart, ok
+	}
+	return 0, false
 }
 
 // solve fills a tandem burst's milestone columns and the stations' busy
@@ -160,8 +194,11 @@ func (sc *runScratch) solve(b Burst) bool {
 	if !cp.solveTandem(b, sc.feed) {
 		return false
 	}
-	if p.on {
-		storeSchedule(p.key, sc.batch.n, p.slab, [3]float64{cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds})
+	if n := sc.batch.n; p.on {
+		storeSchedule(p.key, n, p.slab, countRecord{
+			busy:     [3]float64{cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds},
+			maxStart: maxStart(p.column(3, n)),
+		})
 	}
 	return true
 }
@@ -189,27 +226,73 @@ func billKeyOf(cfg *Config, d *interfere.Demand, full, last, n int) billKey {
 // bill is a stored burst's request and storage fees.
 type bill struct{ requestUSD, storageUSD float64 }
 
-// billStoreCap bounds the bill store (≈ 150 B an entry, ≈ 600 KB full); a
-// full store is emptied.
-const billStoreCap = 4096
-
-var bills = struct {
+// boundedMap is a process-wide map of at most limit entries; a full map is
+// emptied.
+type boundedMap[K comparable, V any] struct {
 	sync.Mutex
-	m map[billKey]bill
-}{m: map[billKey]bill{}}
-
-func lookupBill(key billKey) (bill, bool) {
-	bills.Lock()
-	b, ok := bills.m[key]
-	bills.Unlock()
-	return b, ok
+	m     map[K]V
+	limit int
 }
 
-func storeBill(key billKey, b bill) {
-	bills.Lock()
-	if len(bills.m) >= billStoreCap {
-		clear(bills.m)
+func (bm *boundedMap[K, V]) lookup(key K) (V, bool) {
+	bm.Lock()
+	v, ok := bm.m[key]
+	bm.Unlock()
+	return v, ok
+}
+
+func (bm *boundedMap[K, V]) store(key K, v V) {
+	bm.Lock()
+	if len(bm.m) >= bm.limit {
+		clear(bm.m)
 	}
-	bills.m[key] = b
-	bills.Unlock()
+	bm.m[key] = v
+	bm.Unlock()
+}
+
+// billStoreCap bounds the bill store (≈ 150 B an entry, ≈ 600 KB full).
+const billStoreCap = 4096
+
+var bills = &boundedMap[billKey, bill]{m: map[billKey]bill{}, limit: billStoreCap}
+
+// probeKey keys a scaling probe no schedule record answers (fault dice, a
+// throttle, n < storeMin, a declined burst): it may read any of the Config.
+type probeKey struct {
+	cfg  Config
+	seed int64
+	n    int
+}
+
+// probeStoreCap bounds the probe store (≈ 400 B an entry, ≈ 400 KB full); a
+// quick figure pass asks it for 18 probes, ExtThrottle's.
+const probeStoreCap = 1024
+
+var probes = &boundedMap[probeKey, float64]{m: map[probeKey]float64{}, limit: probeStoreCap}
+
+// ScalingTime is Eq. 2's probe (PAPER.md §2.2): the scaling time of n no-op
+// functions on cfg, one an instance, seeded seed + n·7919 — that Run's
+// ScalingTime, bit for bit, or its error. After Run's validation, a dice-free
+// burst inside the stores' gate reads its schedule's record, whatever the
+// seed, prices or memory size; any other reads the probe store; a miss runs.
+func ScalingTime(cfg Config, seed int64, n int) (float64, error) {
+	b := Burst{Demand: interfere.Demand{CPUSeconds: 0.1, MemoryMB: 128}, Functions: n, Degree: 1, Seed: seed + int64(n)*7919}
+	if _, err := validateRun(&cfg, &b); err != nil {
+		return 0, err
+	}
+	if st, ok := recordedScalingTime(&cfg, n); ok {
+		return st, nil
+	}
+	key := probeKey{cfg, seed, n}
+	if st, ok := probes.lookup(key); ok {
+		return st, nil
+	}
+	res, err := Run(cfg, b)
+	if err != nil {
+		return 0, err
+	}
+	st := res.ScalingTime()
+	if _, ok := recordedScalingTime(&cfg, n); !ok {
+		probes.store(key, st)
+	}
+	return st, nil
 }

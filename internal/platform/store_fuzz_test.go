@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -211,17 +212,17 @@ var storeSequenceSeeds = func() [][]byte {
 	)
 }()
 
-// scheduleStored reports whether a schedule of n instances is in the store
-// under key: its rows and its instance count's busy seconds.
-func scheduleStored(key scheduleKey, n int) bool {
+// scheduleRecord returns the record of a schedule of n instances stored
+// under key, if its rows and its instance count's record are in the store.
+func scheduleRecord(key scheduleKey, n int) (countRecord, bool) {
 	schedules.Lock()
 	defer schedules.Unlock()
 	s := schedules.m[key]
 	if s == nil || s.rows < n {
-		return false
+		return countRecord{}, false
 	}
-	_, ok := s.busy[n]
-	return ok
+	r, ok := s.counts[n]
+	return r, ok
 }
 
 // storeOutcome is one run of a storeBurst, with its JSONL and then its
@@ -258,7 +259,7 @@ func checkStoreSequence(t *testing.T, bursts []storeBurst) {
 		what := fmt.Sprintf("burst %d of %d (%d functions in %d instances, %d bins, warm %d, stagger %g, seed %d) on %s, pods of %d",
 			i+1, len(bursts), s.b.Functions, n, len(s.bins), s.b.Warm, s.b.StaggerSec, s.b.Seed, s.cfg.Name, s.cfg.PodSize)
 		if s.opts&stepFull != 0 { // as a caller's flood would: the next schedule stored empties it
-			storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap-1, nil, [3]float64{})
+			storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap-1, nil, countRecord{})
 		}
 		run := func(cfg Config) (o storeOutcome) {
 			var trace bytes.Buffer
@@ -302,11 +303,13 @@ func checkStoreSequence(t *testing.T, bursts []storeBurst) {
 			sameOutcome(t, what+" on the closure control plane", closure, want)
 		}
 		if want.err == nil && !declined && storesRun(&s.cfg, n) {
-			if n < scheduleStoreCap && !scheduleStored(scheduleKeyOf(&s.cfg, s.b.Warm, s.b.StaggerSec), n) {
+			if r, ok := scheduleRecord(scheduleKeyOf(&s.cfg, s.b.Warm, s.b.StaggerSec), n); n < scheduleStoreCap && !ok {
 				t.Fatalf("%s: its schedule is not stored", what)
+			} else if st := want.res.ScalingTime(); ok && math.Float64bits(r.maxStart) != math.Float64bits(st) {
+				t.Fatalf("%s: its record's max start %v, its ScalingTime %v", what, r.maxStart, st)
 			}
 			last := s.b.Functions - (n-1)*s.b.Degree
-			if _, paid := lookupBill(billKeyOf(&s.cfg, &s.b.Demand, s.b.Degree, last, n)); s.bins == nil && !paid {
+			if _, paid := bills.lookup(billKeyOf(&s.cfg, &s.b.Demand, s.b.Degree, last, n)); s.bins == nil && !paid {
 				t.Fatalf("%s: its bill is not stored", what)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,15 +19,20 @@ import (
 // the gate never touch them, they keep their caps, and their keys hold every
 // field the solver and the bill read.
 
-// resetStores empties both stores, as a full one is emptied.
+// resetStores empties the stores, as a full one is emptied.
 func resetStores() {
 	schedules.Lock()
 	clear(schedules.m)
 	schedules.held = 0
 	schedules.Unlock()
-	bills.Lock()
-	clear(bills.m)
-	bills.Unlock()
+	bills.reset()
+	probes.reset()
+}
+
+func (bm *boundedMap[K, V]) reset() {
+	bm.Lock()
+	clear(bm.m)
+	bm.Unlock()
 }
 
 // storeSizes reports the schedule store's keys and held rows and records and
@@ -37,7 +43,7 @@ func storeSizes(t *testing.T) (keys, held, billed int) {
 	defer schedules.Unlock()
 	sum := 0
 	for _, s := range schedules.m {
-		sum += s.rows + len(s.busy)
+		sum += s.rows + len(s.counts)
 	}
 	if sum != schedules.held {
 		t.Fatalf("the schedule store counts %d rows and records, its entries hold %d", schedules.held, sum)
@@ -150,25 +156,28 @@ func TestScheduleStoreCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; scheduleStored(scheduleKeyOf(&cfg, 0, 0), b.Functions); k++ {
+	for k := 0; ; k++ {
+		if _, stored := scheduleRecord(scheduleKeyOf(&cfg, 0, 0), b.Functions); !stored {
+			break
+		}
 		if k > 8 {
 			t.Fatalf("schedules of %d rows never emptied the schedule store", k*scheduleStoreCap/8)
 		}
-		storeSchedule(scheduleKey{warm: -1 - k}, scheduleStoreCap/8, nil, [3]float64{})
+		storeSchedule(scheduleKey{warm: -1 - k}, scheduleStoreCap/8, nil, countRecord{})
 		if _, held, _ := storeSizes(t); held > scheduleStoreCap {
 			t.Fatalf("the schedule store holds %d rows and records, cap %d", held, scheduleStoreCap)
 		}
 	}
 	keys, held, _ := storeSizes(t)
-	storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap, nil, [3]float64{})
+	storeSchedule(scheduleKey{warm: -1}, scheduleStoreCap, nil, countRecord{})
 	if k, h, _ := storeSizes(t); k != keys || h != held {
 		t.Fatalf("a schedule of %d rows, the whole store, was stored: %d keys holding %d, had %d holding %d",
 			scheduleStoreCap, k, h, keys, held)
 	}
 	for i := 0; i < billStoreCap; i++ { // with the burst's own bill, one past the cap
-		storeBill(billKey{n: -1 - i}, bill{})
+		bills.store(billKey{n: -1 - i}, bill{})
 	}
-	if _, paid := lookupBill(billKeyOf(&cfg, &b.Demand, 1, 1, b.Functions)); paid {
+	if _, paid := bills.lookup(billKeyOf(&cfg, &b.Demand, 1, 1, b.Functions)); paid {
 		t.Fatalf("%d bills never emptied the bill store", billStoreCap+1)
 	}
 	if _, _, billed := storeSizes(t); billed > billStoreCap {
@@ -337,4 +346,92 @@ func slicesEqualBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestScalingTimeProbeStoreBounded: ScalingTime keeps in the probe store
+// exactly the answers no schedule record gives — a small, throttled, faulty
+// or declined probe, under its Config, seed and count — and no error. A
+// record is read without an allocation, and its bits are the fold's
+// even at −0, which no tandem start is. The probe store never holds more than
+// its cap, and a probe dropped there measures the same bits when asked again.
+func TestScalingTimeProbeStoreBounded(t *testing.T) {
+	defer resetStores()
+	throttled, faulty, failing, declined := AWSLambda(), AWSLambda(), AWSLambda(), Config{}
+	throttled.ConcurrencyLimit = 10
+	faulty.StartFailureProb = 0.2
+	failing.StartFailureProb, failing.Retry.MaxAttempts = 0.9, 1
+	for tie := int64(0); declined.Name == ""; tie++ { // a tie-prone control plane that declines the probe
+		cfg, fallbacks := tieProneConfig(rand.New(rand.NewSource(tie)).Intn), tandemFallbacks.Load()
+		if _, err := Run(cfg, Burst{Demand: tandemLight, Functions: 100, Degree: 1}); err == nil && tandemFallbacks.Load() != fallbacks {
+			declined = cfg
+		}
+	}
+	resetStores()
+	for _, tc := range []struct {
+		cfg  Config
+		n    int
+		kept int // entries each seed adds to the probe store
+	}{{AWSLambda(), 500, 0}, {AWSLambda(), storeMin - 1, 1}, {throttled, 500, 1}, {faulty, 500, 1}, {declined, 100, 1}, {failing, 100, 0}} {
+		for seed := int64(1); seed <= 2; seed++ {
+			kept := len(probes.m)
+			cold, err := ScalingTime(tc.cfg, seed, tc.n)
+			if warm, werr := ScalingTime(tc.cfg, seed, tc.n); math.Float64bits(warm) != math.Float64bits(cold) || fmt.Sprint(werr) != fmt.Sprint(err) {
+				t.Errorf("%s, %d instances, seed %d: %v (%v), then %v (%v)", tc.cfg.Name, tc.n, seed, cold, err, warm, werr)
+			}
+			if got := len(probes.m) - kept; got != tc.kept {
+				t.Errorf("%s, %d instances, seed %d: %d probes kept, want %d", tc.cfg.Name, tc.n, seed, got, tc.kept)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _ = ScalingTime(AWSLambda(), 3, 500) }); a != 0 {
+		t.Errorf("a recorded probe allocates %v objects", a)
+	}
+	col := []float64{math.Copysign(0, -1), 0}
+	for n := 1; n <= 2; n++ {
+		r := &Result{cols: instanceColumns{n: n, start: col[:n], end: col[:n]}}
+		if r.fold(false, nil); math.Float64bits(maxStart(col[:n])) != math.Float64bits(r.ScalingTime()) {
+			t.Errorf("maxStart(%v) = %v, the fold's %v", col[:n], maxStart(col[:n]), r.ScalingTime())
+		}
+	}
+
+	resetStores()
+	first, _ := ScalingTime(throttled, 0, 1)
+	for seed := int64(1); seed <= probeStoreCap; seed++ {
+		if _, err := ScalingTime(throttled, seed, 1); err != nil {
+			t.Fatal(err)
+		}
+		if len(probes.m) > probeStoreCap {
+			t.Fatalf("the probe store holds %d probes, cap %d", len(probes.m), probeStoreCap)
+		}
+	}
+	if _, kept := probes.lookup(probeKey{throttled, 0, 1}); kept {
+		t.Errorf("%d probes never emptied the probe store", probeStoreCap+1)
+	}
+	if again, _ := ScalingTime(throttled, 0, 1); math.Float64bits(again) != math.Float64bits(first) {
+		t.Errorf("a probe dropped at the cap measured %v, then %v", first, again)
+	}
+}
+
+// TestScalingTimeConcurrent: probes racing from parallel.Map on cold stores —
+// records, the probe store and misses at once — each answer what a lone
+// caller on warm stores answers (CI's race-stress job runs it under -race).
+func TestScalingTimeConcurrent(t *testing.T) {
+	defer resetStores()
+	throttled := AWSLambda()
+	throttled.ConcurrencyLimit = 10
+	probe := func(_ context.Context, i int) (float64, error) {
+		return ScalingTime([]Config{AWSLambda(), throttled}[i%2], int64(i%3), []int{storeMin - 1, 300}[i/2%2])
+	}
+	for _, workers := range []int{2, 8} {
+		resetStores()
+		got, err := parallel.Map(context.Background(), 48, probe, parallel.Workers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if want, _ := probe(context.Background(), i); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%d workers, probe %d: %v, alone %v", workers, i, got[i], want)
+			}
+		}
+	}
 }
