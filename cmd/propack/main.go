@@ -595,6 +595,10 @@ func cmdHetero(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Judged before the deployments below, which allocate per function.
+	if err := core.CheckMixedCounts(*countA, *countB); err != nil {
+		return err
+	}
 	wa, err := workload.ByName(*appA)
 	if err != nil {
 		return err

@@ -1,15 +1,23 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os/exec"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
@@ -189,6 +197,53 @@ func TestRunRejectsOversizedBurst(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "instances, more than 2147483647") {
 			t.Errorf("propack %v: no validation error in the output:\n%s", args, out)
+		}
+	}
+}
+
+// TestHeteroDoorsAgree: `propack hetero` fanned its three deployments out
+// before anything judged the counts, and the unpacked one appends a bin per
+// function, so `-ca 9223372036854775807` ran the process out of memory. The
+// door must refuse in process, before it profiles or allocates anything per
+// function, with the error core.PlanMixed and /v1/mixed give for the same job.
+func TestHeteroDoorsAgree(t *testing.T) {
+	const maxInt = math.MaxInt
+	jobs := [][2]int{{maxInt, 5}, {5, maxInt}, {maxInt, maxInt}, {20000, 1}, {0, 5}, {-maxInt, maxInt}}
+	doorErrs := make([]error, len(jobs))
+	for i, c := range jobs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		doorErrs[i] = cmdHetero([]string{"-ca", strconv.Itoa(c[0]), "-cb", strconv.Itoa(c[1])})
+		runtime.ReadMemStats(&after)
+		if doorErrs[i] == nil {
+			t.Fatalf("hetero %v: planned", c)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("hetero %v: %d bytes allocated before the refusal", c, got)
+		}
+	}
+
+	s, err := server.New(server.Config{TenantRPS: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := func(name string, count int) core.App {
+		return core.App{Name: name, MemoryMB: 512, Count: count, ET: core.ETModel{MfuncGB: 0.5, Alpha: 0.1}}
+	}
+	for i, c := range jobs {
+		door := doorErrs[i].Error()
+		_, lib := core.PlanMixed([]core.App{app("Video", c[0]), app("Sort", c[1])}, core.MixedPlanOptions{})
+		if lib == nil || lib.Error() != door {
+			t.Errorf("hetero %v: propack hetero says %q, core.PlanMixed %v", c, door, lib)
+		}
+		if c[0] < 1 || c[1] < 1 {
+			continue // the route refuses a count < 1 as it parses the spec
+		}
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", fmt.Sprintf("/v1/mixed?platform=aws&app=Video:%d&app=Sort:%d", c[0], c[1]), nil))
+		var body struct{ Error string }
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || rr.Code != http.StatusBadRequest || body.Error != door {
+			t.Errorf("hetero %v: propack hetero says %q, /v1/mixed answers %d %s", c, door, rr.Code, rr.Body)
 		}
 	}
 }

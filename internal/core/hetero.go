@@ -194,6 +194,32 @@ func decodeCombo(rank int, maxDegs []int) []int {
 	return degrees
 }
 
+// maxMixedFunctions bounds Σ count in one mixed plan: PlanMixed's cost grows
+// as entries × Σ count² and it watches no context, so an unbounded job holds
+// its caller — a /v1/mixed admission slot, a `propack hetero` — long past any
+// deadline. 20 000 is the top of the concurrency range the other planners
+// are exercised over.
+const maxMixedFunctions = 20000
+
+// CheckMixedCounts is PlanMixed's judgment of a job's per-app counts: each
+// at least 1, and at most maxMixedFunctions in all, summed so that no count
+// can wrap the total. PlanMixed applies it first; a door that probes or
+// allocates per function before it plans (`propack hetero`, /v1/mixed)
+// calls it before that, so every door refuses the same job with one error.
+func CheckMixedCounts(counts ...int) error {
+	total := 0
+	for _, c := range counts {
+		if c < 1 {
+			return fmt.Errorf("core: app count %d < 1", c)
+		}
+		if c > maxMixedFunctions-total {
+			return fmt.Errorf("core: app counts sum past %d, the most functions the mixed planner plans in one job", maxMixedFunctions)
+		}
+		total += c
+	}
+	return nil
+}
+
 // PlanMixed chooses the packing composition for a heterogeneous job from
 // two candidate families and picks the Eq. 7 weighted-regret winner:
 //
@@ -211,6 +237,13 @@ func decodeCombo(rank int, maxDegs []int) []int {
 func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	if len(apps) == 0 {
 		return MixedPlan{}, fmt.Errorf("core: no apps to plan")
+	}
+	counts := make([]int, len(apps))
+	for k, a := range apps {
+		counts[k] = a.Count
+	}
+	if err := CheckMixedCounts(counts...); err != nil {
+		return MixedPlan{}, err
 	}
 	for _, a := range apps {
 		if err := a.Validate(); err != nil {
@@ -307,7 +340,7 @@ type binEval struct {
 // when every app's fitted pressure is non-negative, so ET is monotone in
 // the counts — an execution-time floor.
 func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
-	totalFuncs := 0
+	totalFuncs := 0 // at most maxMixedFunctions: PlanMixed checked the counts
 	var totalMem float64
 	monotone := true
 	for _, a := range apps {
@@ -436,7 +469,7 @@ func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []he
 		var maxET, sumET float64
 		for i, a := range apps {
 			d := chosen[i]
-			n := (a.Count + d - 1) / d
+			n := (a.Count-1)/d + 1
 			bins += n
 			et := a.ET.At(d)
 			sumET += float64(n) * et
@@ -462,7 +495,7 @@ func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []he
 		nTab[k] = make([]int, maxDegs[k])
 		for d := 1; d <= maxDegs[k]; d++ {
 			etTab[k][d-1] = a.ET.At(d)
-			nTab[k][d-1] = (a.Count + d - 1) / d
+			nTab[k][d-1] = (a.Count-1)/d + 1
 		}
 	}
 	cands := make([]heteroCandidate, 0, combos)

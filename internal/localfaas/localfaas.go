@@ -182,7 +182,7 @@ func RunContext(ctx context.Context, job Job) (*Result, error) {
 	if maxPar == 0 {
 		maxPar = 2
 	}
-	n := (job.Functions + job.Degree - 1) / job.Degree
+	n := (job.Functions-1)/job.Degree + 1 // ⌈Functions/Degree⌉ without overflow; Validate keeps Functions ≥ 1
 	records := make([]InstanceRecord, n)
 	errs := make([]error, n)
 

@@ -285,9 +285,7 @@ func (sc *runScratch) drawExecs(feed chan<- int) {
 	last := len(execs) - 1
 	for lo := 0; lo < last; lo += followChunk {
 		hi := min(lo+followChunk, last)
-		for i := range execs[lo:hi] {
-			execs[lo+i] = d.full * rng.Jitter(d.rel)
-		}
+		rng.FillJitter(execs[lo:hi], d.full, d.rel)
 		if feed != nil && hi%followChunk == 0 {
 			feed <- hi // never blocks: the feed holds every chunk
 		}
@@ -317,9 +315,7 @@ func (sc *runScratch) drawThenFollow(feed <-chan int, draw bool) {
 	}
 	c, execs, done := &sc.batch.instanceColumns, sc.batch.execs, 0
 	for rows := range feed {
-		for i := done; i < rows; i++ {
-			c.end[i] = sim.TimerAt(c.start[i], execs[i])
-		}
+		sim.TimersAt(c.end[done:rows], c.start[done:rows], execs[done:rows])
 		sc.fold.step(c, done, rows, nil)
 		done = rows
 	}

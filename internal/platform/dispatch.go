@@ -464,9 +464,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	sc.join()
 	if solved && !sc.folded {
 		// Execution is a timer from a start nothing else reads.
-		for i, s := range ib.start {
-			ib.end[i] = sim.TimerAt(s, ib.execs[i])
-		}
+		sim.TimersAt(ib.end, ib.start, ib.execs)
 	} else if !solved {
 		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
 			cp.pods = sc.podStates((n + podSize - 1) / podSize)

@@ -478,12 +478,6 @@ func (s *Server) computePlan(ctx context.Context, q *params, e *jsonEnc) error {
 	return nil
 }
 
-// maxMixedFunctions bounds Σ count on /v1/mixed: the mixed planner's cost grows
-// as entries × Σ count² and it does not watch its context, so an unbounded
-// request holds an admission slot long past RequestTimeout. 20 000 is the top
-// of the concurrency range the other routes are exercised over.
-const maxMixedFunctions = 20000
-
 // computeMixed is GET /v1/mixed?app=Name:count&app=Name:count&platform=&ws=
 // — plan-only heterogeneous packing (the Sec. 5 extension).
 func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error {
@@ -504,7 +498,7 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 		return badRequest("%v", err)
 	}
 	apps := make([]orchestrator.MixedApp, len(specs))
-	total := 0
+	counts := make([]int, len(specs))
 	for i, p := range specs {
 		name, countStr, ok := strings.Cut(p.val, ":")
 		if !ok {
@@ -514,15 +508,16 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 		if err != nil || count < 1 {
 			return badRequest("bad app count in %q", p.val)
 		}
-		if count > maxMixedFunctions-total {
-			return badRequest("app counts sum past %d, the most functions /v1/mixed plans in one request", maxMixedFunctions)
-		}
-		total += count
+		counts[i] = count
 		wl, err := workload.ByName(name)
 		if err != nil {
 			return badRequest("%v", err)
 		}
 		apps[i] = orchestrator.MixedApp{Workload: wl, Count: count}
+	}
+	// The planner's own bound, judged before the profiling it would follow.
+	if err := core.CheckMixedCounts(counts...); err != nil {
+		return badRequest("%v", err)
 	}
 	plan, overhead, err := orchestrator.PlanMixedJob(cfg, apps, w, s.cfg.Seed)
 	if err != nil {

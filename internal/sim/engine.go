@@ -116,6 +116,23 @@ func TimerAt(from, d float64) float64 {
 	return t
 }
 
+// TimersAt sets dst[i] = TimerAt(from[i], d[i]) for every row of a block, in
+// order; dst may be d. Each row takes one inline test instead of TimerAt's
+// two out-of-line checks, and a malformed row goes to TimerAt itself, so the
+// block panics where that loop would, with its message and the rows before
+// it written. from and d must be at least as long as dst.
+func TimersAt(dst, from, d []float64) {
+	from, d = from[:len(dst)], d[:len(dst)]
+	for i := range dst {
+		di := d[i]
+		t := from[i] + di
+		if !(di >= 0 && t-t == 0) { // t−t is 0 exactly when t is finite
+			TimerAt(from[i], di) // panics
+		}
+		dst[i] = t
+	}
+}
+
 // Emit schedules an event at absolute virtual time t: when the clock
 // reaches t the registered sink's Dispatch(kind, subject) runs. The event is
 // a plain word in the queue — no allocation. Emitting with no sink

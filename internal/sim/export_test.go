@@ -42,3 +42,12 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+
+// PlaceWord sets the register so that the stream's next step returns w, the
+// way to draw a chosen word. The register must be complete: the stream has
+// taken at least 334 steps since it was seeded.
+func (g *RNG) PlaceWord(w uint64) {
+	s := &g.src
+	tap, feed := (s.tap+srcLen-1)%srcLen, (s.feed+srcLen-1)%srcLen
+	s.vec[feed] = int64(w) - s.vec[tap]
+}

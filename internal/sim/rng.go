@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+	"sort"
+)
 
 // RNG is a deterministic random stream used for execution-time jitter and
 // workload input generation. Distinct components derive independent streams
@@ -8,7 +11,9 @@ import "math/rand"
 //
 // The stream is math/rand's, bit for bit — rand.New over a source that seeds
 // to rand.NewSource(seed)'s state without the stdlib's seeding cost (see
-// source.go). An RNG must not be copied: r draws from the embedded src.
+// source.go); Jitter and FillJitter alone step the register themselves, for
+// a normal draw in the ziggurat's common strip (strip). An RNG must not be
+// copied: r draws from the embedded src.
 type RNG struct {
 	src source
 	r   *rand.Rand
@@ -60,11 +65,138 @@ func (g *RNG) Jitter(relStdDev float64) float64 {
 	if relStdDev <= 0 {
 		return 1
 	}
-	eps := g.r.NormFloat64() * relStdDev
-	if eps > 3*relStdDev {
-		eps = 3 * relStdDev
-	} else if eps < -3*relStdDev {
-		eps = -3 * relStdDev
+	return clampJitter(g.norm(), relStdDev)
+}
+
+// FillJitter sets dst[i] = base * g.Jitter(rel) in order: the same bits, and
+// the stream left where len(dst) Jitter calls leave it. Once the register is
+// complete it keeps tap and feed in locals for the block, and hands a word
+// the common strip rejects (≈ 2.8%) to math/rand, which draws it again.
+func (g *RNG) FillJitter(dst []float64, base, rel float64) {
+	if rel <= 0 {
+		for i := range dst {
+			dst[i] = base
+		}
+		return
+	}
+	s, i := &g.src, 0
+	for ; i < len(dst) && s.unread > 0; i++ { // no strip before the register is complete
+		dst[i] = base * clampJitter(g.r.NormFloat64(), rel)
+	}
+	tap, feed := s.tap, s.feed
+	for ; i < len(dst); i++ {
+		t, f := prev(tap), prev(feed)
+		z, ok := s.strip(t, f)
+		if ok {
+			tap, feed = t, f
+		} else {
+			s.tap, s.feed = tap, feed
+			z = g.r.NormFloat64()
+			tap, feed = s.tap, s.feed
+		}
+		dst[i] = base * clampJitter(z, rel)
+	}
+	s.tap, s.feed = tap, feed
+}
+
+// norm returns math/rand's NormFloat64, taking the common strip inline once
+// the register is complete.
+func (g *RNG) norm() float64 {
+	s := &g.src
+	if s.unread == 0 {
+		t, f := prev(s.tap), prev(s.feed)
+		if z, ok := s.strip(t, f); ok {
+			s.tap, s.feed = t, f
+			return z
+		}
+	}
+	return g.r.NormFloat64()
+}
+
+// strip is math/rand's NormFloat64 for a word in the ziggurat's common strip:
+// the step of a complete register that feeds vec[f] with tap t. A word the
+// strip rejects is not committed (ok false), so math/rand's NormFloat64 can
+// draw it again and run the tail, which is kept nowhere else.
+func (s *source) strip(t, f int) (z float64, ok bool) {
+	x := s.vec[f] + s.vec[t]
+	j := int32(uint64(x) >> 31) // rand.Rand.Uint32 of this step
+	k := j & 0x7f
+	if absInt32(j) >= normK[k] {
+		return 0, false
+	}
+	s.vec[f] = x
+	return float64(j) * float64(normW[k]), true
+}
+
+// prev is the register index before i: tap and feed walk down, wrapping.
+func prev(i int) int {
+	if i == 0 {
+		return srcLen - 1
+	}
+	return i - 1
+}
+
+// clampJitter is 1 + z·rel clamped to ±3·rel.
+func clampJitter(z, rel float64) float64 {
+	eps := z * rel
+	if eps > 3*rel {
+		eps = 3 * rel
+	} else if eps < -3*rel {
+		eps = -3 * rel
 	}
 	return 1 + eps
+}
+
+// absInt32 is math/rand's |j| without a branch: j's sign is a coin flip.
+func absInt32(j int32) uint32 {
+	m := j >> 31
+	return uint32((j ^ m) - m)
+}
+
+// normK and normW are math/rand's ziggurat strip tables as NormFloat64's
+// first test sees them: word j of strip k = j&0x7f returns float64(j) ·
+// normW[k] at once exactly when |j| < normK[k]. Like srcCooked they are read
+// back from math/rand at init: normW[k] from an accepted word, normK[k] by a
+// binary search for the least rejected |j| of each sign (acceptance is
+// monotone in |j|). Strip 1 accepts no word: math/rand's kn[1] is 0.
+var (
+	normK [128]uint32
+	normW [128]float32
+)
+
+// wordProbe is a rand.Source whose first Int63 makes Uint32 return first and
+// whose later ones return 0, counting its reads: NormFloat64 accepted first
+// in the common strip iff it read once.
+type wordProbe struct {
+	first int32
+	reads int
+}
+
+func (p *wordProbe) Seed(int64) {}
+
+func (p *wordProbe) Int63() int64 {
+	if p.reads++; p.reads > 1 {
+		return 0
+	}
+	return int64(uint32(p.first)) << 31
+}
+
+func init() {
+	p := new(wordProbe)
+	std := rand.New(p)
+	draw := func(j int) (z float64, accepted bool) {
+		p.first, p.reads = int32(j), 0
+		z = std.NormFloat64()
+		return z, p.reads == 1
+	}
+	rejects := func(j int) bool { _, ok := draw(j); return !ok }
+	const words = 1 << 24 // per strip and sign
+	for k := range normK {
+		if z, ok := draw(k + 128); ok {
+			normW[k] = float32(z / float64(k+128))
+		}
+		pos := k + 128*sort.Search(words, func(m int) bool { return rejects(k + 128*m) })
+		neg := 128*(1+sort.Search(words, func(m int) bool { return rejects(k - 128*(m+1)) })) - k
+		normK[k] = uint32(min(pos, neg))
+	}
 }

@@ -24,6 +24,9 @@ import "math/rand"
 // vec[feed], and vec[tap] too while tap is still above feed's starting
 // point; after 334 steps all 607 words exist. A burst that draws k < 334
 // times pays for about 2k words instead of 607 (DESIGN §15).
+//
+// Once unread is 0, strip (rng.go) also steps the register, for the normal
+// draw's common strip; a word it rejects it leaves for Uint64 to take.
 type source struct {
 	tap, feed int
 	vec       [srcLen]int64
