@@ -10,13 +10,15 @@
 //   - Pywren — the state-of-the-art serverless workload manager (Jonas et
 //     al.), modeled through its headline optimizations: warm-instance
 //     reuse (cold starts avoided for a pool of reusable instances) and
-//     optimized data movement;
-//   - Oracle — exhaustive brute-force search over every packing degree,
-//     the upper bound ProPack's analytical model is judged against.
+//     optimized data movement.
+//
+// Sweep runs an application at every packing degree — the exhaustive search
+// ProPack's analytical model is judged against in Figs. 8 and 15 — and
+// SweepPlanner plans over its measured columns exactly as ProPack plans over
+// its modeled ones.
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -183,6 +185,3 @@ func metricsFromSpans(platformName string, degree, instances int,
 		MeanExecSec:   funcSec / float64(instances),
 	}
 }
-
-// ErrNoFeasibleDegree is returned by Oracle when even degree 1 cannot run.
-var ErrNoFeasibleDegree = errors.New("baseline: no feasible packing degree")

@@ -1,12 +1,13 @@
 package baseline
 
 import (
-	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/interfere"
 	"repro/internal/orchestrator"
 	"repro/internal/platform"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,13 +111,31 @@ func TestPywrenHelpsAtLowConcurrencyOnly(t *testing.T) {
 	}
 }
 
-func TestOracleBeatsBaselineAndEndpoints(t *testing.T) {
+// oracle sweeps every degree of demand() at (c, seed) and returns the
+// planner over the sweep's measured columns, with the sweep.
+func oracle(t *testing.T, c int, seed int64) (*core.Planner, []trace.Metrics) {
+	t.Helper()
 	cfg := platform.AWSLambda()
-	const c = 1500
-	m, deg, err := Oracle{Objective: MinTotalService}.Search(cfg, demand(), c, 5)
+	all, err := Sweep(cfg, demand(), c, seed, cfg.Shape.MaxDegree(demand()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl, err := SweepPlanner(c, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, all
+}
+
+func TestOracleBeatsBaselineAndEndpoints(t *testing.T) {
+	cfg := platform.AWSLambda()
+	const c = 1500
+	pl, all := oracle(t, c, 5)
+	plan, err := pl.PlanFor(c, core.ServiceOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deg := plan.Degree
 	if deg <= 1 {
 		t.Fatalf("oracle at C=%d should pack, got degree %d", c, deg)
 	}
@@ -124,60 +143,34 @@ func TestOracleBeatsBaselineAndEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TotalService >= base.TotalService {
-		t.Fatalf("oracle no better than baseline: %g vs %g", m.TotalService, base.TotalService)
+	if plan.PredictedServiceSec >= base.TotalService {
+		t.Fatalf("oracle no better than baseline: %g vs %g", plan.PredictedServiceSec, base.TotalService)
 	}
-	// The oracle's metrics must equal re-running at its chosen degree.
+	// The oracle's figures must be its sweep's at its degree, and equal a
+	// rerun at that degree.
 	again, err := orchestrator.Execute(cfg, demand(), c, deg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.TotalService != m.TotalService {
-		t.Fatal("oracle metrics do not match its chosen degree")
+	if m := all[deg-1]; m.Degree != deg || plan.PredictedServiceSec != m.TotalService || again.TotalService != m.TotalService {
+		t.Fatalf("oracle plan %+v does not match its sweep's run %+v or a rerun %+v at its degree", plan, m, again)
 	}
 }
 
 func TestOracleObjectivesDiffer(t *testing.T) {
-	cfg := platform.AWSLambda()
 	const c = 2000
-	_, degS, err := Oracle{Objective: MinTotalService}.Search(cfg, demand(), c, 6)
+	pl, _ := oracle(t, c, 6)
+	planS, err := pl.PlanFor(c, core.ServiceOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, degE, err := Oracle{Objective: MinExpense}.Search(cfg, demand(), c, 6)
+	planE, err := pl.PlanFor(c, core.ExpenseOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Paper Fig. 15: the expense oracle packs more than the service oracle.
-	if degE <= degS {
-		t.Fatalf("expense oracle degree %d should exceed service oracle %d", degE, degS)
-	}
-}
-
-// TestPickIsSearchOverOneSweep: Search is Sweep then Pick, so a caller after
-// several objectives at one cell (Fig. 15) sweeps once — every objective's
-// pick over the shared sweep is the run its own Search returns — and an empty
-// sweep is the same typed error either way.
-func TestPickIsSearchOverOneSweep(t *testing.T) {
-	cfg := platform.AWSLambda()
-	const c, seed = 600, 6
-	all, err := Sweep(cfg, demand(), c, seed, cfg.Shape.MaxDegree(demand()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, obj := range []Objective{MinTotalService, MinExpense} {
-		o := Oracle{Objective: obj}
-		want, deg, err := o.Search(cfg, demand(), c, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := o.Pick(all)
-		if err != nil || got != want || got.Degree != deg {
-			t.Errorf("%s: Pick = %+v (%v), Search = %+v at degree %d", obj, got, err, want, deg)
-		}
-	}
-	if _, err := (Oracle{}).Pick(nil); !errors.Is(err, ErrNoFeasibleDegree) {
-		t.Errorf("Pick over an empty sweep: %v, want ErrNoFeasibleDegree", err)
+	if planE.Degree <= planS.Degree {
+		t.Fatalf("expense oracle degree %d should exceed service oracle %d", planE.Degree, planS.Degree)
 	}
 }
 
@@ -202,23 +195,26 @@ func TestSweepStopsAtExecLimit(t *testing.T) {
 	}
 }
 
+// TestOracleInfeasible: a function that fits no instance sweeps no degree,
+// and the planner over an empty sweep is an error.
 func TestOracleInfeasible(t *testing.T) {
 	cfg := platform.AWSLambda()
 	d := demand()
 	d.MemoryMB = cfg.Shape.MemoryMB + 1
-	if _, _, err := (Oracle{}).Search(cfg, d, 10, 1); err == nil {
+	all, err := Sweep(cfg, d, 10, 1, cfg.Shape.MaxDegree(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SweepPlanner(10, all); err == nil {
 		t.Fatal("oversized function accepted")
 	}
 }
 
 func TestStrategyNames(t *testing.T) {
 	for _, s := range []Strategy{NoPacking{}, SerialBatching{BatchSize: 50},
-		Staggered{DelaySec: 0.1}, Pywren{}, Oracle{Objective: MinExpense}} {
+		Staggered{DelaySec: 0.1}, Pywren{}} {
 		if s.Name() == "" {
 			t.Fatal("empty strategy name")
 		}
-	}
-	if got := (Oracle{Objective: MinExpense}).Name(); got != "Oracle (expense)" {
-		t.Fatalf("unexpected name %q", got)
 	}
 }

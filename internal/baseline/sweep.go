@@ -3,8 +3,8 @@ package baseline
 import (
 	"context"
 	"errors"
-	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/interfere"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
@@ -12,89 +12,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
-
-// Objective selects the figure of merit the Oracle minimizes: total service
-// time or expense, the single objectives of Fig. 15. The equal-weight
-// combination the paper's Fig. 8 Oracle minimizes is the observed analogue
-// of Eq. 7 and lives with that figure (experiments.oracleFromSweep).
-type Objective int
-
-const (
-	// MinTotalService minimizes the time to the last instance's completion.
-	MinTotalService Objective = iota
-	// MinExpense minimizes the user's bill.
-	MinExpense
-)
-
-func (o Objective) String() string {
-	switch o {
-	case MinTotalService:
-		return "total service time"
-	case MinExpense:
-		return "expense"
-	default:
-		return fmt.Sprintf("Objective(%d)", int(o))
-	}
-}
-
-func (o Objective) value(m trace.Metrics) float64 {
-	switch o {
-	case MinTotalService:
-		return m.TotalService
-	case MinExpense:
-		return m.ExpenseUSD
-	default:
-		panic(fmt.Sprintf("baseline: objective %d has no scalar value", int(o)))
-	}
-}
-
-// Oracle performs the exhaustive brute-force search the paper uses as
-// ground truth: it actually runs the application at every feasible packing
-// degree and keeps the best by the objective. This is exactly what ProPack's
-// analytical model exists to avoid paying for.
-type Oracle struct {
-	Objective Objective
-}
-
-// Name implements Strategy.
-func (o Oracle) Name() string { return fmt.Sprintf("Oracle (%s)", o.Objective) }
-
-// Execute implements Strategy.
-func (o Oracle) Execute(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, error) {
-	m, _, err := o.Search(cfg, d, c, seed)
-	return m, err
-}
-
-// Search runs the sweep and also returns the winning packing degree.
-func (o Oracle) Search(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, int, error) {
-	maxDeg := cfg.Shape.MaxDegree(d)
-	if maxDeg < 1 {
-		return trace.Metrics{}, 0, fmt.Errorf("%w: function does not fit in instance memory", ErrNoFeasibleDegree)
-	}
-	all, err := Sweep(cfg, d, c, seed, maxDeg)
-	if err != nil {
-		return trace.Metrics{}, 0, err
-	}
-	best, err := o.Pick(all)
-	return best, best.Degree, err
-}
-
-// Pick is Search's second half: the run the objective prefers among a
-// Sweep's (ties go to the lowest degree), ErrNoFeasibleDegree if there is
-// none. A caller after several objectives at one (platform, demand, c, seed)
-// sweeps once and picks for each.
-func (o Oracle) Pick(all []trace.Metrics) (trace.Metrics, error) {
-	if len(all) == 0 {
-		return trace.Metrics{}, ErrNoFeasibleDegree
-	}
-	best := all[0]
-	for _, m := range all[1:] {
-		if o.Objective.value(m) < o.Objective.value(best) {
-			best = m
-		}
-	}
-	return best, nil
-}
 
 // Sweep runs the application at every packing degree from 1 to maxDeg,
 // stopping at the platform's execution limit, and returns the metrics of
@@ -164,4 +81,19 @@ func SweepWithOptions(cfg platform.Config, d interfere.Demand, c int, seed int64
 		out = append(out, r.m)
 	}
 	return out, nil
+}
+
+// SweepPlanner is the planner over a Sweep's runs at concurrency c: the
+// Oracle of Figs. 8 and 15, whose degree is the Eq. 7 argmin ProPack takes,
+// scanned by the same code over measured columns instead of modeled ones
+// (core.MeasuredPlanner). runs[i] is degree i+1, as Sweep returns them; an
+// empty sweep — a function that fits no instance — is an error.
+func SweepPlanner(c int, runs []trace.Metrics) (*core.Planner, error) {
+	n := len(runs)
+	cols := make([]float64, 4*n)
+	total, tail, median, expense := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:]
+	for i, m := range runs {
+		total[i], tail[i], median[i], expense[i] = m.TotalService, m.TailService, m.MedianService, m.ExpenseUSD
+	}
+	return core.MeasuredPlanner(c, total, tail, median, expense)
 }

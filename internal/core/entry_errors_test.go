@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -10,8 +11,8 @@ import (
 // things need pinning that the equivalence suites (valid inputs only) never
 // see: the error text of the shared validation preamble must stay the
 // fixed-size text — no "memory size … MB:" prefix leaking out of the grid —
-// and the numeric boundaries (NaN, out-of-range quantiles, degenerate QoS
-// steps) must be rejected there instead of reaching the search.
+// and the numeric boundaries (NaN, out-of-range quantiles and QoS bounds)
+// must be rejected there instead of reaching the search.
 
 // entryInputs is one call's worth of arguments; each entry point takes the
 // subset it has parameters for.
@@ -128,14 +129,11 @@ func TestFixedSizeEntryPointErrorText(t *testing.T) {
 		}
 	}
 
-	// QoS entry points judge the bound and options before the models.
+	// QoS entry points judge the bound before the models.
 	bad := stressModels()
 	bad.MaxDegree = 0
 	if _, _, err := NewPlanner(bad).QoSPlan(0, 0, QoSOptions{}); errStr(err) != "core: non-positive QoS bound 0" {
 		t.Errorf("Planner.QoSPlan bound precedence: %v", err)
-	}
-	if _, _, err := NewPlanner(bad).QoSPlan(0, 10, QoSOptions{TailQuantile: 120}); errStr(err) != "core: tail quantile 120 outside (0,100]" {
-		t.Errorf("Planner.QoSPlan precedence: %v", err)
 	}
 	if _, _, err := NewPlanner(stressModels()).QoSPlan(5000, 1e-6, QoSOptions{}); errStr(err) != "core: no weighting satisfies the QoS bound: bound 1e-06s at concurrency 5000" {
 		t.Errorf("infeasible QoS bound: %v", err)
@@ -165,10 +163,10 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 	}
 	columns := len(row.quantiles)
 
-	qos := func(qosSec float64, opts QoSOptions) map[string]func() error {
+	qos := func(qosSec float64) map[string]func() error {
 		return map[string]func() error{
-			"Planner.QoSPlan":      func() error { _, _, err := pl.QoSPlan(c, qosSec, opts); return err },
-			"Planner.QoSPlanJoint": func() error { _, _, err := jpl.QoSPlanJoint(c, qosSec, opts); return err },
+			"Planner.QoSPlan":      func() error { _, _, err := pl.QoSPlan(c, qosSec, QoSOptions{}); return err },
+			"Planner.QoSPlanJoint": func() error { _, _, err := jpl.QoSPlanJoint(c, qosSec, QoSOptions{}); return err },
 		}
 	}
 	type boundaryCase struct {
@@ -192,20 +190,7 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 			"Planner.TailServiceAt": func() error { _, err := pl.TailServiceAt(c, w, q); return err },
 		}})
 	}
-	for _, tc := range []struct {
-		name   string
-		qosSec float64
-		opts   QoSOptions
-	}{
-		{"QoS step NaN", 100, QoSOptions{Step: nan}},
-		{"QoS step 1e-300", 100, QoSOptions{Step: 1e-300}},
-		{"QoS step over the grid cap", 100, QoSOptions{Step: 1e-7}},
-		{"QoS step -Inf", 100, QoSOptions{Step: math.Inf(-1)}},
-		{"QoS bound NaN", nan, QoSOptions{}},
-		{"QoS tail quantile NaN", 100, QoSOptions{TailQuantile: nan}},
-	} {
-		cases = append(cases, boundaryCase{tc.name, qos(tc.qosSec, tc.opts)})
-	}
+	cases = append(cases, boundaryCase{"QoS bound NaN", qos(nan)})
 
 	for _, tc := range cases {
 		for name, call := range tc.calls {
@@ -226,8 +211,82 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 	if got := len(row.quantiles); got != columns {
 		t.Errorf("cached row grew from %d to %d quantile columns on rejected inputs", columns, got)
 	}
-	// The finest step under the cap still searches.
-	if _, _, err := pl.QoSPlan(c, 1e6, QoSOptions{Step: 1e-5}); err != nil {
-		t.Errorf("step 1e-5 rejected: %v", err)
+}
+
+// TestMeasuredPlannerRefuses: the planner over measured columns refuses
+// columns it cannot plan over, and every question its columns do not answer
+// — another concurrency, another quantile — rather than compute one from no
+// model. The questions they do answer read the planner's own copy.
+func TestMeasuredPlannerRefuses(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	col := func(v ...float64) []float64 { return v }
+	ok := col(3, 2, 4)
+	for _, tc := range []struct {
+		name                         string
+		c                            int
+		total, tail, median, expense []float64
+		want                         string
+	}{
+		{"no columns", 10, nil, nil, nil, nil, "core: measured columns of 0, 0, 0 and 0 cells: want one length ≥ 1"},
+		{"empty columns", 10, col(), col(), col(), col(), "core: measured columns of 0, 0, 0 and 0 cells: want one length ≥ 1"},
+		{"unequal columns", 10, ok, ok, col(1, 2), ok, "core: measured columns of 3, 3, 2 and 3 cells: want one length ≥ 1"},
+		{"negative cell", 10, ok, ok, ok, col(1, -1, 1), "core: measured cell -1 at degree 2 is negative or not finite"},
+		{"NaN cell", 10, col(nan, 1, 1), ok, ok, ok, "core: measured cell NaN at degree 1 is negative or not finite"},
+		{"+Inf cell", 10, ok, col(1, 1, inf), ok, ok, "core: measured cell +Inf at degree 3 is negative or not finite"},
+		{"concurrency 0", 0, ok, ok, ok, ok, "core: concurrency 0 < 1"},
+	} {
+		if _, err := MeasuredPlanner(tc.c, tc.total, tc.tail, tc.median, tc.expense); errStr(err) != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, errStr(err), tc.want)
+		}
 	}
+
+	total := col(3, 2, 4)
+	pl, err := MeasuredPlanner(10, total, ok, ok, ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total[1] = 100 // the planner keeps its own copy
+	w := Balanced()
+	for _, q := range []float64{100, 95, 50} {
+		if deg, err := pl.OptimalDegreeForQuantile(10, q, w); err != nil || deg != 2 {
+			t.Errorf("q=%g: degree %d (%v), want 2", q, deg, err)
+		}
+	}
+	if _, _, err := pl.QoSPlan(10, 5, QoSOptions{}); err != nil {
+		t.Errorf("QoSPlan over the p95 column: %v", err)
+	}
+	var wg sync.WaitGroup // the one table serves concurrent callers
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if deg, err := pl.OptimalDegreeForQuantile(10, []float64{100, 95, 50}[i%3], w); err != nil || deg != 2 {
+					t.Errorf("concurrent call %d: degree %d (%v), want 2", i, deg, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for name, call := range map[string]func() error{
+		"PlanFor at another concurrency": func() error { _, err := pl.PlanFor(11, w); return err },
+		"Answer at another concurrency":  func() error { _, err := pl.Answer(Request{C: 9, Weights: w}); return err },
+		"ForQuantile at p99":             func() error { _, err := pl.OptimalDegreeForQuantile(10, 99, w); return err },
+		"TailServiceAt p75":              func() error { _, err := pl.TailServiceAt(10, w, 75); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: answered", name)
+		}
+	}
+	row, err := pl.Table(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a measured row computed a p75 column from no model")
+		}
+	}()
+	row.ServiceTimeQuantile(1, 75)
 }

@@ -136,7 +136,7 @@ func (t *GridTable) firstEligible(minDeg int) (si, deg int) {
 // minDeg..MaxDegree) with first-wins strict-< tie-breaking — ties resolve to
 // the smallest size, then the smallest degree — so on one row it is the
 // naive degree-by-degree scan. A zero weight drops its term
-// (Weights.regret), a zero baseline takes FracRegret's limit, and when no
+// (Weights.regret), a zero baseline takes fracRegret's limit, and when no
 // regret compares (all NaN), firstEligible stands.
 func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) {
 	bestS, bestE := t.jointBaselines(q, minDeg)
@@ -149,8 +149,8 @@ func (t *GridTable) argminJoint(q float64, minDeg int, w Weights) (si, deg int) 
 		svc := dt.quantile(q).vals[minDeg-1:]
 		exp := dt.expense[minDeg-1:]
 		for j, s := range svc {
-			dS := FracRegret(s, bestS)      // Eq. 5, over the whole grid
-			dE := FracRegret(exp[j], bestE) // Eq. 6, over the whole grid
+			dS := fracRegret(s, bestS)      // Eq. 5, over the whole grid
+			dE := fracRegret(exp[j], bestE) // Eq. 6, over the whole grid
 			if v := w.regret(dS, dE); v < bestVal {
 				bestSi, bestDeg, bestVal = i, j+minDeg, v
 			}
@@ -240,14 +240,14 @@ func (t *GridTable) planFor(w Weights) JointPlan {
 // degreeRangeTol of the optimum's. The regret keeps DegreeRange's historical
 // grouping, W·(x−best)/best — not Eq. 7's W·((x−best)/best) — because the
 // band edges are pinned in the serve goldens. A zero weight drops its term,
-// as Weights.regret does, and a zero baseline takes FracRegret's limit, so
+// as Weights.regret does, and a zero baseline takes fracRegret's limit, so
 // neither can close the band with a NaN.
 func (t *GridTable) degreeRange(w Weights) (lo, hi int) {
 	svc, exp := t.sizes[0].t.service, t.sizes[0].t.expense
 	bestS, bestE := t.jointBaselines(100, 1)
 	term := func(w, x, b float64) float64 {
 		if b == 0 {
-			return w * FracRegret(x, b)
+			return w * fracRegret(x, b)
 		}
 		return w * (x - b) / b
 	}

@@ -115,8 +115,7 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 
 		// QoS: aim bounds across the feasibility spectrum, as the 1-D
 		// equivalence suite does.
-		opts := QoSOptions{Step: []float64{0, 0.05, 0.25, 0.7, 1}[trial%5]}
-		tailQ := 95.0
+		step, tailQ := []float64{qosStep, 0.1, 0.25, 0.7, 1}[trial%5], float64(qosTailQuantile)
 		bestDeg, _ := naiveArgminColumn(g, c, Models.ServiceTime)
 		worstDeg, _ := naiveArgminColumn(g, c, Models.Expense)
 		lo := m.ServiceTimeQuantile(c, bestDeg, tailQ)
@@ -128,8 +127,9 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 		if !(qos > 0) {
 			qos = 1
 		}
-		wantP, wantW, wantErr := pl.QoSPlan(c, qos, opts)
-		if opts == (QoSOptions{}) && !math.IsInf(qos, 1) { // a Request's bound is finite
+		wantJP, wantW, wantErr := qosPlanAt(pl.cache, c, qos, tailQ, step)
+		wantP := wantJP.Plan
+		if step == qosStep && !math.IsInf(qos, 1) { // a Request's bound is finite
 			qosJP, qosErr := g.Answer(Request{C: c, Weights: w, QoSSec: qos, SizesMB: sizes})
 			if errStr(qosErr) != errStr(wantErr) || (qosErr == nil && (qosJP.Weights != wantW || !planEq(qosJP.Plan, wantP))) {
 				t.Fatalf("trial %d: GridModels.Answer with a bound=(%+v,%v), 1-D=(%+v,%+v,%v) (qos=%g)",
@@ -144,7 +144,7 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 				t.Fatalf("trial %d pass %d: Planner.PlanJointFor=(%+v,%v), GridModels.Answer=(%+v,%v)",
 					trial, pass, pPlan, pErr, jointPlan, planErr)
 			}
-			pJP, pW, pqErr := jpl.QoSPlanJoint(c, qos, opts)
+			pJP, pW, pqErr := qosPlanAt(jpl.grid, c, qos, tailQ, step)
 			if errStr(pqErr) != errStr(wantErr) || pW != wantW || !planEq(pJP.Plan, wantP) || (pqErr == nil && pJP.MemMB != memMB) {
 				t.Fatalf("trial %d pass %d: Planner.QoSPlanJoint=(%+v,%+v,%v), 1-D=(%+v,%+v,%v)",
 					trial, pass, pJP, pW, pqErr, wantP, wantW, wantErr)
@@ -196,18 +196,14 @@ func naiveQoSJoint(g GridModels, c int, qosSec, tailQ, step float64) (Weights, e
 
 func TestGridQoSMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
-	steps := []float64{0, 0.05, 0.1, 0.25, 0.3, 0.7, 1}
+	steps := []float64{qosStep, 0.1, 0.25, 0.3, 0.7, 1}
 	feasible := 0
 	for trial := 0; trial < 300; trial++ {
 		g := randGrid(r)
 		c := 1 + r.Intn(20000)
-		opts := QoSOptions{Step: steps[trial%len(steps)]}
+		step, tailQ := steps[trial%len(steps)], float64(qosTailQuantile)
 		if r.Float64() < 0.3 {
-			opts.TailQuantile = 50 + 50*r.Float64()
-		}
-		tailQ := opts.TailQuantile
-		if tailQ == 0 {
-			tailQ = 95
+			tailQ = 50 + 50*r.Float64()
 		}
 		bsi, bdeg := naiveArgminGrid(g, c, 100, 1, ServiceOnly())
 		esi, edeg := naiveArgminGrid(g, c, 100, 1, ExpenseOnly())
@@ -221,19 +217,15 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 			qos = 1
 		}
 
-		step := opts.Step
-		if step == 0 {
-			step = 0.05
-		}
 		want, wantErr := naiveQoSJoint(g, c, qos, tailQ, step)
 		jpl, err := NewJointPlanner(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, got, gotErr := jpl.QoSPlanJoint(c, qos, opts)
+		plan, got, gotErr := qosPlanAt(jpl.grid, c, qos, tailQ, step)
 		if errStr(gotErr) != errStr(wantErr) {
 			t.Fatalf("trial %d: error mismatch: got %v, naive %v (qos=%g c=%d step=%g grid=%+v)",
-				trial, gotErr, wantErr, qos, c, opts.Step, g)
+				trial, gotErr, wantErr, qos, c, step, g)
 		}
 		if gotErr != nil {
 			if !errors.Is(gotErr, ErrQoSInfeasible) {
@@ -244,7 +236,7 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 		feasible++
 		if got != want {
 			t.Fatalf("trial %d: QoSPlanJoint weights=%+v, naive=%+v (qos=%g c=%d step=%g)",
-				trial, got, want, qos, c, opts.Step)
+				trial, got, want, qos, c, step)
 		}
 
 		// The plan must be the joint plan at exactly those weights, and
@@ -253,7 +245,7 @@ func TestGridQoSMatchesNaive(t *testing.T) {
 		if wantPlan := newGridTable(g, c).plan(si, deg, want); !jointPlanEq(plan, wantPlan) {
 			t.Fatalf("trial %d: QoSPlanJoint plan=%+v, oracle=%+v", trial, plan, wantPlan)
 		}
-		if opts == (QoSOptions{}) && !math.IsInf(qos, 1) { // a Request's bound is finite
+		if tailQ == qosTailQuantile && step == qosStep && !math.IsInf(qos, 1) { // a Request's bound is finite
 			answer, err := g.Answer(Request{C: c, Weights: Balanced(), QoSSec: qos, SizesMB: g.MemSizesMB()})
 			if err != nil || !jointPlanEq(answer, plan) {
 				t.Fatalf("trial %d: GridModels.Answer=%+v (%v), QoSPlanJoint=%+v", trial, answer, err, plan)

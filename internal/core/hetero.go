@@ -273,13 +273,13 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		bestS = math.Min(bestS, c.serviceSec)
 		bestE = math.Min(bestE, c.expenseUSD)
 	}
-	// A zero baseline (a zero rate makes every expense 0) takes FracRegret's
+	// A zero baseline (a zero rate makes every expense 0) takes fracRegret's
 	// limit, as in GridTable.argminJoint. The first candidate in enumeration
 	// order stands when no regret compares (all NaN), as in
 	// GridTable.firstEligible.
 	best, bestVal := cands[0], math.Inf(1)
 	for _, c := range cands {
-		if v := opts.Weights.regret(FracRegret(c.serviceSec, bestS), FracRegret(c.expenseUSD, bestE)); v < bestVal {
+		if v := opts.Weights.regret(fracRegret(c.serviceSec, bestS), fracRegret(c.expenseUSD, bestE)); v < bestVal {
 			best, bestVal = c, v
 		}
 	}

@@ -36,13 +36,12 @@ func (w Weights) regret(dS, dE float64) float64 {
 	return w.Service*dS + w.Expense*dE
 }
 
-// FracRegret is the fractional regret of x from baseline b, (x−b)/b — the
-// term of Eqs. 5 and 6, and of the measured Oracle that Fig. 8 compares
-// against. At b = 0 it is the limit of (x−b)/b as b → 0⁺: 0
+// fracRegret is the fractional regret of x from baseline b, (x−b)/b — the
+// term of Eqs. 5 and 6. At b = 0 it is the limit of (x−b)/b as b → 0⁺: 0
 // for x = 0 and +Inf otherwise, so on a stack whose every cell costs 0 (a
 // free platform) the expense regret is 0 and Eq. 7 reduces to Eq. 3 instead
 // of turning every cell's regret into NaN.
-func FracRegret(x, b float64) float64 {
+func fracRegret(x, b float64) float64 {
 	if b != 0 {
 		return (x - b) / b
 	}
@@ -85,10 +84,14 @@ func checkInputs(modelErr error, w *Weights, c int) error {
 	return nil
 }
 
-// checkQuantile rejects service-time quantiles outside (0,100], NaN included.
-func checkQuantile(q float64) error {
+// checkQuantile rejects service-time quantiles outside (0,100], NaN
+// included, and one a measured table holds no column for.
+func (t *GridTable) checkQuantile(q float64) error {
 	if !(q > 0 && q <= 100) {
 		return fmt.Errorf("core: quantile %g outside (0,100]", q)
+	}
+	if dt := t.sizes[0].t; dt.measured() && q != 100 && dt.quantiles[q] == nil {
+		return fmt.Errorf("core: no measured column at quantile %g", q)
 	}
 	return nil
 }

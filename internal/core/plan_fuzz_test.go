@@ -76,7 +76,8 @@ func decodePlanGrid(data []byte) (g GridModels, c, minDeg int, q float64, w Weig
 // (at the decoded quantile, over every degree and over degrees ≥ a decoded
 // minimum), qosSearchJoint naiveQoSJoint's weights or error text, and
 // Planner.Answer the plans at those cells, over the grid and over its base
-// size alone. Overflowing ET curves, zero prices and NaN cells are all in
+// size alone; and a MeasuredPlanner over a row's own columns the row's
+// degree. Overflowing ET curves, zero prices and NaN cells are all in
 // reach; whatever the input, nothing may panic, and a stack that fails
 // Validate must come back as an error.
 func FuzzPlanGrid(f *testing.F) {
@@ -114,6 +115,10 @@ func FuzzPlanGrid(f *testing.F) {
 				t.Fatalf("argminJoint(q=%g, minDeg=%d, %+v) = (%d,%d), naive (%d,%d); c=%d grid=%+v",
 					q, md, w, gsi, gdeg, wsi, wdeg, c, g)
 			}
+		}
+
+		for _, sz := range g.Sizes { // each row's columns, measured, plan as the row does
+			checkMeasuredIdentity(t, NewPlanner(sz.Models), c, w)
 		}
 
 		jpl, err := NewJointPlanner(g)

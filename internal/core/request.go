@@ -62,7 +62,7 @@ func (pl *Planner) Answer(r Request) (JointPlan, error) {
 		return JointPlan{}, fmt.Errorf("core: the request's failure model %+v is not the planner's %+v", r.Failure, gc.failure)
 	}
 	if r.QoSSec > 0 {
-		jp, _, err := gc.qosPlan(r.C, r.QoSSec, QoSOptions{})
+		jp, _, err := gc.qosPlan(r.C, r.QoSSec)
 		return jp, err
 	}
 	return gc.planFor(r.C, r.Weights)

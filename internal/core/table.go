@@ -2,7 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // The amortized planner hot path. Every Eq. 5–7 entry point needs the same
@@ -84,6 +88,10 @@ func newDegreeTable(m Models, f FailureModel, c int) *DegreeTable {
 	return t
 }
 
+// measured reports a MeasuredPlanner's row: it has no model to compute a
+// quantile column from.
+func (t *DegreeTable) measured() bool { return t.et == nil }
+
 // MaxDegree returns the table's degree range (degrees 1..MaxDegree).
 func (t *DegreeTable) MaxDegree() int { return len(t.service) }
 
@@ -93,7 +101,9 @@ func (t *DegreeTable) ServiceTime(degree int) float64 { return t.service[degree-
 // Expense returns the memoized Models.Expense(c, degree).
 func (t *DegreeTable) Expense(degree int) float64 { return t.expense[degree-1] }
 
-// ServiceTimeQuantile returns the memoized Models.ServiceTimeQuantile.
+// ServiceTimeQuantile returns the memoized Models.ServiceTimeQuantile. On a
+// MeasuredPlanner's row a quantile other than 100, 95 and 50 has no column,
+// and asking for one panics, as an out-of-range degree does.
 func (t *DegreeTable) ServiceTimeQuantile(degree int, q float64) float64 {
 	return t.quantile(q).vals[degree-1]
 }
@@ -110,6 +120,9 @@ func (t *DegreeTable) quantile(q float64) *quantileColumn {
 	defer t.mu.Unlock()
 	if col, ok := t.quantiles[q]; ok {
 		return col
+	}
+	if t.measured() {
+		panic(fmt.Sprintf("core: no measured column at quantile %g", q))
 	}
 	vals := make([]float64, len(t.et))
 	qq := q / 100
@@ -144,11 +157,12 @@ const defaultTableCap = 64
 // single shard is kept). The Models and GridModels methods plan through one
 // that holds no tables at all and builds afresh on every call.
 type GridCache struct {
-	g       GridModels    // the memory grid; without sizes, the stack is the one row below
-	row     Models        // the one-row stack
-	failure FailureModel  // folded into the row's expectations (Request.Failure)
-	invalid error         // the stack's Validate verdict, fixed with the stack
-	sc      *shardedCache // nil: nothing is kept, every lookup builds
+	g        GridModels    // the memory grid; without sizes, the stack is the one row below
+	row      Models        // the one-row stack
+	failure  FailureModel  // folded into the row's expectations (Request.Failure)
+	invalid  error         // the stack's Validate verdict, fixed with the stack
+	sc       *shardedCache // nil: nothing is kept, every lookup builds
+	measured *GridTable    // MeasuredPlanner's one table; no other concurrency has one
 }
 
 // NewGridCache builds a cache for the grid. capacity ≤ 0 means the default
@@ -194,7 +208,12 @@ func (gc *GridCache) table(c int, w *Weights) (*GridTable, error) {
 	if err := checkInputs(gc.invalid, w, c); err != nil {
 		return nil, err
 	}
-	if gc.sc == nil {
+	switch {
+	case gc.measured != nil && c != gc.measured.c:
+		return nil, fmt.Errorf("core: the measured columns are at concurrency %d, not %d", gc.measured.c, c)
+	case gc.measured != nil:
+		return gc.measured, nil
+	case gc.sc == nil:
 		return gc.build(c), nil
 	}
 	return gc.sc.get(c), nil
@@ -216,21 +235,21 @@ func (gc *GridCache) planFor(c int, w Weights) (JointPlan, error) {
 }
 
 // qosPlan is the Eq. 9 weight search, then the plan at those weights, over
-// one table. The QoS bound and options are judged before the stack and the
-// concurrency — the error order every QoS entry point has always had.
-func (gc *GridCache) qosPlan(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
+// one table. The QoS bound is judged before the stack and the concurrency —
+// the error order every QoS entry point has always had. The guard is written
+// !(x > 0) so that NaN fails it.
+func (gc *GridCache) qosPlan(c int, qosSec float64) (JointPlan, Weights, error) {
 	if gc == nil {
 		return JointPlan{}, Weights{}, ErrNoGrid
 	}
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return JointPlan{}, Weights{}, err
+	if !(qosSec > 0) {
+		return JointPlan{}, Weights{}, fmt.Errorf("core: non-positive QoS bound %g", qosSec)
 	}
 	t, err := gc.Table(c)
 	if err != nil {
 		return JointPlan{}, Weights{}, err
 	}
-	w, err := qosSearchJoint(t, qosSec, tailQ, step)
+	w, err := qosSearchJoint(t, qosSec, qosTailQuantile, qosStep)
 	if err != nil {
 		return JointPlan{}, Weights{}, err
 	}
@@ -282,6 +301,40 @@ func NewJointPlanner(g GridModels) (*Planner, error) {
 	return &Planner{cache: NewTableCache(g.Base(), 0), grid: NewGridCache(g, 0)}, nil
 }
 
+// MeasuredPlanner is the planner over measured columns rather than fitted
+// models: the Oracle of Figs. 8 and 15, which runs every packing degree at
+// concurrency c and keeps the Eq. 7 best. Cell i of each column is packing
+// degree i+1, as a degree sweep measures it: the total (q = 100), p95 and
+// p50 service times and the expense. Every question is the modeled
+// planner's search over these columns; a question at another concurrency or
+// quantile is an error, since no model stands behind them to compute one.
+// The columns must be non-empty, of one length, and finite and ≥ 0 in every
+// cell.
+func MeasuredPlanner(c int, total, tail, median, expense []float64) (*Planner, error) {
+	if err := checkInputs(nil, nil, c); err != nil {
+		return nil, err
+	}
+	n := len(total)
+	for _, col := range [][]float64{total, tail, median, expense} {
+		if n == 0 || len(col) != n {
+			return nil, fmt.Errorf("core: measured columns of %d, %d, %d and %d cells: want one length ≥ 1",
+				len(total), len(tail), len(median), len(expense))
+		}
+		for i, x := range col {
+			if !stats.FiniteNonNeg(x) {
+				return nil, fmt.Errorf("core: measured cell %g at degree %d is negative or not finite", x, i+1)
+			}
+		}
+	}
+	cols := slices.Concat(total, tail, median, expense) // the planner's own copy
+	row := &DegreeTable{service: cols[:n:n], expense: cols[3*n:], quantiles: map[float64]*quantileColumn{
+		95: {vals: cols[n : 2*n : 2*n]},
+		50: {vals: cols[2*n : 3*n : 3*n]},
+	}}
+	row.svcCol.vals = row.service
+	return &Planner{cache: &GridCache{measured: &GridTable{c: c, sizes: []gridSize{{t: row}}}}}, nil
+}
+
 // direct is the planner the Models methods answer through: no tables kept.
 func (m Models) direct() *Planner {
 	return &Planner{cache: &GridCache{row: m, invalid: m.Validate()}}
@@ -328,7 +381,7 @@ func (pl *Planner) Table(c int) (*DegreeTable, error) {
 func (pl *Planner) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, error) {
 	t, err := pl.cache.table(c, &w)
 	if err == nil {
-		err = checkQuantile(q)
+		err = t.checkQuantile(q)
 	}
 	if err != nil {
 		return 0, err
@@ -378,7 +431,7 @@ func (pl *Planner) DegreeRange(c int, w Weights) (lo, hi int, err error) {
 func (pl *Planner) TailServiceAt(c int, w Weights, tailQuantile float64) (float64, error) {
 	t, err := pl.cache.table(c, &w)
 	if err == nil {
-		err = checkQuantile(tailQuantile)
+		err = t.checkQuantile(tailQuantile)
 	}
 	if err != nil {
 		return 0, err
@@ -393,9 +446,9 @@ func (pl *Planner) TailServiceAt(c int, w Weights, tailQuantile float64) (float6
 // literal argmin over TS would always return W_S = 1; the paper's own use —
 // W_S = 0.65 for Xapian rather than 1 — shows the intended reading is the
 // minimal weight that meets the bound.) The weight search and the plan share
-// one table.
+// one table. opts carries no setting (QoSOptions).
 func (pl *Planner) QoSPlan(c int, qosSec float64, opts QoSOptions) (Plan, Weights, error) {
-	jp, w, err := pl.cache.qosPlan(c, qosSec, opts)
+	jp, w, err := pl.cache.qosPlan(c, qosSec)
 	return jp.Plan, w, err
 }
 
@@ -409,5 +462,5 @@ func (pl *Planner) PlanJointFor(c int, w Weights) (JointPlan, error) {
 // QoSPlanJoint is QoSPlan over the grid: the joint plan at the smallest W_S
 // whose joint recommendation keeps the modeled tail within qosSec.
 func (pl *Planner) QoSPlanJoint(c int, qosSec float64, opts QoSOptions) (JointPlan, Weights, error) {
-	return pl.grid.qosPlan(c, qosSec, opts)
+	return pl.grid.qosPlan(c, qosSec)
 }

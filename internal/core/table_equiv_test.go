@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -68,7 +69,7 @@ func naiveArgminColumn(g GridModels, c int, col func(m Models, c, degree int) fl
 // degrees ≥ minDeg, evaluated straight off the Models predictors: the Eqs.
 // 5–6 baselines are seeded from the first cell and folded with strict < in
 // enumeration order (sizes ascending, then degrees), a zero weight drops its
-// term, a zero baseline takes FracRegret's b → 0⁺ limit, the first strict-<
+// term, a zero baseline takes fracRegret's b → 0⁺ limit, the first strict-<
 // regret wins, and the first cell stands when no regret compares. It returns the winning cell's size index and degree.
 func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si, deg int) {
 	type cell struct {
@@ -95,10 +96,10 @@ func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si,
 	for _, x := range cells {
 		var v float64
 		if w.Service != 0 {
-			v += w.Service * FracRegret(x.s, bestS)
+			v += w.Service * fracRegret(x.s, bestS)
 		}
 		if w.Expense != 0 {
-			v += w.Expense * FracRegret(x.e, bestE)
+			v += w.Expense * fracRegret(x.e, bestE)
 		}
 		if v < bestVal {
 			si, deg, bestVal = x.si, x.deg, v
@@ -124,11 +125,7 @@ func naivePlanFor(m Models, c int, w Weights) Plan {
 // naiveQoSWeights is the plain left-to-right weight-grid scan over direct
 // Models evaluations: the reference the planner's QoS search must agree
 // with on every input.
-func naiveQoSWeights(m Models, c int, qosSec float64, opts QoSOptions) (Weights, error) {
-	tailQ, step, err := opts.normalize(qosSec)
-	if err != nil {
-		return Weights{}, err
-	}
+func naiveQoSWeights(m Models, c int, qosSec, tailQ, step float64) (Weights, error) {
 	n := qosGridSize(step)
 	for j := 0; j < n; j++ {
 		w := qosWeightAt(j, n, step)
@@ -138,6 +135,24 @@ func naiveQoSWeights(m Models, c int, qosSec float64, opts QoSOptions) (Weights,
 		}
 	}
 	return Weights{}, fmt.Errorf("%w: bound %.3gs at concurrency %d", ErrQoSInfeasible, qosSec, c)
+}
+
+// qosPlanAt is the cache's QoS plan at a tail quantile and W_S step of the
+// caller's choosing; at the search's own (qosTailQuantile, qosStep) it is the
+// entry points' qosPlan itself.
+func qosPlanAt(gc *GridCache, c int, qosSec, tailQ, step float64) (JointPlan, Weights, error) {
+	if tailQ == qosTailQuantile && step == qosStep {
+		return gc.qosPlan(c, qosSec)
+	}
+	t, err := gc.Table(c)
+	if err != nil {
+		return JointPlan{}, Weights{}, err
+	}
+	w, err := qosSearchJoint(t, qosSec, tailQ, step)
+	if err != nil {
+		return JointPlan{}, Weights{}, err
+	}
+	return t.planFor(w), w, nil
 }
 
 func randModels(r *rand.Rand) Models {
@@ -170,9 +185,46 @@ func randWeights(r *rand.Rand) Weights {
 	return Weights{Service: ws, Expense: 1 - ws}
 }
 
+// checkMeasuredIdentity holds MeasuredPlanner to the fitted planner whose
+// columns it is given: over the fitted row's own total, p95, p50 and expense
+// columns at c it must plan the fitted degree at q = 100, 95 and 50 and
+// weights w. A row with a cell the constructor refuses — negative or not
+// finite — must be refused, and one without must not be. It reports whether
+// the identity was checked.
+func checkMeasuredIdentity(t *testing.T, fitted *Planner, c int, w Weights) bool {
+	t.Helper()
+	row, err := fitted.Table(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := [][]float64{row.service, row.quantile(95).vals, row.quantile(50).vals, row.expense}
+	measured, err := MeasuredPlanner(c, cols[0], cols[1], cols[2], cols[3])
+	refused := false
+	for _, col := range cols {
+		refused = refused || slices.ContainsFunc(col, func(x float64) bool { return !(x >= 0 && x <= math.MaxFloat64) })
+	}
+	if refused != (err != nil) {
+		t.Fatalf("MeasuredPlanner over the columns %v: %v", cols, err)
+	}
+	if err != nil {
+		return false
+	}
+	for _, q := range []float64{100, 95, 50} {
+		got, gotErr := measured.OptimalDegreeForQuantile(c, q, w)
+		want, wantErr := fitted.OptimalDegreeForQuantile(c, q, w)
+		if gotErr != nil || wantErr != nil || got != want {
+			t.Fatalf("q=%g w=%+v c=%d: measured degree %d (%v), fitted %d (%v); columns %v",
+				q, w, c, got, gotErr, want, wantErr, cols)
+		}
+	}
+	return true
+}
+
 func TestTablePlannerMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	rw := rand.New(rand.NewSource(8)) // the measured identity's weights, off r's stream
 	quantiles := []float64{100, 95, 50, 99.5, 10}
+	measured := 0
 	for trial := 0; trial < 300; trial++ {
 		m := randModels(r)
 		c := 1 + r.Intn(20000)
@@ -208,6 +260,17 @@ func TestTablePlannerMatchesNaive(t *testing.T) {
 				t.Fatalf("trial %d pass %d: Planner.ForQuantile=%d (%v), first call=%d", trial, pass, pdeg, err, got)
 			}
 		}
+
+		// The Oracle's planner over this row's own columns is this planner.
+		ws := rw.Float64()
+		for _, mw := range []Weights{w, {Service: ws, Expense: 1 - ws}} {
+			if checkMeasuredIdentity(t, pl, c, mw) {
+				measured++
+			}
+		}
+	}
+	if measured < 300 {
+		t.Fatalf("the measured identity was checked at %d weights, want ≥ 300", measured)
 	}
 }
 
@@ -249,21 +312,17 @@ func TestConstrainedMatchesNaive(t *testing.T) {
 
 func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	steps := []float64{0, 0.05, 0.1, 0.25, 0.3, 0.7, 1}
+	steps := []float64{qosStep, 0.1, 0.25, 0.3, 0.7, 1}
 	for trial := 0; trial < 400; trial++ {
 		m := randModels(r)
 		c := 1 + r.Intn(20000)
-		opts := QoSOptions{Step: steps[trial%len(steps)]}
+		step, tailQ := steps[trial%len(steps)], float64(qosTailQuantile)
 		if r.Float64() < 0.3 {
-			opts.TailQuantile = 50 + 50*r.Float64()
+			tailQ = 50 + 50*r.Float64()
 		}
 
 		// Aim bounds across the whole feasibility spectrum: below the best
 		// achievable tail (infeasible), between best and worst, and above.
-		tailQ := opts.TailQuantile
-		if tailQ == 0 {
-			tailQ = 95
-		}
 		bestDeg := naiveArgminRegret(m, c, 100, 1, ServiceOnly())
 		worstDeg := naiveArgminRegret(m, c, 100, 1, ExpenseOnly())
 		lo := m.ServiceTimeQuantile(c, bestDeg, tailQ)
@@ -273,12 +332,13 @@ func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 			qos = lo + 1
 		}
 
-		want, wantErr := naiveQoSWeights(m, c, qos, opts)
+		want, wantErr := naiveQoSWeights(m, c, qos, tailQ, step)
 		pl := NewPlanner(m)
-		plan, got, gotErr := pl.QoSPlan(c, qos, opts)
+		jp, got, gotErr := qosPlanAt(pl.cache, c, qos, tailQ, step)
+		plan := jp.Plan
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: error mismatch: got %v, naive %v (qos=%g c=%d step=%g)",
-				trial, gotErr, wantErr, qos, c, opts.Step)
+				trial, gotErr, wantErr, qos, c, step)
 		}
 		if gotErr != nil {
 			if !errors.Is(gotErr, ErrQoSInfeasible) || !errors.Is(wantErr, ErrQoSInfeasible) {
@@ -288,7 +348,7 @@ func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("trial %d: QoSPlan weights=%+v, naive=%+v (qos=%g c=%d step=%g)",
-				trial, got, want, qos, c, opts.Step)
+				trial, got, want, qos, c, step)
 		}
 
 		// The plan must be the plan at exactly those weights, on the first
@@ -296,12 +356,12 @@ func TestQoSSearchMatchesNaiveGrid(t *testing.T) {
 		if wantPlan := naivePlanFor(m, c, want); plan != wantPlan {
 			t.Fatalf("trial %d: QoSPlan plan=%+v, naive=%+v", trial, plan, wantPlan)
 		}
-		plPlan, plW, err := pl.QoSPlan(c, qos, opts)
-		if err != nil || plW != want || plPlan != plan {
+		plJP, plW, err := qosPlanAt(pl.cache, c, qos, tailQ, step)
+		if err != nil || plW != want || plJP.Plan != plan {
 			t.Fatalf("trial %d: cached Planner.QoSPlan=(%+v,%+v,%v), want (%+v,%+v)",
-				trial, plPlan, plW, err, plan, want)
+				trial, plJP.Plan, plW, err, plan, want)
 		}
-		if opts == (QoSOptions{}) {
+		if tailQ == qosTailQuantile && step == qosStep {
 			answer, err := m.Answer(Request{C: c, Weights: Balanced(), QoSSec: qos})
 			if err != nil || answer.Plan != plan {
 				t.Fatalf("trial %d: Models.Answer=%+v (%v), QoSPlan=%+v", trial, answer.Plan, err, plan)
@@ -538,10 +598,10 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	for _, c := range cands {
 		var v float64 // a zero weight drops its term; a zero baseline takes the b → 0⁺ limit
 		if opts.Weights.Service != 0 {
-			v += opts.Weights.Service * FracRegret(c.serviceSec, bestS)
+			v += opts.Weights.Service * fracRegret(c.serviceSec, bestS)
 		}
 		if opts.Weights.Expense != 0 {
-			v += opts.Weights.Expense * FracRegret(c.expenseUSD, bestE)
+			v += opts.Weights.Expense * fracRegret(c.expenseUSD, bestE)
 		}
 		if v < bestVal {
 			best, bestVal = c, v

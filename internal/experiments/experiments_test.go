@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -214,40 +215,48 @@ func TestFig8OracleMatches(t *testing.T) {
 	}
 }
 
+// oracleDegree is the Oracle's degree over a sweep at weights w.
+func oracleDegree(t *testing.T, c int, sweep []trace.Metrics, w core.Weights) int {
+	t.Helper()
+	pl, err := baseline.SweepPlanner(c, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pl.PlanFor(c, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Degree
+}
+
 // TestFig8OracleBalancesObjectives: the balanced Oracle Fig. 8 compares
-// against (oracleFromSweep at the total service time) lies between the
-// service and expense Oracles of one sweep — Video on AWS Lambda at C = 2000.
+// against (at the total service time) lies between the service and expense
+// Oracles of one sweep — Video on AWS Lambda at C = 2000.
 func TestFig8OracleBalancesObjectives(t *testing.T) {
 	cfg := platform.AWSLambda()
 	d := workload.Video{}.Demand()
-	all, err := baseline.Sweep(cfg, d, 2000, 6, cfg.Shape.MaxDegree(d))
+	const c = 2000
+	all, err := baseline.Sweep(cfg, d, c, 6, cfg.Shape.MaxDegree(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oS, err := baseline.Oracle{Objective: baseline.MinTotalService}.Pick(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oE, err := baseline.Oracle{Objective: baseline.MinExpense}.Pick(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degB := oracleFromSweep(all, 100); degB < oS.Degree || degB > oE.Degree {
-		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, oS.Degree, oE.Degree)
+	degS, degE := oracleDegree(t, c, all, core.ServiceOnly()), oracleDegree(t, c, all, core.ExpenseOnly())
+	if degB := oracleDegree(t, c, all, core.Balanced()); degB < degS || degB > degE {
+		t.Fatalf("balanced oracle %d outside [%d, %d]", degB, degS, degE)
 	}
 }
 
-// TestOracleFromSweepZeroPrice: on a free platform every expense is 0, so
-// the expense regret is core.FracRegret's limit 0 and the balanced Oracle
-// is the service Oracle — as the planner's Eq. 7 reduces to Eq. 3 there —
-// instead of falling back to the sweep's first degree on 0/0.
-func TestOracleFromSweepZeroPrice(t *testing.T) {
+// TestOracleZeroPrice: on a free platform every expense is 0, so the
+// expense regret is its b → 0⁺ limit 0 and the balanced Oracle is the
+// service Oracle — as the planner's Eq. 7 reduces to Eq. 3 there — instead
+// of falling back to the sweep's first degree on 0/0.
+func TestOracleZeroPrice(t *testing.T) {
 	sweep := []trace.Metrics{
 		{Degree: 1, TotalService: 9},
 		{Degree: 2, TotalService: 4},
 		{Degree: 3, TotalService: 6},
 	}
-	if deg := oracleFromSweep(sweep, 100); deg != 2 {
+	if deg := oracleDegree(t, 100, sweep, core.Balanced()); deg != 2 {
 		t.Fatalf("zero-price oracle = degree %d, want the service argmin 2", deg)
 	}
 }

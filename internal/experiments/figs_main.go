@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/interfere"
@@ -11,40 +9,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// oracleFromSweep picks, from an exhaustive degree sweep, the degree that
-// minimizes the equal-weight fractional regret of (q-percentile service,
-// expense) — the observed analogue of Eq. 7 at a given figure of merit. A
-// zero baseline takes core.FracRegret's limit, as the planner's does.
-func oracleFromSweep(sweep []trace.Metrics, q float64) int {
-	service := func(m trace.Metrics) float64 {
-		switch q {
-		case 50:
-			return m.MedianService
-		case 95:
-			return m.TailService
-		default:
-			return m.TotalService
-		}
-	}
-	bestS, bestE := math.Inf(1), math.Inf(1)
-	for _, m := range sweep {
-		if s := service(m); s < bestS {
-			bestS = s
-		}
-		if m.ExpenseUSD < bestE {
-			bestE = m.ExpenseUSD
-		}
-	}
-	deg, best := sweep[0].Degree, math.Inf(1)
-	for _, m := range sweep {
-		v := 0.5*core.FracRegret(service(m), bestS) + 0.5*core.FracRegret(m.ExpenseUSD, bestE)
-		if v < best {
-			deg, best = m.Degree, v
-		}
-	}
-	return deg
-}
 
 // averagedSweep repeats the exhaustive degree sweep with `trials` seeds and
 // averages the metrics per degree — the paper repeats every experiment for
@@ -112,21 +76,28 @@ func Fig8(cfg Config) (*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			oracle, err := baseline.SweepPlanner(c, sweep) // the Oracle: Eq. 7 over measured columns
+			if err != nil {
+				return nil, err
+			}
 			for _, metric := range []struct {
 				name string
 				q    float64
 			}{{"total", 100}, {"tail", 95}, {"median", 50}} {
-				oracle := oracleFromSweep(sweep, metric.q)
+				od, err := oracle.OptimalDegreeForQuantile(c, metric.q, core.Balanced())
+				if err != nil {
+					return nil, err
+				}
 				pp, err := pl.OptimalDegreeForQuantile(c, metric.q, core.Balanced())
 				if err != nil {
 					return nil, err
 				}
 				match := "yes"
-				if pp != oracle {
+				if pp != od {
 					match = "no"
 				}
 				out = append(out, []string{w.Name(), itoa(c), metric.name,
-					itoa(oracle), itoa(pp), itoa(pp - oracle), match})
+					itoa(od), itoa(pp), itoa(pp - od), match})
 			}
 		}
 		return out, nil

@@ -108,31 +108,28 @@ func Fig15(cfg Config) (*trace.Table, error) {
 		pl := core.NewPlanner(models) // both objectives read one table per concurrency
 		var out [][]string
 		for _, c := range cfg.concurrencies() {
-			// One exhaustive sweep per cell; each objective picks from it.
+			// One exhaustive sweep per cell; the Oracle asks it what ProPack
+			// asks its models. Eqs. 3 and 4 are Eq. 7 at the extreme weights.
 			all, err := baseline.Sweep(p, w.Demand(), c, cfg.Seed, p.Shape.MaxDegree(w.Demand()))
 			if err != nil {
 				return nil, err
 			}
-			oS, err := baseline.Oracle{Objective: baseline.MinTotalService}.Pick(all)
+			oracle, err := baseline.SweepPlanner(c, all)
 			if err != nil {
 				return nil, err
 			}
-			oE, err := baseline.Oracle{Objective: baseline.MinExpense}.Pick(all)
-			if err != nil {
-				return nil, err
+			row := []string{w.Name(), itoa(c)}
+			for _, col := range []struct {
+				pl *core.Planner
+				w  core.Weights
+			}{{oracle, core.ServiceOnly()}, {pl, core.ServiceOnly()}, {oracle, core.ExpenseOnly()}, {pl, core.ExpenseOnly()}} {
+				plan, err := col.pl.PlanFor(c, col.w)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, itoa(plan.Degree))
 			}
-			// Eqs. 3 and 4 are Eq. 7 at the extreme weights.
-			pS, err := pl.PlanFor(c, core.ServiceOnly())
-			if err != nil {
-				return nil, err
-			}
-			pE, err := pl.PlanFor(c, core.ExpenseOnly())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, []string{w.Name(), itoa(c),
-				itoa(oS.Degree), itoa(pS.Degree),
-				itoa(oE.Degree), itoa(pE.Degree)})
+			out = append(out, row)
 		}
 		return out, nil
 	})

@@ -26,6 +26,16 @@ type MixedApp struct {
 	Count    int
 }
 
+// checkCounts is core.CheckMixedCounts over the job's counts: every door
+// that profiles or appends per function judges the job with it first.
+func checkCounts(apps []MixedApp) error {
+	counts := make([]int, len(apps))
+	for i, a := range apps {
+		counts[i] = a.Count
+	}
+	return core.CheckMixedCounts(counts...)
+}
+
 // buildApps profiles every application on the platform and returns the
 // core.App descriptors plus the shared platform scaling model and the
 // accumulated modeling overhead.
@@ -141,6 +151,9 @@ func probeCrossDiscount(cfg platform.Config, apps []MixedApp, coreApps []core.Ap
 // inspect the recommendation (and its modeling overhead) before committing
 // a burst.
 func PlanMixedJob(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64) (core.MixedPlan, core.Overhead, error) {
+	if err := checkCounts(apps); err != nil {
+		return core.MixedPlan{}, core.Overhead{}, err
+	}
 	coreApps, scaling, overhead, err := buildApps(cfg, apps, seed)
 	if err != nil {
 		return core.MixedPlan{}, core.Overhead{}, err
@@ -186,6 +199,9 @@ func RunMixedProPack(cfg platform.Config, apps []MixedApp, w core.Weights, seed 
 // instances share one invocation burst (and its control-plane contention).
 // rec receives the burst's observability records (nil disables recording).
 func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64, rec obs.Recorder) (trace.Metrics, []int, error) {
+	if err := checkCounts(apps); err != nil {
+		return trace.Metrics{}, nil, err
+	}
 	coreApps, scaling, _, err := buildApps(cfg, apps, seed)
 	if err != nil {
 		return trace.Metrics{}, nil, err
@@ -236,6 +252,9 @@ func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, s
 // heterogeneous job. rec receives the burst's observability records (nil
 // disables recording).
 func ExecuteJointUnpacked(cfg platform.Config, apps []MixedApp, seed int64, rec obs.Recorder) (trace.Metrics, error) {
+	if err := checkCounts(apps); err != nil {
+		return trace.Metrics{}, err
+	}
 	var bins []platform.Bin
 	for _, a := range apps {
 		d := a.Workload.Demand()

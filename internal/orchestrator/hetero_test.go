@@ -1,9 +1,12 @@
 package orchestrator
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -142,5 +145,52 @@ func TestBuildAppsValidation(t *testing.T) {
 	}
 	if _, err := RunMixedProPack(cfg, nil, core.Balanced(), 1, nil); err == nil {
 		t.Fatal("empty job accepted")
+	}
+}
+
+// burstCounter is a Recorder that counts the bursts it is told of.
+type burstCounter struct{ bursts int }
+
+func (b *burstCounter) BeginBurst(obs.BurstInfo) { b.bursts++ }
+func (*burstCounter) Span(obs.Span)              {}
+func (*burstCounter) Event(obs.Event)            {}
+
+// TestMixedDoorsJudgeCountsFirst: ExecuteJointUnpacked appends a bin per
+// function, ExecutePerAppPacked a demand per function, and PlanMixedJob
+// profiles every app before core.PlanMixed judges the counts, so a count of
+// MaxInt ran the process out of memory. Each must refuse the job first, with
+// core.CheckMixedCounts' error, running no burst and allocating nothing per
+// function.
+func TestMixedDoorsJudgeCountsFirst(t *testing.T) {
+	cfg := platform.AWSLambda()
+	for _, counts := range [][2]int{{math.MaxInt, 5}, {5, math.MaxInt}} {
+		want := core.CheckMixedCounts(counts[:]...)
+		if want == nil {
+			t.Fatalf("%v: core.CheckMixedCounts accepts the job", counts)
+		}
+		apps := []MixedApp{{Workload: workload.Video{}, Count: counts[0]}, {Workload: workload.SmithWaterman{}, Count: counts[1]}}
+		rec := &burstCounter{}
+		for name, door := range map[string]func() error{
+			"ExecuteJointUnpacked": func() error { _, err := ExecuteJointUnpacked(cfg, apps, 1, rec); return err },
+			"ExecutePerAppPacked": func() error {
+				_, _, err := ExecutePerAppPacked(cfg, apps, core.Balanced(), 1, rec)
+				return err
+			},
+			"PlanMixedJob": func() error { _, _, err := PlanMixedJob(cfg, apps, core.Balanced(), 1); return err },
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := door()
+			runtime.ReadMemStats(&after)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s %v: error %v, want %v", name, counts, err, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Errorf("%s %v: %d bytes allocated before the refusal", name, counts, got)
+			}
+		}
+		if rec.bursts != 0 {
+			t.Errorf("%v: %d bursts ran before the refusal", counts, rec.bursts)
+		}
 	}
 }
