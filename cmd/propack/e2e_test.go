@@ -285,7 +285,6 @@ func TestServeE2E(t *testing.T) {
 			`_count{stage="plan"}`, // the plan child of stage_seconds
 			`slo_error_rate{window="300s"}`,
 			"go_goroutines",
-			`breaker_states{state="closed"} 1`,
 		} {
 			if !strings.Contains(body, want) {
 				t.Errorf("/metrics missing %q", want)

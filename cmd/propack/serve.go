@@ -16,7 +16,7 @@ import (
 // cmdServe runs the planner as a long-lived HTTP daemon (internal/server):
 // one process profiles each (app, platform) pair once and then answers
 // planning queries from its caches, behind admission control, per-tenant
-// rate limits, a circuit breaker, and graceful drain on SIGTERM/SIGINT.
+// rate limits, and graceful drain on SIGTERM/SIGINT.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")

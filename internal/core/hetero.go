@@ -268,21 +268,18 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		return MixedPlan{}, fmt.Errorf("core: no feasible heterogeneous packing (memory or latency bound)")
 	}
 
-	bestS, bestE := math.Inf(1), math.Inf(1)
-	for _, c := range cands {
-		bestS = math.Min(bestS, c.serviceSec)
-		bestE = math.Min(bestE, c.expenseUSD)
+	// The candidates are the cells of one row, in enumeration order, ranked
+	// by the planner's one Eq. 7 scan with its baselines, ties and zero
+	// baseline. A NaN cell (an overflowed ET billed at a zero rate) sets no
+	// baseline unless it is the first, and never wins.
+	n := len(cands)
+	cols := make([]float64, 2*n)
+	svc, exp := cols[:n:n], cols[n:]
+	for i, c := range cands {
+		svc[i], exp[i] = c.serviceSec, c.expenseUSD
 	}
-	// A zero baseline (a zero rate makes every expense 0) takes fracRegret's
-	// limit, as in GridTable.argminJoint. The first candidate in enumeration
-	// order stands when no regret compares (all NaN), as in
-	// GridTable.firstEligible.
-	best, bestVal := cands[0], math.Inf(1)
-	for _, c := range cands {
-		if v := opts.Weights.regret(fracRegret(c.serviceSec, bestS), fracRegret(c.expenseUSD, bestE)); v < bestVal {
-			best, bestVal = c, v
-		}
-	}
+	_, cell := columnRow(0, svc, exp, nil).argminJoint(100, 1, opts.Weights)
+	best := cands[cell-1]
 	return MixedPlan{
 		Apps:                apps,
 		BinCounts:           best.materialize(apps, maxDegs),
@@ -469,7 +466,7 @@ func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []he
 		var maxET, sumET float64
 		for i, a := range apps {
 			d := chosen[i]
-			n := (a.Count-1)/d + 1
+			n := CeilDiv(a.Count, d)
 			bins += n
 			et := a.ET.At(d)
 			sumET += float64(n) * et
@@ -495,7 +492,7 @@ func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []he
 		nTab[k] = make([]int, maxDegs[k])
 		for d := 1; d <= maxDegs[k]; d++ {
 			etTab[k][d-1] = a.ET.At(d)
-			nTab[k][d-1] = (a.Count-1)/d + 1
+			nTab[k][d-1] = CeilDiv(a.Count, d)
 		}
 	}
 	cands := make([]heteroCandidate, 0, combos)

@@ -173,6 +173,55 @@ func TestPlanMixedErrors(t *testing.T) {
 	}
 }
 
+// TestPlanMixedSkipsNaNCells: at a zero rate with no execution limit, a
+// segregated candidate whose ET overflows bills Inf·0 = NaN. PlanMixed ranks
+// its candidates as every other plan is ranked, so the NaN cell neither
+// poisons the baselines nor wins, and the plan is the Eq. 7 argmin over the
+// cells that compare — not the first candidate, at 6.2e173 s.
+func TestPlanMixedSkipsNaNCells(t *testing.T) {
+	apps := []App{
+		{Name: "steep", MemoryMB: 128, Count: 10, ET: ETModel{MfuncGB: 0.125, Alpha: 1600}},
+		{Name: "flat", MemoryMB: 128, Count: 100, ET: ETModel{MfuncGB: 0.125, Alpha: 0.1}},
+	}
+	opts := MixedPlanOptions{
+		InstanceMemoryMB: 2048,
+		MaxExecSec:       math.Inf(1),
+		Weights:          Balanced(),
+		Scaling:          ScalingModel{B2: 0.004, B3: 0.1},
+	}
+	cands := append(mixedCandidates(apps, opts), segregatedCandidates(apps, feasibleDegrees(apps, opts), opts)...)
+	// The argmin over the comparable cells, with its baselines over them.
+	var cells []heteroCandidate
+	for _, c := range cands {
+		if !math.IsNaN(c.serviceSec) && !math.IsNaN(c.expenseUSD) {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) == len(cands) || math.IsNaN(cands[0].expenseUSD) {
+		t.Fatalf("%d of %d candidates compare, the first expense %g: the case no longer reaches a NaN after the first cell",
+			len(cells), len(cands), cands[0].expenseUSD)
+	}
+	bestS, bestE := cells[0].serviceSec, cells[0].expenseUSD
+	for _, c := range cells {
+		bestS, bestE = math.Min(bestS, c.serviceSec), math.Min(bestE, c.expenseUSD)
+	}
+	want, wantVal := cells[0], math.Inf(1)
+	for _, c := range cells {
+		if v := opts.Weights.regret(fracRegret(c.serviceSec, bestS), fracRegret(c.expenseUSD, bestE)); v < wantVal {
+			want, wantVal = c, v
+		}
+	}
+	got, err := PlanMixed(apps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Strategy != want.strategy || got.PredictedServiceSec != want.serviceSec || got.PredictedExpenseUSD != want.expenseUSD {
+		t.Fatalf("PlanMixed = %s at %g s, %g USD; want %s at %g s, %g USD",
+			got.Strategy, got.PredictedServiceSec, got.PredictedExpenseUSD, want.strategy, want.serviceSec, want.expenseUSD)
+	}
+	t.Logf("%s plan predicting %.3g s (%d of %d candidates compare)", got.Strategy, got.PredictedServiceSec, len(cells), len(cands))
+}
+
 // Property: dealCounts conserves every app's function count for arbitrary
 // app counts and bin counts.
 func TestDealCountsConservationProperty(t *testing.T) {

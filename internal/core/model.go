@@ -231,10 +231,20 @@ func finite(xs ...float64) bool {
 	return true
 }
 
+// CeilDiv is ⌈c/d⌉ for d ≥ 1, and 0 for c < 1: the instance count that runs
+// c functions d to an instance. It never forms c+d−1, which overflows near
+// MaxInt.
+func CeilDiv(c, d int) int {
+	if c < 1 {
+		return 0
+	}
+	return (c-1)/d + 1
+}
+
 // instances is the number of function instances at concurrency C ≥ 1 and
 // degree P (the system spawns ceil(C/P); the paper's algebra uses C/P).
 func instances(c, degree int) float64 {
-	return float64((c-1)/degree + 1) // c+degree−1 overflows near MaxInt
+	return float64(CeilDiv(c, degree))
 }
 
 // ServiceTime is the argument of Eq. 3: modeled total service time at

@@ -257,3 +257,24 @@ func TestExpenseMonotoneInConcurrencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCeilDivNoOverflow(t *testing.T) {
+	for _, degree := range []int{1, 2, 7, 40} {
+		for _, c := range []int{1, degree, degree + 1, math.MaxInt - 1, math.MaxInt} {
+			got := CeilDiv(c, degree)
+			// ⌈c/degree⌉ without forming c + degree.
+			want := c / degree
+			if c%degree != 0 {
+				want++
+			}
+			if got != want || got < 1 {
+				t.Errorf("CeilDiv(%d, %d) = %d, want %d", c, degree, got, want)
+			}
+		}
+		for _, c := range []int{0, -1, math.MinInt} {
+			if got := CeilDiv(c, degree); got != 0 {
+				t.Errorf("CeilDiv(%d, %d) = %d, want 0", c, degree, got)
+			}
+		}
+	}
+}

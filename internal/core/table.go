@@ -327,12 +327,20 @@ func MeasuredPlanner(c int, total, tail, median, expense []float64) (*Planner, e
 		}
 	}
 	cols := slices.Concat(total, tail, median, expense) // the planner's own copy
-	row := &DegreeTable{service: cols[:n:n], expense: cols[3*n:], quantiles: map[float64]*quantileColumn{
+	row := columnRow(c, cols[:n:n], cols[3*n:], map[float64]*quantileColumn{
 		95: {vals: cols[n : 2*n : 2*n]},
 		50: {vals: cols[2*n : 3*n : 3*n]},
-	}}
-	row.svcCol.vals = row.service
-	return &Planner{cache: &GridCache{measured: &GridTable{c: c, sizes: []gridSize{{t: row}}}}}, nil
+	})
+	return &Planner{cache: &GridCache{measured: row}}, nil
+}
+
+// columnRow is the one-row GridTable over given cells, cell i at degree i+1:
+// its total service time, expense, and any other service quantiles. It has
+// no model, so it has no column but these.
+func columnRow(c int, service, expense []float64, quantiles map[float64]*quantileColumn) *GridTable {
+	row := &DegreeTable{service: service, expense: expense, quantiles: quantiles}
+	row.svcCol.vals = service
+	return &GridTable{c: c, sizes: []gridSize{{t: row}}}
 }
 
 // direct is the planner the Models methods answer through: no tables kept.

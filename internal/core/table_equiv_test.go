@@ -477,7 +477,9 @@ type naiveMixedCand struct {
 // naivePlanMixed is a verbatim re-expression of the pre-optimization
 // PlanMixed: every instance count materializes its full count matrix and
 // re-runs PredictMixedET per bin; every degree combination recomputes each
-// app's values at the leaf.
+// app's values at the leaf. Its math.Min baselines let a NaN cell poison
+// every regret; randMixedCase's finite MaxExecSec never bills one, and
+// TestPlanMixedSkipsNaNCells, not this reference, holds the NaN rule.
 func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	if len(apps) == 0 {
 		return MixedPlan{}, fmt.Errorf("core: no apps to plan")

@@ -114,10 +114,10 @@ type Registry struct {
 	collectors  []Collector
 }
 
-// Collector refreshes derived metrics (runtime stats, breaker state, SLO
-// burn rates) at observation time. Registered collectors run before every
-// WritePrometheus, so scrape-time values are current without a background
-// goroutine polling between scrapes.
+// Collector refreshes derived metrics (runtime stats, the serve daemon's
+// queue and table sizes, SLO burn rates) at observation time. Registered
+// collectors run before every WritePrometheus, so scrape-time values are
+// current without a background goroutine polling between scrapes.
 type Collector func(*Registry)
 
 // RegisterCollector adds a collector. Collectors run in registration order,

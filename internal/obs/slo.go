@@ -12,13 +12,13 @@ import (
 //   - latency: at least LatencyTarget of successful requests finish within
 //     LatencyThresholdSec.
 //
-// For each configured window it reports the observed error rate, the
-// latency attainment, and the burn rate — how fast the error budget is
-// being spent, where burn 1.0 means "exactly consuming the budget the
-// objective allows" and burn N means the budget is gone in 1/N of the SLO
-// period. The multi-window shape follows the SRE-workbook alerting recipe:
-// a short and a long window must both burn hot before anyone is paged, so
-// a single slow request cannot fire an alert and a slow leak still does.
+// For each window it reports the observed error rate, the latency
+// attainment, and the burn rate — how fast the error budget is being spent,
+// where burn 1.0 means "exactly consuming the budget the objective allows"
+// and burn N means the budget is gone in 1/N of the SLO period. The
+// multi-window shape follows the SRE-workbook alerting recipe: a short and a
+// long window must both burn hot before anyone is paged, so a single slow
+// request cannot fire an alert and a slow leak still does.
 //
 // The tracker is a fixed ring of coarse time buckets: Record is O(1) under
 // one short mutex hold, Status is O(buckets), and memory is independent of
@@ -43,8 +43,9 @@ func DefaultSLOObjectives() SLOObjectives {
 	return SLOObjectives{Availability: 0.999, LatencyTarget: 0.95, LatencyThresholdSec: 0.25}
 }
 
-// DefaultSLOWindows are the burn-rate windows: 5m and 1h form the page
-// pair, 30m and 6h the ticket pair.
+// DefaultSLOWindows are the burn-rate windows, ascending: 5m and 1h form the
+// page pair, 30m and 6h the ticket pair. The longest bounds the ring's
+// horizon.
 func DefaultSLOWindows() []time.Duration {
 	return []time.Duration{5 * time.Minute, 30 * time.Minute, time.Hour, 6 * time.Hour}
 }
@@ -53,9 +54,6 @@ func DefaultSLOWindows() []time.Duration {
 type SLOConfig struct {
 	// Objectives defaults to DefaultSLOObjectives() when zero.
 	Objectives SLOObjectives
-	// Windows defaults to DefaultSLOWindows(); they are sorted ascending.
-	// The longest window bounds the ring's horizon.
-	Windows []time.Duration
 	// Clock overrides time.Now, so tests drive the ring without sleeping.
 	Clock func() time.Time
 }
@@ -80,20 +78,13 @@ type SLO struct {
 	buckets []sloBucket
 }
 
-// NewSLO builds a tracker; zero config fields take defaults.
+// NewSLO builds a tracker over DefaultSLOWindows; zero config fields take
+// defaults.
 func NewSLO(cfg SLOConfig) *SLO {
 	if cfg.Objectives == (SLOObjectives{}) {
 		cfg.Objectives = DefaultSLOObjectives()
 	}
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = DefaultSLOWindows()
-	}
-	windows := append([]time.Duration(nil), cfg.Windows...)
-	for i := 1; i < len(windows); i++ {
-		for j := i; j > 0 && windows[j] < windows[j-1]; j-- {
-			windows[j], windows[j-1] = windows[j-1], windows[j]
-		}
-	}
+	windows := DefaultSLOWindows()
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now

@@ -6,11 +6,16 @@ import (
 	"time"
 )
 
-// Circuit breaker for a shared dependency (the serve daemon wraps the
-// planner path in one). Unlike the rest of this package the breaker is
-// stateful — it is a server-side guard, not a simulation policy — but it
-// stays deterministic the same way: every method takes the current time
-// explicitly, so tests drive transitions with a fake clock and never sleep.
+// Circuit breaker for a shared dependency. No production code calls it: the
+// serve daemon's planner is an in-process function with nothing downstream
+// to protect, so the daemon dropped its breaker. The type stays only while
+// the benchmark's resilience.breaker_allow_record_ns row times Allow and
+// Record; once that row goes (ROADMAP item 2), this file goes with it.
+//
+// Unlike the rest of this package the breaker is stateful — a server-side
+// guard, not a simulation policy — but it stays deterministic the same way:
+// every method takes the current time explicitly, so tests drive transitions
+// with a fake clock and never sleep.
 //
 // States follow the classic three-state machine:
 //
@@ -79,8 +84,8 @@ type BreakerConfig struct {
 	CloseAfter int
 }
 
-// DefaultBreakerConfig is the serve daemon's default guard: trip on a
-// half-failing or half-slow window, probe again after five seconds.
+// DefaultBreakerConfig trips on a half-failing window and probes again
+// after five seconds.
 func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{
 		Window:        10 * time.Second,
@@ -141,7 +146,7 @@ type breakerBucket struct {
 // Breaker is the three-state circuit breaker. All methods are safe for
 // concurrent use. The caller flow is:
 //
-//	if !b.Allow(now) { reject with b.RetryAfter(now) }
+//	if !b.Allow(now) { reject }
 //	... do the guarded call ...
 //	b.Record(now, durSec, failed)
 //
@@ -157,8 +162,6 @@ type Breaker struct {
 
 	halfOpenInFlight int
 	halfOpenGood     int
-
-	opens int64 // cumulative closed/half-open → open transitions
 }
 
 // NewBreaker builds a breaker; see BreakerConfig.Normalize for defaults.
@@ -278,40 +281,4 @@ func (b *Breaker) trip(now time.Time) {
 	b.openedAt = now
 	b.halfOpenInFlight = 0
 	b.halfOpenGood = 0
-	b.opens++
-}
-
-// State reports the breaker's mode at time now (an expired Open reads as
-// HalfOpen-eligible but stays Open until an Allow probes it).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// BreakerStates lists every state in declaration order, for exporters that
-// render the state as a one-hot labeled vector (the numeric State gauge is
-// opaque on a dashboard; breaker_states{state="open"} 1 is not).
-func BreakerStates() []BreakerState {
-	return []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen}
-}
-
-// Opens reports the cumulative number of trips, for metrics.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// RetryAfter suggests how long a rejected caller should wait at time now:
-// the remaining cool-down when open, one cool-down otherwise.
-func (b *Breaker) RetryAfter(now time.Time) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerOpen {
-		if left := b.cfg.CoolDown - now.Sub(b.openedAt); left > 0 {
-			return left
-		}
-	}
-	return b.cfg.CoolDown
 }

@@ -18,6 +18,13 @@ func mustBreaker(t *testing.T, cfg BreakerConfig) *Breaker {
 	return b
 }
 
+// stateOf reads the breaker's mode under its lock.
+func stateOf(b *Breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 // breakerStep is one scripted operation against the breaker.
 type breakerStep struct {
 	at        time.Duration // offset from t0
@@ -130,32 +137,15 @@ func TestBreakerTransitions(t *testing.T) {
 				case "allow":
 					if got := b.Allow(now); got != s.wantAllow {
 						t.Fatalf("step %d: Allow(+%v) = %v, want %v (state %v)",
-							i, s.at, got, s.wantAllow, b.State())
+							i, s.at, got, s.wantAllow, stateOf(b))
 					}
 				case "state":
-					if got := b.State(); got != s.wantState {
+					if got := stateOf(b); got != s.wantState {
 						t.Fatalf("step %d: state at +%v = %v, want %v", i, s.at, got, s.wantState)
 					}
 				}
 			}
 		})
-	}
-}
-
-func TestBreakerRetryAfter(t *testing.T) {
-	b := mustBreaker(t, BreakerConfig{MinSamples: 1, TripErrorRate: 0.5, CoolDown: 5 * time.Second})
-	if got := b.RetryAfter(t0); got != 5*time.Second {
-		t.Fatalf("closed RetryAfter = %v, want the cool-down", got)
-	}
-	b.Record(t0, 0.1, true)
-	if b.State() != BreakerOpen {
-		t.Fatal("breaker should have tripped")
-	}
-	if got := b.RetryAfter(t0.Add(2 * time.Second)); got != 3*time.Second {
-		t.Fatalf("open RetryAfter = %v, want 3s", got)
-	}
-	if got := b.Opens(); got != 1 {
-		t.Fatalf("Opens = %d, want 1", got)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // TestServeConcurrentStress hammers every endpoint from many goroutines at
 // once. Its name contains "Concurrent" so CI's race-stress job
 // (go test -race -run Concurrent) picks it up: the point is to drive the
-// admission semaphore, tenant limiter, coalescer, breaker, and planner pool
+// admission semaphore, tenant limiter, coalescer and planner pool
 // simultaneously under the race detector. Functionally it asserts that the
 // server only ever answers with its documented statuses and that the
 // admission accounting returns to zero.

@@ -19,8 +19,7 @@ import (
 )
 
 // apiError is an error with an HTTP status; anything else surfacing from a
-// compute function is a 500. Only 5xx outcomes feed the circuit breaker —
-// a client's typo must never open the circuit for everyone.
+// compute function is a 500.
 type apiError struct {
 	status     int
 	msg        string
@@ -75,13 +74,13 @@ func writeAPIError(w http.ResponseWriter, ae *apiError) {
 }
 
 // computeFn appends an endpoint's response body to e. It runs under the
-// request deadline, behind admission control and the breaker, possibly
-// coalesced with identical concurrent requests.
+// request deadline, behind admission control, possibly coalesced with
+// identical concurrent requests.
 type computeFn func(ctx context.Context, q *params, e *jsonEnc) error
 
 // endpoint wraps a compute function in the full robustness chain:
-// panic recovery → rate limit → admission → deadline → breaker →
-// coalescing → compute, with every decision surfaced in the registry.
+// panic recovery → rate limit → admission → deadline → coalescing →
+// compute, with every decision surfaced in the registry.
 // When the telemetry middleware is active, each guard stage also emits a
 // span into the request's trace (limit → admit → plan-or-coalesce).
 func (s *Server) endpoint(name string, compute computeFn) http.Handler {
@@ -90,12 +89,11 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 	// (a family list that depends on which failures have fired is miserable to
 	// alert on; the e2e golden pins it).
 	var (
-		rateLimited     = s.reg.Counter("http_ratelimited_total")
-		shed            = s.reg.Counter("http_shed_total")
-		queueTimeout    = s.reg.Counter("http_queue_timeout_total")
-		coalesced       = s.reg.Counter("http_coalesced_total")
-		breakerRejected = s.reg.Counter("breaker_rejected_total")
-		panics          = s.reg.Counter("http_panics_total")
+		rateLimited  = s.reg.Counter("http_ratelimited_total")
+		shed         = s.reg.Counter("http_shed_total")
+		queueTimeout = s.reg.Counter("http_queue_timeout_total")
+		coalesced    = s.reg.Counter("http_coalesced_total")
+		panics       = s.reg.Counter("http_panics_total")
 	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -136,7 +134,7 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 		case admitShed:
 			shed.Inc()
 			writeAPIError(w, &apiError{
-				status: http.StatusTooManyRequests, retryAfter: s.cfg.ShedRetryAfter,
+				status: http.StatusTooManyRequests, retryAfter: shedRetryAfter,
 				msg: "server overloaded, request shed",
 			})
 			return
@@ -147,25 +145,13 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 		}
 		defer release()
 
-		// Circuit breaker on the planner path.
-		now := s.cfg.Clock()
-		if !s.breaker.Allow(now) {
-			breakerRejected.Inc()
-			writeAPIError(w, &apiError{
-				status: http.StatusServiceUnavailable, retryAfter: s.breaker.RetryAfter(now),
-				msg: "planner circuit open",
-			})
-			return
-		}
-
 		// The query, parsed once; its canonical form keys the coalescer.
 		q := parseParams(r.URL.RawQuery)
 		defer q.release()
 		q.key = q.appendCanonical(append(append(q.key[:0], name...), '?'))
 
 		// Per-request deadline, propagated through the compute path.
-		start := time.Now()
-		ctx := &lazyDeadline{Context: r.Context(), deadline: start.Add(s.cfg.RequestTimeout)}
+		ctx := &lazyDeadline{Context: r.Context(), deadline: time.Now().Add(s.cfg.RequestTimeout)}
 		defer ctx.cancel()
 
 		// The leader encodes into its own pooled buffer; a follower gets a
@@ -184,7 +170,6 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 			}
 			return e, nil
 		})
-		dur := time.Since(start).Seconds()
 		if shared {
 			// A follower spent the interval waiting on the leader's
 			// computation, not computing.
@@ -193,21 +178,16 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 		} else {
 			rt.spanFrom(obs.StagePlan, mark)
 		}
-		var ae *apiError
 		if err != nil {
-			ae = toAPIError(err)
-		}
-		s.breaker.Record(s.cfg.Clock(), dur, ae != nil && ae.status >= 500)
-		if ae != nil {
-			writeAPIError(w, ae)
+			writeAPIError(w, toAPIError(err))
 			return
 		}
 		val.(*jsonEnc).writeTo(w, http.StatusOK)
 	})
 }
 
-// testHooks honors the e2e/load-test query parameters when Config.TestHooks
-// is set: delayms holds the request in flight, panic=1 crashes the handler.
+// testHooks honors the tests' query parameters when Config.TestHooks is
+// set: delayms holds the request in flight, panic=1 crashes the handler.
 func (s *Server) testHooks(ctx context.Context, q *params) error {
 	if q.Get("panic") == "1" {
 		panic("test hook panic")
@@ -292,14 +272,6 @@ func (s *Server) answer(ctx context.Context, plat, app string, r core.Request) (
 	return pe, plan, nil
 }
 
-// ceilDiv is the instance count ⌈c/degree⌉, safe for c up to MaxInt.
-func ceilDiv(c, degree int) int {
-	if c < 1 {
-		return 0
-	}
-	return (c-1)/degree + 1
-}
-
 // --- Response bodies ---------------------------------------------------------
 //
 // A compute function appends its body as it goes: the member names and order
@@ -322,7 +294,7 @@ func appendWeights(e *jsonEnc, w core.Weights) {
 func appendPlan(e *jsonEnc, p core.Plan) {
 	e.open("plan", '{')
 	e.int("degree", p.Degree)
-	e.int("instances", ceilDiv(p.Concurrency, p.Degree))
+	e.int("instances", core.CeilDiv(p.Concurrency, p.Degree))
 	e.float("predicted_service_sec", p.PredictedServiceSec)
 	e.float("predicted_expense_usd", p.PredictedExpenseUSD)
 	e.float("baseline_service_sec", p.BaselineServiceSec)
@@ -469,7 +441,7 @@ func (s *Server) computePlan(ctx context.Context, q *params, e *jsonEnc) error {
 	openEcho(e, app, pe.platformName, c)
 	e.int("degree", degree)
 	e.int("max_degree", models.MaxDegree)
-	e.int("instances", ceilDiv(c, degree))
+	e.int("instances", core.CeilDiv(c, degree))
 	e.float("et_sec", models.ET.At(degree))
 	e.float("service_sec", t.ServiceTime(degree))
 	e.float("p95_service_sec", t.ServiceTimeQuantile(degree, 95))

@@ -117,8 +117,8 @@ func defaultGridSizes(instanceMemMB float64) []float64 {
 // caching it on first use. An empty sizesMB asks for the degree-only planner
 // at the platform's instance size; otherwise the entry plans jointly over
 // the grid. Unknown names and size-grid validation failures are apiErrors
-// (400s) so they never count against the circuit breaker; only the modeling
-// pipeline itself can produce a 500.
+// (400s), so they never count against the SLO's availability; only the
+// modeling pipeline itself can produce a 500.
 func (p *plannerPool) get(ctx context.Context, platformName, appName string, sizesMB []float64) (*plannerEntry, error) {
 	// Keyed by the platform, not the caller's spelling of it: the fixed set
 	// holds one entry per platform and application.

@@ -13,8 +13,8 @@
 //     goroutines pile up (fail fast beats fail slow);
 //   - per-tenant token-bucket rate limits keyed on the API key header,
 //     with a default bucket for anonymous callers;
-//   - per-request deadlines propagated via context, per-handler panic
-//     recovery, and a resilience.Breaker guarding the planner path;
+//   - per-request deadlines propagated via context, and per-handler panic
+//     recovery;
 //   - request coalescing: identical in-flight planning requests collapse
 //     into one computation (singleflight), layered over core's sharded
 //     GridCache so a thundering herd of identical advises costs one
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Config tunes the daemon. The zero value is usable: every field documents
@@ -51,23 +50,12 @@ type Config struct {
 	// RequestTimeout is the per-request deadline, propagated via context.
 	// Zero means 10 s.
 	RequestTimeout time.Duration
-	// ShedRetryAfter is the Retry-After hint on shed (429) responses.
-	// Zero means 1 s.
-	ShedRetryAfter time.Duration
 
 	// TenantRPS and TenantBurst shape each tenant's token bucket. Zero
 	// means 50 req/s with a burst of 100. A negative TenantRPS disables
 	// rate limiting (used by benchmarks).
 	TenantRPS   float64
 	TenantBurst float64
-	// MaxTenants bounds the limiter table; the least-recently-seen bucket
-	// is evicted beyond it. Zero means 4096.
-	MaxTenants int
-
-	// Breaker configures the circuit breaker on the planner path. The zero
-	// value takes resilience.DefaultBreakerConfig with a latency budget of
-	// half the request timeout.
-	Breaker resilience.BreakerConfig
 
 	// DrainGrace keeps the listener serving (with /readyz already 503)
 	// after shutdown begins, so load balancers stop routing before
@@ -81,8 +69,6 @@ type Config struct {
 	// Zero means 1.
 	Seed int64
 
-	// Reg receives request metrics; nil creates a fresh registry.
-	Reg *obs.Registry
 	// Log receives structured logs; nil discards them.
 	Log *slog.Logger
 	// AccessLog receives one structured line per /v1 request (request ID,
@@ -94,9 +80,9 @@ type Config struct {
 	// with the request ID — in the same typed stream the simulator emits.
 	// Nil disables request tracing (stage histograms still populate).
 	Trace obs.Recorder
-	// SLO configures the /slo tracker's objectives and windows; the zero
-	// value takes obs defaults (99.9% availability, 95% < 250 ms). The
-	// tracker's clock follows Config.Clock.
+	// SLO configures the /slo tracker's objectives; the zero value takes obs
+	// defaults (99.9% availability, 95% < 250 ms). The tracker's clock
+	// follows Config.Clock.
 	SLO obs.SLOConfig
 	// DisableTelemetry strips the per-request instrumentation middleware
 	// (request IDs, RED metrics, SLO accounting, spans). Only the telemetry
@@ -107,14 +93,21 @@ type Config struct {
 	EnableDebug bool
 
 	// TestHooks enables the `delayms` and `panic` query parameters that the
-	// e2e drain/overload tests (and the load generator) use to give
-	// requests a controllable duration. Never enable in production.
+	// e2e drain, overload, queue and deadline tests use to give requests a
+	// controllable duration. Never enable in production.
 	TestHooks bool
 
-	// Clock overrides time.Now for the limiter and breaker, so tests drive
-	// them without sleeping. Nil means time.Now.
+	// Clock overrides time.Now for the limiter and the SLO tracker, so tests
+	// drive them without sleeping. Nil means time.Now.
 	Clock func() time.Time
 }
+
+// shedRetryAfter is the Retry-After hint on shed (429) responses.
+const shedRetryAfter = time.Second
+
+// maxTenants bounds the limiter table; the least-recently-seen bucket is
+// evicted beyond it.
+const maxTenants = 4096
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -127,30 +120,17 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
 	if c.TenantRPS == 0 {
 		c.TenantRPS = 50
 	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = 100
 	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 4096
-	}
-	if c.Breaker == (resilience.BreakerConfig{}) {
-		c.Breaker = resilience.DefaultBreakerConfig()
-		c.Breaker.SlowCallSec = (c.RequestTimeout / 2).Seconds()
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Reg == nil {
-		c.Reg = obs.NewRegistry()
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -173,7 +153,6 @@ type Server struct {
 	mux     *http.ServeMux
 	adm     *admission
 	tenants *tenantLimiter
-	breaker *resilience.Breaker
 	flights flightGroup
 	pool    *plannerPool
 	slo     *obs.SLO
@@ -181,27 +160,24 @@ type Server struct {
 	ready   atomic.Bool
 }
 
-// New builds a server from the config.
+// New builds a server from the config, reporting into a fresh registry
+// (Registry). No config makes it fail: its error is always nil.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	br, err := resilience.NewBreaker(cfg.Breaker)
-	if err != nil {
-		return nil, err
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
-		reg:     cfg.Reg,
+		reg:     reg,
 		log:     cfg.Log,
 		mux:     http.NewServeMux(),
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, cfg.MaxTenants, cfg.Reg.Counter("ratelimit_evictions_total")),
-		breaker: br,
+		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst, maxTenants, reg.Counter("ratelimit_evictions_total")),
 		pool:    newPlannerPool(cfg.Seed),
 		slo:     obs.NewSLO(cfg.SLO),
 	}
 	s.flights.detach = detachBody
 	if !cfg.DisableTelemetry {
-		s.tel = newTelemetry(cfg, s.slo)
+		s.tel = newTelemetry(cfg, reg, s.slo)
 	}
 	route := func(name string, fn computeFn) http.Handler {
 		h := s.endpoint(name, fn)
@@ -225,12 +201,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	})
-	s.mux.Handle("/metrics", obs.MetricsHandler(cfg.Reg))
+	s.mux.Handle("/metrics", obs.MetricsHandler(reg))
 	s.mux.HandleFunc("/slo", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.slo.Status())
 	})
 	if cfg.EnableDebug {
-		s.mux.Handle("/debug/", obs.DebugMux(cfg.Reg))
+		s.mux.Handle("/debug/", obs.DebugMux(reg))
 	}
 	s.reg.RegisterCollector(obs.GoRuntimeCollector())
 	s.reg.RegisterCollector(obs.SLOCollector(s.slo))
@@ -239,26 +215,14 @@ func New(cfg Config) (*Server, error) {
 }
 
 // stateCollector mirrors the daemon's state into the registry at scrape time,
-// so no request refreshes a gauge nobody is reading: admission depth, limiter
-// and planner-pool sizes, a one-hot breaker_states{state} vector, and the
-// trip count.
+// so no request refreshes a gauge nobody is reading: admission depth, and the
+// limiter and planner-pool sizes.
 func (s *Server) stateCollector() obs.Collector {
 	return func(r *obs.Registry) {
 		r.Gauge("http_queue_depth").Set(float64(s.adm.queued()))
 		r.Gauge("http_inflight").Set(float64(s.adm.inFlight()))
 		r.Gauge("ratelimit_tenants").Set(float64(s.tenants.size()))
 		r.Gauge("planner_models").Set(float64(s.pool.size()))
-		cur := s.breaker.State()
-		vec := r.GaugeVec("breaker_states", "state")
-		for _, st := range resilience.BreakerStates() {
-			v := 0.0
-			if st == cur {
-				v = 1
-			}
-			vec.With(st.String()).Set(v)
-		}
-		opens := r.Counter("breaker_opens_total")
-		opens.Add(s.breaker.Opens() - opens.Value())
 	}
 }
 

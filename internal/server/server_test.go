@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
@@ -96,6 +97,15 @@ func TestPlanQoSEndpoints(t *testing.T) {
 	}
 	if got := int(body["instances"].(float64)); got != 400 {
 		t.Fatalf("plan instances = %d, want 400", got)
+	}
+	// ⌈c/degree⌉ at c = MaxInt: this request once answered
+	// "instances": -4611686018427387904.
+	rr, body = get(t, s, fmt.Sprintf("/v1/plan?app=Video&platform=aws&c=%d&degree=2", math.MaxInt), nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("plan at c=MaxInt: status %d: %v", rr.Code, body)
+	}
+	if got := body["instances"].(float64); got != float64(math.MaxInt/2+1) {
+		t.Errorf("instances at c=MaxInt = %v, want %d", got, math.MaxInt/2+1)
 	}
 	if body["service_sec"].(float64) <= 0 || body["expense_usd"].(float64) <= 0 {
 		t.Fatalf("plan predictions not positive: %v", body)
@@ -250,24 +260,36 @@ func TestBadRequests(t *testing.T) {
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST advise: status %d, want 405", rr.Code)
 	}
-	// Client errors must not trip the breaker.
-	if got := s.breaker.State(); got != resilience.BreakerClosed {
-		t.Fatalf("breaker %v after client errors, want closed", got)
-	}
 }
 
+// TestPanicRecoveryKeepsServing: a request that fails server-side fails
+// alone, however many do. A run of them — panics, and 500s a compute
+// function returns, past the 20 failures that once opened a planner circuit
+// on every route — leaves every other request, on every route and pair,
+// served.
 func TestPanicRecoveryKeepsServing(t *testing.T) {
 	s := newTestServer(t, nil)
-	rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&panic=1", nil)
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("panic hook: status %d, want 500", rr.Code)
+	failing := s.endpoint("advise", func(context.Context, *params, *jsonEnc) error {
+		return errors.New("planner failed")
+	})
+	const runs = 25
+	for i := 0; i < runs; i++ {
+		rr, body := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&panic=1", nil)
+		if rr.Code != http.StatusInternalServerError {
+			t.Fatalf("panic hook %d: status %d (%v), want 500", i, rr.Code, body)
+		}
+		fr := httptest.NewRecorder()
+		failing.ServeHTTP(fr, httptest.NewRequest("GET", fmt.Sprintf("/v1/advise?app=Video&platform=aws&c=100&i=%d", i), nil))
+		if fr.Code != http.StatusInternalServerError {
+			t.Fatalf("failing compute %d: status %d (%s), want 500", i, fr.Code, fr.Body.String())
+		}
 	}
-	if got := s.reg.Counter("http_panics_total").Value(); got != 1 {
-		t.Fatalf("http_panics_total = %d, want 1", got)
+	if got := s.reg.Counter("http_panics_total").Value(); got != runs {
+		t.Fatalf("http_panics_total = %d, want %d", got, runs)
 	}
-	rr, _ = get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil)
+	rr, body := get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil)
 	if rr.Code != http.StatusOK {
-		t.Fatalf("request after panic: status %d, want 200", rr.Code)
+		t.Fatalf("request after %d panics and %d failures: status %d (%v), want 200", runs, runs, rr.Code, body)
 	}
 }
 
@@ -392,42 +414,57 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestAdmissionShedsOverload holds every admission slot and offers 32
+// arrivals against MaxInFlight 4 and MaxQueue 4: exactly four queue, the
+// other 24 are shed at once with 429 and Retry-After while the slots are
+// still held, and all eight admitted requests then answer 200.
 func TestAdmissionShedsOverload(t *testing.T) {
+	const slots, queue, arrivals = 4, 4, 32
 	s := newTestServer(t, func(c *Config) {
-		c.MaxInFlight = 1
-		c.MaxQueue = 1
+		c.MaxInFlight = slots
+		c.MaxQueue = queue
 	})
-	// Warm the model cache so the held request's duration is the hook delay.
-	if rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil); rr.Code != 200 {
+	// Warm the model cache so an admitted request's duration is its hook
+	// delay.
+	if rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil); rr.Code != http.StatusOK {
 		t.Fatal("warmup failed")
 	}
-	done := make(chan int, 2)
-	go func() {
-		rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&delayms=400&i=1", nil)
-		done <- rr.Code
-	}()
-	waitFor(t, "slot holder in flight", func() bool { return s.adm.inFlight() == 1 })
-	go func() {
-		rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&delayms=400&i=2", nil)
-		done <- rr.Code
-	}()
-	waitFor(t, "queued request", func() bool { return s.adm.queued() == 1 })
+	serve := func(path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr
+	}
+	admitted := make(chan int, slots+queue)
+	for i := 0; i < slots; i++ {
+		go func(i int) {
+			admitted <- serve(fmt.Sprintf("/v1/advise?app=Video&platform=aws&c=100&delayms=500&i=h%d", i)).Code
+		}(i)
+	}
+	waitFor(t, "every slot held", func() bool { return s.adm.inFlight() == slots })
+	for i := 0; i < queue; i++ {
+		go func(i int) {
+			admitted <- serve(fmt.Sprintf("/v1/advise?app=Video&platform=aws&c=100&i=q%d", i)).Code
+		}(i)
+	}
+	waitFor(t, "queue full", func() bool { return s.adm.queued() == queue })
 
-	// Capacity 1 busy + queue 1 full → the third request is shed now.
-	rr, body := get(t, s, "/v1/advise?app=Video&platform=aws&c=100&i=3", nil)
-	if rr.Code != http.StatusTooManyRequests {
-		t.Fatalf("overload: status %d (%v), want 429 shed", rr.Code, body)
+	for i := slots + queue; i < arrivals; i++ {
+		rr := serve(fmt.Sprintf("/v1/advise?app=Video&platform=aws&c=100&i=s%d", i))
+		if rr.Code != http.StatusTooManyRequests || rr.Header().Get("Retry-After") != "1" {
+			t.Fatalf("arrival %d: status %d, Retry-After %q; want 429 shed, 1", i, rr.Code, rr.Header().Get("Retry-After"))
+		}
 	}
-	if rr.Header().Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
+	// Shedding waited on nothing: the slots are still held, and no queued
+	// request moved.
+	if in, q, done := s.adm.inFlight(), s.adm.queued(), len(admitted); in != slots || q != queue || done != 0 {
+		t.Fatalf("after the sheds: %d in flight, %d queued, %d answered; want %d, %d, 0", in, q, done, slots, queue)
 	}
-	if got := s.reg.Counter("http_shed_total").Value(); got != 1 {
-		t.Fatalf("http_shed_total = %d, want 1", got)
+	if got := s.reg.Counter("http_shed_total").Value(); got != arrivals-slots-queue {
+		t.Fatalf("http_shed_total = %d, want %d", got, arrivals-slots-queue)
 	}
-	// The held and queued requests both complete fine.
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("in-flight request finished with %d", code)
+	for i := 0; i < slots+queue; i++ {
+		if code := <-admitted; code != http.StatusOK {
+			t.Fatalf("admitted request finished with %d, want 200", code)
 		}
 	}
 }
@@ -485,32 +522,6 @@ func TestCoalescingIdenticalRequests(t *testing.T) {
 	}
 	if got := s.pool.builds.Load(); got != builds {
 		t.Fatalf("herd rebuilt models: %d new builds", got-builds)
-	}
-}
-
-func TestBreakerOpensOnSlowPlanner(t *testing.T) {
-	s := newTestServer(t, func(c *Config) {
-		c.Breaker = resilience.BreakerConfig{
-			Window: 10 * time.Second, MinSamples: 3,
-			SlowCallSec: 0.01, TripSlowRate: 0.5,
-			CoolDown: time.Hour, // stays open for the rest of the test
-		}
-	})
-	for i := 0; i < 3; i++ {
-		rr, _ := get(t, s, fmt.Sprintf("/v1/advise?app=Video&platform=aws&c=100&delayms=30&i=%d", i), nil)
-		if rr.Code != http.StatusOK {
-			t.Fatalf("slow request %d: status %d", i, rr.Code)
-		}
-	}
-	rr, body := get(t, s, "/v1/advise?app=Video&platform=aws&c=100", nil)
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker: status %d (%v), want 503", rr.Code, body)
-	}
-	if rr.Header().Get("Retry-After") == "" {
-		t.Fatal("breaker rejection missing Retry-After")
-	}
-	if got := s.reg.Counter("breaker_rejected_total").Value(); got != 1 {
-		t.Fatalf("breaker_rejected_total = %d, want 1", got)
 	}
 }
 

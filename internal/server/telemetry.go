@@ -185,18 +185,18 @@ type telemetry struct {
 	idSeq  atomic.Uint64
 }
 
-func newTelemetry(cfg Config, slo *obs.SLO) *telemetry {
+func newTelemetry(cfg Config, reg *obs.Registry, slo *obs.SLO) *telemetry {
 	var buf [4]byte
 	_, _ = rand.Read(buf[:])
-	stages := cfg.Reg.HistogramVec("stage_seconds", []string{"stage"}, nil)
+	stages := reg.HistogramVec("stage_seconds", []string{"stage"}, nil)
 	stageHist := map[obs.Stage]*obs.Histogram{}
 	for _, st := range []obs.Stage{obs.StageLimit, obs.StageAdmit, obs.StageCoalesce, obs.StagePlan} {
 		stageHist[st] = stages.With(st.String())
 	}
 	return &telemetry{
-		reg:       cfg.Reg,
-		red:       cfg.Reg.CounterVec("http_route_requests_total", "route", "code", "tenant_class"),
-		lat:       cfg.Reg.HistogramVec("http_route_seconds", []string{"route"}, nil),
+		reg:       reg,
+		red:       reg.CounterVec("http_route_requests_total", "route", "code", "tenant_class"),
+		lat:       reg.HistogramVec("http_route_seconds", []string{"route"}, nil),
 		slo:       slo,
 		trace:     cfg.Trace,
 		access:    cfg.AccessLog,

@@ -263,7 +263,6 @@ func TestMetricsRouteServesPrometheus(t *testing.T) {
 		`_count{stage="plan"} 1`, // the plan child of stage_seconds
 		"# TYPE go_goroutines gauge",
 		"# TYPE go_gc_cycles_total counter",
-		`breaker_states{state="closed"} 1`,
 		`slo_error_rate{window="300s"}`,
 		"# TYPE http_shed_total counter", // preregistered despite never firing
 	} {
