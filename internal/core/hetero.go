@@ -158,40 +158,15 @@ type MixedPlanOptions struct {
 	CrossDiscount float64
 }
 
-// heteroCandidate is one packing composition under evaluation. Bins are not
-// materialized during the search — only the winner's are, from the stored
-// parameters (instance count for "mixed", degree combination for
-// "segregated"), so the candidate sweep allocates nothing per composition.
-type heteroCandidate struct {
-	strategy   string
-	bins       int   // "mixed": the instance count B
-	comboRank  int   // "segregated": lexicographic rank of the degree combo
-	degrees    []int // "segregated" fallback: explicit degrees (rank unused)
-	serviceSec float64
-	expenseUSD float64
-}
-
-// materialize builds the candidate's bins.
-func (c heteroCandidate) materialize(apps []App, maxDegs []int) [][]int {
-	if c.strategy == "mixed" {
-		return dealCounts(apps, c.bins)
+// decodeCombo inverts the rank of a segregated leaf: the walk visits the
+// per-app degree lists in lexicographic order, app 0 most significant.
+func decodeCombo(rank int, degrees [][]int) []int {
+	combo := make([]int, len(degrees))
+	for k := len(degrees) - 1; k >= 0; k-- {
+		combo[k] = degrees[k][rank%len(degrees[k])]
+		rank /= len(degrees[k])
 	}
-	degrees := c.degrees
-	if degrees == nil {
-		degrees = decodeCombo(c.comboRank, maxDegs)
-	}
-	return segregatedBins(apps, degrees)
-}
-
-// decodeCombo inverts the lexicographic rank of a per-app degree
-// combination (degrees are 1-based, app 0 most significant).
-func decodeCombo(rank int, maxDegs []int) []int {
-	degrees := make([]int, len(maxDegs))
-	for k := len(maxDegs) - 1; k >= 0; k-- {
-		degrees[k] = rank%maxDegs[k] + 1
-		rank /= maxDegs[k]
-	}
-	return degrees
+	return combo
 }
 
 // maxMixedFunctions bounds Σ count in one mixed plan: PlanMixed's cost grows
@@ -227,9 +202,9 @@ func CheckMixedCounts(counts ...int) error {
 //     every feasible B (balanced cross-application bins — compute-bound
 //     members get lighter neighbours, which shrinks the slowest bin);
 //   - "segregated": per-application bins at every combination of per-app
-//     degrees (the stock-ProPack shape — cheap when the apps' solo
-//     durations differ widely, because short functions then never ride
-//     inside long instances and pay for their wall time).
+//     degrees, or at each app's own optimum past maxSegregatedCombos (the
+//     stock-ProPack shape — cheap when the apps' solo durations differ
+//     widely: short functions never ride inside long instances).
 //
 // Both families share the platform scaling model through the joint
 // instance count, which is what couples the applications in the first
@@ -261,58 +236,99 @@ func PlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 		return MixedPlan{}, fmt.Errorf("core: invalid mixed-plan options %+v", opts)
 	}
 
-	maxDegs := feasibleDegrees(apps, opts)
-	cands := mixedCandidates(apps, opts)
-	cands = append(cands, segregatedCandidates(apps, maxDegs, opts)...)
-	if len(cands) == 0 {
+	svc, exp, bins := mixedCandidates(apps, opts)
+	degrees := segregatedDegrees(apps, opts)
+	svc, exp = segregatedCandidates(apps, degrees, opts, svc, exp)
+	if len(svc) == 0 {
 		return MixedPlan{}, fmt.Errorf("core: no feasible heterogeneous packing (memory or latency bound)")
 	}
 
 	// The candidates are the cells of one row, in enumeration order, ranked
 	// by the planner's one Eq. 7 scan with its baselines, ties and zero
 	// baseline. A NaN cell (an overflowed ET billed at a zero rate) sets no
-	// baseline unless it is the first, and never wins.
-	n := len(cands)
-	cols := make([]float64, 2*n)
-	svc, exp := cols[:n:n], cols[n:]
-	for i, c := range cands {
-		svc[i], exp[i] = c.serviceSec, c.expenseUSD
-	}
+	// baseline unless it is the first, and never wins. The winning cell names
+	// its plan: an instance count of the mixed family, else the rank of a
+	// segregated leaf.
 	_, cell := columnRow(0, svc, exp, nil).argminJoint(100, 1, opts.Weights)
-	best := cands[cell-1]
-	return MixedPlan{
-		Apps:                apps,
-		BinCounts:           best.materialize(apps, maxDegs),
-		Strategy:            best.strategy,
-		PredictedServiceSec: best.serviceSec,
-		PredictedExpenseUSD: best.expenseUSD,
-	}, nil
+	i := cell - 1
+	plan := MixedPlan{Apps: apps, Strategy: "mixed", PredictedServiceSec: svc[i], PredictedExpenseUSD: exp[i]}
+	if i < len(bins) {
+		plan.BinCounts = dealCounts(apps, bins[i])
+	} else {
+		plan.Strategy = "segregated"
+		plan.BinCounts = SegregatedBins(counts, decodeCombo(i-len(bins), degrees))
+	}
+	return plan, nil
 }
 
-// feasibleDegrees is the per-app feasible packing-degree ceiling under the
-// instance memory and execution-time limits, or nil if some app cannot run
-// at any degree.
-func feasibleDegrees(apps []App, opts MixedPlanOptions) []int {
-	maxDegs := make([]int, len(apps))
+// maxSegregatedCombos bounds the segregated walk's leaves.
+const maxSegregatedCombos = 200000
+
+// segregatedDegrees is the segregated family's per-app degree lists: every
+// degree up to the app's ceiling, or — when the lists would combine into
+// more than maxSegregatedCombos leaves — only the app's own single-app
+// optimum (SoloDegrees). The bound counts combinations, not apps: three of
+// the built-in workloads on one instance never reach it, four usually do.
+// The lists are nil if some app fits no degree.
+func segregatedDegrees(apps []App, opts MixedPlanOptions) [][]int {
+	degrees := make([][]int, len(apps))
+	combos := 1
 	for k, a := range apps {
-		md := int(opts.InstanceMemoryMB / a.MemoryMB)
-		for md > 1 && a.ET.At(md) > opts.MaxExecSec {
-			md--
-		}
+		md := degreeCeiling(a, opts)
 		if md < 1 {
 			return nil
 		}
-		maxDegs[k] = md
+		combos = min(combos*md, maxSegregatedCombos+1)
+		for d := 1; d <= md; d++ {
+			degrees[k] = append(degrees[k], d)
+		}
 	}
-	return maxDegs
+	if combos > maxSegregatedCombos {
+		// Every app fits a degree and PlanMixed validated the models that
+		// SoloDegrees plans with, so it answers for every app.
+		for k, d := range SoloDegrees(apps, opts) {
+			degrees[k] = []int{d}
+		}
+	}
+	return degrees
 }
 
-// binEval is the evaluation of one bin profile inside one instance count:
-// the memory footprint and predicted ET of a bin hosting a given count
-// vector.
-type binEval struct {
-	mem float64
-	et  float64
+// degreeCeiling is the app's highest packing degree within the instance
+// memory and the execution-time limit (degree 1 stands whatever its ET), or
+// 0 if one function outgrows the instance. The memory ratio is clamped at
+// maxMixedFunctions, which no bin can exceed, before it converts: a tiny
+// footprint must not ask for 10¹⁰ degrees, nor a ratio past 2⁶³ wrap.
+func degreeCeiling(a App, opts MixedPlanOptions) int {
+	fit := opts.InstanceMemoryMB / a.MemoryMB
+	if fit > maxMixedFunctions {
+		fit = maxMixedFunctions
+	}
+	md := int(fit)
+	for md > 1 && a.ET.At(md) > opts.MaxExecSec {
+		md--
+	}
+	return md
+}
+
+// SoloDegrees is each app's packing degree by its own Eq. 7 objective,
+// ignoring the other apps, over the degrees up to its segregated ceiling:
+// the per-app ProPack deployment, and the segregated family's lists past
+// maxSegregatedCombos. It is nil if some app fits no degree or its models
+// fail Models.Validate.
+func SoloDegrees(apps []App, opts MixedPlanOptions) []int {
+	degrees := make([]int, len(apps))
+	for k, a := range apps {
+		md := degreeCeiling(a, opts)
+		if md < 1 {
+			return nil
+		}
+		plan, err := Models{ET: a.ET, Scaling: opts.Scaling, RatePerInstanceSec: opts.RatePerInstanceSec, MaxDegree: md}.PlanFor(a.Count, opts.Weights)
+		if err != nil {
+			return nil
+		}
+		degrees[k] = plan.Degree
+	}
+	return degrees
 }
 
 // mixedCandidates evaluates the proportional cross-application composition
@@ -324,7 +340,7 @@ type binEval struct {
 // grants it to the cyclic bin range [offset_k, offset_k+extra_k), so the set
 // can only change at the cut points {0, offset_k, (offset_k+extra_k) mod B,
 // B}: a composition is at most 2K+1 runs of identical bins, whatever B is.
-// Instead of materializing the B×K count matrix and recomputing
+// Instead of building the B×K count matrix and recomputing
 // PredictMixedET per bin, the sweep walks those runs: one count vector
 // (replicating dealCounts' remainder rotation at the run's first bin), one
 // evaluation and one feasibility check per run. Bin ETs still come from
@@ -335,8 +351,9 @@ type binEval struct {
 // Two bound-based prunes skip infeasible instance counts before any ET
 // evaluation: a memory floor (even the no-remainder bin is too big) and —
 // when every app's fitted pressure is non-negative, so ET is monotone in
-// the counts — an execution-time floor.
-func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
+// the counts — an execution-time floor. Each feasible instance count
+// appends its service and expense to the columns and itself to bins.
+func mixedCandidates(apps []App, opts MixedPlanOptions) (svc, exp []float64, bins []int) {
 	totalFuncs := 0 // at most maxMixedFunctions: PlanMixed checked the counts
 	var totalMem float64
 	monotone := true
@@ -351,7 +368,6 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 	if minBins < 1 {
 		minBins = 1
 	}
-	var cands []heteroCandidate
 	counts := make([]int, len(apps))  // scratch count vector for one run
 	base := make([]int, len(apps))    // C_k / B for the current B
 	extra := make([]int, len(apps))   // C_k % B
@@ -370,11 +386,8 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 		// Prune before any ET work: every bin holds at least the base
 		// counts, so the base profile's memory (and, for monotone pressures,
 		// its ET) floors every bin in this composition.
-		baseEval := evalCounts(apps, opts, base)
-		if baseEval.mem > opts.InstanceMemoryMB {
-			continue
-		}
-		if monotone && baseEval.et > opts.MaxExecSec {
+		baseMem, baseET := evalCounts(apps, opts, base)
+		if baseMem > opts.InstanceMemoryMB || monotone && baseET > opts.MaxExecSec {
 			continue
 		}
 		slices.Sort(cuts)
@@ -385,7 +398,7 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 			if lo == hi {
 				continue
 			}
-			ev, plus := baseEval, false
+			mem, et, plus := baseMem, baseET, false
 			for k := range apps {
 				counts[k] = base[k]
 				if (lo-offsets[k]+b)%b < extra[k] {
@@ -394,157 +407,100 @@ func mixedCandidates(apps []App, opts MixedPlanOptions) []heteroCandidate {
 				}
 			}
 			if plus {
-				ev = evalCounts(apps, opts, counts)
+				mem, et = evalCounts(apps, opts, counts)
 			}
-			if ev.mem > opts.InstanceMemoryMB || ev.et > opts.MaxExecSec {
+			if mem > opts.InstanceMemoryMB || et > opts.MaxExecSec {
 				feasible = false
 				break
 			}
 			for i := lo; i < hi; i++ {
-				sumET += ev.et
+				sumET += et
 			}
-			if ev.et > maxET {
-				maxET = ev.et
+			if et > maxET {
+				maxET = et
 			}
 		}
 		if !feasible {
 			continue
 		}
-		cands = append(cands, heteroCandidate{
-			strategy:   "mixed",
-			bins:       b,
-			serviceSec: maxET + opts.Scaling.At(float64(b)),
-			expenseUSD: sumET * opts.RatePerInstanceSec,
-		})
+		svc = append(svc, maxET+opts.Scaling.At(float64(b)))
+		exp = append(exp, sumET*opts.RatePerInstanceSec)
+		bins = append(bins, b)
 	}
-	return cands
+	return svc, exp, bins
 }
 
 // evalCounts evaluates a bin hosting counts[k] functions of apps[k]: its
 // memory footprint (summed in app order, exactly as the naive per-bin loop
 // sums it) and predicted ET.
-func evalCounts(apps []App, opts MixedPlanOptions, counts []int) binEval {
-	var mem float64
+func evalCounts(apps []App, opts MixedPlanOptions, counts []int) (mem, et float64) {
 	for k, n := range counts {
 		mem += float64(n) * apps[k].MemoryMB
 	}
-	return binEval{mem: mem, et: PredictMixedET(apps, counts, opts.CrossDiscount)}
+	return mem, PredictMixedET(apps, counts, opts.CrossDiscount)
 }
 
-// segregatedCandidates evaluates per-application bins over every
-// combination of per-app packing degrees (bounded by memory and the
-// execution limit, precomputed by feasibleDegrees). The joint instance
-// count couples the apps through the scaling model.
+// segregatedCandidates appends the per-application compositions to the
+// columns, one leaf per combination of the apps' listed degrees, in rank
+// order (decodeCombo's). The joint instance count couples the apps through
+// the scaling model.
 //
-// Hot-path structure: instead of re-deriving every app's ET and bin count
-// at each of the Π maxDegs leaves, each app's per-degree values are
-// tabulated once and the walk threads running (bins, sumET, maxET) prefix
-// accumulators — a leaf only appends a candidate. The accumulators apply
-// the same operations in the same app order as a per-leaf loop would, so
-// every candidate's service and expense are bit-identical to the naive
-// sweep. The winning combination is recovered from its lexicographic rank
-// (app 0 most significant), so the walk allocates nothing per leaf.
-func segregatedCandidates(apps []App, maxDegs []int, opts MixedPlanOptions) []heteroCandidate {
-	if maxDegs == nil {
-		return nil // some app cannot run at all
+// Hot-path structure: each app's ET and instance count are tabulated once
+// per listed degree, and the walk threads running (bins, sumET, maxET)
+// prefix accumulators, so a leaf only appends its two cells. The
+// accumulators apply the same operations in the same app order as a
+// per-leaf loop would — an explicit et > m, not the builtin max, which
+// propagates NaN — so every cell is bit-identical to the naive sweep.
+func segregatedCandidates(apps []App, degrees [][]int, opts MixedPlanOptions, svc, exp []float64) ([]float64, []float64) {
+	if degrees == nil {
+		return svc, exp // some app cannot run at all
 	}
-	// Keep the combinatorial walk bounded: with more than 3 apps, fix each
-	// app's degree to its own single-app optimum instead of sweeping.
-	combos := 1
-	for _, md := range maxDegs {
-		combos *= md
-		if combos > 200000 {
-			break
-		}
-	}
-	if combos > 200000 {
-		chosen := make([]int, len(apps))
-		for k, a := range apps {
-			chosen[k] = bestSoloDegree(a, maxDegs[k], opts)
-		}
-		bins := 0
-		var maxET, sumET float64
-		for i, a := range apps {
-			d := chosen[i]
-			n := CeilDiv(a.Count, d)
-			bins += n
-			et := a.ET.At(d)
-			sumET += float64(n) * et
-			if et > maxET {
-				maxET = et
-			}
-		}
-		return []heteroCandidate{{
-			strategy:   "segregated",
-			degrees:    chosen,
-			serviceSec: maxET + opts.Scaling.At(float64(bins)),
-			expenseUSD: sumET * opts.RatePerInstanceSec,
-		}}
-	}
-
-	// Per-app, per-degree tables: ET and instance count at each degree. The
-	// last bin of an app may be partial; its ET is approximated with the
+	// The last bin of an app may be partial; its ET is approximated with the
 	// full-degree value (pessimistic by ≤ one bin), matching Eq. 1's use.
 	etTab := make([][]float64, len(apps))
 	nTab := make([][]int, len(apps))
+	combos := 1
 	for k, a := range apps {
-		etTab[k] = make([]float64, maxDegs[k])
-		nTab[k] = make([]int, maxDegs[k])
-		for d := 1; d <= maxDegs[k]; d++ {
-			etTab[k][d-1] = a.ET.At(d)
-			nTab[k][d-1] = CeilDiv(a.Count, d)
+		etTab[k] = make([]float64, len(degrees[k]))
+		nTab[k] = make([]int, len(degrees[k]))
+		for i, d := range degrees[k] {
+			etTab[k][i] = a.ET.At(d)
+			nTab[k][i] = CeilDiv(a.Count, d)
 		}
+		combos *= len(degrees[k])
 	}
-	cands := make([]heteroCandidate, 0, combos)
-	var walk func(k, rank, bins int, sumET, maxET float64)
-	walk = func(k, rank, bins int, sumET, maxET float64) {
+	svc, exp = slices.Grow(svc, combos), slices.Grow(exp, combos)
+	var walk func(k, bins int, sumET, maxET float64)
+	walk = func(k, bins int, sumET, maxET float64) {
 		if k == len(apps) {
-			cands = append(cands, heteroCandidate{
-				strategy:   "segregated",
-				comboRank:  rank,
-				serviceSec: maxET + opts.Scaling.At(float64(bins)),
-				expenseUSD: sumET * opts.RatePerInstanceSec,
-			})
+			svc = append(svc, maxET+opts.Scaling.At(float64(bins)))
+			exp = append(exp, sumET*opts.RatePerInstanceSec)
 			return
 		}
-		for d := 1; d <= maxDegs[k]; d++ {
-			et := etTab[k][d-1]
-			n := nTab[k][d-1]
+		for i, et := range etTab[k] {
+			n := nTab[k][i]
 			m := maxET
 			if et > m {
 				m = et
 			}
-			walk(k+1, rank*maxDegs[k]+(d-1), bins+n, sumET+float64(n)*et, m)
+			walk(k+1, bins+n, sumET+float64(n)*et, m)
 		}
 	}
-	walk(0, 0, 0, 0, 0)
-	return cands
+	walk(0, 0, 0, 0)
+	return svc, exp
 }
 
-// bestSoloDegree picks an app's degree by its own Eq. 7 objective, ignoring
-// the other apps (used only to bound the combinatorial walk).
-func bestSoloDegree(a App, maxDeg int, opts MixedPlanOptions) int {
-	m := Models{ET: a.ET, Scaling: opts.Scaling, RatePerInstanceSec: opts.RatePerInstanceSec, MaxDegree: maxDeg}
-	plan, err := m.PlanFor(a.Count, opts.Weights)
-	if err != nil {
-		return 1
-	}
-	return plan.Degree
-}
-
-// segregatedBins materializes per-application bins at the given degrees.
-func segregatedBins(apps []App, degrees []int) [][]int {
+// SegregatedBins lays out per-application bins: counts[k] functions of app
+// k, degrees[k] to a bin, the last bin holding the remainder. Each bin is a
+// count vector over the apps with one nonzero entry.
+func SegregatedBins(counts, degrees []int) [][]int {
 	var bins [][]int
-	for k, a := range apps {
-		remaining := a.Count
+	for k, remaining := range counts {
 		for remaining > 0 {
-			n := degrees[k]
-			if remaining < n {
-				n = remaining
-			}
-			counts := make([]int, len(apps))
-			counts[k] = n
-			bins = append(bins, counts)
+			n := min(degrees[k], remaining)
+			bin := make([]int, len(counts))
+			bin[k] = n
+			bins = append(bins, bin)
 			remaining -= n
 		}
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func demoApps() []App {
@@ -189,37 +191,90 @@ func TestPlanMixedSkipsNaNCells(t *testing.T) {
 		Weights:          Balanced(),
 		Scaling:          ScalingModel{B2: 0.004, B3: 0.1},
 	}
-	cands := append(mixedCandidates(apps, opts), segregatedCandidates(apps, feasibleDegrees(apps, opts), opts)...)
+	svc, exp, bins := mixedCandidates(apps, opts)
+	svc, exp = segregatedCandidates(apps, segregatedDegrees(apps, opts), opts, svc, exp)
+	strategy := func(cell int) string {
+		if cell < len(bins) {
+			return "mixed"
+		}
+		return "segregated"
+	}
 	// The argmin over the comparable cells, with its baselines over them.
-	var cells []heteroCandidate
-	for _, c := range cands {
-		if !math.IsNaN(c.serviceSec) && !math.IsNaN(c.expenseUSD) {
-			cells = append(cells, c)
+	var cells []int
+	for i := range svc {
+		if !math.IsNaN(svc[i]) && !math.IsNaN(exp[i]) {
+			cells = append(cells, i)
 		}
 	}
-	if len(cells) == len(cands) || math.IsNaN(cands[0].expenseUSD) {
+	if len(cells) == len(svc) || math.IsNaN(exp[0]) {
 		t.Fatalf("%d of %d candidates compare, the first expense %g: the case no longer reaches a NaN after the first cell",
-			len(cells), len(cands), cands[0].expenseUSD)
+			len(cells), len(svc), exp[0])
 	}
-	bestS, bestE := cells[0].serviceSec, cells[0].expenseUSD
-	for _, c := range cells {
-		bestS, bestE = math.Min(bestS, c.serviceSec), math.Min(bestE, c.expenseUSD)
+	bestS, bestE := svc[cells[0]], exp[cells[0]]
+	for _, i := range cells {
+		bestS, bestE = math.Min(bestS, svc[i]), math.Min(bestE, exp[i])
 	}
 	want, wantVal := cells[0], math.Inf(1)
-	for _, c := range cells {
-		if v := opts.Weights.regret(fracRegret(c.serviceSec, bestS), fracRegret(c.expenseUSD, bestE)); v < wantVal {
-			want, wantVal = c, v
+	for _, i := range cells {
+		if v := opts.Weights.regret(fracRegret(svc[i], bestS), fracRegret(exp[i], bestE)); v < wantVal {
+			want, wantVal = i, v
 		}
 	}
 	got, err := PlanMixed(apps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Strategy != want.strategy || got.PredictedServiceSec != want.serviceSec || got.PredictedExpenseUSD != want.expenseUSD {
+	if got.Strategy != strategy(want) || got.PredictedServiceSec != svc[want] || got.PredictedExpenseUSD != exp[want] {
 		t.Fatalf("PlanMixed = %s at %g s, %g USD; want %s at %g s, %g USD",
-			got.Strategy, got.PredictedServiceSec, got.PredictedExpenseUSD, want.strategy, want.serviceSec, want.expenseUSD)
+			got.Strategy, got.PredictedServiceSec, got.PredictedExpenseUSD, strategy(want), svc[want], exp[want])
 	}
-	t.Logf("%s plan predicting %.3g s (%d of %d candidates compare)", got.Strategy, got.PredictedServiceSec, len(cells), len(cands))
+	t.Logf("%s plan predicting %.3g s (%d of %d candidates compare)", got.Strategy, got.PredictedServiceSec, len(cells), len(svc))
+}
+
+// TestPlanMixedTinyFootprint: an unclamped memory ratio made the tiny app's
+// degree ceiling 1.024e10, which took the segregated family past its bound
+// and had the app's single-app plan tabulate every one of those degrees —
+// a 327 GB allocation, fatal. The ceiling stops at maxMixedFunctions, so the
+// job plans at once and in little memory, every function accounted for.
+func TestPlanMixedTinyFootprint(t *testing.T) {
+	apps := []App{ // the tiny app's memory ratio is 1.024e10 functions to an instance
+		{Name: "tiny", MemoryMB: 1e-6, Count: 3, ET: ETModel{MfuncGB: 1e-9, Alpha: 0.1, Intercept: 1}},
+		{Name: "plain", MemoryMB: 256, Count: 3, ET: ETModel{MfuncGB: 0.25, Alpha: 0.1, Intercept: 1}},
+	}
+	opts := MixedPlanOptions{
+		InstanceMemoryMB:   10240,
+		MaxExecSec:         900,
+		Weights:            Balanced(),
+		Scaling:            ScalingModel{B2: 0.004, B3: 0.1},
+		RatePerInstanceSec: 1e-4,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	plan, err := PlanMixed(apps, opts)
+	el := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el > time.Second {
+		t.Errorf("planned in %v, want under 1 s", el)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("allocated %d bytes, want under 64 MB", got)
+	}
+	totals := make([]int, len(apps))
+	for _, bin := range plan.BinCounts {
+		for k, n := range bin {
+			totals[k] += n
+		}
+	}
+	if totals[0] != 3 || totals[1] != 3 {
+		t.Fatalf("plan %+v holds %v functions, want [3 3]", plan, totals)
+	}
+	if got := degreeCeiling(apps[0], opts); got != maxMixedFunctions {
+		t.Errorf("tiny app's ceiling %d, want %d", got, maxMixedFunctions)
+	}
 }
 
 // Property: dealCounts conserves every app's function count for arbitrary

@@ -465,11 +465,13 @@ func TestTableCacheLRU(t *testing.T) {
 
 // --- PlanMixed equivalence ---------------------------------------------------
 
-// naiveMixedCand is a fully materialized candidate, as the pre-table
-// heterogeneous sweep built them.
+// naiveMixedCand is one candidate as the pre-table heterogeneous sweep
+// ranked it: its instance count (mixed) or its per-app degrees (segregated),
+// with its bins built only for the winner.
 type naiveMixedCand struct {
 	strategy   string
-	bins       [][]int
+	b          int
+	degrees    []int
 	serviceSec float64
 	expenseUSD float64
 }
@@ -477,9 +479,11 @@ type naiveMixedCand struct {
 // naivePlanMixed is a verbatim re-expression of the pre-optimization
 // PlanMixed: every instance count materializes its full count matrix and
 // re-runs PredictMixedET per bin; every degree combination recomputes each
-// app's values at the leaf. Its math.Min baselines let a NaN cell poison
-// every regret; randMixedCase's finite MaxExecSec never bills one, and
-// TestPlanMixedSkipsNaNCells, not this reference, holds the NaN rule.
+// app's values at the leaf. Past 200 000 combinations each app's degree is
+// its own Models.PlanFor optimum, the one combination left. Its math.Min
+// baselines let a NaN cell poison every regret; randMixedCase's finite
+// MaxExecSec never bills one, and TestPlanMixedSkipsNaNCells, not this
+// reference, holds the NaN rule.
 func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	if len(apps) == 0 {
 		return MixedPlan{}, fmt.Errorf("core: no apps to plan")
@@ -508,54 +512,27 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 	if minBins < 1 {
 		minBins = 1
 	}
-	for b := minBins; b <= totalFuncs; b++ {
-		counts := dealCounts(apps, b)
-		feasible := true
-		var maxET, sumET float64
-		for _, binCounts := range counts {
-			var mem float64
-			for k, n := range binCounts {
-				mem += float64(n) * apps[k].MemoryMB
-			}
-			if mem > opts.InstanceMemoryMB {
-				feasible = false
-				break
-			}
-			et := PredictMixedET(apps, binCounts, opts.CrossDiscount)
-			if et > opts.MaxExecSec {
-				feasible = false
-				break
-			}
-			sumET += et
-			if et > maxET {
-				maxET = et
-			}
-		}
-		if !feasible {
-			continue
-		}
-		cands = append(cands, naiveMixedCand{
-			strategy:   "mixed",
-			bins:       counts,
-			serviceSec: maxET + opts.Scaling.At(float64(b)),
-			expenseUSD: sumET * opts.RatePerInstanceSec,
-		})
+	svc, exp, bins := mixedCandidatesNaive(apps, opts, minBins, totalFuncs)
+	for i, b := range bins {
+		cands = append(cands, naiveMixedCand{strategy: "mixed", b: b, serviceSec: svc[i], expenseUSD: exp[i]})
 	}
 
-	maxDegs := make([]int, len(apps))
-	segFeasible := true
-	for k, a := range apps {
-		md := int(opts.InstanceMemoryMB / a.MemoryMB)
-		for md > 1 && a.ET.At(md) > opts.MaxExecSec {
-			md--
+	if maxDegs, combos := naiveDegreeCeilings(apps, opts); maxDegs != nil {
+		lists := make([][]int, len(apps))
+		for k, md := range maxDegs {
+			if combos <= 200000 {
+				for d := 1; d <= md; d++ {
+					lists[k] = append(lists[k], d)
+				}
+				continue
+			}
+			m := Models{ET: apps[k].ET, Scaling: opts.Scaling, RatePerInstanceSec: opts.RatePerInstanceSec, MaxDegree: md}
+			plan, err := m.PlanFor(apps[k].Count, opts.Weights)
+			if err != nil {
+				return MixedPlan{}, err
+			}
+			lists[k] = []int{plan.Degree}
 		}
-		if md < 1 {
-			segFeasible = false
-			break
-		}
-		maxDegs[k] = md
-	}
-	if segFeasible {
 		degrees := make([]int, len(apps))
 		var walk func(k int)
 		walk = func(k int) {
@@ -572,16 +549,15 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 						maxET = et
 					}
 				}
-				chosen := append([]int(nil), degrees...)
 				cands = append(cands, naiveMixedCand{
 					strategy:   "segregated",
-					bins:       segregatedBins(apps, chosen),
+					degrees:    slices.Clone(degrees),
 					serviceSec: maxET + opts.Scaling.At(float64(bins)),
 					expenseUSD: sumET * opts.RatePerInstanceSec,
 				})
 				return
 			}
-			for d := 1; d <= maxDegs[k]; d++ {
+			for _, d := range lists[k] {
 				degrees[k] = d
 				walk(k + 1)
 			}
@@ -609,17 +585,50 @@ func naivePlanMixed(apps []App, opts MixedPlanOptions) (MixedPlan, error) {
 			best, bestVal = c, v
 		}
 	}
-	return MixedPlan{
+	plan := MixedPlan{
 		Apps:                apps,
-		BinCounts:           best.bins,
 		Strategy:            best.strategy,
 		PredictedServiceSec: best.serviceSec,
 		PredictedExpenseUSD: best.expenseUSD,
-	}, nil
+	}
+	if best.strategy == "mixed" {
+		plan.BinCounts = dealCounts(apps, best.b)
+		return plan, nil
+	}
+	for k, a := range apps {
+		for left := a.Count; left > 0; left -= best.degrees[k] {
+			bin := make([]int, len(apps))
+			bin[k] = min(left, best.degrees[k])
+			plan.BinCounts = append(plan.BinCounts, bin)
+		}
+	}
+	return plan, nil
 }
 
-func randMixedCase(r *rand.Rand) ([]App, MixedPlanOptions) {
-	k := 1 + r.Intn(3)
+// naiveDegreeCeilings is each app's highest degree within the instance
+// memory (at most 20 000, the most functions a job holds) and the execution
+// limit, and the number of combinations they make; nil if some app fits
+// no degree.
+func naiveDegreeCeilings(apps []App, opts MixedPlanOptions) (maxDegs []int, combos float64) {
+	combos = 1
+	for _, a := range apps {
+		md := int(math.Min(opts.InstanceMemoryMB/a.MemoryMB, 20000))
+		for md > 1 && a.ET.At(md) > opts.MaxExecSec {
+			md--
+		}
+		if md < 1 {
+			return nil, 0
+		}
+		maxDegs = append(maxDegs, md)
+		combos *= float64(md)
+	}
+	return maxDegs, combos
+}
+
+// randMixedCase draws a job of minApps to maxApps apps. Three apps' degrees
+// stay within 200 000 combinations; most jobs of four or more go past.
+func randMixedCase(r *rand.Rand, minApps, maxApps int) ([]App, MixedPlanOptions) {
+	k := minApps + r.Intn(maxApps-minApps+1)
 	apps := make([]App, k)
 	for i := range apps {
 		mem := 128 + float64(r.Intn(8))*128
@@ -650,12 +659,20 @@ func randMixedCase(r *rand.Rand) ([]App, MixedPlanOptions) {
 // its b → 0⁺ limit 0 and the service regret decides, some service-only
 // (Weights{1, 0}), some both, where the zero expense weight drops the term.
 // A plan must name a candidate — the first, when none compares — never come
-// back empty.
+// back empty. Every fourth trial draws four to six apps, whose degrees
+// mostly combine past the segregated walk's bound.
 func TestPlanMixedMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	feasible, infeasible := 0, 0
+	feasible, infeasible, past := 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
-		apps, opts := randMixedCase(r)
+		minApps, maxApps := 1, 3
+		if trial%4 == 3 {
+			minApps, maxApps = 4, 6
+		}
+		apps, opts := randMixedCase(r, minApps, maxApps)
+		if _, combos := naiveDegreeCeilings(apps, opts); combos > 200000 {
+			past++
+		}
 		switch trial % 5 {
 		case 1:
 			opts.RatePerInstanceSec = 0
@@ -683,10 +700,10 @@ func TestPlanMixedMatchesNaive(t *testing.T) {
 				trial, got, want, apps, opts)
 		}
 	}
-	if feasible == 0 {
-		t.Fatal("no feasible trials — generator too tight to test anything")
+	if feasible == 0 || past == 0 {
+		t.Fatalf("%d feasible trials, %d past 200 000 combinations — generator too tight to test anything", feasible, past)
 	}
-	t.Logf("feasible=%d infeasible=%d", feasible, infeasible)
+	t.Logf("feasible=%d infeasible=%d past the bound=%d", feasible, infeasible, past)
 }
 
 // --- allocation regressions --------------------------------------------------
@@ -724,8 +741,7 @@ func TestPlanForAllocs(t *testing.T) {
 // mixedCandidatesNaive is the per-bin evaluation of the mixed family —
 // dealCounts' B×K matrix, every bin's memory and ET recomputed — that the
 // run walk in mixedCandidates must reproduce candidate for candidate.
-func mixedCandidatesNaive(apps []App, opts MixedPlanOptions, minBins, totalFuncs int) []heteroCandidate {
-	var cands []heteroCandidate
+func mixedCandidatesNaive(apps []App, opts MixedPlanOptions, minBins, totalFuncs int) (svc, exp []float64, bins []int) {
 	for b := minBins; b <= totalFuncs; b++ {
 		counts := dealCounts(apps, b)
 		feasible := true
@@ -752,14 +768,11 @@ func mixedCandidatesNaive(apps []App, opts MixedPlanOptions, minBins, totalFuncs
 		if !feasible {
 			continue
 		}
-		cands = append(cands, heteroCandidate{
-			strategy:   "mixed",
-			bins:       b,
-			serviceSec: maxET + opts.Scaling.At(float64(b)),
-			expenseUSD: sumET * opts.RatePerInstanceSec,
-		})
+		svc = append(svc, maxET+opts.Scaling.At(float64(b)))
+		exp = append(exp, sumET*opts.RatePerInstanceSec)
+		bins = append(bins, b)
 	}
-	return cands
+	return svc, exp, bins
 }
 
 // TestMixedCandidatesMatchesNaive holds the run walk to the per-bin
@@ -777,25 +790,26 @@ func TestMixedCandidatesMatchesNaive(t *testing.T) {
 		for _, a := range apps {
 			totalFuncs += a.Count
 		}
-		got := mixedCandidates(apps, opts)
-		want := mixedCandidatesNaive(apps, opts, 1, totalFuncs)
+		svc, exp, bins := mixedCandidates(apps, opts)
+		wantSvc, wantExp, wantBins := mixedCandidatesNaive(apps, opts, 1, totalFuncs)
 		// The naive sweep starts at one bin; the walk starts at its memory
 		// floor, below which the naive sweep finds nothing feasible either.
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d candidates, per-bin sweep %d (apps=%+v opts=%+v)", what, len(got), len(want), apps, opts)
+		if len(bins) != len(wantBins) || len(svc) != len(bins) || len(exp) != len(bins) {
+			t.Fatalf("%s: %d candidates (%d, %d cells), per-bin sweep %d (apps=%+v opts=%+v)",
+				what, len(bins), len(svc), len(exp), len(wantBins), apps, opts)
 		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.bins != w.bins || math.Float64bits(g.serviceSec) != math.Float64bits(w.serviceSec) ||
-				math.Float64bits(g.expenseUSD) != math.Float64bits(w.expenseUSD) {
-				t.Fatalf("%s cand %d: %+v, per-bin sweep %+v (apps=%+v)", what, i, g, w, apps)
+		for i := range bins {
+			if bins[i] != wantBins[i] || math.Float64bits(svc[i]) != math.Float64bits(wantSvc[i]) ||
+				math.Float64bits(exp[i]) != math.Float64bits(wantExp[i]) {
+				t.Fatalf("%s cand %d: %d bins at %g s, %g USD; per-bin sweep %d bins at %g s, %g USD (apps=%+v)",
+					what, i, bins[i], svc[i], exp[i], wantBins[i], wantSvc[i], wantExp[i], apps)
 			}
 		}
-		return len(got)
+		return len(bins)
 	}
 	compared := 0
 	for trial := 0; trial < 300; trial++ {
-		apps, opts := randMixedCase(r)
+		apps, opts := randMixedCase(r, 1, 3)
 		for len(apps) < 1+trial%6 {
 			a := apps[r.Intn(len(apps))]
 			a.Count = 1 + r.Intn(70)
@@ -809,7 +823,7 @@ func TestMixedCandidatesMatchesNaive(t *testing.T) {
 	wide := 0
 	for _, k := range []int{64, 70} {
 		for trial := 0; trial < 3; trial++ {
-			apps, opts := randMixedCase(r)
+			apps, opts := randMixedCase(r, 1, 3)
 			for len(apps) < k {
 				a := apps[r.Intn(len(apps))]
 				a.Count = 1 + r.Intn(3)
@@ -822,4 +836,100 @@ func TestMixedCandidatesMatchesNaive(t *testing.T) {
 	if wide == 0 {
 		t.Fatal("no feasible candidate with ≥ 64 apps — generator too tight to test anything")
 	}
+}
+
+// TestSegregatedCandidatesMatchesNaive holds the segregated walk to a
+// per-leaf loop cell by cell, on both sides of its 200 000-combination
+// bound: below it every app's list is 1 … its ceiling, past it the one
+// degree the app's own Models.PlanFor picks. Leaf by leaf, in odometer
+// order, decodeCombo must read back the leaf's degrees, and its service and
+// expense must be Float64bits-equal to the loop's, appended after the cells
+// already in the columns. Every sixth job makes one app's ET overflow at a
+// zero rate with no execution limit, so NaN cells are compared too.
+func TestSegregatedCandidatesMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	below, past, cells := 0, 0, 0
+	for trial := 0; trial < 90; trial++ {
+		n := 1 + trial%6
+		apps, opts := randMixedCase(r, n, n)
+		if trial%6 == 5 {
+			apps[0].ET.Alpha, opts.MaxExecSec, opts.RatePerInstanceSec = 1600, math.Inf(1), 0
+		}
+		maxDegs, combos := naiveDegreeCeilings(apps, opts)
+		degrees := segregatedDegrees(apps, opts)
+		if maxDegs == nil {
+			if degrees != nil {
+				t.Fatalf("trial %d: lists %v for a job some app of which fits no degree", trial, degrees)
+			}
+			continue
+		}
+		for k, md := range maxDegs {
+			var want []int
+			if combos <= 200000 {
+				for d := 1; d <= md; d++ {
+					want = append(want, d)
+				}
+			} else {
+				m := Models{ET: apps[k].ET, Scaling: opts.Scaling, RatePerInstanceSec: opts.RatePerInstanceSec, MaxDegree: md}
+				plan, err := m.PlanFor(apps[k].Count, opts.Weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = []int{plan.Degree}
+			}
+			if !slices.Equal(degrees[k], want) {
+				t.Fatalf("trial %d app %d: degrees %v, want %v (ceiling %d, %g combinations)", trial, k, degrees[k], want, md, combos)
+			}
+		}
+		svc, exp := segregatedCandidates(apps, degrees, opts, []float64{-1}, []float64{-2})
+		if svc[0] != -1 || exp[0] != -2 {
+			t.Fatalf("trial %d: the cells before the walk's became %g, %g", trial, svc[0], exp[0])
+		}
+		odometer := make([]int, len(apps))
+		combo := make([]int, len(apps))
+		leaf := 0
+		for more := true; more; leaf++ {
+			for k := range apps {
+				combo[k] = degrees[k][odometer[k]]
+			}
+			if got := decodeCombo(leaf, degrees); !slices.Equal(got, combo) {
+				t.Fatalf("trial %d leaf %d: decodeCombo = %v, want %v", trial, leaf, got, combo)
+			}
+			bins := 0
+			var sumET, maxET float64
+			for k, a := range apps {
+				d := combo[k]
+				n := (a.Count + d - 1) / d
+				et := a.ET.At(d)
+				bins += n
+				sumET += float64(n) * et
+				if et > maxET {
+					maxET = et
+				}
+			}
+			wantS, wantE := maxET+opts.Scaling.At(float64(bins)), sumET*opts.RatePerInstanceSec
+			if 1+leaf >= len(svc) || math.Float64bits(svc[1+leaf]) != math.Float64bits(wantS) ||
+				math.Float64bits(exp[1+leaf]) != math.Float64bits(wantE) {
+				t.Fatalf("trial %d leaf %d (degrees %v): cells out of step with the per-leaf loop's %g s, %g USD", trial, leaf, combo, wantS, wantE)
+			}
+			more = false
+			for k := len(apps) - 1; k >= 0 && !more; k-- {
+				odometer[k] = (odometer[k] + 1) % len(degrees[k])
+				more = odometer[k] != 0
+			}
+		}
+		if len(svc) != 1+leaf || len(exp) != 1+leaf {
+			t.Fatalf("trial %d: %d and %d cells, want %d", trial, len(svc), len(exp), 1+leaf)
+		}
+		cells += leaf
+		if combos > 200000 {
+			past++
+		} else {
+			below++
+		}
+	}
+	if below == 0 || past == 0 {
+		t.Fatalf("%d jobs below the bound, %d past it: generator too tight to test both sides", below, past)
+	}
+	t.Logf("%d cells compared over %d jobs below the bound and %d past it", cells, below, past)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/interfere"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/trace"
@@ -12,11 +11,14 @@ import (
 )
 
 // Heterogeneous jobs: several applications spawning their bursts together
-// (the Sec. 5 extension). Three deployment shapes share one control plane:
+// (the Sec. 5 extension). Three deployment shapes share one control plane,
+// and each is a bin-count matrix that runBins executes as one burst:
 //
-//   - ExecuteJointUnpacked — every function in its own instance (baseline);
+//   - ExecuteJointUnpacked — every function in its own instance (baseline):
+//     core.SegregatedBins at degree 1;
 //   - ExecutePerAppPacked  — each app packed at its own ProPack degree, but
-//     instances host a single application (what stock ProPack would do);
+//     instances host a single application (what stock ProPack would do):
+//     core.SegregatedBins at core.SoloDegrees;
 //   - RunMixedProPack      — cross-application packing planned by
 //     core.PlanMixed with the compositional Eq. 1 model.
 
@@ -26,14 +28,15 @@ type MixedApp struct {
 	Count    int
 }
 
-// checkCounts is core.CheckMixedCounts over the job's counts: every door
-// that profiles or appends per function judges the job with it first.
-func checkCounts(apps []MixedApp) error {
+// jobCounts is the job's per-app counts, judged by core.CheckMixedCounts:
+// every door that profiles or appends per function judges the job with it
+// first.
+func jobCounts(apps []MixedApp) ([]int, error) {
 	counts := make([]int, len(apps))
 	for i, a := range apps {
 		counts[i] = a.Count
 	}
-	return core.CheckMixedCounts(counts...)
+	return counts, core.CheckMixedCounts(counts...)
 }
 
 // buildApps profiles every application on the platform and returns the
@@ -71,10 +74,13 @@ func buildApps(cfg platform.Config, apps []MixedApp, seed int64) ([]core.App, co
 	return out, scaling, total, nil
 }
 
-// binsFromPlan expands a MixedPlan into platform bins.
-func binsFromPlan(plan core.MixedPlan, apps []MixedApp) []platform.Bin {
-	bins := make([]platform.Bin, 0, len(plan.BinCounts))
-	for _, counts := range plan.BinCounts {
+// runBins executes a bin-count matrix as one burst — binCounts[b][k]
+// functions of apps[k] in instance b — and returns its metrics. rec
+// receives the burst's observability records under label (nil disables
+// recording).
+func runBins(cfg platform.Config, apps []MixedApp, binCounts [][]int, seed int64, rec obs.Recorder, label string) (trace.Metrics, error) {
+	bins := make([]platform.Bin, 0, len(binCounts))
+	for _, counts := range binCounts {
 		var bin platform.Bin
 		for k, n := range counts {
 			d := apps[k].Workload.Demand()
@@ -86,7 +92,25 @@ func binsFromPlan(plan core.MixedPlan, apps []MixedApp) []platform.Bin {
 			bins = append(bins, bin)
 		}
 	}
-	return bins
+	res, err := platform.RunMixed(cfg, platform.MixedBurst{Bins: bins, Seed: seed, Recorder: rec, Label: label})
+	if err != nil {
+		return trace.Metrics{}, err
+	}
+	return trace.FromResult(res), nil
+}
+
+// mixedOptions is the platform's side of a mixed plan: its instance
+// memory, execution limit and price, with the job's scaling model, weights
+// and cross-application discount.
+func mixedOptions(cfg platform.Config, w core.Weights, scaling core.ScalingModel, disc float64) core.MixedPlanOptions {
+	return core.MixedPlanOptions{
+		InstanceMemoryMB:   cfg.Shape.MemoryMB,
+		MaxExecSec:         cfg.MaxExecSec,
+		Weights:            w,
+		Scaling:            scaling,
+		RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
+		CrossDiscount:      disc,
+	}
 }
 
 // MixedRun is the outcome of a heterogeneous ProPack execution.
@@ -151,7 +175,7 @@ func probeCrossDiscount(cfg platform.Config, apps []MixedApp, coreApps []core.Ap
 // inspect the recommendation (and its modeling overhead) before committing
 // a burst.
 func PlanMixedJob(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64) (core.MixedPlan, core.Overhead, error) {
-	if err := checkCounts(apps); err != nil {
+	if _, err := jobCounts(apps); err != nil {
 		return core.MixedPlan{}, core.Overhead{}, err
 	}
 	coreApps, scaling, overhead, err := buildApps(cfg, apps, seed)
@@ -162,14 +186,7 @@ func PlanMixedJob(cfg platform.Config, apps []MixedApp, w core.Weights, seed int
 	if err != nil {
 		return core.MixedPlan{}, core.Overhead{}, err
 	}
-	plan, err := core.PlanMixed(coreApps, core.MixedPlanOptions{
-		InstanceMemoryMB:   cfg.Shape.MemoryMB,
-		MaxExecSec:         cfg.MaxExecSec,
-		Weights:            w,
-		Scaling:            scaling,
-		RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
-		CrossDiscount:      disc,
-	})
+	plan, err := core.PlanMixed(coreApps, mixedOptions(cfg, w, scaling, disc))
 	if err != nil {
 		return core.MixedPlan{}, core.Overhead{}, err
 	}
@@ -184,67 +201,37 @@ func RunMixedProPack(cfg platform.Config, apps []MixedApp, w core.Weights, seed 
 	if err != nil {
 		return MixedRun{}, err
 	}
-	res, err := platform.RunMixed(cfg, platform.MixedBurst{
-		Bins: binsFromPlan(plan, apps), Seed: seed,
-		Recorder: rec, Label: "mixed",
-	})
+	m, err := runBins(cfg, apps, plan.BinCounts, seed, rec, "mixed")
 	if err != nil {
 		return MixedRun{}, err
 	}
-	return MixedRun{Plan: plan, Metrics: trace.FromResult(res), Overhead: overhead}, nil
+	return MixedRun{Plan: plan, Metrics: m, Overhead: overhead}, nil
 }
 
 // ExecutePerAppPacked runs the job with each application packed at its own
-// single-app ProPack degree — instances never mix applications, but all
-// instances share one invocation burst (and its control-plane contention).
-// rec receives the burst's observability records (nil disables recording).
+// single-app ProPack degree (core.SoloDegrees: each app's Eq. 7 optimum up
+// to its segregated ceiling, which the execution limit bounds as well as
+// memory) — instances never mix applications, but all instances share one
+// invocation burst (and its control-plane contention). rec receives the
+// burst's observability records (nil disables recording).
 func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64, rec obs.Recorder) (trace.Metrics, []int, error) {
-	if err := checkCounts(apps); err != nil {
+	counts, err := jobCounts(apps)
+	if err != nil {
 		return trace.Metrics{}, nil, err
 	}
 	coreApps, scaling, _, err := buildApps(cfg, apps, seed)
 	if err != nil {
 		return trace.Metrics{}, nil, err
 	}
-	// Total instance count depends on every app's degree; solve each app
-	// against the joint burst size iteratively (one pass suffices: the
-	// scaling term is shared, so we approximate with the app's own C).
-	degrees := make([]int, len(apps))
-	var bins []platform.Bin
-	for k, a := range apps {
-		models := core.Models{
-			ET:                 coreApps[k].ET,
-			Scaling:            scaling,
-			RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
-			MaxDegree:          cfg.Shape.MaxDegree(a.Workload.Demand()),
-		}
-		plan, err := models.PlanFor(a.Count, w)
-		if err != nil {
-			return trace.Metrics{}, nil, err
-		}
-		deg := plan.Degree
-		degrees[k] = deg
-		remaining := a.Count
-		for remaining > 0 {
-			n := deg
-			if remaining < n {
-				n = remaining
-			}
-			var bin platform.Bin
-			for j := 0; j < n; j++ {
-				bin.Demands = append(bin.Demands, a.Workload.Demand())
-			}
-			bins = append(bins, bin)
-			remaining -= n
-		}
+	degrees := core.SoloDegrees(coreApps, mixedOptions(cfg, w, scaling, 0))
+	if degrees == nil {
+		return trace.Metrics{}, nil, fmt.Errorf("orchestrator: some app fits no packing degree on %s", cfg.Name)
 	}
-	res, err := platform.RunMixed(cfg, platform.MixedBurst{
-		Bins: bins, Seed: seed, Recorder: rec, Label: "per-app",
-	})
+	m, err := runBins(cfg, apps, core.SegregatedBins(counts, degrees), seed, rec, "per-app")
 	if err != nil {
 		return trace.Metrics{}, nil, err
 	}
-	return trace.FromResult(res), degrees, nil
+	return m, degrees, nil
 }
 
 // ExecuteJointUnpacked runs every function of every application in its own
@@ -252,21 +239,13 @@ func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, s
 // heterogeneous job. rec receives the burst's observability records (nil
 // disables recording).
 func ExecuteJointUnpacked(cfg platform.Config, apps []MixedApp, seed int64, rec obs.Recorder) (trace.Metrics, error) {
-	if err := checkCounts(apps); err != nil {
-		return trace.Metrics{}, err
-	}
-	var bins []platform.Bin
-	for _, a := range apps {
-		d := a.Workload.Demand()
-		for j := 0; j < a.Count; j++ {
-			bins = append(bins, platform.Bin{Demands: []interfere.Demand{d}})
-		}
-	}
-	res, err := platform.RunMixed(cfg, platform.MixedBurst{
-		Bins: bins, Seed: seed, Recorder: rec, Label: "unpacked",
-	})
+	counts, err := jobCounts(apps)
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	return trace.FromResult(res), nil
+	ones := make([]int, len(apps))
+	for k := range ones {
+		ones[k] = 1
+	}
+	return runBins(cfg, apps, core.SegregatedBins(counts, ones), seed, rec, "unpacked")
 }

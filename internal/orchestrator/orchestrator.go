@@ -2,7 +2,10 @@
 // takes an application (a resource demand), a concurrency level, and a
 // packing plan, fires the concurrent invocation burst on a platform, and
 // reports the paper's metrics. It also hosts the full ProPack pipeline —
-// profile, fit, recommend, execute — used by the experiments and examples.
+// profile, fit, recommend, execute — used by the experiments and examples,
+// and the heterogeneous jobs of several applications, whose three
+// deployments (unpacked, per-app packed, core.PlanMixed's plan) are each a
+// bin-count matrix run through one executor.
 package orchestrator
 
 import (

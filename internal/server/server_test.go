@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -200,26 +201,47 @@ func TestJointEndpoint(t *testing.T) {
 	}
 }
 
+// TestMixedEndpoint: a pair and a four-app job both plan. Four apps'
+// memory ceilings on AWS alone make 40·30·35·20 = 840 000 degree
+// combinations, past the segregated walk's bound, so that job's segregated
+// family is each app's own optimum.
 func TestMixedEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
-	rr, body := get(t, s, "/v1/mixed?app=Video:60&app=Smith-Waterman:60&platform=aws&ws=0.5", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("mixed: status %d: %v", rr.Code, body)
-	}
-	if body["strategy"] != "mixed" && body["strategy"] != "segregated" {
-		t.Fatalf("mixed strategy = %v", body["strategy"])
-	}
-	bins := body["bins"].([]any)
-	if len(bins) == 0 {
-		t.Fatal("mixed response has no bins")
-	}
-	// The run-length encoding must preserve the total instance count.
-	total := 0
-	for _, b := range bins {
-		total += int(b.(map[string]any)["n"].(float64))
-	}
-	if total != int(body["instances"].(float64)) {
-		t.Fatalf("bins sum to %d instances, header says %v", total, body["instances"])
+	for _, tc := range []struct {
+		query  string
+		counts []int
+	}{
+		{"app=Video:60&app=Smith-Waterman:60", []int{60, 60}},
+		{"app=Video:40&app=Stateless%20Cost:30&app=Smith-Waterman:35&app=Xapian:20", []int{40, 30, 35, 20}},
+	} {
+		rr, body := get(t, s, "/v1/mixed?platform=aws&ws=0.5&"+tc.query, nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", tc.query, rr.Code, body)
+		}
+		if body["strategy"] != "mixed" && body["strategy"] != "segregated" {
+			t.Fatalf("%s: mixed strategy = %v", tc.query, body["strategy"])
+		}
+		bins := body["bins"].([]any)
+		if len(bins) == 0 {
+			t.Fatalf("%s: mixed response has no bins", tc.query)
+		}
+		// The run-length encoding must preserve the total instance count
+		// and every app's function count.
+		total, funcs := 0, make([]int, len(tc.counts))
+		for _, b := range bins {
+			bin := b.(map[string]any)
+			n := int(bin["n"].(float64))
+			total += n
+			for k, c := range bin["counts"].([]any) {
+				funcs[k] += n * int(c.(float64))
+			}
+		}
+		if total != int(body["instances"].(float64)) {
+			t.Fatalf("%s: bins sum to %d instances, header says %v", tc.query, total, body["instances"])
+		}
+		if !slices.Equal(funcs, tc.counts) {
+			t.Fatalf("%s: bins hold %v functions, want %v", tc.query, funcs, tc.counts)
+		}
 	}
 }
 
