@@ -297,13 +297,18 @@ func segregatedDegrees(apps []App, opts MixedPlanOptions) [][]int {
 // memory and the execution-time limit (degree 1 stands whatever its ET), or
 // 0 if one function outgrows the instance. The memory ratio is clamped at
 // maxMixedFunctions, which no bin can exceed, before it converts: a tiny
-// footprint must not ask for 10¹⁰ degrees, nor a ratio past 2⁶³ wrap.
+// footprint must not ask for 10¹⁰ degrees, nor a ratio past 2⁶³ wrap. The
+// quotient can round up onto an integer whose bin does not fit, so the
+// degree then steps down until the product a bin is judged by fits.
 func degreeCeiling(a App, opts MixedPlanOptions) int {
 	fit := opts.InstanceMemoryMB / a.MemoryMB
 	if fit > maxMixedFunctions {
 		fit = maxMixedFunctions
 	}
 	md := int(fit)
+	for md > 0 && float64(md)*a.MemoryMB > opts.InstanceMemoryMB {
+		md--
+	}
 	for md > 1 && a.ET.At(md) > opts.MaxExecSec {
 		md--
 	}

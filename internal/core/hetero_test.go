@@ -277,6 +277,40 @@ func TestPlanMixedTinyFootprint(t *testing.T) {
 	}
 }
 
+// TestPlanMixedCeilingFitsTheInstance steps one app's footprint by ulps
+// around 10 240/67 MB. Just above it the quotient 10 240/MemoryMB still
+// rounds to 67, a bin of 67 functions would need 10 240.000000000002 MB, and
+// the ceiling must step down to 66: no bin of any plan outgrows the instance,
+// and each ceiling is the largest degree whose bin fits.
+func TestPlanMixedCeilingFitsTheInstance(t *testing.T) {
+	opts := MixedPlanOptions{
+		InstanceMemoryMB:   10240,
+		MaxExecSec:         900,
+		Weights:            Balanced(),
+		Scaling:            ScalingModel{B2: 0.004, B3: 0.1},
+		RatePerInstanceSec: 1e-4,
+	}
+	mem := math.Nextafter(10240.0/67, math.Inf(-1))
+	mem = math.Nextafter(mem, math.Inf(-1))
+	for step := -2; step <= 3; step++ {
+		a := App{Name: "edge", MemoryMB: mem, Count: 67, ET: ETModel{MfuncGB: mem / 1024, Alpha: 0.01, Intercept: 1}}
+		md := degreeCeiling(a, opts)
+		if float64(md)*mem > opts.InstanceMemoryMB || float64(md+1)*mem <= opts.InstanceMemoryMB {
+			t.Errorf("%+d ulps (%v MB): ceiling %d is not the largest degree that fits", step, mem, md)
+		}
+		plan, err := PlanMixed([]App{a}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bin := range plan.BinCounts {
+			if need := float64(bin[0]) * mem; need > opts.InstanceMemoryMB {
+				t.Errorf("%+d ulps: bin %v needs %v MB of %v", step, bin, need, opts.InstanceMemoryMB)
+			}
+		}
+		mem = math.Nextafter(mem, math.Inf(1))
+	}
+}
+
 // Property: dealCounts conserves every app's function count for arbitrary
 // app counts and bin counts.
 func TestDealCountsConservationProperty(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // fuzzMixedApp is one app's numeric inputs as FuzzPlanMixed decodes them.
 type fuzzMixedApp struct {
 	memMant          uint16 // MemoryMB is (1+memMant)·2^−(memExp%32); MfuncGB its 1/1024
-	memExp           byte
+	memExp           byte   // with its top bit set: InstanceMemoryMB/(1+memMant), memExp%4 ulps up
 	count            uint16 // Count is 1 + count%256
 	alpha, intercept float64
 }
@@ -52,7 +52,9 @@ func encodePlanMixed(j fuzzMixedJob) []byte {
 // that is not positive reads as +Inf (no limit), a rate that is negative or
 // not finite as 0, a non-finite scaling coefficient as 0. Memory is a
 // 16-bit mantissa over a power of two, so the instance-to-function ratio is
-// an exact fraction whose floor no rounding moves; the ET coefficients are
+// an exact fraction whose floor no rounding moves, or, when memExp's top bit
+// is set, an exact divisor of the instance nudged up by up to three ulps,
+// whose ratio rounds back up onto the divisor; the ET coefficients are
 // taken as they come, and App.Validate judges them.
 func decodePlanMixed(data []byte) ([]App, MixedPlanOptions) {
 	buf := make([]byte, mixedHeader+8*5+6*mixedAppSize)
@@ -82,7 +84,14 @@ func decodePlanMixed(data []byte) ([]App, MixedPlanOptions) {
 	apps := make([]App, 1+int(buf[0])%6)
 	for i := range apps {
 		at := mixedHeader + 8*5 + mixedAppSize*i
-		mem := math.Ldexp(float64(1+int(binary.LittleEndian.Uint16(buf[at:]))), -int(buf[at+2]%32))
+		mant, exp := float64(1+int(binary.LittleEndian.Uint16(buf[at:]))), buf[at+2]
+		mem := math.Ldexp(mant, -int(exp%32))
+		if exp&0x80 != 0 {
+			mem = opts.InstanceMemoryMB / mant
+			for range exp % 4 {
+				mem = math.Nextafter(mem, math.Inf(1))
+			}
+		}
 		apps[i] = App{
 			MemoryMB: mem,
 			Count:    1 + int(binary.LittleEndian.Uint16(buf[at+3:]))%256,

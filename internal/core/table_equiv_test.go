@@ -613,6 +613,9 @@ func naiveDegreeCeilings(apps []App, opts MixedPlanOptions) (maxDegs []int, comb
 	combos = 1
 	for _, a := range apps {
 		md := int(math.Min(opts.InstanceMemoryMB/a.MemoryMB, 20000))
+		for md > 0 && float64(md)*a.MemoryMB > opts.InstanceMemoryMB { // the quotient may round up
+			md--
+		}
 		for md > 1 && a.ET.At(md) > opts.MaxExecSec {
 			md--
 		}

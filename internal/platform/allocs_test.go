@@ -2,14 +2,17 @@ package platform
 
 import (
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/interfere"
+	"repro/internal/resilience"
+	"repro/internal/stats"
 )
 
 // The burst hot path is allocation-lean: no per-instance degree slice, a
-// single reused billing group descriptor, one copy-and-select for
-// multi-quantile metrics, and — since the typed-dispatch rewrite — no event
+// single reused billing group descriptor, one selection for multi-quantile
+// metrics in pooled scratch, and — since the typed-dispatch rewrite — no event
 // or control-plane closures at all. Steady state, the only O(n) allocations
 // left in Run are the three column slabs the Result owns (45 B/instance, 77
 // when the Config can inject faults, 13 when the schedule store serves the
@@ -229,5 +232,45 @@ func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	sv := res.ServiceTimeAtQuantiles(95, 50)
 	if sv[0] != res.ServiceTimeAtQuantile(95) || sv[1] != res.ServiceTimeAtQuantile(50) {
 		t.Errorf("multi-quantile answers %v disagree with single-quantile path", sv)
+	}
+}
+
+// TestServiceTimeQuantilesLargeColumnLean: past 2¹⁶ instances the quantiles
+// come from a sample and one pass over the column, not from a copy of it —
+// the tail and median of a Degree-1 burst allocate under 64 KB where the
+// copy was 8 B an instance — and answer what the single-quantile path and a
+// sort do. The hedge threshold over an execution column of the same size
+// (dispatch's, for a faulty burst) is as lean.
+func TestServiceTimeQuantilesLargeColumnLean(t *testing.T) {
+	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}
+	res, err := Run(AWSLambda(), Burst{Demand: d, Functions: 100_000, Degree: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lean = 64 << 10
+	if _, bytes := allocsOf(func() { res.ServiceTimeAtQuantiles(95, 50) }); bytes >= lean {
+		t.Errorf("ServiceTimeAtQuantiles(95, 50) over %d instances allocates %d B, want < %d", res.Instances(), bytes, lean)
+	}
+	sv := res.ServiceTimeAtQuantiles(95, 50)
+	ends := make([]float64, res.Instances())
+	execs := make([]float64, res.Instances())
+	for i := range ends {
+		ends[i], execs[i] = res.End(i), res.End(i)-res.Start(i)
+	}
+	sort.Float64s(ends)
+	for k, q := range []float64{95, 50} {
+		if single, sorted := res.ServiceTimeAtQuantile(q), stats.QuantileSorted(ends, q)-res.firstStart(); sv[k] != single || sv[k] != sorted {
+			t.Errorf("p%g: %v together, %v alone, %v sorted", q, sv[k], single, sorted)
+		}
+	}
+
+	h := resilience.Hedge{Quantile: 95}
+	if _, bytes := allocsOf(func() { h.Threshold(execs) }); bytes >= lean {
+		t.Errorf("Hedge.Threshold over %d executions allocates %d B, want < %d", len(execs), bytes, lean)
+	}
+	got := h.Threshold(execs)
+	sort.Float64s(execs)
+	if want := stats.QuantileSorted(execs, 95); got != want {
+		t.Errorf("hedge threshold %v, sorted p95 %v", got, want)
 	}
 }

@@ -656,7 +656,7 @@ func (r *Result) firstStart() float64 { return r.sum.minStart }
 func (r *Result) TotalServiceTime() float64 { return r.sum.maxEnd - r.sum.minStart }
 
 // ServiceTimeAtQuantiles answers several service-time quantiles from one
-// copy of the end column and one selection over it — callers reporting tail
+// selection over the end column (stats.Quantiles) — callers reporting tail
 // and median together pay for two ranks, not a sort apiece.
 func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
 	out := stats.Quantiles(r.cols.end, qs...)

@@ -18,3 +18,23 @@ func (p Poly) Degree() int {
 	}
 	return len(p) - 1
 }
+
+// quantilesBracketed reports whether Quantiles answers xs at qs on its
+// bracketed path, sample and one pass, rather than from a whole copy.
+func quantilesBracketed(xs []float64, qs ...float64) bool {
+	ranks := make([]int, len(qs))
+	for i, q := range qs {
+		ranks[i] = QuantileIndex(len(xs), q)
+	}
+	return len(xs) > selectScratchMax && selectBracketed(xs, ranks, make([]float64, len(qs)))
+}
+
+// sampledAt reports which indices of an n-long input the bracketed path's
+// sample reads.
+func sampledAt(n int) []bool {
+	at := make([]bool, n)
+	for j := 0; j < bracketSample; j++ {
+		at[sampleIndex(j, n)] = true
+	}
+	return at
+}

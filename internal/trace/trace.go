@@ -41,7 +41,7 @@ type Metrics struct {
 
 // FromResult extracts Metrics from a simulated burst.
 func FromResult(r *platform.Result) Metrics {
-	// Tail and median come from one copy of the end times and one selection over it.
+	// Tail and median come from one selection over the end times.
 	svc := r.ServiceTimeAtQuantiles(95, 50)
 	return Metrics{
 		Platform:       r.Config.Name,
