@@ -14,7 +14,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,9 +23,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/localfaas"
-	"repro/internal/obs"
 	"repro/internal/orchestrator"
-	"repro/internal/parallel"
 	"repro/internal/platform"
 	"repro/internal/resilience"
 	"repro/internal/server"
@@ -595,10 +592,6 @@ func cmdHetero(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Judged before the deployments below, which allocate per function.
-	if err := core.CheckMixedCounts(*countA, *countB); err != nil {
-		return err
-	}
 	wa, err := workload.ByName(*appA)
 	if err != nil {
 		return err
@@ -615,56 +608,28 @@ func cmdHetero(args []string) error {
 		{Workload: wa, Count: *countA},
 		{Workload: wb, Count: *countB},
 	}
-	weights := core.Weights{Service: *ws, Expense: 1 - *ws}
+	job, err := orchestrator.PlanMixedJob(cfg, apps, core.Weights{Service: *ws, Expense: 1 - *ws}, *seed)
+	if err != nil {
+		return err
+	}
 	sink, err := setupObs()
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
-
-	// The three deployments are independent simulations, so they fan out in
-	// parallel; each records into its own tape, replayed in deployment order
-	// so the observability stream is byte-identical to a sequential run.
-	type heteroOut struct {
-		m       trace.Metrics
-		degrees []int
-		run     orchestrator.MixedRun
-		tape    *obs.Tape
-	}
-	outs, err := parallel.Map(context.Background(), 3, func(_ context.Context, i int) (heteroOut, error) {
-		var o heteroOut
-		var rec obs.Recorder
-		if sink.Rec != nil {
-			o.tape = &obs.Tape{}
-			rec = o.tape
-		}
-		var err error
-		switch i {
-		case 0:
-			o.m, err = orchestrator.ExecuteJointUnpacked(cfg, apps, *seed, rec)
-		case 1:
-			o.m, o.degrees, err = orchestrator.ExecutePerAppPacked(cfg, apps, weights, *seed, rec)
-		default:
-			o.run, err = orchestrator.RunMixedProPack(cfg, apps, weights, *seed, rec)
-		}
-		return o, err
-	})
+	base, perApp, mixed, err := job.Compare(sink.Rec)
 	if err != nil {
 		return err
 	}
-	for _, o := range outs {
-		o.tape.Replay(sink.Rec)
-	}
-	base, perApp, degrees, run := outs[0].m, outs[1].m, outs[1].degrees, outs[2].run
 	fmt.Printf("job: %d × %s + %d × %s on %s\n\n", *countA, wa.Name(), *countB, wb.Name(), cfg.Name)
 	fmt.Printf("%-28s %10s %12s %10s\n", "deployment", "instances", "service", "expense")
 	rowOut := func(name string, inst int, m trace.Metrics) {
 		fmt.Printf("%-28s %10d %11.1fs %9s\n", name, inst, m.TotalService, fmt.Sprintf("$%.2f", m.ExpenseUSD))
 	}
 	rowOut("unpacked", base.Instances, base)
-	rowOut(fmt.Sprintf("per-app (degrees %v)", degrees), perApp.Instances, perApp)
-	rowOut(fmt.Sprintf("hetero planner (%s)", run.Plan.Strategy), run.Plan.Instances(), run.Metrics)
-	fmt.Printf("\nmodeling overhead: $%.2f\n", run.Overhead.TotalUSD())
+	rowOut(fmt.Sprintf("per-app (degrees %v)", job.Degrees), perApp.Instances, perApp)
+	rowOut(fmt.Sprintf("hetero planner (%s)", job.Plan.Strategy), job.Plan.Instances(), mixed)
+	fmt.Printf("\nmodeling overhead: $%.2f\n", job.Overhead.TotalUSD())
 	return nil
 }
 

@@ -33,7 +33,15 @@ func NewRegistry(dir string) (*Registry, error) { return core.NewRegistry(dir) }
 // spawning together, with instances that may host functions of different
 // applications when the fitted models say mixing helps (Sec. 5 extension).
 func RunMixed(cfg PlatformConfig, apps []MixedApp, w Weights, seed int64) (MixedRun, error) {
-	return orchestrator.RunMixedProPack(cfg, apps, w, seed, nil)
+	job, err := orchestrator.PlanMixedJob(cfg, apps, w, seed)
+	if err != nil {
+		return MixedRun{}, err
+	}
+	m, err := job.Run(job.Plan.BinCounts, nil, "mixed")
+	if err != nil {
+		return MixedRun{}, err
+	}
+	return MixedRun{Plan: job.Plan, Metrics: m, Overhead: job.Overhead}, nil
 }
 
 // RunPipeline executes a multi-stage workflow (bursts separated by

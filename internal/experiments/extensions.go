@@ -41,25 +41,21 @@ func ExtHetero(cfg Config) (*trace.Table, error) {
 	}
 	rows, err := forAll(len(jobs), func(i int) ([][]string, error) {
 		job := jobs[i]
-		base, err := orchestrator.ExecuteJointUnpacked(p, job.apps, cfg.Seed, nil)
+		mj, err := orchestrator.PlanMixedJob(p, job.apps, core.Balanced(), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		perApp, degrees, err := orchestrator.ExecutePerAppPacked(p, job.apps, core.Balanced(), cfg.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		mixed, err := orchestrator.RunMixedProPack(p, job.apps, core.Balanced(), cfg.Seed, nil)
+		base, perApp, mixed, err := mj.Compare(nil)
 		if err != nil {
 			return nil, err
 		}
 		return [][]string{
 			{job.name, "unpacked", itoa(base.Instances),
 				sec(base.TotalService), usd(base.ExpenseUSD)},
-			{job.name, fmt.Sprintf("per-app ProPack (degrees %v)", degrees),
+			{job.name, fmt.Sprintf("per-app ProPack (degrees %v)", mj.Degrees),
 				itoa(perApp.Instances), sec(perApp.TotalService), usd(perApp.ExpenseUSD)},
-			{job.name, fmt.Sprintf("hetero planner (%s)", mixed.Plan.Strategy),
-				itoa(mixed.Plan.Instances()), sec(mixed.Metrics.TotalService), usd(mixed.Metrics.ExpenseUSD)},
+			{job.name, fmt.Sprintf("hetero planner (%s)", mj.Plan.Strategy),
+				itoa(mj.Plan.Instances()), sec(mixed.TotalService), usd(mixed.ExpenseUSD)},
 		}, nil
 	})
 	if err != nil {

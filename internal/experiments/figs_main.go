@@ -115,13 +115,14 @@ func Fig8(cfg Config) (*trace.Table, error) {
 
 // improvementRows runs ProPack (balanced weights, overhead included) and
 // the no-packing baseline for each motivation app and concurrency, and
-// reports improvement on the selected metric. The (app × concurrency) grid
-// fans out in parallel; rows land in grid order.
-func improvementRows(cfg Config, title string, header string,
-	pick func(m trace.Metrics) float64) (*trace.Table, error) {
+// reports improvement on the selected metric, its two values formatted by
+// format under the columns baseCol and packedCol. The (app × concurrency)
+// grid fans out in parallel; rows land in grid order.
+func improvementRows(cfg Config, title, baseCol, packedCol string,
+	format func(float64) string, pick func(m trace.Metrics) float64) (*trace.Table, error) {
 	t := &trace.Table{
 		Title:  title,
-		Header: []string{"app", "concurrency", "degree", "baseline " + header, "propack " + header, "improvement"},
+		Header: []string{"app", "concurrency", "degree", baseCol, packedCol, "improvement"},
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
@@ -138,7 +139,7 @@ func improvementRows(cfg Config, title string, header string,
 		}
 		got := run.MetricsWithOverhead()
 		return []string{w.Name(), itoa(c), itoa(run.Plan.Degree),
-			sec(pick(base)), sec(pick(got)),
+			format(pick(base)), format(pick(got)),
 			pct(trace.Improvement(pick(base), pick(got)))}, nil
 	})
 	if err != nil {
@@ -155,7 +156,8 @@ func improvementRows(cfg Config, title string, header string,
 func Fig9(cfg Config) (*trace.Table, error) {
 	return improvementRows(cfg,
 		"Fig 9: total service time, ProPack vs no packing (overhead included)",
-		"service", func(m trace.Metrics) float64 { return m.TotalService })
+		"baseline service", "propack service", sec,
+		func(m trace.Metrics) float64 { return m.TotalService })
 }
 
 // Fig10 reproduces the scaling-time result: the reduction grows with
@@ -164,42 +166,18 @@ func Fig9(cfg Config) (*trace.Table, error) {
 func Fig10(cfg Config) (*trace.Table, error) {
 	return improvementRows(cfg,
 		"Fig 10: scaling time, ProPack vs no packing",
-		"scaling", func(m trace.Metrics) float64 { return m.ScalingTime })
+		"baseline scaling", "propack scaling", sec,
+		func(m trace.Metrics) float64 { return m.ScalingTime })
 }
 
 // Fig11 reproduces the expense result: a consistent reduction at every
 // concurrency (66% on average at 5000 in the paper), even though scaling
 // time itself is never billed.
 func Fig11(cfg Config) (*trace.Table, error) {
-	t := &trace.Table{
-		Title:  "Fig 11: expense, ProPack vs no packing (modeling overhead included)",
-		Header: []string{"app", "concurrency", "degree", "baseline", "propack", "improvement"},
-	}
-	p := platform.AWSLambda()
-	apps := workload.Motivation()
-	cs := cfg.concurrencies()
-	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
-		w, c := apps[i/len(cs)], cs[i%len(cs)]
-		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		base, err := orchestrator.Execute(p, w.Demand(), c, 1, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		got := run.MetricsWithOverhead()
-		return []string{w.Name(), itoa(c), itoa(run.Plan.Degree),
-			usd(base.ExpenseUSD), usd(got.ExpenseUSD),
-			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
+	return improvementRows(cfg,
+		"Fig 11: expense, ProPack vs no packing (modeling overhead included)",
+		"baseline", "propack", usd,
+		func(m trace.Metrics) float64 { return m.ExpenseUSD })
 }
 
 // Fig12 reproduces the absolute-value reference: total service function-

@@ -11,32 +11,23 @@ import (
 )
 
 // Heterogeneous jobs: several applications spawning their bursts together
-// (the Sec. 5 extension). Three deployment shapes share one control plane,
-// and each is a bin-count matrix that runBins executes as one burst:
+// (the Sec. 5 extension). PlanMixedJob judges, profiles and plans a job
+// once; the MixedJob it returns runs any bin-count matrix over the job's
+// apps as one burst, and Compare runs the three deployment shapes on one
+// control plane:
 //
-//   - ExecuteJointUnpacked — every function in its own instance (baseline):
+//   - unpacked — every function in its own instance (baseline):
 //     core.SegregatedBins at degree 1;
-//   - ExecutePerAppPacked  — each app packed at its own ProPack degree, but
-//     instances host a single application (what stock ProPack would do):
+//   - per-app  — each app packed at its own ProPack degree, but instances
+//     host a single application (what stock ProPack would do):
 //     core.SegregatedBins at core.SoloDegrees;
-//   - RunMixedProPack      — cross-application packing planned by
-//     core.PlanMixed with the compositional Eq. 1 model.
+//   - mixed    — cross-application packing planned by core.PlanMixed with
+//     the compositional Eq. 1 model.
 
 // MixedApp is one application's share of a heterogeneous job.
 type MixedApp struct {
 	Workload workload.Workload
 	Count    int
-}
-
-// jobCounts is the job's per-app counts, judged by core.CheckMixedCounts:
-// every door that profiles or appends per function judges the job with it
-// first.
-func jobCounts(apps []MixedApp) ([]int, error) {
-	counts := make([]int, len(apps))
-	for i, a := range apps {
-		counts[i] = a.Count
-	}
-	return counts, core.CheckMixedCounts(counts...)
 }
 
 // buildApps profiles every application on the platform and returns the
@@ -46,71 +37,22 @@ func buildApps(cfg platform.Config, apps []MixedApp, seed int64) ([]core.App, co
 	if len(apps) == 0 {
 		return nil, core.ScalingModel{}, core.Overhead{}, fmt.Errorf("orchestrator: empty app set")
 	}
+	p := profiler{cfg: cfg}
 	out := make([]core.App, len(apps))
-	var scaling core.ScalingModel
-	var total core.Overhead
 	for i, a := range apps {
-		meas := &core.SimMeasurer{Config: cfg, Demand: a.Workload.Demand(), Seed: seed + int64(i)}
-		opts := core.ProfileOptionsFor(cfg, a.Workload.Demand())
-		if i > 0 {
-			// The scaling model is a platform property — probe it once.
-			opts.ScalingProbes = []int{100, 1000, 3000}
-		}
-		models, _, _, ov, err := core.BuildModels(meas, opts)
+		d := a.Workload.Demand()
+		models, err := p.models(d, seed+int64(i))
 		if err != nil {
 			return nil, core.ScalingModel{}, core.Overhead{}, fmt.Errorf("orchestrator: profiling %s: %w", a.Workload.Name(), err)
 		}
-		if i == 0 {
-			scaling = models.Scaling
-		}
-		total.Add(ov)
 		out[i] = core.App{
 			Name:     a.Workload.Name(),
-			MemoryMB: a.Workload.Demand().MemoryMB,
+			MemoryMB: d.MemoryMB,
 			Count:    a.Count,
 			ET:       models.ET,
 		}
 	}
-	return out, scaling, total, nil
-}
-
-// runBins executes a bin-count matrix as one burst — binCounts[b][k]
-// functions of apps[k] in instance b — and returns its metrics. rec
-// receives the burst's observability records under label (nil disables
-// recording).
-func runBins(cfg platform.Config, apps []MixedApp, binCounts [][]int, seed int64, rec obs.Recorder, label string) (trace.Metrics, error) {
-	bins := make([]platform.Bin, 0, len(binCounts))
-	for _, counts := range binCounts {
-		var bin platform.Bin
-		for k, n := range counts {
-			d := apps[k].Workload.Demand()
-			for j := 0; j < n; j++ {
-				bin.Demands = append(bin.Demands, d)
-			}
-		}
-		if len(bin.Demands) > 0 {
-			bins = append(bins, bin)
-		}
-	}
-	res, err := platform.RunMixed(cfg, platform.MixedBurst{Bins: bins, Seed: seed, Recorder: rec, Label: label})
-	if err != nil {
-		return trace.Metrics{}, err
-	}
-	return trace.FromResult(res), nil
-}
-
-// mixedOptions is the platform's side of a mixed plan: its instance
-// memory, execution limit and price, with the job's scaling model, weights
-// and cross-application discount.
-func mixedOptions(cfg platform.Config, w core.Weights, scaling core.ScalingModel, disc float64) core.MixedPlanOptions {
-	return core.MixedPlanOptions{
-		InstanceMemoryMB:   cfg.Shape.MemoryMB,
-		MaxExecSec:         cfg.MaxExecSec,
-		Weights:            w,
-		Scaling:            scaling,
-		RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
-		CrossDiscount:      disc,
-	}
+	return out, *p.scaling, p.overhead, nil
 }
 
 // MixedRun is the outcome of a heterogeneous ProPack execution.
@@ -169,83 +111,103 @@ func probeCrossDiscount(cfg platform.Config, apps []MixedApp, coreApps []core.Ap
 	return sum / float64(pairs), nil
 }
 
-// PlanMixedJob runs the heterogeneous planning pipeline — per-app
-// profiling, cross-discount pair probes, core.PlanMixed — without executing
-// the result. The serve daemon's /v1/mixed endpoint is plan-only: callers
-// inspect the recommendation (and its modeling overhead) before committing
-// a burst.
-func PlanMixedJob(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64) (core.MixedPlan, core.Overhead, error) {
-	if _, err := jobCounts(apps); err != nil {
-		return core.MixedPlan{}, core.Overhead{}, err
+// MixedJob is a heterogeneous job judged, profiled and planned once: its
+// platform, apps and seed, core.PlanMixed's plan, each app's single-app
+// ProPack degree (core.SoloDegrees: its Eq. 7 optimum up to its segregated
+// ceiling, which the execution limit bounds as well as memory), and the
+// modeling overhead of the profiling and pair probes. Every deployment of
+// the job runs from it.
+type MixedJob struct {
+	Config   platform.Config
+	Apps     []MixedApp
+	Seed     int64
+	Plan     core.MixedPlan
+	Degrees  []int
+	Overhead core.Overhead
+}
+
+// PlanMixedJob runs the heterogeneous planning pipeline — the count check,
+// per-app profiling, cross-discount pair probes, core.PlanMixed — without
+// executing the result. Counts are judged by core.CheckMixedCounts before
+// anything is profiled or allocated per function. The serve daemon's
+// /v1/mixed endpoint is plan-only: callers inspect the recommendation (and
+// its modeling overhead) before committing a burst.
+func PlanMixedJob(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64) (MixedJob, error) {
+	counts := make([]int, len(apps))
+	for i, a := range apps {
+		counts[i] = a.Count
+	}
+	if err := core.CheckMixedCounts(counts...); err != nil {
+		return MixedJob{}, err
 	}
 	coreApps, scaling, overhead, err := buildApps(cfg, apps, seed)
 	if err != nil {
-		return core.MixedPlan{}, core.Overhead{}, err
+		return MixedJob{}, err
 	}
 	disc, err := probeCrossDiscount(cfg, apps, coreApps, seed, &overhead)
 	if err != nil {
-		return core.MixedPlan{}, core.Overhead{}, err
+		return MixedJob{}, err
 	}
-	plan, err := core.PlanMixed(coreApps, mixedOptions(cfg, w, scaling, disc))
+	opts := core.MixedPlanOptions{
+		InstanceMemoryMB:   cfg.Shape.MemoryMB,
+		MaxExecSec:         cfg.MaxExecSec,
+		Weights:            w,
+		Scaling:            scaling,
+		RatePerInstanceSec: cfg.MemoryGB() * cfg.GBSecondUSD,
+		CrossDiscount:      disc,
+	}
+	plan, err := core.PlanMixed(coreApps, opts)
 	if err != nil {
-		return core.MixedPlan{}, core.Overhead{}, err
+		return MixedJob{}, err
 	}
-	return plan, overhead, nil
-}
-
-// RunMixedProPack plans cross-application packing and executes it. The
-// final burst's spans and events flow into rec (nil disables recording);
-// planning probes are never recorded.
-func RunMixedProPack(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64, rec obs.Recorder) (MixedRun, error) {
-	plan, overhead, err := PlanMixedJob(cfg, apps, w, seed)
-	if err != nil {
-		return MixedRun{}, err
-	}
-	m, err := runBins(cfg, apps, plan.BinCounts, seed, rec, "mixed")
-	if err != nil {
-		return MixedRun{}, err
-	}
-	return MixedRun{Plan: plan, Metrics: m, Overhead: overhead}, nil
-}
-
-// ExecutePerAppPacked runs the job with each application packed at its own
-// single-app ProPack degree (core.SoloDegrees: each app's Eq. 7 optimum up
-// to its segregated ceiling, which the execution limit bounds as well as
-// memory) — instances never mix applications, but all instances share one
-// invocation burst (and its control-plane contention). rec receives the
-// burst's observability records (nil disables recording).
-func ExecutePerAppPacked(cfg platform.Config, apps []MixedApp, w core.Weights, seed int64, rec obs.Recorder) (trace.Metrics, []int, error) {
-	counts, err := jobCounts(apps)
-	if err != nil {
-		return trace.Metrics{}, nil, err
-	}
-	coreApps, scaling, _, err := buildApps(cfg, apps, seed)
-	if err != nil {
-		return trace.Metrics{}, nil, err
-	}
-	degrees := core.SoloDegrees(coreApps, mixedOptions(cfg, w, scaling, 0))
+	degrees := core.SoloDegrees(coreApps, opts)
 	if degrees == nil {
-		return trace.Metrics{}, nil, fmt.Errorf("orchestrator: some app fits no packing degree on %s", cfg.Name)
+		return MixedJob{}, fmt.Errorf("orchestrator: some app fits no packing degree on %s", cfg.Name)
 	}
-	m, err := runBins(cfg, apps, core.SegregatedBins(counts, degrees), seed, rec, "per-app")
-	if err != nil {
-		return trace.Metrics{}, nil, err
-	}
-	return m, degrees, nil
+	return MixedJob{Config: cfg, Apps: apps, Seed: seed, Plan: plan, Degrees: degrees, Overhead: overhead}, nil
 }
 
-// ExecuteJointUnpacked runs every function of every application in its own
-// instance, all in one burst — the traditional deployment of a
-// heterogeneous job. rec receives the burst's observability records (nil
-// disables recording).
-func ExecuteJointUnpacked(cfg platform.Config, apps []MixedApp, seed int64, rec obs.Recorder) (trace.Metrics, error) {
-	counts, err := jobCounts(apps)
+// Run executes a bin-count matrix as one burst at the job's seed —
+// binCounts[b][k] functions of app k in instance b — and returns its
+// metrics. rec receives the burst's observability records under label (nil
+// disables recording); planning probes are never recorded.
+func (j MixedJob) Run(binCounts [][]int, rec obs.Recorder, label string) (trace.Metrics, error) {
+	bins := make([]platform.Bin, 0, len(binCounts))
+	for _, counts := range binCounts {
+		var bin platform.Bin
+		for k, n := range counts {
+			d := j.Apps[k].Workload.Demand()
+			for i := 0; i < n; i++ {
+				bin.Demands = append(bin.Demands, d)
+			}
+		}
+		if len(bin.Demands) > 0 {
+			bins = append(bins, bin)
+		}
+	}
+	res, err := platform.RunMixed(j.Config, platform.MixedBurst{Bins: bins, Seed: j.Seed, Recorder: rec, Label: label})
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	ones := make([]int, len(apps))
-	for k := range ones {
-		ones[k] = 1
+	return trace.FromResult(res), nil
+}
+
+// Compare runs the job's three deployments on one control plane, in this
+// order and under these labels: every function in its own instance
+// ("unpacked"), each app packed alone at its Degrees ("per-app"), and the
+// plan ("mixed"). Each is one burst recorded into rec.
+func (j MixedJob) Compare(rec obs.Recorder) (unpacked, perApp, mixed trace.Metrics, err error) {
+	counts := make([]int, len(j.Apps))
+	ones := make([]int, len(j.Apps))
+	for k, a := range j.Apps {
+		counts[k], ones[k] = a.Count, 1
 	}
-	return runBins(cfg, apps, core.SegregatedBins(counts, ones), seed, rec, "unpacked")
+	if unpacked, err = j.Run(core.SegregatedBins(counts, ones), rec, "unpacked"); err != nil {
+		return
+	}
+	if perApp, err = j.Run(core.SegregatedBins(counts, j.Degrees), rec, "per-app"); err != nil {
+		return
+	}
+	mixed, err = j.Run(j.Plan.BinCounts, rec, "mixed")
+	return
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -20,28 +21,32 @@ func heteroJob() []MixedApp {
 	}
 }
 
+// compare plans the job and runs its three deployments.
+func compare(t *testing.T, apps []MixedApp, w core.Weights, seed int64) (job MixedJob, base, perApp, mixed trace.Metrics) {
+	t.Helper()
+	job, err := PlanMixedJob(platform.AWSLambda(), apps, w, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base, perApp, mixed, err = job.Compare(nil); err != nil {
+		t.Fatal(err)
+	}
+	return job, base, perApp, mixed
+}
+
 func TestMixedProPackBeatsUnpacked(t *testing.T) {
-	cfg := platform.AWSLambda()
-	apps := heteroJob()
-	base, err := ExecuteJointUnpacked(cfg, apps, 31, nil)
-	if err != nil {
-		t.Fatal(err)
+	job, base, _, mixed := compare(t, heteroJob(), core.Balanced(), 31)
+	if mixed.TotalService >= base.TotalService {
+		t.Fatalf("planned packing no faster: %g vs %g", mixed.TotalService, base.TotalService)
 	}
-	mixed, err := RunMixedProPack(cfg, apps, core.Balanced(), 31, nil)
-	if err != nil {
-		t.Fatal(err)
+	if mixed.ExpenseUSD >= base.ExpenseUSD {
+		t.Fatalf("planned packing no cheaper: $%g vs $%g", mixed.ExpenseUSD, base.ExpenseUSD)
 	}
-	if mixed.Metrics.TotalService >= base.TotalService {
-		t.Fatalf("planned packing no faster: %g vs %g", mixed.Metrics.TotalService, base.TotalService)
-	}
-	if mixed.Metrics.ExpenseUSD >= base.ExpenseUSD {
-		t.Fatalf("planned packing no cheaper: $%g vs $%g", mixed.Metrics.ExpenseUSD, base.ExpenseUSD)
-	}
-	if mixed.Plan.Instances() >= base.Instances {
+	if job.Plan.Instances() >= base.Instances {
 		t.Fatal("plan did not reduce instance count")
 	}
-	if mixed.Plan.Strategy != "mixed" && mixed.Plan.Strategy != "segregated" {
-		t.Fatalf("unknown strategy %q", mixed.Plan.Strategy)
+	if job.Plan.Strategy != "mixed" && job.Plan.Strategy != "segregated" {
+		t.Fatalf("unknown strategy %q", job.Plan.Strategy)
 	}
 }
 
@@ -50,28 +55,19 @@ func TestMixedProPackBeatsUnpacked(t *testing.T) {
 // short functions would be billed for the long instances' wall time — so
 // the planner must pick the segregated composition for this pair.
 func TestPlannerPrefersSegregationForUnequalDurations(t *testing.T) {
-	cfg := platform.AWSLambda()
-	mixed, err := RunMixedProPack(cfg, heteroJob(), core.Balanced(), 32, nil)
+	job, err := PlanMixedJob(platform.AWSLambda(), heteroJob(), core.Balanced(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.Plan.Strategy != "segregated" {
+	if job.Plan.Strategy != "segregated" {
 		t.Fatalf("expected segregated composition for unequal solo durations, got %q",
-			mixed.Plan.Strategy)
+			job.Plan.Strategy)
 	}
 }
 
 func TestPerAppPackedIsBetterThanUnpackedAtScale(t *testing.T) {
-	cfg := platform.AWSLambda()
-	apps := heteroJob()
-	base, err := ExecuteJointUnpacked(cfg, apps, 32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perApp, degrees, err := ExecutePerAppPacked(cfg, apps, core.Balanced(), 32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job, base, perApp, _ := compare(t, heteroJob(), core.Balanced(), 32)
+	degrees := job.Degrees
 	if len(degrees) != 2 || degrees[0] < 1 || degrees[1] < 1 {
 		t.Fatalf("bad degrees %v", degrees)
 	}
@@ -89,23 +85,14 @@ func TestPerAppPackedIsBetterThanUnpackedAtScale(t *testing.T) {
 // the per-app composition, so (modulo model error) it cannot lose to it on
 // the joint objective; allow 10% slack for model-vs-observed drift.
 func TestPlannerAtLeastAsGoodAsPerApp(t *testing.T) {
-	cfg := platform.AWSLambda()
-	apps := heteroJob()
-	perApp, _, err := ExecutePerAppPacked(cfg, apps, core.Balanced(), 33, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned, err := RunMixedProPack(cfg, apps, core.Balanced(), 33, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planned.Metrics.TotalService > 1.10*perApp.TotalService {
+	_, _, perApp, planned := compare(t, heteroJob(), core.Balanced(), 33)
+	if planned.TotalService > 1.10*perApp.TotalService {
 		t.Fatalf("planned service %g far worse than per-app %g",
-			planned.Metrics.TotalService, perApp.TotalService)
+			planned.TotalService, perApp.TotalService)
 	}
-	if planned.Metrics.ExpenseUSD > 1.10*perApp.ExpenseUSD {
+	if planned.ExpenseUSD > 1.10*perApp.ExpenseUSD {
 		t.Fatalf("planned expense $%g far worse than per-app $%g",
-			planned.Metrics.ExpenseUSD, perApp.ExpenseUSD)
+			planned.ExpenseUSD, perApp.ExpenseUSD)
 	}
 }
 
@@ -115,26 +102,18 @@ func TestPlannerAtLeastAsGoodAsPerApp(t *testing.T) {
 // at no ride-along cost — the mixed composition should win the service
 // objective.
 func TestMixedWinsForSimilarDurations(t *testing.T) {
-	cfg := platform.AWSLambda()
 	apps := []MixedApp{
 		{Workload: workload.Video{}, Count: 1000},
 		{Workload: workload.SmithWaterman{}, Count: 1000},
 	}
-	planned, err := RunMixedProPack(cfg, apps, core.ServiceOnly(), 34, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planned.Plan.Strategy != "mixed" {
-		t.Fatalf("expected mixed composition for duration-matched apps, got %q", planned.Plan.Strategy)
+	job, _, perApp, planned := compare(t, apps, core.ServiceOnly(), 34)
+	if job.Plan.Strategy != "mixed" {
+		t.Fatalf("expected mixed composition for duration-matched apps, got %q", job.Plan.Strategy)
 	}
 	// And it must beat the per-app composition on its objective.
-	perApp, _, err := ExecutePerAppPacked(cfg, apps, core.ServiceOnly(), 34, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planned.Metrics.TotalService >= perApp.TotalService {
+	if planned.TotalService >= perApp.TotalService {
 		t.Fatalf("mixed composition should win on service: %g vs %g",
-			planned.Metrics.TotalService, perApp.TotalService)
+			planned.TotalService, perApp.TotalService)
 	}
 }
 
@@ -143,7 +122,7 @@ func TestBuildAppsValidation(t *testing.T) {
 	if _, _, _, err := buildApps(cfg, nil, 1); err == nil {
 		t.Fatal("empty app set accepted")
 	}
-	if _, err := RunMixedProPack(cfg, nil, core.Balanced(), 1, nil); err == nil {
+	if _, err := PlanMixedJob(cfg, nil, core.Balanced(), 1); err == nil {
 		t.Fatal("empty job accepted")
 	}
 }
@@ -155,12 +134,11 @@ func (b *burstCounter) BeginBurst(obs.BurstInfo) { b.bursts++ }
 func (*burstCounter) Span(obs.Span)              {}
 func (*burstCounter) Event(obs.Event)            {}
 
-// TestMixedDoorsJudgeCountsFirst: ExecuteJointUnpacked appends a bin per
-// function, ExecutePerAppPacked a demand per function, and PlanMixedJob
-// profiles every app before core.PlanMixed judges the counts, so a count of
-// MaxInt ran the process out of memory. Each must refuse the job first, with
-// core.CheckMixedCounts' error, running no burst and allocating nothing per
-// function.
+// TestMixedDoorsJudgeCountsFirst: the deployments append a bin or a demand
+// per function, and PlanMixedJob profiles every app before core.PlanMixed
+// judges the counts, so a count of MaxInt ran the process out of memory.
+// PlanMixedJob must refuse the job first, with core.CheckMixedCounts' error,
+// running no burst and allocating nothing per function.
 func TestMixedDoorsJudgeCountsFirst(t *testing.T) {
 	cfg := platform.AWSLambda()
 	for _, counts := range [][2]int{{math.MaxInt, 5}, {5, math.MaxInt}} {
@@ -171,12 +149,13 @@ func TestMixedDoorsJudgeCountsFirst(t *testing.T) {
 		apps := []MixedApp{{Workload: workload.Video{}, Count: counts[0]}, {Workload: workload.SmithWaterman{}, Count: counts[1]}}
 		rec := &burstCounter{}
 		for name, door := range map[string]func() error{
-			"ExecuteJointUnpacked": func() error { _, err := ExecuteJointUnpacked(cfg, apps, 1, rec); return err },
-			"ExecutePerAppPacked": func() error {
-				_, _, err := ExecutePerAppPacked(cfg, apps, core.Balanced(), 1, rec)
+			"PlanMixedJob": func() error {
+				job, err := PlanMixedJob(cfg, apps, core.Balanced(), 1)
+				if err == nil {
+					_, _, _, err = job.Compare(rec)
+				}
 				return err
 			},
-			"PlanMixedJob": func() error { _, _, err := PlanMixedJob(cfg, apps, core.Balanced(), 1); return err },
 		} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -81,3 +81,34 @@ func RunProPack(cfg platform.Config, d interfere.Demand, c int, w core.Weights, 
 	}
 	return ProPackRun{Plan: plan, Models: models, Metrics: metrics, Overhead: overhead}, nil
 }
+
+// profiler fits the models of a multi-app job's applications (a pipeline's
+// stages, a heterogeneous job's apps) on one platform, one after another,
+// and accumulates their overhead. Eq. 2 is a platform property: the first
+// app fits the scaling model, and every later one refreshes it cheaply at
+// three probes and plans with the first fit.
+type profiler struct {
+	cfg      platform.Config
+	scaling  *core.ScalingModel
+	overhead core.Overhead
+}
+
+func (p *profiler) models(d interfere.Demand, seed int64) (core.Models, error) {
+	meas := &core.SimMeasurer{Config: p.cfg, Demand: d, Seed: seed}
+	opts := core.ProfileOptionsFor(p.cfg, d)
+	if p.scaling != nil {
+		opts.ScalingProbes = []int{100, 1000, 3000}
+	}
+	models, _, _, ov, err := core.BuildModels(meas, opts)
+	if err != nil {
+		return core.Models{}, err
+	}
+	if p.scaling == nil {
+		s := models.Scaling
+		p.scaling = &s
+	} else {
+		models.Scaling = *p.scaling
+	}
+	p.overhead.Add(ov)
+	return models, nil
+}

@@ -53,30 +53,17 @@ func RunPipeline(cfg platform.Config, stages []Stage, w core.Weights, seed int64
 		return PipelineResult{}, fmt.Errorf("orchestrator: empty pipeline")
 	}
 	var out PipelineResult
-	var scaling *core.ScalingModel
+	p := profiler{cfg: cfg}
 	for si, st := range stages {
 		if st.Count < 1 {
 			return PipelineResult{}, fmt.Errorf("orchestrator: stage %q: count %d < 1", st.Name, st.Count)
 		}
 		degree := st.Degree
 		if degree == 0 {
-			meas := &core.SimMeasurer{Config: cfg, Demand: st.Demand, Seed: seed + int64(si)}
-			opts := core.ProfileOptionsFor(cfg, st.Demand)
-			if scaling != nil {
-				// Eq. 2 is a platform property: refresh cheaply, reuse fit.
-				opts.ScalingProbes = []int{100, 1000, 3000}
-			}
-			models, _, _, ov, err := core.BuildModels(meas, opts)
+			models, err := p.models(st.Demand, seed+int64(si))
 			if err != nil {
 				return PipelineResult{}, fmt.Errorf("orchestrator: planning stage %q: %w", st.Name, err)
 			}
-			if scaling == nil {
-				s := models.Scaling
-				scaling = &s
-			} else {
-				models.Scaling = *scaling
-			}
-			out.Overhead.Add(ov)
 			plan, err := models.PlanFor(st.Count, w)
 			if err != nil {
 				return PipelineResult{}, err
@@ -96,6 +83,7 @@ func RunPipeline(cfg platform.Config, stages []Stage, w core.Weights, seed int64
 		out.TotalServiceSec += m.TotalService
 		out.ExpenseUSD += m.ExpenseUSD
 	}
+	out.Overhead = p.overhead
 	out.ExpenseUSD += out.Overhead.TotalUSD()
 	return out, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Relations a dice-free burst must satisfy whatever computes it (ROADMAP
-// item 2(b)/(c)). None of these compares against older code: each states
+// item 4's relations). None of these compares against older code: each states
 // something the paper's model implies and checks it on the Result alone.
 // They are cheap enough to run on thousands of platforms because a dice-free
 // burst costs a recurrence, not a simulation.
@@ -196,7 +196,7 @@ func TestMoreServersCanBeSlower(t *testing.T) {
 	}
 }
 
-// TestSchedulerClosedForm is ROADMAP 2(c)'s first step: with one scheduler
+// TestSchedulerClosedForm is ROADMAP item 22's first step: with one scheduler
 // and simultaneous arrival, placement k completes at
 // (k+1)·base + per·k(k+1)/2 — Eq. 2's quadratic, read off the Config. The
 // recurrence accumulates one rounding per placement, so agreement is held to

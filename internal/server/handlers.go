@@ -491,7 +491,7 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	if err := core.CheckMixedCounts(counts...); err != nil {
 		return badRequest("%v", err)
 	}
-	plan, overhead, err := orchestrator.PlanMixedJob(cfg, apps, w, s.cfg.Seed)
+	job, err := orchestrator.PlanMixedJob(cfg, apps, w, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("mixed planning: %w", err)
 	}
@@ -506,15 +506,15 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	}
 	e.end(']')
 	appendWeights(e, w)
-	e.str("strategy", plan.Strategy)
-	e.int("instances", plan.Instances())
-	e.float("predicted_service_sec", plan.PredictedServiceSec)
-	e.float("predicted_expense_usd", plan.PredictedExpenseUSD)
+	e.str("strategy", job.Plan.Strategy)
+	e.int("instances", job.Plan.Instances())
+	e.float("predicted_service_sec", job.Plan.PredictedServiceSec)
+	e.float("predicted_expense_usd", job.Plan.PredictedExpenseUSD)
 	// Identical consecutive bin compositions are run-length encoded — a
 	// 500-instance plan is usually two or three distinct compositions, and
 	// the response stays bounded no matter the concurrency.
 	e.open("bins", '[')
-	for bins := plan.BinCounts; len(bins) > 0; {
+	for bins := job.Plan.BinCounts; len(bins) > 0; {
 		n := 1
 		for n < len(bins) && slices.Equal(bins[0], bins[n]) {
 			n++
@@ -530,7 +530,7 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 		bins = bins[n:]
 	}
 	e.end(']')
-	e.float("model_overhead_usd", overhead.TotalUSD())
+	e.float("model_overhead_usd", job.Overhead.TotalUSD())
 	e.end('}')
 	return nil
 }
