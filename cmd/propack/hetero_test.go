@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,5 +53,16 @@ func TestHeteroGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("hetero drifted from %s:\ngot:\n%s\nwant:\n%s", golden, got.String(), want)
+	}
+}
+
+// TestHeteroTraceErrorFails: a -trace file hetero cannot create fails the
+// command, as it fails `run`, `sweep` and `local`. It used to be dropped by a
+// deferred Close, and hetero exited 0 having written nothing.
+func TestHeteroTraceErrorFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "x.json")
+	err := cmdHetero([]string{"-ca", "10", "-cb", "10", "-trace", path})
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("hetero -trace %s: error %v, want the file's not-exist error", path, err)
 	}
 }

@@ -616,9 +616,9 @@ func cmdHetero(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer sink.Close()
 	base, perApp, mixed, err := job.Compare(sink.Rec)
 	if err != nil {
+		sink.Close()
 		return err
 	}
 	fmt.Printf("job: %d × %s + %d × %s on %s\n\n", *countA, wa.Name(), *countB, wb.Name(), cfg.Name)
@@ -630,7 +630,7 @@ func cmdHetero(args []string) error {
 	rowOut(fmt.Sprintf("per-app (degrees %v)", job.Degrees), perApp.Instances, perApp)
 	rowOut(fmt.Sprintf("hetero planner (%s)", job.Plan.Strategy), job.Plan.Instances(), mixed)
 	fmt.Printf("\nmodeling overhead: $%.2f\n", job.Overhead.TotalUSD())
-	return nil
+	return sink.Close()
 }
 
 func cmdPareto(args []string) error {

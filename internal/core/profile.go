@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/parallel"
 )
 
 // ErrDegreeInfeasible is returned by a Measurer when a probe at some
@@ -40,26 +37,10 @@ type CostMeasurer interface {
 	LastProbeStorageUSD() float64
 }
 
-// ConcurrentMeasurer is the optional Measurer extension that unlocks the
-// parallel probe fan-out. A measurer may implement it when its probes are
-// pure functions of their arguments — true for simulator-backed measurers,
-// whose "platform" is a deterministic model, and false for live measurers,
-// whose concurrent probes would contend for the very resources being timed
-// (livemeasure stays sequential by default for exactly that reason).
-//
-// The contract BuildModels relies on:
-//
-//   - MeasureExecCall(degree, call) must return the same values the
-//     sequential MeasureExec train would have produced on its call-th
-//     invocation, for any execution order and from any goroutine. In
-//     particular a degree's feasibility must not depend on the call index.
-//   - MeasureScaling must be safe to call concurrently and be a pure
-//     function of the instance count.
-//   - AdvanceCalls(n) is invoked once per BuildModels run, after the
-//     interference train, with the number of probe calls the sequential
-//     train performed — so a measurer keeping a call counter for
-//     interleaved direct MeasureExec use (the ablation drivers do this)
-//     stays bit-compatible with the historical sequential pipeline.
+// ConcurrentMeasurer was the Measurer extension behind a probe fan-out that
+// core no longer runs: BuildModels probes in order through MeasureExec.
+// It stays declared only because the benchmark harness's measurer names it;
+// ROADMAP item 2 deletes it, with SimMeasurer's two methods below.
 type ConcurrentMeasurer interface {
 	Measurer
 	// MeasureExecCall runs the call-th interference probe (1-based across
@@ -67,7 +48,7 @@ type ConcurrentMeasurer interface {
 	// execution time plus the probe's non-compute bill.
 	MeasureExecCall(degree, call int) (etSec, storageUSD float64, err error)
 	// AdvanceCalls advances any internal probe-call counter by n, as if n
-	// sequential MeasureExec calls had run.
+	// MeasureExec calls had run.
 	AdvanceCalls(n int)
 }
 
@@ -181,11 +162,17 @@ func BuildModels(meas Measurer, opts ProfileOptions) (Models, []ETSample, []Scal
 
 // probeInterference is the per-size half of model building that every
 // profile shares: the option checks, the sampled degree list, the
-// sequential-or-concurrent interference train, and the feasibility check.
-// BuildModels runs it once and BuildGridModels once per memory size; each
-// fits Eq. 1 and the storage term from the samples it returns, alongside
-// the highest feasible packing degree.
-func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamples []ETSample, costSamples []CostSample, maxFeasible int, err error) {
+// interference train and the feasibility check. BuildModels runs it once and
+// BuildGridModels once per memory size; each fits Eq. 1 and the storage term
+// from the samples it returns, alongside the highest feasible packing degree.
+//
+// The train runs in order on the caller's goroutine: alternate degrees
+// ascending, probeTrials per degree, stopping at the first infeasible degree
+// (probing is monotone). Each probe is one small instance, so a fan-out's
+// coordination costs more than a second core returns (DESIGN.md §12). In
+// order, a stateful measurer is also left where a direct MeasureExec after
+// the build expects it: SimMeasurer's next probe draws call N + 1's seed.
+func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
 	if opts.MaxDegree < 1 {
 		return nil, nil, 0, fmt.Errorf("core: profile needs MaxDegree ≥ 1, have %d", opts.MaxDegree)
 	}
@@ -203,27 +190,7 @@ func probeInterference(meas Measurer, opts ProfileOptions, ov *Overhead) (etSamp
 			degrees = append(degrees, d)
 		}
 	}
-	_, hasCost := meas.(CostMeasurer)
-	if cm, ok := meas.(ConcurrentMeasurer); ok {
-		etSamples, costSamples, maxFeasible, err = probeExecConcurrent(cm, hasCost, degrees, opts, ov)
-	} else {
-		etSamples, costSamples, maxFeasible, err = probeExecSequential(meas, hasCost, degrees, opts, ov)
-	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if maxFeasible < 1 {
-		return nil, nil, 0, fmt.Errorf("core: application infeasible even unpacked: %w", ErrDegreeInfeasible)
-	}
-	return etSamples, costSamples, maxFeasible, nil
-}
-
-// probeExecSequential is the interference probe train for plain Measurers:
-// alternate degrees in order, trials per degree, stopping at the first
-// infeasible degree (probing is monotone). This is the historical pipeline
-// and the oracle probeExecConcurrent must reproduce bit-for-bit.
-func probeExecSequential(meas Measurer, hasCost bool, degrees []int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
-	costMeas, _ := meas.(CostMeasurer)
+	costMeas, hasCost := meas.(CostMeasurer)
 	etSamples := make([]ETSample, 0, len(degrees))
 	costSamples := make([]CostSample, 0, len(degrees))
 	maxFeasible := opts.MaxDegree
@@ -255,121 +222,26 @@ probing:
 			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / probeTrials})
 		}
 	}
-	return etSamples, costSamples, maxFeasible, nil
-}
-
-// probeExecConcurrent fans the interference probe train out over a bounded
-// worker pool, one task per sampled degree, trials sequential within a task.
-// Probe seeds derive from the 1-based call index the sequential train would
-// have used (call = degreeIndex·trials + trial + 1), results fold in degree
-// order, and the overhead accumulates with the exact statement order of
-// probeExecSequential — so samples, overhead, and the discovered feasibility
-// cap are bit-identical for every worker count, including 1, and to the
-// sequential train itself. Degrees past the first infeasible one may probe
-// speculatively (the sequential train would have stopped); their results are
-// discarded by the fold and their cost never reaches the Overhead.
-func probeExecConcurrent(cm ConcurrentMeasurer, hasCost bool, degrees []int, opts ProfileOptions, ov *Overhead) ([]ETSample, []CostSample, int, error) {
-	type trialResult struct {
-		et, storage float64
-		err         error
+	if maxFeasible < 1 {
+		return nil, nil, 0, fmt.Errorf("core: application infeasible even unpacked: %w", ErrDegreeInfeasible)
 	}
-	results, err := parallel.Map(context.Background(), len(degrees),
-		func(_ context.Context, i int) ([]trialResult, error) {
-			out := make([]trialResult, 0, probeTrials)
-			for t := 0; t < probeTrials; t++ {
-				et, storage, err := cm.MeasureExecCall(degrees[i], i*probeTrials+t+1)
-				out = append(out, trialResult{et: et, storage: storage, err: err})
-				if err != nil {
-					break // the sequential train stops at this call
-				}
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, nil, 0, err // unreachable: tasks never fail, ctx never cancels
-	}
-
-	etSamples := make([]ETSample, 0, len(degrees))
-	costSamples := make([]CostSample, 0, len(degrees))
-	maxFeasible := opts.MaxDegree
-	calls := 0
-fold:
-	for i, d := range degrees {
-		var sum, costSum float64
-		for _, r := range results[i] {
-			calls++ // the sequential train made this call too
-			if errors.Is(r.err, ErrDegreeInfeasible) {
-				maxFeasible = d - 1
-				break fold
-			}
-			if r.err != nil {
-				cm.AdvanceCalls(calls)
-				return nil, nil, 0, fmt.Errorf("core: interference probe at degree %d: %w", d, r.err)
-			}
-			sum += r.et
-			ov.ExecProbeSec += r.et
-			ov.ExecProbeUSD += r.et * opts.RatePerInstanceSec
-			if hasCost {
-				costSum += r.storage
-				ov.ExecProbeUSD += r.storage
-			}
-		}
-		etSamples = append(etSamples, ETSample{Degree: d, ETSec: sum / probeTrials})
-		if hasCost {
-			costSamples = append(costSamples, CostSample{Degree: d, StorageUSD: costSum / probeTrials})
-		}
-	}
-	cm.AdvanceCalls(calls)
 	return etSamples, costSamples, maxFeasible, nil
 }
 
 // probeScaling runs the platform scaling probes at opts.ScalingProbes (nil
-// means DefaultScalingProbes): sequentially for plain Measurers, fanned out
-// over the worker pool for ConcurrentMeasurers (whose MeasureScaling is a
-// pure function of the instance count). The in-order fold keeps samples and
-// overhead bit-identical across worker counts, and a probe error surfaces
-// only after the accumulation of every earlier probe — exactly as the
-// sequential loop leaves the Overhead.
+// means DefaultScalingProbes) in order on the caller's goroutine. A probe
+// error returns after the Overhead holds every earlier probe.
 func probeScaling(meas Measurer, opts ProfileOptions, ov *Overhead) ([]ScalingSample, error) {
 	probes := opts.ScalingProbes
 	if probes == nil {
 		probes = DefaultScalingProbes()
 	}
-	_, concurrent := meas.(ConcurrentMeasurer)
-	type scalingResult struct {
-		st  float64
-		err error
-	}
-	var results []scalingResult
-	if concurrent {
-		var err error
-		results, err = parallel.Map(context.Background(), len(probes),
-			func(_ context.Context, i int) (scalingResult, error) {
-				st, err := meas.MeasureScaling(probes[i])
-				return scalingResult{st: st, err: err}, nil
-			})
-		if err != nil {
-			return nil, err // unreachable: tasks never fail, ctx never cancels
-		}
-	} else {
-		results = make([]scalingResult, len(probes))
-		for i, c := range probes {
-			results[i].st, results[i].err = meas.MeasureScaling(c)
-			if results[i].err != nil {
-				results = results[:i+1]
-				break
-			}
-		}
-	}
 	scSamples := make([]ScalingSample, 0, len(probes))
-	for i, c := range probes {
-		if i >= len(results) {
-			break
-		}
-		if err := results[i].err; err != nil {
+	for _, c := range probes {
+		st, err := meas.MeasureScaling(c)
+		if err != nil {
 			return nil, fmt.Errorf("core: scaling probe at %d instances: %w", c, err)
 		}
-		st := results[i].st
 		scSamples = append(scSamples, ScalingSample{Instances: c, ScalingSec: st})
 		ov.ScalingProbeSec += st
 		// No-op probe functions still pay per-request and a 100 ms sliver.

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
+	"strings"
 	"testing"
 
+	"repro/internal/interfere"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -91,11 +94,14 @@ func TestBuildModelsFullSweep(t *testing.T) {
 	}
 }
 
+// TestBuildModelsLowersInfeasibleMaxDegree: the train stops at its first
+// infeasible probe, caps the degree just below it, and bills nothing past it.
 func TestBuildModelsLowersInfeasibleMaxDegree(t *testing.T) {
 	fm := &fakeMeasurer{et: ETModel{MfuncGB: 0.25, Alpha: 0.3, Intercept: 4},
 		sc: ScalingModel{B1: 1e-5, B2: 0.01}, failAbove: 20}
-	models, _, _, _, err := BuildModels(fm, ProfileOptions{
-		MaxDegree: 40, MfuncGB: 0.25, RatePerInstanceSec: 1e-4,
+	const rate = 1e-4
+	models, etS, _, ov, err := BuildModels(fm, ProfileOptions{
+		MaxDegree: 40, MfuncGB: 0.25, RatePerInstanceSec: rate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +110,119 @@ func TestBuildModelsLowersInfeasibleMaxDegree(t *testing.T) {
 	if models.MaxDegree != 20 {
 		t.Fatalf("max degree %d, want 20", models.MaxDegree)
 	}
+	// Ten degrees of three trials, then the one failing call at 21.
+	if len(etS) != 10 || fm.execCalls != 10*probeTrials+1 {
+		t.Fatalf("%d samples from %d calls, want 10 from %d", len(etS), fm.execCalls, 10*probeTrials+1)
+	}
+	var want Overhead
+	for d := 1; d <= 19; d += 2 {
+		for range probeTrials {
+			et := fm.et.At(d)
+			want.ExecProbeSec += et
+			want.ExecProbeUSD += et * rate
+		}
+	}
+	if ov.ExecProbeSec != want.ExecProbeSec || ov.ExecProbeUSD != want.ExecProbeUSD {
+		t.Fatalf("probe overhead %+v, want degrees 1–19 only: %+v", ov, want)
+	}
+}
+
+// TestConcurrentProbeInfeasibleTruncation covers the early-stop path on the
+// simulator: when the platform's execution limit caps the feasible degree,
+// the probe train finds the cap at the first infeasible sampled degree and
+// bills only the probes below it, storage fees included.
+func TestConcurrentProbeInfeasibleTruncation(t *testing.T) {
+	cfg := platform.AWSLambda()
+	cfg.MaxExecSec = 60 // high packing degrees blow the limit
+	d := interfere.Demand{CPUSeconds: 20, MemoryMB: 256, InputMB: 40, OutputMB: 10, ShuffleFraction: 0.3}
+	opts := ProfileOptionsFor(cfg, d)
+	meas := &SimMeasurer{Config: cfg, Demand: d, Seed: 1}
+	models, etS, _, ov, err := BuildModels(meas, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := etS[len(etS)-1].Degree; models.MaxDegree >= opts.MaxDegree || models.MaxDegree != last+1 {
+		t.Fatalf("simulator cap %d of %d after sampling up to degree %d, want the next sampled degree − 1",
+			models.MaxDegree, opts.MaxDegree, last)
+	}
+	// Three trials per feasible degree, then the one failing call.
+	if n := int64(len(etS)*probeTrials + 1); meas.calls != n {
+		t.Fatalf("truncated train made %d probe calls, want %d", meas.calls, n)
+	}
+
+	// Replaying the feasible probes on a fresh measurer gives the bill.
+	replay := &SimMeasurer{Config: cfg, Demand: d, Seed: 1}
+	var want Overhead
+	for _, s := range etS {
+		for range probeTrials {
+			et, err := replay.MeasureExec(s.Degree)
+			if err != nil {
+				t.Fatalf("replay at degree %d: %v", s.Degree, err)
+			}
+			want.ExecProbeSec += et
+			want.ExecProbeUSD += et * opts.RatePerInstanceSec
+			want.ExecProbeUSD += replay.LastProbeStorageUSD()
+		}
+	}
+	if ov.ExecProbeSec != want.ExecProbeSec || ov.ExecProbeUSD != want.ExecProbeUSD {
+		t.Fatalf("probe overhead %+v, want the feasible degrees' only: %+v", ov, want)
+	}
+}
+
+// TestMeasureExecAfterBuildModelsDrawsNextSeed: BuildModels makes exactly
+// its train's MeasureExec calls, so a direct probe after it — the ablation
+// drivers' truth probes — draws call N + 1's seed.
+func TestMeasureExecAfterBuildModelsDrawsNextSeed(t *testing.T) {
+	cfg := platform.AWSLambda()
+	d := workload.Video{}.Demand()
+	meas := &SimMeasurer{Config: cfg, Demand: d, Seed: 1}
+	_, etS, _, _, err := BuildModels(meas, ProfileOptionsFor(cfg, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(etS) * probeTrials)
+	if meas.calls != n {
+		t.Fatalf("BuildModels made %d probe calls, want %d", meas.calls, n)
+	}
+	for i, deg := range []int{1, 3, 5} {
+		want, _, errW := (&SimMeasurer{Config: cfg, Demand: d, Seed: 1}).execProbe(deg, n+int64(i)+1)
+		got, errG := meas.MeasureExec(deg)
+		if errW != nil || errG != nil || got != want {
+			t.Fatalf("truth probe %d at degree %d: %g (%v), want call %d's %g (%v)", i, deg, got, errG, n+int64(i)+1, want, errW)
+		}
+	}
+}
+
+// panickyMeasurer is a SimMeasurer whose interference probe at one degree
+// trips a simulator invariant, as a corrupt config would.
+type panickyMeasurer struct {
+	*SimMeasurer
+	at int
+}
+
+func (p panickyMeasurer) MeasureExec(degree int) (float64, error) {
+	if degree == p.at {
+		panic("sim: scheduling event at non-finite time NaN")
+	}
+	return p.SimMeasurer.MeasureExec(degree)
+}
+
+// TestBuildModelsProbePanicReachesCaller: a probe's panic unwinds through
+// BuildModels to its caller — the stack the daemon's recover,
+// flightGroup.Do and the scaling store all sit on.
+func TestBuildModelsProbePanicReachesCaller(t *testing.T) {
+	cfg := platform.AWSLambda()
+	d := workload.Video{}.Demand()
+	defer func() {
+		msg := fmt.Sprint(recover()) + "\n" + string(debug.Stack())
+		for _, want := range []string{"non-finite time NaN", "panickyMeasurer", "MeasureExec", "BuildModels"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("recovered value and stack lack %q:\n%s", want, msg)
+			}
+		}
+	}()
+	_, _, _, _, err := BuildModels(panickyMeasurer{&SimMeasurer{Config: cfg, Demand: d, Seed: 1}, 3}, ProfileOptionsFor(cfg, d))
+	t.Fatalf("BuildModels returned (err %v), want a panic", err)
 }
 
 func TestBuildModelsInfeasibleAtDegreeOne(t *testing.T) {

@@ -103,21 +103,20 @@ func TestScalingStoreKeepsNoFailures(t *testing.T) {
 	}
 }
 
-// burstCounter is a sequential SimMeasurer (seqOnly: every probe runs on the
-// caller's goroutine) that counts the scaling probes that allocate an end
-// column's worth, 8 B an instance. A probe answered from platform's stores
-// allocates nothing and a burst at least its columns; the runtime's own rare
-// allocations in the window (≈ 5 KB seen) stay below the 8 KB of the
-// smallest probe used here.
+// burstCounter is a SimMeasurer that counts the scaling probes that
+// allocate an end column's worth, 8 B an instance. A probe answered from
+// platform's stores allocates nothing and a burst at least its columns; the
+// runtime's own rare allocations in the window (≈ 5 KB seen) stay below the
+// 8 KB of the smallest probe used here.
 type burstCounter struct {
-	seqOnly
+	*SimMeasurer
 	bursts *int
 }
 
 func (c burstCounter) MeasureScaling(instances int) (float64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	st, err := c.sm.MeasureScaling(instances)
+	st, err := c.SimMeasurer.MeasureScaling(instances)
 	runtime.ReadMemStats(&after)
 	if after.TotalAlloc-before.TotalAlloc >= 8*uint64(instances) {
 		*c.bursts++
@@ -136,7 +135,7 @@ func TestWarmPlatformAdvise(t *testing.T) {
 		n := 0
 		opts := ProfileOptionsFor(cfg, d)
 		opts.ScalingProbes = []int{1000, 2000, 4000}
-		m, _, _, _, err := BuildModels(burstCounter{seqOnly{&SimMeasurer{Config: cfg, Demand: d, Seed: seed}}, &n}, opts)
+		m, _, _, _, err := BuildModels(burstCounter{&SimMeasurer{Config: cfg, Demand: d, Seed: seed}, &n}, opts)
 		if err == nil {
 			_, err = m.PlanFor(2000, Balanced())
 		}

@@ -41,23 +41,20 @@ func (s *SimMeasurer) MeasureExec(degree int) (float64, error) {
 	return et, nil
 }
 
-// MeasureExecCall implements ConcurrentMeasurer: the call-th probe of a
-// probe train, as a pure function of (degree, call) — safe to run from any
-// goroutine in any order. The probe seed is exactly the one the call-th
-// sequential MeasureExec would have drawn, so the concurrent fan-out is
-// bit-identical to the sequential train.
+// MeasureExecCall implements ConcurrentMeasurer: the probe the call-th
+// MeasureExec after this point would run, without advancing the counter.
+// core no longer calls it; ROADMAP item 2 deletes it.
 func (s *SimMeasurer) MeasureExecCall(degree, call int) (float64, float64, error) {
 	return s.execProbe(degree, s.calls+int64(call))
 }
 
-// AdvanceCalls implements ConcurrentMeasurer: after a fanned-out probe
-// train, the call counter catches up to where the sequential train would
-// have left it, keeping later direct MeasureExec calls (the ablation
-// drivers' truth probes) on the historical seed schedule.
+// AdvanceCalls implements ConcurrentMeasurer: it moves the call counter on
+// as n MeasureExec calls would. core no longer calls it; ROADMAP item 2
+// deletes it.
 func (s *SimMeasurer) AdvanceCalls(n int) { s.calls += int64(n) }
 
-// execProbe runs one interference probe with the seed schedule shared by
-// the sequential and concurrent probe paths.
+// execProbe runs one interference probe with the seed of the call-th
+// probe.
 func (s *SimMeasurer) execProbe(degree int, call int64) (float64, float64, error) {
 	res, err := platform.Run(s.Config, platform.Burst{
 		Demand:    s.Demand,

@@ -319,14 +319,13 @@ func TestPanicRecoveryKeepsServing(t *testing.T) {
 // simulator invariant, as a corrupt platform config would.
 type panickyMeasurer struct{ *core.SimMeasurer }
 
-func (panickyMeasurer) MeasureExecCall(degree, call int) (float64, float64, error) {
+func (panickyMeasurer) MeasureExec(int) (float64, error) {
 	panic("sim: negative service time")
 }
 
-// TestProbePanicFailsOneRequest drives a model build whose probes panic —
-// on parallel.Map's worker goroutines — through the whole guard chain and
-// the pool's singleflight. Before Map carried a worker's panic to its
-// caller this ended the process, past every recover on the request's stack.
+// TestProbePanicFailsOneRequest drives a model build whose probes panic
+// through the whole guard chain and the pool's singleflight: the request
+// gets one 500, the panic is counted, and the daemon serves the next one.
 func TestProbePanicFailsOneRequest(t *testing.T) {
 	s := newTestServer(t, nil)
 	w, err := workload.ByName("Video")

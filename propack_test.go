@@ -104,3 +104,21 @@ func TestFacadeQoSRunMeetsBound(t *testing.T) {
 		t.Fatalf("observed tail %g far above QoS bound %g", m.TailService, bound)
 	}
 }
+
+// TestAdviseAllocs pins what a cold Advise allocates once the platform's
+// scaling answers are stored: 280 objects with the probe trains run in order
+// on the caller's goroutine, against 321 when they fanned out over worker
+// goroutines. A fan-out that creeps back into a train fails here.
+func TestAdviseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts measure the race detector")
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Advise(AWSLambda(), VideoWorkload().Demand(), 2000, Balanced()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 290 {
+		t.Errorf("a cold Advise allocates %.0f objects, want ≤ 290", got)
+	}
+}
