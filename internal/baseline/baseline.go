@@ -1,8 +1,8 @@
 // Package baseline implements the competing techniques ProPack is
-// evaluated against:
+// evaluated against. The paper's normalization baseline, the traditional
+// one-function-per-instance deployment, is orchestrator.Execute at packing
+// degree 1; the strategies here are the alternatives:
 //
-//   - NoPacking — the traditional one-function-per-instance deployment
-//     (packing degree 1), the paper's normalization baseline;
 //   - SerialBatching — the "intuitive solution" of spawning smaller batches
 //     serially, which trades scaling time for turnaround time (Sec. 1);
 //   - Staggered — the latency-hiding alternative of spacing out
@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"repro/internal/interfere"
-	"repro/internal/orchestrator"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -35,18 +34,6 @@ import (
 type Strategy interface {
 	Name() string
 	Execute(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, error)
-}
-
-// NoPacking is the traditional deployment: every function in its own
-// instance, all spawned at once.
-type NoPacking struct{}
-
-// Name implements Strategy.
-func (NoPacking) Name() string { return "No Packing" }
-
-// Execute implements Strategy.
-func (NoPacking) Execute(cfg platform.Config, d interfere.Demand, c int, seed int64) (trace.Metrics, error) {
-	return orchestrator.Execute(cfg, d, c, 1, seed)
 }
 
 // SerialBatching spawns the C functions in ceil(C/BatchSize) serial waves:

@@ -13,24 +13,6 @@ import (
 
 func demand() interfere.Demand { return workload.Video{}.Demand() }
 
-func TestNoPackingMatchesDegreeOne(t *testing.T) {
-	cfg := platform.AWSLambda()
-	m, err := NoPacking{}.Execute(cfg, demand(), 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := orchestrator.Execute(cfg, demand(), 200, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != ref {
-		t.Fatalf("NoPacking differs from raw degree-1 execution:\n%+v\n%+v", m, ref)
-	}
-	if m.Degree != 1 || m.Instances != 200 {
-		t.Fatalf("wrong identity: %+v", m)
-	}
-}
-
 func TestSerialBatchingTradesScalingForTurnaround(t *testing.T) {
 	cfg := platform.AWSLambda()
 	const c = 1000
@@ -38,7 +20,7 @@ func TestSerialBatchingTradesScalingForTurnaround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst, err := NoPacking{}.Execute(cfg, demand(), c, 2)
+	burst, err := orchestrator.Execute(cfg, demand(), c, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +49,7 @@ func TestStaggeredAvoidsCongestionButDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst, err := NoPacking{}.Execute(cfg, demand(), c, 3)
+	burst, err := orchestrator.Execute(cfg, demand(), c, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +77,7 @@ func TestPywrenHelpsAtLowConcurrencyOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := NoPacking{}.Execute(cfg, demand(), c, 4)
+		base, err := orchestrator.Execute(cfg, demand(), c, 1, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +121,7 @@ func TestOracleBeatsBaselineAndEndpoints(t *testing.T) {
 	if deg <= 1 {
 		t.Fatalf("oracle at C=%d should pack, got degree %d", c, deg)
 	}
-	base, err := NoPacking{}.Execute(cfg, demand(), c, 5)
+	base, err := orchestrator.Execute(cfg, demand(), c, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +193,7 @@ func TestOracleInfeasible(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{NoPacking{}, SerialBatching{BatchSize: 50},
+	for _, s := range []Strategy{SerialBatching{BatchSize: 50},
 		Staggered{DelaySec: 0.1}, Pywren{}} {
 		if s.Name() == "" {
 			t.Fatal("empty strategy name")

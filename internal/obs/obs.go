@@ -45,17 +45,17 @@ const (
 
 	// The remaining stages belong to the serve daemon's request path rather
 	// than the instance lifecycle: each guard of the robustness chain emits
-	// one span per request, so a request trace reads
-	// limit → admit → (plan | coalesce).
+	// one span per request, so a request trace reads limit → admit → plan.
 
 	// StageLimit is the per-tenant rate-limit check.
 	StageLimit
 	// StageAdmit is time spent waiting for an admission slot.
 	StageAdmit
-	// StageCoalesce is a follower request waiting on a coalesced leader's
-	// computation (singleflight).
+	// StageCoalesce is emitted by nothing: the daemon no longer coalesces
+	// whole requests. It stays declared, and in the stage order, for the
+	// benchmark's stage rows.
 	StageCoalesce
-	// StagePlan is the planner computation itself (the coalesced leader).
+	// StagePlan is the request's computation itself.
 	StagePlan
 
 	numStages = int(StagePlan) + 1

@@ -1,22 +1,27 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/orchestrator"
+	"repro/internal/platform"
 )
 
 // TestServeConcurrentStress hammers every endpoint from many goroutines at
 // once. Its name contains "Concurrent" so CI's race-stress job
 // (go test -race -run Concurrent) picks it up: the point is to drive the
-// admission semaphore, tenant limiter, coalescer and planner pool
+// admission semaphore, tenant limiter and planner pool (with its flight)
 // simultaneously under the race detector. Functionally it asserts that the
 // server only ever answers with its documented statuses and that the
 // admission accounting returns to zero.
@@ -52,7 +57,7 @@ func TestServeConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				path := paths[(w+i)%len(paths)]
-				// Half the traffic is unique (nonce), half coalescable.
+				// Half the traffic is unique (nonce), half repeats.
 				if i%2 == 0 {
 					sep := "&"
 					if !strings.Contains(path, "?") {
@@ -96,7 +101,7 @@ func TestServeConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestFlightGroupConcurrentKeys drives the coalescer with many goroutines
+// TestFlightGroupConcurrentKeys drives the pool's flight with many goroutines
 // over few keys under -race: every caller must see the same (val, err) as
 // its leader and the map must drain.
 func TestFlightGroupConcurrentKeys(t *testing.T) {
@@ -109,7 +114,7 @@ func TestFlightGroupConcurrentKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%4)
-				v, err, _ := g.Do(t.Context(), key, func() (any, error) {
+				v, err := g.Do(t.Context(), key, func() (any, error) {
 					calls.Add(1)
 					return key, nil
 				})
@@ -130,6 +135,68 @@ func TestFlightGroupConcurrentKeys(t *testing.T) {
 	if len(g.m) != 0 {
 		t.Fatalf("flight map not drained: %d entries", len(g.m))
 	}
+}
+
+// TestMixedHerdPlansOnce sends eight identical /v1/mixed jobs at once: the
+// pool's flight must plan the job exactly once and every request answer the
+// same bytes as a job planned alone. A wrapper over PlanMixedJob holds the
+// flight's leader until all eight requests are admitted (the admission
+// in-flight count) and inside the flight (their goroutines' stacks), so no
+// request can arrive after the leader has finished. A second plan means the
+// requests did not share one, and releases the wait.
+func TestMixedHerdPlansOnce(t *testing.T) {
+	const (
+		herd = 8
+		path = "/v1/mixed?app=Video:40&app=Sort:40&platform=aws&ws=0.7"
+	)
+	s := newTestServer(t, func(c *Config) { c.MaxInFlight, c.MaxQueue = herd, herd })
+	var plans atomic.Int64
+	s.pool.planMixed = func(cfg platform.Config, apps []orchestrator.MixedApp, w core.Weights, seed int64) (orchestrator.MixedJob, error) {
+		plans.Add(1)
+		for plans.Load() == 1 && (s.adm.inFlight() < herd || mixedFlightGoroutines() < herd) {
+			time.Sleep(time.Millisecond)
+		}
+		return orchestrator.PlanMixedJob(cfg, apps, w, seed)
+	}
+	codes, bodies := make([]int, herd), make([]string, herd)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rr := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+			codes[i], bodies[i] = rr.Code, rr.Body.String()
+		}(i)
+	}
+	wg.Wait()
+	if n := plans.Load(); n != 1 {
+		t.Fatalf("a herd of %d identical jobs planned %d times, want once", herd, n)
+	}
+	s.pool.planMixed = orchestrator.PlanMixedJob
+	rr, _ := get(t, s, path, nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("job planned alone: status %d: %s", rr.Code, rr.Body)
+	}
+	for i, b := range bodies {
+		if codes[i] != http.StatusOK || b != rr.Body.String() {
+			t.Fatalf("herd request %d: status %d, body:\n%s\nwant the job planned alone:\n%s", i, codes[i], b, rr.Body)
+		}
+	}
+}
+
+// mixedFlightGoroutines counts the goroutines inside the pool's flight for a
+// /v1/mixed job: its leader, planning, and the followers waiting on it.
+func mixedFlightGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*flightGroup).Do")) && bytes.Contains(g, []byte("computeMixed")) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestTenantLimiterConcurrent pounds one limiter from many goroutines with

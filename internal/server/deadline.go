@@ -8,9 +8,9 @@ import (
 
 // lazyDeadline is the per-request deadline. context.WithTimeout arms a timer
 // and links into the parent's cancellation tree at construction, yet a served
-// request almost never waits on its context (a flight leader computes inline;
-// only a coalesced follower, a pool-build waiter or the delayms hook selects
-// on Done). So that work waits for the first Done; until then Deadline and Err
+// request almost never waits on its context (it computes inline; only a
+// waiter on the planner pool's flight or the delayms hook selects on Done).
+// So that work waits for the first Done; until then Deadline and Err
 // answer from the clock and the parent. Allocated per request, never pooled:
 // a goroutine that derived from it may hold it after the request returns.
 type lazyDeadline struct {

@@ -74,15 +74,14 @@ func writeAPIError(w http.ResponseWriter, ae *apiError) {
 }
 
 // computeFn appends an endpoint's response body to e. It runs under the
-// request deadline, behind admission control, possibly coalesced with
-// identical concurrent requests.
+// request deadline, behind admission control.
 type computeFn func(ctx context.Context, q *params, e *jsonEnc) error
 
 // endpoint wraps a compute function in the full robustness chain:
-// panic recovery → rate limit → admission → deadline → coalescing →
-// compute, with every decision surfaced in the registry.
+// panic recovery → rate limit → admission → deadline → compute, with every
+// decision surfaced in the registry.
 // When the telemetry middleware is active, each guard stage also emits a
-// span into the request's trace (limit → admit → plan-or-coalesce).
+// span into the request's trace (limit → admit → plan).
 func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 	// Every counter the request path touches, resolved once: a request never
 	// looks a name up, and the `# TYPE` set is complete before the first scrape
@@ -92,7 +91,6 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 		rateLimited  = s.reg.Counter("http_ratelimited_total")
 		shed         = s.reg.Counter("http_shed_total")
 		queueTimeout = s.reg.Counter("http_queue_timeout_total")
-		coalesced    = s.reg.Counter("http_coalesced_total")
 		panics       = s.reg.Counter("http_panics_total")
 	)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,44 +143,29 @@ func (s *Server) endpoint(name string, compute computeFn) http.Handler {
 		}
 		defer release()
 
-		// The query, parsed once; its canonical form keys the coalescer.
 		q := parseParams(r.URL.RawQuery)
 		defer q.release()
-		q.key = q.appendCanonical(append(append(q.key[:0], name...), '?'))
 
 		// Per-request deadline, propagated through the compute path.
 		ctx := &lazyDeadline{Context: r.Context(), deadline: time.Now().Add(s.cfg.RequestTimeout)}
 		defer ctx.cancel()
 
-		// The leader encodes into its own pooled buffer; a follower gets a
-		// private copy (detachBody), so the buffer is free once written.
 		e := encPool.Get().(*jsonEnc)
 		defer encPool.Put(e)
-		val, err, shared := s.flights.Do(ctx, string(q.key), func() (any, error) {
-			if s.cfg.TestHooks {
-				if err := s.testHooks(ctx, q); err != nil {
-					return nil, err
-				}
-			}
-			e.reset()
-			if err := compute(ctx, q, e); err != nil {
-				return nil, err
-			}
-			return e, nil
-		})
-		if shared {
-			// A follower spent the interval waiting on the leader's
-			// computation, not computing.
-			rt.spanFrom(obs.StageCoalesce, mark)
-			coalesced.Inc()
-		} else {
-			rt.spanFrom(obs.StagePlan, mark)
+		e.reset()
+		var err error
+		if s.cfg.TestHooks {
+			err = s.testHooks(ctx, q)
 		}
+		if err == nil {
+			err = compute(ctx, q, e)
+		}
+		rt.spanFrom(obs.StagePlan, mark)
 		if err != nil {
 			writeAPIError(w, toAPIError(err))
 			return
 		}
-		val.(*jsonEnc).writeTo(w, http.StatusOK)
+		e.writeTo(w, http.StatusOK)
 	})
 }
 
@@ -471,14 +454,14 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	}
 	apps := make([]orchestrator.MixedApp, len(specs))
 	counts := make([]int, len(specs))
-	for i, p := range specs {
-		name, countStr, ok := strings.Cut(p.val, ":")
+	for i, spec := range specs {
+		name, countStr, ok := strings.Cut(spec, ":")
 		if !ok {
-			return badRequest("bad app spec %q (want Name:count)", p.val)
+			return badRequest("bad app spec %q (want Name:count)", spec)
 		}
 		count, err := strconv.Atoi(countStr)
 		if err != nil || count < 1 {
-			return badRequest("bad app count in %q", p.val)
+			return badRequest("bad app count in %q", spec)
 		}
 		counts[i] = count
 		wl, err := workload.ByName(name)
@@ -491,7 +474,7 @@ func (s *Server) computeMixed(ctx context.Context, q *params, e *jsonEnc) error 
 	if err := core.CheckMixedCounts(counts...); err != nil {
 		return badRequest("%v", err)
 	}
-	job, err := orchestrator.PlanMixedJob(cfg, apps, w, s.cfg.Seed)
+	job, err := s.pool.mixed(ctx, cfg, apps, w)
 	if err != nil {
 		return fmt.Errorf("mixed planning: %w", err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -132,13 +131,6 @@ func (e *jsonEnc) writeTo(w http.ResponseWriter, status int) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(e.b)
-}
-
-// detachBody is the coalescer's hook: a follower's copy of the leader's body,
-// which lives in a buffer the leader returns to the pool.
-func detachBody(v any) any {
-	e := v.(*jsonEnc)
-	return &jsonEnc{b: bytes.Clone(e.b), bad: e.bad}
 }
 
 // jsonContentType is shared by every response: assigned, never appended to,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/url"
-	"slices"
 	"strings"
 	"sync"
 )
@@ -11,14 +10,11 @@ import (
 type param struct{ key, val string }
 
 // params is a request's query, parsed once: the pairs url.ParseQuery would
-// keep, stably sorted by key. That is url.Values.Encode's order (keys sorted,
-// a key's values in arrival order), so appendCanonical reproduces it without
-// the map, and a key's values are one contiguous run. The usual four or five
-// pairs fit the inline array, so a pooled params allocates nothing.
+// keep, in arrival order. The usual four or five pairs fit the inline array,
+// so a pooled params allocates nothing.
 type params struct {
 	pairs  []param
 	inline [8]param
-	key    []byte // scratch for the singleflight key
 }
 
 var paramsPool = sync.Pool{New: func() any { return new(params) }}
@@ -46,7 +42,6 @@ func parseParams(raw string) *params {
 		}
 		q.pairs = append(q.pairs, param{key, val})
 	}
-	slices.SortStableFunc(q.pairs, func(a, b param) int { return strings.Compare(a.key, b.key) })
 	return q
 }
 
@@ -57,38 +52,23 @@ func (q *params) release() {
 	paramsPool.Put(q)
 }
 
-// All returns the pairs carrying key, in arrival order.
-func (q *params) All(key string) []param {
-	lo := 0
-	for lo < len(q.pairs) && q.pairs[lo].key != key {
-		lo++
+// All returns the values of key, in arrival order (url.Values[key]).
+func (q *params) All(key string) []string {
+	var vals []string
+	for _, p := range q.pairs {
+		if p.key == key {
+			vals = append(vals, p.val)
+		}
 	}
-	hi := lo
-	for hi < len(q.pairs) && q.pairs[hi].key == key {
-		hi++
-	}
-	return q.pairs[lo:hi]
+	return vals
 }
 
 // Get returns the first value of key, "" when absent (url.Values.Get).
 func (q *params) Get(key string) string {
-	if run := q.All(key); len(run) > 0 {
-		return run[0].val
+	for _, p := range q.pairs {
+		if p.key == key {
+			return p.val
+		}
 	}
 	return ""
-}
-
-// appendCanonical appends the query exactly as url.Values.Encode renders it:
-// the coalescing key, in which parameters no route reads (a client's nonce)
-// still separate requests, as they always have.
-func (q *params) appendCanonical(b []byte) []byte {
-	for i, p := range q.pairs {
-		if i > 0 {
-			b = append(b, '&')
-		}
-		b = append(b, url.QueryEscape(p.key)...)
-		b = append(b, '=')
-		b = append(b, url.QueryEscape(p.val)...)
-	}
-	return b
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/funcx"
+	"repro/internal/orchestrator"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -37,6 +38,10 @@ type plannerPool struct {
 	entries     map[string]*plannerEntry
 	callerGrids []string
 	builds      atomic.Int64
+
+	// planMixed is orchestrator.PlanMixedJob; a test substitutes a wrapper
+	// that holds the flight's leader.
+	planMixed func(platform.Config, []orchestrator.MixedApp, core.Weights, int64) (orchestrator.MixedJob, error)
 }
 
 // maxCallerGrids is how many caller-supplied memory grids the pool retains.
@@ -51,7 +56,7 @@ type plannerEntry struct {
 }
 
 func newPlannerPool(seed int64) *plannerPool {
-	return &plannerPool{seed: seed, entries: make(map[string]*plannerEntry)}
+	return &plannerPool{seed: seed, entries: make(map[string]*plannerEntry), planMixed: orchestrator.PlanMixedJob}
 }
 
 // PlatformByName maps a platform name — the API's platform parameter and
@@ -133,7 +138,17 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 	if e != nil {
 		return e, nil
 	}
-	v, err, _ := p.flights.Do(ctx, key, func() (any, error) {
+	// Unknown names are refused before the flight, so a build's key always
+	// starts with a known platform or "joint|", never with mixed's "mixed|".
+	w, err := workload.ByName(appName)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	cfg, err := PlatformByName(platformName)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	v, err := p.flights.Do(ctx, key, func() (any, error) {
 		// Double-check under the flight: a previous leader may have
 		// finished between our map read and the flight acquisition.
 		p.mu.Lock()
@@ -142,14 +157,6 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 			return e, nil
 		}
 		p.mu.Unlock()
-		w, err := workload.ByName(appName)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		cfg, err := PlatformByName(platformName)
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
 		e := &plannerEntry{platformName: cfg.Name, sizesMB: sizesMB}
 		if len(sizesMB) == 0 {
 			meas := &core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: p.seed}
@@ -194,6 +201,31 @@ func (p *plannerPool) get(ctx context.Context, platformName, appName string, siz
 		return nil, err
 	}
 	return v.(*plannerEntry), nil
+}
+
+// mixed plans a heterogeneous job under the pool's flight, keyed by the
+// resolved job, so a herd of identical concurrent jobs plans once. Every
+// caller encodes its own body from the shared MixedJob, which nobody writes
+// to. Plans are not kept: a later identical job plans again.
+func (p *plannerPool) mixed(ctx context.Context, cfg platform.Config, apps []orchestrator.MixedApp, w core.Weights) (orchestrator.MixedJob, error) {
+	key := append([]byte("mixed|"), cfg.Name...)
+	for _, a := range apps {
+		key = append(key, '|')
+		key = append(key, a.Workload.Name()...)
+		key = append(key, ':')
+		key = strconv.AppendInt(key, int64(a.Count), 10)
+	}
+	key = append(key, '|')
+	key = strconv.AppendFloat(key, w.Service, 'g', -1, 64)
+	key = append(key, ',')
+	key = strconv.AppendFloat(key, w.Expense, 'g', -1, 64)
+	v, err := p.flights.Do(ctx, string(key), func() (any, error) {
+		return p.planMixed(cfg, apps, w, p.seed)
+	})
+	if err != nil {
+		return orchestrator.MixedJob{}, err
+	}
+	return v.(orchestrator.MixedJob), nil
 }
 
 // size reports the number of profiled triples, for the models gauge.

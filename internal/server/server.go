@@ -15,10 +15,10 @@
 //     with a default bucket for anonymous callers;
 //   - per-request deadlines propagated via context, and per-handler panic
 //     recovery;
-//   - request coalescing: identical in-flight planning requests collapse
-//     into one computation (singleflight), layered over core's sharded
-//     GridCache so a thundering herd of identical advises costs one
-//     table build;
+//   - one singleflight per slow step: identical concurrent first requests
+//     share one model build, and identical concurrent /v1/mixed jobs one
+//     plan (the planner pool's flight); core's sharded GridCache does the
+//     same for a table build;
 //   - graceful drain: Run flips /readyz to 503 on context cancellation,
 //     optionally keeps serving through a grace period so load balancers
 //     notice, then drains in-flight requests under a deadline. No admitted
@@ -153,7 +153,6 @@ type Server struct {
 	mux     *http.ServeMux
 	adm     *admission
 	tenants *tenantLimiter
-	flights flightGroup
 	pool    *plannerPool
 	slo     *obs.SLO
 	tel     *telemetry
@@ -175,7 +174,6 @@ func New(cfg Config) (*Server, error) {
 		pool:    newPlannerPool(cfg.Seed),
 		slo:     obs.NewSLO(cfg.SLO),
 	}
-	s.flights.detach = detachBody
 	if !cfg.DisableTelemetry {
 		s.tel = newTelemetry(cfg, reg, s.slo)
 	}

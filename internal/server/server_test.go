@@ -334,7 +334,7 @@ func TestProbePanicFailsOneRequest(t *testing.T) {
 	}
 	cfg := platform.AWSLambda()
 	h := s.endpoint("advise", func(ctx context.Context, _ *params, _ *jsonEnc) error {
-		_, err, _ := s.pool.flights.Do(ctx, "panicky", func() (any, error) {
+		_, err := s.pool.flights.Do(ctx, "panicky", func() (any, error) {
 			meas := panickyMeasurer{&core.SimMeasurer{Config: cfg, Demand: w.Demand(), Seed: 1}}
 			models, _, _, _, err := core.BuildModels(meas, core.ProfileOptionsFor(cfg, w.Demand()))
 			return models, err
@@ -514,38 +514,6 @@ func TestQueueTimeout503(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCoalescingIdenticalRequests(t *testing.T) {
-	s := newTestServer(t, nil)
-	if rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=300", nil); rr.Code != 200 {
-		t.Fatal("warmup failed")
-	}
-	builds := s.pool.builds.Load()
-	const herd = 8
-	var wg sync.WaitGroup
-	codes := make([]int, herd)
-	for i := 0; i < herd; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Identical path (delay forces overlap): one compute, herd−1 waits.
-			rr, _ := get(t, s, "/v1/advise?app=Video&platform=aws&c=300&delayms=150", nil)
-			codes[i] = rr.Code
-		}(i)
-	}
-	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("herd request %d: status %d", i, code)
-		}
-	}
-	if got := s.reg.Counter("http_coalesced_total").Value(); got == 0 {
-		t.Fatal("no coalescing observed for an identical herd")
-	}
-	if got := s.pool.builds.Load(); got != builds {
-		t.Fatalf("herd rebuilt models: %d new builds", got-builds)
-	}
-}
-
 func TestHealthAndDebugRoutes(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.EnableDebug = true })
 	rr, body := get(t, s, "/healthz", nil)
@@ -640,8 +608,8 @@ func TestFlightGroupFollowerTimeout(t *testing.T) {
 	<-leaderGo
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err, shared := g.Do(ctx, "k", func() (any, error) { return "never", nil })
-	if !shared || err == nil {
-		t.Fatalf("follower: shared=%v err=%v, want shared timeout", shared, err)
+	v, err := g.Do(ctx, "k", func() (any, error) { return "never", nil })
+	if v != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower: %v, %v; want its own deadline, not a run of its own", v, err)
 	}
 }

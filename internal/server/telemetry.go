@@ -22,8 +22,8 @@ import (
 //     the guard chain itself counts just its rejections);
 //   - the SLO tracker behind /slo (availability = no 5xx; latency judged
 //     against the configured threshold);
-//   - the guard chain's children of stage_seconds{stage}: limit, admit,
-//     coalesce and plan;
+//   - the guard chain's children of stage_seconds{stage}: limit, admit and
+//     plan;
 //   - optionally a Recorder (Config.Trace): one burst per request, labeled
 //     with the request ID, carrying the guard-stage spans — the same typed
 //     stream the simulator emits, so the existing JSONL/Chrome-trace
@@ -92,7 +92,7 @@ type requestTrace struct {
 	start   time.Time
 	clock   func() time.Time
 	spans   []obs.Span
-	spanBuf [4]obs.Span // inline storage: limit, admit, plan-or-coalesce + one spare
+	spanBuf [4]obs.Span // inline storage: limit, admit, plan + one spare
 }
 
 func (rt *requestTrace) WriteHeader(code int) {
@@ -190,7 +190,7 @@ func newTelemetry(cfg Config, reg *obs.Registry, slo *obs.SLO) *telemetry {
 	_, _ = rand.Read(buf[:])
 	stages := reg.HistogramVec("stage_seconds", []string{"stage"}, nil)
 	stageHist := map[obs.Stage]*obs.Histogram{}
-	for _, st := range []obs.Stage{obs.StageLimit, obs.StageAdmit, obs.StageCoalesce, obs.StagePlan} {
+	for _, st := range []obs.Stage{obs.StageLimit, obs.StageAdmit, obs.StagePlan} {
 		stageHist[st] = stages.With(st.String())
 	}
 	return &telemetry{

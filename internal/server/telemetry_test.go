@@ -107,8 +107,7 @@ func TestRequestTraceSpans(t *testing.T) {
 	if b.Info.Label != "span-check" || b.Info.Platform != "serve" {
 		t.Errorf("burst info = %+v", b.Info)
 	}
-	// The guard chain's span order: limit → admit → plan (an uncoalesced
-	// request computes itself).
+	// The guard chain's span order: limit → admit → plan.
 	var stages []obs.Stage
 	for _, sp := range b.Spans {
 		stages = append(stages, sp.Stage)
@@ -130,39 +129,6 @@ func TestRequestTraceSpans(t *testing.T) {
 		if i > 0 && sp.StartSec < b.Spans[i-1].StartSec {
 			t.Errorf("span %d starts before its predecessor", i)
 		}
-	}
-}
-
-func TestRequestTraceCoalescedFollower(t *testing.T) {
-	rec := &obs.Memory{}
-	s := newTestServer(t, func(c *Config) { c.Trace = rec })
-	// Two identical slow requests: the follower coalesces onto the leader.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := httptest.NewRequest("GET", "/v1/advise?app=Video&platform=aws&c=500&delayms=150", nil)
-			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-		}()
-	}
-	wg.Wait()
-	var plans, coalesces int
-	for _, b := range rec.Bursts() {
-		for _, sp := range b.Spans {
-			switch sp.Stage {
-			case obs.StagePlan:
-				plans++
-			case obs.StageCoalesce:
-				coalesces++
-			}
-		}
-	}
-	if plans != 1 || coalesces != 1 {
-		t.Errorf("plan spans = %d, coalesce spans = %d; want 1 and 1", plans, coalesces)
-	}
-	if got := s.Registry().Counter("http_coalesced_total").Value(); got != 1 {
-		t.Errorf("http_coalesced_total = %d", got)
 	}
 }
 
