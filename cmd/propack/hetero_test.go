@@ -56,13 +56,16 @@ func TestHeteroGolden(t *testing.T) {
 	}
 }
 
-// TestHeteroTraceErrorFails: a -trace file hetero cannot create fails the
-// command, as it fails `run`, `sweep` and `local`. It used to be dropped by a
-// deferred Close, and hetero exited 0 having written nothing.
-func TestHeteroTraceErrorFails(t *testing.T) {
+// TestTraceErrorFails: a -trace file an execution command cannot create
+// fails the command. Each closes its sink on one deferred exit that reports
+// the close error; hetero once dropped it and exited 0 having written nothing.
+func TestTraceErrorFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing", "x.json")
-	err := cmdHetero([]string{"-ca", "10", "-cb", "10", "-trace", path})
-	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
-		t.Fatalf("hetero -trace %s: error %v, want the file's not-exist error", path, err)
+	for _, args := range [][]string{{"run", "-c", "10"}, {"sweep", "-c", "10"},
+		{"local", "-c", "2", "-degree", "2"}, {"hetero", "-ca", "10", "-cb", "10"}} {
+		err := commandByName(args[0]).run(append(args[1:], "-trace", path))
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s -trace %s: error %v, want the file's not-exist error", args[0], path, err)
+		}
 	}
 }

@@ -312,7 +312,7 @@ func faultFlags(fs *flag.FlagSet) func(platform.Config) (platform.Config, error)
 	}
 }
 
-func cmdRun(args []string) error {
+func cmdRun(args []string) (err error) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	app := fs.String("app", "Video", "application name")
 	plat := fs.String("platform", "aws", "platform: aws, google, azure, funcx")
@@ -374,6 +374,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sink.closeInto(&err)
 	sink.Log.Debug("run starting", "app", w.Name(), "platform", cfg.Name,
 		"c", *c, "degree", *degree, "retry", cfg.Retry.String(), "hedge", cfg.Hedge.String())
 	res, err := platform.Run(cfg, platform.Burst{
@@ -381,12 +382,10 @@ func cmdRun(args []string) error {
 		Recorder: sink.Rec, Label: w.Name(),
 	})
 	if err != nil {
-		sink.Close()
 		return err
 	}
 	if *jsonOut {
 		if err := trace.WriteMetricsJSON(os.Stdout, trace.FromResult(res)); err != nil {
-			sink.Close()
 			return err
 		}
 	} else {
@@ -394,12 +393,11 @@ func cmdRun(args []string) error {
 	}
 	if *timeline != "" {
 		if err := writeTimelineFile(*timeline, res); err != nil {
-			sink.Close()
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "  timelines      : %s (%d rows)\n", *timeline, res.Instances())
 	}
-	return sink.Close()
+	return nil
 }
 
 // writeTimelineFile writes res's per-instance CSV to path. The close error
@@ -417,7 +415,7 @@ func writeTimelineFile(path string, res *platform.Result) error {
 	return f.Close()
 }
 
-func cmdSweep(args []string) error {
+func cmdSweep(args []string) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	app := fs.String("app", "Video", "application name")
 	plat := fs.String("platform", "aws", "platform: aws, google, azure, funcx")
@@ -441,31 +439,26 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sink.closeInto(&err)
 	if *memGrid != "" {
 		sizes, err := server.ParseMemSizes(*memGrid)
-		if err == nil {
-			err = sweepGrid(cfg, w, sizes, *c, *seed, *jsonOut, sink)
-		}
 		if err != nil {
-			sink.Close()
 			return err
 		}
-		return sink.Close()
+		return sweepGrid(cfg, w, sizes, *c, *seed, *jsonOut, sink)
 	}
 	all, err := baseline.SweepWithOptions(cfg, w.Demand(), *c, *seed, cfg.Shape.MaxDegree(w.Demand()),
 		baseline.SweepOptions{Recorder: sink.Rec})
 	if err != nil {
-		sink.Close()
 		return err
 	}
 	if *jsonOut {
 		for _, m := range all {
 			if err := trace.WriteMetricsJSON(os.Stdout, m); err != nil {
-				sink.Close()
 				return err
 			}
 		}
-		return sink.Close()
+		return nil
 	}
 	tab := &trace.Table{
 		Title:  fmt.Sprintf("%s on %s at C=%d", w.Name(), cfg.Name, *c),
@@ -476,11 +469,7 @@ func cmdSweep(args []string) error {
 			fmt.Sprintf("%.1fs", m.ScalingTime), fmt.Sprintf("%.1fs", m.TotalService),
 			fmt.Sprintf("%.1fs", m.TailService), fmt.Sprintf("$%.2f", m.ExpenseUSD))
 	}
-	if err := tab.Fprint(os.Stdout); err != nil {
-		sink.Close()
-		return err
-	}
-	return sink.Close()
+	return tab.Fprint(os.Stdout)
 }
 
 // sweepGrid is sweep's -mem.grid branch: one degree sweep per memory size,
@@ -537,7 +526,7 @@ func sweepGrid(cfg platform.Config, w workload.Workload, sizes []float64, c int,
 	return tab.Fprint(os.Stdout)
 }
 
-func cmdLocal(args []string) error {
+func cmdLocal(args []string) (err error) {
 	fs := flag.NewFlagSet("local", flag.ExitOnError)
 	app := fs.String("app", "Stateless Cost", "application name")
 	c := fs.Int("c", 0, "logical function count (0 = one instance of -degree functions)")
@@ -559,13 +548,13 @@ func cmdLocal(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sink.closeInto(&err)
 	fmt.Printf("running %d × %s packed %d per instance on %d cores…\n", *c, w.Name(), *degree, *cores)
 	res, err := localfaas.Run(localfaas.Job{
 		Workload: w, Functions: *c, Degree: *degree,
 		CoresPerInstance: *cores, Seed: *seed, Recorder: sink.Rec,
 	})
 	if err != nil {
-		sink.Close()
 		return err
 	}
 	fmt.Printf("wall time: %.2fs\n", res.Metrics.TotalService)
@@ -576,10 +565,10 @@ func cmdLocal(args []string) error {
 			fn++
 		}
 	}
-	return sink.Close()
+	return nil
 }
 
-func cmdHetero(args []string) error {
+func cmdHetero(args []string) (err error) {
 	fs := flag.NewFlagSet("hetero", flag.ExitOnError)
 	appA := fs.String("a", "Video", "first application")
 	countA := fs.Int("ca", 1000, "first application's concurrency")
@@ -616,9 +605,9 @@ func cmdHetero(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sink.closeInto(&err)
 	base, perApp, mixed, err := job.Compare(sink.Rec)
 	if err != nil {
-		sink.Close()
 		return err
 	}
 	fmt.Printf("job: %d × %s + %d × %s on %s\n\n", *countA, wa.Name(), *countB, wb.Name(), cfg.Name)
@@ -630,7 +619,7 @@ func cmdHetero(args []string) error {
 	rowOut(fmt.Sprintf("per-app (degrees %v)", job.Degrees), perApp.Instances, perApp)
 	rowOut(fmt.Sprintf("hetero planner (%s)", job.Plan.Strategy), job.Plan.Instances(), mixed)
 	fmt.Printf("\nmodeling overhead: $%.2f\n", job.Overhead.TotalUSD())
-	return sink.Close()
+	return nil
 }
 
 func cmdPareto(args []string) error {

@@ -28,7 +28,7 @@ type obsSink struct {
 
 // obsFlags registers the observability flag set shared by the execution
 // commands and returns a constructor that assembles the recorder stack from
-// the parsed flags. Callers must Close the sink when the run is done.
+// the parsed flags. Callers defer closeInto on their named error result.
 func obsFlags(fs *flag.FlagSet) func() (*obsSink, error) {
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto)")
 	eventsOut := fs.String("events", "", "stream span/event records as JSON lines to this file")
@@ -108,4 +108,13 @@ func (s *obsSink) Close() error {
 		keep(s.stopDebug())
 	}
 	return first
+}
+
+// closeInto closes the sink and reports the close error in *err unless the
+// command already failed: a command defers it right after setup, so every
+// exit flushes the exporters once and a lost trace is never silent.
+func (s *obsSink) closeInto(err *error) {
+	if cerr := s.Close(); *err == nil {
+		*err = cerr
+	}
 }

@@ -104,7 +104,7 @@ func TestConcurrentPlannerStress(t *testing.T) {
 	if got, wantN := shared.cache.Builds(), uint64(len(concurrencies)); got != wantN {
 		t.Fatalf("singleflight built %d tables for %d distinct concurrencies", got, wantN)
 	}
-	if got := shared.cache.sc.len(); got != len(concurrencies) {
+	if got := shared.cache.lru.len(); got != len(concurrencies) {
 		t.Fatalf("cache holds %d tables, want %d", got, len(concurrencies))
 	}
 }
@@ -145,19 +145,18 @@ func TestConcurrentTableCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestTableCacheShardedEviction checks the sharded configuration still
-// bounds the cache: after touching far more concurrency levels than the
-// capacity, Len stays within it (per-shard rounding allows at most one
-// extra entry per shard).
-func TestTableCacheShardedEviction(t *testing.T) {
-	capacity := 2 * cacheShards // smallest capacity that shards
+// TestTableCacheEvictionBound checks eviction bounds the cache: after
+// touching far more concurrency levels than the capacity, len stays within
+// it.
+func TestTableCacheEvictionBound(t *testing.T) {
+	capacity := 32
 	tc := NewTableCache(stressModels(), capacity)
 	for c := 1; c <= 10*capacity; c++ {
 		if _, err := tc.Table(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := tc.sc.len(); got > capacity {
+	if got := tc.lru.len(); got > capacity {
 		t.Fatalf("cache grew to %d entries, capacity %d", got, capacity)
 	}
 	if builds := tc.Builds(); builds != uint64(10*capacity) {

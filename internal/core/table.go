@@ -147,22 +147,19 @@ const defaultTableCap = 64
 // GridCache hands an entry point the GridTable it searches, for one fixed
 // model stack — a GridModels, or a single Models as its one-row grid. Built
 // with NewTableCache or NewGridCache it memoizes tables across concurrency
-// levels, evicting least-recently-used entries beyond its capacity. Safe for
-// concurrent use; the concurrent-serving path is lock free (see shardedCache
-// in cache.go): a hit loads an immutable map snapshot through an atomic
-// pointer — no mutex, so concurrent Advise/QoSPlan callers on distinct cores
-// never serialize and nothing allocates — misses build outside every lock
-// with singleflight coalescing, so each table builds exactly once, and
-// eviction is LRU per shard (exact global LRU below 2·16 capacity, where a
-// single shard is kept). The Models and GridModels methods plan through one
-// that holds no tables at all and builds afresh on every call.
+// levels in one LRU of its capacity (see lruCache in cache.go). Safe for
+// concurrent use: a lookup takes one mutex and allocates nothing on a hit,
+// and a miss builds outside that lock with singleflight coalescing, so each
+// table builds exactly once per residency. The Models and GridModels methods
+// plan through one that holds no tables at all and builds afresh on every
+// call.
 type GridCache struct {
-	g        GridModels    // the memory grid; without sizes, the stack is the one row below
-	row      Models        // the one-row stack
-	failure  FailureModel  // folded into the row's expectations (Request.Failure)
-	invalid  error         // the stack's Validate verdict, fixed with the stack
-	sc       *shardedCache // nil: nothing is kept, every lookup builds
-	measured *GridTable    // MeasuredPlanner's one table; no other concurrency has one
+	g        GridModels   // the memory grid; without sizes, the stack is the one row below
+	row      Models       // the one-row stack
+	failure  FailureModel // folded into the row's expectations (Request.Failure)
+	invalid  error        // the stack's Validate verdict, fixed with the stack
+	lru      *lruCache    // nil: nothing is kept, every lookup builds
+	measured *GridTable   // MeasuredPlanner's one table; no other concurrency has one
 }
 
 // NewGridCache builds a cache for the grid. capacity ≤ 0 means the default
@@ -182,7 +179,7 @@ func (gc *GridCache) keeping(capacity int) *GridCache {
 	if capacity <= 0 {
 		capacity = defaultTableCap
 	}
-	gc.sc = newShardedCache(capacity, gc.build)
+	gc.lru = newLRUCache(capacity, gc.build)
 	return gc
 }
 
@@ -213,17 +210,17 @@ func (gc *GridCache) table(c int, w *Weights) (*GridTable, error) {
 		return nil, fmt.Errorf("core: the measured columns are at concurrency %d, not %d", gc.measured.c, c)
 	case gc.measured != nil:
 		return gc.measured, nil
-	case gc.sc == nil:
+	case gc.lru == nil:
 		return gc.build(c), nil
 	}
-	return gc.sc.get(c), nil
+	return gc.lru.get(c), nil
 }
 
 // Builds reports how many tables the cache has constructed since creation.
 // With singleflight coalescing it equals the number of distinct concurrency
 // levels requested (absent evictions) no matter how many goroutines raced —
 // the concurrency stress tests assert exactly that.
-func (gc *GridCache) Builds() uint64 { return gc.sc.builds.Load() }
+func (gc *GridCache) Builds() uint64 { return gc.lru.builds.Load() }
 
 // planFor is the full recommendation at weights w: the Eq. 7 argmin's plan.
 func (gc *GridCache) planFor(c int, w Weights) (JointPlan, error) {

@@ -420,12 +420,10 @@ func TestDegreeTableAccessorsMatchModels(t *testing.T) {
 }
 
 // len reports the number of cached values.
-func (sc *shardedCache) len() int {
-	n := 0
-	for i := range sc.shards {
-		n += len(*sc.shards[i].read.Load())
-	}
-	return n
+func (lc *lruCache) len() int {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return len(lc.entries)
 }
 
 func TestTableCacheLRU(t *testing.T) {
@@ -438,16 +436,16 @@ func TestTableCacheLRU(t *testing.T) {
 	tc := NewTableCache(m, 2)
 	t1, _ := tc.Table(100)
 	t2, _ := tc.Table(200)
-	if tc.sc.len() != 2 {
-		t.Fatalf("len=%d, want 2", tc.sc.len())
+	if tc.lru.len() != 2 {
+		t.Fatalf("len=%d, want 2", tc.lru.len())
 	}
 	// Touch 100 so 200 becomes the LRU victim.
 	if again, _ := tc.Table(100); again != t1 {
 		t.Fatal("cache hit should return the same table")
 	}
 	t3, _ := tc.Table(300)
-	if tc.sc.len() != 2 {
-		t.Fatalf("len=%d after eviction, want 2", tc.sc.len())
+	if tc.lru.len() != 2 {
+		t.Fatalf("len=%d after eviction, want 2", tc.lru.len())
 	}
 	if again, _ := tc.Table(100); again != t1 {
 		t.Fatal("100 should have survived the eviction")
@@ -460,6 +458,24 @@ func TestTableCacheLRU(t *testing.T) {
 	}
 	if _, err := tc.Table(0); err == nil {
 		t.Fatal("want error for concurrency 0")
+	}
+}
+
+// TestTableCacheKeepsHotLevels holds the default capacity to one LRU:
+// serve-mix's 8 hot levels, touched between every 2 fresh cold ones, stay
+// resident, so only each level's first touch builds.
+func TestTableCacheKeepsHotLevels(t *testing.T) {
+	tc := NewTableCache(stressModels(), 0)
+	hot := []int{500, 1000, 1500, 2000, 2500, 3000, 4000, 5000}
+	for cold := 10_000; cold < 10_400; cold += 2 {
+		for _, c := range append(hot, cold+1, cold+2) {
+			if _, err := tc.Table(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := tc.Builds(), uint64(len(hot)+400); got != want {
+		t.Fatalf("built %d tables, want %d: a hot level was evicted", got, want)
 	}
 }
 

@@ -41,6 +41,22 @@ func forAll[R any](n int, fn func(i int) (R, error)) ([]R, error) {
 	})
 }
 
+// tabulate fans a figure's n cells out with forAll and appends each cell's
+// rows to t in cell order, so the table's bytes stay independent of the
+// worker count.
+func tabulate(t *trace.Table, n int, cell func(i int) ([][]string, error)) (*trace.Table, error) {
+	cells, err := forAll(n, cell)
+	if err != nil {
+		return nil, err
+	}
+	for _, rows := range cells {
+		for _, r := range rows {
+			t.AddRow(r...)
+		}
+	}
+	return t, nil
+}
+
 // concurrencies is the paper's evaluation grid (Figs. 8–11 etc.).
 func (c Config) concurrencies() []int {
 	if c.Quick {

@@ -39,7 +39,7 @@ func ExtHetero(cfg Config) (*trace.Table, error) {
 			{Workload: workload.StatelessCost{}, Count: count},
 		}},
 	}
-	rows, err := forAll(len(jobs), func(i int) ([][]string, error) {
+	return tabulate(t, len(jobs), func(i int) ([][]string, error) {
 		job := jobs[i]
 		mj, err := orchestrator.PlanMixedJob(p, job.apps, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -58,15 +58,6 @@ func ExtHetero(cfg Config) (*trace.Table, error) {
 				itoa(mj.Plan.Instances()), sec(mixed.TotalService), usd(mixed.ExpenseUSD)},
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, jobRows := range rows {
-		for _, r := range jobRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // ExtProvider exercises the Sec. 5 "interaction with the cloud provider
@@ -81,7 +72,7 @@ func ExtProvider(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	speedups := []float64{1, 2, 4, 10}
-	rows, err := forAll(len(speedups), func(i int) ([]string, error) {
+	return tabulate(t, len(speedups), func(i int) ([][]string, error) {
 		speedup := speedups[i]
 		// Mitigation applies across the control plane: placement search,
 		// image builds, and shipping all speed up together.
@@ -101,17 +92,10 @@ func ExtProvider(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{fmt.Sprintf("×%.0f", speedup), sec(base.ScalingTime), itoa(run.Plan.Degree),
+		return [][]string{{fmt.Sprintf("×%.0f", speedup), sec(base.ScalingTime), itoa(run.Plan.Degree),
 			pct(trace.Improvement(base.TotalService, got.TotalService)),
-			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}, nil
+			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // ExtJoint exercises the joint (degree × memory) planner: one model stack
@@ -154,7 +138,7 @@ func ExtJoint(cfg Config) (*trace.Table, error) {
 				sec(plan.PredictedServiceSec), usd(plan.PredictedExpenseUSD)), "—")
 	}
 	vc := cfg.midConcurrency()
-	rows, err := forAll(len(grid.Sizes), func(i int) ([][]string, error) {
+	return tabulate(t, len(grid.Sizes), func(i int) ([][]string, error) {
 		s := grid.Sizes[i]
 		sized, err := p.WithMemory(s.MemMB)
 		if err != nil {
@@ -189,15 +173,6 @@ func ExtJoint(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sizeRows := range rows {
-		for _, r := range sizeRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // ExtThrottle exercises account-level concurrency limits (AWS accounts
@@ -213,7 +188,7 @@ func ExtThrottle(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	limits := []int{0, 500, 250}
-	rows, err := forAll(len(limits), func(i int) ([][]string, error) {
+	return tabulate(t, len(limits), func(i int) ([][]string, error) {
 		limit := limits[i]
 		p := platform.AWSLambda()
 		p.ConcurrencyLimit = limit
@@ -249,15 +224,6 @@ func ExtThrottle(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, limitRows := range rows {
-		for _, r := range limitRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // ExtDecentral exercises the Sec. 5 related-work discussion: decentralized
@@ -276,7 +242,7 @@ func ExtDecentral(cfg Config) (*trace.Table, error) {
 	w := workload.Video{}
 	c := cfg.topConcurrency()
 	shardCounts := []int{1, 2, 4, 8}
-	rows, err := forAll(len(shardCounts), func(i int) ([]string, error) {
+	return tabulate(t, len(shardCounts), func(i int) ([][]string, error) {
 		shards := shardCounts[i]
 		p := platform.AWSLambda()
 		p.SchedServers = shards
@@ -292,17 +258,10 @@ func ExtDecentral(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{itoa(shards), sec(base.ScalingTime), sec(base.TotalService),
+		return [][]string{{itoa(shards), sec(base.ScalingTime), sec(base.TotalService),
 			itoa(run.Plan.Degree), sec(got.TotalService),
-			pct(trace.Improvement(base.TotalService, got.TotalService))}, nil
+			pct(trace.Improvement(base.TotalService, got.TotalService))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // ExtAmortize validates the paper's Sec. 2.2 amortization argument: the

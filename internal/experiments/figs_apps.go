@@ -22,7 +22,7 @@ func Fig17(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	w := workload.SmithWaterman{}
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(cs), func(i int) ([][]string, error) {
 		c := cs[i]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -33,18 +33,11 @@ func Fig17(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{itoa(c), itoa(run.Plan.Degree),
+		return [][]string{{itoa(c), itoa(run.Plan.Degree),
 			pct(trace.Improvement(base.TotalService, got.TotalService)),
 			pct(trace.Improvement(base.ScalingTime, got.ScalingTime)),
-			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}, nil
+			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig18 reproduces the FuncX comparison: FuncX's pod-based workers scale
@@ -60,7 +53,7 @@ func Fig18(cfg Config) (*trace.Table, error) {
 	fx := funcx.Config()
 	d := workload.Video{}.Demand()
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(cs), func(i int) ([][]string, error) {
 		c := cs[i]
 		baseA, err := platform.Run(aws, platform.Burst{Demand: d, Functions: c, Degree: 1, Seed: cfg.Seed})
 		if err != nil {
@@ -78,18 +71,11 @@ func Fig18(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{itoa(c),
+		return [][]string{{itoa(c),
 			sec(baseA.ScalingTime()), sec(baseF.ScalingTime()),
 			pct(trace.Improvement(baseA.ScalingTime(), baseF.ScalingTime())),
-			sec(runA.Metrics.TotalService), sec(runF.Metrics.TotalService)}, nil
+			sec(runA.Metrics.TotalService), sec(runF.Metrics.TotalService)}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig19 reproduces the Pywren comparison: Pywren's warm reuse and data-
@@ -105,7 +91,7 @@ func Fig19(cfg Config) (*trace.Table, error) {
 	py := baseline.Pywren{}
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(apps)*len(cs), func(i int) ([][]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		pm, err := py.Execute(p, w.Demand(), c, cfg.Seed)
 		if err != nil {
@@ -116,19 +102,12 @@ func Fig19(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{w.Name(), itoa(c),
+		return [][]string{{w.Name(), itoa(c),
 			sec(pm.TotalService), sec(got.TotalService),
 			pct(trace.Improvement(pm.TotalService, got.TotalService)),
 			usd(pm.ExpenseUSD), usd(got.ExpenseUSD),
-			pct(trace.Improvement(pm.ExpenseUSD, got.ExpenseUSD))}, nil
+			pct(trace.Improvement(pm.ExpenseUSD, got.ExpenseUSD))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig20 reproduces the Xapian QoS study: (a) the tail-optimal packing
@@ -164,7 +143,7 @@ func Fig20(cfg Config) (*trace.Table, error) {
 		{"joint", core.Balanced()},
 		{"expense-only", core.ExpenseOnly()},
 	}
-	rows, err := forAll(len(objectives), func(i int) ([]string, error) {
+	if _, err := tabulate(t, len(objectives), func(i int) ([][]string, error) {
 		row := objectives[i]
 		deg, err := pl.OptimalDegreeForQuantile(c, 95, row.w)
 		if err != nil {
@@ -174,15 +153,11 @@ func Fig20(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{row.name, frac(row.w.Service), itoa(deg), sec(m.TailService),
+		return [][]string{{row.name, frac(row.w.Service), itoa(deg), sec(m.TailService),
 			pct(trace.Improvement(base.TotalService, m.TotalService)),
-			pct(trace.Improvement(base.ExpenseUSD, m.ExpenseUSD))}, nil
-	})
-	if err != nil {
+			pct(trace.Improvement(base.ExpenseUSD, m.ExpenseUSD))}}, nil
+	}); err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
 	}
 	// (b) QoS-bounded run: a bound between the best and worst achievable
 	// tails forces a non-trivial weight.
@@ -221,7 +196,7 @@ func Fig21(cfg Config) (*trace.Table, error) {
 	c := 1000
 	providers := platform.Providers()
 	apps := workload.Motivation()
-	rows, err := forAll(len(providers)*len(apps), func(i int) ([]string, error) {
+	return tabulate(t, len(providers)*len(apps), func(i int) ([][]string, error) {
 		p, w := providers[i/len(apps)], apps[i%len(apps)]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -232,15 +207,8 @@ func Fig21(cfg Config) (*trace.Table, error) {
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{p.Name, w.Name(), itoa(run.Plan.Degree),
+		return [][]string{{p.Name, w.Name(), itoa(run.Plan.Degree),
 			pct(trace.Improvement(base.TotalService, got.TotalService)),
-			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}, nil
+			pct(trace.Improvement(base.ExpenseUSD, got.ExpenseUSD))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }

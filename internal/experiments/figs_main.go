@@ -63,7 +63,7 @@ func Fig8(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
+	return tabulate(t, len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -102,15 +102,6 @@ func Fig8(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, appRows := range rows {
-		for _, r := range appRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // improvementRows runs ProPack (balanced weights, overhead included) and
@@ -127,7 +118,7 @@ func improvementRows(cfg Config, title, baseCol, packedCol string,
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(apps)*len(cs), func(i int) ([][]string, error) {
 		w, c := apps[i/len(cs)], cs[i%len(cs)]
 		run, err := orchestrator.RunProPack(p, w.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -138,17 +129,10 @@ func improvementRows(cfg Config, title, baseCol, packedCol string,
 			return nil, err
 		}
 		got := run.MetricsWithOverhead()
-		return []string{w.Name(), itoa(c), itoa(run.Plan.Degree),
+		return [][]string{{w.Name(), itoa(c), itoa(run.Plan.Degree),
 			format(pick(base)), format(pick(got)),
-			pct(trace.Improvement(pick(base), pick(got)))}, nil
+			pct(trace.Improvement(pick(base), pick(got)))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig9 reproduces the headline service-time result: >50% improvement in
@@ -192,7 +176,7 @@ func Fig12(cfg Config) (*trace.Table, error) {
 	p := platform.AWSLambda()
 	c := cfg.midConcurrency()
 	apps := workload.Motivation()
-	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
+	return tabulate(t, len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		base, err := orchestrator.Execute(p, w.Demand(), c, 1, cfg.Seed)
 		if err != nil {
@@ -208,13 +192,4 @@ func Fig12(cfg Config) (*trace.Table, error) {
 			{w.Name(), "ProPack", itoa(run.Plan.Degree), f3(got.FunctionHours), usd(got.ExpenseUSD)},
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, appRows := range rows {
-		for _, r := range appRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }

@@ -27,7 +27,7 @@ func Fig4(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
+	return tabulate(t, len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, samples, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -41,15 +41,6 @@ func Fig4(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, appRows := range rows {
-		for _, r := range appRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // Validation reproduces Sec. 2.4: the Pearson χ² goodness-of-fit of the
@@ -68,7 +59,7 @@ func Validation(cfg Config) (*trace.Table, error) {
 		providers = providers[:1] // AWS only on the quick grid
 	}
 	apps := workload.Motivation()
-	rows, err := forAll(len(providers)*len(apps), func(i int) ([][]string, error) {
+	return tabulate(t, len(providers)*len(apps), func(i int) ([][]string, error) {
 		p, w := providers[i/len(apps)], apps[i%len(apps)]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -102,13 +93,4 @@ func Validation(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, cellRows := range rows {
-		for _, r := range cellRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }

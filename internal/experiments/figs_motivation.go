@@ -17,7 +17,7 @@ func Fig1(cfg Config) (*trace.Table, error) {
 	providers := platform.Providers()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(providers)*len(apps)*len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(providers)*len(apps)*len(cs), func(i int) ([][]string, error) {
 		p := providers[i/(len(apps)*len(cs))]
 		w := apps[i/len(cs)%len(apps)]
 		c := cs[i%len(cs)]
@@ -27,17 +27,10 @@ func Fig1(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{p.Name, w.Name(), itoa(c),
+		return [][]string{{p.Name, w.Name(), itoa(c),
 			sec(res.ScalingTime()), sec(res.TotalServiceTime()),
-			frac(res.ScalingTime() / res.TotalServiceTime())}, nil
+			frac(res.ScalingTime() / res.TotalServiceTime())}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig2 reproduces the stage-decomposition figure: the time spent in
@@ -172,21 +165,14 @@ func Fig6(cfg Config) (*trace.Table, error) {
 			cells = append(cells, cell{w, deg})
 		}
 	}
-	rows, err := forAll(len(cells), func(i int) ([]string, error) {
+	return tabulate(t, len(cells), func(i int) ([][]string, error) {
 		w, deg := cells[i].w, cells[i].deg
 		res, err := platform.Run(p, platform.Burst{Demand: w.Demand(), Functions: c, Degree: deg, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		return []string{w.Name(), itoa(deg), itoa(res.Burst.Instances()), sec(res.ScalingTime())}, nil
+		return [][]string{{w.Name(), itoa(deg), itoa(res.Burst.Instances()), sec(res.ScalingTime())}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig7 reproduces the expense curve: the bill first falls with the packing

@@ -25,7 +25,7 @@ func objectiveRows(cfg Config, title, short string, w core.Weights,
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
 	cs := cfg.concurrencies()
-	rows, err := forAll(len(apps)*len(cs), func(i int) ([]string, error) {
+	return tabulate(t, len(apps)*len(cs), func(i int) ([][]string, error) {
 		wl, c := apps[i/len(cs)], cs[i%len(cs)]
 		joint, err := orchestrator.RunProPack(p, wl.Demand(), c, core.Balanced(), cfg.Seed)
 		if err != nil {
@@ -41,16 +41,9 @@ func objectiveRows(cfg Config, title, short string, w core.Weights,
 		}
 		ji := trace.Improvement(pick(base), pick(joint.MetricsWithOverhead()))
 		si := trace.Improvement(pick(base), pick(single.MetricsWithOverhead()))
-		return []string{wl.Name(), itoa(c), itoa(joint.Plan.Degree), itoa(single.Plan.Degree),
-			pct(ji), pct(si), pct(si - ji)}, nil
+		return [][]string{{wl.Name(), itoa(c), itoa(joint.Plan.Degree), itoa(single.Plan.Degree),
+			pct(ji), pct(si), pct(si - ji)}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }
 
 // Fig13 reproduces the single-objective comparison for time-constrained
@@ -80,7 +73,7 @@ func Fig15(cfg Config) (*trace.Table, error) {
 	}
 	p := platform.AWSLambda()
 	apps := workload.Motivation()
-	rows, err := forAll(len(apps), func(i int) ([][]string, error) {
+	return tabulate(t, len(apps), func(i int) ([][]string, error) {
 		w := apps[i]
 		models, _, _, _, err := buildModels(cfg, p, w)
 		if err != nil {
@@ -114,15 +107,6 @@ func Fig15(cfg Config) (*trace.Table, error) {
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, appRows := range rows {
-		for _, r := range appRows {
-			t.AddRow(r...)
-		}
-	}
-	return t, nil
 }
 
 // Fig16 reproduces the weight-sensitivity sweep for Stateless Cost at the
@@ -146,7 +130,7 @@ func Fig16(cfg Config) (*trace.Table, error) {
 	}
 	pl := core.NewPlanner(models) // all weight steps share the table at c
 	wss := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	rows, err := forAll(len(wss), func(i int) ([]string, error) {
+	return tabulate(t, len(wss), func(i int) ([][]string, error) {
 		ws := wss[i]
 		weights := core.Weights{Service: ws, Expense: 1 - ws}
 		plan, err := pl.PlanFor(c, weights)
@@ -158,15 +142,8 @@ func Fig16(cfg Config) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{fmt.Sprintf("%.1f/%.1f", ws, 1-ws), itoa(deg),
+		return [][]string{{fmt.Sprintf("%.1f/%.1f", ws, 1-ws), itoa(deg),
 			pct(trace.Improvement(base.TotalService, m.TotalService)),
-			pct(trace.Improvement(base.ExpenseUSD, m.ExpenseUSD))}, nil
+			pct(trace.Improvement(base.ExpenseUSD, m.ExpenseUSD))}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
-	}
-	return t, nil
 }

@@ -25,7 +25,7 @@ import (
 // building runs the full probing pipeline (tens of milliseconds of
 // simulation, once per memory size), so concurrent first requests for the
 // same triple coalesce on the pool's singleflight; planning against a built
-// entry is the planner's lock-free cached-table hot path from PR 4–5.
+// entry reads the planner's cached tables under one short lock per lookup.
 //
 // Degree-only and default-grid entries are a fixed set and stay for the
 // life of the pool; grids a caller spelled out are an open one, so only the

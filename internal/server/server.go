@@ -17,8 +17,8 @@
 //     recovery;
 //   - one singleflight per slow step: identical concurrent first requests
 //     share one model build, and identical concurrent /v1/mixed jobs one
-//     plan (the planner pool's flight); core's sharded GridCache does the
-//     same for a table build;
+//     plan (the planner pool's flight); core's GridCache does the same
+//     for a table build;
 //   - graceful drain: Run flips /readyz to 503 on context cancellation,
 //     optionally keeps serving through a grace period so load balancers
 //     notice, then drains in-flight requests under a deadline. No admitted
