@@ -53,22 +53,14 @@ func (s *SimMeasurer) MeasureExecCall(degree, call int) (float64, float64, error
 // deletes it.
 func (s *SimMeasurer) AdvanceCalls(n int) { s.calls += int64(n) }
 
-// execProbe runs one interference probe with the seed of the call-th
-// probe.
+// execProbe runs Eq. 1's probe, platform.ExecTime, with the seed of the
+// call-th probe.
 func (s *SimMeasurer) execProbe(degree int, call int64) (float64, float64, error) {
-	res, err := platform.Run(s.Config, platform.Burst{
-		Demand:    s.Demand,
-		Functions: degree,
-		Degree:    degree,
-		Seed:      s.Seed + int64(degree) + 7907*call,
-	})
+	et, fees, err := platform.ExecTime(s.Config, s.Demand, degree, s.Seed+int64(degree)+7907*call)
 	if errors.Is(err, platform.ErrExecLimit) {
 		return 0, 0, fmt.Errorf("%w: %v", ErrDegreeInfeasible, err)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.MeanExecSeconds(), res.StorageUSD + res.RequestUSD, nil
+	return et, fees, err
 }
 
 // LastProbeStorageUSD implements CostMeasurer: the non-compute bill of the

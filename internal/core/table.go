@@ -158,6 +158,7 @@ type GridCache struct {
 	row      Models       // the one-row stack
 	failure  FailureModel // folded into the row's expectations (Request.Failure)
 	invalid  error        // the stack's Validate verdict, fixed with the stack
+	judged   bool         // invalid is set: false only on a GridCache no constructor built
 	lru      *lruCache    // nil: nothing is kept, every lookup builds
 	measured *GridTable   // MeasuredPlanner's one table; no other concurrency has one
 }
@@ -165,14 +166,14 @@ type GridCache struct {
 // NewGridCache builds a cache for the grid. capacity ≤ 0 means the default
 // (64 concurrency levels).
 func NewGridCache(g GridModels, capacity int) *GridCache {
-	return (&GridCache{g: g, invalid: g.Validate()}).keeping(capacity)
+	return (&GridCache{g: g, invalid: g.Validate(), judged: true}).keeping(capacity)
 }
 
 // NewTableCache builds the cache of a single model stack: the grid cache of
 // its one-row grid, validated as Models (no memory size is involved, so none
 // is named in errors). capacity ≤ 0 means the default.
 func NewTableCache(m Models, capacity int) *GridCache {
-	return (&GridCache{row: m, invalid: m.Validate()}).keeping(capacity)
+	return (&GridCache{row: m, invalid: m.Validate(), judged: true}).keeping(capacity)
 }
 
 func (gc *GridCache) keeping(capacity int) *GridCache {
@@ -202,7 +203,7 @@ func (gc *GridCache) table(c int, w *Weights) (*GridTable, error) {
 	if gc == nil {
 		return nil, ErrNoGrid
 	}
-	if err := checkInputs(gc.invalid, w, c); err != nil {
+	if err := checkInputs(gc.verdict(), w, c); err != nil {
 		return nil, err
 	}
 	switch {
@@ -216,11 +217,26 @@ func (gc *GridCache) table(c int, w *Weights) (*GridTable, error) {
 	return gc.lru.get(c), nil
 }
 
+// verdict is the stack's Validate verdict: the one its constructor fixed, or,
+// on a GridCache no constructor built (the zero value), its row's.
+func (gc *GridCache) verdict() error {
+	if !gc.judged {
+		return gc.row.Validate()
+	}
+	return gc.invalid
+}
+
 // Builds reports how many tables the cache has constructed since creation.
 // With singleflight coalescing it equals the number of distinct concurrency
 // levels requested (absent evictions) no matter how many goroutines raced —
-// the concurrency stress tests assert exactly that.
-func (gc *GridCache) Builds() uint64 { return gc.lru.builds.Load() }
+// the concurrency stress tests assert exactly that. A cache that keeps no
+// tables, the zero GridCache among them, reads 0.
+func (gc *GridCache) Builds() uint64 {
+	if gc.lru == nil {
+		return 0
+	}
+	return gc.lru.builds.Load()
+}
 
 // planFor is the full recommendation at weights w: the Eq. 7 argmin's plan.
 func (gc *GridCache) planFor(c int, w Weights) (JointPlan, error) {
@@ -328,7 +344,7 @@ func MeasuredPlanner(c int, total, tail, median, expense []float64) (*Planner, e
 		95: {vals: cols[n : 2*n : 2*n]},
 		50: {vals: cols[2*n : 3*n : 3*n]},
 	})
-	return &Planner{cache: &GridCache{measured: row}}, nil
+	return &Planner{cache: &GridCache{measured: row, judged: true}}, nil
 }
 
 // columnRow is the one-row GridTable over given cells, cell i at degree i+1:
@@ -342,7 +358,7 @@ func columnRow(c int, service, expense []float64, quantiles map[float64]*quantil
 
 // direct is the planner the Models methods answer through: no tables kept.
 func (m Models) direct() *Planner {
-	return &Planner{cache: &GridCache{row: m, invalid: m.Validate()}}
+	return &Planner{cache: &GridCache{row: m, invalid: m.Validate(), judged: true}}
 }
 
 // direct is the planner GridModels.Answer answers through: no tables kept,
@@ -353,7 +369,7 @@ func (g GridModels) direct() *Planner {
 	if invalid == nil {
 		base = g.Base()
 	}
-	return &Planner{cache: &GridCache{row: base, invalid: invalid}, grid: &GridCache{g: g, invalid: invalid}}
+	return &Planner{cache: &GridCache{row: base, invalid: invalid, judged: true}, grid: &GridCache{g: g, invalid: invalid, judged: true}}
 }
 
 // Models returns the wrapped models (the base size's, for a joint planner).

@@ -461,6 +461,24 @@ func TestTableCacheLRU(t *testing.T) {
 	}
 }
 
+// TestZeroGridCache: a GridCache no constructor built — the zero value —
+// refuses with the zero Models' validation error, as NewTableCache(Models{}, 0)
+// does, instead of building a table over an empty degree range, and has built
+// nothing.
+func TestZeroGridCache(t *testing.T) {
+	var gc GridCache
+	want := Models{}.Validate()
+	if _, err := NewTableCache(Models{}, 0).Table(100); err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewTableCache(Models{}, 0).Table(100) = %v, want %v", err, want)
+	}
+	if _, err := gc.Table(100); err == nil || err.Error() != want.Error() {
+		t.Fatalf("the zero GridCache's Table(100) = %v, want %v", err, want)
+	}
+	if n := gc.Builds(); n != 0 {
+		t.Fatalf("the zero GridCache built %d tables, want 0", n)
+	}
+}
+
 // TestTableCacheKeepsHotLevels holds the default capacity to one LRU:
 // serve-mix's 8 hot levels, touched between every 2 fresh cold ones, stay
 // resident, so only each level's first touch builds.

@@ -212,6 +212,25 @@ func TestAllocsPerRunStoredSchedule(t *testing.T) {
 	}
 }
 
+// TestExecTimeAllocatesNothing pins Eq. 1's probe on a dice-free platform:
+// where the one-instance Run above allocates its three column slabs and the
+// Result, ExecTime builds no Result, keeps its one row of columns on the
+// pooled scratch and its fold's meter on the stack, and allocates nothing.
+func TestExecTimeAllocatesNothing(t *testing.T) {
+	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000, InputMB: 5, OutputMB: 1}
+	for _, cfg := range Providers() {
+		probe := func() {
+			if _, _, err := ExecTime(cfg, d, 4, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		probe() // warm the scratch pool
+		if objects, bytes := allocsOf(probe); (objects != 0 || bytes != 0) && !raceEnabled {
+			t.Errorf("%s: ExecTime allocates %d objects (%d B), want 0", cfg.Name, objects, bytes)
+		}
+	}
+}
+
 func TestServiceTimeQuantilesAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
 	d := interfere.Demand{CPUSeconds: 30, IOSeconds: 20, MemoryMB: 300, MemBWMBps: 2000}

@@ -105,6 +105,20 @@ func (ib *instanceBatch) reset(n int, faulty bool) {
 	}
 }
 
+// resetRow is reset for ExecTime's one dice-free instance, whose result
+// columns no Result takes: they are row's, allocated on the scratch's first
+// probe and kept. The run writes every other column of the row before it
+// reads it; flags it only ORs into.
+func (ib *instanceBatch) resetRow(row *instanceColumns) {
+	if row.n == 0 {
+		*row = newInstanceColumns(1, false)
+	}
+	row.flags[0] = 0
+	ib.instanceColumns = *row
+	ib.execs = grown(ib.execs, 1)
+	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
+}
+
 // resetPlanned is reset for a run inside the schedule store's gate
 // (store.go), which is dice-free: its four milestone columns are n-row
 // prefixes of the plan's slab — on a hit the store's, which nothing writes —

@@ -68,7 +68,10 @@ func (b Burst) Instances() int {
 }
 
 // Validate reports an error for malformed bursts.
-func (b Burst) Validate() error {
+func (b Burst) Validate() error { return b.validate() }
+
+// validate is Validate without the copy of the Burst, for Run's validation.
+func (b *Burst) validate() error {
 	if err := b.Demand.Validate(); err != nil {
 		return err
 	}
@@ -188,22 +191,12 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	n := b.Instances()
 	sc := newRunScratch(&cfg, n, b.Warm, b.StaggerSec)
 	defer sc.release() // aborts and joins a follower, panic or not
-	sc.stream(b.Seed, hashName(cfg.Name))
-	ib := &sc.batch
-	fullDeg, lastDeg := b.Degree, b.Functions-(n-1)*b.Degree
-	for i := range ib.degree[:n-1] {
-		ib.degree[i] = int32(fullDeg)
-	}
-	ib.degree[n-1] = int32(lastDeg)
-	for i := range ib.flags[:min(b.Warm, n)] {
-		ib.flags[i] |= flagWarm
-	}
 	// A dice-free burst's solver never reads the stream, so a large one ends
 	// and folds on a second core behind the solver — behind the draw, when its
 	// schedule is stored and this goroutine has nothing to solve (DESIGN §12).
 	// The follower reads the degrees and warm flags as soon as a row range is
 	// sent, so they are filled before it starts.
-	sc.draw = draw
+	fullDeg, lastDeg := sc.begin(&cfg, &b, draw)
 	bk := billKeyOf(&cfg, &b.Demand, fullDeg, lastDeg, n)
 	if !overlapsDraw(cfg, n) {
 		sc.drawExecs(nil)
@@ -231,14 +224,84 @@ func Run(cfg Config, b Burst) (*Result, error) {
 	return res, nil
 }
 
+// ExecTime is Eq. 1's probe (PAPER.md §2.1): one instance of degree
+// functions of d on cfg, seeded seed — that is, Run(cfg, Burst{Demand: d,
+// Functions: degree, Degree: degree, Seed: seed})'s MeanExecSeconds and
+// StorageUSD + RequestUSD, bit for bit, or its error. On a dice-free,
+// unthrottled platform it takes Run's own steps over one row of columns the
+// pooled scratch keeps, and builds no Result; any other platform's probe, and
+// one the solver declines, is Run.
+func ExecTime(cfg Config, d interfere.Demand, degree int, seed int64) (execSec, feesUSD float64, err error) {
+	var b Burst // set field by field: a struct literal's copy stalls, as in foldState.reset
+	b.Demand, b.Functions, b.Degree, b.Seed = d, degree, degree, seed
+	if cfg.tandem() {
+		solved := false
+		if execSec, feesUSD, solved, err = solvedExecTime(&cfg, &b); solved || err != nil {
+			return execSec, feesUSD, err
+		}
+	}
+	res, err := Run(cfg, b)
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.MeanExecSeconds(), res.StorageUSD + res.RequestUSD, nil
+}
+
+// solvedExecTime is ExecTime on a dice-free, unthrottled cfg: Run's
+// validation, draw, solver, end pass and fold over the scratch's one row, the
+// fold and its meter on the stack. solved is false, and nothing else is set,
+// when the solver declines the instance.
+func solvedExecTime(cfg *Config, b *Burst) (execSec, feesUSD float64, solved bool, err error) {
+	draw, err := validateRun(cfg, b)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	sc := runScratchPool.Get().(*runScratch)
+	defer sc.release()
+	ib := &sc.batch
+	ib.resetRow(&sc.row)
+	sc.begin(cfg, b, draw)
+	sc.drawExecs(nil)
+	if sc.cp.ib = ib; !sc.solve(cfg, b.StaggerSec) {
+		return 0, 0, false, nil
+	}
+	sim.TimersAt(ib.end, ib.start, ib.execs)
+	var f foldState
+	f.reset(cfg, &b.Demand)
+	f.billed, f.meter = true, mustMeter(storage.NewMeter(cfg.Storage, cfg.StorageGBps))
+	f.step(&ib.instanceColumns, 0, 1, nil)
+	f.settle()
+	return f.sum.meanExec(1), f.storage + f.request, true, nil
+}
+
+// begin readies the scratch's sized batch for b on cfg, before its control
+// plane runs: the burst's jitter stream, each instance's degree (the full
+// instances' and the last one's are returned), the warm prefix's flags and the
+// jitter draw.
+func (sc *runScratch) begin(cfg *Config, b *Burst, draw jitterDraw) (fullDeg, lastDeg int) {
+	ib := &sc.batch
+	n := ib.n
+	sc.stream(b.Seed, hashName(cfg.Name))
+	fullDeg, lastDeg = b.Degree, b.Functions-(n-1)*b.Degree
+	for i := range ib.degree[:n-1] {
+		ib.degree[i] = int32(fullDeg)
+	}
+	ib.degree[n-1] = int32(lastDeg)
+	for i := range ib.flags[:min(b.Warm, n)] {
+		ib.flags[i] |= flagWarm
+	}
+	sc.draw = draw
+	return fullDeg, lastDeg
+}
+
 // validateRun is Run's validation, before the control-plane race: the Config,
 // the Burst, and the execution limit at the full and the last instance's
 // degree, the only two. It returns the burst's jitter draw.
 func validateRun(cfg *Config, b *Burst) (jitterDraw, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return jitterDraw{}, err
 	}
-	if err := b.Validate(); err != nil {
+	if err := b.validate(); err != nil {
 		return jitterDraw{}, err
 	}
 	n := b.Instances()
@@ -356,9 +419,11 @@ type podState struct {
 // Everything pooled is fully reinitialized here and nothing downstream may
 // retain a reference to it past release. The one thing on the scratch that
 // does escape, the batch's instanceColumns, is allocated per run and belongs
-// to the Result; release forgets it.
+// to the Result; release forgets it. ExecTime's probe builds no Result, so
+// its one row of columns is pooled too: row.
 type runScratch struct {
 	batch instanceBatch
+	row   instanceColumns
 	pods  []podState
 	eng   *sim.Engine
 	rng   *sim.RNG
@@ -588,13 +653,17 @@ func (f *foldState) step(c *instanceColumns, lo, hi int, groupsOf func(i int) []
 	f.compute, f.wasted, f.request = compute, wasted, request
 }
 
-// into stores the folded summary, and the bill if billed, in r.
-func (f *foldState) into(r *Result) {
-	r.sum = f.sum
+// settle reads a metered fold's storage fee off its meter.
+func (f *foldState) settle() {
 	if f.meter != nil {
 		f.storage = f.meter.CostUSD()
 	}
-	if f.billed {
+}
+
+// into stores the folded summary, and the bill if billed, in r.
+func (f *foldState) into(r *Result) {
+	r.sum = f.sum
+	if f.settle(); f.billed {
 		r.ComputeUSD, r.WastedUSD, r.RequestUSD, r.StorageUSD = f.compute, f.wasted, f.request, f.storage
 	}
 }
@@ -672,11 +741,14 @@ func (r *Result) ServiceTimeAtQuantiles(qs ...float64) []float64 {
 func (r *Result) FunctionSeconds() float64 { return r.sum.execSec }
 
 // MeanExecSeconds is the average per-instance execution time.
-func (r *Result) MeanExecSeconds() float64 {
-	if r.cols.n == 0 {
+func (r *Result) MeanExecSeconds() float64 { return r.sum.meanExec(r.cols.n) }
+
+// meanExec is the average execution time of the summary's n instances.
+func (s *summary) meanExec(n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	return r.sum.execSec / float64(r.cols.n)
+	return s.execSec / float64(n)
 }
 
 // FailedSeconds is the summed billed execution time of failed attempts

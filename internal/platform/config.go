@@ -126,7 +126,10 @@ type Config struct {
 }
 
 // Validate reports an error for configurations the simulator cannot run.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate() }
+
+// validate is Validate without the copy of the Config, for Run's validation.
+func (c *Config) validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("platform: empty name")
 	}
@@ -176,7 +179,7 @@ func (c Config) Validate() error {
 // faulty reports whether the configuration rolls any fault dice or hedges:
 // all that writes a run's fault and hedge columns and backoff scratch, and
 // (with the account throttle) all that keeps an instance's tail evented.
-func (c Config) faulty() bool {
+func (c *Config) faulty() bool {
 	return c.StartFailureProb > 0 || c.StragglerProb > 0 || c.CrashRate > 0 ||
 		c.ExecTimeoutSec > 0 || c.Hedge.Enabled()
 }

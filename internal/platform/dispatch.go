@@ -460,12 +460,16 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 	// A dice-free, unthrottled burst is solved without a single event, unless
 	// the solver declines it (a tie only the engine's sequence numbers order).
 	// It reads no execution time: Run's follower joins after it, either way.
-	solved := cfg.tandem() && sc.solve(b)
+	tandem := cfg.tandem()
+	solved := tandem && sc.solve(&cp.cfg, b.StaggerSec)
 	sc.join()
 	if solved && !sc.folded {
 		// Execution is a timer from a start nothing else reads.
 		sim.TimersAt(ib.end, ib.start, ib.execs)
 	} else if !solved {
+		if tandem {
+			tandemFallbacks.Add(1)
+		}
 		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
 			cp.pods = sc.podStates((n + podSize - 1) / podSize)
 		}

@@ -183,15 +183,16 @@ func recordedScalingTime(cfg *Config, n int) (float64, bool) {
 }
 
 // solve fills a tandem burst's milestone columns and the stations' busy
-// seconds: on a hit they are the schedule store's already, else the solver
-// fills them and, if the run consults the store, they are stored.
-func (sc *runScratch) solve(b Burst) bool {
+// seconds, for a burst on cfg staggered by stagger: on a hit they are the
+// schedule store's already, else the solver fills them and, if the run
+// consults the store, they are stored.
+func (sc *runScratch) solve(cfg *Config, stagger float64) bool {
 	cp, p := &sc.cp, &sc.plan
 	if p.hit {
 		cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds = p.busy[0], p.busy[1], p.busy[2]
 		return true
 	}
-	if !cp.solveTandem(b, sc.feed) {
+	if !cp.solveTandem(cfg, stagger, sc.feed) {
 		return false
 	}
 	if n := sc.batch.n; p.on {

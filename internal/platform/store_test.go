@@ -227,8 +227,7 @@ func solvedSchedule(t *testing.T, cfg Config, b Burst) []float64 {
 		sc.batch.flags[i] |= flagWarm
 	}
 	cp := &sc.cp
-	cp.cfg, cp.ib, cp.podSize = cfg, &sc.batch, max(cfg.PodSize, 1)
-	if !cp.solveTandem(b, nil) {
+	if cp.ib = &sc.batch; !cp.solveTandem(&cfg, b.StaggerSec, nil) {
 		t.Fatalf("the solver declined the burst")
 	}
 	c := &sc.batch

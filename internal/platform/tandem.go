@@ -22,12 +22,14 @@ import (
 // service began) and decides by that. When those instants tie too it does not
 // guess: the whole burst goes to the evented path (DESIGN §16).
 
-// tandemFallbacks counts the gated bursts the solver handed back.
+// tandemFallbacks counts the dice-free, unthrottled bursts the solver handed
+// to the evented path: runControlPlane counts them there, so a solve that is
+// declined and not run on (ExecTime's, before it calls Run) counts nothing.
 var tandemFallbacks atomic.Int64
 
 // tandem reports whether the platform's bursts go to the solver: no dice and
 // no account throttle.
-func (c Config) tandem() bool { return c.ConcurrencyLimit == 0 && !c.faulty() }
+func (c *Config) tandem() bool { return c.ConcurrencyLimit == 0 && !c.faulty() }
 
 // tandemStage is one station: its constants, and the service begin and
 // completion instants of its last `servers` jobs — all that can still be in
@@ -43,10 +45,13 @@ type tandemStage struct {
 	bad          bool // the recurrence cannot vouch for the evented order
 }
 
-// init readies the stage for a run of at most n jobs, keeping its rings.
+// init readies the stage for a run of at most n jobs, keeping its rings. It
+// sets field by field: on a one-instance probe a struct literal's copy costs
+// more than the stage's work.
 func (st *tandemStage) init(servers, n int, base, growth float64) {
-	*st = tandemStage{servers: servers, base: base, growth: growth,
-		begun: grownZeroed(st.begun, min(servers, n)), done: grownZeroed(st.done, min(servers, n))}
+	st.servers, st.base, st.growth = servers, base, growth
+	st.begun, st.done = grownZeroed(st.begun, min(servers, n)), grownZeroed(st.done, min(servers, n))
+	st.jobs, st.slot, st.served, st.last, st.busySec, st.bad = 0, 0, 0, 0, 0, false
 }
 
 // dispatched reports whether the completion in ring slot k dispatches before
@@ -92,13 +97,13 @@ func (st *tandemStage) serve(arrive, instant float64) (begin, end float64) {
 	return begin, end
 }
 
-// solveTandem fills the milestone columns up to start of a dice-free,
-// unthrottled burst: each instance through the three stages, then boot as
-// the timer it is. It reads no execution time, and sends a non-nil feed its
-// row count every followChunk rows and at the last. False, counted: a stage
-// went bad.
-func (cp *controlPlane) solveTandem(b Burst, feed chan<- int) bool {
-	cfg, ib := &cp.cfg, cp.ib
+// solveTandem fills cp.ib's milestone columns up to start for a dice-free,
+// unthrottled burst on cfg, instance k arriving at k·stagger: each instance
+// through the three stages, then boot as the timer it is. It reads no
+// execution time, and sends a non-nil feed its row count every followChunk
+// rows and at the last. False: a stage went bad.
+func (cp *controlPlane) solveTandem(cfg *Config, stagger float64, feed chan<- int) bool {
+	ib, podSize := cp.ib, max(cfg.PodSize, 1)
 	if min(cfg.SchedServers, cfg.BuildServers, cfg.ShipServers) < 1 {
 		return false // the stations' panic, not ours
 	}
@@ -106,13 +111,13 @@ func (cp *controlPlane) solveTandem(b Burst, feed chan<- int) bool {
 	sched.init(cfg.SchedServers, ib.n, cfg.SchedBaseSec, cfg.SchedPerBusySec)
 	build.init(cfg.BuildServers, ib.n, cfg.BuildSec, cfg.BuildGrowthSec)
 	ship.init(cfg.ShipServers, ib.n, cfg.ShipSec, cfg.ShipGrowthSec)
-	stagger := max(b.StaggerSec, 0) // −0 becomes +0: unstaggered, everyone arrives at t=0
+	stagger = max(stagger, 0) // −0 becomes +0: unstaggered, everyone arrives at t=0
 	// The pod being walked: its end, whether a cold member leads it yet, when its image shipped.
 	podEnd, led, shippedAt := 0, false, 0.0
 	for i := 0; i < ib.n; i++ {
 		arrive := float64(i) * stagger
 		if i == podEnd {
-			podEnd, led = podEnd+cp.podSize, false
+			podEnd, led = podEnd+podSize, false
 		}
 		// Arrivals are scheduled before any completion: they win every tie.
 		placing, placed := sched.serve(arrive, math.Inf(-1))
@@ -132,7 +137,6 @@ func (cp *controlPlane) solveTandem(b Burst, feed chan<- int) bool {
 			from, delay = max(placed, shippedAt), cfg.BootSec
 		}
 		if sched.bad || build.bad || ship.bad {
-			tandemFallbacks.Add(1)
 			return false
 		}
 		ib.start[i] = sim.TimerAt(from, delay)

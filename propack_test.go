@@ -106,9 +106,11 @@ func TestFacadeQoSRunMeetsBound(t *testing.T) {
 }
 
 // TestAdviseAllocs pins what a cold Advise allocates once the platform's
-// scaling answers are stored: 280 objects with the probe trains run in order
-// on the caller's goroutine, against 321 when they fanned out over worker
-// goroutines. A fan-out that creeps back into a train fails here.
+// scaling answers are stored: 40 objects, with the probe trains run in order
+// on the caller's goroutine and each interference probe a platform.ExecTime
+// that allocates nothing. It was 280 when every such probe was a Run that
+// built a Result, and 321 when the trains fanned out over worker goroutines.
+// A probe that allocates again, or a fan-out that creeps back, fails here.
 func TestAdviseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts measure the race detector")
@@ -118,7 +120,7 @@ func TestAdviseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 290 {
-		t.Errorf("a cold Advise allocates %.0f objects, want ≤ 290", got)
+	if got > 45 {
+		t.Errorf("a cold Advise allocates %.0f objects, want ≤ 45", got)
 	}
 }
