@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	propack "repro"
 	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 // TestAdviseGolden pins `propack advise`'s stdout, byte for byte, for each
@@ -67,10 +69,12 @@ func TestAdviseGolden(t *testing.T) {
 }
 
 // TestAdviseDoorsAgree sends each parameter the doors share through
-// `propack advise` (the built binary) and through the /v1 route that asks
-// the same question (in process), with hostile spellings of each value, and
-// requires the same verdict: both plan, or both refuse. A door refusing
-// what the other plans is a rule kept in the wrong place.
+// `propack advise` (the built binary), through the /v1 route that asks the
+// same question (in process) and through the library's AdviseRequest (the
+// value parsed as the flag parses it, into the Request advise builds), with
+// hostile spellings of each value, and requires the same verdict: all plan,
+// or all refuse. A door refusing what another plans is a rule kept in the
+// wrong place.
 func TestAdviseDoorsAgree(t *testing.T) {
 	bin := buildPropack(t)
 	s, err := server.New(server.Config{TenantRPS: -1, Seed: 1})
@@ -81,23 +85,48 @@ func TestAdviseDoorsAgree(t *testing.T) {
 	for i := range grid17 {
 		grid17[i] = strconv.Itoa(2048 + 512*i)
 	}
-	// The documented exceptions, and the only ones: /v1/qos asks the QoS
-	// question, so it refuses a bound of 0, which advise reads as none; and
-	// the daemon profiles at most 16 memory sizes in one request.
+	// The documented exceptions, and the only ones, both the route's: /v1/qos
+	// asks the QoS question, so it refuses a bound of 0, which advise and the
+	// library read as none; and the daemon profiles at most 16 memory sizes
+	// in one request.
 	exception := map[string]bool{
 		"qos -0": true, "qos 0": true,
 		"joint sizes=" + strings.Join(grid17, ","): true,
 	}
+	parseFloat := func(v string) (float64, error) { return strconv.ParseFloat(v, 64) } // as flag.Float64
+	setters := map[string]func(r *propack.Request, v string) (err error){
+		"c": func(r *propack.Request, v string) error {
+			n, err := strconv.ParseInt(v, 0, strconv.IntSize) // as flag.Int
+			r.C = int(n)
+			return err
+		},
+		"ws": func(r *propack.Request, v string) (err error) {
+			r.Weights.Service, err = parseFloat(v)
+			r.Weights.Expense = 1 - r.Weights.Service
+			return err
+		},
+		"qos":   func(r *propack.Request, v string) (err error) { r.QoSSec, err = parseFloat(v); return err },
+		"sizes": func(r *propack.Request, v string) (err error) { r.SizesMB, err = server.ParseMemSizes(v); return err },
+	}
+	cfg, err := server.PlatformByName("aws")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := workload.ByName("Video")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, door := range []struct {
 		route, param, flag string
 		values             []string
-		cli                []string // further advise flags
-		query              string   // the same, on the route
+		cli                []string  // further advise flags
+		query              string    // the same, on the route
+		sizes              []float64 // the same, in the library's request
 	}{
 		{route: "advise", param: "c", flag: "-c"},
 		{route: "advise", param: "ws", flag: "-ws"},
 		{route: "qos", param: "qos", flag: "-qos"},
-		{route: "joint", param: "qos", flag: "-qos", cli: []string{"-mem.grid", "5120,10240"}, query: "&sizes=5120,10240"},
+		{route: "joint", param: "qos", flag: "-qos", cli: []string{"-mem.grid", "5120,10240"}, query: "&sizes=5120,10240", sizes: []float64{5120, 10240}},
 		{route: "joint", param: "sizes", flag: "-mem.grid", values: []string{strings.Join(grid17, ",")}},
 	} {
 		for _, v := range append([]string{"NaN", "+Inf", "-Inf", "-1", "-0", "0", "1e308", "0x1p-2"}, door.values...) {
@@ -114,9 +143,20 @@ func TestAdviseDoorsAgree(t *testing.T) {
 			s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
 			routePlans := rr.Code == http.StatusOK
 
+			// advise's defaults: -c 5000 -ws 0.5 -retrydelay 5.
+			r := propack.Request{C: 5000, Weights: propack.Balanced(), Failure: propack.FailureModel{RetryDelaySec: 5}, SizesMB: door.sizes}
+			libPlans := false
+			if err := setters[door.param](&r, v); err == nil {
+				_, err = propack.AdviseRequest(cfg, app.Demand(), r)
+				libPlans = err == nil
+			}
+
 			name := door.route + " " + v
 			if door.route != door.param {
 				name = door.route + " " + door.param + "=" + v
+			}
+			if libPlans != cliPlans {
+				t.Errorf("%s: advise plans %v, AdviseRequest(%+v) %v\nadvise:\n%s", name, cliPlans, r, libPlans, out)
 			}
 			if exception[name] {
 				if cliPlans == routePlans {

@@ -6,7 +6,8 @@
 // overshoots once mid-execution crashes are real. This example
 //
 //  1. plans the Video workload both ways — failure-blind Advise vs
-//     reliability-aware AdviseReliable — under a crash rate λ;
+//     reliability-aware AdviseRequest with a failure model — under a crash
+//     rate λ;
 //
 //  2. executes both plans on the simulator with the same crash injection,
 //     exponential-backoff retries, and p90 straggler hedging, and compares
@@ -43,7 +44,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reliable, err := propack.AdviseReliable(cfg, app.Demand(), c, propack.ExpenseOnly(), fm)
+	reliable, err := propack.AdviseRequest(cfg, app.Demand(),
+		propack.Request{C: c, Weights: propack.ExpenseOnly(), Failure: fm})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,8 @@ func main() {
 	sizes := []float64{2560, 5120, 7680, 10240}
 
 	// 1. One modeling pipeline per size, one joint plan over all of them.
-	rec, err := propack.AdviseJoint(cfg, app.Demand(), concurrency, propack.Balanced(), sizes)
+	rec, err := propack.AdviseRequest(cfg, app.Demand(),
+		propack.Request{C: concurrency, Weights: propack.Balanced(), SizesMB: sizes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,10 +76,12 @@ func main() {
 
 	// 3. QoS: the tightest plan that still meets a p95 bound, then run it.
 	const qosSec = 300
-	qosRec, weights, err := propack.AdviseJointQoS(cfg, app.Demand(), concurrency, qosSec, sizes)
+	qosRec, err := propack.AdviseRequest(cfg, app.Demand(),
+		propack.Request{C: concurrency, Weights: propack.Balanced(), QoSSec: qosSec, SizesMB: sizes})
 	if err != nil {
 		log.Fatal(err)
 	}
+	weights := qosRec.Plan.Weights
 	fmt.Printf("\nQoS p95 ≤ %.0fs → W_S=%.2f, degree %d at %.0f MB\n",
 		float64(qosSec), weights.Service, qosRec.Plan.Degree, qosRec.Plan.MemMB)
 

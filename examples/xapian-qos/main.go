@@ -62,10 +62,12 @@ func main() {
 	worst := expRec.Models.ServiceTimeQuantile(concurrency, expRec.Plan.Degree, 95)
 	bound := best + 0.3*(worst-best)
 
-	rec, weights, err := propack.AdviseQoS(cfg, app.Demand(), concurrency, bound)
+	rec, err := propack.AdviseRequest(cfg, app.Demand(),
+		propack.Request{C: concurrency, Weights: propack.Balanced(), QoSSec: bound})
 	if err != nil {
 		log.Fatal(err)
 	}
+	weights := rec.Plan.Weights
 	m, err := propack.Run(cfg, app.Demand(), concurrency, rec.Plan.Degree, 9)
 	if err != nil {
 		log.Fatal(err)

@@ -32,11 +32,13 @@ func TestConcurrentPlannerStress(t *testing.T) {
 		plans   map[int]Plan
 		qosDeg  map[int]int
 		optServ map[int]int
+		tail    map[int][]JointPlan // the p95 answers at each of weights
 	}
 	want := expected{
 		plans:   map[int]Plan{},
 		qosDeg:  map[int]int{},
 		optServ: map[int]int{},
+		tail:    map[int][]JointPlan{},
 	}
 	qosSec := func(c int) float64 {
 		// A comfortably feasible bound: the service-only optimum's tail.
@@ -58,6 +60,13 @@ func TestConcurrentPlannerStress(t *testing.T) {
 		}
 		want.qosDeg[c] = qp.Degree
 		want.optServ[c] = degreeFor(t, m, c, ServiceOnly())
+		for _, w := range weights {
+			jp, err := oracle.Answer(Request{C: c, Weights: w, Quantile: 95})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.tail[c] = append(want.tail[c], jp)
+		}
 	}
 
 	shared := NewPlanner(m)
@@ -91,8 +100,9 @@ func TestConcurrentPlannerStress(t *testing.T) {
 						return
 					}
 				case 3:
-					if deg, err := shared.OptimalDegreeForQuantile(c, 95, weights[(g+i)%len(weights)]); err != nil || deg < 1 {
-						t.Errorf("OptimalDegreeForQuantile(%d) = %d (%v)", c, deg, err)
+					wi := (g + i) % len(weights)
+					if jp, err := shared.Answer(Request{C: c, Weights: weights[wi], Quantile: 95}); err != nil || !jointPlanEq(jp, want.tail[c][wi]) {
+						t.Errorf("Answer(C=%d, %+v, p95) = %+v (%v), want %+v", c, weights[wi], jp, err, want.tail[c][wi])
 						return
 					}
 				}

@@ -29,7 +29,10 @@ func validEntryInputs() entryInputs {
 }
 
 // entryPoint is one fixed-size method under test. uses lists the inputs it
-// validates: m(odels), w(eights), c(oncurrency), q(uantile), i(nstance cap).
+// validates: m(odels), w(eights), c(oncurrency), q(uantile), i(nstance cap),
+// and the order it judges them in: o for the models first (every method
+// below but Answer), r for the request first (Answer: Request.Validate, then
+// the models).
 type entryPoint struct {
 	name string
 	uses string
@@ -39,11 +42,11 @@ type entryPoint struct {
 func fixedSizeEntryPoints() []entryPoint {
 	const qos = 1e6 // a bound every valid model meets
 	return []entryPoint{
-		{"Models.PlanFor", "mwc", func(in entryInputs) error {
+		{"Models.PlanFor", "mwco", func(in entryInputs) error {
 			_, err := in.m.PlanFor(in.c, in.w)
 			return err
 		}},
-		{"Models.TailServiceAt", "mwc", func(in entryInputs) error {
+		{"Models.TailServiceAt", "mwco", func(in entryInputs) error {
 			_, err := in.m.TailServiceAt(in.c, in.w, 95)
 			return err
 		}},
@@ -55,23 +58,23 @@ func fixedSizeEntryPoints() []entryPoint {
 			_, err := NewTableCache(in.m, 0).Table(in.c)
 			return err
 		}},
-		{"Planner.OptimalDegreeForQuantile", "mwcq", func(in entryInputs) error {
-			_, err := NewPlanner(in.m).OptimalDegreeForQuantile(in.c, in.q, in.w)
+		{"Planner.Answer at a quantile", "mwcqr", func(in entryInputs) error {
+			_, err := NewPlanner(in.m).Answer(Request{C: in.c, Weights: in.w, Quantile: in.q})
 			return err
 		}},
-		{"Planner.OptimalDegreeConstrained", "mwci", func(in entryInputs) error {
-			_, err := NewPlanner(in.m).OptimalDegreeConstrained(in.c, in.w, in.maxInst)
+		{"Planner.Answer under a cap", "mwcir", func(in entryInputs) error {
+			_, err := NewPlanner(in.m).Answer(Request{C: in.c, Weights: in.w, MaxInstances: in.maxInst})
 			return err
 		}},
-		{"Planner.PlanFor", "mwc", func(in entryInputs) error {
+		{"Planner.PlanFor", "mwco", func(in entryInputs) error {
 			_, err := NewPlanner(in.m).PlanFor(in.c, in.w)
 			return err
 		}},
-		{"Planner.DegreeRange", "mwc", func(in entryInputs) error {
+		{"Planner.DegreeRange", "mwco", func(in entryInputs) error {
 			_, _, err := NewPlanner(in.m).DegreeRange(in.c, in.w)
 			return err
 		}},
-		{"Planner.TailServiceAt", "mwc", func(in entryInputs) error {
+		{"Planner.TailServiceAt", "mwco", func(in entryInputs) error {
 			_, err := NewPlanner(in.m).TailServiceAt(in.c, in.w, 95)
 			return err
 		}},
@@ -102,11 +105,15 @@ func TestFixedSizeEntryPointErrorText(t *testing.T) {
 		{"weights out of range", 'w', func(in *entryInputs) { in.w = Weights{-0.1, 1.1} }, "core: weights outside [0,1]: {Service:-0.1 Expense:1.1}"},
 		{"c = 0", 'c', func(in *entryInputs) { in.c = 0 }, "core: concurrency 0 < 1"},
 		{"c < 0", 'c', func(in *entryInputs) { in.c = -7 }, "core: concurrency -7 < 1"},
-		{"q = 0", 'q', func(in *entryInputs) { in.q = 0 }, "core: quantile 0 outside (0,100]"},
-		{"q > 100", 'q', func(in *entryInputs) { in.q = 100.5 }, "core: quantile 100.5 outside (0,100]"},
+		{"q < 0", 'q', func(in *entryInputs) { in.q = -1 }, "core: quantile -1 outside (0,100] (0 for the total)"},
+		{"q > 100", 'q', func(in *entryInputs) { in.q = 100.5 }, "core: quantile 100.5 outside (0,100] (0 for the total)"},
 		{"instance cap too tight", 'i', func(in *entryInputs) { in.maxInst = 1 }, "core: concurrency 1000 cannot fit 1 instances even at degree 24"},
-		// Precedence: models before weights before concurrency.
-		{"bad models and weights", 'w', func(in *entryInputs) { in.m.MaxDegree = 0; in.w = Weights{0.9, 0.9} }, "core: max packing degree 0 < 1"},
+		{"negative instance cap", 'i', func(in *entryInputs) { in.maxInst = -1 }, "core: instance cap -1 < 0 (0 for none)"},
+		// Precedence: models before weights before concurrency, or, for a
+		// request, weights before concurrency before the models.
+		{"bad models and weights", 'o', func(in *entryInputs) { in.m.MaxDegree = 0; in.w = Weights{0.9, 0.9} }, "core: max packing degree 0 < 1"},
+		{"bad models and weights, request first", 'r', func(in *entryInputs) { in.m.MaxDegree = 0; in.w = Weights{0.9, 0.9} }, "core: weights must sum to 1, got 1.8"},
+		{"bad models and c, request first", 'r', func(in *entryInputs) { in.m.MaxDegree = 0; in.c = 0 }, "core: concurrency 0 < 1"},
 		{"bad weights and c", 'w', func(in *entryInputs) { in.w = Weights{0.9, 0.9}; in.c = 0 }, "core: weights must sum to 1, got 1.8"},
 	}
 	for _, ep := range fixedSizeEntryPoints() {
@@ -181,7 +188,7 @@ func TestNumericBoundaryInputsRejected(t *testing.T) {
 			"Planner.PlanJointFor": func() error { _, err := jpl.PlanJointFor(c, Weights{1, nan}); return err },
 		}},
 		{"NaN quantile", map[string]func() error{
-			"Planner.OptimalDegreeForQuantile": func() error { _, err := pl.OptimalDegreeForQuantile(c, nan, w); return err },
+			"Planner.Answer": func() error { _, err := pl.Answer(Request{C: c, Weights: w, Quantile: nan}); return err },
 		}},
 	}
 	for _, q := range []float64{500, -5, 0, nan} {
@@ -247,9 +254,12 @@ func TestMeasuredPlannerRefuses(t *testing.T) {
 	}
 	total[1] = 100 // the planner keeps its own copy
 	w := Balanced()
-	for _, q := range []float64{100, 95, 50} {
-		if deg, err := pl.OptimalDegreeForQuantile(10, q, w); err != nil || deg != 2 {
-			t.Errorf("q=%g: degree %d (%v), want 2", q, deg, err)
+	for _, q := range []float64{0, 100, 95, 50} {
+		r := Request{C: 10, Weights: w, Quantile: q}
+		if jp, err := pl.Answer(r); err != nil || jp.Degree != 2 {
+			t.Errorf("q=%g: degree %d (%v), want 2", q, jp.Degree, err)
+		} else if err := checkAnswer(pl, r, jp); err != nil {
+			t.Errorf("q=%g: %v", q, err)
 		}
 	}
 	if _, _, err := pl.QoSPlan(10, 5, QoSOptions{}); err != nil {
@@ -261,8 +271,8 @@ func TestMeasuredPlannerRefuses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if deg, err := pl.OptimalDegreeForQuantile(10, []float64{100, 95, 50}[i%3], w); err != nil || deg != 2 {
-					t.Errorf("concurrent call %d: degree %d (%v), want 2", i, deg, err)
+				if jp, err := pl.Answer(Request{C: 10, Weights: w, Quantile: []float64{100, 95, 50}[i%3]}); err != nil || jp.Degree != 2 {
+					t.Errorf("concurrent call %d: degree %d (%v), want 2", i, jp.Degree, err)
 					return
 				}
 			}
@@ -272,7 +282,7 @@ func TestMeasuredPlannerRefuses(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"PlanFor at another concurrency": func() error { _, err := pl.PlanFor(11, w); return err },
 		"Answer at another concurrency":  func() error { _, err := pl.Answer(Request{C: 9, Weights: w}); return err },
-		"ForQuantile at p99":             func() error { _, err := pl.OptimalDegreeForQuantile(10, 99, w); return err },
+		"Answer at p99":                  func() error { _, err := pl.Answer(Request{C: 10, Weights: w, Quantile: 99}); return err },
 		"TailServiceAt p75":              func() error { _, err := pl.TailServiceAt(10, w, 75); return err },
 	} {
 		if err := call(); err == nil {

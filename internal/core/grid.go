@@ -192,21 +192,31 @@ func (t *GridTable) jointBaselines(q float64, minDeg int) (bestS, bestE float64)
 	return bestS, bestE
 }
 
-// constrainedDegree is the Eq. 7 argmin restricted to cells whose instance
-// count stays within maxInstances (≤ 0 means unconstrained), with the regret
-// baselines (Eqs. 5–6) taken over the same restricted range. The
-// infeasibility error quotes the widest degree range across sizes.
-func (t *GridTable) constrainedDegree(w Weights, maxInstances int) (int, error) {
-	minDegree := 1
-	if maxInstances > 0 {
-		minDegree = CeilDiv(t.c, maxInstances)
-		if minDegree > t.maxDegreeAny() {
-			return 0, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
-				t.c, maxInstances, t.maxDegreeAny())
+// answer is the plan a weighted Request asks of the table: the Eq. 7 argmin
+// at the request's service quantile (0 is the total), over the cells whose
+// instance count stays within its cap (0 is none), with the Eqs. 5–6
+// baselines taken over the same cells, and the plan at that cell. The
+// quantile is judged against the table (a measured row has only its own
+// columns); the cap's infeasibility error quotes the widest degree range
+// across sizes.
+func (t *GridTable) answer(r Request) (JointPlan, error) {
+	q := r.Quantile
+	if q == 0 {
+		q = 100
+	}
+	if err := t.checkQuantile(q); err != nil {
+		return JointPlan{}, err
+	}
+	minDeg := 1
+	if r.MaxInstances > 0 {
+		minDeg = CeilDiv(t.c, r.MaxInstances)
+		if minDeg > t.maxDegreeAny() {
+			return JointPlan{}, fmt.Errorf("core: concurrency %d cannot fit %d instances even at degree %d",
+				t.c, r.MaxInstances, t.maxDegreeAny())
 		}
 	}
-	_, deg := t.argminJoint(100, minDegree, w)
-	return deg, nil
+	si, deg := t.argminJoint(q, minDeg, r.Weights)
+	return t.plan(si, deg, r.Weights), nil
 }
 
 // plan materializes the JointPlan for a chosen cell from memoized
@@ -227,12 +237,6 @@ func (t *GridTable) plan(si, deg int, w Weights) JointPlan {
 		},
 		MemMB: t.sizes[si].memMB,
 	}
-}
-
-// planFor is the plan at the Eq. 7 argmin for weights w.
-func (t *GridTable) planFor(w Weights) JointPlan {
-	si, deg := t.argminJoint(100, 1, w)
-	return t.plan(si, deg, w)
 }
 
 // degreeRange is the plan-stability band of a one-row table: the contiguous

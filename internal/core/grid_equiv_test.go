@@ -106,11 +106,20 @@ func TestGridSingleSizeBitIdentity(t *testing.T) {
 			t.Fatalf("trial %d: Models.Answer=(%+v,%v), Models.PlanFor=(%+v,%v)", trial, answer, err, wantPlan, wantErr)
 		}
 
-		// The argmin at another quantile, at the joint planner's base size.
-		gotDeg, gotErr := jpl.OptimalDegreeForQuantile(c, q, w)
-		wantDeg, wantErr := pl.OptimalDegreeForQuantile(c, q, w)
-		if errStr(gotErr) != errStr(wantErr) || gotDeg != wantDeg {
-			t.Fatalf("trial %d: joint planner ForQuantile=(%d,%v), 1-D=(%d,%v)", trial, gotDeg, gotErr, wantDeg, wantErr)
+		// The argmin at another quantile, at the joint planner's base size
+		// and over the one-size grid.
+		atQ := Request{C: c, Weights: w, Quantile: q}
+		wantQ, wantErr := pl.Answer(atQ)
+		gotQ, gotErr := jpl.Answer(atQ)
+		if errStr(gotErr) != errStr(wantErr) || !jointPlanEq(gotQ, wantQ) {
+			t.Fatalf("trial %d: joint planner at q=%g: (%+v,%v), 1-D (%+v,%v)", trial, q, gotQ, gotErr, wantQ, wantErr)
+		}
+		atQ.SizesMB = sizes
+		if wantErr == nil {
+			wantQ.MemMB = memMB
+		}
+		if gotQ, gotErr = jpl.Answer(atQ); errStr(gotErr) != errStr(wantErr) || !jointPlanEq(gotQ, wantQ) {
+			t.Fatalf("trial %d: joint planner over the grid at q=%g: (%+v,%v), 1-D (%+v,%v)", trial, q, gotQ, gotErr, wantQ, wantErr)
 		}
 
 		// QoS: aim bounds across the feasibility spectrum, as the 1-D

@@ -414,18 +414,26 @@ func TestOptimalDegreeConstrained(t *testing.T) {
 	pl := NewPlanner(m)
 	const c = 5000
 	unconstrained := degreeFor(t, m, c, Balanced())
+	capped := func(maxInstances int, w Weights) (int, error) {
+		r := Request{C: c, Weights: w, MaxInstances: maxInstances}
+		jp, err := pl.Answer(r)
+		if err == nil {
+			err = checkAnswer(pl, r, jp)
+		}
+		return jp.Degree, err
+	}
 	// No limit (or a generous one) reproduces the unconstrained choice.
-	got, err := pl.OptimalDegreeConstrained(c, Balanced(), 0)
+	got, err := capped(0, Balanced())
 	if err != nil || got != unconstrained {
 		t.Fatalf("unlimited: got %d (%v), want %d", got, err, unconstrained)
 	}
-	got, err = pl.OptimalDegreeConstrained(c, Balanced(), c)
+	got, err = capped(c, Balanced())
 	if err != nil || got != unconstrained {
 		t.Fatalf("generous limit: got %d (%v), want %d", got, err, unconstrained)
 	}
 	// A tight limit forces a deeper degree that respects it.
 	const limit = 150
-	got, err = pl.OptimalDegreeConstrained(c, Balanced(), limit)
+	got, err = capped(limit, Balanced())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,17 +444,18 @@ func TestOptimalDegreeConstrained(t *testing.T) {
 		t.Fatalf("tight limit should force deeper packing: %d vs %d", got, unconstrained)
 	}
 	// An impossible limit errors.
-	if _, err := pl.OptimalDegreeConstrained(c, Balanced(), 10); err == nil {
+	if _, err := capped(10, Balanced()); err == nil {
 		t.Fatal("infeasible limit accepted")
 	}
-	if _, err := pl.OptimalDegreeConstrained(c, Weights{2, -1}, limit); err == nil {
+	if _, err := capped(limit, Weights{2, -1}); err == nil {
 		t.Fatal("bad weights accepted")
 	}
 }
 
 // TestMaxIntConcurrency: at c = MaxInt, where (c+P−1)/P overflows, every
 // degree spawns ⌈c/P⌉ instances at a non-negative expense, the plan's
-// expense is non-negative, and two instances cannot hold c functions.
+// expense is non-negative, its answers under no cap and a cap that fits meet
+// checkAnswer, and two instances cannot hold c functions.
 func TestMaxIntConcurrency(t *testing.T) {
 	m := synthModels()
 	const c = math.MaxInt
@@ -460,8 +469,18 @@ func TestMaxIntConcurrency(t *testing.T) {
 	if plan, err := pl.PlanFor(c, Balanced()); err != nil || !(plan.PredictedExpenseUSD >= 0) {
 		t.Errorf("plan at MaxInt: %+v (%v)", plan, err)
 	}
-	if deg, err := pl.OptimalDegreeConstrained(c, Balanced(), 2); err == nil {
-		t.Errorf("degree %d fits %d functions in 2 instances", deg, c)
+	for _, maxInst := range []int{0, c / 30} {
+		r := Request{C: c, Weights: Balanced(), MaxInstances: maxInst}
+		jp, err := pl.Answer(r)
+		if err == nil {
+			err = checkAnswer(pl, r, jp)
+		}
+		if err != nil {
+			t.Errorf("cap %d at MaxInt: %+v: %v", maxInst, jp, err)
+		}
+	}
+	if jp, err := pl.Answer(Request{C: c, Weights: Balanced(), MaxInstances: 2}); err == nil {
+		t.Errorf("degree %d fits %d functions in 2 instances", jp.Degree, c)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Request is the planning question all three front doors ask: the library's
-// Advise variants, `propack advise` and the /v1 planning routes. Validate is
+// AdviseRequest, `propack advise` and the /v1 planning routes. Validate is
 // its one judgment and Planner.Answer its one dispatch, so a door only reads
 // its text into a Request and renders the answer.
 type Request struct {
@@ -19,11 +19,21 @@ type Request struct {
 	// combines with neither a bound nor a grid.
 	Failure FailureModel
 	SizesMB []float64 // a memory grid to plan (degree, memory) over; empty plans the degree alone
+	// Quantile is the service-time percentile Eq. 7 weighs, in (0, 100]: 95
+	// is the tail, 50 the median, and 0 the total (q = 100). ProPack
+	// "predicts different packing degrees that jointly minimize total, tail,
+	// and median service times" (Sec. 3).
+	Quantile float64
+	// MaxInstances caps the instance count ⌈C/P⌉ (an account or burst limit):
+	// only degrees that stay within it are planned over. 0 means no cap.
+	MaxInstances int
 }
 
 // Validate reports the first rule the request breaks: the weights, then the
 // concurrency (the order of every planning entry point), then the bound, the
-// failure model, the combinations no planner answers, and the grid.
+// quantile, the instance cap, the failure model, the combinations no planner
+// answers (a failure model beside a bound or a grid, then a quantile or a cap
+// beside a bound), and the grid.
 func (r Request) Validate() error {
 	if err := checkInputs(nil, &r.Weights, r.C); err != nil {
 		return err
@@ -31,11 +41,20 @@ func (r Request) Validate() error {
 	if !stats.FiniteNonNeg(r.QoSSec) {
 		return fmt.Errorf("core: QoS bound %g is not a finite p95 bound in seconds ≥ 0 (0 for none)", r.QoSSec)
 	}
+	if r.Quantile != 0 && !(r.Quantile > 0 && r.Quantile <= 100) {
+		return fmt.Errorf("core: quantile %g outside (0,100] (0 for the total)", r.Quantile)
+	}
+	if r.MaxInstances < 0 {
+		return fmt.Errorf("core: instance cap %d < 0 (0 for none)", r.MaxInstances)
+	}
 	if err := r.Failure.Validate(); err != nil {
 		return err
 	}
 	if r.Failure.Enabled() && (r.QoSSec > 0 || len(r.SizesMB) > 0) {
 		return fmt.Errorf("core: a failure model combines with neither a QoS bound nor a memory grid: only the weighted degree-only plan is reliability-aware")
+	}
+	if r.QoSSec > 0 && (r.Quantile != 0 || r.MaxInstances > 0) {
+		return fmt.Errorf("core: a QoS bound combines with neither a quantile nor an instance cap: the Sec. 2.6 search bounds the p95 over every degree")
 	}
 	if len(r.SizesMB) > 0 {
 		return CheckSizeGrid(r.SizesMB)
@@ -44,10 +63,12 @@ func (r Request) Validate() error {
 }
 
 // Answer is the one dispatch of a Request: the Eq. 7 plan at the request's
-// weights or, with a bound, the Sec. 2.6 plan (Plan.Weights holds the weights
-// the search chose); over the planner's memory grid when the request names
-// it, else over the degree alone (MemMB is then 0). The request's failure
-// model must be the one the planner folds: a planner never drops one.
+// weights, service quantile and instance cap or, with a bound, the Sec. 2.6
+// plan (Plan.Weights holds the weights the search chose); over the planner's
+// memory grid when the request names it, else over the degree alone (MemMB is
+// then 0). The request's failure model must be the one the planner folds: a
+// planner never drops one. A plan's predictions are the total service time
+// and the expense whatever quantile chose it.
 func (pl *Planner) Answer(r Request) (JointPlan, error) {
 	if err := r.Validate(); err != nil {
 		return JointPlan{}, err
@@ -65,7 +86,7 @@ func (pl *Planner) Answer(r Request) (JointPlan, error) {
 		jp, _, err := gc.qosPlan(r.C, r.QoSSec)
 		return jp, err
 	}
-	return gc.planFor(r.C, r.Weights)
+	return gc.answer(r)
 }
 
 // Answer is the uncached Planner.Answer, over the request's failure model

@@ -238,13 +238,13 @@ func (gc *GridCache) Builds() uint64 {
 	return gc.lru.builds.Load()
 }
 
-// planFor is the full recommendation at weights w: the Eq. 7 argmin's plan.
-func (gc *GridCache) planFor(c int, w Weights) (JointPlan, error) {
-	t, err := gc.table(c, &w)
+// answer is the weighted Request's plan over the table for its concurrency.
+func (gc *GridCache) answer(r Request) (JointPlan, error) {
+	t, err := gc.table(r.C, &r.Weights)
 	if err != nil {
 		return JointPlan{}, err
 	}
-	return t.planFor(w), nil
+	return t.answer(r)
 }
 
 // qosPlan is the Eq. 9 weight search, then the plan at those weights, over
@@ -266,7 +266,8 @@ func (gc *GridCache) qosPlan(c int, qosSec float64) (JointPlan, Weights, error) 
 	if err != nil {
 		return JointPlan{}, Weights{}, err
 	}
-	return t.planFor(w), w, nil
+	jp, err := t.answer(Request{C: c, Weights: w})
+	return jp, w, err
 }
 
 // --- Planner -----------------------------------------------------------------
@@ -284,15 +285,16 @@ var ErrNoGrid = errors.New("core: planner has no memory grid")
 // planner that keeps no tables, so the two agree bit for bit and differ only
 // in amortization. Safe for concurrent use.
 //
-// Answer is the question the paper asks — the Eq. 7 plan at given weights or
-// the Sec. 2.6 plan under a tail bound, over the degree or over (degree,
-// memory). The other methods ask what a Request cannot: the argmin at another
-// service quantile, under an instance cap, the plan-stability band, and the
-// modeled tail at given weights. The degree-only methods search the one-row
-// grid of the planner's Models; a planner built with NewJointPlanner also
-// carries a memory-size grid, which PlanJointFor, QoSPlanJoint and Answer
-// (for a request naming that grid) search, and answers the degree-only
-// methods at the grid's largest (base) size.
+// Answer is the question the paper asks — the Eq. 7 plan at given weights,
+// service quantile and instance cap, or the Sec. 2.6 plan under a tail bound,
+// over the degree or over (degree, memory). DegreeRange reports the
+// plan-stability band and TailServiceAt the modeled tail at the weighted
+// plan; PlanFor, PlanJointFor, QoSPlan and QoSPlanJoint remain as Answer's
+// older spellings. The degree-only questions search the one-row grid of the
+// planner's Models; a planner built with NewJointPlanner also carries a
+// memory-size grid, which PlanJointFor, QoSPlanJoint and Answer (for a
+// request naming that grid) search, and answers the degree-only questions at
+// the grid's largest (base) size.
 type Planner struct {
 	cache *GridCache // the one-row grid of the (base) models
 	grid  *GridCache // nil unless built with NewJointPlanner
@@ -395,39 +397,10 @@ func (pl *Planner) Table(c int) (*DegreeTable, error) {
 	return t.Size(0), nil
 }
 
-// OptimalDegreeForQuantile is Eq. 7 with the service objective replaced by
-// the q-th percentile service time — ProPack "predicts different packing
-// degrees that jointly minimize total, tail, and median service times"
-// (Sec. 3); q=100 is the total, 95 the tail, 50 the median.
-func (pl *Planner) OptimalDegreeForQuantile(c int, q float64, w Weights) (int, error) {
-	t, err := pl.cache.table(c, &w)
-	if err == nil {
-		err = t.checkQuantile(q)
-	}
-	if err != nil {
-		return 0, err
-	}
-	_, deg := t.argminJoint(q, 1, w)
-	return deg, nil
-}
-
-// OptimalDegreeConstrained is Eq. 7 restricted to packing degrees whose
-// instance count stays within maxInstances — planning against an
-// account-level concurrency limit so the burst never throttles.
-// maxInstances ≤ 0 means unconstrained. It returns an error if even the
-// maximum degree spawns too many instances.
-func (pl *Planner) OptimalDegreeConstrained(c int, w Weights, maxInstances int) (int, error) {
-	t, err := pl.cache.table(c, &w)
-	if err != nil {
-		return 0, err
-	}
-	return t.constrainedDegree(w, maxInstances)
-}
-
 // PlanFor is the cached Models.PlanFor: Answer's degree-only weighted plan
 // without the Request.
 func (pl *Planner) PlanFor(c int, w Weights) (Plan, error) {
-	jp, err := pl.cache.planFor(c, w)
+	jp, err := pl.cache.answer(Request{C: c, Weights: w})
 	return jp.Plan, err
 }
 
@@ -477,7 +450,7 @@ func (pl *Planner) QoSPlan(c int, qosSec float64, opts QoSOptions) (Plan, Weight
 // cell minimizing the weighted regret sum, with the Eqs. 5–6 baselines taken
 // over the whole grid.
 func (pl *Planner) PlanJointFor(c int, w Weights) (JointPlan, error) {
-	return pl.grid.planFor(c, w)
+	return pl.grid.answer(Request{C: c, Weights: w})
 }
 
 // QoSPlanJoint is QoSPlan over the grid: the joint plan at the smallest W_S

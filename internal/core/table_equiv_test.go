@@ -110,7 +110,12 @@ func naiveArgminGrid(g GridModels, c int, q float64, minDeg int, w Weights) (si,
 
 // naivePlanFor assembles the Plan from direct Models predictions.
 func naivePlanFor(m Models, c int, w Weights) Plan {
-	deg := naiveArgminRegret(m, c, 100, 1, w)
+	return naivePlanAt(m, c, naiveArgminRegret(m, c, 100, 1, w), w)
+}
+
+// naivePlanAt is the Plan at degree deg from direct Models predictions: the
+// total service time and expense, whatever quantile or cap chose deg.
+func naivePlanAt(m Models, c, deg int, w Weights) Plan {
 	return Plan{
 		Concurrency:         c,
 		Degree:              deg,
@@ -152,7 +157,8 @@ func qosPlanAt(gc *GridCache, c int, qosSec, tailQ, step float64) (JointPlan, We
 	if err != nil {
 		return JointPlan{}, Weights{}, err
 	}
-	return t.planFor(w), w, nil
+	jp, err := t.answer(Request{C: c, Weights: w})
+	return jp, w, err
 }
 
 func randModels(r *rand.Rand) Models {
@@ -187,8 +193,8 @@ func randWeights(r *rand.Rand) Weights {
 
 // checkMeasuredIdentity holds MeasuredPlanner to the fitted planner whose
 // columns it is given: over the fitted row's own total, p95, p50 and expense
-// columns at c it must plan the fitted degree at q = 100, 95 and 50 and
-// weights w. A row with a cell the constructor refuses — negative or not
+// columns at c, Answer must give the fitted plan, bit for bit, at q = 100, 95
+// and 50 and weights w. A row with a cell the constructor refuses — negative or not
 // finite — must be refused, and one without must not be. It reports whether
 // the identity was checked.
 func checkMeasuredIdentity(t *testing.T, fitted *Planner, c int, w Weights) bool {
@@ -210,11 +216,15 @@ func checkMeasuredIdentity(t *testing.T, fitted *Planner, c int, w Weights) bool
 		return false
 	}
 	for _, q := range []float64{100, 95, 50} {
-		got, gotErr := measured.OptimalDegreeForQuantile(c, q, w)
-		want, wantErr := fitted.OptimalDegreeForQuantile(c, q, w)
-		if gotErr != nil || wantErr != nil || got != want {
-			t.Fatalf("q=%g w=%+v c=%d: measured degree %d (%v), fitted %d (%v); columns %v",
+		r := Request{C: c, Weights: w, Quantile: q}
+		got, gotErr := measured.Answer(r)
+		want, wantErr := fitted.Answer(r)
+		if gotErr != nil || wantErr != nil || !jointPlanEq(got, want) {
+			t.Fatalf("q=%g w=%+v c=%d: measured %+v (%v), fitted %+v (%v); columns %v",
 				q, w, c, got, gotErr, want, wantErr, cols)
+		}
+		if err := checkAnswer(measured, r, got); err != nil {
+			t.Fatalf("q=%g w=%+v c=%d: measured %+v: %v; columns %v", q, w, c, got, err, cols)
 		}
 	}
 	return true
@@ -232,12 +242,16 @@ func TestTablePlannerMatchesNaive(t *testing.T) {
 		pl := NewPlanner(m)
 
 		q := quantiles[trial%len(quantiles)]
-		got, err := pl.OptimalDegreeForQuantile(c, q, w)
-		if err != nil {
-			t.Fatalf("trial %d: ForQuantile: %v", trial, err)
+		atQ := Request{C: c, Weights: w, Quantile: q}
+		got, err := pl.Answer(atQ)
+		if err == nil {
+			err = checkAnswer(pl, atQ, got)
 		}
-		if want := naiveArgminRegret(m, c, q, 1, w); got != want {
-			t.Fatalf("trial %d: ForQuantile(q=%g)=%d, naive=%d (m=%+v c=%d w=%+v)",
+		if err != nil {
+			t.Fatalf("trial %d: Answer at q=%g: %+v: %v", trial, q, got, err)
+		}
+		if want := naivePlanAt(m, c, naiveArgminRegret(m, c, q, 1, w), w); !planEq(got.Plan, want) || got.MemMB != 0 {
+			t.Fatalf("trial %d: Answer at q=%g = %+v, naive %+v (m=%+v c=%d w=%+v)",
 				trial, q, got, want, m, c, w)
 		}
 		plan, err := m.PlanFor(c, w)
@@ -255,9 +269,8 @@ func TestTablePlannerMatchesNaive(t *testing.T) {
 			if err != nil || pplan != plan {
 				t.Fatalf("trial %d pass %d: Planner.PlanFor=%+v (%v), Models=%+v", trial, pass, pplan, err, plan)
 			}
-			pdeg, err := pl.OptimalDegreeForQuantile(c, q, w)
-			if err != nil || pdeg != got {
-				t.Fatalf("trial %d pass %d: Planner.ForQuantile=%d (%v), first call=%d", trial, pass, pdeg, err, got)
+			if pq, err := pl.Answer(atQ); err != nil || !jointPlanEq(pq, got) {
+				t.Fatalf("trial %d pass %d: Answer at q=%g = %+v (%v), first call %+v", trial, pass, q, pq, err, got)
 			}
 		}
 
@@ -280,32 +293,40 @@ func TestConstrainedMatchesNaive(t *testing.T) {
 		m := randModels(r)
 		c := 1 + r.Intn(20000)
 		w := randWeights(r)
-		maxInst := r.Intn(2*c) - c/2 // includes ≤0 (unconstrained) and infeasibly tight
+		maxInst := r.Intn(2*c) - c/2 // includes 0 (unconstrained), < 0 (refused) and infeasibly tight
 		pl := NewPlanner(m)
-		got, gotErr := pl.OptimalDegreeConstrained(c, w, maxInst)
+		capped := Request{C: c, Weights: w, MaxInstances: maxInst}
+		got, gotErr := pl.Answer(capped)
 
 		minDeg := 1
-		wantErr := false
-		if maxInst > 0 {
+		var wantErr string
+		switch {
+		case maxInst < 0:
+			wantErr = fmt.Sprintf("core: instance cap %d < 0 (0 for none)", maxInst)
+		case maxInst > 0:
 			minDeg = (c + maxInst - 1) / maxInst
-			wantErr = minDeg > m.MaxDegree
+			if minDeg > m.MaxDegree {
+				wantErr = fmt.Sprintf("core: concurrency %d cannot fit %d instances even at degree %d", c, maxInst, m.MaxDegree)
+			}
 		}
-		if wantErr {
-			if gotErr == nil {
-				t.Fatalf("trial %d: want infeasibility error, got degree %d", trial, got)
+		if wantErr != "" {
+			if errStr(gotErr) != wantErr || got != (JointPlan{}) {
+				t.Fatalf("trial %d: Answer under cap %d = %+v (%v), want the error %q", trial, maxInst, got, gotErr, wantErr)
 			}
 			continue
 		}
+		if gotErr == nil {
+			gotErr = checkAnswer(pl, capped, got)
+		}
 		if gotErr != nil {
-			t.Fatalf("trial %d: unexpected error %v", trial, gotErr)
+			t.Fatalf("trial %d: Answer under cap %d = %+v: %v", trial, maxInst, got, gotErr)
 		}
-		if want := naiveArgminRegret(m, c, 100, minDeg, w); got != want {
-			t.Fatalf("trial %d: Constrained=%d, naive=%d (c=%d maxInst=%d minDeg=%d)",
-				trial, got, want, c, maxInst, minDeg)
+		if want := naivePlanAt(m, c, naiveArgminRegret(m, c, 100, minDeg, w), w); !planEq(got.Plan, want) || got.MemMB != 0 {
+			t.Fatalf("trial %d: Answer under cap %d = %+v, naive %+v (c=%d minDeg=%d)",
+				trial, maxInst, got, want, c, minDeg)
 		}
-		pgot, err := pl.OptimalDegreeConstrained(c, w, maxInst)
-		if err != nil || pgot != got {
-			t.Fatalf("trial %d: cached Planner.Constrained=%d (%v), first call=%d", trial, pgot, err, got)
+		if again, err := pl.Answer(capped); err != nil || !jointPlanEq(again, got) {
+			t.Fatalf("trial %d: cached Answer under cap %d = %+v (%v), first call %+v", trial, maxInst, again, err, got)
 		}
 	}
 }

@@ -211,15 +211,15 @@ func ExtThrottle(cfg Config) (*trace.Table, error) {
 		if limit > 0 && run.Plan.Degree*limit < c {
 			// The stock plan still exceeds the limit; the limit-aware
 			// variant packs deeper so the burst never throttles.
-			deg, err := core.NewPlanner(run.Models).OptimalDegreeConstrained(c, core.Balanced(), limit)
+			plan, err := run.Models.Answer(core.Request{C: c, Weights: core.Balanced(), MaxInstances: limit})
 			if err != nil {
 				return nil, err
 			}
-			aware, err := orchestrator.Execute(p, w.Demand(), c, deg, cfg.Seed)
+			aware, err := orchestrator.Execute(p, w.Demand(), c, plan.Degree, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, []string{label, fmt.Sprintf("ProPack limit-aware (degree %d)", deg),
+			out = append(out, []string{label, fmt.Sprintf("ProPack limit-aware (degree %d)", plan.Degree),
 				itoa(aware.Instances), sec(aware.TotalService), usd(aware.ExpenseUSD)})
 		}
 		return out, nil

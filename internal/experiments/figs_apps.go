@@ -145,15 +145,15 @@ func Fig20(cfg Config) (*trace.Table, error) {
 	}
 	if _, err := tabulate(t, len(objectives), func(i int) ([][]string, error) {
 		row := objectives[i]
-		deg, err := pl.OptimalDegreeForQuantile(c, 95, row.w)
+		plan, err := pl.Answer(core.Request{C: c, Weights: row.w, Quantile: 95})
 		if err != nil {
 			return nil, err
 		}
-		m, err := orchestrator.Execute(p, w.Demand(), c, deg, cfg.Seed)
+		m, err := orchestrator.Execute(p, w.Demand(), c, plan.Degree, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return [][]string{{row.name, frac(row.w.Service), itoa(deg), sec(m.TailService),
+		return [][]string{{row.name, frac(row.w.Service), itoa(plan.Degree), sec(m.TailService),
 			pct(trace.Improvement(base.TotalService, m.TotalService)),
 			pct(trace.Improvement(base.ExpenseUSD, m.ExpenseUSD))}}, nil
 	}); err != nil {

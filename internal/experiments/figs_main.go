@@ -84,14 +84,16 @@ func Fig8(cfg Config) (*trace.Table, error) {
 				name string
 				q    float64
 			}{{"total", 100}, {"tail", 95}, {"median", 50}} {
-				od, err := oracle.OptimalDegreeForQuantile(c, metric.q, core.Balanced())
+				r := core.Request{C: c, Weights: core.Balanced(), Quantile: metric.q}
+				oracleAt, err := oracle.Answer(r)
 				if err != nil {
 					return nil, err
 				}
-				pp, err := pl.OptimalDegreeForQuantile(c, metric.q, core.Balanced())
+				modeled, err := pl.Answer(r)
 				if err != nil {
 					return nil, err
 				}
+				od, pp := oracleAt.Degree, modeled.Degree
 				match := "yes"
 				if pp != od {
 					match = "no"

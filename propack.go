@@ -15,14 +15,16 @@
 //	// run it (simulated here, Step Functions in production):
 //	metrics, err := propack.Run(cfg, app.Demand(), 5000, rec.Plan.Degree, 1)
 //
+// Advise asks the plain weighted question. AdviseRequest asks any other as a
+// Request: under a p95 bound, a failure model, an instance cap, at another
+// service quantile, or over a memory grid.
+//
 // The heavy lifting lives in the internal packages; this package re-exports
 // the stable surface: platform configurations, the benchmark workloads, the
 // analytical models, the optimizer, and the execution/measurement helpers.
 package propack
 
 import (
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/funcx"
 	"repro/internal/interfere"
@@ -60,13 +62,16 @@ type (
 	Workload = workload.Workload
 	// QoSOptions configures the Sec. 2.6 tail-latency-bounded planning.
 	QoSOptions = core.QoSOptions
+	// Request is the planning question AdviseRequest and Planner.Answer
+	// answer: a concurrency and weights, and optionally a QoS bound, a
+	// failure model, a memory grid, a service quantile or an instance cap.
+	Request = core.Request
 	// Planner is the one planner behind every planning question, with a
 	// per-concurrency table cache so repeated planning calls (weight sweeps,
 	// quantile sweeps, QoS searches) amortize the model evaluation. Answer
-	// is the paper's question; the other methods ask what a request cannot
-	// (another quantile, an instance cap, the stability band, the modeled
-	// tail). Models.Answer, Models.PlanFor and GridModels.Answer are the
-	// same methods without the cache, so results are bit-identical.
+	// is the paper's question, asked as a Request. Models.Answer,
+	// Models.PlanFor and GridModels.Answer are the same methods without the
+	// cache, so results are bit-identical.
 	Planner = core.Planner
 	// DegreeTable is one memory size's row of the planner's cached
 	// per-concurrency grid table: the memoized per-degree model vectors,
@@ -82,8 +87,7 @@ type (
 	// JointPlan is a Plan extended with the chosen memory size.
 	JointPlan = core.JointPlan
 	// FailureModel describes mid-execution crashes for reliability-aware
-	// planning: a core request's Failure, answered by Models.Answer (see
-	// AdviseReliable).
+	// planning: a Request's Failure.
 	FailureModel = core.FailureModel
 	// Backoff is a retry policy (fixed, exponential, or decorrelated-jitter
 	// schedule with attempt/time budgets) accepted by PlatformConfig.Retry
@@ -107,7 +111,7 @@ const (
 var NewPlanner = core.NewPlanner
 
 // NewJointPlanner builds a Planner over a memory-size grid (e.g. from
-// AdviseJoint's JointRecommendation.Grid): the degree-only questions plan at
+// AdviseRequest's JointRecommendation.Grid): the degree-only questions plan at
 // the base (largest) size, and the joint ones (PlanJointFor, QoSPlanJoint,
 // and Answer for a request naming the grid) search degree × memory.
 var NewJointPlanner = core.NewJointPlanner
@@ -164,76 +168,39 @@ type Recommendation struct {
 // Advise runs ProPack's modeling pipeline (interference probes, scaling
 // probes, model fits) against the platform and returns the optimal packing
 // plan for running the application at concurrency c under the given
-// objective weights.
+// objective weights: AdviseRequest's answer to the plain weighted request.
 func Advise(cfg PlatformConfig, d Demand, c int, w Weights) (Recommendation, error) {
-	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: w}, false)
-	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, err
+	rec, err := AdviseRequest(cfg, d, Request{C: c, Weights: w})
+	return Recommendation{Plan: rec.Plan.Plan, Models: rec.Models, Overhead: rec.Overhead}, err
 }
 
-// AdviseReliable is Advise for an unreliable platform: the same modeling
-// pipeline, but the optimizer runs on the expected service time and expense
-// under the given failure model — a crash at packing degree P loses all P
-// functions' work and re-runs (and re-bills) the whole instance, so the
-// recommended degree drops as the crash rate rises. With a zero FailureModel
-// it agrees exactly with Advise.
-func AdviseReliable(cfg PlatformConfig, d Demand, c int, w Weights, f FailureModel) (Recommendation, error) {
-	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: w, Failure: f}, false)
-	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, err
-}
-
-// AdviseQoS is Advise with a tail-latency bound: the objective weights are
-// chosen per Sec. 2.6 so the modeled tail service time stays within qosSec.
-// It returns the chosen weights alongside the recommendation.
-func AdviseQoS(cfg PlatformConfig, d Demand, c int, qosSec float64) (Recommendation, Weights, error) {
-	rec, m, err := advise(cfg, d, core.Request{C: c, Weights: Balanced(), QoSSec: qosSec}, true)
-	return Recommendation{Plan: rec.Plan.Plan, Models: m, Overhead: rec.Overhead}, rec.Plan.Weights, err
-}
-
-// JointRecommendation is what AdviseJoint returns: the joint (degree,
-// memory) plan plus the full grid for auditing and re-planning.
+// JointRecommendation is what AdviseRequest returns: the plan plus the
+// models it was answered from, for auditing and re-planning — the fixed-size
+// Models for a degree-only request, the Grid for one naming memory sizes.
 type JointRecommendation struct {
 	Plan     JointPlan
+	Models   Models
 	Grid     GridModels
 	Overhead Overhead
 }
 
-// AdviseJoint is Advise over a memory-size grid: the modeling pipeline runs
-// once per size (interference depends on the CPU share, which scales with
-// memory; the scaling probes run once, at the largest size), and the
-// planner searches packing degree and memory size jointly — Lambda's
-// power-tuning knob folded into Eq. 7. sizesMB must be strictly increasing
-// and within the platform's instance memory.
-func AdviseJoint(cfg PlatformConfig, d Demand, c int, w Weights, sizesMB []float64) (JointRecommendation, error) {
-	rec, _, err := advise(cfg, d, core.Request{C: c, Weights: w, SizesMB: sizesMB}, false)
-	return rec, err
-}
-
-// AdviseJointQoS is AdviseJoint with a tail-latency bound: the weights are
-// chosen per Sec. 2.6 over the whole grid, so a larger memory size can buy
-// feasibility that no packing degree at the default size could.
-func AdviseJointQoS(cfg PlatformConfig, d Demand, c int, qosSec float64, sizesMB []float64) (JointRecommendation, Weights, error) {
-	rec, _, err := advise(cfg, d, core.Request{C: c, Weights: Balanced(), QoSSec: qosSec, SizesMB: sizesMB}, true)
-	return rec, rec.Plan.Weights, err
-}
-
-// advise is the one profile-then-answer sequence behind every Advise
-// variant: the request is judged before any probe runs, the application is
-// profiled — once, or once per memory size of the request's grid — and the
-// uncached planner answers. The fixed-size models come back beside the
-// recommendation; a grid comes back in it. bounded marks the QoS variants:
-// their question is the bound, so like /v1/qos they refuse a bound of 0,
-// which a Request reads as none. Their weights are the doors' default, which
-// the bound replaces.
-func advise(cfg PlatformConfig, d Demand, r core.Request, bounded bool) (rec JointRecommendation, m Models, err error) {
-	if err = r.Validate(); err == nil && bounded && r.QoSSec == 0 {
-		err = errors.New("propack: a QoS bound of 0 s is no bound")
-	}
+// AdviseRequest is the one profile-then-answer sequence: the request is
+// judged before any probe runs, the application is profiled — once, or once
+// per memory size of the request's grid (interference depends on the CPU
+// share, which scales with memory; the scaling probes run once, at the
+// largest size) — and the models answer the request (Planner.Answer). A
+// failure model plans on the expected service time and expense under
+// crash-and-retry; a QoS bound chooses the weights per Sec. 2.6 (they come
+// back in Plan.Weights), and a bound of 0 is no bound.
+func AdviseRequest(cfg PlatformConfig, d Demand, r Request) (JointRecommendation, error) {
+	var rec JointRecommendation
+	err := r.Validate()
 	switch {
 	case err != nil:
 	case len(r.SizesMB) == 0:
 		meas := &core.SimMeasurer{Config: cfg, Demand: d, Seed: 1}
-		if m, _, _, rec.Overhead, err = core.BuildModels(meas, core.ProfileOptionsFor(cfg, d)); err == nil {
-			rec.Plan, err = m.Answer(r)
+		if rec.Models, _, _, rec.Overhead, err = core.BuildModels(meas, core.ProfileOptionsFor(cfg, d)); err == nil {
+			rec.Plan, err = rec.Models.Answer(r)
 		}
 	default:
 		var probes []core.SizeProbe
@@ -245,9 +212,9 @@ func advise(cfg PlatformConfig, d Demand, r core.Request, bounded bool) (rec Joi
 		}
 	}
 	if err != nil {
-		return JointRecommendation{}, Models{}, err
+		return JointRecommendation{}, err
 	}
-	return rec, m, nil
+	return rec, nil
 }
 
 // Run executes c concurrent functions packed at the given degree on the

@@ -61,10 +61,11 @@ func TestFacadeQoS(t *testing.T) {
 	cfg := AWSLambda()
 	d := XapianWorkload().Demand()
 	// A generous bound is always satisfiable with expense-leaning weights.
-	rec, w, err := AdviseQoS(cfg, d, 1000, 1e6)
+	rec, err := AdviseRequest(cfg, d, Request{C: 1000, Weights: Balanced(), QoSSec: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := rec.Plan.Weights
 	if w.Service != 0 {
 		t.Fatalf("generous bound should need no service weight, got %g", w.Service)
 	}
@@ -73,7 +74,7 @@ func TestFacadeQoS(t *testing.T) {
 	}
 }
 
-// TestFacadeQoSRunMeetsBound: a burst run at AdviseQoS's degree observes a
+// TestFacadeQoSRunMeetsBound: a burst run at a bounded AdviseRequest's degree observes a
 // tail within the bound, the bound set between the observed tails of the
 // expense-only and service-only plans.
 func TestFacadeQoSRunMeetsBound(t *testing.T) {
@@ -89,10 +90,11 @@ func TestFacadeQoSRunMeetsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := (exp.TailService + svc.TailService) / 2
-	rec, w, err := AdviseQoS(cfg, d, c, bound)
+	rec, err := AdviseRequest(cfg, d, Request{C: c, Weights: Balanced(), QoSSec: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := rec.Plan.Weights
 	if w.Service <= 0 || w.Service > 1 {
 		t.Fatalf("degenerate QoS weights: %+v", w)
 	}

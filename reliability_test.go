@@ -4,8 +4,8 @@ import (
 	"testing"
 )
 
-// TestAdviseReliableAgreesAtZeroRates: with no failures modeled, the
-// reliability-aware advisor is the plain advisor, exactly.
+// TestAdviseReliableAgreesAtZeroRates: with no failures modeled, a request
+// carrying a failure model is the plain request, exactly.
 func TestAdviseReliableAgreesAtZeroRates(t *testing.T) {
 	cfg := AWSLambda()
 	d := VideoWorkload().Demand()
@@ -14,11 +14,11 @@ func TestAdviseReliableAgreesAtZeroRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := AdviseReliable(cfg, d, 2000, w, FailureModel{})
+		rel, err := AdviseRequest(cfg, d, Request{C: 2000, Weights: w, Failure: FailureModel{RetryDelaySec: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blind.Plan != rel.Plan {
+		if blind.Plan != rel.Plan.Plan || rel.Plan.MemMB != 0 {
 			t.Fatalf("zero-rate plans diverged:\nblind %+v\nrel   %+v", blind.Plan, rel.Plan)
 		}
 	}
@@ -48,7 +48,7 @@ func TestAdviseReliableBeatsBlindUnderCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relE, err := AdviseReliable(cfg, d, c, ExpenseOnly(), fm)
+	relE, err := AdviseRequest(cfg, d, Request{C: c, Weights: ExpenseOnly(), Failure: fm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAdviseReliableBeatsBlindUnderCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB, err := AdviseReliable(cfg, d, c, Balanced(), fm)
+	relB, err := AdviseRequest(cfg, d, Request{C: c, Weights: Balanced(), Failure: fm})
 	if err != nil {
 		t.Fatal(err)
 	}
