@@ -14,10 +14,11 @@ import (
 // single reused billing group descriptor, one selection for multi-quantile
 // metrics in pooled scratch, and — since the typed-dispatch rewrite — no event
 // or control-plane closures at all. Steady state, the only O(n) allocations
-// left in Run are the three column slabs the Result owns (45 B/instance, 77
-// when the Config can inject faults, 13 when the schedule store serves the
-// four milestone columns); the row view is built only when a caller asks for
-// Timelines(). The regression bounds below hold that line.
+// left in Run are the column slabs the Result owns (45 B/instance, 77 when
+// the Config can inject faults, 21 inside the schedule store's gate, where
+// the store keeps start alone, and 13 when it serves that column); the row
+// view is built only when a caller asks for Timelines(). The regression
+// bounds below hold that line.
 
 func TestRunAllocationLean(t *testing.T) {
 	cfg := AWSLambda()
@@ -170,12 +171,14 @@ func TestAllocsPerRunColumnarResult(t *testing.T) {
 
 // TestAllocsPerRunStoredSchedule pins what the schedule and bill stores save
 // (store.go, DESIGN §12). A dice-free Run of 10³ instances whose schedule is
-// stored reads its four milestone columns there and allocates only end,
-// degree and flags — 13 B/instance — and the Result. A one-instance probe,
-// below storeMin, never looks up: it allocates the four objects it always
-// has, its three column slabs and the Result. A followed burst whose schedule
-// and bill are stored adds the follower's feed and goroutine to those four:
-// 6 objects and 13 B/instance, where a solved one allocates 45.
+// stored reads its start column there and allocates only end, degree and
+// flags — 13 B/instance — and the Result. A one-instance probe, below
+// storeMin, never looks up: it allocates the four objects it always has, its
+// three column slabs and the Result. A followed burst whose schedule and bill
+// are stored adds the follower's feed and goroutine to those four: 6 objects
+// and 13 B/instance. A burst whose schedule is solved and stored allocates
+// the start column the store keeps besides those — 21 B/instance, where the
+// four milestone columns took 45 — and the stored entry.
 func TestAllocsPerRunStoredSchedule(t *testing.T) {
 	defer resetStores()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -187,14 +190,19 @@ func TestAllocsPerRunStoredSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		b        Burst
+		solved   bool // each run meets emptied stores, solves and stores
 		maxBytes float64
 		objects  uint64
 	}{
-		{"stored 10³", Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 7}, 15, 4},
-		{"one instance", Burst{Demand: d, Functions: 4, Degree: 4, Seed: 7}, 1200, 4},
-		{"followed, stored", followed, 14, 6},
+		{"stored 10³", Burst{Demand: d, Functions: 1000, Degree: 1, Seed: 7}, false, 15, 4},
+		{"one instance", Burst{Demand: d, Functions: 4, Degree: 4, Seed: 7}, false, 1200, 4},
+		{"followed, stored", followed, false, 14, 6},
+		{"solved and stored 10⁴", Burst{Demand: d, Functions: 10_000, Degree: 1, Seed: 7}, true, 22, 9},
 	} {
 		run := func() {
+			if tc.solved {
+				resetStores()
+			}
 			if _, err := Run(AWSLambda(), tc.b); err != nil {
 				t.Fatal(err)
 			}

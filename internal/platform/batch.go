@@ -15,9 +15,12 @@ package platform
 // Result, which owns them from then on. Nothing here is pooled;
 // runScratch.release drops the scratch's references. A run carries the
 // columns its Config can write: 45 bytes per instance, the six fault and
-// hedge columns (32 more) only under Config.faulty. An absent column is nil
-// and every fold reads it as the zeros it would have held, so a read that
-// forgets to ask panics instead of inventing a zero.
+// hedge columns (32 more) only under Config.faulty. A run inside the schedule
+// store's gate carries 21: schedDone, buildDone and shipDone are absent, and
+// Result.resolved solves them again for the readers that ask (store.go). An
+// absent fault column is nil and every fold reads it as the zeros it would
+// have held, so a read that forgets to ask panics instead of inventing a
+// zero.
 type instanceColumns struct {
 	n int
 
@@ -25,7 +28,9 @@ type instanceColumns struct {
 	degree []int32 // functions resident in the instance
 	flags  []uint8 // warm / hedged / hedge-won bits
 
-	// Lifecycle milestones, written as the control plane progresses.
+	// Lifecycle milestones, written as the control plane progresses; the
+	// first three are nil in a run the tandem solver finished in the
+	// schedule store's gate.
 	schedDone []float64
 	buildDone []float64
 	shipDone  []float64
@@ -120,23 +125,23 @@ func (ib *instanceBatch) resetRow(row *instanceColumns) {
 }
 
 // resetPlanned is reset for a run inside the schedule store's gate
-// (store.go), which is dice-free: its four milestone columns are n-row
-// prefixes of the plan's slab — on a hit the store's, which nothing writes —
-// and end, degree and flags come in slabs of their own, so a stored slab
-// keeps no end column alive. A hit draws its execution times into its end
-// column, which the end pass then overwrites row by row — end[i] =
-// TimerAt(start[i], end[i]) — so it needs no execs buffer: a hit never falls
-// back to the engine, the one reader of execs besides the end pass.
+// (store.go), which is dice-free: its start column is the plan's — on a hit
+// the store's, which nothing writes — and end, degree and flags come in slabs
+// of their own, so a stored slab keeps no end column alive. schedDone,
+// buildDone and shipDone are absent: a run reads none of them, the solver
+// skips them, and Result.resolved solves them again for the few readers that
+// ask; a run the solver declines gets them before the engine runs
+// (withMilestones). A hit draws its execution times into its end column,
+// which the end pass then overwrites row by row — end[i] = TimerAt(start[i],
+// end[i]) — so it needs no execs buffer: a hit never falls back to the
+// engine, the one reader of execs besides the end pass.
 func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 	ib.instanceColumns = instanceColumns{
-		n:         n,
-		degree:    make([]int32, n),
-		flags:     make([]uint8, n),
-		schedDone: p.column(0, n),
-		buildDone: p.column(1, n),
-		shipDone:  p.column(2, n),
-		start:     p.column(3, n),
-		end:       make([]float64, n),
+		n:      n,
+		degree: make([]int32, n),
+		flags:  make([]uint8, n),
+		start:  p.start,
+		end:    make([]float64, n),
 	}
 	if p.hit {
 		ib.execs = ib.end
@@ -144,6 +149,14 @@ func (ib *instanceBatch) resetPlanned(n int, p *schedulePlan) {
 		ib.execs = grown(ib.execs, n)
 	}
 	ib.prevDelay, ib.pendDur = ib.prevDelay[:0], ib.pendDur[:0]
+}
+
+// withMilestones gives a planned run's columns the schedDone, buildDone and
+// shipDone the engine writes, in one fresh slab.
+func (c *instanceColumns) withMilestones() {
+	n := c.n
+	f := make([]float64, 3*n)
+	c.schedDone, c.buildDone, c.shipDone = f[:n:n], f[n:2*n:2*n], f[2*n:]
 }
 
 // faulty reports whether the fault and hedge columns exist.
@@ -176,7 +189,8 @@ func (c *instanceColumns) wastedSec(i int) float64 {
 	return w
 }
 
-// copyAt copies src's rows into c starting at row lo.
+// copyAt copies src's rows, every milestone among them (Result.resolved),
+// into c starting at row lo.
 func (c *instanceColumns) copyAt(lo int, src *instanceColumns) {
 	copy(c.degree[lo:], src.degree)
 	copy(c.flags[lo:], src.flags)

@@ -173,7 +173,7 @@ func (r *Result) Instances() int { return r.cols.n }
 // instance in instance order (Timelines()[i].Index == i), its fault and hedge
 // fields zero when the run carried no such columns. It costs 120 bytes per
 // instance on every call: hold the slice, and prefer the metric methods.
-func (r *Result) Timelines() []Timeline { return r.cols.materialize() }
+func (r *Result) Timelines() []Timeline { return r.resolved().materialize() }
 
 // Start is when instance i's final, successful execution attempt began.
 func (r *Result) Start(i int) float64 { return r.cols.start[i] }
@@ -492,7 +492,7 @@ func (sc *runScratch) release() {
 		sc.batch.execs = nil // the Result's end column
 	}
 	sc.batch.instanceColumns, sc.folded = instanceColumns{}, false
-	sc.plan.on, sc.plan.hit, sc.plan.slab = false, false, nil
+	sc.plan.on, sc.plan.hit, sc.plan.start = false, false, nil
 	runScratchPool.Put(sc)
 }
 

@@ -8,13 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// ownMilestones gives a run that hit the schedule store milestone columns of
-// its own, so a control plane that writes them leaves the store as it was.
+// ownMilestones gives a run inside the schedule store's gate all four
+// milestone columns, of its own: a planned batch has start alone, and on a
+// hit the store's, so a control plane that writes them leaves the store as it
+// was.
 func (sc *runScratch) ownMilestones() {
-	if p := &sc.plan; p.hit {
-		n, c := sc.batch.n, &sc.batch.instanceColumns
-		p.hit, p.slab, p.rows = false, make([]float64, 4*n), n
-		c.schedDone, c.buildDone, c.shipDone, c.start = p.column(0, n), p.column(1, n), p.column(2, n), p.column(3, n)
+	if sc.plan.on {
+		c := &sc.batch.instanceColumns
+		c.withMilestones()
+		c.start = make([]float64, c.n)
 	}
 }
 
@@ -44,9 +46,9 @@ func (sc *runScratch) ownMilestones() {
 //     were Config.MaxStartRetries and the retryPolicy() mapping of
 //     Config.RetryDelaySec onto a fixed backoff (the two fields are gone;
 //     the zero Retry is the same fixed, zero-delay, three-retry policy);
-//   - a run whose milestone columns the schedule store serves (store.go)
-//     first gets columns of its own: the oracle writes every column, and
-//     the stored ones are read-only.
+//   - a run inside the schedule store's gate (store.go) first gets
+//     milestone columns of its own: the oracle writes every column, a
+//     planned batch has start alone, and a stored one is read-only.
 //
 // Do not "improve" this function; it is a specification, not product code.
 

@@ -40,6 +40,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.StorageGBps = 0 },
 		func(c *Config) { c.JitterRel = 0.5 },
 		func(c *Config) { c.MaxExecSec = 0 },
+		// Finite stage constants whose one-instance path overflows, cold and warm.
+		func(c *Config) { c.SchedBaseSec, c.BuildSec, c.ShipSec = 1e308, 1e308, 1e308 },
+		func(c *Config) { c.SchedBaseSec, c.WarmStartSec = 1e308, 1e308 },
 	}
 	for i, mut := range mutations {
 		cfg := AWSLambda()
@@ -47,6 +50,17 @@ func TestConfigValidation(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Fatalf("mutation %d accepted", i)
 		}
+	}
+	// Run and Eq. 2's probe refuse an overflowing path with Validate's error,
+	// where the engine would panic on an event at +Inf.
+	cfg := AWSLambda()
+	cfg.SchedBaseSec, cfg.BuildSec, cfg.ShipSec = 1e308, 1e308, 1e308
+	want := cfg.Validate().Error()
+	if _, err := Run(cfg, Burst{Demand: testDemand(), Functions: 4, Degree: 4}); err == nil || err.Error() != want {
+		t.Fatalf("Run returned %v, want %q", err, want)
+	}
+	if _, err := ScalingTime(cfg, 1, 20); err == nil || err.Error() != want {
+		t.Fatalf("ScalingTime returned %v, want %q", err, want)
 	}
 }
 

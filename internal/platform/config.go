@@ -141,6 +141,10 @@ func (c *Config) validate() error {
 	case !stats.FiniteNonNeg(c.SchedBaseSec, c.SchedPerBusySec, c.BuildSec, c.BuildGrowthSec,
 		c.ShipSec, c.ShipGrowthSec, c.BootSec, c.WarmStartSec):
 		return fmt.Errorf("platform %s: negative or non-finite stage time", c.Name)
+	case !stats.FiniteNonNeg(c.SchedBaseSec+c.BuildSec+c.ShipSec+c.BootSec, c.SchedBaseSec+c.WarmStartSec):
+		// One instance's cold and warm paths, summed in the solver's order:
+		// past them the engine would schedule an event at +Inf.
+		return fmt.Errorf("platform %s: one instance's stage path overflows", c.Name)
 	case c.SchedServers < 1 || c.BuildServers < 1 || c.ShipServers < 1:
 		return fmt.Errorf("platform %s: stage parallelism must be ≥1", c.Name)
 	case c.PodSize < 0:

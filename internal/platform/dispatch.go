@@ -470,6 +470,9 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		if tandem {
 			tandemFallbacks.Add(1)
 		}
+		if ib.schedDone == nil { // planned: the solver kept start alone
+			ib.withMilestones()
+		}
 		if cp.pods = nil; podSize > 1 { // a pod of one is its instance
 			cp.pods = sc.podStates((n + podSize - 1) / podSize)
 		}
@@ -500,7 +503,7 @@ func runControlPlane(cfg Config, b Burst, sc *runScratch, rng *sim.RNG) (*Result
 		}
 	}
 	if cp.rec != nil {
-		emitLifecycleSpans(cp.rec, c, b, cp.admitted)
+		emitLifecycleSpans(cp.rec, res.resolved(), b, cp.admitted)
 	}
 	return res, nil
 }

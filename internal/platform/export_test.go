@@ -40,7 +40,7 @@ func (r *Result) ServiceTimeAtQuantile(q float64) float64 {
 // last instance to start: time in scheduling, image build, shipping, and
 // boot. The four components sum to ScalingTime (paper Fig. 2).
 func (r *Result) StageBreakdown() (sched, build, ship, boot float64) {
-	c := &r.cols
+	c := r.resolved()
 	if c.n == 0 {
 		return 0, 0, 0, 0
 	}

@@ -29,7 +29,7 @@ func widened(t *testing.T, res *Result, groupsOf func(i int) []demandGroup) *Res
 	full := &Result{Config: res.Config, Burst: res.Burst, Bins: res.Bins,
 		SchedBusySec: res.SchedBusySec, BuildBusySec: res.BuildBusySec, ShipBusySec: res.ShipBusySec,
 		cols: newInstanceColumns(res.cols.n, true)}
-	full.cols.copyAt(0, &res.cols)
+	full.cols.copyAt(0, res.resolved())
 	full.fold(true, groupsOf)
 	return full
 }

@@ -96,7 +96,7 @@ func mergeShardResults(cfg Config, results []*Result) *Result {
 	merged := &Result{Config: cfg, cols: newInstanceColumns(n, cfg.faulty())}
 	lo := 0
 	for _, r := range results {
-		merged.cols.copyAt(lo, &r.cols)
+		merged.cols.copyAt(lo, r.resolved())
 		lo += r.cols.n
 		merged.ComputeUSD += r.ComputeUSD
 		merged.RequestUSD += r.RequestUSD

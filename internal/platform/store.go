@@ -15,7 +15,9 @@ import (
 // pricing, the demand's I/O and the degrees. Both halves are kept here, once
 // per process, for every Run and RunMixed inside the gate and for ScalingTime
 // (Eq. 2's probe); only the seed's half — the jitter draw, the end column and
-// the fold's extrema and compute sums — is left to each run.
+// the fold's extrema and compute sums — is left to each run. Of the schedule
+// only the start column is kept, the one a run reads; the other three
+// milestones are solved again when a Result is asked for them (resolved).
 
 // storeMin is the smallest burst that consults the stores: below it a lookup
 // costs more than the solve and the allocation it saves (DESIGN §12 has the
@@ -58,11 +60,10 @@ func scheduleKeyOf(cfg *Config, warm int, stagger float64) scheduleKey {
 	}
 }
 
-// schedule is one key's stored solution: the milestone columns of the
-// longest burst solved — schedDone, buildDone, shipDone and start, rows
-// apiece, in one slab that nothing writes once it is stored — and a record
-// for each instance count run. Records are kept per count, not as per-row
-// running sums: those would cost 24 B a row more.
+// schedule is one key's stored solution: the start column of the longest
+// burst solved, rows long, in a slab that nothing writes once it is stored,
+// and a record for each instance count run. Records are kept per count, not
+// as per-row running sums: those would cost 24 B a row more.
 type schedule struct {
 	rows   int
 	slab   []float64
@@ -89,10 +90,10 @@ func maxStart(start []float64) float64 {
 }
 
 // scheduleStoreCap bounds what the schedule store holds, in rows plus count
-// records (≈ 32 B apiece, ≈ 64 MB full): one 10⁶-instance schedule fits
-// beside a figure pass's. It is reached only by keys of a caller's choosing;
-// a full store is emptied, as the bounded maps are, and a run larger than the
-// whole store is not stored.
+// records (8 B a row, 32 B a record; ≈ 16 MB full): one 10⁶-instance
+// schedule, 8 MB, fits beside a figure pass's. It is reached only by keys of
+// a caller's choosing; a full store is emptied, as the bounded maps are, and
+// a run larger than the whole store is not stored.
 const scheduleStoreCap = 1 << 21
 
 var schedules = struct {
@@ -103,44 +104,37 @@ var schedules = struct {
 
 // schedulePlan is a run's part in the schedule store, settled before its
 // columns are allocated: whether it consults the store, under which key, and
-// its milestone slab with rows per column — on a hit the stored one, read
-// with the busy seconds; on a miss a fresh one, n rows, to solve into and
-// store.
+// its start column, n rows — on a hit a prefix of the stored slab, read with
+// the busy seconds; on a miss a fresh one to solve into and store.
 type schedulePlan struct {
 	on, hit bool
 	key     scheduleKey
-	slab    []float64
-	rows    int
+	start   []float64
 	busy    [3]float64
 }
 
-// column returns the first n rows of the plan's milestone column k.
-func (p *schedulePlan) column(k, n int) []float64 {
-	return p.slab[k*p.rows : k*p.rows+n : k*p.rows+n]
-}
-
 // lookupSchedule plans a run of n instances: a hit needs n's record, and
-// with it n stored rows. A miss allocates its slab.
+// with it n stored rows. A miss allocates its start column.
 func lookupSchedule(key scheduleKey, n int) schedulePlan {
 	p := schedulePlan{on: true, key: key}
 	schedules.Lock()
 	if s := schedules.m[key]; s != nil {
 		var r countRecord
 		if r, p.hit = s.counts[n]; p.hit {
-			p.busy, p.slab, p.rows = r.busy, s.slab, s.rows
+			p.busy, p.start = r.busy, s.slab[:n:n]
 		}
 	}
 	schedules.Unlock()
 	if !p.hit {
-		p.slab, p.rows = make([]float64, 4*n), n
+		p.start = make([]float64, n)
 	}
 	return p
 }
 
-// storeSchedule records a solved run of n instances, slab its milestone
-// columns and r its record: the record joins the stored entry if that holds
-// n rows already, else the slab replaces it. By the prefix property every
-// record the entry held stays true of the longer slab.
+// storeSchedule records a solved run of n instances, slab its start column
+// and r its record: the record joins the stored entry if that holds n rows
+// already, else the slab replaces it. By the prefix property every record the
+// entry held stays true of the longer slab.
 func storeSchedule(key scheduleKey, n int, slab []float64, r countRecord) {
 	if n >= scheduleStoreCap {
 		return
@@ -185,7 +179,7 @@ func recordedScalingTime(cfg *Config, n int) (float64, bool) {
 // solve fills a tandem burst's milestone columns and the stations' busy
 // seconds, for a burst on cfg staggered by stagger: on a hit they are the
 // schedule store's already, else the solver fills them and, if the run
-// consults the store, they are stored.
+// consults the store, its start column is stored.
 func (sc *runScratch) solve(cfg *Config, stagger float64) bool {
 	cp, p := &sc.cp, &sc.plan
 	if p.hit {
@@ -196,12 +190,33 @@ func (sc *runScratch) solve(cfg *Config, stagger float64) bool {
 		return false
 	}
 	if n := sc.batch.n; p.on {
-		storeSchedule(p.key, n, p.slab, countRecord{
+		storeSchedule(p.key, n, p.start, countRecord{
 			busy:     [3]float64{cp.sched.BusySeconds, cp.build.BusySeconds, cp.ship.BusySeconds},
-			maxStart: maxStart(p.column(3, n)),
+			maxStart: maxStart(p.start),
 		})
 	}
 	return true
+}
+
+// resolved returns r's columns with all four milestones. A run the solver
+// finished inside the stores' gate keeps start alone (resetPlanned); for its
+// row view, its spans and a sharded merge the other three are solved again,
+// into fresh columns, by the same solver over r's Config, warm flags, stagger
+// and instance count, so in the same bits. It writes nothing of r's and
+// neither reads nor fills a store.
+func (r *Result) resolved() *instanceColumns {
+	if r.cols.schedDone != nil {
+		return &r.cols
+	}
+	c := r.cols
+	c.withMilestones()
+	var cp controlPlane
+	cp.ib = &instanceBatch{instanceColumns: c}
+	cp.ib.start = make([]float64, c.n) // r's own may be the store's: never written
+	if !cp.solveTandem(&r.Config, r.Burst.StaggerSec, nil) {
+		panic("platform: a solved schedule failed to solve again")
+	}
+	return &c
 }
 
 // billKey is what a dice-free burst's storage and request fees read: the

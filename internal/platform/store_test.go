@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/interfere"
@@ -139,6 +140,78 @@ func TestScheduleStoreConcurrentFills(t *testing.T) {
 		}
 		if keys, held, _ := storeSizes(t); keys != 1 || held != storeMin+41*6+7 {
 			t.Fatalf("%d workers: %d keys holding %d rows and records, want 1 holding %d", workers, keys, held, storeMin+41*6+7)
+		}
+	}
+}
+
+// TestScheduleStoreHoldsStart: a stored entry's slab is its rows' start
+// column, exactly — the solver's own, solved with every milestone column —
+// whether a burst first stored it or a longer one replaced it, and a shorter
+// burst's hit leaves it as it was.
+func TestScheduleStoreHoldsStart(t *testing.T) {
+	defer resetStores()
+	resetStores()
+	cfg := AWSLambda()
+	cfg.PodSize = 3
+	key, rows := scheduleKeyOf(&cfg, 5, 0), 0
+	for _, n := range []int{200, 700, 200} {
+		rows = max(rows, n)
+		b := Burst{Demand: tandemLight, Functions: n, Degree: 1, Warm: 5, Seed: int64(n)}
+		if _, err := Run(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+		schedules.Lock()
+		s := schedules.m[key]
+		schedules.Unlock()
+		if s == nil || s.rows != rows || len(s.slab) != rows {
+			t.Fatalf("after a burst of %d: the entry does not hold %d rows", n, rows)
+		}
+		long := b
+		long.Functions = rows
+		if want := solvedSchedule(t, cfg, long)[3*rows : 4*rows]; !slicesEqualBits(s.slab, want) {
+			t.Fatalf("after a burst of %d: the stored slab of %d rows is not the solver's start column", n, rows)
+		}
+	}
+}
+
+// TestStoredTimelinesConcurrent: goroutines asking one stored Result for its
+// row view at once each solve its three absent milestone columns again, and
+// must all get the forced-evented run's rows (CI runs it under -race, where a
+// write to the Result or the store is a reported race).
+func TestStoredTimelinesConcurrent(t *testing.T) {
+	defer resetStores()
+	resetStores()
+	cfg := AWSLambda()
+	cfg.PodSize = 4
+	b := Burst{Demand: tandemLight, Functions: 3 * 600, Degree: 3, Warm: 7, StaggerSec: 0.25, Seed: 5}
+	want, err := Run(forcedEvented(cfg, math.MaxInt32), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	for range 2 { // a miss stores the schedule, and the hit reads it
+		if res, err = Run(cfg, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.cols.schedDone != nil {
+		t.Fatal("the stored Result carries schedDone: the test proves nothing")
+	}
+	wantRows := want.Timelines()
+	const readers = 8
+	got := make([][]Timeline, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = res.Timelines()
+		}()
+	}
+	wg.Wait()
+	for g, rows := range got {
+		if !reflect.DeepEqual(rows, wantRows) { // times here are never NaN
+			t.Fatalf("reader %d of %d: the stored Result's rows differ from the forced-evented run's", g+1, readers)
 		}
 	}
 }

@@ -99,8 +99,9 @@ func (st *tandemStage) serve(arrive, instant float64) (begin, end float64) {
 
 // solveTandem fills cp.ib's milestone columns up to start for a dice-free,
 // unthrottled burst on cfg, instance k arriving at k·stagger: each instance
-// through the three stages, then boot as the timer it is. It reads no
-// execution time, and sends a non-nil feed its row count every followChunk
+// through the three stages, then boot as the timer it is. A batch without
+// schedDone, buildDone and shipDone (resetPlanned) gets start alone. It reads
+// no execution time, and sends a non-nil feed its row count every followChunk
 // rows and at the last. False: a stage went bad.
 func (cp *controlPlane) solveTandem(cfg *Config, stagger float64, feed chan<- int) bool {
 	ib, podSize := cp.ib, max(cfg.PodSize, 1)
@@ -112,6 +113,7 @@ func (cp *controlPlane) solveTandem(cfg *Config, stagger float64, feed chan<- in
 	build.init(cfg.BuildServers, ib.n, cfg.BuildSec, cfg.BuildGrowthSec)
 	ship.init(cfg.ShipServers, ib.n, cfg.ShipSec, cfg.ShipGrowthSec)
 	stagger = max(stagger, 0) // −0 becomes +0: unstaggered, everyone arrives at t=0
+	milestones := ib.schedDone != nil
 	// The pod being walked: its end, whether a cold member leads it yet, when its image shipped.
 	podEnd, led, shippedAt := 0, false, 0.0
 	for i := 0; i < ib.n; i++ {
@@ -121,23 +123,25 @@ func (cp *controlPlane) solveTandem(cfg *Config, stagger float64, feed chan<- in
 		}
 		// Arrivals are scheduled before any completion: they win every tie.
 		placing, placed := sched.serve(arrive, math.Inf(-1))
-		ib.schedDone[i] = placed
+		built, shipped := placed, placed
 		from, delay := placed, cfg.WarmStartSec
 		switch {
 		case ib.warm(i):
-			ib.buildDone[i], ib.shipDone[i] = placed, placed
 		case !led:
-			building, built := build.serve(placed, placing)
-			_, shipped := ship.serve(built, building)
+			var building float64
+			building, built = build.serve(placed, placing)
+			_, shipped = ship.serve(built, building)
 			led, shippedAt = true, shipped
-			ib.buildDone[i], ib.shipDone[i] = built, shipped
 			from, delay = shipped, cfg.BootSec
 		default: // a follower boots once it is placed and its pod's image is there
-			ib.buildDone[i], ib.shipDone[i] = shippedAt, shippedAt
+			built, shipped = shippedAt, shippedAt
 			from, delay = max(placed, shippedAt), cfg.BootSec
 		}
 		if sched.bad || build.bad || ship.bad {
 			return false
+		}
+		if milestones {
+			ib.schedDone[i], ib.buildDone[i], ib.shipDone[i] = placed, built, shipped
 		}
 		ib.start[i] = sim.TimerAt(from, delay)
 		if feed != nil && ((i+1)%followChunk == 0 || i+1 == ib.n) {

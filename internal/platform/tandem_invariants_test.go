@@ -53,9 +53,10 @@ func TestStageTimesScaleExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g, w := got.resolved(), base.resolved()
 		for name, cols := range map[string][2][]float64{
-			"schedDone": {got.cols.schedDone, base.cols.schedDone}, "buildDone": {got.cols.buildDone, base.cols.buildDone},
-			"shipDone": {got.cols.shipDone, base.cols.shipDone}, "start": {got.cols.start, base.cols.start},
+			"schedDone": {g.schedDone, w.schedDone}, "buildDone": {g.buildDone, w.buildDone},
+			"shipDone": {g.shipDone, w.shipDone}, "start": {g.start, w.start},
 		} {
 			for i := range cols[0] {
 				if want := cols[1][i] * k; math.Float64bits(cols[0][i]) != math.Float64bits(want) {
@@ -211,7 +212,7 @@ func TestSchedulerClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, got := range res.cols.schedDone {
+		for k, got := range res.resolved().schedDone {
 			kf := float64(k)
 			want := (kf+1)*cfg.SchedBaseSec + cfg.SchedPerBusySec*kf*(kf+1)/2
 			if tol := (kf + 2) * 0x1p-52 * want; math.Abs(got-want) > tol {
